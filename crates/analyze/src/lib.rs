@@ -48,4 +48,6 @@ mod reduce;
 
 pub use graph::{DepGraph, NameKind};
 pub use lint::{lint_module, lint_source, rules, Diagnostic, LintReport, Severity};
-pub use reduce::{cone_bit_names, reduce_module, reduce_module_multi, task_cone, union_cone};
+pub use reduce::{
+    cone_bit_names, reduce_module, reduce_module_multi, reducible, task_cone, union_cone,
+};

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use covest_ctl::parse_formula;
 use covest_smv::{decl_bit_names, Expr, Module, ObservedDecl};
 
-use crate::graph::DepGraph;
+use crate::graph::{DepGraph, NameKind};
 
 /// Collects every bare identifier occurring in an expression.
 fn expr_names(e: &Expr, out: &mut BTreeSet<String>) {
@@ -82,6 +82,20 @@ pub fn union_cone(module: &Module, graph: &DepGraph) -> BTreeSet<String> {
     }
     let seeds = graph.resolve_names(module, atoms.iter().map(String::as_str));
     graph.cone(&seeds)
+}
+
+/// `true` when a deck can be compiled cone-reduced for `signals`: every
+/// analyzed signal and every `OBSERVED` entry names a declared variable
+/// or `DEFINE`. Any other name has no cone, and compiling the full deck
+/// reports it exactly as a full compile does — an undefined `OBSERVED`
+/// entry when the deck compiles, an unknown analyzed signal when its
+/// analysis starts.
+pub fn reducible(module: &Module, graph: &DepGraph, signals: &[String]) -> bool {
+    let observed = module.observed.iter().map(|o| &o.name);
+    signals
+        .iter()
+        .chain(observed)
+        .all(|name| matches!(graph.classify(name), NameKind::Var | NameKind::Define))
 }
 
 /// The `DEFINE`s reachable — through macro references — from the
@@ -276,6 +290,24 @@ OBSERVED count;
         assert!(r.defines.iter().any(|d| d.name == "hidden"));
         let bdd = covest_bdd::BddManager::new();
         covest_smv::compile_module(&bdd, &r).expect("reduced deck compiles");
+    }
+
+    #[test]
+    fn reducible_needs_declared_signals_and_observed_entries() {
+        let m = parse_module(DECK).expect("parses");
+        let g = DepGraph::new(&m);
+        let names = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // Variables and DEFINEs have cones.
+        assert!(reducible(&m, &g, &names(&["count", "full"])));
+        // An undeclared name has none.
+        assert!(!reducible(&m, &g, &names(&["count", "nope"])));
+        // A deck whose own OBSERVED list names an undeclared signal is
+        // left to the full compile, which reports it.
+        let broken =
+            parse_module(&DECK.replace("OBSERVED count, shadow;", "OBSERVED count, ghost2;"))
+                .expect("parses");
+        let g = DepGraph::new(&broken);
+        assert!(!reducible(&broken, &g, &names(&["count"])));
     }
 
     #[test]

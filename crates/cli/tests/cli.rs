@@ -165,10 +165,10 @@ fn check_stdout(deck: &str, extra: &[&str]) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// `--jobs N` must not change a single observable byte outside the
-/// table's node-count/time columns: verification lines, vacuity
-/// warnings, uncovered-state listings and the table's circuit / signal /
-/// #prop / %COV columns are all byte-identical to the sequential run.
+/// `--jobs N` is a `batch` setting: `check` runs the same program with
+/// or without it, so verification lines, vacuity warnings,
+/// uncovered-state listings and the table's circuit / signal / #prop /
+/// %COV columns are all byte-identical to the default run.
 #[test]
 fn parallel_check_output_matches_sequential() {
     let seq = check_stdout("models/priority_buffer.smv", &["--coverage"]);
@@ -224,24 +224,33 @@ fn check_json_reports_rows_and_verdicts() {
 /// Writes a joblist over every bundled deck (relative paths, exercising
 /// joblist-directory resolution) and returns its path.
 fn write_joblist(name: &str) -> std::path::PathBuf {
+    write_joblist_of(
+        name,
+        &[
+            "# every bundled deck, by absolute path",
+            "counter.smv",
+            "pipeline.smv",
+            "priority_buffer.smv",
+            "priority_buffer_buggy.smv",
+        ],
+    )
+}
+
+/// Writes a joblist naming the given `models/` decks (and `#` comment
+/// lines) by absolute path and returns its path.
+fn write_joblist_of(name: &str, entries: &[&str]) -> std::path::PathBuf {
     let dir = repo_root().join("models");
     let joblist = std::env::temp_dir().join(name);
-    let lines: String = [
-        "# every bundled deck, by absolute path",
-        "counter.smv",
-        "pipeline.smv",
-        "priority_buffer.smv",
-        "priority_buffer_buggy.smv",
-    ]
-    .iter()
-    .map(|l| {
-        if l.starts_with('#') {
-            format!("{l}\n")
-        } else {
-            format!("{}\n", dir.join(l).display())
-        }
-    })
-    .collect();
+    let lines: String = entries
+        .iter()
+        .map(|l| {
+            if l.starts_with('#') {
+                format!("{l}\n")
+            } else {
+                format!("{}\n", dir.join(l).display())
+            }
+        })
+        .collect();
     std::fs::write(&joblist, lines).expect("write joblist");
     joblist
 }
@@ -366,30 +375,71 @@ fn missing_file_reports_error() {
     assert!(!out.status.success());
 }
 
+/// Runs `covest batch` over a joblist of the given `models/` decks and
+/// returns stdout.
+fn batch_stdout(decks: &[&str], extra: &[&str]) -> String {
+    // One joblist file per (decks, flags), so parallel tests never share.
+    let key: String = [decks, extra]
+        .concat()
+        .concat()
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect();
+    let name = format!("covest-batch-{key}.txt");
+    let joblist = write_joblist_of(&name, decks);
+    let out = covest()
+        .arg("batch")
+        .arg(&joblist)
+        .args(extra)
+        .output()
+        .expect("runs");
+    let _ = std::fs::remove_file(joblist);
+    assert!(out.status.success(), "batch {decks:?} {extra:?} run fails");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The deterministic counter section of a `--stats` summary: from
+/// `stats:` up to the `-- timings --` marker.
+fn stats_counters(stdout: &str) -> String {
+    let start = stdout.find("stats:").expect("stats section present");
+    let end = stdout
+        .find("-- timings --")
+        .expect("timings marker present");
+    assert!(start < end, "marker precedes stats:\n{stdout}");
+    stdout[start..end].to_owned()
+}
+
 /// The `--stats` summary above the `-- timings --` marker holds only
 /// deterministic counters, so it must be byte-identical between a
 /// sequential and a 4-thread run (the timings below the marker are
-/// wall-clock and legitimately differ).
+/// wall-clock and legitimately differ). `check` prints the front-end
+/// block only; the per-shard blocks are `batch`'s.
 #[test]
 fn stats_summary_is_byte_identical_across_job_counts() {
-    let section = |jobs: &str| -> String {
-        let stdout = check_stdout(
+    let check = |jobs: &str| {
+        stats_counters(&check_stdout(
             "models/counter.smv",
             &["--coverage", "--stats", "--jobs", jobs],
-        );
-        let start = stdout.find("stats:").expect("stats section present");
-        let end = stdout
-            .find("-- timings --")
-            .expect("timings marker present");
-        assert!(start < end, "marker precedes stats:\n{stdout}");
-        stdout[start..end].to_owned()
+        ))
     };
-    let seq = section("1");
-    let par = section("4");
+    let seq = check("1");
+    assert!(seq.contains("  front-end\n"), "{seq}");
+    assert!(seq.contains("bdd_peak_live_nodes"), "{seq}");
+    assert!(seq.contains("image_calls"), "{seq}");
+    assert!(!seq.contains("  shard "), "check runs no shards:\n{seq}");
+    assert_eq!(seq, check("4"), "stats counters must not depend on --jobs");
+
+    let batch = |jobs: &str| {
+        stats_counters(&batch_stdout(
+            &["counter.smv"],
+            &["--stats", "--jobs", jobs],
+        ))
+    };
+    let seq = batch("1");
     assert!(seq.contains("bdd_peak_live_nodes"), "{seq}");
     assert!(seq.contains("image_calls"), "{seq}");
     assert!(seq.contains("signals count"), "{seq}");
-    assert_eq!(seq, par, "stats counters must not depend on --jobs");
+    assert_eq!(seq, batch("4"), "stats counters must not depend on --jobs");
 }
 
 /// `--trace FILE` writes a JSONL span log covering the compile, the
@@ -488,121 +538,147 @@ fn json_stats_object_is_deterministic() {
 /// square-bracketed, comma-separated objects, `thread_name` metadata
 /// for the worker and front-end tracks, and complete (`ph:"X"`) events
 /// for the run's phases. `ui.perfetto.dev` ingests exactly this shape.
+/// `check` records everything on the front-end track; `batch` adds one
+/// track per pool worker with the shard's `signals` and `stolen` tags.
 #[test]
 fn chrome_trace_is_a_perfetto_loadable_array() {
     let trace = std::env::temp_dir().join("covest-trace-test-chrome.json");
-    let _ = std::fs::remove_file(&trace);
-    let stdout = check_stdout(
-        "models/priority_buffer.smv",
-        &[
-            "--coverage",
-            "--jobs",
-            "4",
-            "--trace",
-            trace.to_str().unwrap(),
-            "--trace-format",
-            "chrome",
-        ],
-    );
-    assert!(stdout.contains("wrote "), "{stdout}");
-    let log = std::fs::read_to_string(&trace).expect("trace written");
-    let body = log.trim();
-    assert!(body.starts_with('[') && body.ends_with(']'), "{body}");
-    for needle in [
+    let flags = [
+        "--jobs",
+        "4",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--trace-format",
+        "chrome",
+    ];
+    let read_trace = |stdout: &str| -> String {
+        assert!(stdout.contains("wrote "), "{stdout}");
+        let log = std::fs::read_to_string(&trace).expect("trace written");
+        let _ = std::fs::remove_file(&trace);
+        let body = log.trim();
+        assert!(body.starts_with('[') && body.ends_with(']'), "{body}");
+        // Structural JSON-array check without a parser: every event line
+        // is one object, comma-terminated except the last.
+        let lines: Vec<&str> = body.lines().collect();
+        assert!(lines.len() > 3, "trace has events");
+        for line in &lines[1..lines.len() - 1] {
+            assert!(line.starts_with('{'), "{line}");
+            assert!(line.ends_with("},") || line.ends_with('}'), "{line}");
+        }
+        log
+    };
+    let common = [
         "\"ph\":\"M\"",
         "\"name\":\"thread_name\"",
-        "\"args\":{\"name\":\"worker 0\"}",
-        "\"args\":{\"name\":\"front-end\"}",
         "\"ph\":\"X\"",
         "\"name\":\"compile\"",
         "\"name\":\"signal:hi_cnt\"",
-        "\"signals\":\"hi_cnt+lo_cnt\"",
-        "\"stolen\":",
         "\"mem_peak_close\":",
-    ] {
+    ];
+
+    let _ = std::fs::remove_file(&trace);
+    let mut args = vec!["--coverage"];
+    args.extend(flags);
+    let log = read_trace(&check_stdout("models/priority_buffer.smv", &args));
+    for needle in common.iter().chain(&["\"args\":{\"name\":\"front-end\"}"]) {
         assert!(log.contains(needle), "missing {needle} in:\n{log}");
     }
-    // Structural JSON-array check without a parser: every event line is
-    // one object, comma-terminated except the last.
-    let lines: Vec<&str> = body.lines().collect();
-    assert!(lines.len() > 3, "trace has events");
-    for line in &lines[1..lines.len() - 1] {
-        assert!(line.starts_with('{'), "{line}");
-        assert!(line.ends_with("},") || line.ends_with('}'), "{line}");
+    assert!(
+        !log.contains("\"args\":{\"name\":\"worker 0\"}"),
+        "check runs no pool workers:\n{log}"
+    );
+
+    let log = read_trace(&batch_stdout(&["priority_buffer.smv"], &flags));
+    for needle in common.iter().chain(&[
+        "\"args\":{\"name\":\"worker 0\"}",
+        "\"signals\":\"hi_cnt+lo_cnt\"",
+        "\"stolen\":",
+    ]) {
+        assert!(log.contains(needle), "missing {needle} in:\n{log}");
     }
-    let _ = std::fs::remove_file(&trace);
+}
+
+/// `check` stdout with the timing columns of the coverage table masked
+/// and, unless `keep_bdds`, its BDD-size columns too. A table row ends
+/// in `NODES - TIME NODES - TIME`; the table runs from its `Circuit`
+/// header to the next blank line.
+fn mask_table(stdout: &str, keep_bdds: bool) -> Vec<String> {
+    let mut in_table = false;
+    stdout
+        .lines()
+        .map(|line| {
+            if line.starts_with("Circuit ") {
+                in_table = true;
+            } else if line.is_empty() {
+                in_table = false;
+            }
+            if !in_table || line.starts_with("Circuit ") {
+                return line.to_owned();
+            }
+            let mut tokens: Vec<&str> = line.split_whitespace().collect();
+            let n = tokens.len();
+            assert!(n >= 6, "unexpected table row: {line}");
+            tokens[n - 4] = "*";
+            tokens[n - 1] = "*";
+            if !keep_bdds {
+                tokens[n - 6] = "*";
+                tokens[n - 3] = "*";
+            }
+            tokens.join(" ")
+        })
+        .collect()
 }
 
 /// `--progress` emits heartbeat lines on stderr naming the phase,
-/// iteration, BDD size and support width; stdout stays byte-identical
-/// to a run without the flag.
+/// iteration, BDD size and support width. Neither it nor `--stats` nor
+/// `--jobs` changes the program `check` runs: stdout above `stats:` is
+/// byte-identical to the default run's, the table's BDD counts included;
+/// only the times may differ.
 #[test]
 fn progress_heartbeat_lands_on_stderr_only() {
     let deck = repo_root().join("models/priority_buffer.smv");
-    let with = covest()
-        .arg("check")
-        .arg(&deck)
-        .args(["--coverage", "--progress"])
-        .output()
-        .expect("runs");
-    assert!(with.status.success());
-    let stderr = String::from_utf8_lossy(&with.stderr);
+    let run = |extra: &[&str]| {
+        let out = covest()
+            .arg("check")
+            .arg(&deck)
+            .arg("--coverage")
+            .args(extra)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "check {extra:?} fails");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let above_stats = stdout.split("\nstats:").next().unwrap_or_default();
+        (
+            mask_table(above_stats, true),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (default, _) = run(&[]);
+    let (with, stderr) = run(&["--progress"]);
     assert!(stderr.contains("progress["), "no heartbeat in:\n{stderr}");
     assert!(
         stderr.contains("reach iter=") && stderr.contains(" size=") && stderr.contains(" support="),
         "heartbeat lacks fixpoint gauges:\n{stderr}"
     );
-    let without = covest()
-        .arg("check")
-        .arg(&deck)
-        .arg("--coverage")
-        .output()
-        .expect("runs");
-    // The coverage table prints wall-clock columns, so compare stdout
-    // with the timing lines filtered out.
-    let stable = |out: &[u8]| -> String {
-        String::from_utf8_lossy(out)
-            .lines()
-            .filter(|l| !l.contains("ms"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(
-        stable(&with.stdout),
-        stable(&without.stdout),
-        "--progress must not perturb stdout"
-    );
+    assert_eq!(with, default, "--progress must not perturb stdout");
+    for extra in [&["--stats"][..], &["--jobs", "4"]] {
+        let (with, _) = run(extra);
+        assert_eq!(with, default, "{extra:?} must not change the run");
+    }
 }
 
-/// `--stats` surfaces the per-phase peak-live attribution: the shard
-/// table's maximum must equal the shard's `bdd_peak_live_nodes` counter
-/// (the acceptance reconciliation), and the explicit peak/reorder line
-/// rides along.
-#[test]
-fn stats_peak_table_reconciles_with_high_water_counter() {
-    let stdout = check_stdout(
-        "models/counter.smv",
-        &["--coverage", "--stats", "--jobs", "4"],
-    );
-    let start = stdout.find("stats:").expect("stats section");
-    let section = &stdout[start..];
-    assert!(section.contains("peak-live by phase"), "{section}");
-    assert!(section.contains("peak live "), "{section}");
-    assert!(section.contains("  reorder "), "{section}");
-
-    // Parse the *shard* block: its counters (including the high-water
-    // mark) followed by its peak table.
-    let shard_at = section.find("  shard ").expect("shard block");
-    let shard = &section[shard_at..];
-    let peak_counter: u64 = shard
+/// Parses the `bdd_peak_live_nodes` counter and the maximum of the
+/// `peak-live by phase` table from one `--stats` block.
+fn peak_counter_and_table_max(block: &str) -> (u64, u64) {
+    let counter: u64 = block
         .lines()
         .find(|l| l.trim_start().starts_with("bdd_peak_live_nodes"))
         .and_then(|l| l.split_whitespace().last())
         .expect("bdd_peak_live_nodes line")
         .parse()
         .expect("counter parses");
-    let table_at = shard.find("peak-live by phase").expect("peak table");
-    let table_max = shard[table_at..]
+    let table_at = block.find("peak-live by phase").expect("peak table");
+    let table_max = block[table_at..]
         .lines()
         .skip(1)
         .take_while(|l| l.starts_with("      "))
@@ -610,8 +686,128 @@ fn stats_peak_table_reconciles_with_high_water_counter() {
         .filter_map(|v| v.parse::<u64>().ok())
         .max()
         .expect("table rows");
+    (counter, table_max)
+}
+
+/// `--stats` surfaces the per-phase peak-live attribution: a block's
+/// table maximum must equal its `bdd_peak_live_nodes` counter (the
+/// acceptance reconciliation). `check` reconciles its front-end block;
+/// `batch` its shard block, whose peak/reorder line rides along.
+#[test]
+fn stats_peak_table_reconciles_with_high_water_counter() {
+    let flags = ["--stats", "--jobs", "4"];
+    let stdout = check_stdout(
+        "models/counter.smv",
+        &[&["--coverage"][..], &flags].concat(),
+    );
+    let section = stats_counters(&stdout);
+    let front_at = section.find("  front-end\n").expect("front-end block");
+    let front = &section[front_at..];
+    assert!(front.contains("peak-live by phase"), "{front}");
+    let (counter, table_max) = peak_counter_and_table_max(front);
     assert_eq!(
-        table_max, peak_counter,
+        table_max, counter,
+        "peak table max must equal bdd_peak_live_nodes:\n{front}"
+    );
+
+    let stdout = batch_stdout(&["counter.smv"], &flags);
+    let section = &stdout[stdout.find("stats:").expect("stats section")..];
+    assert!(section.contains("peak live "), "{section}");
+    assert!(section.contains("  reorder "), "{section}");
+    let shard = &section[section.find("  shard ").expect("shard block")..];
+    let (counter, table_max) = peak_counter_and_table_max(shard);
+    assert_eq!(
+        table_max, counter,
         "peak table max must equal bdd_peak_live_nodes:\n{shard}"
     );
+}
+
+/// `--coi on` (the default) compiles the union of the analyzed signals'
+/// cones, and `--coi off` the full deck; every other byte of `check`'s
+/// stdout — verdicts, counterexamples, vacuity warnings, percentages,
+/// uncovered listings and trace paths — must agree. Only the header,
+/// the `reorder (sift):` line and the table's BDD and time columns
+/// describe the machine and may differ. Inputs: every bundled deck, a
+/// sized pipeline with a coverage hole and a dead debug register, and
+/// a signal outside every property's cone.
+#[test]
+fn check_cone_output_matches_coi_off() {
+    use covest_circuits::pipeline;
+    use std::fmt::Write as _;
+
+    let mut sized = pipeline::deck_sized(4);
+    for spec in pipeline::out_suite_initial(4) {
+        writeln!(sized, "SPEC {spec};").expect("write to string");
+    }
+    let sized_path = std::env::temp_dir().join("covest-coi-pipeline_d4.smv");
+    std::fs::write(&sized_path, sized).expect("write deck");
+
+    let mut inputs: Vec<(std::path::PathBuf, Vec<&str>)> =
+        std::fs::read_dir(repo_root().join("models"))
+            .expect("models directory")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "smv"))
+            .map(|p| (p, Vec::new()))
+            .collect();
+    inputs.sort();
+    inputs.push((sized_path.clone(), Vec::new()));
+    inputs.push((
+        repo_root().join("models/priority_buffer.smv"),
+        vec!["--observed", "lo_accepted"],
+    ));
+
+    let comparable = |stdout: &str| -> Vec<String> {
+        mask_table(stdout, false)
+            .into_iter()
+            .filter(|l| !l.starts_with("model `") && !l.starts_with("reorder (sift):"))
+            .collect()
+    };
+    for (deck, extra) in &inputs {
+        let run = |coi: &str| -> String {
+            let out = covest()
+                .arg("check")
+                .arg(deck)
+                .args(["--coverage", "--traces", "3", "--coi", coi])
+                .args(extra)
+                .output()
+                .expect("runs");
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        let (on, off) = (run("on"), run("off"));
+        assert_eq!(
+            comparable(&on),
+            comparable(&off),
+            "{} {extra:?}: --coi on and off disagree",
+            deck.display()
+        );
+        let name = deck.file_name().unwrap().to_string_lossy();
+        if name == "priority_buffer_buggy.smv" {
+            // The failing property's counterexample lists the full state
+            // vector, including bits outside every property's cone.
+            assert!(
+                on.lines()
+                    .any(|l| l.starts_with("step 0: ") && l.contains("lo_accepted.0=")),
+                "{on}"
+            );
+        }
+        if deck == &sized_path {
+            assert!(on.contains("in the cone of influence"), "{on}");
+            assert!(on.contains("trace to uncovered state:"), "{on}");
+        }
+    }
+    let _ = std::fs::remove_file(sized_path);
+
+    // The reachable-set dump comes from the same full-deck set-up in
+    // both modes, arena node ids included.
+    let dot = |coi: &str| -> Vec<u8> {
+        let path = std::env::temp_dir().join(format!("covest-coi-{coi}.dot"));
+        check_stdout(
+            "models/priority_buffer.smv",
+            &["--coverage", "--coi", coi, "--dot", path.to_str().unwrap()],
+        );
+        let bytes = std::fs::read(&path).expect("dot written");
+        let _ = std::fs::remove_file(path);
+        bytes
+    };
+    assert_eq!(dot("on"), dot("off"), "--dot must not depend on --coi");
 }

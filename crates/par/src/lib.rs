@@ -24,20 +24,19 @@
 //!   static cone weights); an idle worker **steals whole shards** —
 //!   never individual signals — from its peers, so every shard still
 //!   executes its signals in declaration order on one fresh private
-//!   manager, wherever it lands. A worthiness heuristic in
-//!   [`run_batch`] routes fleets too small to amortize the pool
-//!   straight to [`run_sequential`].
+//!   manager, wherever it lands. Every plan takes the pool, so the
+//!   cone-of-influence reduction applies to one-shard decks too.
 //! - **Deterministic merge** ([`BatchReport`]) — results are assembled
 //!   by task index: decks in input order, signals in declaration order,
 //!   byte-identical reports regardless of scheduling, stealing or
 //!   `jobs`.
 //!
-//! [`run_batch`] is the one-call front door (`covest check --jobs N`,
-//! `covest batch`); [`run_sequential`] is the pre-parallel baseline the
-//! bench and parity suites compare against. The contract — enforced by
-//! `tests/parity.rs` across the full image × simplify × reorder mode
-//! cross, and under forced stealing — is that parallelism is *pure
-//! mechanism*: coverage percentages, per-property verdicts and
+//! [`run_batch`] is the one-call front door (`covest batch`);
+//! [`run_sequential`] is the pre-parallel oracle the bench and parity
+//! suites compare against, and nothing else calls it. The contract —
+//! enforced by `tests/parity.rs` across the full image × simplify ×
+//! reorder mode cross, and under forced stealing — is that parallelism
+//! is *pure mechanism*: coverage percentages, per-property verdicts and
 //! uncovered-state sets are bit-identical to the sequential estimator's;
 //! only node counts and timings (per-shard managers vs one shared
 //! manager) may differ between the pool and the baseline, and even

@@ -17,8 +17,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use covest_analyze::{cone_bit_names, reduce_module_multi, task_cone, DepGraph};
-use covest_smv::{decl_bit_names, ImageConfig};
+use covest_analyze::{cone_bit_names, reduce_module_multi, reducible, task_cone, DepGraph};
+use covest_smv::ImageConfig;
 
 use crate::pool::ParError;
 use crate::shard::Shard;
@@ -70,9 +70,7 @@ pub struct ParConfig {
     /// default; the counters are a pure function of (deck source,
     /// config), so they are byte-identical across `jobs` values, while
     /// the durations (and the stolen flag) are wall-clock scheduling
-    /// facts and excluded from parity. Profiling also forces the pool:
-    /// [`crate::run_batch`] never routes a profiled fleet to the
-    /// sequential baseline, which collects no profiles.
+    /// facts and excluded from parity.
     pub profile: bool,
     /// Cone-of-influence reduction (`true`, the default): each shard
     /// compiles the statically pruned union-cone deck of its member
@@ -218,13 +216,11 @@ fn plan_deck(
 
     let (kinds, shards) = if signals.is_empty() {
         // Verification-only deck: one shard over the full machine.
-        let est_bits = module.vars.iter().flat_map(decl_bit_names).count();
         let shard = Shard {
             deck: 0,
             module: Arc::new(module),
             tasks: vec![0],
             weight: usize::MAX,
-            est_bits,
         };
         (vec![TaskKind::VerifyOnly], vec![shard])
     } else {
@@ -272,6 +268,7 @@ fn plan_deck(
             groups[group_of[r]].push(i);
         }
 
+        let coi = config.coi && reducible(&module, &graph, &signals);
         let full = Arc::new(module);
         let shards = groups
             .into_iter()
@@ -280,7 +277,7 @@ fn plan_deck(
                     .iter()
                     .map(|&i| kinds[i].size_hint())
                     .fold(0usize, usize::saturating_add);
-                let module = if config.coi {
+                let module = if coi {
                     let mut union: BTreeSet<String> = BTreeSet::new();
                     for &i in &members {
                         union.extend(cones[i].iter().cloned());
@@ -303,7 +300,6 @@ fn plan_deck(
                     module,
                     tasks: members,
                     weight,
-                    est_bits: weight,
                 }
             })
             .collect();
@@ -405,14 +401,5 @@ impl WorkPlan {
             .iter()
             .filter(|t| matches!(t.kind, TaskKind::Coverage { .. }))
             .count()
-    }
-
-    /// The fleet's total worthiness estimate in state bits — the input
-    /// to [`crate::run_batch`]'s pool-vs-sequential routing heuristic.
-    pub(crate) fn fleet_est_bits(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.est_bits)
-            .fold(0usize, usize::saturating_add)
     }
 }

@@ -28,14 +28,6 @@ use covest_telemetry::{Counters, SpanRecord};
 use crate::plan::{DeckJob, ParConfig, PlannedDeck, Task, TaskKind, WorkPlan};
 use crate::shard::{run_pool, Shard, ShardResult};
 
-/// Minimum fleet size — total static shard estimate, in state bits —
-/// that justifies spinning up the pool. Below it [`run_batch`] routes to
-/// [`run_sequential`]: a fleet of toy decks finishes before the pool's
-/// thread setup pays for itself. The decision is a pure function of the
-/// plan (never of `jobs` or core count), so a fleet routes the same way
-/// at every `--jobs` value and reports stay byte-identical.
-const MIN_POOL_BITS: usize = 16;
-
 /// Errors from planning or running a parallel batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParError {
@@ -204,16 +196,13 @@ impl DeckReport {
 /// surface (it is excluded from all parity contracts).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedStats {
-    /// Worker threads actually spawned (0 when routed sequential).
+    /// Worker threads actually spawned.
     pub workers: usize,
     /// Shards in the plan.
     pub shards: usize,
     /// Shards executed by a worker other than the one they were dealt
     /// to.
     pub steals: usize,
-    /// `true` if [`run_batch`]'s worthiness heuristic sent the fleet to
-    /// [`run_sequential`] instead of the pool.
-    pub routed_sequential: bool,
 }
 
 /// The deterministic merge of a whole batch: decks in input order,
@@ -261,9 +250,6 @@ impl WorkPlan {
     /// order, whatever order shards completed in — and on whichever
     /// worker.
     ///
-    /// Unlike [`run_batch`], this never routes to the sequential
-    /// baseline: callers who built a plan get the pool.
-    ///
     /// # Errors
     ///
     /// [`ParError::Plan`] if a shard's compile fails; [`ParError::Task`]
@@ -299,7 +285,6 @@ impl WorkPlan {
             workers,
             shards: self.shards.len(),
             steals,
-            routed_sequential: false,
         };
         Ok(report)
     }
@@ -405,68 +390,42 @@ fn merge_shard_results(
 }
 
 /// Plans and runs a batch in one call — the front door used by
-/// `covest check --jobs N` and `covest batch`.
+/// `covest batch`. Every plan runs on the pool, whatever its shard count
+/// or size, so each shard compiles its cone-reduced module whenever
+/// [`ParConfig::coi`] is on.
 ///
 /// Planning is static (parse + cones, no BDDs) and cheap, so it always
 /// completes before execution; a plan failure therefore takes precedence
-/// over every shard outcome. After planning, a **worthiness heuristic**
-/// routes the fleet: if it decomposes into a single shard, or its total
-/// static size estimate is under a small threshold, the pool cannot win
-/// and the batch runs on [`run_sequential`] instead (reported via
-/// [`SchedStats::routed_sequential`]). The decision is a pure function
-/// of the plan — never of `jobs` — so a given fleet produces
-/// byte-identical reports at every `--jobs` value. Profiled runs
-/// ([`ParConfig::profile`]) always take the pool, which is what collects
-/// [`ShardProfile`]s.
+/// over every shard outcome.
 ///
 /// # Errors
 ///
 /// See [`WorkPlan::plan`] and [`WorkPlan::run`].
 pub fn run_batch(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchReport, ParError> {
-    run_batch_inner(jobs, config, None)
+    WorkPlan::plan(jobs, config)?.run(config)
 }
 
 /// [`run_batch`] with a streaming trace sink — see
-/// [`WorkPlan::run_with_trace`]. Profiled fleets always take the pool,
-/// so every shard's forest streams; a fleet routed to the sequential
-/// baseline (only possible unprofiled) records nothing and leaves the
-/// sink untouched.
+/// [`WorkPlan::run_with_trace`]. Without [`ParConfig::profile`] no shard
+/// records anything and the sink stays untouched.
 pub fn run_batch_with_trace(
     jobs: &[DeckJob],
     config: &ParConfig,
     sink: &mut dyn covest_telemetry::chrome::TraceSink,
 ) -> Result<BatchReport, ParError> {
-    run_batch_inner(jobs, config, Some(sink))
+    WorkPlan::plan(jobs, config)?.run_with_trace(config, sink)
 }
 
-fn run_batch_inner(
-    jobs: &[DeckJob],
-    config: &ParConfig,
-    sink: Option<&mut dyn covest_telemetry::chrome::TraceSink>,
-) -> Result<BatchReport, ParError> {
-    let plan = WorkPlan::plan(jobs, config)?;
-    if !config.profile && (plan.num_shards() <= 1 || plan.fleet_est_bits() < MIN_POOL_BITS) {
-        let mut report = run_sequential(jobs, config)?;
-        report.sched = SchedStats {
-            workers: 0,
-            shards: plan.num_shards(),
-            steals: 0,
-            routed_sequential: true,
-        };
-        return Ok(report);
-    }
-    plan.run_inner(config, sink)
-}
-
-/// The sequential baseline: the same decks analyzed the way the
-/// pre-parallel pipeline did — one manager per deck, one compile, one
-/// reachability fixpoint shared by all of the deck's signals. Used by
-/// the `parallel_report` bench (wall-clock comparison), the parity suite
-/// (ground truth), and [`run_batch`]'s worthiness routing for fleets too
-/// small to amortize the pool: percentages, verdicts and uncovered sets
-/// must be bit-identical to [`WorkPlan::run`]'s. Node counts and timings
-/// differ by construction (shared whole-deck manager vs per-shard
-/// cone-reduced managers).
+/// The sequential oracle: the same decks analyzed the way the
+/// pre-parallel pipeline did — one manager per deck, one full-deck
+/// compile, one reachability fixpoint shared by all of the deck's
+/// signals. No production path calls it: it exists only as the
+/// reference that `tests/parity.rs` (ground truth) and the
+/// `parallel_report` bench (wall-clock comparison) hold the pool
+/// against. Percentages, verdicts and uncovered sets must be
+/// bit-identical to [`WorkPlan::run`]'s; node counts and timings differ
+/// by construction (shared whole-deck manager vs per-shard cone-reduced
+/// managers).
 ///
 /// # Errors
 ///

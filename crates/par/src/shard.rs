@@ -50,10 +50,6 @@ pub(crate) struct Shard {
     /// dispatched first). Largest-first dispatch keeps the slowest shard
     /// off the tail of an otherwise drained queue.
     pub weight: usize,
-    /// Worthiness estimate in state bits (verification-only shards count
-    /// the full deck width instead of `usize::MAX`); summed across a
-    /// fleet to decide pool-vs-sequential routing.
-    pub est_bits: usize,
 }
 
 /// Per-task outcome within a shard: the global task index plus the

@@ -114,10 +114,6 @@ fn report_bytes_survive_forced_stealing() {
     )
     .expect("jobs=1");
     let eight = run_batch(&decks, &ParConfig { jobs: 8, ..base }).expect("jobs=8");
-    assert!(
-        !one.sched.routed_sequential && !eight.sched.routed_sequential,
-        "the storm fleet must be pool-worthy"
-    );
     assert_eq!(one.sched.steals, 0, "one worker has nobody to steal from");
     assert!(
         eight.sched.steals > 0,
