@@ -43,10 +43,11 @@
 //!   threads, since managers are deliberately not `Send`;
 //! - rootless mark-and-sweep garbage collection and DOT export;
 //! - dynamic variable reordering ([`BddManager::reduce_heap`]):
-//!   Rudell-style sifting over the level-organized unique table, with
-//!   variable groups ([`BddManager::group_vars`]) that keep each state
-//!   bit's (current, next) pair adjacent, and automatic triggering
-//!   ([`ReorderConfig`]).
+//!   Rudell-style sifting over the level-organized unique table, each
+//!   direction bounded by a growth factor and a run of non-improving
+//!   moves, with variable groups ([`BddManager::group_vars`]) that keep
+//!   each state bit's (current, next) pair adjacent, and automatic
+//!   triggering ([`ReorderConfig`]).
 //!
 //! # Example
 //!

@@ -237,6 +237,44 @@ fn reorder_modes_gate_reduce_heap() {
     let _ = badly_ordered;
 }
 
+/// `MAX_STALE_MOVES` in `src/reorder.rs`: a sift direction ends after this
+/// many moves into new positions that do not beat the block's best size.
+const STALE_MOVES: usize = 4;
+
+#[test]
+fn plateau_sifting_is_bounded_per_variable() {
+    // A cube has one node per variable in every order, and so does its
+    // complement, so every move of every variable is a plateau. Each
+    // variable then explores at most STALE_MOVES positions per direction
+    // and retraces each of them once: 4 * STALE_MOVES swaps. The
+    // unbounded pass sends every variable to both ends: 64 * 126 swaps.
+    const N: usize = 64;
+    let mgr = BddManager::new();
+    let vars = mgr.new_vars(N);
+    let polarity = |i: usize| i % 3 != 1;
+    let mut cube = mgr.constant(true);
+    for (i, &v) in vars.iter().enumerate() {
+        let lit = mgr.var(v);
+        cube = cube.and(&if polarity(i) { lit } else { lit.not() });
+    }
+    let complement = cube.not();
+    let witness = |v: VarId| polarity(v.index());
+
+    let stats = mgr.reduce_heap();
+    assert_eq!((stats.before, stats.after), (2 * N, 2 * N));
+    assert!(
+        stats.swaps <= 4 * STALE_MOVES * N,
+        "{} swaps on a plateau of {N} variables",
+        stats.swaps
+    );
+    // One satisfying assignment plus its witness pins the cube's whole
+    // truth table, and all but that one pins the complement's.
+    assert_eq!(cube.sat_count_exact(&vars), 1);
+    assert!(cube.eval(&witness));
+    assert_eq!(complement.sat_count_exact(&vars), (1u128 << N) - 1);
+    assert!(!complement.eval(&witness));
+}
+
 #[test]
 fn minterm_enumeration_consistent_after_reorder() {
     let mgr = BddManager::new();

@@ -3,7 +3,9 @@
 //! with `covest-circuits`.
 //!
 //! Usage: `cargo run -p covest-circuits --bin gen-models [DIR] [--size N]`
-//! (DIR defaults to `models/` relative to the workspace root).
+//! (DIR defaults to `models/` relative to the workspace root). `--help`
+//! prints the usage; any other argument starting with `-` is rejected
+//! with exit code 2 before anything is written.
 //!
 //! Without `--size`, writes the four fixed decks the test suite pins.
 //! With `--size N`, writes *only* the sized scaling decks instead —
@@ -25,8 +27,10 @@ fn with_specs(mut deck: String, specs: &[Formula]) -> String {
     deck
 }
 
+const USAGE: &str = "usage: gen-models [DIR] [--size N]";
+
 fn usage() -> ! {
-    eprintln!("usage: gen-models [DIR] [--size N]");
+    eprintln!("{USAGE}");
     exit(2);
 }
 
@@ -35,13 +39,21 @@ fn main() {
     let mut size: Option<u32> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--size" {
-            let n = args.next().unwrap_or_else(|| usage());
-            size = Some(n.parse().unwrap_or_else(|_| usage()));
-        } else if dir.is_none() {
-            dir = Some(PathBuf::from(arg));
-        } else {
-            usage();
+        match arg.as_str() {
+            "--size" => {
+                let n = args.next().unwrap_or_else(|| usage());
+                size = Some(n.parse().unwrap_or_else(|_| usage()));
+            }
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
+            flag if flag.starts_with('-') => {
+                eprintln!("gen-models: unknown flag `{flag}`");
+                usage();
+            }
+            _ if dir.is_none() => dir = Some(PathBuf::from(arg)),
+            _ => usage(),
         }
     }
     let dir = dir.unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../models"));
