@@ -13,7 +13,6 @@
 
 use std::fmt;
 
-use covest_ctl::parse_formula;
 use covest_smv::{parse_module, Expr, Module};
 
 use crate::graph::{DepGraph, NameKind};
@@ -265,22 +264,22 @@ fn check_properties(module: &Module, graph: &DepGraph, out: &mut Vec<Diagnostic>
         .map(|s| ("SPEC", s))
         .chain(module.fairness.iter().map(|s| ("FAIRNESS", s)))
     {
-        match parse_formula(&s.text) {
+        match s.signals() {
             Err(e) => out.push(Diagnostic {
                 rule: rules::BAD_PROPERTY,
                 severity: Severity::Error,
-                line: s.line,
+                line: s.line(),
                 name: String::new(),
-                message: format!("{section} `{}` does not parse: {e}", s.text),
+                message: format!("{section} `{}` does not parse: {e}", s.text()),
                 decl_index: usize::MAX,
             }),
-            Ok(f) => {
-                let mut atoms = f.signals();
+            Ok(signals) => {
+                let mut atoms: Vec<&str> = signals.iter().map(|a| &**a).collect();
                 atoms.sort();
                 atoms.dedup();
                 for a in atoms {
-                    if graph.classify(&a) == NameKind::Unknown {
-                        out.push(undefined(&a, s.line, &format!("a {section} property")));
+                    if graph.classify(a) == NameKind::Unknown {
+                        out.push(undefined(a, s.line(), &format!("a {section} property")));
                     }
                 }
             }
@@ -360,20 +359,19 @@ fn check_vars(module: &Module, graph: &DepGraph, out: &mut Vec<Diagnostic>) {
 fn check_observed_cones(module: &Module, graph: &DepGraph, out: &mut Vec<Diagnostic>) {
     // Per-property cones (each includes every FAIRNESS constraint: fair
     // CTL satisfaction depends on them).
-    let mut fairness_atoms = Vec::new();
-    for s in &module.fairness {
-        if let Ok(f) = parse_formula(&s.text) {
-            fairness_atoms.extend(f.signals());
-        }
-    }
+    let fairness_atoms: Vec<&str> = module
+        .fairness
+        .iter()
+        .flat_map(|s| s.signals().unwrap_or_default())
+        .map(|a| &**a)
+        .collect();
     let spec_cones: Vec<_> = module
         .specs
         .iter()
-        .filter_map(|s| parse_formula(&s.text).ok())
-        .map(|f| {
-            let mut atoms = f.signals();
-            atoms.extend(fairness_atoms.iter().cloned());
-            let seeds = graph.resolve_names(module, atoms.iter().map(String::as_str));
+        .filter_map(|s| s.signals().ok())
+        .map(|signals| {
+            let atoms = signals.iter().map(|a| &**a);
+            let seeds = graph.resolve_names(module, atoms.chain(fairness_atoms.iter().copied()));
             graph.cone(&seeds)
         })
         .collect();

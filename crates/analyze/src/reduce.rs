@@ -2,7 +2,6 @@
 
 use std::collections::BTreeSet;
 
-use covest_ctl::parse_formula;
 use covest_smv::{decl_bit_names, Expr, Module, ObservedDecl};
 
 use crate::graph::{DepGraph, NameKind};
@@ -28,19 +27,15 @@ fn expr_names(e: &Expr, out: &mut BTreeSet<String>) {
     }
 }
 
-/// The atom names of every `SPEC` and `FAIRNESS` declaration.
-///
-/// # Errors
-///
-/// Returns the CTL parser's message for the first unparseable property
-/// (decks that already compiled cannot hit this).
-fn property_atoms(module: &Module) -> Result<BTreeSet<String>, String> {
-    let mut atoms = BTreeSet::new();
-    for s in module.specs.iter().chain(module.fairness.iter()) {
-        let f = parse_formula(&s.text).map_err(|e| e.to_string())?;
-        atoms.extend(f.signals());
-    }
-    Ok(atoms)
+/// The atom names of every `SPEC` and `FAIRNESS` body that parses, as
+/// stored on its declaration by the deck parser.
+fn parsed_atoms(module: &Module) -> impl Iterator<Item = &str> {
+    module
+        .specs
+        .iter()
+        .chain(module.fairness.iter())
+        .flat_map(|s| s.signals().unwrap_or_default())
+        .map(|name| &**name)
 }
 
 /// The cone of influence of one coverage task: the variables that the
@@ -53,15 +48,19 @@ fn property_atoms(module: &Module) -> Result<BTreeSet<String>, String> {
 ///
 /// # Errors
 ///
-/// Returns the CTL parser's message for the first unparseable property.
+/// Returns [`Module::property_error`]'s message for the first property
+/// the CTL parser rejects: the message compiling the deck would give.
 pub fn task_cone(
     module: &Module,
     graph: &DepGraph,
     signal: &str,
 ) -> Result<BTreeSet<String>, String> {
-    let mut atoms = property_atoms(module)?;
-    atoms.insert(signal.to_owned());
-    let seeds = graph.resolve_names(module, atoms.iter().map(String::as_str));
+    if let Some(e) = module.property_error() {
+        return Err(e.to_string());
+    }
+    let mut atoms: BTreeSet<&str> = parsed_atoms(module).collect();
+    atoms.insert(signal);
+    let seeds = graph.resolve_names(module, atoms);
     Ok(graph.cone(&seeds))
 }
 
@@ -71,16 +70,9 @@ pub fn task_cone(
 /// Unparseable properties contribute no atoms (lint reports them
 /// separately as `bad-property`).
 pub fn union_cone(module: &Module, graph: &DepGraph) -> BTreeSet<String> {
-    let mut atoms = BTreeSet::new();
-    for s in module.specs.iter().chain(module.fairness.iter()) {
-        if let Ok(f) = parse_formula(&s.text) {
-            atoms.extend(f.signals());
-        }
-    }
-    for o in &module.observed {
-        atoms.insert(o.name.clone());
-    }
-    let seeds = graph.resolve_names(module, atoms.iter().map(String::as_str));
+    let observed = module.observed.iter().map(|o| o.name.as_str());
+    let atoms: BTreeSet<&str> = parsed_atoms(module).chain(observed).collect();
+    let seeds = graph.resolve_names(module, atoms);
     graph.cone(&seeds)
 }
 
@@ -106,13 +98,10 @@ fn needed_defines(
     cone: &BTreeSet<String>,
     signals: &[String],
 ) -> BTreeSet<String> {
-    let mut seeds = BTreeSet::new();
-    for s in module.specs.iter().chain(module.fairness.iter()) {
-        if let Ok(f) = parse_formula(&s.text) {
-            seeds.extend(f.signals());
-        }
-    }
-    seeds.extend(signals.iter().cloned());
+    let mut seeds: BTreeSet<String> = parsed_atoms(module)
+        .chain(signals.iter().map(String::as_str))
+        .map(str::to_owned)
+        .collect();
     for a in module.inits.iter().chain(module.nexts.iter()) {
         if cone.contains(&a.name) {
             expr_names(&a.expr, &mut seeds);

@@ -71,8 +71,10 @@
 //! (`PATH [SIGNAL ...]`, `#` comments; relative paths resolve against
 //! the joblist's directory), and all decks × signals drain through one
 //! worker pool: `--jobs N` threads (`0` = one per core), each shard on
-//! its own BDD manager. Batch output contains no timings or node
-//! counts, so two runs with different `--jobs` are byte-identical.
+//! its own BDD manager. The planner parses the decks and computes their
+//! cones on the same number of threads first. Batch output contains no
+//! timings or node counts, so two runs with different `--jobs` are
+//! byte-identical.
 //!
 //! `lint` statically checks decks without building any BDDs: undefined
 //! names, `DEFINE` cycles, missing `next` assignments, dead variables,
@@ -1052,8 +1054,9 @@ fn parse_joblist(path: &str) -> Result<Vec<DeckJob>, Box<dyn std::error::Error>>
 }
 
 fn run_batch_cmd(args: &BatchArgs) -> Result<bool, Box<dyn std::error::Error>> {
-    // Planning runs on this thread inside `run_batch`, so the recorder
-    // captures the plan-phase compile and reachability spans.
+    // This recorder is the front end's own track (tid 0). Planning builds
+    // no BDDs and records nothing; each shard records on its worker's
+    // track.
     if args.engine.profiling() {
         telemetry::install(Telemetry::new());
     }

@@ -811,3 +811,138 @@ fn check_cone_output_matches_coi_off() {
     };
     assert_eq!(dot("on"), dot("off"), "--dot must not depend on --coi");
 }
+
+/// A SPEC outside the ACTL subset is named the same way by `check`,
+/// `check --coverage` under either `--coi`, and `batch`: the message
+/// compile gives. `lint` keeps its own `bad-property` line.
+#[test]
+fn bad_property_is_named_the_same_way_on_every_path() {
+    let deck = repo_root().join("models/lint_fixtures/bad_property.smv");
+    let reason = "formula outside the acceptable ACTL subset: E... \
+                  (existential path quantifiers are not universal (ACTL) formulas)";
+    let model_error = format!("model error: SPEC `EG ( x )`: {reason}");
+    let run = |args: &[&str]| {
+        let out = covest().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let path = deck.to_str().expect("utf-8 path");
+    for args in [
+        &["check", path][..],
+        &["check", path, "--coverage"],
+        &["check", path, "--coverage", "--coi", "off"],
+    ] {
+        assert_eq!(
+            run(args),
+            (String::new(), format!("error: {model_error}\n")),
+            "{args:?}"
+        );
+    }
+
+    let joblist = write_joblist_of(
+        "covest-bad-property-joblist.txt",
+        &["lint_fixtures/bad_property.smv"],
+    );
+    let (stdout, stderr) = run(&["batch", joblist.to_str().expect("utf-8 path")]);
+    assert_eq!(stdout, "");
+    assert_eq!(stderr, format!("error: planning `{path}`: {model_error}\n"));
+    let _ = std::fs::remove_file(joblist);
+
+    assert_eq!(
+        run(&["lint", path]),
+        (
+            format!(
+                "{path}:8: error [bad-property] SPEC `EG ( x )` does not parse: {reason}\n\
+                 lint: 1 decks, 1 errors, 0 warnings\n"
+            ),
+            String::new()
+        )
+    );
+}
+
+/// Runs `cmd` to completion, failing the test if it outlives `secs`.
+fn output_within(cmd: &mut Command, secs: u64) -> std::process::Output {
+    use std::process::Stdio;
+    use std::time::Duration;
+
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawns");
+    let clock = covest_telemetry::Stopwatch::start();
+    while child.try_wait().expect("polls").is_none() {
+        if clock.elapsed() > Duration::from_secs(secs) {
+            let _ = child.kill();
+            panic!("{cmd:?} still running after {secs} s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collects output")
+}
+
+/// Integer ranges and arithmetic at the edges of `i64` fail cleanly:
+/// exit 1 with a message, no panic and no hang, on every command that
+/// reads the deck.
+#[test]
+fn oversized_ranges_and_overflow_fail_cleanly() {
+    let dir = std::env::temp_dir().join("covest-int-edges");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let body = "ASSIGN\n  init(x) := 0;\n  next(x) := x;\nSPEC AG (x = x);\nOBSERVED x;\n";
+    let mut cases: Vec<(std::path::PathBuf, &str, bool)> = Vec::new();
+    for (name, range) in [
+        ("full", "-9223372036854775807..9223372036854775807"),
+        ("half", "0..9223372036854775807"),
+        ("wide", "0..4294967296"),
+    ] {
+        let path = dir.join(format!("{name}.smv"));
+        std::fs::write(&path, format!("MODULE main\nVAR x : {range};\n{body}")).expect("deck");
+        let message = "has more than 65536 values";
+        cases.push((path, message, true));
+    }
+    let path = dir.join("overflow.smv");
+    std::fs::write(
+        &path,
+        "MODULE main\nVAR x : 9223372036854775806..9223372036854775807;\n\
+         ASSIGN\n  init(x) := 9223372036854775806;\n  next(x) := x + 1;\nOBSERVED x;\n",
+    )
+    .expect("deck");
+    // Lint reads no arithmetic, so only the commands that compile fail.
+    cases.push((
+        path,
+        "overflows 64-bit integer arithmetic in `x + 1`",
+        false,
+    ));
+
+    for (deck, message, lint_fails) in &cases {
+        let joblist = dir.join("joblist.txt");
+        std::fs::write(&joblist, format!("{}\n", deck.display())).expect("joblist");
+        let mut commands = vec![
+            vec!["check".to_owned(), deck.display().to_string()],
+            vec![
+                "check".to_owned(),
+                deck.display().to_string(),
+                "--coverage".to_owned(),
+            ],
+            vec!["batch".to_owned(), joblist.display().to_string()],
+        ];
+        if *lint_fails {
+            commands.push(vec!["lint".to_owned(), deck.display().to_string()]);
+        }
+        for args in commands {
+            let out = output_within(covest().args(&args), 60);
+            let text = format!(
+                "{}{}",
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {text}");
+            assert!(text.contains(message), "{args:?}: {text}");
+            assert!(!text.contains("panicked"), "{args:?}: {text}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}

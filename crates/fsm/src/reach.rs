@@ -81,29 +81,6 @@ impl SymbolicFsm {
         r
     }
 
-    /// Installs an externally computed reachable-states set into the
-    /// engine's reachability cache, so [`SymbolicFsm::reachable`] (and
-    /// everything above it — care installation, the coverage-space
-    /// denominator) returns it without re-running the BFS.
-    ///
-    /// This is the worker-side half of the parallel coverage engine's
-    /// handoff: the planner computes reachability once per deck, exports
-    /// the set as a name-keyed [`covest_bdd::BddDump`], and each worker
-    /// imports it into its own manager and seeds its own recompiled
-    /// machine. The caller asserts that `reach` **is** this machine's
-    /// reachable set — i.e. `init ⊆ reach` and `image(reach) ⊆ reach`
-    /// with no smaller such set containing `init`; the closure half of
-    /// the contract is checked in debug builds. Like every cached
-    /// derivative, the seed is dropped when the engine is rebuilt
-    /// ([`SymbolicFsm::set_image_config`], [`SymbolicFsm::constrain`]).
-    pub fn seed_reachable(&self, reach: Func) {
-        debug_assert!(
-            self.init.leq(&reach) && self.image(&reach).leq(&reach),
-            "seeded set must contain init and be closed under image"
-        );
-        self.engine.cache_reach(reach);
-    }
-
     /// Computes the reachable states and installs them as the image
     /// engine's care set (per the configured [`crate::SimplifyConfig`]),
     /// so subsequent forward fixpoints sweep don't-care-simplified

@@ -15,8 +15,9 @@
 //!
 //! - **[`WorkPlan`]** — decompose decks × observed signals into
 //!   per-signal tasks and cone-disjoint **shards**. Planning is purely
-//!   static (parse, dependency graph, cones of influence — no BDDs):
-//!   signals whose cones overlap are grouped into one shard, which
+//!   static (parse, dependency graph, cones of influence — no BDDs) and
+//!   runs on the batch's `jobs` threads, one deck at a time per thread.
+//!   Signals whose cones overlap are grouped into one shard, which
 //!   compiles one union-cone machine and runs one reachability fixpoint
 //!   for all of them, instead of every signal paying its own compile.
 //! - **The worker pool** ([`WorkPlan::run`]) — `jobs` OS threads, one

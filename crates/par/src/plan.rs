@@ -5,15 +5,17 @@
 //! (Table 2 has one row per signal), and once the model is compiled the
 //! analyses are independent. Planning here is **purely static** — parse,
 //! dependency graph, cones of influence — and builds no BDDs: all
-//! compile and reachability work happens inside the shards, where it
-//! runs in parallel, instead of serially on the planning thread. The
-//! planner emits one task per `(deck, signal)` pair — in declaration
-//! order, which is also the order results are reassembled in, whatever
-//! order workers finish — and groups each deck's signals into
-//! cone-disjoint shards (see [`crate::shard`]): signals whose cones
-//! overlap share one compiled machine and one reachability fixpoint.
+//! compile and reachability work happens inside the shards. Decks are
+//! planned independently of each other, so they are planned on the
+//! batch's `jobs` threads. The planner emits one task per
+//! `(deck, signal)` pair — in declaration order, which is also the order
+//! results are reassembled in, whatever order workers finish — and
+//! groups each deck's signals into cone-disjoint shards (see
+//! [`crate::shard`]): signals whose cones overlap share one compiled
+//! machine and one reachability fixpoint.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,7 +53,8 @@ impl DeckJob {
 pub struct ParConfig {
     /// Thread budget for the worker pool (`0` = one worker per available
     /// core). The budget is shared by *all* shards of a batch — many
-    /// decks × many signals drain through one set of deques.
+    /// decks × many signals drain through one set of deques — and the
+    /// planner plans the decks on the same number of threads.
     pub jobs: usize,
     /// Image configuration for every compile (method, cluster threshold,
     /// simplification mode).
@@ -193,14 +196,16 @@ pub(crate) struct Task {
     pub kind: TaskKind,
 }
 
-/// Plans a single deck, statically: parse (validating early, on the
-/// calling thread), compute per-signal cones, and group the signals into
-/// cone-disjoint shards — task indices local to the deck; the caller
-/// offsets them into the global task list.
-fn plan_deck(
-    job: &DeckJob,
-    config: &ParConfig,
-) -> Result<(PlannedDeck, Vec<TaskKind>, Vec<Shard>), ParError> {
+/// One deck's plan: the deck, its tasks, and its shards, with task
+/// indices local to the deck.
+type DeckPlan = (PlannedDeck, Vec<TaskKind>, Vec<Shard>);
+
+/// Plans a single deck, statically: parse (validating early), compute
+/// per-signal cones, and group the signals into cone-disjoint shards —
+/// task indices local to the deck; the caller offsets them into the
+/// global task list. `coi` is [`ParConfig::coi`], the only setting
+/// planning reads.
+fn plan_deck(job: &DeckJob, coi: bool) -> Result<DeckPlan, ParError> {
     let plan_err = |message: String| ParError::Plan {
         deck: job.name.clone(),
         message,
@@ -268,7 +273,7 @@ fn plan_deck(
             groups[group_of[r]].push(i);
         }
 
-        let coi = config.coi && reducible(&module, &graph, &signals);
+        let coi = coi && reducible(&module, &graph, &signals);
         let full = Arc::new(module);
         let shards = groups
             .into_iter()
@@ -332,24 +337,64 @@ pub struct WorkPlan {
     pub(crate) shards: Vec<Shard>,
 }
 
+/// Plans every deck on `min(threads, decks)` threads, the calling
+/// thread among them (so one thread spawns nothing). Each thread takes
+/// the largest deck, by source length, that no thread has taken yet;
+/// the results come back in joblist order.
+fn plan_decks(jobs: &[DeckJob], coi: bool, threads: usize) -> Vec<Result<DeckPlan, ParError>> {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].source.len()));
+    // `next` only hands out ranks: the decks and `order` are read-only
+    // here, and each thread's plans come back through its join.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut planned = Vec::new();
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            planned.push((i, plan_deck(&jobs[i], coi)));
+        }
+        planned
+    };
+    let mut planned = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(jobs.len()))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let mut planned = work();
+        for helper in helpers {
+            planned.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        planned
+    });
+    planned.sort_unstable_by_key(|(i, _)| *i);
+    planned.into_iter().map(|(_, plan)| plan).collect()
+}
+
 impl WorkPlan {
-    /// Parses and statically validates every deck (on the calling
-    /// thread), computes each signal's cone of influence, and lays out
-    /// one task per `(deck, observed signal)` — or a verification-only
-    /// task for decks without signals — grouped into cone-disjoint
-    /// shards.
+    /// Parses and statically validates every deck, computes each
+    /// signal's cone of influence, and lays out one task per
+    /// `(deck, observed signal)` — or a verification-only task for
+    /// decks without signals — grouped into cone-disjoint shards.
+    ///
+    /// Decks are planned on [`ParConfig::effective_jobs`] threads (never
+    /// more than there are decks), the calling thread among them; the
+    /// plan is the same whatever the thread count.
     ///
     /// # Errors
     ///
     /// [`ParError::Plan`] if a deck fails to parse or a property fails
-    /// to parse. (Semantic compile failures surface when the shard
-    /// compiles, also as [`ParError::Plan`].)
+    /// to parse; when several decks fail, the one listed first. (Semantic
+    /// compile failures surface when the shard compiles, also as
+    /// [`ParError::Plan`].)
     pub fn plan(jobs: &[DeckJob], config: &ParConfig) -> Result<WorkPlan, ParError> {
+        let planned = plan_decks(jobs, config.coi, config.effective_jobs());
         let mut decks = Vec::with_capacity(jobs.len());
         let mut tasks = Vec::new();
         let mut shards: Vec<Shard> = Vec::new();
-        for (deck_idx, job) in jobs.iter().enumerate() {
-            let (deck, kinds, deck_shards) = plan_deck(job, config)?;
+        for (deck_idx, plan) in planned.into_iter().enumerate() {
+            let (deck, kinds, deck_shards) = plan?;
             let base = tasks.len();
             tasks.extend(kinds.into_iter().map(|kind| Task {
                 deck: deck_idx,

@@ -181,6 +181,110 @@ fn unknown_signal_fails_deterministically() {
     }
 }
 
+/// The parity fleet plus sized decks, so that the planner's threads
+/// get decks of very different lengths.
+fn fleet_with_sized_decks() -> Vec<DeckJob> {
+    use covest_circuits::{counter, pipeline};
+    use std::fmt::Write as _;
+
+    let mut decks = all_decks();
+    for n in [12, 24] {
+        let mut deck = counter::deck_sized(n);
+        for spec in counter::increment_properties_sized(n) {
+            writeln!(deck, "SPEC {spec};").expect("write to string");
+        }
+        decks.push(DeckJob::new(format!("sized:counter_m{n}"), deck));
+    }
+    let mut deck = pipeline::deck_sized(6);
+    for spec in pipeline::out_suite_initial(6)
+        .into_iter()
+        .chain(pipeline::out_suite_hold())
+    {
+        writeln!(deck, "SPEC {spec};").expect("write to string");
+    }
+    decks.push(DeckJob::new("sized:pipeline_d6", deck));
+    decks
+}
+
+/// Decks are planned on the `jobs` threads, yet the plan is the same at
+/// every thread count — tasks, shards, size estimates — and so is every
+/// deterministic field of the report it runs to.
+#[test]
+fn plan_is_identical_across_planner_threads() {
+    let decks = fleet_with_sized_decks();
+    let config = |jobs| ParConfig {
+        jobs,
+        ..Default::default()
+    };
+    let base = WorkPlan::plan(&decks, &config(1)).expect("plans");
+    let base_report = base.run(&config(1)).expect("runs");
+    for jobs in [2, 4] {
+        let plan = WorkPlan::plan(&decks, &config(jobs)).expect("plans");
+        assert_eq!(plan.num_decks(), base.num_decks(), "jobs={jobs}");
+        assert_eq!(plan.num_tasks(), base.num_tasks(), "jobs={jobs}");
+        assert_eq!(plan.num_shards(), base.num_shards(), "jobs={jobs}");
+        assert_eq!(
+            plan.task_size_estimates(),
+            base.task_size_estimates(),
+            "jobs={jobs}"
+        );
+        let report = plan.run(&config(jobs)).expect("runs");
+        assert_semantic_parity(&format!("planned at jobs={jobs}"), &base_report, &report);
+        for (a, b) in base_report.decks.iter().zip(&report.decks) {
+            assert_eq!(a.num_properties, b.num_properties, "{}", a.name);
+        }
+        for (a, b) in base_report.outcomes().zip(report.outcomes()) {
+            assert_eq!(a.row.verify_nodes, b.row.verify_nodes, "{}", a.signal);
+            assert_eq!(a.row.coverage_nodes, b.row.coverage_nodes, "{}", a.signal);
+            assert_eq!(a.uncovered, b.uncovered, "{}: dump bytes", a.signal);
+        }
+    }
+}
+
+/// With two broken decks in the joblist, the one listed first is the
+/// error, whichever thread plans which deck first. The second is the
+/// longer, so the planner takes it before the first.
+#[test]
+fn first_listed_broken_deck_fails_the_plan_at_every_thread_count() {
+    let toggler =
+        "MODULE main\nVAR b : boolean;\nASSIGN init(b) := FALSE; next(b) := !b;\nSPEC AX b;\n";
+    let decks = vec![
+        DeckJob::new("good", toggler),
+        DeckJob::new("broken-first", "MODULE main\nVAR x : snake;\n"),
+        DeckJob::new("good-too", toggler),
+        DeckJob::new(
+            "broken-second",
+            format!(
+                "{toggler}SPEC EG b;\nOBSERVED b;\n{}",
+                "-- padding\n".repeat(20)
+            ),
+        ),
+    ];
+    for jobs in [1, 2, 4] {
+        for _ in 0..4 {
+            let config = ParConfig {
+                jobs,
+                ..Default::default()
+            };
+            match WorkPlan::plan(&decks, &config) {
+                Err(covest_par::ParError::Plan { deck, .. }) => {
+                    assert_eq!(deck, "broken-first", "jobs={jobs}")
+                }
+                other => panic!("jobs={jobs}: expected a plan error, got {other:?}"),
+            }
+        }
+    }
+    // Alone, the second deck fails on its property, named as compile
+    // names it.
+    match WorkPlan::plan(&decks[3..], &ParConfig::default()) {
+        Err(covest_par::ParError::Plan { message, .. }) => assert!(
+            message.starts_with("model error: SPEC `EG b`: formula outside"),
+            "{message}"
+        ),
+        other => panic!("expected a plan error, got {other:?}"),
+    }
+}
+
 /// A bad deck is rejected at planning time, before any thread spawns.
 #[test]
 fn malformed_deck_fails_in_the_planner() {

@@ -1,6 +1,17 @@
 //! Abstract syntax of the `covest` modeling language (an SMV dialect).
 
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
+
+use covest_ctl::CtlError;
+
+/// The most values a `lo..hi` range may declare. Compile enumerates a
+/// ranged variable value by value, so its cost grows with the count:
+/// `0..65535` compiles in about half a second, while `0..1048575` takes
+/// tens of seconds and hundreds of megabytes. Larger ranges are rejected
+/// where they are declared.
+pub const MAX_RANGE_VALUES: u64 = 65_536;
 
 /// A declared variable type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -11,6 +22,12 @@ pub enum VarType {
     Range(i64, i64),
     /// `{lit0, lit1, …}` enumeration
     Enum(Vec<String>),
+}
+
+/// The number of values of the range `lo..hi`, when it is nonempty and
+/// declares at most [`MAX_RANGE_VALUES`] of them.
+pub(crate) fn range_values(lo: i64, hi: i64) -> Option<i64> {
+    (lo <= hi && hi.abs_diff(lo) < MAX_RANGE_VALUES).then(|| hi - lo + 1)
 }
 
 impl fmt::Display for VarType {
@@ -173,14 +190,68 @@ pub struct Define {
     pub line: usize,
 }
 
-/// One `SPEC` or `FAIRNESS` declaration: the body is kept as re-serialized
-/// token text and parsed downstream by the CTL parser.
+/// One `SPEC` or `FAIRNESS` declaration.
+///
+/// The body is kept as re-serialized token text, which compile parses
+/// into a formula once per compiled machine. [`crate::parse_module`]
+/// also parses it once, up front, and keeps only what static analysis
+/// needs: the body's signal names, or the CTL parser's error. No formula
+/// tree is kept, so a batch plan holding many parsed decks holds names,
+/// not trees; and the declarations of one deck share one allocation per
+/// name, since its properties mention a few signals many times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecDecl {
-    /// Re-serialized body text.
-    pub text: String,
+    text: String,
+    line: usize,
+    signals: Result<Box<[Arc<str>]>, Box<CtlError>>,
+}
+
+impl SpecDecl {
+    /// A declaration of `text` at `line`, parsed once for its signal
+    /// names, each taken from `names` when it is there and added when it
+    /// is not.
+    pub(crate) fn new(text: String, line: usize, names: &mut BTreeSet<Arc<str>>) -> Self {
+        let signals = match covest_ctl::parse_formula(&text) {
+            Ok(f) => Ok(f
+                .signals()
+                .into_iter()
+                .map(|name| match names.get(name.as_str()) {
+                    Some(shared) => Arc::clone(shared),
+                    None => {
+                        let shared: Arc<str> = name.into();
+                        names.insert(Arc::clone(&shared));
+                        shared
+                    }
+                })
+                .collect()),
+            Err(e) => Err(Box::new(e)),
+        };
+        SpecDecl {
+            text,
+            line,
+            signals,
+        }
+    }
+
+    /// The re-serialized body text.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
     /// 1-based source line of the declaration (0 when synthesized).
-    pub line: usize,
+    pub fn line(&self) -> usize {
+        self.line
+    }
+
+    /// What [`covest_ctl::parse_formula`] makes of the text: the
+    /// formula's signal names in first-occurrence order
+    /// ([`covest_ctl::Formula::signals`]), or its error.
+    pub fn signals(&self) -> Result<&[Arc<str>], &CtlError> {
+        match &self.signals {
+            Ok(names) => Ok(names),
+            Err(e) => Err(e),
+        }
+    }
 }
 
 /// One name from an `OBSERVED` list.
@@ -203,9 +274,9 @@ pub struct Module {
     pub nexts: Vec<Assign>,
     /// `DEFINE name := e` macros, in order.
     pub defines: Vec<Define>,
-    /// `SPEC <actl>` properties (raw text, parsed downstream).
+    /// `SPEC <actl>` properties.
     pub specs: Vec<SpecDecl>,
-    /// `FAIRNESS <prop>` constraints (raw text).
+    /// `FAIRNESS <prop>` constraints.
     pub fairness: Vec<SpecDecl>,
     /// `OBSERVED a, b` observed-signal names.
     pub observed: Vec<ObservedDecl>,

@@ -12,9 +12,10 @@
 use std::collections::HashMap;
 
 use covest_bdd::{BddManager, Func};
+use covest_ctl::{CtlError, ParseFormulaError};
 use covest_fsm::{FsmBuilder, ImageConfig, NumericSignal, StateBit, SymbolicFsm};
 
-use crate::ast::{BinOp, Expr, Module, VarDecl, VarType};
+use crate::ast::{range_values, BinOp, Expr, Module, SpecDecl, VarDecl, VarType, MAX_RANGE_VALUES};
 use crate::error::ModelError;
 
 /// A compiled value: boolean function or integer value partition.
@@ -52,21 +53,17 @@ impl BitHandle {
     }
 }
 
-fn bits_needed(span: i64) -> usize {
-    debug_assert!(span >= 1);
-    let mut n = 1usize;
-    while (1i64 << n) < span {
-        n += 1;
-    }
-    n
+/// Number of bits (at least one) that encode the codes `0..=max_code`.
+fn bits_needed(max_code: u64) -> usize {
+    (u64::BITS - max_code.leading_zeros()).max(1) as usize
 }
 
 /// Number of state bits a declaration of type `ty` compiles to.
 pub fn decl_bit_width(ty: &VarType) -> usize {
     match ty {
         VarType::Boolean => 1,
-        VarType::Range(lo, hi) => bits_needed(hi - lo + 1),
-        VarType::Enum(lits) => bits_needed(lits.len() as i64),
+        VarType::Range(lo, hi) => bits_needed(hi.abs_diff(*lo)),
+        VarType::Enum(lits) => bits_needed(lits.len().saturating_sub(1) as u64),
     }
 }
 
@@ -100,6 +97,13 @@ struct Compiler<'a> {
     /// conditions outside this set are ignored by range and
     /// exhaustiveness checks.
     valid: Func,
+    /// Conditions (conjoined with `valid`) under which the expression
+    /// being evaluated is used: the fire conditions of the enclosing
+    /// `case` arms. An arithmetic overflow outside them is never seen,
+    /// so a guarded `x + 1` may overflow where its guard is false.
+    care: Vec<Func>,
+    /// The assignment or `DEFINE` being compiled, for error messages.
+    site: String,
 }
 
 impl<'a> Compiler<'a> {
@@ -154,7 +158,12 @@ impl<'a> Compiler<'a> {
             }
             self.define_stack.push(n.to_owned());
             let expr = self.lookup_define(n).expect("checked above").clone();
-            let v = self.eval(bdd, &expr)?;
+            // The value is cached for every use, so it is evaluated as
+            // if used in every valid state.
+            let care = std::mem::take(&mut self.care);
+            let v = self.eval(bdd, &expr);
+            self.care = care;
+            let v = v?;
             self.define_stack.pop();
             self.define_cache.insert(n.to_owned(), v.clone());
             return Ok(v);
@@ -223,20 +232,7 @@ impl<'a> Compiler<'a> {
             },
             BinOp::Add | BinOp::Sub | BinOp::Mod => match (va, vb) {
                 (Value::Int(pa), Value::Int(pb)) => {
-                    let f: fn(i64, i64) -> Result<i64, ModelError> = match op {
-                        BinOp::Add => |x, y| Ok(x + y),
-                        BinOp::Sub => |x, y| Ok(x - y),
-                        _ => |x, y| {
-                            if y <= 0 {
-                                Err(ModelError::nowhere(format!(
-                                    "`mod` by non-positive constant {y}"
-                                )))
-                            } else {
-                                Ok(x.rem_euclid(y))
-                            }
-                        },
-                    };
-                    int_arith(bdd, &pa, &pb, f).map(Value::Int)
+                    self.int_arith(op, a, b, &pa, &pb).map(Value::Int)
                 }
                 _ => Err(ModelError::nowhere(format!(
                     "arithmetic on boolean operand in `{a} {op} {b}`"
@@ -269,12 +265,12 @@ impl<'a> Compiler<'a> {
             ));
         }
         // Merge arm values.
-        let first = self.eval(bdd, &arms[0].1)?;
+        let first = self.eval_where(bdd, &arms[0].1, &fire[0])?;
         match first {
             Value::Bool(_) => {
                 let mut acc = bdd.constant(false);
                 for ((_, e), cond) in arms.iter().zip(&fire) {
-                    let v = match self.eval(bdd, e)? {
+                    let v = match self.eval_where(bdd, e, cond)? {
                         Value::Bool(r) => r,
                         Value::Int(_) => {
                             return Err(ModelError::nowhere(
@@ -289,7 +285,7 @@ impl<'a> Compiler<'a> {
             Value::Int(_) => {
                 let mut merged: HashMap<i64, Func> = HashMap::new();
                 for ((_, e), cond) in arms.iter().zip(&fire) {
-                    let pairs = match self.eval(bdd, e)? {
+                    let pairs = match self.eval_where(bdd, e, cond)? {
                         Value::Int(p) => p,
                         Value::Bool(_) => {
                             return Err(ModelError::nowhere(
@@ -318,6 +314,77 @@ impl<'a> Compiler<'a> {
             }
         }
     }
+
+    /// Evaluates `e` where its value is used only under `cond` (within
+    /// the enclosing care conditions).
+    fn eval_where(&mut self, bdd: &BddManager, e: &Expr, cond: &Func) -> Result<Value, ModelError> {
+        self.care.push(cond.clone());
+        let v = self.eval(bdd, e);
+        self.care.pop();
+        v
+    }
+
+    /// Pointwise `a op b` on the partitions `pa` and `pb` of `+`, `-` or
+    /// `mod`. A sum or difference that overflows `i64` is an error where
+    /// its value can be used (see [`Compiler::care`]); elsewhere the
+    /// wrapped value stands in for it, which keeps the partition total
+    /// while no use of the value can see it.
+    fn int_arith(
+        &self,
+        op: BinOp,
+        a: &Expr,
+        b: &Expr,
+        pa: &[(i64, Func)],
+        pb: &[(i64, Func)],
+    ) -> Result<Vec<(i64, Func)>, ModelError> {
+        let mut merged: HashMap<i64, Func> = HashMap::new();
+        for (va, ca) in pa {
+            for (vb, cb) in pb {
+                let both = ca.and(cb);
+                if both.is_false() {
+                    continue;
+                }
+                let (v, overflow) = match op {
+                    BinOp::Add => va.overflowing_add(*vb),
+                    BinOp::Sub => va.overflowing_sub(*vb),
+                    _ if *vb <= 0 => {
+                        return Err(ModelError::nowhere(format!(
+                            "`mod` by non-positive constant {vb}"
+                        )))
+                    }
+                    _ => (va.rem_euclid(*vb), false),
+                };
+                if overflow && self.can_use(&both) {
+                    return Err(ModelError::nowhere(format!(
+                        "{} overflows 64-bit integer arithmetic in `{a} {op} {b}`",
+                        self.site
+                    )));
+                }
+                match merged.entry(v) {
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        let u = e.get().or(&both);
+                        e.insert(u);
+                    }
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(both);
+                    }
+                }
+            }
+        }
+        let mut out: Vec<(i64, Func)> = merged.into_iter().collect();
+        out.sort_by_key(|(v, _)| *v);
+        Ok(out)
+    }
+
+    /// `true` when a value computed under `cond` can be used: some valid
+    /// state satisfies `cond` and every care condition.
+    fn can_use(&self, cond: &Func) -> bool {
+        let used = self
+            .care
+            .iter()
+            .fold(cond.and(&self.valid), |acc, c| acc.and(c));
+        !used.is_false()
+    }
 }
 
 /// Pointwise comparison of two partitions.
@@ -336,37 +403,6 @@ fn int_cmp(
         }
     }
     acc
-}
-
-/// Pointwise arithmetic on two partitions.
-fn int_arith(
-    _bdd: &BddManager,
-    pa: &[(i64, Func)],
-    pb: &[(i64, Func)],
-    f: impl Fn(i64, i64) -> Result<i64, ModelError>,
-) -> Result<Vec<(i64, Func)>, ModelError> {
-    let mut merged: HashMap<i64, Func> = HashMap::new();
-    for (va, ca) in pa {
-        for (vb, cb) in pb {
-            let both = ca.and(cb);
-            if both.is_false() {
-                continue;
-            }
-            let v = f(*va, *vb)?;
-            match merged.entry(v) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let u = e.get().or(&both);
-                    e.insert(u);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(both);
-                }
-            }
-        }
-    }
-    let mut out: Vec<(i64, Func)> = merged.into_iter().collect();
-    out.sort_by_key(|(v, _)| *v);
-    Ok(out)
 }
 
 /// The result of compiling a module.
@@ -442,7 +478,16 @@ pub fn compile_module_with(
     for d in &module.vars {
         let (offset, span) = match &d.ty {
             VarType::Boolean => (0, 2),
-            VarType::Range(lo, hi) => (*lo, hi - lo + 1),
+            VarType::Range(lo, hi) => {
+                let span = range_values(*lo, *hi).ok_or_else(|| {
+                    ModelError::nowhere(format!(
+                        "range {lo}..{hi} of `{}` is empty or has more than \
+                         {MAX_RANGE_VALUES} values",
+                        d.name
+                    ))
+                })?;
+                (*lo, span)
+            }
             VarType::Enum(lits) => (0, lits.len() as i64),
         };
         let bit_names = decl_bit_names(d);
@@ -507,6 +552,8 @@ pub fn compile_module_with(
         define_cache: HashMap::new(),
         define_stack: Vec::new(),
         valid: valid.clone(),
+        care: Vec::new(),
+        site: String::new(),
     };
 
     // Register signals for properties: numeric signals for int vars,
@@ -550,6 +597,7 @@ pub fn compile_module_with(
                 "`{name}` is an input; inputs cannot be assigned"
             )));
         }
+        compiler.site = format!("assignment to `{name}`");
         let v = compiler.eval(bdd, &a.expr)?;
         let constraint = assign_constraint(bdd, &mut compiler, name, &info, &v, false)?;
         init = init.and(&constraint);
@@ -569,6 +617,7 @@ pub fn compile_module_with(
                 "`{name}` is an input; inputs cannot be assigned"
             )));
         }
+        compiler.site = format!("assignment to `{name}`");
         let v = compiler.eval(bdd, &a.expr)?;
         set_next_bits(bdd, &mut builder, &mut compiler, name, &info, &v)?;
     }
@@ -586,6 +635,7 @@ pub fn compile_module_with(
     // DEFINEs become named signals.
     for def in &module.defines {
         let name = &def.name;
+        compiler.site = format!("DEFINE `{name}`");
         match compiler.eval(bdd, &Expr::Name(name.clone()))? {
             Value::Bool(r) => {
                 builder.add_signal(name.clone(), r);
@@ -593,10 +643,10 @@ pub fn compile_module_with(
             Value::Int(pairs) => {
                 let min = pairs.iter().map(|(v, _)| *v).min().unwrap_or(0);
                 let max = pairs.iter().map(|(v, _)| *v).max().unwrap_or(0);
-                let width = bits_needed(max - min + 1);
+                let width = bits_needed(max.abs_diff(min));
                 let mut bit_fns = vec![bdd.constant(false); width];
                 for (v, c) in &pairs {
-                    let raw = v - min;
+                    let raw = v.abs_diff(min);
                     for (i, bit) in bit_fns.iter_mut().enumerate() {
                         if (raw >> i) & 1 == 1 {
                             *bit = bit.or(c);
@@ -617,23 +667,15 @@ pub fn compile_module_with(
     // Parse SPEC and FAIRNESS bodies.
     let mut specs = Vec::with_capacity(module.specs.len());
     for s in &module.specs {
-        let text = &s.text;
-        let f = covest_ctl::parse_formula(text)
-            .map_err(|e| ModelError::nowhere(format!("SPEC `{text}`: {e}")))?;
+        let f = covest_ctl::parse_formula(s.text()).map_err(|e| bad_spec(s.text(), &e))?;
         specs.push(f);
     }
     let mut fairness = Vec::with_capacity(module.fairness.len());
     for s in &module.fairness {
-        let text = &s.text;
-        let ast = covest_ctl::parse_ast(text)
-            .map_err(|e| ModelError::nowhere(format!("FAIRNESS `{text}`: {e}")))?;
+        let ast = covest_ctl::parse_ast(s.text()).map_err(|e| bad_fairness(s.text(), Some(&e)))?;
         match covest_ctl::classify(&ast) {
             Ok(covest_ctl::Formula::Prop(p)) => fairness.push(p),
-            _ => {
-                return Err(ModelError::nowhere(format!(
-                    "FAIRNESS `{text}` must be propositional"
-                )))
-            }
+            _ => return Err(bad_fairness(s.text(), None)),
         }
     }
 
@@ -684,7 +726,9 @@ fn assign_constraint(
             check_range(&_compiler.valid, name, info, pairs)?;
             let mut acc = bdd.constant(false);
             for (val, cond) in pairs {
-                let raw = val - info.offset;
+                // An out-of-range value occurs only where `check_range`
+                // found it impossible; its wrapped code is never used.
+                let raw = val.wrapping_sub(info.offset);
                 let mut eq = bdd.constant(true);
                 for (i, bit) in info.bits.iter().enumerate() {
                     let b = bit.current(bdd);
@@ -723,7 +767,8 @@ fn set_next_bits(
             let width = info.bits.len();
             let mut bit_fns = vec![bdd.constant(false); width];
             for (val, cond) in pairs {
-                let raw = val - info.offset;
+                // As in `assign_constraint`: an out-of-range code is unused.
+                let raw = val.wrapping_sub(info.offset);
                 for (i, bit) in bit_fns.iter_mut().enumerate() {
                     if (raw >> i) & 1 == 1 {
                         *bit = bit.or(cond);
@@ -744,17 +789,56 @@ fn check_range(
     info: &VarInfo,
     pairs: &[(i64, Func)],
 ) -> Result<(), ModelError> {
+    // `span >= 1`, and `max` is the declared upper bound, so neither
+    // subtraction nor sum can overflow.
+    let max = info.offset + (info.span - 1);
     for (val, cond) in pairs {
         let val = *val;
         let possible = cond.and(valid);
-        if (val < info.offset || val >= info.offset + info.span) && !possible.is_false() {
+        if !(info.offset..=max).contains(&val) && !possible.is_false() {
             return Err(ModelError::nowhere(format!(
                 "assignment to `{name}` can produce out-of-range value {val} \
-                 (range {}..{})",
-                info.offset,
-                info.offset + info.span - 1
+                 (range {}..{max})",
+                info.offset
             )));
         }
     }
     Ok(())
+}
+
+/// The error compile reports for a `SPEC` body the CTL parser rejects.
+fn bad_spec(text: &str, e: &CtlError) -> ModelError {
+    ModelError::nowhere(format!("SPEC `{text}`: {e}"))
+}
+
+/// The error compile reports for a `FAIRNESS` body that does not parse
+/// (`Some`) or is not propositional (`None`).
+fn bad_fairness(text: &str, parse: Option<&ParseFormulaError>) -> ModelError {
+    match parse {
+        Some(e) => ModelError::nowhere(format!("FAIRNESS `{text}`: {e}")),
+        None => ModelError::nowhere(format!("FAIRNESS `{text}` must be propositional")),
+    }
+}
+
+impl Module {
+    /// The error [`compile_module`] reports for the first `SPEC`, then
+    /// `FAIRNESS`, body that [`covest_ctl::parse_formula`] rejects, read
+    /// from the parse stored on each declaration; `None` when every body
+    /// parses. Static analysis fails with it before anything compiles,
+    /// so every command names a bad property the same way.
+    pub fn property_error(&self) -> Option<ModelError> {
+        fn rejected(decls: &[SpecDecl]) -> Option<(&str, &CtlError)> {
+            decls
+                .iter()
+                .find_map(|s| Some((s.text(), s.signals().err()?)))
+        }
+        if let Some((text, e)) = rejected(&self.specs) {
+            return Some(bad_spec(text, e));
+        }
+        let (text, e) = rejected(&self.fairness)?;
+        Some(match e {
+            CtlError::Parse(e) => bad_fairness(text, Some(e)),
+            CtlError::Subset(_) => bad_fairness(text, None),
+        })
+    }
 }

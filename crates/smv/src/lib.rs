@@ -9,12 +9,16 @@
 //! Supported deck sections:
 //!
 //! - `MODULE main` (optional header)
-//! - `VAR x : boolean; y : 0..7; z : {idle, busy};` — state variables
+//! - `VAR x : boolean; y : 0..7; z : {idle, busy};` — state variables;
+//!   a range declares at most [`MAX_RANGE_VALUES`] values, and integer
+//!   arithmetic that can overflow `i64` where it is used is an error
 //! - `IVAR i : boolean;` — primary inputs
 //! - `ASSIGN init(x) := …; next(x) := case … esac;` — deterministic
 //!   next-state functions with exhaustive `case` expressions
 //! - `DEFINE full := count = 7;` — macros, exported as named signals
-//! - `SPEC <ACTL property>;` — properties in the acceptable subset
+//! - `SPEC <ACTL property>;` — properties in the acceptable subset,
+//!   parsed once by [`parse_module`] for their signal names (see
+//!   [`SpecDecl`]) and again by compile into formulas
 //! - `FAIRNESS <proposition>;` — fairness constraints (Section 4.3)
 //! - `OBSERVED count, full;` — observed signals for coverage (extension)
 //!
@@ -51,7 +55,9 @@ mod error;
 mod lex;
 mod parse;
 
-pub use ast::{Assign, BinOp, Define, Expr, Module, ObservedDecl, SpecDecl, VarDecl, VarType};
+pub use ast::{
+    Assign, BinOp, Define, Expr, Module, ObservedDecl, SpecDecl, VarDecl, VarType, MAX_RANGE_VALUES,
+};
 pub use compile::{
     compile_module, compile_module_with, decl_bit_names, decl_bit_width, CompiledModel,
 };

@@ -1,6 +1,13 @@
 //! Parser for the modeling language.
 
-use crate::ast::{Assign, BinOp, Define, Expr, Module, ObservedDecl, SpecDecl, VarDecl, VarType};
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+use crate::ast::{
+    range_values, Assign, BinOp, Define, Expr, Module, ObservedDecl, SpecDecl, VarDecl, VarType,
+    MAX_RANGE_VALUES,
+};
 use crate::error::ModelError;
 use crate::lex::{lex, TokKind, Token};
 
@@ -8,9 +15,14 @@ const SECTIONS: &[&str] = &[
     "MODULE", "VAR", "IVAR", "ASSIGN", "DEFINE", "SPEC", "FAIRNESS", "OBSERVED",
 ];
 
+/// A recursive-descent parser over the lexed tokens. It never
+/// backtracks, so a consumed token is never read again: identifiers and
+/// other payloads are moved out of the token list, not cloned.
 struct Parser {
     toks: Vec<Token>,
     idx: usize,
+    /// The signal names of the deck's properties, one allocation each.
+    names: BTreeSet<Arc<str>>,
 }
 
 impl Parser {
@@ -22,12 +34,22 @@ impl Parser {
         &self.toks[self.idx]
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.toks[self.idx].clone();
+    /// Moves past the current token; the final `Eof` is never passed.
+    fn bump(&mut self) {
         if self.idx < self.toks.len() - 1 {
             self.idx += 1;
         }
-        t
+    }
+
+    /// Consumes the current token and returns its kind, moved out of the
+    /// token list. At the final `Eof` this returns `Eof` and stays put.
+    fn next(&mut self) -> TokKind {
+        if self.idx == self.toks.len() - 1 {
+            return TokKind::Eof;
+        }
+        let kind = std::mem::replace(&mut self.toks[self.idx].kind, TokKind::Eof);
+        self.idx += 1;
+        kind
     }
 
     fn err(&self, message: impl Into<String>) -> ModelError {
@@ -45,13 +67,12 @@ impl Parser {
     }
 
     fn expect_ident(&mut self, what: &str) -> Result<String, ModelError> {
-        match self.peek().clone() {
-            TokKind::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            _ => Err(self.err(format!("expected {what}"))),
-        }
+        let TokKind::Ident(s) = &mut self.toks[self.idx].kind else {
+            return Err(self.err(format!("expected {what}")));
+        };
+        let s = std::mem::take(s);
+        self.bump();
+        Ok(s)
     }
 
     fn at_section(&self) -> bool {
@@ -70,9 +91,14 @@ impl Parser {
             }
         }
         loop {
-            match self.peek().clone() {
+            let section = match self.peek() {
                 TokKind::Eof => break,
-                TokKind::Ident(sec) if sec == "VAR" || sec == "IVAR" => {
+                TokKind::Ident(s) => SECTIONS.iter().copied().find(|k| k == s),
+                _ => None,
+            };
+            let line = self.peek_tok().line;
+            match section {
+                Some(sec @ ("VAR" | "IVAR")) => {
                     self.bump();
                     let input = sec == "IVAR";
                     while !self.at_section() {
@@ -80,13 +106,13 @@ impl Parser {
                         m.vars.push(decl);
                     }
                 }
-                TokKind::Ident(sec) if sec == "ASSIGN" => {
+                Some("ASSIGN") => {
                     self.bump();
                     while !self.at_section() {
                         self.parse_assign(&mut m)?;
                     }
                 }
-                TokKind::Ident(sec) if sec == "DEFINE" => {
+                Some("DEFINE") => {
                     self.bump();
                     while !self.at_section() {
                         let line = self.peek_tok().line;
@@ -97,19 +123,17 @@ impl Parser {
                         m.defines.push(Define { name, expr, line });
                     }
                 }
-                TokKind::Ident(sec) if sec == "SPEC" => {
-                    let line = self.peek_tok().line;
+                Some("SPEC") => {
                     self.bump();
                     let text = self.capture_until_semi()?;
-                    m.specs.push(SpecDecl { text, line });
+                    m.specs.push(SpecDecl::new(text, line, &mut self.names));
                 }
-                TokKind::Ident(sec) if sec == "FAIRNESS" => {
-                    let line = self.peek_tok().line;
+                Some("FAIRNESS") => {
                     self.bump();
                     let text = self.capture_until_semi()?;
-                    m.fairness.push(SpecDecl { text, line });
+                    m.fairness.push(SpecDecl::new(text, line, &mut self.names));
                 }
-                TokKind::Ident(sec) if sec == "OBSERVED" => {
+                Some("OBSERVED") => {
                     self.bump();
                     loop {
                         let line = self.peek_tok().line;
@@ -130,18 +154,18 @@ impl Parser {
     }
 
     fn parse_var_decl(&mut self, input: bool) -> Result<VarDecl, ModelError> {
-        let line = self.peek_tok().line;
+        let (line, column) = (self.peek_tok().line, self.peek_tok().column);
         let name = self.expect_ident("variable name")?;
         self.expect(&TokKind::Colon, "`:`")?;
-        let ty = match self.peek().clone() {
+        let ty = match self.peek() {
             TokKind::Ident(s) if s == "boolean" => {
                 self.bump();
                 VarType::Boolean
             }
-            TokKind::Int(lo) => {
+            &TokKind::Int(lo) => {
                 self.bump();
                 self.expect(&TokKind::DotDot, "`..`")?;
-                let hi = match self.bump().kind {
+                let hi = match self.next() {
                     TokKind::Int(h) => h,
                     _ => return Err(self.err("expected range upper bound")),
                 };
@@ -152,7 +176,7 @@ impl Parser {
             }
             TokKind::Minus => {
                 self.bump();
-                let lo = match self.bump().kind {
+                let lo = match self.next() {
                     TokKind::Int(l) => -l,
                     _ => return Err(self.err("expected range lower bound")),
                 };
@@ -163,7 +187,7 @@ impl Parser {
                 } else {
                     false
                 };
-                let hi = match self.bump().kind {
+                let hi = match self.next() {
                     TokKind::Int(h) => {
                         if neg {
                             -h
@@ -183,7 +207,7 @@ impl Parser {
                 let mut lits = Vec::new();
                 loop {
                     lits.push(self.expect_ident("enumeration literal")?);
-                    match self.bump().kind {
+                    match self.next() {
                         TokKind::Comma => continue,
                         TokKind::RBrace => break,
                         _ => return Err(self.err("expected `,` or `}`")),
@@ -193,6 +217,15 @@ impl Parser {
             }
             _ => return Err(self.err("expected a type")),
         };
+        if let VarType::Range(lo, hi) = ty {
+            if range_values(lo, hi).is_none() {
+                return Err(ModelError::new(
+                    line,
+                    column,
+                    format!("range {lo}..{hi} of `{name}` has more than {MAX_RANGE_VALUES} values"),
+                ));
+            }
+        }
         self.expect(&TokKind::Semi, "`;`")?;
         Ok(VarDecl {
             name,
@@ -223,27 +256,30 @@ impl Parser {
         Ok(())
     }
 
-    /// Re-serializes tokens up to the terminating `;` (for SPEC/FAIRNESS
-    /// bodies handed to the CTL parser).
+    /// Re-serializes tokens up to the terminating `;`, separated by single
+    /// spaces (for SPEC/FAIRNESS bodies handed to the CTL parser).
     fn capture_until_semi(&mut self) -> Result<String, ModelError> {
-        let mut parts = Vec::new();
+        let mut text = String::new();
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 TokKind::Semi => {
                     self.bump();
                     break;
                 }
                 TokKind::Eof => return Err(self.err("unterminated SPEC/FAIRNESS (missing `;`)")),
                 kind => {
+                    if !text.is_empty() {
+                        text.push(' ');
+                    }
+                    push_tok_text(&mut text, kind);
                     self.bump();
-                    parts.push(tok_text(&kind));
                 }
             }
         }
-        if parts.is_empty() {
+        if text.is_empty() {
             return Err(self.err("empty SPEC/FAIRNESS body"));
         }
-        Ok(parts.join(" "))
+        Ok(text)
     }
 
     // Expression grammar, loosest binding first.
@@ -275,19 +311,14 @@ impl Parser {
     fn parse_or(&mut self) -> Result<Expr, ModelError> {
         let mut lhs = self.parse_and()?;
         loop {
-            match self.peek().clone() {
-                TokKind::Pipe => {
-                    self.bump();
-                    let rhs = self.parse_and()?;
-                    lhs = Expr::bin(BinOp::Or, lhs, rhs);
-                }
-                TokKind::Ident(s) if s == "xor" => {
-                    self.bump();
-                    let rhs = self.parse_and()?;
-                    lhs = Expr::bin(BinOp::Xor, lhs, rhs);
-                }
+            let op = match self.peek() {
+                TokKind::Pipe => BinOp::Or,
+                TokKind::Ident(s) if s == "xor" => BinOp::Xor,
                 _ => return Ok(lhs),
-            }
+            };
+            self.bump();
+            let rhs = self.parse_and()?;
+            lhs = Expr::bin(op, lhs, rhs);
         }
     }
 
@@ -351,7 +382,7 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ModelError> {
-        match self.peek().clone() {
+        match self.peek() {
             TokKind::Bang => {
                 self.bump();
                 let e = self.parse_unary()?;
@@ -359,7 +390,7 @@ impl Parser {
             }
             TokKind::Minus => {
                 self.bump();
-                match self.bump().kind {
+                match self.next() {
                     TokKind::Int(v) => Ok(Expr::Int(-v)),
                     _ => Err(self.err("expected integer after unary `-`")),
                 }
@@ -369,14 +400,14 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr, ModelError> {
-        match self.peek().clone() {
+        match self.peek() {
             TokKind::LParen => {
                 self.bump();
                 let e = self.parse_expr()?;
                 self.expect(&TokKind::RParen, "`)`")?;
                 Ok(e)
             }
-            TokKind::Int(v) => {
+            &TokKind::Int(v) => {
                 self.bump();
                 Ok(Expr::Int(v))
             }
@@ -407,45 +438,47 @@ impl Parser {
                 }
                 Ok(Expr::Case(arms))
             }
-            TokKind::Ident(s) => {
-                self.bump();
-                Ok(Expr::Name(s))
-            }
+            TokKind::Ident(_) => Ok(Expr::Name(self.expect_ident("an expression")?)),
             _ => Err(self.err("expected an expression")),
         }
     }
 }
 
-fn tok_text(kind: &TokKind) -> String {
-    match kind {
-        TokKind::Ident(s) => s.clone(),
-        TokKind::Int(v) => v.to_string(),
-        TokKind::LParen => "(".into(),
-        TokKind::RParen => ")".into(),
-        TokKind::LBrace => "{".into(),
-        TokKind::RBrace => "}".into(),
-        TokKind::LBracket => "[".into(),
-        TokKind::RBracket => "]".into(),
-        TokKind::Colon => ":".into(),
-        TokKind::Semi => ";".into(),
-        TokKind::Comma => ",".into(),
-        TokKind::DotDot => "..".into(),
-        TokKind::Assign => ":=".into(),
-        TokKind::Bang => "!".into(),
-        TokKind::Amp => "&".into(),
-        TokKind::Pipe => "|".into(),
-        TokKind::Arrow => "->".into(),
-        TokKind::DArrow => "<->".into(),
-        TokKind::Eq => "=".into(),
-        TokKind::Ne => "!=".into(),
-        TokKind::Lt => "<".into(),
-        TokKind::Le => "<=".into(),
-        TokKind::Gt => ">".into(),
-        TokKind::Ge => ">=".into(),
-        TokKind::Plus => "+".into(),
-        TokKind::Minus => "-".into(),
-        TokKind::Eof => String::new(),
-    }
+/// Appends the source spelling of a token to `out`.
+fn push_tok_text(out: &mut String, kind: &TokKind) {
+    let text = match kind {
+        TokKind::Ident(s) => s,
+        TokKind::Int(v) => {
+            let _ = write!(out, "{v}");
+            return;
+        }
+        TokKind::LParen => "(",
+        TokKind::RParen => ")",
+        TokKind::LBrace => "{",
+        TokKind::RBrace => "}",
+        TokKind::LBracket => "[",
+        TokKind::RBracket => "]",
+        TokKind::Colon => ":",
+        TokKind::Semi => ";",
+        TokKind::Comma => ",",
+        TokKind::DotDot => "..",
+        TokKind::Assign => ":=",
+        TokKind::Bang => "!",
+        TokKind::Amp => "&",
+        TokKind::Pipe => "|",
+        TokKind::Arrow => "->",
+        TokKind::DArrow => "<->",
+        TokKind::Eq => "=",
+        TokKind::Ne => "!=",
+        TokKind::Lt => "<",
+        TokKind::Le => "<=",
+        TokKind::Gt => ">",
+        TokKind::Ge => ">=",
+        TokKind::Plus => "+",
+        TokKind::Minus => "-",
+        TokKind::Eof => "",
+    };
+    out.push_str(text);
 }
 
 /// Parses a model deck into a [`Module`].
@@ -455,7 +488,11 @@ fn tok_text(kind: &TokKind) -> String {
 /// Returns [`ModelError`] with a source position on malformed input.
 pub fn parse_module(src: &str) -> Result<Module, ModelError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, idx: 0 };
+    let mut p = Parser {
+        toks,
+        idx: 0,
+        names: BTreeSet::new(),
+    };
     p.parse_module()
 }
 
@@ -498,9 +535,9 @@ OBSERVED count, x;
         assert_eq!(m.nexts.len(), 2);
         assert_eq!(m.defines.len(), 1);
         assert_eq!(m.specs.len(), 1);
-        assert_eq!(m.specs[0].text, "AG ( stall -> AX x )");
+        assert_eq!(m.specs[0].text(), "AG ( stall -> AX x )");
         assert_eq!(m.fairness.len(), 1);
-        assert_eq!(m.fairness[0].text, "! stall");
+        assert_eq!(m.fairness[0].text(), "! stall");
         let observed: Vec<&str> = m.observed.iter().map(|o| o.name.as_str()).collect();
         assert_eq!(observed, vec!["count", "x"]);
     }
@@ -513,8 +550,8 @@ OBSERVED count, x;
         assert_eq!(m.inits[0].line, 10);
         assert_eq!(m.nexts[1].line, 13);
         assert_eq!(m.defines[0].line, 19);
-        assert_eq!(m.specs[0].line, 20);
-        assert_eq!(m.fairness[0].line, 21);
+        assert_eq!(m.specs[0].line(), 20);
+        assert_eq!(m.fairness[0].line(), 21);
         assert_eq!(m.observed[0].line, 22);
     }
 
@@ -531,7 +568,7 @@ OBSERVED count, x;
     #[test]
     fn spec_text_reparses_with_ctl_parser() {
         let m = parse_module(DECK).expect("parses");
-        let f = covest_ctl::parse_formula(&m.specs[0].text).expect("ctl parses");
+        let f = covest_ctl::parse_formula(m.specs[0].text()).expect("ctl parses");
         assert_eq!(f.to_string(), "AG (stall -> AX x)");
     }
 
@@ -539,6 +576,46 @@ OBSERVED count, x;
     fn negative_ranges() {
         let m = parse_module("VAR t : -2..3;").expect("parses");
         assert_eq!(m.vars[0].ty, VarType::Range(-2, 3));
+    }
+
+    #[test]
+    fn oversized_ranges_are_rejected_where_declared() {
+        for range in [
+            "-9223372036854775807..9223372036854775807",
+            "0..9223372036854775807",
+            "0..4294967296",
+            "0..65536",
+        ] {
+            let e = parse_module(&format!("VAR ok : boolean;\n  wide : {range};")).unwrap_err();
+            assert_eq!((e.line, e.column), (2, 3), "{range}: {e}");
+            assert_eq!(
+                e.message,
+                format!("range {range} of `wide` has more than 65536 values")
+            );
+        }
+        let m = parse_module("VAR x : 0..65535; y : -32768..32767;").expect("at the cap");
+        assert_eq!(m.vars[0].ty, VarType::Range(0, 65535));
+        assert_eq!(m.vars[1].ty, VarType::Range(-32768, 32767));
+    }
+
+    #[test]
+    fn specs_are_parsed_once_for_their_signals() {
+        let m = parse_module(DECK).expect("parses");
+        let names = |i: usize, decls: &[SpecDecl]| -> Vec<String> {
+            let signals = decls[i].signals().expect("parses");
+            signals.iter().map(|n| n.to_string()).collect()
+        };
+        assert_eq!(names(0, &m.specs), ["stall", "x"]);
+        assert_eq!(names(0, &m.fairness), ["stall"]);
+        // One allocation per name across the deck's properties.
+        let spec_stall = &m.specs[0].signals().expect("parses")[0];
+        let fair_stall = &m.fairness[0].signals().expect("parses")[0];
+        assert!(Arc::ptr_eq(spec_stall, fair_stall));
+        let m = parse_module("SPEC EG x; FAIRNESS x & & y;").expect("parses");
+        let spec = m.specs[0].signals().unwrap_err();
+        assert!(spec.to_string().contains("ACTL subset"), "{spec}");
+        let fair = m.fairness[0].signals().unwrap_err();
+        assert!(fair.to_string().starts_with("parse error"), "{fair}");
     }
 
     #[test]

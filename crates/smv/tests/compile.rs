@@ -262,3 +262,78 @@ fn auto_reorder_during_compile_keeps_earlier_models_alive() {
     assert_eq!(a.fsm.reachable_count(), reach_before);
     assert_eq!(b.fsm.reachable_count(), reach_before);
 }
+
+/// 64-bit edges: arithmetic that overflows where its value is used is a
+/// clean error naming the assignment or `DEFINE`, while a guarded
+/// counter at the top of the `i64` range compiles and counts. None of
+/// these decks may panic, in a debug build or any other.
+#[test]
+fn integer_overflow_is_an_error_where_the_value_is_used() {
+    let bdd = BddManager::new();
+    let e = compile(
+        &bdd,
+        "VAR x : 9223372036854775806..9223372036854775807;\n\
+         ASSIGN init(x) := 9223372036854775806; next(x) := x + 1;",
+    )
+    .unwrap_err();
+    assert_eq!(
+        e.to_string(),
+        "model error: assignment to `x` overflows 64-bit integer arithmetic in `x + 1`"
+    );
+    let e = compile(
+        &bdd,
+        "VAR x : -9223372036854775807..-9223372036854775806;\n\
+         ASSIGN init(x) := -9223372036854775806; next(x) := x - 2;",
+    )
+    .unwrap_err();
+    assert!(e.message.contains("`x - 2`"), "{e}");
+    // A DEFINE is checked as if used in every valid state.
+    let e = compile(
+        &bdd,
+        "VAR x : 9223372036854775806..9223372036854775807;\n\
+         ASSIGN init(x) := 9223372036854775806; next(x) := x;\n\
+         DEFINE up := x + 1;",
+    )
+    .unwrap_err();
+    assert_eq!(
+        e.message,
+        "DEFINE `up` overflows 64-bit integer arithmetic in `x + 1`"
+    );
+
+    // The guard keeps `x + 1` away from the maximum, and the range ends
+    // at `i64::MAX` itself.
+    let guarded = "VAR x : 9223372036854775800..9223372036854775807;\n\
+         ASSIGN init(x) := 9223372036854775800;\n\
+         next(x) := case x < 9223372036854775807 : x + 1; TRUE : 9223372036854775800; esac;";
+    let model = compile(&bdd, guarded).expect("guarded counter compiles");
+    assert_eq!(model.fsm.reachable_count(), 8.0);
+    assert!(check(
+        guarded,
+        "AG (x = 9223372036854775807 -> AX x = 9223372036854775800)"
+    ));
+    assert!(check(
+        guarded,
+        "AG (x = 9223372036854775806 -> AX x = 9223372036854775807)"
+    ));
+}
+
+/// A module built without the parser may carry a range the parser would
+/// reject; compile reports it instead of overflowing.
+#[test]
+fn hand_built_oversized_range_is_a_compile_error() {
+    use covest_smv::{decl_bit_width, Module, VarDecl, VarType};
+
+    let ty = VarType::Range(i64::MIN, i64::MAX);
+    assert_eq!(decl_bit_width(&ty), 64);
+    let module = Module {
+        vars: vec![VarDecl {
+            name: "x".into(),
+            ty,
+            input: true,
+            line: 0,
+        }],
+        ..Default::default()
+    };
+    let e = covest_smv::compile_module(&BddManager::new(), &module).unwrap_err();
+    assert!(e.message.contains("more than 65536 values"), "{e}");
+}
