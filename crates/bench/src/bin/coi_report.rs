@@ -122,9 +122,8 @@ fn assert_parity(on: &BatchReport, off: &BatchReport) {
 }
 
 /// The peak live node count of the shard that analyzed `signal` on
-/// `deck`. With cone-disjoint sharding this attributes the whole
-/// shard's peak to each of its signals — identical for coi on and off,
-/// since shard grouping is a pure function of the deck's static cones.
+/// `deck`. A deck is one shard, so this attributes the whole shard's
+/// peak to each of its signals, under coi on and off alike.
 fn peak_live(report: &BatchReport, deck: &str, signal: &str) -> u64 {
     report
         .decks

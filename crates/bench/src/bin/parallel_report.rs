@@ -154,8 +154,8 @@ fn main() {
     let tasks = par.outcomes().count();
 
     // Phase attribution from a separate profiled run: where the pool's
-    // CPU time went, summed across shards. Compile + reachability are
-    // paid once per *shard* (cone-disjoint signal group), not once per
+    // CPU time went, summed across shards. Compile, reachability and
+    // verification are paid once per *shard* (one deck), not once per
     // signal — that, plus spreading them over the cores, is the whole
     // speedup story. Queue wait is NOT compute — a queued shard occupies
     // no core — so it is reported separately: the max bounds any single
@@ -234,7 +234,7 @@ fn main() {
     let mut json = String::from(
         "{\n  \"description\": \"Whole-fleet wall-clock: the sequential estimator \
          (one manager per deck, signals in series) vs the covest-par worker pool \
-         (cone-disjoint shards on private managers, whole-shard work stealing, one \
+         (one shard per deck on a private manager, whole-shard work stealing, one \
          thread budget across all decks x signals). Parity is asserted bit for bit \
          before timing is even reported. Gates: jobs=1 pool overhead <= 1.15x \
          sequential (unconditional), and sized-fleet jobs=4 speedup > 1.0 when \

@@ -16,10 +16,11 @@
 //!
 //! `check` verifies every `SPEC` under the deck's `FAIRNESS` constraints
 //! and, with `--coverage`, estimates coverage for each `OBSERVED` signal
-//! (or the `--observed` overrides) and lists uncovered states. It runs
-//! on one machine: the union of the analyzed signals' cones of
+//! (or the `--observed` overrides) and lists uncovered states. It is a
+//! one-deck batch run on the caller's thread: the same shard body as
+//! every `batch` deck — the union of the analyzed signals' cones of
 //! influence, compiled once, verified once, then each signal's coverage
-//! inline over its own cone.
+//! over its own cone — with the report printed between the steps.
 //!
 //! - `--traces N` prints shortest input sequences to up to `N` uncovered
 //!   states per signal;
@@ -45,8 +46,9 @@
 //!   everything below the `-- timings --` line is wall-clock and
 //!   excluded from any parity contract;
 //! - `--trace FILE` writes the recorded span/event log (compile,
-//!   reachability with per-BFS-step sizes, care install, each per-signal
-//!   analysis). In `batch` the file **streams**: each shard's span forest
+//!   reachability with per-BFS-step sizes, care install, the machine's
+//!   one verification, each signal's coverage). In `batch` the file
+//!   **streams**: each shard's span forest
 //!   is written as its result arrives, one track per pool worker, so a
 //!   long batch holds at most one shard's records in memory; the
 //!   front-end's own track (tid 0) is appended at the end;
@@ -82,26 +84,54 @@
 //! Findings print in a stable order (declaration order, then line);
 //! `--strict` fails on warnings too. Exit codes: 0 clean, 1 findings,
 //! 2 usage/I-O error.
+//!
+//! A reader that closes stdout early (`covest … | head -1`) ends the
+//! output: every command then stops quietly with exit status 141, the
+//! status a shell reports for a writer killed by `SIGPIPE`.
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use covest_analyze::{
-    cone_bit_names, lint_source, reduce_module_multi, reducible, task_cone, DepGraph,
+use covest_analyze::lint_source;
+use covest_bdd::{BddManager, ReorderMode};
+use covest_core::{json_string, CoverageEstimator, CoverageTable, ReportRow};
+use covest_mc::Verdict;
+use covest_par::{
+    compile_machine, cover_signal, plan_machine, run_batch, run_batch_with_trace, BatchReport,
+    DeckJob, ParConfig, ShardProfile,
 };
-use covest_bdd::{BddManager, ReorderConfig, ReorderMode, ReorderStats};
-use covest_core::{json_string, CoverageEstimator, CoverageOptions, CoverageTable, ReportRow};
-use covest_mc::{ModelChecker, Verdict};
-use covest_par::{run_batch, run_batch_with_trace, BatchReport, DeckJob, ParConfig, ShardProfile};
-use covest_smv::{
-    decl_bit_names, CompiledModel, ImageConfig, ImageMethod, ModelError, Module, SimplifyConfig,
-};
+use covest_smv::{decl_bit_names, CompiledModel, ImageConfig, ImageMethod, Module, SimplifyConfig};
 use covest_telemetry::chrome::{TraceFormat, TraceSink, TraceWriter};
 use covest_telemetry::{
     self as telemetry, memory, progress, Counters, SpanRecord, Telemetry, WallClock, TIMINGS_MARKER,
 };
+
+/// Writes to stdout: every byte the CLI prints goes through here, via
+/// `say!`. Unlike `print!`, a failed write comes back as an error
+/// instead of a panic, so a reader that closes the pipe early simply
+/// ends the output (see [`main`]).
+fn emit(text: std::fmt::Arguments) -> std::io::Result<()> {
+    std::io::stdout().write_fmt(text)
+}
+
+/// `println!` through [`emit`]: evaluates to the write's `io::Result`.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// The exit status after a reader closed stdout early: what a shell
+/// reports for a writer killed by `SIGPIPE`.
+const CLOSED_STDOUT: u8 = 141;
+
+/// `true` when `e` is a stdout write that found the pipe closed.
+fn is_closed_stdout(e: &(dyn std::error::Error + 'static)) -> bool {
+    e.downcast_ref::<std::io::Error>()
+        .is_some_and(|e| e.kind() == std::io::ErrorKind::BrokenPipe)
+}
 
 /// Flags shared by `check` and `batch`.
 struct EngineArgs {
@@ -365,7 +395,16 @@ fn main() -> ExitCode {
     let (result, strict) = match parse_args() {
         Cmd::Check(args) => (run_check(&args), args.strict),
         Cmd::Batch(args) => (run_batch_cmd(&args), args.strict),
-        Cmd::Lint(args) => return run_lint(&args),
+        Cmd::Lint(args) => {
+            return run_lint(&args).unwrap_or_else(|e| {
+                if is_closed_stdout(&e) {
+                    ExitCode::from(CLOSED_STDOUT)
+                } else {
+                    eprintln!("error: {e}");
+                    ExitCode::from(2)
+                }
+            })
+        }
     };
     match result {
         Ok(all_passed) => {
@@ -375,6 +414,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
         }
+        Err(e) if is_closed_stdout(&*e) => ExitCode::from(CLOSED_STDOUT),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -385,8 +425,9 @@ fn main() -> ExitCode {
 /// `covest lint`: statically checks decks and prints findings in the
 /// stable order (declaration order, then line). Exit code 0 when clean
 /// (warnings allowed without `--strict`), 1 on errors or on warnings
-/// under `--strict`, 2 on usage or I/O problems.
-fn run_lint(args: &LintArgs) -> ExitCode {
+/// under `--strict`, 2 on usage or I/O problems; a failed stdout write
+/// is the `Err`.
+fn run_lint(args: &LintArgs) -> std::io::Result<ExitCode> {
     let mut errors = 0usize;
     let mut warnings = 0usize;
     for path in &args.paths {
@@ -394,47 +435,51 @@ fn run_lint(args: &LintArgs) -> ExitCode {
             Ok(src) => src,
             Err(e) => {
                 eprintln!("error: cannot read `{path}`: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         };
         let report = lint_source(&src);
         for d in &report.diagnostics {
-            println!(
+            say!(
                 "{path}:{}: {} [{}] {}",
-                d.line, d.severity, d.rule, d.message
-            );
+                d.line,
+                d.severity,
+                d.rule,
+                d.message
+            )?;
         }
         errors += report.errors();
         warnings += report.warnings();
     }
-    println!(
+    say!(
         "lint: {} decks, {errors} errors, {warnings} warnings",
         args.paths.len()
-    );
-    if errors > 0 || (args.strict && warnings > 0) {
+    )?;
+    Ok(if errors > 0 || (args.strict && warnings > 0) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// Prints `check`'s per-signal coverage block: vacuity warnings, then —
 /// below 100% — the canonical uncovered-state listing.
-fn print_signal_block(row: &ReportRow) {
+fn print_signal_block(row: &ReportRow) -> std::io::Result<()> {
     for v in &row.verdicts {
         if v.vacuous {
-            println!(
+            say!(
                 "warning: SPEC {} passes vacuously (an implication never triggers)",
                 v.formula
-            );
+            )?;
         }
     }
     if row.percent < 100.0 {
-        println!("\nuncovered states for `{}`:", row.signal);
+        say!("\nuncovered states for `{}`:", row.signal)?;
         for state in &row.uncovered_sample {
-            println!("  {}", ReportRow::render_state(state));
+            say!("  {}", ReportRow::render_state(state))?;
         }
     }
+    Ok(())
 }
 
 /// How many uncovered states each report samples. One constant feeds
@@ -496,7 +541,7 @@ fn finish_trace(
         }
         writer.finish()?;
         if let Some(path) = &engine.trace {
-            println!("wrote {path}");
+            say!("wrote {path}")?;
         }
     }
     Ok(())
@@ -532,7 +577,7 @@ fn write_json(
             doc = format!("{body},\n  \"stats\": {stats}\n}}\n");
         }
         std::fs::write(path, doc)?;
-        println!("wrote {path}");
+        say!("wrote {path}")?;
     }
     Ok(())
 }
@@ -721,73 +766,11 @@ fn collect_observability(
 
 /// Prints the `--stats` summary (the trace file streams separately; see
 /// [`finish_trace`]).
-fn emit_observability(engine: &EngineArgs, out: &StatsOutput) {
+fn emit_observability(engine: &EngineArgs, out: &StatsOutput) -> std::io::Result<()> {
     if engine.stats {
-        print!("\n{}", out.text);
+        emit(format_args!("\n{}", out.text))?;
     }
-}
-
-/// Compiles `module` on `bdd` under the `--reorder` mode and, in `sift`
-/// mode, runs the startup sifting pass (returned for the
-/// `reorder (sift):` line). In `auto` mode the manager sifts at its own
-/// checkpoints, including one at the end of compile.
-fn compile_sifted(
-    bdd: &BddManager,
-    module: &Module,
-    engine: &EngineArgs,
-) -> Result<(CompiledModel, Option<ReorderStats>), ModelError> {
-    bdd.set_reorder_config(ReorderConfig {
-        mode: engine.reorder,
-        ..Default::default()
-    });
-    let image = ImageConfig {
-        method: engine.image,
-        simplify: engine.simplify,
-        ..Default::default()
-    };
-    let model = covest_smv::compile_module_with(bdd, module, image)?;
-    let sift = (engine.reorder == ReorderMode::Sift).then(|| bdd.reduce_heap());
-    Ok((model, sift))
-}
-
-/// The verification checker of a `check` machine: the deck's fairness
-/// constraints and, with simplification on, the reachable set as the
-/// care boundary of the verification fixpoints (paid for up front; the
-/// estimator reuses it).
-fn front_end_checker(
-    model: &CompiledModel,
-    simplify: SimplifyConfig,
-) -> Result<ModelChecker<'_>, Box<dyn std::error::Error>> {
-    let mut mc = ModelChecker::new(&model.fsm);
-    for fair in &model.fairness {
-        mc.add_fairness(fair)?;
-    }
-    if simplify != SimplifyConfig::Off {
-        mc.set_care(model.fsm.install_reachable_care());
-    }
-    Ok(mc)
-}
-
-/// The module `check` compiles under `--coi on`: the union of the
-/// analyzed signals' cones, pruned with [`reduce_module_multi`]. `None`
-/// means the parsed deck is compiled as it is, because
-/// - no signal is analyzed (a verification-only run);
-/// - a name has no cone (see [`reducible`]);
-/// - or the union keeps every variable.
-fn cone_module(
-    module: &Module,
-    graph: &DepGraph,
-    signals: &[String],
-    cones: &[BTreeSet<String>],
-) -> Option<Module> {
-    if signals.is_empty() || !reducible(module, graph, signals) {
-        return None;
-    }
-    let union: BTreeSet<String> = cones.iter().flatten().cloned().collect();
-    if module.vars.iter().all(|v| union.contains(&v.name)) {
-        return None;
-    }
-    Some(reduce_module_multi(module, &union, signals))
+    Ok(())
 }
 
 /// The full deck of a cone-reduced `check` run, for the output that
@@ -798,25 +781,30 @@ struct FullDeck {
     model: CompiledModel,
 }
 
-/// Returns the full deck, compiling it on the first call. It is set up
-/// in the order the `--coi off` machine is (compile, sift, fairness,
-/// reachable care), so with the `sift` and `off` reorder modes its
-/// output is byte-identical to `--coi off`: the reachable set's node ids
+/// Returns the full deck, compiling it on the first call with the
+/// shards' compile function and checker set-up, in the order the
+/// `--coi off` machine runs them (compile, sift, fairness, reachable
+/// care). With the `sift` and `off` reorder modes its output is
+/// therefore byte-identical to `--coi off`: the reachable set's node ids
 /// in the `--dot` dump follow that allocation order.
 fn full_deck<'a>(
     slot: &'a mut Option<FullDeck>,
     module: &Module,
-    engine: &EngineArgs,
+    config: &ParConfig,
 ) -> Result<&'a FullDeck, Box<dyn std::error::Error>> {
     if slot.is_none() {
         let bdd = BddManager::new();
-        let (model, _) = compile_sifted(&bdd, module, engine)?;
-        front_end_checker(&model, engine.simplify)?;
+        let (model, _) = compile_machine(&bdd, module, config)?;
+        CoverageEstimator::new(&model.fsm).checker(&model.fairness)?;
         *slot = Some(FullDeck { bdd, model });
     }
     Ok(slot.as_ref().expect("compiled above"))
 }
 
+/// `covest check`: a one-deck batch on the caller's thread. It plans the
+/// deck with the planner's per-deck step and runs the shard body —
+/// compile and sift, verify once, cover each signal — printing between
+/// the steps.
 fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     let src = std::fs::read_to_string(&args.model_path)?;
     // The recorder goes in before compile so the span log covers the
@@ -835,6 +823,7 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         eprintln!("warning: --jobs has no effect on check; it sets batch's worker count");
     }
     let trace_writer = open_trace(&args.engine)?;
+    let config = par_config(&args.engine);
     let module = covest_smv::parse_module(&src)?;
     let signals: Vec<String> = if !args.coverage {
         Vec::new()
@@ -843,24 +832,14 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     } else {
         args.observed.clone()
     };
-    // Each signal's cone, computed once: the union selects the compiled
-    // module and each cone is its signal's coverage universe.
-    let graph = DepGraph::new(&module);
-    let cones = signals
-        .iter()
-        .map(|signal| task_cone(&module, &graph, signal))
-        .collect::<Result<Vec<_>, _>>()?;
-    let reduced = if args.engine.coi {
-        cone_module(&module, &graph, &signals, &cones)
-    } else {
-        None
-    };
+    let machine = plan_machine(&module, &signals, config.coi)?;
     let bdd = BddManager::new();
     // Memory timeline: stamp every span/event with this manager's gauges.
     if args.engine.profiling() {
         install_front_sampler(&bdd);
     }
-    let (model, sift) = compile_sifted(&bdd, reduced.as_ref().unwrap_or(&module), &args.engine)?;
+    let compiled = machine.reduced.as_ref().unwrap_or(&module);
+    let (model, sift) = compile_machine(&bdd, compiled, &config)?;
     // In mono mode nothing was clustered — the engine holds the raw
     // parts and the fixpoints run on the lazy monolith.
     let partition = match args.engine.image {
@@ -869,7 +848,7 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         }
         ImageMethod::Monolithic => format!("{} parts", model.fsm.trans_parts().len()),
     };
-    let state_bits = match &reduced {
+    let state_bits = match &machine.reduced {
         Some(_) => format!(
             "{} state bits ({} in the cone of influence)",
             module.vars.iter().flat_map(decl_bit_names).count(),
@@ -877,7 +856,7 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         ),
         None => format!("{} state bits", model.fsm.num_state_bits()),
     };
-    println!(
+    say!(
         "model `{}`: {state_bits}, {} properties, {} fairness constraints, \
          image method `{}` ({partition}), simplify `{}`",
         args.model_path,
@@ -885,12 +864,14 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         model.fairness.len(),
         args.engine.image,
         args.engine.simplify,
-    );
+    )?;
     if let Some(stats) = sift {
-        println!(
+        say!(
             "reorder (sift): {} -> {} live nodes ({} swaps)",
-            stats.before, stats.after, stats.swaps
-        );
+            stats.before,
+            stats.after,
+            stats.swaps
+        )?;
     }
 
     // The JSON report is the coverage table; without --coverage there is
@@ -901,95 +882,98 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
 
     // Verification, once, on the compiled machine. Its verdicts are
     // exact on the cone; a counterexample lists every state bit, so a
-    // cone run replays a failing property on the full deck for it.
+    // cone run builds it on the full deck, the machine that prints it.
+    let estimator = CoverageEstimator::new(&model.fsm);
+    let mut verification =
+        estimator.verify(estimator.checker(&model.fairness)?, &model.specs, false)?;
     let mut full: Option<FullDeck> = None;
-    let mut all_passed = true;
-    let mut mc = front_end_checker(&model, args.engine.simplify)?;
-    for spec in &model.specs {
-        let verdict = mc.check(&spec.clone().into())?;
-        let mark = if verdict.holds() { "PASS" } else { "FAIL" };
-        println!("[{mark}] SPEC {spec}");
-        let replayed = match verdict {
-            Verdict::Fails { .. } if reduced.is_some() => {
-                let deck = full_deck(&mut full, &module, &args.engine)?;
-                Some(
-                    front_end_checker(&deck.model, args.engine.simplify)?
-                        .check(&spec.clone().into())?,
-                )
+    let holds = verification.holds().to_vec();
+    for (spec, holds) in model.specs.iter().zip(holds) {
+        say!("[{}] SPEC {spec}", if holds { "PASS" } else { "FAIL" })?;
+        if holds {
+            continue;
+        }
+        let verdict = match &machine.reduced {
+            Some(_) => {
+                let deck = full_deck(&mut full, &module, &config)?;
+                CoverageEstimator::new(&deck.model.fsm)
+                    .checker(&deck.model.fairness)?
+                    .check(&spec.clone().into())?
             }
-            _ => None,
+            None => verification.checker_mut().check(&spec.clone().into())?,
         };
         if let Verdict::Fails {
             counterexample: Some(trace),
             ..
-        } = replayed.as_ref().unwrap_or(&verdict)
+        } = verdict
         {
-            println!("{trace}");
+            say!("{trace}")?;
         }
-        all_passed &= verdict.holds();
     }
 
-    // Coverage, inline on the same machine, one signal at a time over
-    // its own cone.
+    // Coverage on the same machine, one signal at a time over its own
+    // cone.
     let mut table_out: Option<CoverageTable> = None;
     if args.coverage {
         if signals.is_empty() {
             eprintln!("warning: no OBSERVED signals; use --observed");
         }
-        let estimator = CoverageEstimator::new(&model.fsm);
         let mut table = CoverageTable::new();
-        for (signal, cone) in signals.iter().zip(&cones) {
-            let options = CoverageOptions {
-                fairness: model.fairness.clone(),
-                cone: Some(cone_bit_names(&module, cone)),
-                ..Default::default()
-            };
-            let analysis = estimator.analyze(signal, &model.specs, &options)?;
-            let universe = estimator.universe(options.cone.as_deref());
-            let sample = estimator.sample_states_over(
-                &analysis.uncovered(),
-                &universe,
+        for task in &machine.tasks {
+            let (row, analysis) = cover_signal(
+                &estimator,
+                &mut verification,
+                &args.model_path,
+                task,
                 UNCOVERED_SAMPLE_LIMIT,
-            );
-            let row =
-                ReportRow::from_analysis(&args.model_path, &analysis).with_uncovered_sample(sample);
-            print_signal_block(&row);
+            )?;
+            print_signal_block(&row)?;
             if row.percent < 100.0 && args.traces > 0 {
                 // Trace steps list every state bit too: a cone run moves
                 // the uncovered set to the full deck, name-keyed, and
                 // replays the traces there over the same cone universe.
-                let traces = if reduced.is_some() {
-                    let deck = full_deck(&mut full, &module, &args.engine)?;
-                    let uncovered = deck.bdd.import_bdd(&analysis.uncovered().export_bdd()?)?;
-                    let full_estimator = CoverageEstimator::new(&deck.model.fsm);
-                    let full_universe = full_estimator.universe(options.cone.as_deref());
-                    full_estimator.traces_to_states_over(&uncovered, &full_universe, args.traces)
-                } else {
-                    estimator.traces_to_states_over(&analysis.uncovered(), &universe, args.traces)
+                let cone = Some(task.cone.as_slice());
+                let traces = match &machine.reduced {
+                    Some(_) => {
+                        let deck = full_deck(&mut full, &module, &config)?;
+                        let uncovered = deck.bdd.import_bdd(&analysis.uncovered().export_bdd()?)?;
+                        let full_estimator = CoverageEstimator::new(&deck.model.fsm);
+                        let universe = full_estimator.universe(cone);
+                        full_estimator.traces_to_states_over(&uncovered, &universe, args.traces)
+                    }
+                    None => {
+                        let universe = estimator.universe(cone);
+                        estimator.traces_to_states_over(
+                            &analysis.uncovered(),
+                            &universe,
+                            args.traces,
+                        )
+                    }
                 };
                 for trace in traces {
-                    println!("trace to uncovered state:\n{trace}");
+                    say!("trace to uncovered state:\n{trace}")?;
                 }
             }
             table.push(row);
         }
-        println!("\n{table}");
+        say!("\n{table}")?;
         table_out = Some(table);
     }
 
     if let Some(path) = &args.dot {
-        let dot = match &reduced {
+        let dot = match &machine.reduced {
             Some(_) => {
-                let deck = full_deck(&mut full, &module, &args.engine)?;
+                let deck = full_deck(&mut full, &module, &config)?;
                 deck.bdd
                     .to_dot(&[("reachable", &deck.model.fsm.reachable())])
             }
             None => bdd.to_dot(&[("reachable", &model.fsm.reachable())]),
         };
         std::fs::write(path, dot)?;
-        println!("wrote {path}");
+        say!("wrote {path}")?;
     }
 
+    let all_passed = verification.all_hold();
     let stats_out = collect_observability(&args.engine, Some(&bdd), None);
     finish_trace(
         &args.engine,
@@ -1004,7 +988,7 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         )?;
     }
     if let Some(out) = &stats_out {
-        emit_observability(&args.engine, out);
+        emit_observability(&args.engine, out)?;
     }
 
     Ok(all_passed)
@@ -1070,18 +1054,18 @@ fn run_batch_cmd(args: &BatchArgs) -> Result<bool, Box<dyn std::error::Error>> {
 
     // Every line below is deterministic (no timings, no node counts, no
     // thread counts), so batch output is byte-identical across `--jobs`.
-    println!(
+    say!(
         "batch: {} decks, {} signal analyses",
         report.decks.len(),
         report.outcomes().count(),
-    );
+    )?;
     let mut held = 0usize;
     let mut total = 0usize;
     for deck in &report.decks {
-        println!("deck {}: {} properties", deck.name, deck.num_properties);
+        say!("deck {}: {} properties", deck.name, deck.num_properties)?;
         for v in &deck.verdicts {
             let mark = if v.holds { "PASS" } else { "FAIL" };
-            println!("  [{mark}] SPEC {}", v.formula);
+            say!("  [{mark}] SPEC {}", v.formula)?;
             held += usize::from(v.holds);
             total += 1;
         }
@@ -1089,26 +1073,30 @@ fn run_batch_cmd(args: &BatchArgs) -> Result<bool, Box<dyn std::error::Error>> {
             let row = &outcome.row;
             for v in &row.verdicts {
                 if v.vacuous {
-                    println!(
+                    say!(
                         "  warning: SPEC {} passes vacuously for `{}`",
-                        v.formula, row.signal
-                    );
+                        v.formula,
+                        row.signal
+                    )?;
                 }
             }
-            println!(
+            say!(
                 "  signal {}: {:.2}% covered ({} of {} states)",
-                row.signal, row.percent, row.covered_states, row.space_states
-            );
+                row.signal,
+                row.percent,
+                row.covered_states,
+                row.space_states
+            )?;
             for state in row.uncovered_sample.iter().take(5) {
-                println!("    uncovered: {}", ReportRow::render_state(state));
+                say!("    uncovered: {}", ReportRow::render_state(state))?;
             }
         }
     }
-    println!(
+    say!(
         "batch: {held}/{total} properties hold across {} decks, {} signals analyzed",
         report.decks.len(),
         report.outcomes().count(),
-    );
+    )?;
     let stats_out = collect_observability(&args.engine, None, Some(&report));
     finish_trace(
         &args.engine,
@@ -1121,7 +1109,7 @@ fn run_batch_cmd(args: &BatchArgs) -> Result<bool, Box<dyn std::error::Error>> {
         stats_out.as_ref().map(|s| s.json.as_str()),
     )?;
     if let Some(out) = &stats_out {
-        emit_observability(&args.engine, out);
+        emit_observability(&args.engine, out)?;
     }
     Ok(report.all_hold())
 }

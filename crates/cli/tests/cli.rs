@@ -946,3 +946,224 @@ fn oversized_ranges_and_overflow_fail_cleanly() {
     }
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// The decks `gen-models --size N` writes, by file name.
+fn sized_decks(n: u32) -> Vec<(String, String)> {
+    use covest_circuits::{counter, pipeline};
+    use std::fmt::Write as _;
+
+    fn with_specs(mut deck: String, specs: &[impl std::fmt::Display]) -> String {
+        for spec in specs {
+            writeln!(deck, "SPEC {spec};").expect("write to string");
+        }
+        deck
+    }
+    let stages = n as usize;
+    let mut pipeline_suite = pipeline::out_suite_initial(stages);
+    pipeline_suite.extend(pipeline::out_suite_hold());
+    vec![
+        (
+            format!("counter_m{n}.smv"),
+            with_specs(
+                counter::deck_sized(n),
+                &counter::increment_properties_sized(n),
+            ),
+        ),
+        (
+            format!("pipeline_d{n}.smv"),
+            with_specs(pipeline::deck_sized(stages), &pipeline_suite),
+        ),
+    ]
+}
+
+/// A deck observing two signals with disjoint cones and no property.
+const SPECLESS_DECK: &str = "MODULE main\nVAR a : boolean;\n    b : boolean;\nASSIGN\n  \
+                             init(a) := FALSE;\n  next(a) := !a;\n  init(b) := FALSE;\n  \
+                             next(b) := b;\nOBSERVED a, b;\n";
+
+/// `s` with every `*_ms` JSON field removed.
+fn scrub_ms(s: &str) -> String {
+    let mut s = s.to_owned();
+    for key in [", \"verify_ms\": ", ", \"coverage_ms\": "] {
+        while let Some(at) = s.find(key) {
+            let start = at + key.len();
+            let end = start
+                + s[start..]
+                    .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+                    .expect("value ends");
+            s.replace_range(at..end, "");
+        }
+    }
+    s
+}
+
+/// `check` is a one-deck batch on the caller's thread: its `--json` rows
+/// equal those `batch --json` writes for a one-deck joblist naming the
+/// same path — every field but the `*_ms` timings, node counts included.
+/// Inputs: every bundled deck, the `gen-models --size 6` decks, and a
+/// SPEC-less deck observing two signals with disjoint cones.
+#[test]
+fn check_rows_equal_one_deck_batch_rows() {
+    let dir = std::env::temp_dir().join("covest-check-vs-batch");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut decks: Vec<std::path::PathBuf> = std::fs::read_dir(repo_root().join("models"))
+        .expect("models directory")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "smv"))
+        .collect();
+    decks.sort();
+    let generated = sized_decks(6)
+        .into_iter()
+        .chain([("specless.smv".to_owned(), SPECLESS_DECK.to_owned())]);
+    for (name, source) in generated {
+        let path = dir.join(name);
+        std::fs::write(&path, source).expect("write deck");
+        decks.push(path);
+    }
+    let (check_json, batch_json, joblist) = (
+        dir.join("check.json"),
+        dir.join("batch.json"),
+        dir.join("joblist.txt"),
+    );
+    for deck in &decks {
+        let out = covest()
+            .arg("check")
+            .arg(deck)
+            .args(["--coverage", "--json"])
+            .arg(&check_json)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "check {}", deck.display());
+        std::fs::write(&joblist, format!("{}\n", deck.display())).expect("joblist");
+        let out = covest()
+            .arg("batch")
+            .arg(&joblist)
+            .arg("--json")
+            .arg(&batch_json)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "batch {}", deck.display());
+        let read = |p: &std::path::Path| scrub_ms(&std::fs::read_to_string(p).expect("json"));
+        let (check_rows, batch_rows) = (read(&check_json), read(&batch_json));
+        assert_eq!(
+            check_rows.lines().count(),
+            batch_rows.lines().count(),
+            "{}",
+            deck.display()
+        );
+        for (c, b) in check_rows.lines().zip(batch_rows.lines()) {
+            assert_eq!(c, b, "{}: check and batch rows differ", deck.display());
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `check` verifies once per machine: the trace of a two-signal run holds
+/// exactly one `verify` span, carrying the suite size, at the machine
+/// level — outside every `signal:*` span.
+#[test]
+fn check_verifies_once_per_machine() {
+    let trace = std::env::temp_dir().join("covest-verify-once.jsonl");
+    check_stdout(
+        "models/priority_buffer.smv",
+        &["--coverage", "--trace", trace.to_str().unwrap()],
+    );
+    let log = std::fs::read_to_string(&trace).expect("trace written");
+    let _ = std::fs::remove_file(&trace);
+    let verify: Vec<&str> = log
+        .lines()
+        .filter(|l| l.contains("\"name\":\"verify\""))
+        .collect();
+    assert_eq!(verify.len(), 1, "{log}");
+    assert!(verify[0].contains("\"properties\":11"), "{}", verify[0]);
+    assert!(verify[0].contains("\"parent\":null"), "{}", verify[0]);
+    let signals = log
+        .lines()
+        .filter(|l| l.contains("\"name\":\"signal:"))
+        .count();
+    assert_eq!(signals, 2, "{log}");
+}
+
+/// A property naming an unknown signal fails verification, which runs
+/// before any signal's coverage: `batch` names the deck's verification,
+/// not its first signal, and `check` prints the bare message.
+#[test]
+fn suite_errors_blame_the_verification() {
+    let dir = std::env::temp_dir().join("covest-suite-error");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(
+        dir.join("unk.smv"),
+        "MODULE main\nVAR b : boolean;\nASSIGN init(b) := FALSE; next(b) := !b;\n\
+         SPEC AG (nope -> AX b);\nOBSERVED b;\n",
+    )
+    .expect("deck");
+    std::fs::write(dir.join("joblist.txt"), "unk.smv\n").expect("joblist");
+    let stderr = |args: &[&str]| {
+        let out = covest()
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    assert_eq!(
+        stderr(&["batch", "joblist.txt"]),
+        "error: verifying `unk.smv`: unknown signal `nope`\n"
+    );
+    assert_eq!(
+        stderr(&["check", "unk.smv", "--coverage"]),
+        "error: unknown signal `nope`\n"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A reader that closes stdout after one line ends the output: every
+/// subcommand stops quietly with status 141 instead of panicking on the
+/// next write. Each run prints far more than a pipe buffer holds, so
+/// that write is certain to fail.
+#[test]
+fn closed_stdout_ends_the_output_quietly() {
+    use std::io::BufRead as _;
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join("covest-closed-stdout");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut deck = String::from(
+        "MODULE main\nVAR b : boolean;\nASSIGN init(b) := FALSE; next(b) := !b;\nOBSERVED b;\n",
+    );
+    deck.push_str(&"SPEC AG (b -> AX !b);\n".repeat(8000));
+    let deck_path = dir.join("many_specs.smv");
+    std::fs::write(&deck_path, deck).expect("deck");
+    let joblist = dir.join("joblist.txt");
+    std::fs::write(&joblist, "many_specs.smv\n").expect("joblist");
+    let fixture = repo_root().join("models/lint_fixtures/dead_var.smv");
+    let deck_arg = deck_path.to_str().expect("utf-8 path");
+    let joblist_arg = joblist.to_str().expect("utf-8 path");
+    let fixture_arg = fixture.to_str().expect("utf-8 path");
+
+    let mut lint = vec!["lint"];
+    lint.extend(std::iter::repeat_n(fixture_arg, 2000));
+    for args in [
+        vec!["check", deck_arg, "--coverage"],
+        vec!["batch", joblist_arg],
+        lint,
+    ] {
+        let mut child = covest()
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawns");
+        let mut stdout = std::io::BufReader::new(child.stdout.take().expect("piped"));
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("reads a line");
+        assert!(!line.is_empty(), "{}: no output", args[0]);
+        drop(stdout);
+        let out = child.wait_with_output().expect("exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(141), "{}: {stderr}", args[0]);
+        assert!(stderr.is_empty(), "{}: {stderr}", args[0]);
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}

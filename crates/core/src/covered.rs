@@ -69,13 +69,35 @@ impl<'m> CoveredSets<'m> {
         mc: ModelChecker<'m>,
         observed: impl Into<String>,
     ) -> Result<Self, CoverageError> {
-        let observed = observed.into();
-        let flip_variants = flip_variants_of(mc.fsm(), &observed)?;
-        Ok(CoveredSets {
+        let mut sets = Self::untargeted(mc);
+        sets.retarget(observed)?;
+        Ok(sets)
+    }
+
+    /// An engine that observes no signal yet: it verifies, and
+    /// [`CoveredSets::retarget`] points it at each signal to cover.
+    pub(crate) fn untargeted(mc: ModelChecker<'m>) -> Self {
+        CoveredSets {
             mc,
-            observed,
-            flip_variants,
-        })
+            observed: String::new(),
+            flip_variants: Vec::new(),
+        }
+    }
+
+    /// Points the engine at another observed signal, keeping the checker
+    /// and its memoized satisfaction sets. The memo is signal-independent:
+    /// [`CoveredSets::depend`] lowers its flipped interpretations outside
+    /// the checker, so one verification serves every observed signal.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`CoveredSets::new`]; the engine then keeps its previous
+    /// target.
+    pub fn retarget(&mut self, observed: impl Into<String>) -> Result<(), CoverageError> {
+        let observed = observed.into();
+        self.flip_variants = flip_variants_of(self.mc.fsm(), &observed)?;
+        self.observed = observed;
+        Ok(())
     }
 
     /// The observed signal's name.

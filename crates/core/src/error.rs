@@ -19,6 +19,9 @@ pub enum CoverageError {
     /// Coverage was requested for a property the model does not satisfy
     /// (Definition 3 presupposes `M, S_I ⊨ f`).
     PropertyFails(String),
+    /// A cone-of-influence entry ([`crate::CoverageOptions::cone`]) names
+    /// no state bit of the machine, or names one a second time.
+    BadConeEntry(String),
     /// The enumerative reference implementation refused to run because the
     /// reachable state space exceeds its limit.
     StateSpaceTooLarge {
@@ -47,6 +50,9 @@ impl fmt::Display for CoverageError {
                     f,
                     "coverage is defined for verified properties, but `{p}` fails"
                 )
+            }
+            CoverageError::BadConeEntry(s) => {
+                write!(f, "cone entry `{s}` does not name a distinct state bit")
             }
             CoverageError::StateSpaceTooLarge { reachable, limit } => {
                 write!(

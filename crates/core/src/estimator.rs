@@ -5,18 +5,23 @@
 //! suite, compute the covered set per property, union them, relate the
 //! result to the coverage space (reachable states, restricted to fair
 //! paths and excluding user don't-cares), and help the user inspect the
-//! holes.
+//! holes. Verification happens once per machine
+//! ([`CoverageEstimator::verify`]); each observed signal's
+//! [`CoverageEstimator::cover`] then reads its covered sets off that
+//! checker's memoized satisfaction sets.
 
+use std::collections::HashSet;
 use std::time::Duration;
 
 use covest_bdd::{Func, VarId};
 use covest_ctl::{Formula, PropExpr};
-use covest_fsm::{SymbolicFsm, Trace};
+use covest_fsm::{SimplifyConfig, SymbolicFsm, Trace};
 use covest_mc::ModelChecker;
 use covest_telemetry::{self as telemetry, Stopwatch};
 
 use crate::covered::CoveredSets;
 use crate::error::CoverageError;
+use crate::report::PropertyVerdict;
 
 /// Per-property outcome within an analysis.
 #[derive(Debug, Clone)]
@@ -97,6 +102,56 @@ impl CoverageAnalysis {
     }
 }
 
+/// One machine's verification pass (see [`CoverageEstimator::verify`]):
+/// the suite decided once on the machine's single checker, whose
+/// memoized satisfaction sets every signal's
+/// [`CoverageEstimator::cover`] reuses.
+#[derive(Debug)]
+pub struct Verification<'m> {
+    sets: CoveredSets<'m>,
+    properties: Vec<Formula>,
+    holds: Vec<bool>,
+    /// Per-property vacuity, decided by the first cover step.
+    vacuous: Option<Vec<bool>>,
+    /// Wall-clock time spent deciding the suite.
+    pub time: Duration,
+    /// BDD table size after verification (paper's "BDDs" column).
+    pub nodes: usize,
+}
+
+impl<'m> Verification<'m> {
+    /// Whether each property holds, in suite order.
+    pub fn holds(&self) -> &[bool] {
+        &self.holds
+    }
+
+    /// `true` if every property in the suite holds.
+    pub fn all_hold(&self) -> bool {
+        self.holds.iter().all(|&h| h)
+    }
+
+    /// The per-property verdicts, in suite order. Vacuity is decided by
+    /// the first cover step; before any, no property is marked vacuous.
+    pub fn verdicts(&self) -> Vec<PropertyVerdict> {
+        self.properties
+            .iter()
+            .zip(&self.holds)
+            .enumerate()
+            .map(|(i, (p, &holds))| PropertyVerdict {
+                formula: p.to_string(),
+                holds,
+                vacuous: self.vacuous.as_ref().is_some_and(|v| v[i]),
+            })
+            .collect()
+    }
+
+    /// The machine's checker, for work that must share its memo — a
+    /// failing property's counterexample, say.
+    pub fn checker_mut(&mut self) -> &mut ModelChecker<'m> {
+        self.sets.checker_mut()
+    }
+}
+
 /// Options controlling an analysis.
 #[derive(Debug, Clone, Default)]
 pub struct CoverageOptions {
@@ -161,7 +216,9 @@ impl<'m> CoverageEstimator<'m> {
         CoverageEstimator { fsm }
     }
 
-    /// Runs the full analysis for `observed` over a property suite.
+    /// Runs the full analysis for `observed` over a property suite:
+    /// [`CoverageEstimator::checker`], [`CoverageEstimator::verify`] and
+    /// [`CoverageEstimator::cover`] in a row.
     ///
     /// Every reachability and CTL fixpoint underneath runs on the
     /// machine's image engine, so the default partitioned method (and
@@ -179,105 +236,154 @@ impl<'m> CoverageEstimator<'m> {
     /// # Errors
     ///
     /// Returns [`CoverageError`] for unknown/non-boolean observed signals,
-    /// lowering failures, or (in strict mode) failing properties.
+    /// bad cone entries, lowering failures, or (in strict mode) failing
+    /// properties.
     pub fn analyze(
         &self,
         observed: &str,
         properties: &[Formula],
         options: &CoverageOptions,
     ) -> Result<CoverageAnalysis, CoverageError> {
-        let reach = self.prepare();
-        self.analyze_prepared(&reach, observed, properties, options)
+        let checker = self.checker(&options.fairness)?;
+        let mut verification = self.verify(checker, properties, options.strict)?;
+        self.cover(&mut verification, observed, options)
     }
 
-    /// The machine-wide (signal-independent) prefix of an analysis:
-    /// computes the reachable states and installs them as the care set.
-    /// Reachability comes first: the reachable set is both the
-    /// coverage-space denominator and the don't-care boundary. Per the
-    /// configured [`covest_fsm::SimplifyConfig`] it is installed as the
-    /// image engine's care set (transition clusters simplified, forward
-    /// schedules re-derived) and as the checker's
-    /// iterate-simplification boundary, so verification and coverage
-    /// both fixpoint over don't-care-simplified BDDs.
-    ///
-    /// Idempotent (the fixpoint is cached on the machine, the install
-    /// compares care handles), so callers that analyze several signals
-    /// on one machine — the sharded worker pool — pay for it once and
-    /// pass the returned set to each
-    /// [`CoverageEstimator::analyze_prepared`] call.
-    pub fn prepare(&self) -> Func {
-        self.fsm.install_reachable_care()
-    }
-
-    /// Runs one signal's analysis on an already-prepared machine:
-    /// `reach` must be the set returned by
-    /// [`CoverageEstimator::prepare`] on this machine (with the care
-    /// set it installed still in place). Everything after this point is
-    /// per-signal; [`CoverageEstimator::analyze`] is exactly `prepare`
-    /// followed by this.
+    /// The machine's verification checker: the `fairness` constraints
+    /// first, then — unless the image configuration turns simplification
+    /// off — the reachable states, computed and installed as the image
+    /// engine's care set and as the checker's iterate-simplification
+    /// boundary, so verification and coverage both fixpoint over
+    /// don't-care-simplified BDDs. Without simplification no
+    /// reachability runs here; the first [`CoverageEstimator::cover`]
+    /// computes it for the coverage space.
     ///
     /// # Errors
     ///
-    /// See [`CoverageEstimator::analyze`].
-    pub fn analyze_prepared(
-        &self,
-        reach: &Func,
-        observed: &str,
-        properties: &[Formula],
-        options: &CoverageOptions,
-    ) -> Result<CoverageAnalysis, CoverageError> {
-        let _span = telemetry::span(format!("signal:{observed}"));
-        let mgr = self.fsm.manager().clone();
-        let reach = reach.clone();
+    /// Returns [`CoverageError::Lower`] if a constraint mentions unknown
+    /// signals.
+    pub fn checker(&self, fairness: &[PropExpr]) -> Result<ModelChecker<'m>, CoverageError> {
         let mut mc = ModelChecker::new(self.fsm);
-        for fair in &options.fairness {
+        for fair in fairness {
             mc.add_fairness(fair)?;
         }
-        mc.set_care(reach.clone());
-        let mut cs = CoveredSets::with_checker(mc, observed)?;
+        if self.fsm.image_config().simplify != SimplifyConfig::Off {
+            mc.set_care(self.fsm.install_reachable_care());
+        }
+        Ok(mc)
+    }
 
-        // Phase 1: verification.
+    /// Decides every property once, on `checker` (normally
+    /// [`CoverageEstimator::checker`]'s), recording the verification time
+    /// and table size under a `verify` span. Each signal's
+    /// [`CoverageEstimator::cover`] then reuses this checker and its
+    /// memoized satisfaction sets; nothing re-verifies.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoverageError::Lower`] for unresolvable atoms and, when
+    /// `strict`, [`CoverageError::PropertyFails`] for the first property
+    /// that fails.
+    pub fn verify(
+        &self,
+        checker: ModelChecker<'m>,
+        properties: &[Formula],
+        strict: bool,
+    ) -> Result<Verification<'m>, CoverageError> {
+        let mgr = self.fsm.manager();
+        let mut sets = CoveredSets::untargeted(checker);
         let t0 = Stopwatch::start();
         let verify_span = telemetry::span("verify");
-        let mut verdicts = Vec::with_capacity(properties.len());
+        let mut holds = Vec::with_capacity(properties.len());
         for p in properties {
-            let holds = cs.verify(p)?;
-            if options.strict && !holds {
+            let h = sets.verify(p)?;
+            if strict && !h {
                 return Err(CoverageError::PropertyFails(p.to_string()));
             }
-            verdicts.push(holds);
+            holds.push(h);
         }
         telemetry::span_field("properties", properties.len() as u64);
         drop(verify_span);
-        let verify_time = t0.elapsed();
-        let verify_nodes = mgr.table_size();
+        let time = t0.elapsed();
+        let nodes = mgr.table_size();
 
         // Safe point between the verification and coverage phases: in
         // auto-reorder mode, sift against the live working set — which is
-        // exactly the handles still alive (the machine, the covered-set
-        // engine with its memoized satisfaction sets, and the caller's).
+        // exactly the handles still alive (the machine, the checker with
+        // its memoized satisfaction sets, and the caller's).
         mgr.maybe_reduce_heap();
+        Ok(Verification {
+            sets,
+            properties: properties.to_vec(),
+            holds,
+            vacuous: None,
+            time,
+            nodes,
+        })
+    }
 
-        // Phase 2: covered sets + coverage space.
+    /// One observed signal's coverage on a verified machine: the covered
+    /// set of every holding property, their union, and the coverage space
+    /// (reachable fair states minus `options.dont_cares`), projected onto
+    /// `options.cone` when set. The fairness constraints and the suite
+    /// are the verification's; `options.fairness` and `options.strict`
+    /// are not read here. Every analysis of one verification reports its
+    /// verification time and table size.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoverageError::BadConeEntry`] for a cone entry that does
+    /// not name a distinct state bit, checked before any fixpoint runs;
+    /// [`CoverageError::UnknownObserved`] for an unknown observed signal;
+    /// [`CoverageError::Lower`] for unresolvable atoms.
+    pub fn cover(
+        &self,
+        verification: &mut Verification<'m>,
+        observed: &str,
+        options: &CoverageOptions,
+    ) -> Result<CoverageAnalysis, CoverageError> {
+        self.check_cone(options.cone.as_deref())?;
+        let mgr = self.fsm.manager().clone();
+        // The coverage space's reachable part: computed by `checker` when
+        // simplification is on, here otherwise (cached either way).
+        let reach = self.fsm.install_reachable_care();
+        let _span = telemetry::span(format!("signal:{observed}"));
+        let (verify_time, verify_nodes) = (verification.time, verification.nodes);
+        let Verification {
+            sets: cs,
+            properties,
+            holds,
+            vacuous: known_vacuous,
+            ..
+        } = verification;
+        cs.retarget(observed)?;
+
         let t1 = Stopwatch::start();
         let coverage_span = telemetry::span("coverage");
         let mut property_results = Vec::with_capacity(properties.len());
+        let mut vacuous = Vec::with_capacity(properties.len());
         let mut covered = mgr.constant(false);
-        for (p, &holds) in properties.iter().zip(&verdicts) {
+        for (i, (p, &holds)) in properties.iter().zip(holds.iter()).enumerate() {
             let c = if holds {
                 cs.covered_from_init(p)?
             } else {
                 mgr.constant(false)
             };
-            let vacuous = holds && cs.vacuous(p)?;
+            // Vacuity is signal-independent: the first signal decides it.
+            let v = match known_vacuous {
+                Some(known) => known[i],
+                None => holds && cs.vacuous(p)?,
+            };
+            vacuous.push(v);
             covered = covered.or(&c);
             property_results.push(PropertyResult {
                 formula: p.clone(),
                 holds,
-                vacuous,
+                vacuous: v,
                 covered: c,
             });
         }
+        *known_vacuous = Some(vacuous);
 
         let fair = cs.checker_mut().fair_states();
         let mut space = reach.and(&fair);
@@ -292,7 +398,7 @@ impl<'m> CoverageEstimator<'m> {
         // uncovered set derived from the projected pair equals the
         // projection of the full uncovered set; DESIGN.md).
         let (covered, space) = if let Some(bits) = &options.cone {
-            let keep: std::collections::HashSet<&str> = bits.iter().map(String::as_str).collect();
+            let keep: HashSet<&str> = bits.iter().map(String::as_str).collect();
             let outside: Vec<VarId> = self
                 .fsm
                 .state_bits()
@@ -334,6 +440,28 @@ impl<'m> CoverageEstimator<'m> {
             coverage_time,
             coverage_nodes,
         })
+    }
+
+    /// Checks the contract of [`CoverageEstimator::universe`] up front:
+    /// every cone entry names a distinct state bit of this machine.
+    fn check_cone(&self, cone: Option<&[String]>) -> Result<(), CoverageError> {
+        let Some(entries) = cone else {
+            return Ok(());
+        };
+        let bits: HashSet<&str> = self
+            .fsm
+            .state_bits()
+            .iter()
+            .map(|b| b.name.as_str())
+            .collect();
+        let mut seen = HashSet::with_capacity(entries.len());
+        match entries
+            .iter()
+            .find(|e| !bits.contains(e.as_str()) || !seen.insert(e.as_str()))
+        {
+            Some(bad) => Err(CoverageError::BadConeEntry(bad.clone())),
+            None => Ok(()),
+        }
     }
 
     /// Analyzes one property suite against **several observed signals at
@@ -566,7 +694,7 @@ impl<'m> CoverageEstimator<'m> {
         let vars = self.universe(cone);
         debug_assert!(
             {
-                let set: std::collections::HashSet<VarId> = vars.iter().copied().collect();
+                let set: HashSet<VarId> = vars.iter().copied().collect();
                 covered.support().iter().all(|v| set.contains(v))
                     && space.support().iter().all(|v| set.contains(v))
             },
@@ -769,6 +897,63 @@ mod tests {
         assert_eq!(keys, sorted, "sample must come out sorted");
         // Identical under a different (aggressive) reordering history.
         assert_eq!(off, run(ReorderMode::Auto));
+    }
+
+    /// A cone entry that names no state bit, or names one twice, is an
+    /// error naming the entry — not a panic after the coverage fixpoints.
+    #[test]
+    fn bad_cone_entries_are_errors() {
+        let mgr = BddManager::new();
+        let (_, fsm) = figure2(&mgr);
+        let est = CoverageEstimator::new(&fsm);
+        let first = fsm.state_bits()[0].name.clone();
+        for (cone, bad) in [
+            (vec![first.clone(), "nope".to_owned()], "nope"),
+            (vec![first.clone(), first.clone()], first.as_str()),
+        ] {
+            let options = CoverageOptions {
+                cone: Some(cone),
+                ..Default::default()
+            };
+            let err = est.analyze("q", &[f("A[p1 U q]")], &options).unwrap_err();
+            assert_eq!(err, CoverageError::BadConeEntry(bad.to_owned()));
+            assert!(err.to_string().contains(&format!("`{bad}`")), "{err}");
+        }
+    }
+
+    /// One verification serves every signal: each cover step reports the
+    /// pass's time and table size, and the verdicts carry the vacuity the
+    /// first cover decided.
+    #[test]
+    fn one_verification_covers_every_signal() {
+        let mgr = BddManager::new();
+        let (_, fsm) = figure2(&mgr);
+        let est = CoverageEstimator::new(&fsm);
+        let props = [f("A[p1 U q]"), f("AG (p1 & q -> AX q)")];
+        let checker = est.checker(&[]).expect("no fairness");
+        let mut verification = est.verify(checker, &props, false).expect("verifies");
+        assert!(verification.all_hold());
+        assert!(verification.verdicts().iter().all(|v| !v.vacuous));
+        let options = CoverageOptions::default();
+        let q = est.cover(&mut verification, "q", &options).expect("q");
+        let p1 = est.cover(&mut verification, "p1", &options).expect("p1");
+        assert_eq!((q.covered_count, p1.covered_count), (1.0, 4.0));
+        for a in [&q, &p1] {
+            assert_eq!(a.verify_nodes, verification.nodes);
+            assert_eq!(a.verify_time, verification.time);
+        }
+        let vacuous: Vec<bool> = verification.verdicts().iter().map(|v| v.vacuous).collect();
+        assert_eq!(vacuous, [false, true]);
+        // Each cover step matches a fresh analysis of that signal alone.
+        for a in [q, p1] {
+            let fresh = est.analyze(&a.observed, &props, &options).expect("fresh");
+            assert_eq!(a.covered, fresh.covered, "{}", a.observed);
+            assert_eq!(a.space, fresh.space, "{}", a.observed);
+        }
+        assert!(matches!(
+            est.cover(&mut verification, "zzz", &options),
+            Err(CoverageError::UnknownObserved(_))
+        ));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! - [`CoverageEstimator`] / [`CoverageAnalysis`]: multi-property,
 //!   multi-signal analysis with don't-cares (Section 4.2), fairness
 //!   (Section 4.3), uncovered-state listing and traces to uncovered
-//!   states (Section 3);
+//!   states (Section 3) — one [`Verification`] per machine, then one
+//!   cover step per observed signal;
 //! - [`reference_covered_set`]: the brute-force dual-FSM implementation
 //!   of Definition 3 — ground truth for tests and the ablation baseline;
 //! - [`CoverageTable`]: Table-2-style reporting.
@@ -57,6 +58,8 @@ mod report;
 
 pub use covered::CoveredSets;
 pub use error::CoverageError;
-pub use estimator::{CoverageAnalysis, CoverageEstimator, CoverageOptions, PropertyResult};
+pub use estimator::{
+    CoverageAnalysis, CoverageEstimator, CoverageOptions, PropertyResult, Verification,
+};
 pub use reference::{reference_covered_set, ReferenceMode, DEFAULT_STATE_LIMIT};
 pub use report::{json_string, CoverageTable, PropertyVerdict, ReportRow};

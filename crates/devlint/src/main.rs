@@ -25,6 +25,12 @@
 //!   labeled, and clock-injectable. `eprintln!` is allowed only in the
 //!   CLI (user-facing errors/usage), binaries (`src/bin/`), tests, and
 //!   the progress module itself.
+//! - `one-verifier` — `ModelChecker::new` may not appear in the CLI's or
+//!   the pool's sources (`crates/cli/src`, `crates/par/src`): production
+//!   code sets up a verification checker in one place,
+//!   `CoverageEstimator::checker` in `covest-core`, so `check` and every
+//!   `batch` shard run one coverage path. The sequential oracle's line
+//!   opts out.
 //!
 //! A finding on a line ending in `// devlint: allow(<rule>)` is
 //! suppressed. Exit status: 0 clean, 1 findings, 2 usage/IO error.
@@ -173,6 +179,13 @@ fn eprintln_exempt(crates: &Path, path: &Path) -> bool {
             .any(|c| c.as_os_str() == "bin" || c.as_os_str() == "tests")
 }
 
+/// `true` for the sources the `one-verifier` rule covers: the CLI's and
+/// the pool's production code.
+fn one_verifier_scope(crates: &Path, path: &Path) -> bool {
+    path.starts_with(crates.join("cli").join("src"))
+        || path.starts_with(crates.join("par").join("src"))
+}
+
 fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
     let crates = root.join("crates");
     let mut sources = Vec::new();
@@ -217,6 +230,16 @@ fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
                 "Instant::now()",
                 "raw-instant",
                 "use covest_telemetry::Stopwatch instead of raw Instant",
+                &mut findings,
+            );
+        }
+        if one_verifier_scope(&crates, path) {
+            scan_lines(
+                path,
+                &src,
+                "ModelChecker::new",
+                "one-verifier",
+                "set checkers up through CoverageEstimator::checker (one coverage path)",
                 &mut findings,
             );
         }
@@ -334,6 +357,34 @@ mod tests {
             crates,
             &crates.join("telemetry/src/lib.rs")
         ));
+    }
+
+    #[test]
+    fn one_verifier_covers_cli_and_pool_sources_only() {
+        let crates = Path::new("crates");
+        assert!(one_verifier_scope(crates, &crates.join("cli/src/main.rs")));
+        assert!(one_verifier_scope(crates, &crates.join("par/src/shard.rs")));
+        assert!(!one_verifier_scope(
+            crates,
+            &crates.join("core/src/estimator.rs")
+        ));
+        assert!(!one_verifier_scope(
+            crates,
+            &crates.join("par/tests/parity.rs")
+        ));
+        let src = "let mc = ModelChecker::new(&fsm);\n\
+                   let oracle = ModelChecker::new(&fsm); // devlint: allow(one-verifier)\n";
+        let mut findings = Vec::new();
+        scan_lines(
+            Path::new("pool.rs"),
+            src,
+            "ModelChecker::new",
+            "one-verifier",
+            "",
+            &mut findings,
+        );
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [1]);
     }
 
     #[test]

@@ -5,43 +5,46 @@
 //! under a single thread budget — with results bit-identical to the
 //! sequential estimator.
 //!
-//! The paper's workflow (Table 2 / Section 4) runs one coverage analysis
-//! per observed signal, and each analysis is independent once the model
-//! is compiled. The sequential pipeline nevertheless runs them one after
-//! another inside a single [`covest_bdd::BddManager`] — which is an
-//! `Rc<RefCell<…>>` handle and deliberately not `Send`, so the engine
-//! cannot simply share it across threads. This crate supplies the three
-//! pieces that turn signal independence into wall-clock speedup:
+//! The paper's workflow (Table 2 / Section 4) verifies a deck's suite
+//! once and then runs one coverage analysis per observed signal on the
+//! verified machine. A [`covest_bdd::BddManager`] is an `Rc<RefCell<…>>`
+//! handle and deliberately not `Send`, so the engine cannot share one
+//! machine across threads; decks, however, are independent. This crate
+//! supplies the pieces that turn deck independence into wall-clock
+//! speedup, and the one coverage path both front ends run:
 //!
-//! - **[`WorkPlan`]** — decompose decks × observed signals into
-//!   per-signal tasks and cone-disjoint **shards**. Planning is purely
-//!   static (parse, dependency graph, cones of influence — no BDDs) and
-//!   runs on the batch's `jobs` threads, one deck at a time per thread.
-//!   Signals whose cones overlap are grouped into one shard, which
-//!   compiles one union-cone machine and runs one reachability fixpoint
-//!   for all of them, instead of every signal paying its own compile.
+//! - **[`WorkPlan`]** — decompose decks into one **shard** each: the
+//!   deck's machine (the union of its analyzed signals' cones, from
+//!   [`plan_machine`]) and one coverage task per signal. Planning is
+//!   purely static (parse, dependency graph, cones of influence — no
+//!   BDDs) and runs on the batch's `jobs` threads, one deck at a time per
+//!   thread.
+//! - **The shard body** — compile and sift ([`compile_machine`]), verify
+//!   the suite once, then cover each signal in declaration order
+//!   ([`cover_signal`]), reusing the verification's memoized
+//!   satisfaction sets. `covest check` runs this same body on its own
+//!   thread, printing between the steps.
 //! - **The worker pool** ([`WorkPlan::run`]) — `jobs` OS threads, one
 //!   deque each. Shards are dealt round-robin largest-first (by their
-//!   static cone weights); an idle worker **steals whole shards** —
-//!   never individual signals — from its peers, so every shard still
-//!   executes its signals in declaration order on one fresh private
-//!   manager, wherever it lands. Every plan takes the pool, so the
-//!   cone-of-influence reduction applies to one-shard decks too.
+//!   static cone weights); an idle worker **steals whole shards** from
+//!   its peers, so every shard still executes on one fresh private
+//!   manager, wherever it lands.
 //! - **Deterministic merge** ([`BatchReport`]) — results are assembled
-//!   by task index: decks in input order, signals in declaration order,
+//!   by deck index: decks in input order, signals in declaration order,
 //!   byte-identical reports regardless of scheduling, stealing or
 //!   `jobs`.
 //!
 //! [`run_batch`] is the one-call front door (`covest batch`);
 //! [`run_sequential`] is the pre-parallel oracle the bench and parity
-//! suites compare against, and nothing else calls it. The contract —
-//! enforced by `tests/parity.rs` across the full image × simplify ×
-//! reorder mode cross, and under forced stealing — is that parallelism
-//! is *pure mechanism*: coverage percentages, per-property verdicts and
-//! uncovered-state sets are bit-identical to the sequential estimator's;
-//! only node counts and timings (per-shard managers vs one shared
-//! manager) may differ between the pool and the baseline, and even
-//! those are identical across `jobs` values.
+//! suites compare against, and nothing else calls it: it compiles the
+//! full deck and verifies the suite again for every signal. The
+//! contract — enforced by `tests/parity.rs` across the full image ×
+//! simplify × reorder mode cross, and under forced stealing — is that
+//! the pool is *pure mechanism*: coverage percentages, per-property
+//! verdicts and uncovered-state sets are bit-identical to the sequential
+//! estimator's; only node counts and timings may differ between the
+//! pool and the baseline, and even those are identical across `jobs`
+//! values.
 //!
 //! # Example
 //!
@@ -67,8 +70,9 @@ mod plan;
 mod pool;
 mod shard;
 
-pub use plan::{DeckJob, ParConfig, WorkPlan};
+pub use plan::{plan_machine, DeckJob, DeckMachine, ParConfig, SignalTask, WorkPlan};
 pub use pool::{
     run_batch, run_batch_with_trace, run_sequential, BatchReport, DeckReport, ParError, SchedStats,
     ShardProfile, SignalOutcome,
 };
+pub use shard::{compile_machine, cover_signal};

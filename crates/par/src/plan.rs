@@ -1,26 +1,23 @@
-//! Work planning: decompose decks × observed signals into per-signal
-//! tasks and cone-disjoint **shards**, per the paper's workflow.
+//! Work planning: one shard per deck, per the paper's workflow.
 //!
-//! The DAC'99 estimator runs one analysis *per observed signal*
-//! (Table 2 has one row per signal), and once the model is compiled the
-//! analyses are independent. Planning here is **purely static** — parse,
-//! dependency graph, cones of influence — and builds no BDDs: all
-//! compile and reachability work happens inside the shards. Decks are
-//! planned independently of each other, so they are planned on the
-//! batch's `jobs` threads. The planner emits one task per
-//! `(deck, signal)` pair — in declaration order, which is also the order
-//! results are reassembled in, whatever order workers finish — and
-//! groups each deck's signals into cone-disjoint shards (see
-//! [`crate::shard`]): signals whose cones overlap share one compiled
-//! machine and one reachability fixpoint.
+//! The DAC'99 estimator verifies a deck's suite once and then runs one
+//! coverage analysis per observed signal (Table 2 has one row per
+//! signal). Planning here is **purely static** — parse, dependency
+//! graph, cones of influence — and builds no BDDs: all compile,
+//! reachability and verification work happens inside the shards. Decks
+//! are planned independently of each other, so they are planned on the
+//! batch's `jobs` threads. Each deck becomes one shard (see
+//! [`crate::shard`]): one machine — the union of the analyzed signals'
+//! cones, or the full deck — verified once, with one coverage task per
+//! signal in declaration order, which is also the order results are
+//! reassembled in, whatever order workers finish.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use covest_analyze::{cone_bit_names, reduce_module_multi, reducible, task_cone, DepGraph};
-use covest_smv::ImageConfig;
+use covest_smv::{ImageConfig, Module};
 
 use crate::pool::ParError;
 use crate::shard::Shard;
@@ -52,9 +49,9 @@ impl DeckJob {
 #[derive(Clone)]
 pub struct ParConfig {
     /// Thread budget for the worker pool (`0` = one worker per available
-    /// core). The budget is shared by *all* shards of a batch — many
-    /// decks × many signals drain through one set of deques — and the
-    /// planner plans the decks on the same number of threads.
+    /// core). The budget is shared by *all* shards of a batch — one per
+    /// deck, drained through one set of deques — and the planner plans
+    /// the decks on the same number of threads.
     pub jobs: usize,
     /// Image configuration for every compile (method, cluster threshold,
     /// simplification mode).
@@ -76,8 +73,9 @@ pub struct ParConfig {
     /// facts and excluded from parity.
     pub profile: bool,
     /// Cone-of-influence reduction (`true`, the default): each shard
-    /// compiles the statically pruned union-cone deck of its member
-    /// signals on its private manager instead of the full source. With
+    /// compiles the statically pruned union-cone deck of its deck's
+    /// analyzed signals on its private manager instead of the full
+    /// source (see [`plan_machine`]). With
     /// `false` the shard compiles the full deck and the estimator
     /// projects onto each signal's cone instead. The two modes produce
     /// bit-identical reports (percentages, counts, verdicts, uncovered
@@ -151,61 +149,83 @@ impl ParConfig {
     }
 }
 
-/// A statically planned deck: name, suite size, and how long the (pure
-/// parse/cone) planning took. Carries no sources and no BDD dumps — the
-/// shards own the modules they compile.
+/// One coverage task of a deck machine: an analyzed signal and its cone.
 #[derive(Debug, Clone)]
-pub(crate) struct PlannedDeck {
-    pub name: String,
-    pub num_properties: usize,
-    /// Wall-clock the planner spent on this deck (parse + cones + shard
-    /// construction). Timing only — never parity-checked.
-    pub plan_time: Duration,
+pub struct SignalTask {
+    /// The observed signal.
+    pub signal: String,
+    /// The signal's cone state-bit names in declaration order — the
+    /// task's counting/sampling universe and its static size estimate.
+    pub cone: Vec<String>,
 }
 
-/// What one task asks its shard to do.
-#[derive(Debug, Clone)]
-pub(crate) enum TaskKind {
-    /// Verify the suite and estimate coverage for one observed signal.
-    Coverage {
-        signal: String,
-        /// The signal's cone state-bit names in declaration order — the
-        /// task's counting/sampling universe and its static size
-        /// estimate.
-        cone: Arc<Vec<String>>,
-    },
-    /// Verify the suite only (decks with no observed signals).
-    VerifyOnly,
+/// What one deck machine compiles and analyzes (see [`plan_machine`]).
+#[derive(Debug)]
+pub struct DeckMachine {
+    /// The union-cone reduction to compile, or `None` to compile the
+    /// parsed deck as it is.
+    pub reduced: Option<Module>,
+    /// The coverage tasks, in the order the signals were given.
+    pub tasks: Vec<SignalTask>,
 }
 
-impl TaskKind {
-    /// Static size estimate in state bits: the cone width for coverage
-    /// tasks; `usize::MAX` for verify-only tasks (whole machine).
-    pub(crate) fn size_hint(&self) -> usize {
-        match self {
-            TaskKind::Coverage { cone, .. } => cone.len(),
-            TaskKind::VerifyOnly => usize::MAX,
-        }
+/// The planner's per-deck step, shared by every `batch` deck and by
+/// `covest check`: each analyzed signal's cone, and the module the
+/// deck's one machine compiles — the union of the cones, pruned with
+/// [`reduce_module_multi`]. The parsed deck is compiled as it is instead
+/// when
+/// - `coi` is off;
+/// - no signal is analyzed (a verification-only run);
+/// - a name has no cone (see [`reducible`]);
+/// - or the union keeps every variable.
+///
+/// A deck's signals always share one machine: every task cone contains
+/// the cone of every `SPEC` and `FAIRNESS` atom, so two cones are
+/// disjoint only when the properties depend on no variable — and then
+/// no property can cover a state.
+///
+/// # Errors
+///
+/// The message compiling the deck gives for the first property the CTL
+/// parser rejects.
+pub fn plan_machine(module: &Module, signals: &[String], coi: bool) -> Result<DeckMachine, String> {
+    if signals.is_empty() {
+        return Ok(DeckMachine {
+            reduced: None,
+            tasks: Vec::new(),
+        });
     }
+    let graph = DepGraph::new(module);
+    let mut union = BTreeSet::new();
+    let mut tasks = Vec::with_capacity(signals.len());
+    for signal in signals {
+        let cone = task_cone(module, &graph, signal)?;
+        tasks.push(SignalTask {
+            signal: signal.clone(),
+            cone: cone_bit_names(module, &cone),
+        });
+        union.extend(cone);
+    }
+    let reduce = coi
+        && reducible(module, &graph, signals)
+        && !module.vars.iter().all(|v| union.contains(&v.name));
+    let reduced = reduce.then(|| {
+        // The reduced deck observes each signal once; the tasks keep
+        // duplicates (two identical rows).
+        let mut observed: Vec<String> = Vec::with_capacity(signals.len());
+        for signal in signals {
+            if !observed.contains(signal) {
+                observed.push(signal.clone());
+            }
+        }
+        reduce_module_multi(module, &union, &observed)
+    });
+    Ok(DeckMachine { reduced, tasks })
 }
 
-/// One unit of report work: a deck index plus what to do with it.
-#[derive(Debug, Clone)]
-pub(crate) struct Task {
-    pub deck: usize,
-    pub kind: TaskKind,
-}
-
-/// One deck's plan: the deck, its tasks, and its shards, with task
-/// indices local to the deck.
-type DeckPlan = (PlannedDeck, Vec<TaskKind>, Vec<Shard>);
-
-/// Plans a single deck, statically: parse (validating early), compute
-/// per-signal cones, and group the signals into cone-disjoint shards —
-/// task indices local to the deck; the caller offsets them into the
-/// global task list. `coi` is [`ParConfig::coi`], the only setting
-/// planning reads.
-fn plan_deck(job: &DeckJob, coi: bool) -> Result<DeckPlan, ParError> {
+/// Plans a single deck, statically: parse (validating early), then
+/// [`plan_machine`] over the job's signals into the deck's one shard.
+fn plan_deck(job: &DeckJob, coi: bool) -> Result<Shard, ParError> {
     let plan_err = |message: String| ParError::Plan {
         deck: job.name.clone(),
         message,
@@ -217,113 +237,27 @@ fn plan_deck(job: &DeckJob, coi: bool) -> Result<DeckPlan, ParError> {
     } else {
         job.observed.clone()
     };
-    let num_properties = module.specs.len();
-
-    let (kinds, shards) = if signals.is_empty() {
-        // Verification-only deck: one shard over the full machine.
-        let shard = Shard {
-            deck: 0,
-            module: Arc::new(module),
-            tasks: vec![0],
-            weight: usize::MAX,
-        };
-        (vec![TaskKind::VerifyOnly], vec![shard])
+    let DeckMachine { reduced, tasks } = plan_machine(&module, &signals, coi).map_err(plan_err)?;
+    let weight = if tasks.is_empty() {
+        usize::MAX
     } else {
-        let graph = DepGraph::new(&module);
-        let mut cones: Vec<BTreeSet<String>> = Vec::with_capacity(signals.len());
-        let mut kinds = Vec::with_capacity(signals.len());
-        for signal in &signals {
-            let cone = task_cone(&module, &graph, signal).map_err(&plan_err)?;
-            kinds.push(TaskKind::Coverage {
-                signal: signal.clone(),
-                cone: Arc::new(cone_bit_names(&module, &cone)),
-            });
-            cones.push(cone);
-        }
-
-        // Union-find over the signals: overlapping cones share a shard.
-        let mut root: Vec<usize> = (0..signals.len()).collect();
-        fn find(root: &mut [usize], mut i: usize) -> usize {
-            while root[i] != i {
-                root[i] = root[root[i]];
-                i = root[i];
-            }
-            i
-        }
-        for i in 0..signals.len() {
-            for j in 0..i {
-                if !cones[i].is_disjoint(&cones[j]) {
-                    let (a, b) = (find(&mut root, i), find(&mut root, j));
-                    // Union toward the lower index, so a group is named
-                    // by its first signal in declaration order.
-                    let (lo, hi) = (a.min(b), a.max(b));
-                    root[hi] = lo;
-                }
-            }
-        }
-        // Groups in first-signal declaration order; members likewise.
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut group_of = vec![usize::MAX; signals.len()];
-        for i in 0..signals.len() {
-            let r = find(&mut root, i);
-            if group_of[r] == usize::MAX {
-                group_of[r] = groups.len();
-                groups.push(Vec::new());
-            }
-            groups[group_of[r]].push(i);
-        }
-
-        let coi = coi && reducible(&module, &graph, &signals);
-        let full = Arc::new(module);
-        let shards = groups
-            .into_iter()
-            .map(|members| {
-                let weight: usize = members
-                    .iter()
-                    .map(|&i| kinds[i].size_hint())
-                    .fold(0usize, usize::saturating_add);
-                let module = if coi {
-                    let mut union: BTreeSet<String> = BTreeSet::new();
-                    for &i in &members {
-                        union.extend(cones[i].iter().cloned());
-                    }
-                    // Deduped for the reduced module's OBSERVED list; the
-                    // shard's task list keeps duplicates (two identical
-                    // rows, as the per-task pool produced).
-                    let mut observed: Vec<String> = Vec::new();
-                    for &i in &members {
-                        if !observed.contains(&signals[i]) {
-                            observed.push(signals[i].clone());
-                        }
-                    }
-                    Arc::new(reduce_module_multi(&full, &union, &observed))
-                } else {
-                    Arc::clone(&full)
-                };
-                Shard {
-                    deck: 0,
-                    module,
-                    tasks: members,
-                    weight,
-                }
-            })
-            .collect();
-        (kinds, shards)
+        tasks
+            .iter()
+            .map(|t| t.cone.len())
+            .fold(0usize, usize::saturating_add)
     };
-
-    Ok((
-        PlannedDeck {
-            name: job.name.clone(),
-            num_properties,
-            plan_time: sw.elapsed(),
-        },
-        kinds,
-        shards,
-    ))
+    Ok(Shard {
+        deck: job.name.clone(),
+        num_properties: module.specs.len(),
+        module: reduced.unwrap_or(module),
+        tasks,
+        weight,
+        plan_time: sw.elapsed(),
+    })
 }
 
-/// The decomposition of a batch into per-signal tasks and cone-disjoint
-/// shards.
+/// The decomposition of a batch into shards, one per deck, each with its
+/// per-signal coverage tasks.
 ///
 /// Built by [`WorkPlan::plan`]; executed by [`WorkPlan::run`]. The plan
 /// is immutable, `Send + Sync`, and carries no BDD handles — only parsed
@@ -332,8 +266,6 @@ fn plan_deck(job: &DeckJob, coi: bool) -> Result<DeckPlan, ParError> {
 /// reachability); all BDD work happens inside the shards, in parallel.
 #[derive(Debug)]
 pub struct WorkPlan {
-    pub(crate) decks: Vec<PlannedDeck>,
-    pub(crate) tasks: Vec<Task>,
     pub(crate) shards: Vec<Shard>,
 }
 
@@ -341,7 +273,7 @@ pub struct WorkPlan {
 /// thread among them (so one thread spawns nothing). Each thread takes
 /// the largest deck, by source length, that no thread has taken yet;
 /// the results come back in joblist order.
-fn plan_decks(jobs: &[DeckJob], coi: bool, threads: usize) -> Vec<Result<DeckPlan, ParError>> {
+fn plan_decks(jobs: &[DeckJob], coi: bool, threads: usize) -> Vec<Result<Shard, ParError>> {
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].source.len()));
     // `next` only hands out ranks: the decks and `order` are read-only
@@ -374,9 +306,8 @@ fn plan_decks(jobs: &[DeckJob], coi: bool, threads: usize) -> Vec<Result<DeckPla
 
 impl WorkPlan {
     /// Parses and statically validates every deck, computes each
-    /// signal's cone of influence, and lays out one task per
-    /// `(deck, observed signal)` — or a verification-only task for
-    /// decks without signals — grouped into cone-disjoint shards.
+    /// signal's cone of influence, and lays out one shard per deck with
+    /// one task per observed signal (none for a verification-only deck).
     ///
     /// Decks are planned on [`ParConfig::effective_jobs`] threads (never
     /// more than there are decks), the calling thread among them; the
@@ -389,62 +320,37 @@ impl WorkPlan {
     /// compile failures surface when the shard compiles, also as
     /// [`ParError::Plan`].)
     pub fn plan(jobs: &[DeckJob], config: &ParConfig) -> Result<WorkPlan, ParError> {
-        let planned = plan_decks(jobs, config.coi, config.effective_jobs());
-        let mut decks = Vec::with_capacity(jobs.len());
-        let mut tasks = Vec::new();
-        let mut shards: Vec<Shard> = Vec::new();
-        for (deck_idx, plan) in planned.into_iter().enumerate() {
-            let (deck, kinds, deck_shards) = plan?;
-            let base = tasks.len();
-            tasks.extend(kinds.into_iter().map(|kind| Task {
-                deck: deck_idx,
-                kind,
-            }));
-            shards.extend(deck_shards.into_iter().map(|mut s| {
-                s.deck = deck_idx;
-                for t in &mut s.tasks {
-                    *t += base;
-                }
-                s
-            }));
-            decks.push(deck);
-        }
-        Ok(WorkPlan {
-            decks,
-            tasks,
-            shards,
-        })
+        let shards = plan_decks(jobs, config.coi, config.effective_jobs())
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+        Ok(WorkPlan { shards })
     }
 
     /// Number of decks in the plan.
     pub fn num_decks(&self) -> usize {
-        self.decks.len()
+        self.shards.len()
     }
 
-    /// Total number of report tasks (coverage + verification-only).
+    /// Total number of per-signal coverage tasks.
     pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
+        self.shards.iter().map(|s| s.tasks.len()).sum()
     }
 
-    /// Number of shards — the pool's schedulable (and stealable) units.
+    /// Number of shards — the pool's schedulable (and stealable) units,
+    /// one per deck.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
 
     /// Static per-task size estimates, in task order: the cone width in
-    /// state bits for coverage tasks, `usize::MAX` for verify-only tasks
-    /// (whole machine). A shard's scheduling weight is the sum over its
-    /// member tasks; the pool dispatches shards largest-first on those
+    /// state bits. A shard's scheduling weight is the sum over its tasks
+    /// (`usize::MAX` for a deck without signals, which verifies the whole
+    /// machine); the pool dispatches shards largest-first on those
     /// weights.
     pub fn task_size_estimates(&self) -> Vec<usize> {
-        self.tasks.iter().map(|t| t.kind.size_hint()).collect()
-    }
-
-    /// Number of per-signal coverage tasks.
-    pub fn num_coverage_tasks(&self) -> usize {
-        self.tasks
+        self.shards
             .iter()
-            .filter(|t| matches!(t.kind, TaskKind::Coverage { .. }))
-            .count()
+            .flat_map(|s| s.tasks.iter().map(|t| t.cone.len()))
+            .collect()
     }
 }

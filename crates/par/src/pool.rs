@@ -3,13 +3,13 @@
 //! A [`covest_bdd::BddManager`] is an `Rc<RefCell<…>>` handle and
 //! deliberately **not** `Send`: sharing one node arena across threads
 //! would put a lock on every `ite`. The pool therefore shards by
-//! *deck partition*: each cone-disjoint group of a deck's signals (a
-//! [`crate::shard::Shard`]) gets one private manager, compiles its
-//! (union-cone-reduced) module once, runs one reachability fixpoint, and
-//! multiplexes its signals on that machine in declaration order. Shards
-//! drain from per-worker deques with whole-shard stealing — see
-//! [`crate::shard`] — and results are reassembled **by task index**, so
-//! the report order (and every byte of it) is independent of scheduling.
+//! *deck*: each deck's machine (a [`crate::shard::Shard`]) gets one
+//! private manager, compiles its (union-cone-reduced) module once,
+//! verifies the suite once, and covers its signals on that machine in
+//! declaration order. Shards drain from per-worker deques with
+//! whole-shard stealing — see [`crate::shard`] — and results are
+//! reassembled **by deck index**, so the report order (and every byte of
+//! it) is independent of scheduling.
 //!
 //! One manager per *shard* (not per worker) is a deliberate determinism
 //! choice: a worker that happened to run two shards on a shared manager
@@ -25,8 +25,8 @@ use covest_core::{CoverageEstimator, CoverageOptions, CoverageTable, PropertyVer
 use covest_mc::ModelChecker;
 use covest_telemetry::{Counters, SpanRecord};
 
-use crate::plan::{DeckJob, ParConfig, PlannedDeck, Task, TaskKind, WorkPlan};
-use crate::shard::{run_pool, Shard, ShardResult};
+use crate::plan::{DeckJob, ParConfig, WorkPlan};
+use crate::shard::run_pool;
 
 /// Errors from planning or running a parallel batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,13 +39,15 @@ pub enum ParError {
         /// Underlying error message.
         message: String,
     },
-    /// A per-signal analysis (or verification) failed. When several
-    /// fail, the one with the lowest task index is reported —
-    /// deterministically, regardless of completion order.
+    /// A deck's verification, or one signal's coverage, failed. When
+    /// several decks fail, the one listed first is reported, and within
+    /// a deck its first failure — deterministically, regardless of
+    /// completion order.
     Task {
         /// Deck display name.
         deck: String,
-        /// Observed signal, if the task was a coverage task.
+        /// The observed signal whose coverage failed; `None` when the
+        /// deck's verification failed.
         signal: Option<String>,
         /// Underlying error message.
         message: String,
@@ -102,7 +104,7 @@ pub struct SignalOutcome {
 pub struct ShardProfile {
     /// Deck display name.
     pub deck: String,
-    /// The shard's member signals in declaration order; empty for a
+    /// The deck's analyzed signals in declaration order; empty for a
     /// verification-only shard.
     pub signals: Vec<String>,
     /// Time between the shard being enqueued and a worker dequeuing it
@@ -112,12 +114,13 @@ pub struct ShardProfile {
     /// Time compiling the shard's module on its private manager
     /// (including the startup sifting pass, when configured).
     pub compile: Duration,
-    /// Time in the shard's one reachability fixpoint + care install
-    /// (zero for verification-only shards, which handle care inside
-    /// `solve`).
+    /// Time setting up the machine's checker: lowering the fairness
+    /// constraints and, with simplification on, the reachability fixpoint
+    /// and care install. With simplification off no fixpoint runs here:
+    /// the first signal's coverage computes reachability inside `solve`,
+    /// and a verification-only shard computes none.
     pub reach: Duration,
-    /// Time in the analyses proper (verification + coverage per member
-    /// signal, or verification only).
+    /// Time verifying the suite once and then covering each signal.
     pub solve: Duration,
     /// `true` if the shard was executed by a worker other than the one
     /// it was dealt to. Scheduling observability only.
@@ -127,9 +130,10 @@ pub struct ShardProfile {
     /// trace track: tid = `worker + 1` (tid 0 is the driver).
     pub worker: usize,
     /// Per-phase peak-live attribution table (`compile` / `reach` /
-    /// `care_install` / `signal:NAME` / `other` → peak live nodes), the
-    /// fold of the span forest's memory samples — deterministic, and
-    /// its maximum equals the `bdd_peak_live_nodes` counter exactly.
+    /// `care_install` / `verify` / `signal:NAME` / `other` → peak live
+    /// nodes), the fold of the span forest's memory samples —
+    /// deterministic, and its maximum equals the `bdd_peak_live_nodes`
+    /// counter exactly.
     /// See [`covest_telemetry::memory::peak_by_phase`].
     pub peak_by_phase: Counters,
     /// Deterministic counters: the telemetry tallies recorded during the
@@ -167,19 +171,19 @@ pub struct DeckReport {
     pub name: String,
     /// Number of properties in the deck's suite.
     pub num_properties: usize,
-    /// Per-property verdicts (suite order). For coverage decks these are
-    /// taken from the first signal's analysis — every signal of a deck
-    /// verifies the same suite and necessarily reaches the same verdicts.
+    /// Per-property verdicts (suite order) of the deck machine's one
+    /// verification pass. Vacuity is signal-independent and decided by
+    /// the first signal's coverage; a deck without signals marks no
+    /// property vacuous.
     pub verdicts: Vec<PropertyVerdict>,
     /// Per-signal outcomes, in declaration order.
     pub signals: Vec<SignalOutcome>,
     /// Wall-clock the planner spent statically analyzing this deck
-    /// (parse + cones + shard construction); zero on the sequential
-    /// baseline, which does not plan.
+    /// (parse + cones + reduction); zero on the sequential baseline,
+    /// which does not plan.
     pub plan_time: Duration,
-    /// Per-shard profiles in shard order — empty unless
-    /// [`ParConfig::profile`] is set (the sequential baseline never
-    /// profiles).
+    /// The deck shard's profile — empty unless [`ParConfig::profile`] is
+    /// set (the sequential baseline never profiles).
     pub profiles: Vec<ShardProfile>,
 }
 
@@ -237,12 +241,6 @@ impl BatchReport {
     }
 }
 
-/// What one task sends back from its shard.
-pub(crate) enum TaskPayload {
-    Coverage(Box<SignalOutcome>),
-    Verdicts(Vec<PropertyVerdict>),
-}
-
 impl WorkPlan {
     /// Executes the plan on a pool of `config.jobs` worker threads (one
     /// deque each, whole-shard stealing) and merges the results
@@ -252,9 +250,10 @@ impl WorkPlan {
     ///
     /// # Errors
     ///
-    /// [`ParError::Plan`] if a shard's compile fails; [`ParError::Task`]
-    /// for the failed analysis with the lowest task index if any fails
-    /// (deterministic under racing failures).
+    /// The first-listed failing deck's first failure:
+    /// [`ParError::Plan`] if its compile fails, [`ParError::Task`] if its
+    /// verification or a signal's coverage does (deterministic under
+    /// racing failures).
     pub fn run(&self, config: &ParConfig) -> Result<BatchReport, ParError> {
         self.run_inner(config, None)
     }
@@ -280,113 +279,19 @@ impl WorkPlan {
         sink: Option<&mut dyn covest_telemetry::chrome::TraceSink>,
     ) -> Result<BatchReport, ParError> {
         let (slots, steals, workers) = run_pool(self, config, sink);
-        let mut report = merge_shard_results(&self.decks, &self.tasks, &self.shards, slots)?;
-        report.sched = SchedStats {
-            workers,
-            shards: self.shards.len(),
-            steals,
-        };
-        Ok(report)
-    }
-}
-
-/// Assembles per-shard results into the final deterministic report:
-/// decks in input order, signals in task order, profiles in shard order.
-///
-/// Error precedence is deterministic regardless of scheduling: the
-/// failure anchored at the lowest task index wins, with a shard-level
-/// compile failure anchored at its shard's first task and preempting
-/// that shard's per-task failures.
-fn merge_shard_results(
-    decks: &[PlannedDeck],
-    tasks: &[Task],
-    shards: &[Shard],
-    slots: Vec<Option<ShardResult>>,
-) -> Result<BatchReport, ParError> {
-    let slots: Vec<ShardResult> = slots
-        .into_iter()
-        .map(|s| s.expect("every shard reports exactly once"))
-        .collect();
-
-    // Error pass: anchor every failure at a task index and pick the
-    // lowest (compile failures rank before task failures on a tie).
-    let mut best: Option<((usize, u8), ParError)> = None;
-    let mut consider = |key: (usize, u8), err: ParError| {
-        if best.as_ref().is_none_or(|(k, _)| key < *k) {
-            best = Some((key, err));
-        }
-    };
-    for (shard, (result, _)) in shards.iter().zip(&slots) {
-        let first = shard.tasks.first().copied().unwrap_or(usize::MAX);
-        match result {
-            Err(message) => consider(
-                (first, 0),
-                ParError::Plan {
-                    deck: decks[shard.deck].name.clone(),
-                    message: message.clone(),
-                },
-            ),
-            Ok(entries) => {
-                for (ti, entry) in entries {
-                    if let Err(message) = entry {
-                        consider(
-                            (*ti, 1),
-                            ParError::Task {
-                                deck: decks[shard.deck].name.clone(),
-                                signal: match &tasks[*ti].kind {
-                                    TaskKind::Coverage { signal, .. } => Some(signal.clone()),
-                                    TaskKind::VerifyOnly => None,
-                                },
-                                message: message.clone(),
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-    if let Some((_, err)) = best {
-        return Err(err);
-    }
-
-    let mut reports: Vec<DeckReport> = decks
-        .iter()
-        .map(|d| DeckReport {
-            name: d.name.clone(),
-            num_properties: d.num_properties,
-            verdicts: Vec::new(),
-            signals: Vec::new(),
-            plan_time: d.plan_time,
-            profiles: Vec::new(),
+        let decks = slots
+            .into_iter()
+            .map(|s| s.expect("every shard reports exactly once"))
+            .collect::<Result<_, _>>()?;
+        Ok(BatchReport {
+            decks,
+            sched: SchedStats {
+                workers,
+                shards: self.shards.len(),
+                steals,
+            },
         })
-        .collect();
-
-    // Scatter payloads to task slots, then gather in task order.
-    let mut payloads: Vec<Option<TaskPayload>> = Vec::new();
-    payloads.resize_with(tasks.len(), || None);
-    for (shard, (result, profile)) in shards.iter().zip(slots) {
-        let entries = result.expect("error pass returned above");
-        for (ti, entry) in entries {
-            payloads[ti] = Some(entry.expect("error pass returned above"));
-        }
-        reports[shard.deck].profiles.extend(profile);
     }
-    for (task, payload) in tasks.iter().zip(payloads) {
-        let report = &mut reports[task.deck];
-        match payload.expect("every task belongs to exactly one shard") {
-            TaskPayload::Coverage(outcome) => {
-                if report.verdicts.is_empty() {
-                    report.verdicts = outcome.row.verdicts.clone();
-                }
-                report.signals.push(*outcome);
-            }
-            TaskPayload::Verdicts(verdicts) => report.verdicts = verdicts,
-        }
-    }
-    Ok(BatchReport {
-        decks: reports,
-        sched: SchedStats::default(),
-    })
 }
 
 /// Plans and runs a batch in one call — the front door used by
@@ -419,10 +324,11 @@ pub fn run_batch_with_trace(
 /// The sequential oracle: the same decks analyzed the way the
 /// pre-parallel pipeline did — one manager per deck, one full-deck
 /// compile, one reachability fixpoint shared by all of the deck's
-/// signals. No production path calls it: it exists only as the
-/// reference that `tests/parity.rs` (ground truth) and the
-/// `parallel_report` bench (wall-clock comparison) hold the pool
-/// against. Percentages, verdicts and uncovered sets must be
+/// signals, and a fresh verification per signal through
+/// [`CoverageEstimator::analyze`]. No production path calls it: it
+/// exists only as the reference that `tests/parity.rs` (ground truth)
+/// and the `parallel_report` bench (wall-clock comparison) hold the
+/// pool, with its one verification per deck, against. Percentages, verdicts and uncovered sets must be
 /// bit-identical to [`WorkPlan::run`]'s; node counts and timings differ
 /// by construction (shared whole-deck manager vs per-shard cone-reduced
 /// managers).
@@ -485,7 +391,7 @@ pub fn run_sequential(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchRepor
             profiles: Vec::new(),
         };
         if signals.is_empty() {
-            let mut mc = ModelChecker::new(&model.fsm);
+            let mut mc = ModelChecker::new(&model.fsm); // devlint: allow(one-verifier)
             for fair in &model.fairness {
                 mc.add_fairness(fair)
                     .map_err(|e| task_err(None, e.to_string()))?;

@@ -1,13 +1,13 @@
 //! Deck shards: the pool's unit of isolation, scheduling and stealing.
 //!
-//! A **shard** is a cone-disjoint group of one deck's coverage signals
-//! (or the whole deck, for verification-only decks): the signals whose
-//! cones of influence overlap, so they profit from sharing one compiled
-//! machine and one reachability fixpoint. Each shard is executed on a
-//! fresh private [`covest_bdd::BddManager`]: compile the shard's module
-//! once (the union-cone reduction when [`crate::ParConfig::coi`] is on),
-//! run reachability once, then multiplex the shard's signals on that
-//! machine **in declaration order**. The shard's results are therefore a
+//! A **shard** is one deck's machine: the union of its analyzed signals'
+//! cones (the full deck when [`crate::ParConfig::coi`] is off or the
+//! cone keeps everything; see [`crate::plan_machine`]) and its coverage
+//! tasks. Each shard runs on a fresh private [`covest_bdd::BddManager`]
+//! one body — compile and sift, verify the suite once, then cover the
+//! deck's signals **in declaration order** on that machine, each reusing
+//! the verification's memoized satisfaction sets. `covest check` runs
+//! the same body on its own thread. The shard's results are therefore a
 //! pure function of (deck source, config) — which worker runs it, and
 //! when, cannot reach a single report byte.
 //!
@@ -23,43 +23,41 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use covest_bdd::{BddManager, ReorderConfig, ReorderMode};
-use covest_core::{CoverageEstimator, CoverageOptions, PropertyVerdict, ReportRow};
-use covest_mc::ModelChecker;
-use covest_smv::Module;
+use covest_bdd::{BddManager, ReorderConfig, ReorderMode, ReorderStats};
+use covest_core::{
+    CoverageAnalysis, CoverageError, CoverageEstimator, CoverageOptions, ReportRow, Verification,
+};
+use covest_smv::{CompiledModel, ModelError, Module};
 use covest_telemetry::chrome::TraceSink;
 use covest_telemetry::{self as telemetry, memory, progress, Clock, Stopwatch, Telemetry};
 
-use crate::plan::{ParConfig, Task, TaskKind, WorkPlan};
-use crate::pool::{ShardProfile, SignalOutcome, TaskPayload};
+use crate::plan::{ParConfig, SignalTask, WorkPlan};
+use crate::pool::{DeckReport, ParError, ShardProfile, SignalOutcome};
 
-/// One schedulable unit: a cone-disjoint slice of one deck.
-#[derive(Debug, Clone)]
+/// One schedulable unit: one deck's machine and its coverage tasks.
+#[derive(Debug)]
 pub(crate) struct Shard {
-    /// Index of the owning deck in the plan.
-    pub deck: usize,
-    /// The module this shard compiles on its private manager: the
-    /// union-cone reduction of the member signals (COI on), or the full
-    /// parsed deck (COI off / verification-only).
-    pub module: Arc<Module>,
-    /// Global task indices of the member signals, in declaration order —
-    /// also the execution order on the shard's manager.
-    pub tasks: Vec<usize>,
-    /// Scheduling weight: the sum of the member cone widths in state
-    /// bits; `usize::MAX` for verification-only shards (whole machine,
+    /// Deck display name.
+    pub deck: String,
+    /// Number of properties in the deck's suite.
+    pub num_properties: usize,
+    /// The module this shard compiles on its private manager.
+    pub module: Module,
+    /// The coverage tasks in declaration order — also the execution
+    /// order on the shard's manager.
+    pub tasks: Vec<SignalTask>,
+    /// Scheduling weight: the sum of the task cone widths in state bits;
+    /// `usize::MAX` for a deck without signals (whole machine,
     /// dispatched first). Largest-first dispatch keeps the slowest shard
     /// off the tail of an otherwise drained queue.
     pub weight: usize,
+    /// Wall-clock the planner spent on this deck. Timing only.
+    pub plan_time: Duration,
 }
 
-/// Per-task outcome within a shard: the global task index plus the
-/// payload or the task's error message.
-pub(crate) type ShardEntries = Vec<(usize, Result<TaskPayload, String>)>;
-
-/// What executing one shard yields: per-task entries (or one shard-level
-/// compile error, reported as a plan-class failure of the deck) plus the
-/// optional profile.
-pub(crate) type ShardResult = (Result<ShardEntries, String>, Option<ShardProfile>);
+/// What executing one shard yields: the deck's report, its profile
+/// included when requested, or the deck's first failure.
+pub(crate) type ShardResult = Result<DeckReport, ParError>;
 
 /// Installs the telemetry memory sampler over `bdd` on the current
 /// thread. The closure holds its own manager handle (an `Rc` clone), so
@@ -77,17 +75,62 @@ pub(crate) fn install_mem_sampler(bdd: &BddManager) {
     });
 }
 
+/// Compiles a deck machine on `bdd` under `config`'s image and reorder
+/// modes and, in `sift` mode, runs the startup sifting pass, whose
+/// statistics come back for `covest check`'s `reorder (sift):` line. In
+/// `auto` mode the manager sifts at its own checkpoints, including one
+/// at the end of compile. Every shard, `covest check` and `check`'s full
+/// deck compile through here.
+///
+/// # Errors
+///
+/// The deck's compile error.
+pub fn compile_machine(
+    bdd: &BddManager,
+    module: &Module,
+    config: &ParConfig,
+) -> Result<(CompiledModel, Option<ReorderStats>), ModelError> {
+    bdd.set_reorder_config(ReorderConfig {
+        mode: config.reorder,
+        ..Default::default()
+    });
+    let model = covest_smv::compile_module_with(bdd, module, config.image)?;
+    let sift = (config.reorder == ReorderMode::Sift).then(|| bdd.reduce_heap());
+    Ok((model, sift))
+}
+
+/// One coverage task on a verified machine: the signal's coverage over
+/// its own cone, and its Table-2 row carrying the canonical sample of up
+/// to `uncovered_limit` uncovered states.
+///
+/// # Errors
+///
+/// See [`CoverageEstimator::cover`].
+pub fn cover_signal<'m>(
+    estimator: &CoverageEstimator<'m>,
+    verification: &mut Verification<'m>,
+    deck: &str,
+    task: &SignalTask,
+    uncovered_limit: usize,
+) -> Result<(ReportRow, CoverageAnalysis), CoverageError> {
+    let options = CoverageOptions {
+        cone: Some(task.cone.clone()),
+        ..Default::default()
+    };
+    let analysis = estimator.cover(verification, &task.signal, &options)?;
+    let universe = estimator.universe(options.cone.as_deref());
+    let sample = estimator.sample_states_over(&analysis.uncovered(), &universe, uncovered_limit);
+    let row = ReportRow::from_analysis(deck, &analysis).with_uncovered_sample(sample);
+    Ok((row, analysis))
+}
+
 /// Executes one shard on a fresh private manager. Pure in (deck source,
-/// config): compile once, reach once, then the member signals in
-/// declaration order. `queue_wait`, `stolen` and `worker` are
-/// scheduling observability only and reach nothing but the (non-parity)
-/// profile. `clock` is the batch-shared timeline every profile span is
-/// stamped on.
-#[allow(clippy::too_many_arguments)]
+/// config). `queue_wait`, `stolen` and `worker` are scheduling
+/// observability only and reach nothing but the (non-parity) profile.
+/// `clock` is the batch-shared timeline every profile span is stamped
+/// on.
 pub(crate) fn run_shard(
-    deck_name: &str,
     shard: &Shard,
-    tasks: &[Task],
     config: &ParConfig,
     queue_wait: Duration,
     stolen: bool,
@@ -104,163 +147,111 @@ pub(crate) fn run_shard(
     if config.progress {
         progress::install_progress(progress::Progress::stderr(
             clock.clone(),
-            format!("shard:{deck_name}"),
+            format!("shard:{}", shard.deck),
         ));
     }
-    let result = run_shard_phases(&bdd, deck_name, shard, tasks, config);
+    let result = run_shard_phases(&bdd, shard, config);
     memory::clear_mem_sampler();
     progress::uninstall_progress();
     let recorder = telemetry::uninstall();
-    match result {
-        Ok((entries, compile, reach, solve)) => {
-            let profile = recorder.map(|rec| {
-                let (spans, mut counters) = rec.into_parts();
-                for (name, value) in bdd.stats().pairs() {
-                    counters.add(name, value);
-                }
-                ShardProfile {
-                    deck: deck_name.to_owned(),
-                    signals: shard
-                        .tasks
-                        .iter()
-                        .filter_map(|&ti| match &tasks[ti].kind {
-                            TaskKind::Coverage { signal, .. } => Some(signal.clone()),
-                            TaskKind::VerifyOnly => None,
-                        })
-                        .collect(),
-                    queue_wait,
-                    compile,
-                    reach,
-                    solve,
-                    stolen,
-                    worker,
-                    peak_by_phase: memory::peak_by_phase(&spans),
-                    counters,
-                    spans,
-                }
-            });
-            (Ok(entries), profile)
+    let (mut report, compile, reach, solve) = result?;
+    report.profiles.extend(recorder.map(|rec| {
+        let (spans, mut counters) = rec.into_parts();
+        for (name, value) in bdd.stats().pairs() {
+            counters.add(name, value);
         }
-        Err(message) => (Err(message), None),
-    }
+        ShardProfile {
+            deck: shard.deck.clone(),
+            signals: shard.tasks.iter().map(|t| t.signal.clone()).collect(),
+            queue_wait,
+            compile,
+            reach,
+            solve,
+            stolen,
+            worker,
+            peak_by_phase: memory::peak_by_phase(&spans),
+            counters,
+            spans,
+        }
+    }));
+    Ok(report)
 }
 
-/// The shard body proper: compile, reach, then the member tasks —
-/// returning per-task entries plus each phase's wall-clock. Split out of
+/// The shard body proper: compile and sift, set up the checker, verify
+/// once, then cover the tasks in order — returning the deck's report
+/// plus the compile, reach and solve wall-clocks. Split out of
 /// [`run_shard`] so the recorder installed there is uninstalled on
-/// *every* exit path. Stops at the first failing task: later signals of
-/// the shard would be discarded anyway (the merge reports the
-/// lowest-index error), and stopping keeps that choice deterministic.
+/// *every* exit path. Stops at the first failure: later signals would be
+/// discarded anyway, and stopping keeps that choice deterministic.
 fn run_shard_phases(
     bdd: &BddManager,
-    deck_name: &str,
     shard: &Shard,
-    tasks: &[Task],
     config: &ParConfig,
-) -> Result<(ShardEntries, Duration, Duration, Duration), String> {
-    let _shard_span = telemetry::span(format!("shard:{deck_name}"));
+) -> Result<(DeckReport, Duration, Duration, Duration), ParError> {
+    let deck = &shard.deck;
+    let _shard_span = telemetry::span(format!("shard:{deck}"));
     if telemetry::is_active() {
-        let signals: Vec<&str> = shard
-            .tasks
-            .iter()
-            .filter_map(|&ti| match &tasks[ti].kind {
-                TaskKind::Coverage { signal, .. } => Some(signal.as_str()),
-                TaskKind::VerifyOnly => None,
-            })
-            .collect();
+        let signals: Vec<&str> = shard.tasks.iter().map(|t| t.signal.as_str()).collect();
         telemetry::span_label("signals", &signals.join("+"));
     }
-    bdd.set_reorder_config(ReorderConfig {
-        mode: config.reorder,
-        ..Default::default()
-    });
     let sw = Stopwatch::start();
-    let model = covest_smv::compile_module_with(bdd, &shard.module, config.image)
-        .map_err(|e| e.to_string())?;
-    if config.reorder == ReorderMode::Sift {
-        bdd.reduce_heap();
-    }
+    let (model, _) = compile_machine(bdd, &shard.module, config).map_err(|e| ParError::Plan {
+        deck: deck.clone(),
+        message: e.to_string(),
+    })?;
     let compile = sw.elapsed();
 
-    // One reachability fixpoint for the whole shard: the estimator's
-    // machine-wide prefix (reach + care install) is signal-independent,
-    // so every member signal reuses it. Verification-only shards manage
-    // their care set inside the solve phase instead (it is conditional
-    // on the simplify mode there, mirroring the sequential path).
+    let failed = |signal: Option<&String>, message: String| ParError::Task {
+        deck: deck.clone(),
+        signal: signal.cloned(),
+        message,
+    };
     let estimator = CoverageEstimator::new(&model.fsm);
-    let has_coverage = shard
-        .tasks
-        .iter()
-        .any(|&ti| matches!(tasks[ti].kind, TaskKind::Coverage { .. }));
     let sw = Stopwatch::start();
-    let reach = has_coverage.then(|| estimator.prepare());
-    let reach_time = sw.elapsed();
+    let checker = estimator
+        .checker(&model.fairness)
+        .map_err(|e| failed(None, e.to_string()))?;
+    let reach = sw.elapsed();
 
     let sw = Stopwatch::start();
-    let mut entries = Vec::with_capacity(shard.tasks.len());
-    for &ti in &shard.tasks {
-        let outcome: Result<TaskPayload, String> = match &tasks[ti].kind {
-            TaskKind::Coverage { signal, cone } => (|| {
-                let options = CoverageOptions {
-                    fairness: model.fairness.clone(),
-                    cone: Some(cone.as_ref().clone()),
-                    ..Default::default()
-                };
-                let analysis = estimator
-                    .analyze_prepared(
-                        reach.as_ref().expect("coverage shard prepared"),
-                        signal,
-                        &model.specs,
-                        &options,
-                    )
-                    .map_err(|e| e.to_string())?;
-                let universe = estimator.universe(options.cone.as_deref());
-                let sample = estimator.sample_states_over(
-                    &analysis.uncovered(),
-                    &universe,
-                    config.uncovered_limit,
-                );
-                let uncovered = analysis
-                    .uncovered()
-                    .export_bdd()
-                    .map_err(|e| e.to_string())?;
-                let row =
-                    ReportRow::from_analysis(deck_name, &analysis).with_uncovered_sample(sample);
-                Ok(TaskPayload::Coverage(Box::new(SignalOutcome {
-                    deck: deck_name.to_owned(),
-                    signal: signal.clone(),
-                    row,
-                    uncovered,
-                })))
-            })(),
-            TaskKind::VerifyOnly => (|| {
-                let mut mc = ModelChecker::new(&model.fsm);
-                for fair in &model.fairness {
-                    mc.add_fairness(fair).map_err(|e| e.to_string())?;
-                }
-                if config.image.simplify != covest_smv::SimplifyConfig::Off {
-                    mc.set_care(model.fsm.install_reachable_care());
-                }
-                let mut verdicts = Vec::with_capacity(model.specs.len());
-                for spec in &model.specs {
-                    let verdict = mc.check(&spec.clone().into()).map_err(|e| e.to_string())?;
-                    verdicts.push(PropertyVerdict {
-                        formula: spec.to_string(),
-                        holds: verdict.holds(),
-                        vacuous: false,
-                    });
-                }
-                Ok(TaskPayload::Verdicts(verdicts))
-            })(),
-        };
-        let failed = outcome.is_err();
-        entries.push((ti, outcome));
-        if failed {
-            break;
-        }
+    let mut verification = estimator
+        .verify(checker, &model.specs, false)
+        .map_err(|e| failed(None, e.to_string()))?;
+    let mut signals = Vec::with_capacity(shard.tasks.len());
+    for task in &shard.tasks {
+        let outcome = cover_signal(
+            &estimator,
+            &mut verification,
+            deck,
+            task,
+            config.uncovered_limit,
+        )
+        .map_err(|e| e.to_string())
+        .and_then(|(row, analysis)| {
+            let uncovered = analysis
+                .uncovered()
+                .export_bdd()
+                .map_err(|e| e.to_string())?;
+            Ok(SignalOutcome {
+                deck: deck.clone(),
+                signal: task.signal.clone(),
+                row,
+                uncovered,
+            })
+        })
+        .map_err(|message| failed(Some(&task.signal), message))?;
+        signals.push(outcome);
     }
     let solve = sw.elapsed();
-    Ok((entries, compile, reach_time, solve))
+    let report = DeckReport {
+        name: deck.clone(),
+        num_properties: shard.num_properties,
+        verdicts: verification.verdicts(),
+        signals,
+        plan_time: shard.plan_time,
+        profiles: Vec::new(),
+    };
+    Ok((report, compile, reach, solve))
 }
 
 /// Runs every shard of a plan on `config.jobs` workers with whole-shard
@@ -334,17 +325,7 @@ pub(crate) fn run_pool(
                     break;
                 };
                 let queue_wait = clock.now().saturating_sub(enqueued);
-                let shard = &plan.shards[s];
-                let result = run_shard(
-                    &plan.decks[shard.deck].name,
-                    shard,
-                    &plan.tasks,
-                    config,
-                    queue_wait,
-                    stolen,
-                    w,
-                    clock,
-                );
+                let result = run_shard(&plan.shards[s], config, queue_wait, stolen, w, clock);
                 if tx.send((s, result)).is_err() {
                     break;
                 }
@@ -353,12 +334,10 @@ pub(crate) fn run_pool(
         drop(tx);
         for (s, mut result) in rx {
             if let Some(sink) = sink.as_deref_mut() {
-                if let Some(profile) = result.1.as_mut() {
-                    if !profile.spans.is_empty() {
-                        if let Some(root) = profile.spans.first_mut() {
-                            root.fields
-                                .push(("stolen".to_owned(), u64::from(profile.stolen)));
-                        }
+                for profile in result.iter_mut().flat_map(|r| r.profiles.iter_mut()) {
+                    if let Some(root) = profile.spans.first_mut() {
+                        root.fields
+                            .push(("stolen".to_owned(), u64::from(profile.stolen)));
                         sink.write_track(
                             profile.worker as u64 + 1,
                             &format!("worker {}", profile.worker),

@@ -131,7 +131,7 @@ fn report_bytes_survive_forced_stealing() {
 }
 
 /// The planner decomposes per the paper's algorithm: one task per
-/// observed signal, declaration order, verification-only decks get one
+/// observed signal, declaration order, verification-only decks get no
 /// task, and the queue spans all decks (one shared thread budget).
 #[test]
 fn plan_shape_follows_signal_decomposition() {
@@ -147,8 +147,7 @@ fn plan_shape_follows_signal_decomposition() {
     ];
     let plan = WorkPlan::plan(&decks, &ParConfig::default()).expect("plans");
     assert_eq!(plan.num_decks(), 2);
-    assert_eq!(plan.num_tasks(), 3, "1 verify-only + 2 override signals");
-    assert_eq!(plan.num_coverage_tasks(), 2);
+    assert_eq!(plan.num_tasks(), 2, "2 override signals");
     let report = plan.run(&ParConfig::default()).expect("runs");
     assert_eq!(report.decks[0].signals.len(), 0);
     assert_eq!(report.decks[0].verdicts.len(), 1);

@@ -91,8 +91,9 @@ pub fn sample() -> Option<MemSample> {
 
 /// The phase a record's memory samples are attributed to: the innermost
 /// enclosing span (including the record itself) named `compile`,
-/// `reachability` (→ `reach`), `care_install`, or `signal:NAME`;
-/// `other` when no ancestor matches (e.g. the shard root span).
+/// `reachability` (→ `reach`), `care_install`, `verify` (the machine's
+/// one verification pass), or `signal:NAME`; `other` when no ancestor
+/// matches (e.g. the shard root span).
 pub fn phase_of(records: &[SpanRecord], index: usize) -> &str {
     let mut cursor = Some(index);
     while let Some(i) = cursor {
@@ -102,6 +103,7 @@ pub fn phase_of(records: &[SpanRecord], index: usize) -> &str {
                 "compile" => return "compile",
                 "reachability" => return "reach",
                 "care_install" => return "care_install",
+                "verify" => return "verify",
                 name if name.starts_with("signal:") => return &records[i].name,
                 _ => {}
             }
@@ -250,6 +252,11 @@ mod tests {
                 clock.advance(Duration::from_micros(1));
             }
             {
+                let _v = span("verify");
+                live.store(90, Ordering::Relaxed);
+                clock.advance(Duration::from_micros(1));
+            }
+            {
                 let _s = span("signal:ack");
                 live.store(140, Ordering::Relaxed);
                 clock.advance(Duration::from_micros(1));
@@ -264,6 +271,7 @@ mod tests {
         // keeps its largest live gauge.
         assert_eq!(table.get("compile"), 100);
         assert_eq!(table.get("reach"), 70);
+        assert_eq!(table.get("verify"), 90);
         assert_eq!(table.get("signal:ack"), 140);
         assert_eq!(table.get("other"), 30);
         assert_eq!(table_peak(&table), 140);
