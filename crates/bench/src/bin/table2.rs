@@ -34,6 +34,6 @@ fn main() {
     println!(
         "note: the lo-pri / wrap / out rows use the *initial* property \
          suites, i.e. the\npre-hole-closing stage the paper reports; see \
-         EXPERIMENTS.md for the staged runs."
+         tests/paper_narratives.rs for the staged runs."
     );
 }

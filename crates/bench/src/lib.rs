@@ -1,103 +1,14 @@
-//! Shared fixtures for the benchmark harness: each paper experiment as a
-//! ready-to-run bundle of (machine, observed signal, property suite,
-//! options).
+//! The paper's Table-2 experiments, each as a ready-to-run bundle of
+//! (machine, observed signal, property suite, options).
 //!
-//! The binaries (`table2`, `figures`) and the criterion benches all pull
-//! from here so the workloads stay identical across harnesses.
-
-pub mod corebench;
-pub mod oldcore;
+//! The `table2` binary and the `image_parity` suite both pull from here,
+//! so the table and the parity tests run the same workloads.
 
 use covest_bdd::BddManager;
 use covest_circuits::{circular_queue, counter, pipeline, priority_buffer};
 use covest_core::{CoverageAnalysis, CoverageEstimator, CoverageOptions};
 use covest_ctl::Formula;
 use covest_smv::CompiledModel;
-
-// The report bins measure wall-clock through the telemetry stopwatch,
-// not hand-rolled `Instant::now()` pairs — CI greps the workspace to
-// keep raw `Instant` confined to `covest-telemetry` (and this harness).
-pub use covest_telemetry::Stopwatch;
-
-/// Milliseconds elapsed on `sw`, in the form the report bins' `*_ms`
-/// JSON fields use. Wall-clock by definition — never parity-checked.
-pub fn elapsed_ms(sw: &Stopwatch) -> f64 {
-    sw.elapsed().as_secs_f64() * 1e3
-}
-
-/// Runs `f` on a fresh [`Stopwatch`], returning its result together
-/// with the elapsed milliseconds.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let sw = Stopwatch::start();
-    let value = f();
-    let ms = elapsed_ms(&sw);
-    (value, ms)
-}
-
-/// Appends `SPEC` lines for `specs` to a deck source.
-pub fn with_specs(mut deck: String, specs: &[Formula]) -> String {
-    use std::fmt::Write as _;
-    for spec in specs {
-        writeln!(deck, "SPEC {spec};").expect("write to string");
-    }
-    deck
-}
-
-/// The **bundled fleet**: every bundled circuit (generated deck +
-/// Table-2 suite) plus every checked-in `models/*.smv` deck, in a fixed
-/// order. Shared by the `parallel_report` and `profile_report` bins so
-/// their gates run over identical work.
-pub fn bundled_fleet() -> Vec<covest_par::DeckJob> {
-    use covest_par::DeckJob;
-
-    let mut queue_suite = circular_queue::wrap_suite_initial();
-    queue_suite.extend(circular_queue::full_suite());
-    queue_suite.extend(circular_queue::empty_suite());
-    let mut buffer_suite = priority_buffer::lo_suite_initial(4);
-    buffer_suite.push(priority_buffer::lo_missing_case());
-    buffer_suite.extend(priority_buffer::hi_suite(4));
-    let mut pipeline_suite = pipeline::out_suite_initial(4);
-    pipeline_suite.extend(pipeline::out_suite_hold());
-
-    let mut decks = vec![
-        DeckJob::new(
-            "circuit:circular_queue",
-            with_specs(circular_queue::deck(4), &queue_suite),
-        ),
-        DeckJob::new(
-            "circuit:priority_buffer",
-            with_specs(priority_buffer::deck(4, false), &buffer_suite),
-        ),
-        DeckJob::new(
-            "circuit:counter",
-            with_specs(counter::deck(), &counter::increment_properties()),
-        ),
-        DeckJob::new(
-            "circuit:pipeline",
-            with_specs(pipeline::deck(4), &pipeline_suite),
-        ),
-    ];
-
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models");
-    let mut model_decks: Vec<DeckJob> = std::fs::read_dir(&dir)
-        .expect("models directory")
-        .filter_map(|e| {
-            let path = e.expect("dir entry").path();
-            if path.extension().is_some_and(|x| x == "smv") {
-                let name = format!("models/{}", path.file_name().unwrap().to_string_lossy());
-                Some(DeckJob::new(
-                    name,
-                    std::fs::read_to_string(&path).expect("readable deck"),
-                ))
-            } else {
-                None
-            }
-        })
-        .collect();
-    model_decks.sort_by(|a, b| a.name.cmp(&b.name));
-    decks.extend(model_decks);
-    decks
-}
 
 /// One Table-2 row workload: a circuit, an observed signal and its suite.
 pub struct Workload {
@@ -139,10 +50,6 @@ pub fn table2_workloads() -> Vec<Workload> {
         fairness: vec![pipeline::fairness()],
         ..Default::default()
     };
-    let mut lo_full = priority_buffer::lo_suite_initial(4);
-    lo_full.push(priority_buffer::lo_missing_case());
-    let mut wrap_initial = circular_queue::wrap_suite_initial();
-    let _ = &mut wrap_initial;
     vec![
         Workload {
             circuit: "Circuit 1 (priority buffer)",

@@ -7,12 +7,18 @@
 //! analysis: coverage percentages, per-property verdicts and the
 //! uncovered state sets must be bit-identical across the full
 //! `--simplify off|restrict|constrain` × `--image mono|part` ×
-//! `--reorder off|auto` cross-product. Don't-care simplification (like
-//! partitioning and reordering before it) is a pure representation
+//! `--reorder off|sift|auto` cross-product. Don't-care simplification
+//! (like partitioning and reordering before it) is a pure representation
 //! change; any observable drift is a bug.
+//!
+//! Two representation gates ride along, on the priority buffer (the
+//! Table-2 circuit whose partition keeps two clusters and whose reachable
+//! set is a small fraction of its state space): under a GC after every
+//! fixpoint step, the partitioned engine and `restrict` simplification
+//! must each keep a lower live-node peak than the mode they replace.
 
-use covest_bdd::{BddManager, ReorderConfig, ReorderMode};
-use covest_bench::table2_workloads;
+use covest_bdd::{BddManager, Func, ReorderConfig, ReorderMode};
+use covest_bench::{table2_workloads, Workload};
 use covest_core::{CoverageAnalysis, CoverageEstimator, CoverageOptions};
 use covest_fsm::{ImageConfig, ImageMethod, SimplifyConfig, SymbolicFsm};
 use covest_smv::CompiledModel;
@@ -156,7 +162,7 @@ fn outcome_of(estimator: &CoverageEstimator, analysis: &CoverageAnalysis) -> Sig
 /// The full simplify × image × reorder configuration matrix.
 fn config_matrix() -> Vec<(ReorderMode, ImageMethod, SimplifyConfig)> {
     let mut out = Vec::new();
-    for reorder in [ReorderMode::Off, ReorderMode::Auto] {
+    for reorder in [ReorderMode::Off, ReorderMode::Sift, ReorderMode::Auto] {
         for image in [ImageMethod::Monolithic, ImageMethod::Partitioned] {
             for simplify in [
                 SimplifyConfig::Off,
@@ -194,6 +200,9 @@ fn analyze_deck(
         },
     )
     .expect("deck compiles");
+    if reorder == ReorderMode::Sift {
+        bdd.reduce_heap();
+    }
     let estimator = CoverageEstimator::new(&model.fsm);
     let options = CoverageOptions {
         fairness: model.fairness.clone(),
@@ -231,9 +240,8 @@ fn decks_outcomes_bit_identical_across_simplify_image_reorder() {
 
 /// Golden coverage percentages for the Table-2 workloads, pinned at
 /// 1e-4 precision (the exact values the pre-handle-API implementation
-/// produced, as recorded in `BENCH_reorder.json`/`BENCH_image.json`).
-/// Guards the API redesign — and any future one — against semantic
-/// drift in the analyses themselves.
+/// produced). Guards the API redesign — and any future one — against
+/// semantic drift in the analyses themselves.
 #[test]
 fn workloads_match_golden_coverage_percentages() {
     let golden: &[(&str, u64)] = &[
@@ -289,6 +297,9 @@ fn workloads_outcomes_bit_identical_across_simplify_image_reorder() {
                 simplify,
                 ..Default::default()
             });
+            if reorder == ReorderMode::Sift {
+                bdd.reduce_heap();
+            }
             let estimator = CoverageEstimator::new(&fsm);
             let analysis = estimator
                 .analyze(w.signal, &w.properties, &w.options)
@@ -308,5 +319,165 @@ fn workloads_outcomes_bit_identical_across_simplify_image_reorder() {
                 ),
             }
         }
+    }
+}
+
+/// The priority buffer's Table-2 workloads, which the two peak gates
+/// below run on.
+fn buffer_workloads() -> Vec<Workload> {
+    let buffer: Vec<Workload> = table2_workloads()
+        .into_iter()
+        .filter(|w| w.circuit.contains("priority buffer"))
+        .collect();
+    assert!(
+        !buffer.is_empty(),
+        "no priority-buffer workloads: the peak gates would pass vacuously"
+    );
+    buffer
+}
+
+/// Sweeps reachability from the initial states with a garbage
+/// collection after every image step, simplifying each frontier modulo
+/// the unreached states under `simplify`. Returns the reached set and
+/// the largest of `peak` and the live-node counts sampled around every
+/// step: each sample is a working-set high-water mark, not cumulative
+/// allocation.
+fn gc_reach_sweep(
+    bdd: &BddManager,
+    fsm: &SymbolicFsm,
+    simplify: SimplifyConfig,
+    mut peak: usize,
+) -> (Func, usize) {
+    let mut reached = fsm.init().clone();
+    let mut frontier = fsm.init().clone();
+    loop {
+        let img = fsm.image(&frontier);
+        peak = peak.max(bdd.live_nodes());
+        let fresh = img.diff(&reached);
+        let done = fresh.is_false();
+        frontier = simplify.apply(&fresh, &reached.not());
+        reached = reached.or(&fresh);
+        // Only live handles survive: the machine, the sets in scope.
+        bdd.gc();
+        peak = peak.max(bdd.live_nodes());
+        if done {
+            return (reached, peak);
+        }
+    }
+}
+
+/// Peak live nodes of [`gc_reach_sweep`] under `method`, from the
+/// method-specific engine build on (so the partitioned arm's clustering
+/// transients count, as the monolith's lazy conjunction does in its
+/// first image call). Simplification is pinned off so that its
+/// care-simplified cluster copies skew neither arm.
+fn image_sweep_peak(w: &Workload, method: ImageMethod) -> usize {
+    let bdd = BddManager::new();
+    let mut fsm = (w.build)(&bdd).fsm;
+    // Compile garbage is common to both arms; the machine is the live set.
+    bdd.gc();
+    let mut peak = bdd.live_nodes();
+    fsm.set_image_config(ImageConfig {
+        method,
+        simplify: SimplifyConfig::Off,
+        ..Default::default()
+    });
+    peak = peak.max(bdd.live_nodes());
+    // The default-config clusters from the build and any rejected trial
+    // merges are garbage now.
+    bdd.gc();
+    gc_reach_sweep(&bdd, &fsm, SimplifyConfig::Off, peak).1
+}
+
+#[test]
+fn partitioned_sweep_peaks_below_monolithic_on_the_buffer() {
+    for w in buffer_workloads() {
+        let mono = image_sweep_peak(&w, ImageMethod::Monolithic);
+        let part = image_sweep_peak(&w, ImageMethod::Partitioned);
+        assert!(
+            part < mono,
+            "{}/{}: partitioned peak ({part}) must stay below monolithic peak ({mono})",
+            w.circuit,
+            w.signal
+        );
+    }
+}
+
+/// Peak live nodes under one simplification mode, on the default
+/// partitioned engine, with a garbage collection after every fixpoint
+/// step, through the phases simplification targets:
+///
+/// 1. reachability (frontier-simplified per mode) and care installation
+///    (the simplified cluster copies are a cost the simplified arms carry
+///    from here on);
+/// 2. a forward re-sweep ([`gc_reach_sweep`]) on the care-installed
+///    engine;
+/// 3. an `AG`-shaped backward sweep: `EF(viol)` for the complement of
+///    the first half of the onion rings (the full-space shape `¬p` takes
+///    in `AG p = ¬EF ¬p`), each preimage operand simplified modulo the
+///    reachable states as the model checker's fixpoints do;
+/// 4. the full coverage analysis, sampled once it completes.
+fn simplify_sweep_peak(w: &Workload, simplify: SimplifyConfig) -> usize {
+    let bdd = BddManager::new();
+    let mut fsm = (w.build)(&bdd).fsm;
+    fsm.set_image_config(ImageConfig {
+        simplify,
+        ..Default::default()
+    });
+    // Compile garbage is common to all arms.
+    bdd.gc();
+    let mut peak = bdd.live_nodes();
+
+    let reach = fsm.install_reachable_care();
+    bdd.gc();
+    peak = peak.max(bdd.live_nodes());
+
+    let (reached, swept) = gc_reach_sweep(&bdd, &fsm, simplify, peak);
+    assert_eq!(reached, reach, "re-sweep must reproduce the reachable set");
+    peak = swept;
+
+    let rings = fsm.onion_rings(fsm.init());
+    let mut prefix = bdd.constant(false);
+    for r in rings.iter().take(rings.len() / 2 + 1) {
+        prefix = prefix.or(r);
+    }
+    let mut z = prefix.not();
+    drop((rings, prefix));
+    bdd.gc();
+    loop {
+        let zs = simplify.apply(&z, &reach);
+        let pre = fsm.preimage(&zs);
+        peak = peak.max(bdd.live_nodes());
+        let next = z.or(&pre);
+        let done = next == z;
+        z = next;
+        drop((pre, zs));
+        bdd.gc();
+        peak = peak.max(bdd.live_nodes());
+        if done {
+            break;
+        }
+    }
+    drop(z);
+
+    let estimator = CoverageEstimator::new(&fsm);
+    let _analysis = estimator
+        .analyze(w.signal, &w.properties, &w.options)
+        .expect("workload analyzes");
+    bdd.gc();
+    peak.max(bdd.live_nodes())
+}
+
+#[test]
+fn restrict_sweep_peaks_below_off_on_the_buffer() {
+    for w in buffer_workloads() {
+        let off = simplify_sweep_peak(&w, SimplifyConfig::Off);
+        let restrict = simplify_sweep_peak(&w, SimplifyConfig::Restrict);
+        assert!(
+            restrict < off,
+            "{}/{}: restrict peak ({restrict}) must stay below the unsimplified peak ({off})",
+            w.circuit,
+            w.signal
+        );
     }
 }

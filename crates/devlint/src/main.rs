@@ -15,10 +15,9 @@
 //!   substitute/simplify kernels (`manager.rs`, `quant.rs`, `subst.rs`,
 //!   `simplify.rs`); the packed-arena rewrite replaced them with
 //!   open-addressing tables and SipHash must stay off the hot paths.
-//! - `raw-instant` — `Instant::now()` is confined to `crates/telemetry`
-//!   and `crates/bench`; everything else must go through
-//!   `covest_telemetry::Stopwatch` so the deterministic-counters /
-//!   timings split stays auditable.
+//! - `raw-instant` — `Instant::now()` is confined to `crates/telemetry`;
+//!   everything else must go through `covest_telemetry::Stopwatch` so the
+//!   deterministic-counters / timings split stays auditable.
 //! - `progress-eprintln` — engine crates must not write to stderr
 //!   directly: runtime diagnostics go through the progress/watchdog
 //!   channel (`covest_telemetry::progress`), which is throttled,
@@ -29,8 +28,7 @@
 //!   the pool's sources (`crates/cli/src`, `crates/par/src`): production
 //!   code sets up a verification checker in one place,
 //!   `CoverageEstimator::checker` in `covest-core`, so `check` and every
-//!   `batch` shard run one coverage path. The sequential oracle's line
-//!   opts out.
+//!   `batch` shard run one coverage path.
 //!
 //! A finding on a line ending in `// devlint: allow(<rule>)` is
 //! suppressed. Exit status: 0 clean, 1 findings, 2 usage/IO error.
@@ -193,7 +191,7 @@ fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
 
     let hot_paths = ["manager.rs", "quant.rs", "subst.rs", "simplify.rs"]
         .map(|f| crates.join("bdd").join("src").join(f));
-    let instant_ok = [crates.join("telemetry"), crates.join("bench")];
+    let instant_ok = crates.join("telemetry");
     // The linter's own sources spell the forbidden tokens.
     let self_dir = crates.join("devlint");
 
@@ -223,7 +221,7 @@ fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
                 );
             }
         }
-        if !instant_ok.iter().any(|p| path.starts_with(p)) {
+        if !path.starts_with(&instant_ok) {
             scan_lines(
                 path,
                 &src,

@@ -34,17 +34,15 @@
 //!   byte-identical reports regardless of scheduling, stealing or
 //!   `jobs`.
 //!
-//! [`run_batch`] is the one-call front door (`covest batch`);
-//! [`run_sequential`] is the pre-parallel oracle the bench and parity
-//! suites compare against, and nothing else calls it: it compiles the
-//! full deck and verifies the suite again for every signal. The
+//! [`run_batch`] is the one-call front door (`covest batch`). The
 //! contract — enforced by `tests/parity.rs` across the full image ×
 //! simplify × reorder mode cross, and under forced stealing — is that
 //! the pool is *pure mechanism*: coverage percentages, per-property
 //! verdicts and uncovered-state sets are bit-identical to the sequential
-//! estimator's; only node counts and timings may differ between the
-//! pool and the baseline, and even those are identical across `jobs`
-//! values.
+//! estimator's (the test suite's pre-parallel oracle, which compiles the
+//! full deck and verifies the suite again for every signal); only node
+//! counts and timings may differ between the pool and that oracle, and
+//! even those are identical across `jobs` values.
 //!
 //! # Example
 //!
@@ -72,7 +70,7 @@ mod shard;
 
 pub use plan::{plan_machine, DeckJob, DeckMachine, ParConfig, SignalTask, WorkPlan};
 pub use pool::{
-    run_batch, run_batch_with_trace, run_sequential, BatchReport, DeckReport, ParError, SchedStats,
-    ShardProfile, SignalOutcome,
+    run_batch, run_batch_with_trace, BatchReport, DeckReport, ParError, SchedStats, ShardProfile,
+    SignalOutcome,
 };
 pub use shard::{compile_machine, cover_signal};

@@ -84,9 +84,8 @@ pub struct ParConfig {
     /// "Static deck analysis & cone-of-influence".
     pub coi: bool,
     /// Emit the throttled stderr progress heartbeat (and arm the
-    /// fixpoint watchdog) on every shard and on the sequential
-    /// baseline. Pure stderr observability — never reaches a report
-    /// byte. See [`covest_telemetry::progress`].
+    /// fixpoint watchdog) on every shard. Pure stderr observability —
+    /// never reaches a report byte. See [`covest_telemetry::progress`].
     pub progress: bool,
     /// The clock stamping profile spans, queue waits, and the progress
     /// throttle. `None` (the default) means a fresh

@@ -20,9 +20,8 @@
 
 use std::time::Duration;
 
-use covest_bdd::{BddDump, BddManager, ReorderConfig, ReorderMode};
-use covest_core::{CoverageEstimator, CoverageOptions, CoverageTable, PropertyVerdict, ReportRow};
-use covest_mc::ModelChecker;
+use covest_bdd::BddDump;
+use covest_core::{CoverageTable, PropertyVerdict, ReportRow};
 use covest_telemetry::{Counters, SpanRecord};
 
 use crate::plan::{DeckJob, ParConfig, WorkPlan};
@@ -179,11 +178,10 @@ pub struct DeckReport {
     /// Per-signal outcomes, in declaration order.
     pub signals: Vec<SignalOutcome>,
     /// Wall-clock the planner spent statically analyzing this deck
-    /// (parse + cones + reduction); zero on the sequential baseline,
-    /// which does not plan.
+    /// (parse + cones + reduction).
     pub plan_time: Duration,
     /// The deck shard's profile — empty unless [`ParConfig::profile`] is
-    /// set (the sequential baseline never profiles).
+    /// set.
     pub profiles: Vec<ShardProfile>,
 }
 
@@ -319,145 +317,4 @@ pub fn run_batch_with_trace(
     sink: &mut dyn covest_telemetry::chrome::TraceSink,
 ) -> Result<BatchReport, ParError> {
     WorkPlan::plan(jobs, config)?.run_with_trace(config, sink)
-}
-
-/// The sequential oracle: the same decks analyzed the way the
-/// pre-parallel pipeline did — one manager per deck, one full-deck
-/// compile, one reachability fixpoint shared by all of the deck's
-/// signals, and a fresh verification per signal through
-/// [`CoverageEstimator::analyze`]. No production path calls it: it
-/// exists only as the reference that `tests/parity.rs` (ground truth)
-/// and the `parallel_report` bench (wall-clock comparison) hold the
-/// pool, with its one verification per deck, against. Percentages, verdicts and uncovered sets must be
-/// bit-identical to [`WorkPlan::run`]'s; node counts and timings differ
-/// by construction (shared whole-deck manager vs per-shard cone-reduced
-/// managers).
-///
-/// # Errors
-///
-/// [`ParError::Plan`] / [`ParError::Task`] mirroring the parallel path.
-pub fn run_sequential(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchReport, ParError> {
-    /// Uninstalls the progress channel on every exit path (the `?`s
-    /// below would otherwise leave it on the caller's thread).
-    struct ProgressGuard(bool);
-    impl Drop for ProgressGuard {
-        fn drop(&mut self) {
-            if self.0 {
-                covest_telemetry::progress::uninstall_progress();
-            }
-        }
-    }
-    let mut reports = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let _progress = ProgressGuard(config.progress);
-        if config.progress {
-            covest_telemetry::progress::install_progress(
-                covest_telemetry::progress::Progress::stderr(
-                    config.batch_clock(),
-                    job.name.clone(),
-                ),
-            );
-        }
-        let bdd = BddManager::new();
-        bdd.set_reorder_config(ReorderConfig {
-            mode: config.reorder,
-            ..Default::default()
-        });
-        let model = covest_smv::compile_with(&bdd, &job.source, config.image).map_err(|e| {
-            ParError::Plan {
-                deck: job.name.clone(),
-                message: e.to_string(),
-            }
-        })?;
-        if config.reorder == ReorderMode::Sift {
-            bdd.reduce_heap();
-        }
-        let signals = if job.observed.is_empty() {
-            model.observed.clone()
-        } else {
-            job.observed.clone()
-        };
-        let task_err = |signal: Option<&String>, message: String| ParError::Task {
-            deck: job.name.clone(),
-            signal: signal.cloned(),
-            message,
-        };
-        let mut report = DeckReport {
-            name: job.name.clone(),
-            num_properties: model.specs.len(),
-            verdicts: Vec::new(),
-            signals: Vec::new(),
-            plan_time: Duration::ZERO,
-            profiles: Vec::new(),
-        };
-        if signals.is_empty() {
-            let mut mc = ModelChecker::new(&model.fsm); // devlint: allow(one-verifier)
-            for fair in &model.fairness {
-                mc.add_fairness(fair)
-                    .map_err(|e| task_err(None, e.to_string()))?;
-            }
-            if config.image.simplify != covest_smv::SimplifyConfig::Off {
-                mc.set_care(model.fsm.install_reachable_care());
-            }
-            for spec in &model.specs {
-                let verdict = mc
-                    .check(&spec.clone().into())
-                    .map_err(|e| task_err(None, e.to_string()))?;
-                report.verdicts.push(PropertyVerdict {
-                    formula: spec.to_string(),
-                    holds: verdict.holds(),
-                    vacuous: false,
-                });
-            }
-        } else {
-            let estimator = CoverageEstimator::new(&model.fsm);
-            // The baseline never compiles reduced decks, but the coverage
-            // universe is still the per-signal cone — deck semantics, not
-            // a COI-mode artifact — so it stays bit-comparable with the
-            // pool under either `coi` setting.
-            let module = covest_smv::parse_module(&job.source).map_err(|e| ParError::Plan {
-                deck: job.name.clone(),
-                message: e.to_string(),
-            })?;
-            let graph = covest_analyze::DepGraph::new(&module);
-            for signal in &signals {
-                let cone = covest_analyze::task_cone(&module, &graph, signal)
-                    .map_err(|message| task_err(Some(signal), message))?;
-                let options = CoverageOptions {
-                    fairness: model.fairness.clone(),
-                    cone: Some(covest_analyze::cone_bit_names(&module, &cone)),
-                    ..Default::default()
-                };
-                let analysis = estimator
-                    .analyze(signal, &model.specs, &options)
-                    .map_err(|e| task_err(Some(signal), e.to_string()))?;
-                let universe = estimator.universe(options.cone.as_deref());
-                let sample = estimator.sample_states_over(
-                    &analysis.uncovered(),
-                    &universe,
-                    config.uncovered_limit,
-                );
-                let uncovered = analysis
-                    .uncovered()
-                    .export_bdd()
-                    .map_err(|e| task_err(Some(signal), e.to_string()))?;
-                let row =
-                    ReportRow::from_analysis(&job.name, &analysis).with_uncovered_sample(sample);
-                if report.verdicts.is_empty() {
-                    report.verdicts = row.verdicts.clone();
-                }
-                report.signals.push(SignalOutcome {
-                    deck: job.name.clone(),
-                    signal: signal.clone(),
-                    row,
-                    uncovered,
-                });
-            }
-        }
-        reports.push(report);
-    }
-    Ok(BatchReport {
-        decks: reports,
-        sched: SchedStats::default(),
-    })
 }

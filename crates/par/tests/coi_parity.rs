@@ -10,13 +10,15 @@
 //! uncovered samples, and the uncovered *sets* themselves — must agree
 //! exactly. A deterministic sweep pins the whole bundled deck set under
 //! the default config; a property test samples random engine configs
-//! (image × simplify × reorder × jobs) per deck.
+//! (image × simplify × reorder × jobs) per deck; and the sized pipeline
+//! decks, whose debug register chains lie outside every cone, must agree
+//! too while peaking lower with COI on.
 
 mod common;
 
 use common::{all_decks, assert_semantic_parity};
 use covest_bdd::ReorderMode;
-use covest_par::{run_batch, ParConfig};
+use covest_par::{run_batch, BatchReport, DeckJob, ParConfig};
 use covest_smv::{ImageConfig, ImageMethod, SimplifyConfig};
 use proptest::prelude::*;
 
@@ -65,6 +67,48 @@ fn coi_modes_agree_on_every_deck() {
     assert_semantic_parity("coi on vs off", &on, &off);
 }
 
+/// The sized pipeline decks (`gen-models --size N`): each carries a
+/// debug register chain that no property or signal reads, so COI prunes
+/// it. Both modes agree on every deterministic field, and on the 8-stage
+/// deck the profiled shard's peak live node count is lower with COI on.
+#[test]
+fn coi_lowers_the_peak_on_sized_pipelines() {
+    use covest_circuits::pipeline;
+    use std::fmt::Write as _;
+
+    let decks: Vec<DeckJob> = [4usize, 8]
+        .into_iter()
+        .map(|stages| {
+            let mut deck = pipeline::deck_sized(stages);
+            let suite = pipeline::out_suite_initial(stages)
+                .into_iter()
+                .chain(pipeline::out_suite_hold());
+            for spec in suite {
+                writeln!(deck, "SPEC {spec};").expect("write to string");
+            }
+            DeckJob::new(format!("sized:pipeline_d{stages}"), deck)
+        })
+        .collect();
+    let run = |coi: bool| {
+        let config = ParConfig {
+            coi,
+            profile: true,
+            ..Default::default()
+        };
+        run_batch(&decks, &config).expect("sized pipelines run")
+    };
+    let (on, off) = (run(true), run(false));
+    assert_semantic_parity("sized pipelines, coi on vs off", &on, &off);
+
+    let peak = |report: &BatchReport| report.decks[1].profiles[0].peak_live_nodes();
+    assert!(
+        peak(&on) < peak(&off),
+        "pipeline_d8: peak live nodes with coi on ({}) must stay below coi off ({})",
+        peak(&on),
+        peak(&off)
+    );
+}
+
 proptest! {
     /// Random (deck, image, simplify, reorder, jobs) samples: the two
     /// COI modes agree on every deterministic report field.
@@ -73,7 +117,7 @@ proptest! {
         pick in 0..1000usize,
         img in 0..2usize,
         simp in 0..3usize,
-        ro in 0..2usize,
+        ro in 0..3usize,
         jobs in 1..5usize,
     ) {
         let decks = all_decks();
@@ -84,7 +128,7 @@ proptest! {
             SimplifyConfig::Restrict,
             SimplifyConfig::Constrain,
         ][simp];
-        let reorder = [ReorderMode::Off, ReorderMode::Auto][ro];
+        let reorder = [ReorderMode::Off, ReorderMode::Sift, ReorderMode::Auto][ro];
         let label = format!(
             "deck={} image={image} simplify={simplify} reorder={reorder:?} jobs={jobs}",
             deck[0].name

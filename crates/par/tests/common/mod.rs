@@ -1,9 +1,16 @@
 //! Shared helpers for the par parity test suites: the full bundled deck
 //! set and the semantic-parity assertion both `parity.rs` and
-//! `coi_parity.rs` gate on.
+//! `coi_parity.rs` gate on, and the sequential oracle `parity.rs` holds
+//! the pool against.
 
-use covest_bdd::BddManager;
-use covest_par::{BatchReport, DeckJob};
+use std::time::Duration;
+
+use covest_bdd::{BddManager, ReorderConfig, ReorderMode};
+use covest_core::{CoverageEstimator, CoverageOptions, PropertyVerdict, ReportRow};
+use covest_mc::ModelChecker;
+use covest_par::{
+    BatchReport, DeckJob, DeckReport, ParConfig, ParError, SchedStats, SignalOutcome,
+};
 
 /// Every bundled circuit as a self-contained deck (generated source +
 /// its Table-2 property suite), plus every checked-in `models/*.smv`.
@@ -122,4 +129,118 @@ pub fn assert_semantic_parity(label: &str, seq: &BatchReport, par: &BatchReport)
             assert_eq!(s, p, "{tag}: uncovered set");
         }
     }
+}
+
+/// The sequential oracle: the same decks analyzed the way the
+/// pre-parallel pipeline did — one manager per deck, one full-deck
+/// compile, one reachability fixpoint shared by all of the deck's
+/// signals, and a fresh verification per signal through
+/// [`CoverageEstimator::analyze`]. Percentages, verdicts and uncovered
+/// sets must be bit-identical to the pool's; node counts and timings
+/// differ by construction (shared whole-deck manager vs per-shard
+/// cone-reduced managers).
+#[allow(dead_code)] // `coi_parity.rs` shares this module but not the oracle.
+pub fn run_sequential(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchReport, ParError> {
+    let mut reports = Vec::with_capacity(jobs.len());
+    for job in jobs {
+        let bdd = BddManager::new();
+        bdd.set_reorder_config(ReorderConfig {
+            mode: config.reorder,
+            ..Default::default()
+        });
+        let plan_err = |message: String| ParError::Plan {
+            deck: job.name.clone(),
+            message,
+        };
+        let model = covest_smv::compile_with(&bdd, &job.source, config.image)
+            .map_err(|e| plan_err(e.to_string()))?;
+        if config.reorder == ReorderMode::Sift {
+            bdd.reduce_heap();
+        }
+        let signals = if job.observed.is_empty() {
+            model.observed.clone()
+        } else {
+            job.observed.clone()
+        };
+        let task_err = |signal: Option<&String>, message: String| ParError::Task {
+            deck: job.name.clone(),
+            signal: signal.cloned(),
+            message,
+        };
+        let mut report = DeckReport {
+            name: job.name.clone(),
+            num_properties: model.specs.len(),
+            verdicts: Vec::new(),
+            signals: Vec::new(),
+            plan_time: Duration::ZERO,
+            profiles: Vec::new(),
+        };
+        if signals.is_empty() {
+            let mut mc = ModelChecker::new(&model.fsm);
+            for fair in &model.fairness {
+                mc.add_fairness(fair)
+                    .map_err(|e| task_err(None, e.to_string()))?;
+            }
+            if config.image.simplify != covest_smv::SimplifyConfig::Off {
+                mc.set_care(model.fsm.install_reachable_care());
+            }
+            for spec in &model.specs {
+                let verdict = mc
+                    .check(&spec.clone().into())
+                    .map_err(|e| task_err(None, e.to_string()))?;
+                report.verdicts.push(PropertyVerdict {
+                    formula: spec.to_string(),
+                    holds: verdict.holds(),
+                    vacuous: false,
+                });
+            }
+        } else {
+            let estimator = CoverageEstimator::new(&model.fsm);
+            // The oracle never compiles reduced decks, but the coverage
+            // universe is still the per-signal cone — deck semantics, not
+            // a COI-mode artifact — so it stays bit-comparable with the
+            // pool under either `coi` setting.
+            let module =
+                covest_smv::parse_module(&job.source).map_err(|e| plan_err(e.to_string()))?;
+            let graph = covest_analyze::DepGraph::new(&module);
+            for signal in &signals {
+                let cone = covest_analyze::task_cone(&module, &graph, signal)
+                    .map_err(|message| task_err(Some(signal), message))?;
+                let options = CoverageOptions {
+                    fairness: model.fairness.clone(),
+                    cone: Some(covest_analyze::cone_bit_names(&module, &cone)),
+                    ..Default::default()
+                };
+                let analysis = estimator
+                    .analyze(signal, &model.specs, &options)
+                    .map_err(|e| task_err(Some(signal), e.to_string()))?;
+                let universe = estimator.universe(options.cone.as_deref());
+                let sample = estimator.sample_states_over(
+                    &analysis.uncovered(),
+                    &universe,
+                    config.uncovered_limit,
+                );
+                let uncovered = analysis
+                    .uncovered()
+                    .export_bdd()
+                    .map_err(|e| task_err(Some(signal), e.to_string()))?;
+                let row =
+                    ReportRow::from_analysis(&job.name, &analysis).with_uncovered_sample(sample);
+                if report.verdicts.is_empty() {
+                    report.verdicts = row.verdicts.clone();
+                }
+                report.signals.push(SignalOutcome {
+                    deck: job.name.clone(),
+                    signal: signal.clone(),
+                    row,
+                    uncovered,
+                });
+            }
+        }
+        reports.push(report);
+    }
+    Ok(BatchReport {
+        decks: reports,
+        sched: SchedStats::default(),
+    })
 }

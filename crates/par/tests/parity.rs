@@ -2,7 +2,7 @@
 //!
 //! Over **every** bundled circuit and every `models/*.smv` deck, across
 //! the full `--image mono|part` × `--simplify off|restrict|constrain` ×
-//! `--reorder off|auto` mode cross, the parallel engine must produce
+//! `--reorder off|sift|auto` mode cross, the parallel engine must produce
 //! coverage percentages (bit-for-bit, via `f64::to_bits`), per-property
 //! verdicts, vacuity flags, state counts and uncovered-state **sets**
 //! (compared semantically, by importing both sides' name-keyed dumps
@@ -16,9 +16,9 @@
 
 mod common;
 
-use common::{all_decks, assert_semantic_parity};
+use common::{all_decks, assert_semantic_parity, run_sequential};
 use covest_bdd::ReorderMode;
-use covest_par::{run_batch, run_sequential, DeckJob, ParConfig, WorkPlan};
+use covest_par::{run_batch, DeckJob, ParConfig, WorkPlan};
 use covest_smv::{ImageConfig, ImageMethod, SimplifyConfig};
 
 fn config(image: ImageMethod, simplify: SimplifyConfig, reorder: ReorderMode) -> ParConfig {
@@ -45,7 +45,7 @@ fn parallel_matches_sequential_across_mode_cross() {
             SimplifyConfig::Restrict,
             SimplifyConfig::Constrain,
         ] {
-            for reorder in [ReorderMode::Off, ReorderMode::Auto] {
+            for reorder in [ReorderMode::Off, ReorderMode::Sift, ReorderMode::Auto] {
                 let cfg = config(image, simplify, reorder);
                 let label = format!("image={image} simplify={simplify} reorder={reorder:?}");
                 let seq = run_sequential(&decks, &cfg).expect("sequential baseline");

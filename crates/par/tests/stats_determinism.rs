@@ -216,7 +216,8 @@ fn clocked(jobs: usize) -> ParConfig {
 /// (`mem_live`/`mem_bytes`/`mem_peak` and their `_close` twins) stamped
 /// at every span boundary and BFS step — and on the peak-live
 /// attribution tables folded from them. The table's maximum must also
-/// reconcile exactly with the shard manager's high-water counter.
+/// reconcile exactly with the shard manager's high-water counter, and
+/// the post-compile sift's before/after sizes are both set or both zero.
 #[test]
 fn memory_timelines_identical_across_repeat_runs() {
     let decks = all_decks();
@@ -240,6 +241,13 @@ fn memory_timelines_identical_across_repeat_runs() {
             memory::table_peak(&x.peak_by_phase),
             x.peak_live_nodes(),
             "{tag}: peak table must reconcile with bdd_peak_live_nodes"
+        );
+        let (before, after) = x.reorder_sizes();
+        assert_eq!(
+            before == 0,
+            after == 0,
+            "{tag}: reorder sizes must be both unset or both set \
+             (before {before}, after {after})"
         );
     }
 }

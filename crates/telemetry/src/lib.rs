@@ -22,8 +22,8 @@
 //! Timestamps are injected through the [`Clock`] trait: production code
 //! uses the [`Instant`]-backed [`WallClock`], tests drive a
 //! [`ManualClock`] to get fully deterministic span logs. This crate is
-//! the **only** crate in the workspace (besides the bench harness)
-//! allowed to touch `Instant::now()` — CI greps for violations.
+//! the **only** crate in the workspace allowed to touch
+//! `Instant::now()` — `covest-devlint`'s `raw-instant` rule enforces it.
 //!
 //! Instrumented library code never holds a recorder: it calls the free
 //! functions [`span`], [`event`], and [`count`], which record into a
