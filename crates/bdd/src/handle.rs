@@ -669,6 +669,14 @@ impl Func {
         inner.node_count(a)
     }
 
+    /// `min(self.node_count(), cap)`, visiting at most `cap` nodes: a
+    /// size test against a threshold stops at `threshold + 1`.
+    pub fn node_count_capped(&self, cap: usize) -> usize {
+        let inner = self.mgr.borrow();
+        let a = self.raw(&inner);
+        inner.node_count_capped(a, cap)
+    }
+
     /// The set of variables appearing in the function, sorted by index.
     pub fn support(&self) -> Vec<VarId> {
         let inner = self.mgr.borrow();

@@ -553,41 +553,56 @@ impl Inner {
     /// Number of distinct decision nodes reachable from `f` (excluding
     /// terminals). This per-function size is the usual "BDD size" metric.
     pub fn node_count(&self, f: Ref) -> usize {
-        self.node_count_many(std::slice::from_ref(&f))
+        self.walk(f, usize::MAX, |_| {})
     }
 
-    /// Number of distinct decision nodes reachable from any of `roots`.
-    pub fn node_count_many(&self, roots: &[Ref]) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack: Vec<Ref> = roots.to_vec();
-        let mut count = 0usize;
-        while let Some(r) = stack.pop() {
-            if r.is_const() || !seen.insert(r) {
-                continue;
-            }
-            count += 1;
-            let n = self.nodes[r.index()];
-            stack.push(n.lo);
-            stack.push(n.hi);
-        }
-        count
+    /// `min(node_count(f), cap)`: the walk stops at the `cap`-th node, so
+    /// a size test against a threshold costs at most `threshold + 1`
+    /// visits.
+    pub fn node_count_capped(&self, f: Ref, cap: usize) -> usize {
+        self.walk(f, cap, |_| {})
     }
 
     /// The set of variables appearing in `f`, sorted by index.
     pub fn support(&self, f: Ref) -> Vec<VarId> {
-        let mut seen = std::collections::HashSet::new();
-        let mut vars = std::collections::BTreeSet::new();
+        let mut seen = vec![false; self.num_vars()];
+        self.walk(f, usize::MAX, |var| {
+            seen[var as usize] = true;
+        });
+        seen.iter()
+            .enumerate()
+            .filter(|&(_, &s)| s)
+            .map(|(v, _)| VarId(v as u32))
+            .collect()
+    }
+
+    /// Visits the distinct decision nodes reachable from `f`, at most
+    /// `cap` of them, handing each one's variable to `visit`, and returns
+    /// how many it visited. Marks visited nodes in a bitmap over the node
+    /// table: no hashing, and the manager is only read.
+    fn walk(&self, f: Ref, cap: usize, mut visit: impl FnMut(u32)) -> usize {
+        let mut marks = vec![0u64; self.nodes.len().div_ceil(64)];
+        let mut count = 0;
         let mut stack = vec![f];
         while let Some(r) = stack.pop() {
-            if r.is_const() || !seen.insert(r) {
+            if count == cap {
+                break;
+            }
+            if r.is_const() {
                 continue;
             }
+            let (word, bit) = (r.index() / 64, 1u64 << (r.index() % 64));
+            if marks[word] & bit != 0 {
+                continue;
+            }
+            marks[word] |= bit;
+            count += 1;
             let n = self.nodes[r.index()];
-            vars.insert(n.var);
+            visit(n.var);
             stack.push(n.lo);
             stack.push(n.hi);
         }
-        vars.into_iter().map(VarId).collect()
+        count
     }
 
     /// Garbage-collects every node not reachable from the external-root

@@ -172,10 +172,8 @@ impl Inner {
         operands: &[Ref],
         var_lists: &[&[VarId]],
     ) -> Vec<QuantSchedule> {
-        let supports: Vec<std::collections::HashSet<VarId>> = operands
-            .iter()
-            .map(|&f| self.support(f).into_iter().collect())
-            .collect();
+        // Each support is sorted by variable index.
+        let supports: Vec<Vec<VarId>> = operands.iter().map(|&f| self.support(f)).collect();
         var_lists
             .iter()
             .map(|vars| {
@@ -184,7 +182,7 @@ impl Inner {
                 for &v in *vars {
                     match (0..operands.len())
                         .rev()
-                        .find(|&i| supports[i].contains(&v))
+                        .find(|&i| supports[i].binary_search(&v).is_ok())
                     {
                         Some(i) => at[i].push(v),
                         None => pre.push(v),

@@ -2,7 +2,7 @@
 //! laws, quantifier dualities, and counting consistency against a
 //! truth-table oracle on small variable universes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use covest_bdd::{BddManager, Func, VarId};
 use proptest::prelude::*;
@@ -73,6 +73,25 @@ fn eval_expr(e: &Expr, assignment: &[bool]) -> bool {
 
 fn assignments() -> impl Iterator<Item = Vec<bool>> {
     (0..(1u32 << NVARS)).map(|bits| (0..NVARS).map(|i| bits & (1 << i) != 0).collect())
+}
+
+/// The number of distinct decision nodes of `f` and its variables, by a
+/// walk that keeps the visited handles in a list.
+fn reference_walk(f: &Func) -> (usize, Vec<VarId>) {
+    let mut seen: Vec<Func> = Vec::new();
+    let mut vars = BTreeSet::new();
+    let mut stack = vec![f.clone()];
+    while let Some(g) = stack.pop() {
+        if g.is_const() || seen.contains(&g) {
+            continue;
+        }
+        vars.insert(g.root_var());
+        let (lo, hi) = g.children();
+        stack.push(lo);
+        stack.push(hi);
+        seen.push(g);
+    }
+    (seen.len(), vars.into_iter().collect())
 }
 
 proptest! {
@@ -210,5 +229,24 @@ proptest! {
             rebuilt = rebuilt.or(&c);
         }
         prop_assert_eq!(rebuilt, f);
+    }
+
+    /// Node counts, capped counts and supports, which mark visited nodes
+    /// in a bitmap, agree with a walk over handles; `g` shares nodes
+    /// with `f`, and a walk stays within its own function.
+    #[test]
+    fn mark_pass_counts_match_a_set_based_walk(e1 in arb_expr(), e2 in arb_expr(), cap in 0usize..24) {
+        let mgr = BddManager::new();
+        let vars = mgr.new_vars(NVARS);
+        let f = build(&mgr, &vars, &e1);
+        let g = build(&mgr, &vars, &e2).xor(&f);
+        for h in [&f, &g] {
+            let (count, support) = reference_walk(h);
+            prop_assert_eq!(h.node_count(), count);
+            prop_assert_eq!(h.node_count_capped(cap), count.min(cap));
+            prop_assert_eq!(h.support(), support);
+        }
+        mgr.gc();
+        prop_assert_eq!(f.node_count(), reference_walk(&f).0);
     }
 }

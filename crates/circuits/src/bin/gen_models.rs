@@ -13,19 +13,10 @@
 //! — giving benchmarks a size axis without disturbing the checked-in
 //! fixtures or the CI deck-sync gate.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::exit;
 
-use covest_circuits::{counter, pipeline, priority_buffer};
-use covest_ctl::Formula;
-
-fn with_specs(mut deck: String, specs: &[Formula]) -> String {
-    for spec in specs {
-        writeln!(deck, "SPEC {spec};").expect("write to string");
-    }
-    deck
-}
+use covest_circuits::{counter, pipeline, priority_buffer, sized_decks, with_specs};
 
 const USAGE: &str = "usage: gen-models [DIR] [--size N]";
 
@@ -97,26 +88,5 @@ fn default_decks() -> Vec<(String, String)> {
         ("priority_buffer.smv".to_owned(), buffer_deck),
         ("priority_buffer_buggy.smv".to_owned(), buggy_deck),
         ("pipeline.smv".to_owned(), pipeline_deck),
-    ]
-}
-
-/// The sized scaling decks for a given size `n`: a counter counting
-/// `0..=n` and an `n`-stage pipeline, each with its property suite.
-fn sized_decks(n: u32) -> Vec<(String, String)> {
-    let counter_deck = with_specs(
-        counter::deck_sized(n),
-        &counter::increment_properties_sized(n),
-    );
-
-    let stages = n as usize;
-    let mut pipeline_suite = pipeline::out_suite_initial(stages);
-    pipeline_suite.extend(pipeline::out_suite_hold());
-    // The sized pipeline carries the debug chain: a cone-prunable tail
-    // that gives the COI benchmark something real to cut away.
-    let pipeline_deck = with_specs(pipeline::deck_sized(stages), &pipeline_suite);
-
-    vec![
-        (format!("counter_m{n}.smv"), counter_deck),
-        (format!("pipeline_d{n}.smv"), pipeline_deck),
     ]
 }

@@ -17,6 +17,9 @@
 //!
 //! - [`parse_formula`]: text → [`Formula`], rejecting out-of-subset
 //!   properties with a precise [`SubsetError`];
+//! - [`tokenize`]: the one tokenizer that model decks share, and
+//!   [`BodyReader`], which reads a deck's property bodies straight from
+//!   the deck's tokens;
 //! - [`observability_transform`]: Definition 5's rewriting `φ`, which
 //!   makes coverage attribution intuitive for implications and Until.
 //!
@@ -37,11 +40,13 @@
 mod ast;
 mod error;
 mod general;
+mod lex;
 mod parse;
 mod transform;
 
 pub use ast::{CmpOp, CmpRhs, Formula, PropExpr, SignalRef};
 pub use error::{CtlError, ParseFormulaError, SubsetError};
 pub use general::Ctl;
-pub use parse::{classify, parse_ast, parse_formula, Ast};
+pub use lex::{int_value, tokenize, LexError, LexErrorKind, TokKind, Token, Tokens, MAX_DEPTH};
+pub use parse::{parse_ast, parse_formula, too_deep_message, Ast, Body, BodyReader};
 pub use transform::observability_transform;

@@ -1,15 +1,23 @@
-//! A recursive-descent parser for CTL properties.
+//! A recursive-descent parser for CTL properties over the shared
+//! tokenizer's tokens.
 //!
-//! The parser accepts general CTL syntax (including constructs outside the
-//! acceptable ACTL subset, such as `EX` or temporal disjunction) and a
-//! separate classification pass ([`classify`]) converts the parse tree into
-//! the paper's [`Formula`] subset, reporting a precise [`SubsetError`] when
-//! the property falls outside it.
+//! The grammar accepts general CTL syntax (including constructs outside
+//! the acceptable ACTL subset, such as `EX` or temporal disjunction) into
+//! a flat arena of nodes, children before parents. Every node records
+//! whether its subtree is propositional, so one top-down pass decides
+//! the paper's subset, reporting a precise [`SubsetError`] when the
+//! property falls outside it. The same code reads a property from a
+//! string ([`parse_formula`]) and from a slice of a deck's tokens
+//! ([`BodyReader`]), so a deck's `SPEC` bodies are lexed once, with the
+//! deck.
 
 use crate::ast::{CmpOp, CmpRhs, Formula, PropExpr, SignalRef};
 use crate::error::{CtlError, ParseFormulaError, SubsetError};
+use crate::lex::{int_value, LexError, LexErrorKind, Lexer, TokKind, Token, MAX_DEPTH};
 
-/// A general CTL parse tree (superset of the acceptable subset).
+/// A general CTL parse tree (superset of the acceptable subset), built
+/// on request by [`parse_ast`]; the subset check and [`parse_formula`]
+/// work on the flat arena instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Ast {
     /// Constant.
@@ -46,232 +54,152 @@ pub enum Ast {
     Eu(Box<Ast>, Box<Ast>),
 }
 
-impl Ast {
-    fn is_propositional(&self) -> bool {
-        match self {
-            Ast::Const(_) | Ast::Atom(_) | Ast::Cmp(..) => true,
-            Ast::Not(a) => a.is_propositional(),
-            Ast::And(a, b) | Ast::Or(a, b) | Ast::Implies(a, b) | Ast::Iff(a, b) => {
-                a.is_propositional() && b.is_propositional()
-            }
-            Ast::Ax(_)
-            | Ast::Ag(_)
-            | Ast::Af(_)
-            | Ast::Au(..)
-            | Ast::Ex(_)
-            | Ast::Eg(_)
-            | Ast::Ef(_)
-            | Ast::Eu(..) => false,
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// Comparison right-hand side in the arena: a literal or the token index
+/// of a name.
+#[derive(Debug, Clone, Copy)]
+enum Rhs {
     Int(i64),
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    Bang,
-    Amp,
-    Pipe,
-    Arrow,
-    DArrow,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
+    Sym(u32),
 }
 
-struct Lexer<'a> {
-    src: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
+/// Unary temporal operators.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Temporal {
+    Ax,
+    Ag,
+    Af,
+    Ex,
+    Eg,
+    Ef,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            src,
-            bytes: src.as_bytes(),
-            pos: 0,
+/// One arena node. Names are token indices; children are node indices.
+#[derive(Debug, Clone, Copy)]
+enum Node {
+    Const(bool),
+    Atom(u32),
+    Cmp(u32, CmpOp, Rhs),
+    Not(u32),
+    And(u32, u32),
+    Or(u32, u32),
+    Implies(u32, u32),
+    Iff(u32, u32),
+    Unary(Temporal, u32),
+    /// `A[f U g]` (`true`) or `E[f U g]` (`false`).
+    Until(bool, u32, u32),
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    node: Node,
+    /// The subtree contains no temporal operator.
+    prop: bool,
+}
+
+/// Where and why a token-level parse stopped. `at` is a token index,
+/// the slice's length for its end.
+#[derive(Debug)]
+enum Stop {
+    Syntax { at: usize, message: String },
+    TooDeep { at: usize },
+}
+
+impl Stop {
+    fn syntax(at: usize, message: impl Into<String>) -> Self {
+        Stop::Syntax {
+            at,
+            message: message.into(),
         }
-    }
-
-    fn tokens(mut self) -> Result<Vec<(usize, Tok)>, ParseFormulaError> {
-        let mut out = Vec::new();
-        loop {
-            while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-                self.pos += 1;
-            }
-            if self.pos >= self.bytes.len() {
-                break;
-            }
-            let start = self.pos;
-            let c = self.bytes[self.pos];
-            let tok = match c {
-                b'(' => {
-                    self.pos += 1;
-                    Tok::LParen
-                }
-                b')' => {
-                    self.pos += 1;
-                    Tok::RParen
-                }
-                b'[' => {
-                    self.pos += 1;
-                    Tok::LBracket
-                }
-                b']' => {
-                    self.pos += 1;
-                    Tok::RBracket
-                }
-                b'&' => {
-                    self.pos += 1;
-                    Tok::Amp
-                }
-                b'|' => {
-                    self.pos += 1;
-                    Tok::Pipe
-                }
-                b'=' => {
-                    self.pos += 1;
-                    Tok::Eq
-                }
-                b'!' => {
-                    self.pos += 1;
-                    if self.peek() == Some(b'=') {
-                        self.pos += 1;
-                        Tok::Ne
-                    } else {
-                        Tok::Bang
-                    }
-                }
-                b'<' => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'=') => {
-                            self.pos += 1;
-                            Tok::Le
-                        }
-                        Some(b'-') if self.peek_at(1) == Some(b'>') => {
-                            self.pos += 2;
-                            Tok::DArrow
-                        }
-                        _ => Tok::Lt,
-                    }
-                }
-                b'>' => {
-                    self.pos += 1;
-                    if self.peek() == Some(b'=') {
-                        self.pos += 1;
-                        Tok::Ge
-                    } else {
-                        Tok::Gt
-                    }
-                }
-                b'-' => {
-                    if self.peek_at(1) == Some(b'>') {
-                        self.pos += 2;
-                        Tok::Arrow
-                    } else if self.peek_at(1).is_some_and(|d| d.is_ascii_digit()) {
-                        self.pos += 1;
-                        let n = self.lex_int(start)?;
-                        Tok::Int(-n)
-                    } else {
-                        return Err(ParseFormulaError {
-                            position: start,
-                            message: "unexpected '-'".to_owned(),
-                        });
-                    }
-                }
-                b'0'..=b'9' => Tok::Int(self.lex_int(start)?),
-                c if c.is_ascii_alphabetic() || c == b'_' => {
-                    while self.pos < self.bytes.len()
-                        && (self.bytes[self.pos].is_ascii_alphanumeric()
-                            || self.bytes[self.pos] == b'_'
-                            || self.bytes[self.pos] == b'.')
-                    {
-                        self.pos += 1;
-                    }
-                    Tok::Ident(self.src[start..self.pos].to_owned())
-                }
-                other => {
-                    return Err(ParseFormulaError {
-                        position: start,
-                        message: format!("unexpected character {:?}", other as char),
-                    })
-                }
-            };
-            out.push((start, tok));
-        }
-        Ok(out)
-    }
-
-    fn lex_int(&mut self, start: usize) -> Result<i64, ParseFormulaError> {
-        let digits_start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        self.src[digits_start..self.pos]
-            .parse()
-            .map_err(|_| ParseFormulaError {
-                position: start,
-                message: "integer literal out of range".to_owned(),
-            })
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, off: usize) -> Option<u8> {
-        self.bytes.get(self.pos + off).copied()
     }
 }
 
-struct Parser {
-    toks: Vec<(usize, Tok)>,
+/// The message of a property nesting deeper than [`MAX_DEPTH`].
+pub fn too_deep_message() -> String {
+    format!("expression nests deeper than {MAX_DEPTH} levels")
+}
+
+/// A parsed property: the arena over the tokens it was read from.
+struct Parsed<'s, 't> {
+    src: &'s str,
+    toks: &'t [Token],
+    nodes: &'t [Slot],
+}
+
+/// The recursive-descent grammar over one property's tokens.
+struct Grammar<'s, 't> {
+    src: &'s str,
+    toks: &'t [Token],
     idx: usize,
-    input_len: usize,
+    depth: usize,
+    nodes: &'t mut Vec<Slot>,
+    /// Pending antecedents of right-associative `->` chains.
+    chain: &'t mut Vec<u32>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.idx).map(|(_, t)| t)
+type Parse = Result<u32, Stop>;
+
+impl Grammar<'_, '_> {
+    fn kind(&self) -> Option<TokKind> {
+        self.toks.get(self.idx).map(|t| t.kind)
     }
 
-    fn pos(&self) -> usize {
-        self.toks
-            .get(self.idx)
-            .map(|(p, _)| *p)
-            .unwrap_or(self.input_len)
+    fn text(&self, i: usize) -> &str {
+        &self.src[self.toks[i].span()]
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.idx).map(|(_, t)| t.clone());
+    /// Consumes one token and returns its index, `None` past the end.
+    /// Like every consumption, it may move the cursor past the end, which
+    /// error positions read as the end of input.
+    fn bump(&mut self) -> Option<usize> {
+        let i = self.idx;
         self.idx += 1;
-        t
+        (i < self.toks.len()).then_some(i)
     }
 
-    fn expect(&mut self, want: &Tok, what: &str) -> Result<(), ParseFormulaError> {
-        if self.peek() == Some(want) {
+    /// The value of the `Int` token `i`, which may carry a glued sign
+    /// (see [`parse_str`]).
+    fn int(&self, i: usize) -> i64 {
+        match self.text(i).strip_prefix('-') {
+            Some(digits) => -int_value(digits),
+            None => int_value(self.text(i)),
+        }
+    }
+
+    /// The cursor as an error position.
+    fn at(&self) -> usize {
+        self.idx.min(self.toks.len())
+    }
+
+    fn expect(&mut self, want: TokKind, what: &str) -> Result<(), Stop> {
+        if self.kind() == Some(want) {
             self.idx += 1;
             Ok(())
         } else {
-            Err(self.err(format!("expected {what}")))
+            Err(Stop::syntax(self.at(), format!("expected {what}")))
         }
     }
 
-    fn err(&self, message: String) -> ParseFormulaError {
-        ParseFormulaError {
-            position: self.pos(),
-            message,
+    /// Opens one nesting level at the current token.
+    fn enter(&mut self) -> Result<(), Stop> {
+        if self.depth == MAX_DEPTH {
+            return Err(Stop::TooDeep { at: self.idx });
         }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn push(&mut self, node: Node) -> u32 {
+        let prop = |n: u32| self.nodes[n as usize].prop;
+        let prop = match node {
+            Node::Const(_) | Node::Atom(_) | Node::Cmp(..) => true,
+            Node::Not(a) => prop(a),
+            Node::And(a, b) | Node::Or(a, b) | Node::Implies(a, b) | Node::Iff(a, b) => {
+                prop(a) && prop(b)
+            }
+            Node::Unary(..) | Node::Until(..) => false,
+        };
+        self.nodes.push(Slot { node, prop });
+        (self.nodes.len() - 1) as u32
     }
 
     // Grammar (loosest binding first):
@@ -282,135 +210,474 @@ impl Parser {
     //   unary   := '!' unary | temporal | primary
     //   temporal:= ('AX'|'AG'|'AF'|'EX'|'EG'|'EF') unary
     //            | ('A'|'E') '[' iff 'U' iff ']'
-    //   primary := '(' iff ')' | const | ident (cmp)? | int? (only via cmp rhs)
-    fn parse_iff(&mut self) -> Result<Ast, ParseFormulaError> {
-        let mut lhs = self.parse_implies()?;
-        while self.peek() == Some(&Tok::DArrow) {
+    //   primary := '(' iff ')' | const | ident (cmp operand)?
+    //   operand := int | '-' int | ident
+    fn iff(&mut self) -> Parse {
+        let mut lhs = self.implies()?;
+        while self.kind() == Some(TokKind::DArrow) {
             self.idx += 1;
-            let rhs = self.parse_implies()?;
-            lhs = Ast::Iff(Box::new(lhs), Box::new(rhs));
+            let rhs = self.implies()?;
+            lhs = self.push(Node::Iff(lhs, rhs));
         }
         Ok(lhs)
     }
 
-    fn parse_implies(&mut self) -> Result<Ast, ParseFormulaError> {
-        let lhs = self.parse_or()?;
-        if self.peek() == Some(&Tok::Arrow) {
+    /// A right-associative chain, parsed in a loop so that its length
+    /// costs no stack.
+    fn implies(&mut self) -> Parse {
+        let base = self.chain.len();
+        let mut rhs = self.or()?;
+        while self.kind() == Some(TokKind::Arrow) {
             self.idx += 1;
-            let rhs = self.parse_implies()?;
-            Ok(Ast::Implies(Box::new(lhs), Box::new(rhs)))
-        } else {
-            Ok(lhs)
+            self.chain.push(rhs);
+            rhs = self.or()?;
         }
+        while self.chain.len() > base {
+            let lhs = self.chain.pop().unwrap_or_default();
+            rhs = self.push(Node::Implies(lhs, rhs));
+        }
+        Ok(rhs)
     }
 
-    fn parse_or(&mut self) -> Result<Ast, ParseFormulaError> {
-        let mut lhs = self.parse_and()?;
-        while self.peek() == Some(&Tok::Pipe) {
+    fn or(&mut self) -> Parse {
+        let mut lhs = self.and()?;
+        while self.kind() == Some(TokKind::Pipe) {
             self.idx += 1;
-            let rhs = self.parse_and()?;
-            lhs = Ast::Or(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<Ast, ParseFormulaError> {
-        let mut lhs = self.parse_unary()?;
-        while self.peek() == Some(&Tok::Amp) {
-            self.idx += 1;
-            let rhs = self.parse_unary()?;
-            lhs = Ast::And(Box::new(lhs), Box::new(rhs));
+            let rhs = self.and()?;
+            lhs = self.push(Node::Or(lhs, rhs));
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Ast, ParseFormulaError> {
-        match self.peek() {
-            Some(Tok::Bang) => {
+    fn and(&mut self) -> Parse {
+        let mut lhs = self.unary()?;
+        while self.kind() == Some(TokKind::Amp) {
+            self.idx += 1;
+            let rhs = self.unary()?;
+            lhs = self.push(Node::And(lhs, rhs));
+        }
+        Ok(lhs)
+    }
+
+    fn unary(&mut self) -> Parse {
+        match self.kind() {
+            Some(TokKind::Bang) => {
+                self.enter()?;
                 self.idx += 1;
-                let inner = self.parse_unary()?;
-                Ok(Ast::Not(Box::new(inner)))
+                let inner = self.unary()?;
+                self.depth -= 1;
+                Ok(self.push(Node::Not(inner)))
             }
-            Some(Tok::Ident(name)) => {
-                let name = name.clone();
-                match name.as_str() {
-                    "AX" | "AG" | "AF" | "EX" | "EG" | "EF" => {
-                        self.idx += 1;
-                        let inner = self.parse_unary()?;
-                        let b = Box::new(inner);
-                        Ok(match name.as_str() {
-                            "AX" => Ast::Ax(b),
-                            "AG" => Ast::Ag(b),
-                            "AF" => Ast::Af(b),
-                            "EX" => Ast::Ex(b),
-                            "EG" => Ast::Eg(b),
-                            _ => Ast::Ef(b),
-                        })
-                    }
-                    "A" | "E" => {
-                        self.idx += 1;
-                        self.expect(&Tok::LBracket, "'[' after path quantifier")?;
-                        let f = self.parse_iff()?;
-                        match self.bump() {
-                            Some(Tok::Ident(u)) if u == "U" => {}
-                            _ => return Err(self.err("expected 'U' in until".to_owned())),
-                        }
-                        let g = self.parse_iff()?;
-                        self.expect(&Tok::RBracket, "']' closing until")?;
-                        Ok(if name == "A" {
-                            Ast::Au(Box::new(f), Box::new(g))
-                        } else {
-                            Ast::Eu(Box::new(f), Box::new(g))
-                        })
-                    }
-                    _ => self.parse_primary(),
-                }
+            Some(TokKind::Ident) => {
+                let op = match self.text(self.idx) {
+                    "AX" => Temporal::Ax,
+                    "AG" => Temporal::Ag,
+                    "AF" => Temporal::Af,
+                    "EX" => Temporal::Ex,
+                    "EG" => Temporal::Eg,
+                    "EF" => Temporal::Ef,
+                    "A" | "E" => return self.until(),
+                    _ => return self.primary(),
+                };
+                self.enter()?;
+                self.idx += 1;
+                let inner = self.unary()?;
+                self.depth -= 1;
+                Ok(self.push(Node::Unary(op, inner)))
             }
-            _ => self.parse_primary(),
+            _ => self.primary(),
         }
     }
 
-    fn parse_primary(&mut self) -> Result<Ast, ParseFormulaError> {
+    fn until(&mut self) -> Parse {
+        let universal = self.text(self.idx) == "A";
+        self.enter()?;
+        self.idx += 1;
+        self.expect(TokKind::LBracket, "'[' after path quantifier")?;
+        let f = self.iff()?;
         match self.bump() {
-            Some(Tok::LParen) => {
-                let inner = self.parse_iff()?;
-                self.expect(&Tok::RParen, "')'")?;
-                Ok(inner)
-            }
-            Some(Tok::Ident(name)) => match name.as_str() {
-                "TRUE" | "true" => Ok(Ast::Const(true)),
-                "FALSE" | "false" => Ok(Ast::Const(false)),
-                _ => {
-                    // Possible comparison.
-                    let op = match self.peek() {
-                        Some(Tok::Eq) => Some(CmpOp::Eq),
-                        Some(Tok::Ne) => Some(CmpOp::Ne),
-                        Some(Tok::Lt) => Some(CmpOp::Lt),
-                        Some(Tok::Le) => Some(CmpOp::Le),
-                        Some(Tok::Gt) => Some(CmpOp::Gt),
-                        Some(Tok::Ge) => Some(CmpOp::Ge),
-                        _ => None,
-                    };
-                    if let Some(op) = op {
-                        self.idx += 1;
-                        let rhs = match self.bump() {
-                            Some(Tok::Int(i)) => CmpRhs::Int(i),
-                            Some(Tok::Ident(s)) => CmpRhs::Sym(SignalRef::new(s)),
-                            _ => {
-                                return Err(self.err(
-                                    "expected integer or identifier after comparison".to_owned(),
-                                ))
-                            }
-                        };
-                        Ok(Ast::Cmp(name, op, rhs))
-                    } else {
-                        Ok(Ast::Atom(name))
-                    }
-                }
-            },
-            Some(_) => Err(self.err("unexpected token".to_owned())),
-            None => Err(self.err("unexpected end of input".to_owned())),
+            Some(i) if self.toks[i].kind == TokKind::Ident && self.text(i) == "U" => {}
+            _ => return Err(Stop::syntax(self.at(), "expected 'U' in until")),
         }
+        let g = self.iff()?;
+        self.expect(TokKind::RBracket, "']' closing until")?;
+        self.depth -= 1;
+        Ok(self.push(Node::Until(universal, f, g)))
+    }
+
+    fn primary(&mut self) -> Parse {
+        if self.kind() == Some(TokKind::LParen) {
+            self.enter()?;
+            self.idx += 1;
+            let inner = self.iff()?;
+            self.expect(TokKind::RParen, "')'")?;
+            self.depth -= 1;
+            return Ok(inner);
+        }
+        let Some(i) = self.bump() else {
+            return Err(Stop::syntax(self.at(), "unexpected end of input"));
+        };
+        if self.toks[i].kind != TokKind::Ident {
+            return Err(Stop::syntax(self.at(), "unexpected token"));
+        }
+        match self.text(i) {
+            "TRUE" | "true" => return Ok(self.push(Node::Const(true))),
+            "FALSE" | "false" => return Ok(self.push(Node::Const(false))),
+            _ => {}
+        }
+        let op = match self.kind() {
+            Some(TokKind::Eq) => CmpOp::Eq,
+            Some(TokKind::Ne) => CmpOp::Ne,
+            Some(TokKind::Lt) => CmpOp::Lt,
+            Some(TokKind::Le) => CmpOp::Le,
+            Some(TokKind::Gt) => CmpOp::Gt,
+            Some(TokKind::Ge) => CmpOp::Ge,
+            _ => return Ok(self.push(Node::Atom(i as u32))),
+        };
+        self.idx += 1;
+        let rhs = match self.bump().map(|r| (r, self.toks[r].kind)) {
+            Some((r, TokKind::Int)) => Rhs::Int(self.int(r)),
+            // [`foreign_token`] let this `-` through: an integer follows.
+            Some((r, TokKind::Minus)) => {
+                self.idx += 1;
+                Rhs::Int(-int_value(self.text(r + 1)))
+            }
+            Some((r, TokKind::Ident)) => Rhs::Sym(r as u32),
+            _ => {
+                return Err(Stop::syntax(
+                    self.at(),
+                    "expected integer or identifier after comparison",
+                ))
+            }
+        };
+        Ok(self.push(Node::Cmp(i as u32, op, rhs)))
+    }
+}
+
+/// The first token no property may contain: deck-only punctuation, or a
+/// `-` that is not the sign of an integer on a comparison's right-hand
+/// side.
+fn foreign_token(src: &str, toks: &[Token]) -> Option<Stop> {
+    toks.iter().enumerate().find_map(|(i, t)| match t.kind {
+        TokKind::LBrace
+        | TokKind::RBrace
+        | TokKind::Colon
+        | TokKind::Semi
+        | TokKind::Comma
+        | TokKind::DotDot
+        | TokKind::Assign
+        | TokKind::Plus => {
+            let c = src[t.span()].chars().next().unwrap_or(' ');
+            Some(Stop::syntax(i, format!("unexpected character {c:?}")))
+        }
+        TokKind::Minus if !signs_comparison_int(src, toks, i) => {
+            Some(Stop::syntax(i, "unexpected '-'"))
+        }
+        _ => None,
+    })
+}
+
+/// Token `i`, a `-`, stands between a comparison operator and an
+/// unsigned integer: the sign of a negative literal.
+fn signs_comparison_int(src: &str, toks: &[Token], i: usize) -> bool {
+    let unsigned_int = |t: &Token| t.kind == TokKind::Int && !src[t.span()].starts_with('-');
+    follows_comparison(toks, i) && toks.get(i + 1).is_some_and(unsigned_int)
+}
+
+/// Token `i` comes right after a comparison operator.
+fn follows_comparison(toks: &[Token], i: usize) -> bool {
+    i.checked_sub(1).is_some_and(|p| {
+        matches!(
+            toks[p].kind,
+            TokKind::Eq | TokKind::Ne | TokKind::Lt | TokKind::Le | TokKind::Gt | TokKind::Ge
+        )
+    })
+}
+
+/// Parses the property `toks` (a slice of the tokens of `src`, with no
+/// `Eof`) into `nodes`; the root is the last node.
+fn parse_tokens(
+    src: &str,
+    toks: &[Token],
+    nodes: &mut Vec<Slot>,
+    chain: &mut Vec<u32>,
+) -> Result<(), Stop> {
+    nodes.clear();
+    chain.clear();
+    if let Some(stop) = foreign_token(src, toks) {
+        return Err(stop);
+    }
+    let mut g = Grammar {
+        src,
+        toks,
+        idx: 0,
+        depth: 0,
+        nodes,
+        chain,
+    };
+    g.iff()?;
+    if g.idx != toks.len() {
+        return Err(Stop::syntax(g.at(), "trailing input after formula"));
+    }
+    Ok(())
+}
+
+fn subset_error(construct: &str, reason: &str) -> SubsetError {
+    SubsetError {
+        construct: construct.to_owned(),
+        reason: reason.to_owned(),
+    }
+}
+
+impl Parsed<'_, '_> {
+    fn root(&self) -> u32 {
+        (self.nodes.len() - 1) as u32
+    }
+
+    fn slot(&self, n: u32) -> Slot {
+        self.nodes[n as usize]
+    }
+
+    fn name(&self, t: u32) -> &str {
+        &self.src[self.toks[t as usize].span()]
+    }
+
+    /// Decides the acceptable subset top-down in one pass: propositional
+    /// subtrees are not entered, and the first offending node in
+    /// pre-order gives the error.
+    fn check_subset(&self, stack: &mut Vec<u32>) -> Result<(), SubsetError> {
+        stack.clear();
+        stack.push(self.root());
+        while let Some(n) = stack.pop() {
+            let slot = self.slot(n);
+            if slot.prop {
+                continue;
+            }
+            match slot.node {
+                Node::Implies(a, b) => {
+                    if !self.slot(a).prop {
+                        return Err(subset_error(
+                            "f -> g",
+                            "implication antecedent must be propositional in the subset",
+                        ));
+                    }
+                    stack.push(b);
+                }
+                Node::Unary(Temporal::Ax | Temporal::Ag | Temporal::Af, a) => stack.push(a),
+                Node::Until(true, a, b) | Node::And(a, b) => {
+                    stack.push(b);
+                    stack.push(a);
+                }
+                Node::Or(..) => {
+                    return Err(subset_error(
+                        "f | g",
+                        "disjunction of temporal formulas is not in the acceptable subset",
+                    ))
+                }
+                Node::Not(_) => {
+                    return Err(subset_error(
+                        "!f",
+                        "negation of a temporal formula is not in the acceptable subset",
+                    ))
+                }
+                Node::Iff(..) => {
+                    return Err(subset_error(
+                        "f <-> g",
+                        "biconditional over temporal formulas is not in the acceptable subset",
+                    ))
+                }
+                Node::Unary(..) | Node::Until(false, ..) => {
+                    return Err(subset_error(
+                        "E...",
+                        "existential path quantifiers are not universal (ACTL) formulas",
+                    ))
+                }
+                Node::Const(_) | Node::Atom(_) | Node::Cmp(..) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// The token indices of the signal names, first occurrences in
+    /// source order: the arena holds leaves in the order they were read.
+    fn signals(&self, out: &mut Vec<u32>) {
+        out.clear();
+        let mut add = |t: u32| {
+            if !out.iter().any(|&s| self.name(s) == self.name(t)) {
+                out.push(t);
+            }
+        };
+        for slot in self.nodes {
+            match slot.node {
+                Node::Atom(t) | Node::Cmp(t, _, Rhs::Int(_)) => add(t),
+                Node::Cmp(l, _, Rhs::Sym(r)) => {
+                    add(l);
+                    add(r);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn signal(&self, t: u32) -> SignalRef {
+        SignalRef::new(self.name(t))
+    }
+
+    fn rhs(&self, rhs: Rhs) -> CmpRhs {
+        match rhs {
+            Rhs::Int(v) => CmpRhs::Int(v),
+            Rhs::Sym(t) => CmpRhs::Sym(self.signal(t)),
+        }
+    }
+
+    /// The propositional subtree `n` as a [`PropExpr`].
+    fn prop(&self, n: u32) -> PropExpr {
+        let bin = |a, b| (Box::new(self.prop(a)), Box::new(self.prop(b)));
+        match self.slot(n).node {
+            Node::Const(c) => PropExpr::Const(c),
+            Node::Atom(t) => PropExpr::Atom(self.signal(t)),
+            Node::Cmp(l, op, rhs) => PropExpr::Cmp {
+                lhs: self.signal(l),
+                op,
+                rhs: self.rhs(rhs),
+            },
+            Node::Not(a) => PropExpr::Not(Box::new(self.prop(a))),
+            Node::And(a, b) => {
+                let (a, b) = bin(a, b);
+                PropExpr::And(a, b)
+            }
+            Node::Or(a, b) => {
+                let (a, b) = bin(a, b);
+                PropExpr::Or(a, b)
+            }
+            Node::Implies(a, b) => {
+                let (a, b) = bin(a, b);
+                PropExpr::Implies(a, b)
+            }
+            Node::Iff(a, b) => {
+                let (a, b) = bin(a, b);
+                PropExpr::Iff(a, b)
+            }
+            Node::Unary(..) | Node::Until(..) => unreachable!("a propositional subtree"),
+        }
+    }
+
+    /// The subtree `n`, which [`Parsed::check_subset`] accepted, as a
+    /// [`Formula`].
+    fn formula(&self, n: u32) -> Formula {
+        let slot = self.slot(n);
+        if slot.prop {
+            return Formula::Prop(self.prop(n));
+        }
+        let sub = |a| Box::new(self.formula(a));
+        match slot.node {
+            Node::Implies(a, b) => Formula::Implies(self.prop(a), sub(b)),
+            Node::Unary(Temporal::Ax, a) => Formula::Ax(sub(a)),
+            Node::Unary(Temporal::Ag, a) => Formula::Ag(sub(a)),
+            Node::Unary(Temporal::Af, a) => Formula::Af(sub(a)),
+            Node::Until(true, a, b) => Formula::Au(sub(a), sub(b)),
+            Node::And(a, b) => Formula::And(sub(a), sub(b)),
+            _ => unreachable!("outside the subset check"),
+        }
+    }
+
+    fn ast(&self, n: u32) -> Ast {
+        let sub = |a| Box::new(self.ast(a));
+        match self.slot(n).node {
+            Node::Const(c) => Ast::Const(c),
+            Node::Atom(t) => Ast::Atom(self.name(t).to_owned()),
+            Node::Cmp(l, op, rhs) => Ast::Cmp(self.name(l).to_owned(), op, self.rhs(rhs)),
+            Node::Not(a) => Ast::Not(sub(a)),
+            Node::And(a, b) => Ast::And(sub(a), sub(b)),
+            Node::Or(a, b) => Ast::Or(sub(a), sub(b)),
+            Node::Implies(a, b) => Ast::Implies(sub(a), sub(b)),
+            Node::Iff(a, b) => Ast::Iff(sub(a), sub(b)),
+            Node::Unary(Temporal::Ax, a) => Ast::Ax(sub(a)),
+            Node::Unary(Temporal::Ag, a) => Ast::Ag(sub(a)),
+            Node::Unary(Temporal::Af, a) => Ast::Af(sub(a)),
+            Node::Unary(Temporal::Ex, a) => Ast::Ex(sub(a)),
+            Node::Unary(Temporal::Eg, a) => Ast::Eg(sub(a)),
+            Node::Unary(Temporal::Ef, a) => Ast::Ef(sub(a)),
+            Node::Until(true, a, b) => Ast::Au(sub(a), sub(b)),
+            Node::Until(false, a, b) => Ast::Eu(sub(a), sub(b)),
+        }
+    }
+}
+
+/// Reads a property from a string: tokenizes it, then parses the tokens
+/// into `nodes`. Errors carry byte offsets into `src`.
+fn parse_str(
+    src: &str,
+    toks: &mut Vec<Token>,
+    nodes: &mut Vec<Slot>,
+) -> Result<(), ParseFormulaError> {
+    let mut lexer = Lexer::new(src).map_err(|e| lex_error(src, e))?;
+    // A `-` glued to digits is part of the literal, one `Int` token,
+    // wherever it stands; a spaced `-` is a sign only on a comparison's
+    // right-hand side (see [`foreign_token`]). A deck's body text spaces
+    // every `-`.
+    let lexed = loop {
+        match lexer.next_token() {
+            Ok(t) if t.kind == TokKind::Eof => break Ok(()),
+            Ok(t) => match toks.last_mut() {
+                Some(m)
+                    if m.kind == TokKind::Minus && m.end == t.start && t.kind == TokKind::Int =>
+                {
+                    *m = Token {
+                        start: m.start,
+                        ..t
+                    };
+                }
+                _ => toks.push(t),
+            },
+            Err(e) => break Err(e),
+        }
+    };
+    // A lexing error ends the tokens, but a foreign token before it is
+    // reported first: errors come in source order. An out-of-range
+    // integer's sign is part of the literal.
+    let lexed = lexed.map_err(|mut e| {
+        let sign = match toks.last() {
+            Some(m) if m.kind == TokKind::Minus => {
+                m.end as usize == e.start || follows_comparison(toks, toks.len() - 1)
+            }
+            _ => false,
+        };
+        if e.kind == LexErrorKind::IntRange && sign {
+            e.start = toks.pop().map_or(e.start, |t| t.start as usize);
+        }
+        e
+    });
+    let at = |i: usize| toks.get(i).map_or(src.len(), |t| t.start as usize);
+    if let (Err(_), Some(Stop::Syntax { at: i, message })) = (&lexed, foreign_token(src, toks)) {
+        return Err(ParseFormulaError {
+            position: at(i),
+            message,
+        });
+    }
+    lexed.map_err(|e| lex_error(src, e))?;
+    parse_tokens(src, toks, nodes, &mut Vec::new()).map_err(|stop| match stop {
+        Stop::Syntax { at: i, message } => ParseFormulaError {
+            position: at(i),
+            message,
+        },
+        Stop::TooDeep { at: i } => ParseFormulaError {
+            position: at(i),
+            message: too_deep_message(),
+        },
+    })
+}
+
+fn lex_error(src: &str, e: LexError) -> ParseFormulaError {
+    let message = match e.kind {
+        LexErrorKind::Char(c) => format!("unexpected character {c:?}"),
+        LexErrorKind::Dot => "unexpected character '.'".to_owned(),
+        LexErrorKind::IntRange => "integer literal out of range".to_owned(),
+        LexErrorKind::TooLong => format!("input of {} bytes is too long", src.len()),
+    };
+    ParseFormulaError {
+        position: e.start,
+        message,
     }
 }
 
@@ -420,88 +687,14 @@ impl Parser {
 ///
 /// Returns [`ParseFormulaError`] on malformed input.
 pub fn parse_ast(src: &str) -> Result<Ast, ParseFormulaError> {
-    let toks = Lexer::new(src).tokens()?;
-    let mut p = Parser {
-        toks,
-        idx: 0,
-        input_len: src.len(),
+    let (mut toks, mut nodes) = (Vec::new(), Vec::new());
+    parse_str(src, &mut toks, &mut nodes)?;
+    let parsed = Parsed {
+        src,
+        toks: &toks,
+        nodes: &nodes,
     };
-    let ast = p.parse_iff()?;
-    if p.idx != p.toks.len() {
-        return Err(p.err("trailing input after formula".to_owned()));
-    }
-    Ok(ast)
-}
-
-fn to_prop(ast: &Ast) -> Result<PropExpr, SubsetError> {
-    match ast {
-        Ast::Const(c) => Ok(PropExpr::Const(*c)),
-        Ast::Atom(n) => Ok(PropExpr::Atom(SignalRef::new(n.clone()))),
-        Ast::Cmp(lhs, op, rhs) => Ok(PropExpr::Cmp {
-            lhs: SignalRef::new(lhs.clone()),
-            op: *op,
-            rhs: rhs.clone(),
-        }),
-        Ast::Not(a) => Ok(PropExpr::Not(Box::new(to_prop(a)?))),
-        Ast::And(a, b) => Ok(PropExpr::And(Box::new(to_prop(a)?), Box::new(to_prop(b)?))),
-        Ast::Or(a, b) => Ok(PropExpr::Or(Box::new(to_prop(a)?), Box::new(to_prop(b)?))),
-        Ast::Implies(a, b) => Ok(PropExpr::Implies(
-            Box::new(to_prop(a)?),
-            Box::new(to_prop(b)?),
-        )),
-        Ast::Iff(a, b) => Ok(PropExpr::Iff(Box::new(to_prop(a)?), Box::new(to_prop(b)?))),
-        other => Err(SubsetError {
-            construct: format!("{other:?}"),
-            reason: "temporal operator where a propositional formula is required".to_owned(),
-        }),
-    }
-}
-
-/// Converts a parse tree into the paper's acceptable ACTL subset.
-///
-/// # Errors
-///
-/// Returns [`SubsetError`] for constructs outside the subset: existential
-/// path quantifiers, negation/disjunction/biconditional over temporal
-/// operands, or temporal antecedents of implications.
-pub fn classify(ast: &Ast) -> Result<Formula, SubsetError> {
-    if ast.is_propositional() {
-        return Ok(Formula::Prop(to_prop(ast)?));
-    }
-    match ast {
-        Ast::Implies(a, b) => {
-            if !a.is_propositional() {
-                return Err(SubsetError {
-                    construct: "f -> g".to_owned(),
-                    reason: "implication antecedent must be propositional in the subset".to_owned(),
-                });
-            }
-            Ok(Formula::Implies(to_prop(a)?, Box::new(classify(b)?)))
-        }
-        Ast::Ax(a) => Ok(Formula::Ax(Box::new(classify(a)?))),
-        Ast::Ag(a) => Ok(Formula::Ag(Box::new(classify(a)?))),
-        Ast::Af(a) => Ok(Formula::Af(Box::new(classify(a)?))),
-        Ast::Au(a, b) => Ok(Formula::Au(Box::new(classify(a)?), Box::new(classify(b)?))),
-        Ast::And(a, b) => Ok(Formula::And(Box::new(classify(a)?), Box::new(classify(b)?))),
-        Ast::Or(_, _) => Err(SubsetError {
-            construct: "f | g".to_owned(),
-            reason: "disjunction of temporal formulas is not in the acceptable subset".to_owned(),
-        }),
-        Ast::Not(_) => Err(SubsetError {
-            construct: "!f".to_owned(),
-            reason: "negation of a temporal formula is not in the acceptable subset".to_owned(),
-        }),
-        Ast::Iff(_, _) => Err(SubsetError {
-            construct: "f <-> g".to_owned(),
-            reason: "biconditional over temporal formulas is not in the acceptable subset"
-                .to_owned(),
-        }),
-        Ast::Ex(_) | Ast::Eg(_) | Ast::Ef(_) | Ast::Eu(..) => Err(SubsetError {
-            construct: "E...".to_owned(),
-            reason: "existential path quantifiers are not universal (ACTL) formulas".to_owned(),
-        }),
-        Ast::Const(_) | Ast::Atom(_) | Ast::Cmp(..) => unreachable!("handled as propositional"),
-    }
+    Ok(parsed.ast(parsed.root()))
 }
 
 /// Parses a property in the paper's acceptable ACTL subset.
@@ -517,11 +710,98 @@ pub fn classify(ast: &Ast) -> Result<Formula, SubsetError> {
 /// use covest_ctl::parse_formula;
 /// let f = parse_formula("AG (p1 -> AX AX q)")?;
 /// assert_eq!(f.to_string(), "AG (p1 -> AX AX q)");
+/// // A negative literal may be spelled with a space, as decks print it.
+/// assert_eq!(parse_formula("x = - 3")?.to_string(), "x = -3");
 /// # Ok::<(), covest_ctl::CtlError>(())
 /// ```
 pub fn parse_formula(src: &str) -> Result<Formula, CtlError> {
-    let ast = parse_ast(src)?;
-    Ok(classify(&ast)?)
+    let (mut toks, mut nodes) = (Vec::new(), Vec::new());
+    parse_str(src, &mut toks, &mut nodes)?;
+    let parsed = Parsed {
+        src,
+        toks: &toks,
+        nodes: &nodes,
+    };
+    parsed.check_subset(&mut Vec::new())?;
+    Ok(parsed.formula(parsed.root()))
+}
+
+/// What [`BodyReader::read`] makes of a property body.
+#[derive(Debug)]
+pub enum Body<'r> {
+    /// The body is in the subset: the token indices (into the body) of
+    /// its signal names, first occurrences in source order.
+    Signals(&'r [u32]),
+    /// The error [`parse_formula`] gives for the body's text.
+    Rejected(CtlError),
+    /// The body nests deeper than [`MAX_DEPTH`] at this token index.
+    TooDeep(usize),
+}
+
+/// Reads the `SPEC` and `FAIRNESS` bodies of a tokenized deck straight
+/// from the deck's tokens, with no second lexing pass. It keeps its
+/// buffers between bodies, so a deck's properties share one arena.
+#[derive(Debug, Default)]
+pub struct BodyReader {
+    nodes: Vec<Slot>,
+    indices: Vec<u32>,
+    offsets: Vec<u32>,
+}
+
+impl BodyReader {
+    /// Reads the body `toks`, a nonempty slice of the tokens of `src`
+    /// without `Eof`. Writes the body's text into `text`: its tokens
+    /// separated by single spaces, integers printed by value. What it
+    /// returns is exactly what [`parse_formula`] makes of that text,
+    /// error positions included, except that nesting beyond
+    /// [`MAX_DEPTH`] names the offending token.
+    pub fn read(&mut self, src: &str, toks: &[Token], text: &mut String) -> Body<'_> {
+        text.clear();
+        if let (Some(first), Some(last)) = (toks.first(), toks.last()) {
+            // The source spelling's length, a close guess for the text's.
+            text.reserve((last.end - first.start) as usize + 1);
+        }
+        self.offsets.clear();
+        for t in toks {
+            if !text.is_empty() {
+                text.push(' ');
+            }
+            self.offsets.push(text.len() as u32);
+            match t.kind {
+                TokKind::Ident => text.push_str(&src[t.span()]),
+                TokKind::Int => {
+                    let digits = &src[t.span()];
+                    let trimmed = digits.trim_start_matches('0');
+                    text.push_str(if trimmed.is_empty() { "0" } else { trimmed });
+                }
+                kind => text.push_str(kind.spelling()),
+            }
+        }
+        let at = |i: usize| self.offsets.get(i).map_or(text.len(), |&o| o as usize);
+        match parse_tokens(src, toks, &mut self.nodes, &mut self.indices) {
+            Err(Stop::TooDeep { at: i }) => Body::TooDeep(i),
+            Err(Stop::Syntax { at: i, message }) => {
+                Body::Rejected(CtlError::Parse(ParseFormulaError {
+                    position: at(i),
+                    message,
+                }))
+            }
+            Ok(()) => {
+                let parsed = Parsed {
+                    src,
+                    toks,
+                    nodes: &self.nodes,
+                };
+                match parsed.check_subset(&mut self.indices) {
+                    Err(e) => Body::Rejected(CtlError::Subset(e)),
+                    Ok(()) => {
+                        parsed.signals(&mut self.indices);
+                        Body::Signals(&self.indices)
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -600,6 +880,38 @@ mod tests {
     fn negative_integers_in_comparisons() {
         let f = parse_formula("x >= -3").expect("acceptable");
         assert_eq!(f.to_string(), "x >= -3");
+        // The spaced spelling a deck's body text uses.
+        let f = parse_formula("AG (x = - 3 -> AX x = - 2)").expect("acceptable");
+        assert_eq!(f.to_string(), "AG (x = -3 -> AX x = -2)");
+        // A spaced `-` is a sign only after a comparison operator and
+        // before an integer; a glued one is part of the literal anywhere.
+        for (src, err) in [
+            ("x = - y", "parse error at byte 4: unexpected '-'"),
+            ("x = - -3", "parse error at byte 4: unexpected '-'"),
+            ("- 3", "parse error at byte 0: unexpected '-'"),
+            ("x = y - 1", "parse error at byte 6: unexpected '-'"),
+            ("AG - 2", "parse error at byte 3: unexpected '-'"),
+            ("-3", "parse error at byte 2: unexpected token"),
+            ("AG -2", "parse error at byte 5: unexpected token"),
+            (
+                "x = y -1",
+                "parse error at byte 6: trailing input after formula",
+            ),
+            ("= - 3", "parse error at byte 2: unexpected token"),
+        ] {
+            assert_eq!(parse_formula(src).unwrap_err().to_string(), err, "{src}");
+        }
+        for src in [
+            "x = -9223372036854775808",
+            "x = - 9223372036854775808",
+            "p & -99999999999999999999",
+        ] {
+            let e = parse_ast(src).unwrap_err();
+            assert_eq!(e.message, "integer literal out of range", "{src}");
+            assert_eq!(e.position, src.find('-').expect("a sign"), "{src}");
+        }
+        let e = parse_formula("p - 99999999999999999999").unwrap_err();
+        assert_eq!(e.to_string(), "parse error at byte 2: unexpected '-'");
     }
 
     #[test]
@@ -616,5 +928,69 @@ mod tests {
             let re = parse_formula(&f.to_string()).expect("roundtrip");
             assert_eq!(f, re, "{src}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested =
+            |n: usize, open: &str, close: &str| format!("{}x{}", open.repeat(n), close.repeat(n));
+        for (open, close) in [("(", ")"), ("!", ""), ("AX ", ""), ("A[x U ", "]")] {
+            let ok = nested(MAX_DEPTH, open, close);
+            assert!(parse_ast(&ok).is_ok(), "{open} x {MAX_DEPTH}");
+            let deep = nested(100_000, open, close);
+            let e = parse_ast(&deep).unwrap_err();
+            assert_eq!(e.position, MAX_DEPTH * open.len(), "{open}");
+            assert_eq!(e.message, too_deep_message());
+        }
+        // A long `->` chain is a loop, not a recursion.
+        let chain = vec!["x"; 100_000].join(" -> ");
+        let toks = crate::tokenize(&chain).expect("lexes");
+        let toks = &toks.tokens()[..toks.tokens().len() - 1];
+        let mut reader = BodyReader::default();
+        let body = reader.read(&chain, toks, &mut String::new());
+        assert!(matches!(body, Body::Signals(s) if s.len() == 1), "{body:?}");
+    }
+
+    #[test]
+    fn errors_come_in_source_order() {
+        // A deck-only token before a lexing error wins, as does a stray
+        // `-` before a foreign token.
+        let e = parse_formula("x { $").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "parse error at byte 2: unexpected character '{'"
+        );
+        let e = parse_formula("- { x").unwrap_err();
+        assert_eq!(e.to_string(), "parse error at byte 0: unexpected '-'");
+        let e = parse_formula("A[p q]").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "parse error at byte 5: expected 'U' in until"
+        );
+        let e = parse_formula("& x").unwrap_err();
+        assert_eq!(e.to_string(), "parse error at byte 2: unexpected token");
+    }
+
+    #[test]
+    fn body_reader_matches_parse_formula_on_the_text() {
+        let deck = "x = 007 & AG (y -> AX z) | EF - 3 ..";
+        let toks = crate::tokenize(deck).expect("lexes");
+        let toks = &toks.tokens()[..toks.tokens().len() - 1];
+        let mut reader = BodyReader::default();
+        let mut text = String::new();
+        for end in 1..=toks.len() {
+            let body = reader.read(deck, &toks[..end], &mut text);
+            let direct = parse_formula(&text);
+            match (body, direct) {
+                (Body::Signals(s), Ok(f)) => {
+                    let names: Vec<&str> =
+                        s.iter().map(|&i| &deck[toks[i as usize].span()]).collect();
+                    assert_eq!(names, f.signals(), "{text}");
+                }
+                (Body::Rejected(e), Err(d)) => assert_eq!(e, d, "{text}"),
+                (body, direct) => panic!("{text}: {body:?} vs {direct:?}"),
+            }
+        }
+        assert_eq!(text, "x = 7 & AG ( y -> AX z ) | EF - 3 ..");
     }
 }

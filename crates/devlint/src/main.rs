@@ -11,10 +11,11 @@
 //!   `clear_caches()`, and both `manager.rs` and `reorder.rs` must call
 //!   `self.clear_caches();` — refs are reassigned by GC/reorder, so a
 //!   stale cache entry is a wrong answer, not a slow one.
-//! - `hot-path-hashmap` — no `HashMap` in the BDD apply/quantify/
-//!   substitute/simplify kernels (`manager.rs`, `quant.rs`, `subst.rs`,
-//!   `simplify.rs`); the packed-arena rewrite replaced them with
-//!   open-addressing tables and SipHash must stay off the hot paths.
+//! - `hot-path-hashmap` — no `HashMap` or `HashSet` in the BDD apply/
+//!   quantify/substitute/simplify kernels (`manager.rs`, `quant.rs`,
+//!   `subst.rs`, `simplify.rs`); the packed-arena rewrite replaced them
+//!   with open-addressing tables and bitmap mark passes, and SipHash
+//!   must stay off the hot paths.
 //! - `raw-instant` — `Instant::now()` is confined to `crates/telemetry`;
 //!   everything else must go through `covest_telemetry::Stopwatch` so the
 //!   deterministic-counters / timings split stays auditable.
@@ -36,6 +37,9 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// What `hot-path-hashmap` looks for in the BDD kernel files.
+const HOT_PATH_NEEDLES: [&str; 4] = ["HashMap<", "HashMap::", "HashSet<", "HashSet::"];
 
 /// One rule violation.
 struct Finding {
@@ -210,13 +214,13 @@ fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
             &mut findings,
         );
         if hot_paths.iter().any(|p| p == path) {
-            for needle in ["HashMap<", "HashMap::"] {
+            for needle in HOT_PATH_NEEDLES {
                 scan_lines(
                     path,
                     &src,
                     needle,
                     "hot-path-hashmap",
-                    "no HashMap on the BDD hot paths (use the packed tables)",
+                    "no HashMap/HashSet on the BDD hot paths (use the packed tables or a mark bitmap)",
                     &mut findings,
                 );
             }
@@ -383,6 +387,29 @@ mod tests {
         );
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, [1]);
+    }
+
+    #[test]
+    fn hot_path_rule_flags_hash_sets_too() {
+        let src = "let seen = std::collections::HashSet::new();\n\
+                   let vars: Vec<std::collections::HashSet<VarId>> = Vec::new();\n\
+                   let m: HashMap<u32, u32> = HashMap::new();\n\
+                   let ok = Vec::new();\n";
+        let mut findings = Vec::new();
+        for needle in HOT_PATH_NEEDLES {
+            scan_lines(
+                Path::new("quant.rs"),
+                src,
+                needle,
+                "hot-path-hashmap",
+                "",
+                &mut findings,
+            );
+        }
+        let mut lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        lines.sort_unstable();
+        lines.dedup();
+        assert_eq!(lines, [1, 2, 3]);
     }
 
     #[test]

@@ -448,7 +448,7 @@ fn cluster_parts(parts: &[Func], threshold: usize) -> Vec<Func> {
             });
         if let Some(i) = best {
             let merged = clusters[i].and(p);
-            if merged.node_count() <= threshold {
+            if merged.node_count_capped(threshold.saturating_add(1)) <= threshold {
                 clusters[i] = merged;
                 supports[i].extend(psup);
                 continue;

@@ -81,6 +81,13 @@ impl SymbolicFsm {
         r
     }
 
+    /// `true` when `set` is the cached [`SymbolicFsm::reachable`] set: an
+    /// O(1) handle comparison that computes nothing. That set is closed
+    /// under successors by construction.
+    pub fn is_cached_reachable(&self, set: &Func) -> bool {
+        self.engine.cached_reach().is_some_and(|r| &r == set)
+    }
+
     /// Computes the reachable states and installs them as the image
     /// engine's care set (per the configured [`crate::SimplifyConfig`]),
     /// so subsequent forward fixpoints sweep don't-care-simplified

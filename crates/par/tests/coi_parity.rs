@@ -71,6 +71,8 @@ fn coi_modes_agree_on_every_deck() {
 /// debug register chain that no property or signal reads, so COI prunes
 /// it. Both modes agree on every deterministic field, and on the 8-stage
 /// deck the profiled shard's peak live node count is lower with COI on.
+/// Its work counters are pinned: debug and release builds do the same
+/// BDD work, so `cargo test` and a release run assert the same values.
 #[test]
 fn coi_lowers_the_peak_on_sized_pipelines() {
     use covest_circuits::pipeline;
@@ -107,6 +109,15 @@ fn coi_lowers_the_peak_on_sized_pipelines() {
         peak(&on),
         peak(&off)
     );
+    let work = |report: &BatchReport| {
+        let profile = &report.decks[1].profiles[0];
+        (
+            profile.peak_live_nodes(),
+            profile.counters.get("image_calls"),
+        )
+    };
+    assert_eq!(work(&on), (2_867, 756), "pipeline_d8, coi on");
+    assert_eq!(work(&off), (6_058, 908), "pipeline_d8, coi off");
 }
 
 proptest! {

@@ -1,6 +1,5 @@
 //! Abstract syntax of the `covest` modeling language (an SMV dialect).
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -192,13 +191,17 @@ pub struct Define {
 
 /// One `SPEC` or `FAIRNESS` declaration.
 ///
-/// The body is kept as re-serialized token text, which compile parses
-/// into a formula once per compiled machine. [`crate::parse_module`]
-/// also parses it once, up front, and keeps only what static analysis
-/// needs: the body's signal names, or the CTL parser's error. No formula
-/// tree is kept, so a batch plan holding many parsed decks holds names,
-/// not trees; and the declarations of one deck share one allocation per
-/// name, since its properties mention a few signals many times.
+/// The body is kept as text, its tokens separated by single spaces and
+/// integers printed by value; compile parses that text into a formula
+/// once per compiled machine. [`crate::parse_module`] also reads the
+/// body once, up front, straight from the deck's tokens
+/// ([`covest_ctl::BodyReader`]), and keeps only what static analysis
+/// needs: the body's signal names, or the error
+/// [`covest_ctl::parse_formula`] gives for the text. No formula tree and
+/// no tokens are kept, so a batch plan holding many parsed decks holds
+/// names, not trees; and the declarations of one deck share one
+/// allocation per name, since its properties mention a few signals many
+/// times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecDecl {
     text: String,
@@ -207,25 +210,12 @@ pub struct SpecDecl {
 }
 
 impl SpecDecl {
-    /// A declaration of `text` at `line`, parsed once for its signal
-    /// names, each taken from `names` when it is there and added when it
-    /// is not.
-    pub(crate) fn new(text: String, line: usize, names: &mut BTreeSet<Arc<str>>) -> Self {
-        let signals = match covest_ctl::parse_formula(&text) {
-            Ok(f) => Ok(f
-                .signals()
-                .into_iter()
-                .map(|name| match names.get(name.as_str()) {
-                    Some(shared) => Arc::clone(shared),
-                    None => {
-                        let shared: Arc<str> = name.into();
-                        names.insert(Arc::clone(&shared));
-                        shared
-                    }
-                })
-                .collect()),
-            Err(e) => Err(Box::new(e)),
-        };
+    /// A declaration of `text` at `line` with what the parser made of it.
+    pub(crate) fn new(
+        text: String,
+        line: usize,
+        signals: Result<Box<[Arc<str>]>, Box<CtlError>>,
+    ) -> Self {
         SpecDecl {
             text,
             line,
@@ -233,7 +223,7 @@ impl SpecDecl {
         }
     }
 
-    /// The re-serialized body text.
+    /// The body text: its tokens separated by single spaces.
     pub fn text(&self) -> &str {
         &self.text
     }

@@ -672,9 +672,9 @@ pub fn compile_module_with(
     }
     let mut fairness = Vec::with_capacity(module.fairness.len());
     for s in &module.fairness {
-        let ast = covest_ctl::parse_ast(s.text()).map_err(|e| bad_fairness(s.text(), Some(&e)))?;
-        match covest_ctl::classify(&ast) {
+        match covest_ctl::parse_formula(s.text()) {
             Ok(covest_ctl::Formula::Prop(p)) => fairness.push(p),
+            Err(CtlError::Parse(e)) => return Err(bad_fairness(s.text(), Some(&e))),
             _ => return Err(bad_fairness(s.text(), None)),
         }
     }

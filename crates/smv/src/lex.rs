@@ -1,195 +1,47 @@
-//! Lexer for the modeling language.
+//! The deck's view of the shared tokenizer ([`covest_ctl::tokenize`]):
+//! tokens are kinds plus byte spans, and lexing errors become
+//! [`ModelError`]s with a line and column.
+
+use covest_ctl::LexErrorKind;
+pub use covest_ctl::{TokKind, Token, Tokens};
 
 use crate::error::ModelError;
 
-/// A token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    /// Token kind/payload.
-    pub kind: TokKind,
-    /// 1-based line.
-    pub line: usize,
-    /// 1-based column.
-    pub column: usize,
-}
-
-/// Token kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokKind {
-    Ident(String),
-    Int(i64),
-    LParen,
-    RParen,
-    LBrace,
-    RBrace,
-    LBracket,
-    RBracket,
-    Colon,
-    Semi,
-    Comma,
-    DotDot,
-    Assign, // :=
-    Bang,
-    Amp,
-    Pipe,
-    Arrow,  // ->
-    DArrow, // <->
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Plus,
-    Minus,
-    Eof,
-}
-
 /// Tokenizes a deck. `--` starts a comment to end of line.
-pub fn lex(src: &str) -> Result<Vec<Token>, ModelError> {
-    let mut out = Vec::new();
-    let bytes = src.as_bytes();
-    let mut i = 0usize;
-    let mut line = 1usize;
-    let mut col = 1usize;
-    macro_rules! push {
-        ($kind:expr, $len:expr) => {{
-            out.push(Token {
-                kind: $kind,
-                line,
-                column: col,
-            });
-            i += $len;
-            col += $len;
-        }};
-    }
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            b'\n' => {
-                i += 1;
-                line += 1;
-                col = 1;
-            }
-            c if c.is_ascii_whitespace() => {
-                i += 1;
-                col += 1;
-            }
-            b'-' if bytes.get(i + 1) == Some(&b'-') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'(' => push!(TokKind::LParen, 1),
-            b')' => push!(TokKind::RParen, 1),
-            b'{' => push!(TokKind::LBrace, 1),
-            b'}' => push!(TokKind::RBrace, 1),
-            b'[' => push!(TokKind::LBracket, 1),
-            b']' => push!(TokKind::RBracket, 1),
-            b';' => push!(TokKind::Semi, 1),
-            b',' => push!(TokKind::Comma, 1),
-            b'+' => push!(TokKind::Plus, 1),
-            b'&' => push!(TokKind::Amp, 1),
-            b'|' => push!(TokKind::Pipe, 1),
-            b'=' => push!(TokKind::Eq, 1),
-            b':' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    push!(TokKind::Assign, 2)
-                } else {
-                    push!(TokKind::Colon, 1)
-                }
-            }
-            b'.' => {
-                if bytes.get(i + 1) == Some(&b'.') {
-                    push!(TokKind::DotDot, 2)
-                } else {
-                    return Err(ModelError::new(line, col, "unexpected '.'"));
-                }
-            }
-            b'!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    push!(TokKind::Ne, 2)
-                } else {
-                    push!(TokKind::Bang, 1)
-                }
-            }
-            b'<' => match bytes.get(i + 1) {
-                Some(b'=') => push!(TokKind::Le, 2),
-                Some(b'-') if bytes.get(i + 2) == Some(&b'>') => push!(TokKind::DArrow, 3),
-                _ => push!(TokKind::Lt, 1),
-            },
-            b'>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    push!(TokKind::Ge, 2)
-                } else {
-                    push!(TokKind::Gt, 1)
-                }
-            }
-            b'-' => {
-                if bytes.get(i + 1) == Some(&b'>') {
-                    push!(TokKind::Arrow, 2)
-                } else {
-                    push!(TokKind::Minus, 1)
-                }
-            }
-            b'0'..=b'9' => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let text = &src[start..i];
-                let v: i64 = text.parse().map_err(|_| {
-                    ModelError::new(line, col, format!("integer `{text}` out of range"))
-                })?;
-                out.push(Token {
-                    kind: TokKind::Int(v),
-                    line,
-                    column: col,
-                });
-                col += i - start;
-            }
-            c if c.is_ascii_alphabetic() || c == b'_' => {
-                let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'.')
-                {
-                    // Stop before `..` (range syntax), which also uses dots.
-                    if bytes[i] == b'.' && bytes.get(i + 1) == Some(&b'.') {
-                        break;
-                    }
-                    i += 1;
-                }
-                let text = src[start..i].to_owned();
-                out.push(Token {
-                    kind: TokKind::Ident(text),
-                    line,
-                    column: col,
-                });
-                col += i - start;
-            }
-            other => {
-                return Err(ModelError::new(
-                    line,
-                    col,
-                    format!("unexpected character {:?}", other as char),
-                ))
-            }
-        }
-    }
-    out.push(Token {
-        kind: TokKind::Eof,
-        line,
-        column: col,
-    });
-    Ok(out)
+///
+/// # Errors
+///
+/// Returns a [`ModelError`] at the first character no token starts with,
+/// a `.` that does not start `..`, or an integer above `i64::MAX`.
+pub fn lex(src: &str) -> Result<Tokens<'_>, ModelError> {
+    covest_ctl::tokenize(src).map_err(|e| {
+        let message = match e.kind {
+            LexErrorKind::Char(c) => format!("unexpected character {c:?}"),
+            LexErrorKind::Dot => "unexpected '.'".to_owned(),
+            LexErrorKind::IntRange => format!("integer `{}` out of range", &src[e.start..e.end]),
+            LexErrorKind::TooLong => format!("a deck of {} bytes is too long", src.len()),
+        };
+        let before = &src.as_bytes()[..e.start];
+        let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+        let line_start = before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        ModelError::new(line, e.start - line_start + 1, message)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokKind> {
-        lex(src).expect(src).into_iter().map(|t| t.kind).collect()
+    /// Each token's kind with its text.
+    fn kinds(src: &str) -> Vec<(TokKind, &str)> {
+        let toks = lex(src).expect(src);
+        toks.tokens()
+            .iter()
+            .map(|&t| (t.kind, toks.text(t)))
+            .collect()
     }
 
     #[test]
@@ -198,21 +50,24 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokKind::Ident("VAR".into()),
-                TokKind::Ident("x".into()),
-                TokKind::Colon,
-                TokKind::Int(0),
-                TokKind::DotDot,
-                TokKind::Int(7),
-                TokKind::Semi,
-                TokKind::Eof,
+                (TokKind::Ident, "VAR"),
+                (TokKind::Ident, "x"),
+                (TokKind::Colon, ":"),
+                (TokKind::Int, "0"),
+                (TokKind::DotDot, ".."),
+                (TokKind::Int, "7"),
+                (TokKind::Semi, ";"),
+                (TokKind::Eof, ""),
             ]
         );
     }
 
     #[test]
     fn lexes_assignment_and_operators() {
-        let ks = kinds("next(x) := !a & b -> c <-> d != 2;");
+        let ks: Vec<TokKind> = kinds("next(x) := !a & b -> c <-> d != 2;")
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
         assert!(ks.contains(&TokKind::Assign));
         assert!(ks.contains(&TokKind::Bang));
         assert!(ks.contains(&TokKind::Arrow));
@@ -226,9 +81,9 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokKind::Ident("a".into()),
-                TokKind::Ident("b".into()),
-                TokKind::Eof
+                (TokKind::Ident, "a"),
+                (TokKind::Ident, "b"),
+                (TokKind::Eof, "")
             ]
         );
     }
@@ -236,13 +91,19 @@ mod tests {
     #[test]
     fn positions_are_tracked() {
         let toks = lex("x\n  y").expect("lexes");
-        assert_eq!((toks[0].line, toks[0].column), (1, 1));
-        assert_eq!((toks[1].line, toks[1].column), (2, 3));
+        let t = toks.tokens();
+        assert_eq!(toks.line_col(t[0].start as usize), (1, 1));
+        assert_eq!(toks.line_col(t[1].start as usize), (2, 3));
     }
 
     #[test]
     fn rejects_garbage() {
         assert!(lex("a $ b").is_err());
         assert!(lex("a . b").is_err());
+        let e = lex("VAR\n  x : 0..99999999999999999999;").unwrap_err();
+        assert_eq!((e.line, e.column), (2, 10));
+        assert_eq!(e.message, "integer `99999999999999999999` out of range");
+        let e = lex("a\n . b").unwrap_err();
+        assert_eq!(e.to_string(), "model error at 2:2: unexpected '.'");
     }
 }

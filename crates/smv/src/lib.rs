@@ -17,10 +17,16 @@
 //!   next-state functions with exhaustive `case` expressions
 //! - `DEFINE full := count = 7;` — macros, exported as named signals
 //! - `SPEC <ACTL property>;` — properties in the acceptable subset,
-//!   parsed once by [`parse_module`] for their signal names (see
-//!   [`SpecDecl`]) and again by compile into formulas
+//!   read once by [`parse_module`] from the deck's tokens for their
+//!   signal names (see [`SpecDecl`]) and again by compile into formulas;
+//!   a comparison may name a negative literal (`x = -3`)
 //! - `FAIRNESS <proposition>;` — fairness constraints (Section 4.3)
 //! - `OBSERVED count, full;` — observed signals for coverage (extension)
+//!
+//! The deck and its properties share one tokenizer
+//! ([`covest_ctl::tokenize`]), and expressions and property bodies nest
+//! at most [`MAX_DEPTH`] levels (parentheses, `!`, temporal operators,
+//! `case`); deeper input is a [`ModelError`] with a line and column.
 //!
 //! # Example
 //!
@@ -61,6 +67,7 @@ pub use ast::{
 pub use compile::{
     compile_module, compile_module_with, decl_bit_names, decl_bit_width, CompiledModel,
 };
+pub use covest_ctl::MAX_DEPTH;
 pub use error::ModelError;
 pub use lex::{lex, TokKind, Token};
 pub use parse::parse_module;

@@ -1,63 +1,87 @@
 //! Parser for the modeling language.
+//!
+//! The deck is lexed once by the shared tokenizer; `SPEC` and
+//! `FAIRNESS` bodies are read by the CTL grammar straight from the
+//! deck's tokens ([`covest_ctl::BodyReader`]).
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::sync::Arc;
+
+use covest_ctl::{int_value, too_deep_message, Body, BodyReader, MAX_DEPTH};
 
 use crate::ast::{
     range_values, Assign, BinOp, Define, Expr, Module, ObservedDecl, SpecDecl, VarDecl, VarType,
     MAX_RANGE_VALUES,
 };
 use crate::error::ModelError;
-use crate::lex::{lex, TokKind, Token};
+use crate::lex::{lex, TokKind, Token, Tokens};
 
 const SECTIONS: &[&str] = &[
     "MODULE", "VAR", "IVAR", "ASSIGN", "DEFINE", "SPEC", "FAIRNESS", "OBSERVED",
 ];
 
-/// A recursive-descent parser over the lexed tokens. It never
-/// backtracks, so a consumed token is never read again: identifiers and
-/// other payloads are moved out of the token list, not cloned.
-struct Parser {
-    toks: Vec<Token>,
+/// A recursive-descent parser over the deck's tokens. It never
+/// backtracks; identifiers are copied out of the source only where the
+/// syntax tree keeps them.
+struct Parser<'a> {
+    toks: Tokens<'a>,
     idx: usize,
+    /// Open nesting levels of the current expression.
+    depth: usize,
     /// The signal names of the deck's properties, one allocation each.
     names: BTreeSet<Arc<str>>,
+    /// The property grammar's buffers, shared by the deck's bodies.
+    bodies: BodyReader,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokKind {
-        &self.toks[self.idx].kind
+impl<'a> Parser<'a> {
+    fn tok(&self) -> Token {
+        self.toks.tokens()[self.idx]
     }
 
-    fn peek_tok(&self) -> &Token {
-        &self.toks[self.idx]
+    fn peek(&self) -> TokKind {
+        self.tok().kind
+    }
+
+    /// The current token's text.
+    fn text(&self) -> &'a str {
+        self.toks.text(self.tok())
+    }
+
+    /// The current token is the identifier `word`.
+    fn at_word(&self, word: &str) -> bool {
+        self.peek() == TokKind::Ident && self.text() == word
+    }
+
+    fn line(&self) -> usize {
+        self.toks.line_col(self.tok().start as usize).0
     }
 
     /// Moves past the current token; the final `Eof` is never passed.
     fn bump(&mut self) {
-        if self.idx < self.toks.len() - 1 {
+        if self.idx < self.toks.tokens().len() - 1 {
             self.idx += 1;
         }
     }
 
-    /// Consumes the current token and returns its kind, moved out of the
-    /// token list. At the final `Eof` this returns `Eof` and stays put.
-    fn next(&mut self) -> TokKind {
-        if self.idx == self.toks.len() - 1 {
-            return TokKind::Eof;
-        }
-        let kind = std::mem::replace(&mut self.toks[self.idx].kind, TokKind::Eof);
-        self.idx += 1;
-        kind
+    /// Consumes the current token and returns it. At the final `Eof`
+    /// this returns `Eof` and stays put.
+    fn next(&mut self) -> Token {
+        let tok = self.tok();
+        self.bump();
+        tok
+    }
+
+    fn error_at(&self, tok: Token, message: impl Into<String>) -> ModelError {
+        let (line, column) = self.toks.line_col(tok.start as usize);
+        ModelError::new(line, column, message)
     }
 
     fn err(&self, message: impl Into<String>) -> ModelError {
-        let t = self.peek_tok();
-        ModelError::new(t.line, t.column, message)
+        self.error_at(self.tok(), message)
     }
 
-    fn expect(&mut self, kind: &TokKind, what: &str) -> Result<(), ModelError> {
+    fn expect(&mut self, kind: TokKind, what: &str) -> Result<(), ModelError> {
         if self.peek() == kind {
             self.bump();
             Ok(())
@@ -66,24 +90,38 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, ModelError> {
-        let TokKind::Ident(s) = &mut self.toks[self.idx].kind else {
+    fn expect_ident(&mut self, what: &str) -> Result<&'a str, ModelError> {
+        if self.peek() != TokKind::Ident {
             return Err(self.err(format!("expected {what}")));
-        };
-        let s = std::mem::take(s);
+        }
+        let text = self.text();
         self.bump();
-        Ok(s)
+        Ok(text)
+    }
+
+    /// The value of the integer `tok`, `None` for any other token.
+    fn int(&self, tok: Token) -> Option<i64> {
+        (tok.kind == TokKind::Int).then(|| int_value(self.toks.text(tok)))
+    }
+
+    /// Opens one nesting level at the current token.
+    fn enter(&mut self) -> Result<(), ModelError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(too_deep_message()));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn at_section(&self) -> bool {
-        matches!(self.peek(), TokKind::Ident(s) if SECTIONS.contains(&s.as_str()))
-            || matches!(self.peek(), TokKind::Eof)
+        (self.peek() == TokKind::Ident && SECTIONS.contains(&self.text()))
+            || self.peek() == TokKind::Eof
     }
 
     fn parse_module(&mut self) -> Result<Module, ModelError> {
         let mut m = Module::default();
         // Optional MODULE header.
-        if matches!(self.peek(), TokKind::Ident(s) if s == "MODULE") {
+        if self.at_word("MODULE") {
             self.bump();
             let name = self.expect_ident("module name")?;
             if name != "main" {
@@ -93,10 +131,10 @@ impl Parser {
         loop {
             let section = match self.peek() {
                 TokKind::Eof => break,
-                TokKind::Ident(s) => SECTIONS.iter().copied().find(|k| k == s),
+                TokKind::Ident => SECTIONS.iter().copied().find(|&k| k == self.text()),
                 _ => None,
             };
-            let line = self.peek_tok().line;
+            let line = self.line();
             match section {
                 Some(sec @ ("VAR" | "IVAR")) => {
                     self.bump();
@@ -115,37 +153,37 @@ impl Parser {
                 Some("DEFINE") => {
                     self.bump();
                     while !self.at_section() {
-                        let line = self.peek_tok().line;
-                        let name = self.expect_ident("DEFINE name")?;
-                        self.expect(&TokKind::Assign, "`:=`")?;
+                        let line = self.line();
+                        let name = self.expect_ident("DEFINE name")?.to_owned();
+                        self.expect(TokKind::Assign, "`:=`")?;
                         let expr = self.parse_expr()?;
-                        self.expect(&TokKind::Semi, "`;`")?;
+                        self.expect(TokKind::Semi, "`;`")?;
                         m.defines.push(Define { name, expr, line });
                     }
                 }
                 Some("SPEC") => {
                     self.bump();
-                    let text = self.capture_until_semi()?;
-                    m.specs.push(SpecDecl::new(text, line, &mut self.names));
+                    let decl = self.parse_body(line)?;
+                    m.specs.push(decl);
                 }
                 Some("FAIRNESS") => {
                     self.bump();
-                    let text = self.capture_until_semi()?;
-                    m.fairness.push(SpecDecl::new(text, line, &mut self.names));
+                    let decl = self.parse_body(line)?;
+                    m.fairness.push(decl);
                 }
                 Some("OBSERVED") => {
                     self.bump();
                     loop {
-                        let line = self.peek_tok().line;
-                        let name = self.expect_ident("signal name")?;
+                        let line = self.line();
+                        let name = self.expect_ident("signal name")?.to_owned();
                         m.observed.push(ObservedDecl { name, line });
-                        if self.peek() == &TokKind::Comma {
+                        if self.peek() == TokKind::Comma {
                             self.bump();
                         } else {
                             break;
                         }
                     }
-                    self.expect(&TokKind::Semi, "`;`")?;
+                    self.expect(TokKind::Semi, "`;`")?;
                 }
                 _ => return Err(self.err("expected a section keyword")),
             }
@@ -154,49 +192,22 @@ impl Parser {
     }
 
     fn parse_var_decl(&mut self, input: bool) -> Result<VarDecl, ModelError> {
-        let (line, column) = (self.peek_tok().line, self.peek_tok().column);
-        let name = self.expect_ident("variable name")?;
-        self.expect(&TokKind::Colon, "`:`")?;
+        let decl = self.tok();
+        let line = self.line();
+        let name = self.expect_ident("variable name")?.to_owned();
+        self.expect(TokKind::Colon, "`:`")?;
         let ty = match self.peek() {
-            TokKind::Ident(s) if s == "boolean" => {
+            TokKind::Ident if self.text() == "boolean" => {
                 self.bump();
                 VarType::Boolean
             }
-            &TokKind::Int(lo) => {
-                self.bump();
-                self.expect(&TokKind::DotDot, "`..`")?;
-                let hi = match self.next() {
-                    TokKind::Int(h) => h,
-                    _ => return Err(self.err("expected range upper bound")),
-                };
-                if hi < lo {
-                    return Err(self.err(format!("empty range {lo}..{hi}")));
-                }
-                VarType::Range(lo, hi)
-            }
-            TokKind::Minus => {
-                self.bump();
-                let lo = match self.next() {
-                    TokKind::Int(l) => -l,
-                    _ => return Err(self.err("expected range lower bound")),
-                };
-                self.expect(&TokKind::DotDot, "`..`")?;
-                let neg = if self.peek() == &TokKind::Minus {
-                    self.bump();
-                    true
-                } else {
-                    false
-                };
-                let hi = match self.next() {
-                    TokKind::Int(h) => {
-                        if neg {
-                            -h
-                        } else {
-                            h
-                        }
-                    }
-                    _ => return Err(self.err("expected range upper bound")),
-                };
+            TokKind::Int | TokKind::Minus => {
+                // Only a range with a negative lower bound may spell a
+                // negative upper bound.
+                let signed = self.peek() == TokKind::Minus;
+                let lo = self.parse_bound("range lower bound", signed)?;
+                self.expect(TokKind::DotDot, "`..`")?;
+                let hi = self.parse_bound("range upper bound", signed)?;
                 if hi < lo {
                     return Err(self.err(format!("empty range {lo}..{hi}")));
                 }
@@ -206,8 +217,8 @@ impl Parser {
                 self.bump();
                 let mut lits = Vec::new();
                 loop {
-                    lits.push(self.expect_ident("enumeration literal")?);
-                    match self.next() {
+                    lits.push(self.expect_ident("enumeration literal")?.to_owned());
+                    match self.next().kind {
                         TokKind::Comma => continue,
                         TokKind::RBrace => break,
                         _ => return Err(self.err("expected `,` or `}`")),
@@ -219,14 +230,13 @@ impl Parser {
         };
         if let VarType::Range(lo, hi) = ty {
             if range_values(lo, hi).is_none() {
-                return Err(ModelError::new(
-                    line,
-                    column,
+                return Err(self.error_at(
+                    decl,
                     format!("range {lo}..{hi} of `{name}` has more than {MAX_RANGE_VALUES} values"),
                 ));
             }
         }
-        self.expect(&TokKind::Semi, "`;`")?;
+        self.expect(TokKind::Semi, "`;`")?;
         Ok(VarDecl {
             name,
             ty,
@@ -235,18 +245,32 @@ impl Parser {
         })
     }
 
+    /// A range bound: an integer, negated by a leading `-` when `signed`.
+    fn parse_bound(&mut self, what: &str, signed: bool) -> Result<i64, ModelError> {
+        let negative = signed && self.peek() == TokKind::Minus;
+        if negative {
+            self.bump();
+        }
+        let tok = self.next();
+        match self.int(tok) {
+            Some(v) if negative => Ok(-v),
+            Some(v) => Ok(v),
+            None => Err(self.err(format!("expected {what}"))),
+        }
+    }
+
     fn parse_assign(&mut self, m: &mut Module) -> Result<(), ModelError> {
-        let line = self.peek_tok().line;
+        let line = self.line();
         let kw = self.expect_ident("`init` or `next`")?;
         if kw != "init" && kw != "next" {
             return Err(self.err("expected `init(...)` or `next(...)`"));
         }
-        self.expect(&TokKind::LParen, "`(`")?;
-        let name = self.expect_ident("variable name")?;
-        self.expect(&TokKind::RParen, "`)`")?;
-        self.expect(&TokKind::Assign, "`:=`")?;
+        self.expect(TokKind::LParen, "`(`")?;
+        let name = self.expect_ident("variable name")?.to_owned();
+        self.expect(TokKind::RParen, "`)`")?;
+        self.expect(TokKind::Assign, "`:=`")?;
         let expr = self.parse_expr()?;
-        self.expect(&TokKind::Semi, "`;`")?;
+        self.expect(TokKind::Semi, "`;`")?;
         let assign = Assign { name, expr, line };
         if kw == "init" {
             m.inits.push(assign);
@@ -256,30 +280,43 @@ impl Parser {
         Ok(())
     }
 
-    /// Re-serializes tokens up to the terminating `;`, separated by single
-    /// spaces (for SPEC/FAIRNESS bodies handed to the CTL parser).
-    fn capture_until_semi(&mut self) -> Result<String, ModelError> {
-        let mut text = String::new();
-        loop {
-            match self.peek() {
-                TokKind::Semi => {
-                    self.bump();
-                    break;
-                }
-                TokKind::Eof => return Err(self.err("unterminated SPEC/FAIRNESS (missing `;`)")),
-                kind => {
-                    if !text.is_empty() {
-                        text.push(' ');
-                    }
-                    push_tok_text(&mut text, kind);
-                    self.bump();
-                }
-            }
+    /// Reads a SPEC/FAIRNESS body up to its terminating `;` with the CTL
+    /// grammar, straight from the deck's tokens.
+    fn parse_body(&mut self, line: usize) -> Result<SpecDecl, ModelError> {
+        let start = self.idx;
+        while !matches!(self.peek(), TokKind::Semi | TokKind::Eof) {
+            self.bump();
         }
-        if text.is_empty() {
+        if self.peek() == TokKind::Eof {
+            return Err(self.err("unterminated SPEC/FAIRNESS (missing `;`)"));
+        }
+        let end = self.idx;
+        self.bump();
+        if start == end {
             return Err(self.err("empty SPEC/FAIRNESS body"));
         }
-        Ok(text)
+        let src = self.toks.source();
+        let body = &self.toks.tokens()[start..end];
+        let mut text = String::new();
+        let signals = match self.bodies.read(src, body, &mut text) {
+            Body::Signals(found) => Ok(found
+                .iter()
+                .map(|&i| {
+                    let name = &src[body[i as usize].span()];
+                    match self.names.get(name) {
+                        Some(shared) => Arc::clone(shared),
+                        None => {
+                            let shared: Arc<str> = name.into();
+                            self.names.insert(Arc::clone(&shared));
+                            shared
+                        }
+                    }
+                })
+                .collect()),
+            Body::Rejected(e) => Err(Box::new(e)),
+            Body::TooDeep(i) => return Err(self.error_at(body[i], too_deep_message())),
+        };
+        Ok(SpecDecl::new(text, line, signals))
     }
 
     // Expression grammar, loosest binding first.
@@ -289,7 +326,7 @@ impl Parser {
 
     fn parse_iff(&mut self) -> Result<Expr, ModelError> {
         let mut lhs = self.parse_implies()?;
-        while self.peek() == &TokKind::DArrow {
+        while self.peek() == TokKind::DArrow {
             self.bump();
             let rhs = self.parse_implies()?;
             lhs = Expr::bin(BinOp::Iff, lhs, rhs);
@@ -297,15 +334,23 @@ impl Parser {
         Ok(lhs)
     }
 
+    /// A right-associative chain, parsed in a loop so that its length
+    /// costs no stack.
     fn parse_implies(&mut self) -> Result<Expr, ModelError> {
-        let lhs = self.parse_or()?;
-        if self.peek() == &TokKind::Arrow {
-            self.bump();
-            let rhs = self.parse_implies()?;
-            Ok(Expr::bin(BinOp::Implies, lhs, rhs))
-        } else {
-            Ok(lhs)
+        let mut rhs = self.parse_or()?;
+        if self.peek() != TokKind::Arrow {
+            return Ok(rhs);
         }
+        let mut antecedents = Vec::new();
+        while self.peek() == TokKind::Arrow {
+            self.bump();
+            let next = self.parse_or()?;
+            antecedents.push(std::mem::replace(&mut rhs, next));
+        }
+        Ok(antecedents
+            .into_iter()
+            .rev()
+            .fold(rhs, |rhs, lhs| Expr::bin(BinOp::Implies, lhs, rhs)))
     }
 
     fn parse_or(&mut self) -> Result<Expr, ModelError> {
@@ -313,7 +358,7 @@ impl Parser {
         loop {
             let op = match self.peek() {
                 TokKind::Pipe => BinOp::Or,
-                TokKind::Ident(s) if s == "xor" => BinOp::Xor,
+                TokKind::Ident if self.text() == "xor" => BinOp::Xor,
                 _ => return Ok(lhs),
             };
             self.bump();
@@ -324,7 +369,7 @@ impl Parser {
 
     fn parse_and(&mut self) -> Result<Expr, ModelError> {
         let mut lhs = self.parse_cmp()?;
-        while self.peek() == &TokKind::Amp {
+        while self.peek() == TokKind::Amp {
             self.bump();
             let rhs = self.parse_cmp()?;
             lhs = Expr::bin(BinOp::And, lhs, rhs);
@@ -335,45 +380,36 @@ impl Parser {
     fn parse_cmp(&mut self) -> Result<Expr, ModelError> {
         let lhs = self.parse_sum()?;
         let op = match self.peek() {
-            TokKind::Eq => Some(BinOp::Eq),
-            TokKind::Ne => Some(BinOp::Ne),
-            TokKind::Lt => Some(BinOp::Lt),
-            TokKind::Le => Some(BinOp::Le),
-            TokKind::Gt => Some(BinOp::Gt),
-            TokKind::Ge => Some(BinOp::Ge),
-            _ => None,
+            TokKind::Eq => BinOp::Eq,
+            TokKind::Ne => BinOp::Ne,
+            TokKind::Lt => BinOp::Lt,
+            TokKind::Le => BinOp::Le,
+            TokKind::Gt => BinOp::Gt,
+            TokKind::Ge => BinOp::Ge,
+            _ => return Ok(lhs),
         };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.parse_sum()?;
-            Ok(Expr::bin(op, lhs, rhs))
-        } else {
-            Ok(lhs)
-        }
+        self.bump();
+        let rhs = self.parse_sum()?;
+        Ok(Expr::bin(op, lhs, rhs))
     }
 
     fn parse_sum(&mut self) -> Result<Expr, ModelError> {
         let mut lhs = self.parse_term()?;
         loop {
-            match self.peek() {
-                TokKind::Plus => {
-                    self.bump();
-                    let rhs = self.parse_term()?;
-                    lhs = Expr::bin(BinOp::Add, lhs, rhs);
-                }
-                TokKind::Minus => {
-                    self.bump();
-                    let rhs = self.parse_term()?;
-                    lhs = Expr::bin(BinOp::Sub, lhs, rhs);
-                }
+            let op = match self.peek() {
+                TokKind::Plus => BinOp::Add,
+                TokKind::Minus => BinOp::Sub,
                 _ => return Ok(lhs),
-            }
+            };
+            self.bump();
+            let rhs = self.parse_term()?;
+            lhs = Expr::bin(op, lhs, rhs);
         }
     }
 
     fn parse_term(&mut self) -> Result<Expr, ModelError> {
         let mut lhs = self.parse_unary()?;
-        while matches!(self.peek(), TokKind::Ident(s) if s == "mod") {
+        while self.at_word("mod") {
             self.bump();
             let rhs = self.parse_unary()?;
             lhs = Expr::bin(BinOp::Mod, lhs, rhs);
@@ -384,15 +420,18 @@ impl Parser {
     fn parse_unary(&mut self) -> Result<Expr, ModelError> {
         match self.peek() {
             TokKind::Bang => {
+                self.enter()?;
                 self.bump();
                 let e = self.parse_unary()?;
+                self.depth -= 1;
                 Ok(e.not())
             }
             TokKind::Minus => {
                 self.bump();
-                match self.next() {
-                    TokKind::Int(v) => Ok(Expr::Int(-v)),
-                    _ => Err(self.err("expected integer after unary `-`")),
+                let tok = self.next();
+                match self.int(tok) {
+                    Some(v) => Ok(Expr::Int(-v)),
+                    None => Err(self.err("expected integer after unary `-`")),
                 }
             }
             _ => self.parse_primary(),
@@ -402,96 +441,72 @@ impl Parser {
     fn parse_primary(&mut self) -> Result<Expr, ModelError> {
         match self.peek() {
             TokKind::LParen => {
+                self.enter()?;
                 self.bump();
                 let e = self.parse_expr()?;
-                self.expect(&TokKind::RParen, "`)`")?;
+                self.expect(TokKind::RParen, "`)`")?;
+                self.depth -= 1;
                 Ok(e)
             }
-            &TokKind::Int(v) => {
+            TokKind::Int => {
+                let value = int_value(self.text());
                 self.bump();
-                Ok(Expr::Int(v))
+                Ok(Expr::Int(value))
             }
-            TokKind::Ident(s) if s == "TRUE" => {
-                self.bump();
-                Ok(Expr::Bool(true))
-            }
-            TokKind::Ident(s) if s == "FALSE" => {
-                self.bump();
-                Ok(Expr::Bool(false))
-            }
-            TokKind::Ident(s) if s == "case" => {
-                self.bump();
-                let mut arms = Vec::new();
-                loop {
-                    if matches!(self.peek(), TokKind::Ident(e) if e == "esac") {
-                        self.bump();
-                        break;
+            TokKind::Ident => match self.text() {
+                "TRUE" => {
+                    self.bump();
+                    Ok(Expr::Bool(true))
+                }
+                "FALSE" => {
+                    self.bump();
+                    Ok(Expr::Bool(false))
+                }
+                "case" => {
+                    self.enter()?;
+                    self.bump();
+                    let mut arms = Vec::new();
+                    loop {
+                        if self.at_word("esac") {
+                            self.bump();
+                            break;
+                        }
+                        let guard = self.parse_expr()?;
+                        self.expect(TokKind::Colon, "`:`")?;
+                        let value = self.parse_expr()?;
+                        self.expect(TokKind::Semi, "`;`")?;
+                        arms.push((guard, value));
                     }
-                    let guard = self.parse_expr()?;
-                    self.expect(&TokKind::Colon, "`:`")?;
-                    let value = self.parse_expr()?;
-                    self.expect(&TokKind::Semi, "`;`")?;
-                    arms.push((guard, value));
+                    if arms.is_empty() {
+                        return Err(self.err("empty case expression"));
+                    }
+                    self.depth -= 1;
+                    Ok(Expr::Case(arms))
                 }
-                if arms.is_empty() {
-                    return Err(self.err("empty case expression"));
+                name => {
+                    self.bump();
+                    Ok(Expr::Name(name.to_owned()))
                 }
-                Ok(Expr::Case(arms))
-            }
-            TokKind::Ident(_) => Ok(Expr::Name(self.expect_ident("an expression")?)),
+            },
             _ => Err(self.err("expected an expression")),
         }
     }
-}
-
-/// Appends the source spelling of a token to `out`.
-fn push_tok_text(out: &mut String, kind: &TokKind) {
-    let text = match kind {
-        TokKind::Ident(s) => s,
-        TokKind::Int(v) => {
-            let _ = write!(out, "{v}");
-            return;
-        }
-        TokKind::LParen => "(",
-        TokKind::RParen => ")",
-        TokKind::LBrace => "{",
-        TokKind::RBrace => "}",
-        TokKind::LBracket => "[",
-        TokKind::RBracket => "]",
-        TokKind::Colon => ":",
-        TokKind::Semi => ";",
-        TokKind::Comma => ",",
-        TokKind::DotDot => "..",
-        TokKind::Assign => ":=",
-        TokKind::Bang => "!",
-        TokKind::Amp => "&",
-        TokKind::Pipe => "|",
-        TokKind::Arrow => "->",
-        TokKind::DArrow => "<->",
-        TokKind::Eq => "=",
-        TokKind::Ne => "!=",
-        TokKind::Lt => "<",
-        TokKind::Le => "<=",
-        TokKind::Gt => ">",
-        TokKind::Ge => ">=",
-        TokKind::Plus => "+",
-        TokKind::Minus => "-",
-        TokKind::Eof => "",
-    };
-    out.push_str(text);
 }
 
 /// Parses a model deck into a [`Module`].
 ///
 /// # Errors
 ///
-/// Returns [`ModelError`] with a source position on malformed input.
+/// Returns [`ModelError`] with a source position on malformed input,
+/// including expressions and property bodies that nest deeper than
+/// [`covest_ctl::MAX_DEPTH`] levels.
 pub fn parse_module(src: &str) -> Result<Module, ModelError> {
-    let toks = lex(src)?;
     let mut p = Parser {
-        toks,
+        toks: lex(src)?,
         idx: 0,
+        depth: 0,
         names: BTreeSet::new(),
+        bodies: BodyReader::default(),
     };
     p.parse_module()
 }

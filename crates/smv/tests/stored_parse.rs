@@ -2,14 +2,16 @@
 //! stores what static analysis needs. These tests hold that stored
 //! result to the CTL parser's own: the same signal names in the same
 //! order, or an error with the same text. They also hold
-//! `Module::property_error` to the error compile reports.
+//! `Module::property_error` to the error compile reports, and check on
+//! the same decks that a machine's cached reachable set is closed under
+//! successors, which `ModelChecker::set_care` relies on without
+//! re-checking it.
 
-use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use covest_bdd::BddManager;
-use covest_circuits::{counter, pipeline};
-use covest_ctl::{parse_formula, Formula};
+use covest_circuits::sized_decks;
+use covest_ctl::parse_formula;
 use covest_smv::{compile, parse_module};
 
 /// Checks every property of `src`; returns how many there were, or
@@ -46,32 +48,21 @@ fn decks_in(dir: &Path) -> Vec<(String, String)> {
     decks
 }
 
-fn with_specs(mut deck: String, specs: &[Formula]) -> String {
-    for spec in specs {
-        writeln!(deck, "SPEC {spec};").expect("write to string");
-    }
-    deck
+fn models() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models")
+}
+
+/// `models/*.smv` and the `gen-models --size 6` decks.
+fn bundled_and_sized_decks() -> Vec<(String, String)> {
+    let mut decks = decks_in(&models());
+    decks.extend(sized_decks(6));
+    decks
 }
 
 #[test]
 fn stored_property_parse_matches_the_ctl_parser() {
-    let models = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models");
-    let mut decks = decks_in(&models);
-    decks.extend(decks_in(&models.join("lint_fixtures")));
-    // The `gen-models --size 6` decks.
-    decks.push((
-        "counter_m6".into(),
-        with_specs(
-            counter::deck_sized(6),
-            &counter::increment_properties_sized(6),
-        ),
-    ));
-    let mut suite = pipeline::out_suite_initial(6);
-    suite.extend(pipeline::out_suite_hold());
-    decks.push((
-        "pipeline_d6".into(),
-        with_specs(pipeline::deck_sized(6), &suite),
-    ));
+    let mut decks = bundled_and_sized_decks();
+    decks.extend(decks_in(&models().join("lint_fixtures")));
     // Bodies the CTL parser rejects, or accepts where compile would not.
     decks.push((
         "bad-bodies".into(),
@@ -90,6 +81,26 @@ fn stored_property_parse_matches_the_ctl_parser() {
     }
     assert_eq!(unparsed, 1, "only the parse_error fixture fails to parse");
     assert!(properties >= 60, "{properties} properties checked");
+}
+
+#[test]
+fn reachable_sets_are_closed_under_successors() {
+    let decks = bundled_and_sized_decks();
+    assert!(decks.len() >= 6, "{} decks", decks.len());
+    for (name, src) in &decks {
+        let model = compile(&BddManager::new(), src).expect(name);
+        let fsm = &model.fsm;
+        let reach = fsm.reachable();
+        assert!(
+            fsm.image(&reach).leq(&reach),
+            "{name}: image(reach) ⊄ reach"
+        );
+        assert!(fsm.is_cached_reachable(&reach), "{name}: reach is cached");
+        assert!(
+            !fsm.is_cached_reachable(&reach.not()),
+            "{name}: only the cached set matches"
+        );
+    }
 }
 
 #[test]
