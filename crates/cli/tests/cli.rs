@@ -976,6 +976,23 @@ fn sized_decks(n: u32) -> Vec<(String, String)> {
     ]
 }
 
+/// Every bundled deck, then the `gen-models --size 6` decks written
+/// into `dir`.
+fn bundled_and_sized_decks(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut decks: Vec<std::path::PathBuf> = std::fs::read_dir(repo_root().join("models"))
+        .expect("models directory")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "smv"))
+        .collect();
+    decks.sort();
+    for (name, source) in sized_decks(6) {
+        let path = dir.join(name);
+        std::fs::write(&path, source).expect("write deck");
+        decks.push(path);
+    }
+    decks
+}
+
 /// A deck observing two signals with disjoint cones and no property.
 const SPECLESS_DECK: &str = "MODULE main\nVAR a : boolean;\n    b : boolean;\nASSIGN\n  \
                              init(a) := FALSE;\n  next(a) := !a;\n  init(b) := FALSE;\n  \
@@ -1006,20 +1023,10 @@ fn scrub_ms(s: &str) -> String {
 fn check_rows_equal_one_deck_batch_rows() {
     let dir = std::env::temp_dir().join("covest-check-vs-batch");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let mut decks: Vec<std::path::PathBuf> = std::fs::read_dir(repo_root().join("models"))
-        .expect("models directory")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "smv"))
-        .collect();
-    decks.sort();
-    let generated = sized_decks(6)
-        .into_iter()
-        .chain([("specless.smv".to_owned(), SPECLESS_DECK.to_owned())]);
-    for (name, source) in generated {
-        let path = dir.join(name);
-        std::fs::write(&path, source).expect("write deck");
-        decks.push(path);
-    }
+    let mut decks = bundled_and_sized_decks(&dir);
+    let specless = dir.join("specless.smv");
+    std::fs::write(&specless, SPECLESS_DECK).expect("write deck");
+    decks.push(specless);
     let (check_json, batch_json, joblist) = (
         dir.join("check.json"),
         dir.join("batch.json"),
@@ -1082,6 +1089,55 @@ fn check_verifies_once_per_machine() {
         .filter(|l| l.contains("\"name\":\"signal:"))
         .count();
     assert_eq!(signals, 2, "{log}");
+}
+
+/// The raw value of `"key":` in a one-line JSON trace record.
+fn record_field<'a>(line: &'a str, key: &str) -> &'a str {
+    let at = line.find(&format!("\"{key}\":")).expect("field present") + key.len() + 3;
+    let len = line[at..].find([',', '}']).expect("value ends");
+    &line[at..at + len]
+}
+
+/// Coverage reuses the reach phase's fixpoint: every bundled and
+/// `--size 6` suite starts its `AG`s at the initial states, so no
+/// `reachability` span sits under a `coverage` span.
+#[test]
+fn coverage_runs_no_reachability_fixpoint() {
+    let dir = std::env::temp_dir().join("covest-flow-trace");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let trace = dir.join("trace.jsonl");
+    for deck in bundled_and_sized_decks(&dir) {
+        let out = covest()
+            .arg("check")
+            .arg(&deck)
+            .args(["--coverage", "--trace"])
+            .arg(&trace)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "check {}", deck.display());
+        let log = std::fs::read_to_string(&trace).expect("trace written");
+        let spans: std::collections::HashMap<&str, (&str, &str)> = log
+            .lines()
+            .filter(|l| record_field(l, "type") == "\"span\"")
+            .map(|l| {
+                let field = |key| record_field(l, key);
+                (field("id"), (field("parent"), field("name")))
+            })
+            .collect();
+        let count = |n: &str| spans.values().filter(|&&(_, name)| name == n).count();
+        assert!(count("\"coverage\"") > 0, "{}", deck.display());
+        assert!(count("\"reachability\"") > 0, "{}", deck.display());
+        for (id, &(mut parent, name)) in &spans {
+            if name != "\"reachability\"" {
+                continue;
+            }
+            while let Some(&(up, above)) = spans.get(parent) {
+                assert_ne!(above, "\"coverage\"", "{}: span {id}", deck.display());
+                parent = up;
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// A property naming an unknown signal fails verification, which runs

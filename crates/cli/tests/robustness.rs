@@ -250,6 +250,47 @@ fn nesting_at_the_bound_runs_on_spawned_threads() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A deck whose boolean and integer `case`s nest `depth` levels deep in
+/// their first arms.
+fn nested_case_deck(depth: usize) -> String {
+    let (mut b, mut n) = ("x".to_owned(), "k".to_owned());
+    for level in 0..depth {
+        let guard = if level % 2 == 0 { "y" } else { "!y" };
+        b = format!("case {guard} : {b}; TRUE : !x; esac");
+        n = format!("case {guard} : {n}; k < 3 : k + 1; TRUE : 0; esac");
+    }
+    format!(
+        "MODULE main\nVAR x : boolean;\n    k : 0..3;\nIVAR y : boolean;\nASSIGN\n  \
+         init(x) := FALSE;\n  next(x) := {b};\n  init(k) := 0;\n  next(k) := {n};\n\
+         SPEC AG (k <= 3);\nOBSERVED x, k;\n"
+    )
+}
+
+/// `case` nested in first arms as deep as the parser allows compiles in
+/// time linear in the depth: each arm is evaluated once, where arm 0's
+/// second evaluation used to double the work at every level. One more
+/// level is the depth error.
+#[test]
+fn nested_case_at_the_bound_compiles_quickly() {
+    let dir = fresh_dir("nested-case");
+    let deck = dir.join("nested_case.smv");
+    std::fs::write(&deck, nested_case_deck(covest_smv::MAX_DEPTH - 1)).expect("deck");
+    let out = output_within(covest().arg("check").arg(&deck).arg("--coverage"), 60);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out));
+    assert!(
+        text(&out).contains("[PASS] SPEC AG k <= 3"),
+        "{}",
+        text(&out)
+    );
+
+    std::fs::write(&deck, nested_case_deck(covest_smv::MAX_DEPTH)).expect("deck");
+    let out = output_within(covest().arg("check").arg(&deck), 60);
+    assert_eq!(out.status.code(), Some(1), "{}", text(&out));
+    let message = format!("nests deeper than {} levels", covest_smv::MAX_DEPTH);
+    assert!(text(&out).contains(&message), "{}", text(&out));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// The decks a mutation starts from: `models/*.smv`, the lint fixtures
 /// and the `gen-models --size 6` decks.
 fn seed_decks() -> Vec<(String, String)> {

@@ -17,6 +17,14 @@
 //! covered set (per Definition 3) of the *observability-transformed*
 //! formula `φ(g)` for observed signal `q'` — the algorithm never has to
 //! build the transformed formula (Correctness Theorem, Section 3).
+//!
+//! The observed signal enters only at the `b` leaves. So the recursion
+//! runs once per property, as its [`Flow`]: the start set at each leaf,
+//! plus whether some implication's trigger `S0 ∩ T(b)` is empty (the
+//! property is then vacuous). Each observed signal then costs one
+//! `depend` and one conjunction per leaf, and no fixpoint.
+
+use std::slice::Iter;
 
 use covest_bdd::Func;
 use covest_ctl::{Ctl, Formula, PropExpr, SignalRef};
@@ -24,6 +32,17 @@ use covest_fsm::{SignalValue, SymbolicFsm};
 use covest_mc::ModelChecker;
 
 use crate::error::CoverageError;
+
+/// A property's start-set flow through Table 1 from one start set: the
+/// start set `S0` reaching each propositional leaf `b`, in the formula's
+/// left-to-right leaf order, and whether some implication's trigger
+/// `S0 ∩ T(b)` is empty. It does not depend on the observed signal.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Flow {
+    leaves: Vec<Func>,
+    /// Some implication never triggers: the property passes vacuously.
+    pub(crate) vacuous: bool,
+}
 
 /// The covered-set computation engine for one machine and one observed
 /// signal.
@@ -56,20 +75,7 @@ impl<'m> CoveredSets<'m> {
     /// Returns [`CoverageError::UnknownObserved`] if the signal is not
     /// defined on the machine.
     pub fn new(fsm: &'m SymbolicFsm, observed: impl Into<String>) -> Result<Self, CoverageError> {
-        Self::with_checker(ModelChecker::new(fsm), observed)
-    }
-
-    /// Creates the engine reusing an existing checker (keeping its
-    /// fairness constraints and memoized results).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CoveredSets::new`].
-    pub fn with_checker(
-        mc: ModelChecker<'m>,
-        observed: impl Into<String>,
-    ) -> Result<Self, CoverageError> {
-        let mut sets = Self::untargeted(mc);
+        let mut sets = Self::untargeted(ModelChecker::new(fsm));
         sets.retarget(observed)?;
         Ok(sets)
     }
@@ -100,19 +106,9 @@ impl<'m> CoveredSets<'m> {
         Ok(())
     }
 
-    /// The observed signal's name.
-    pub fn observed(&self) -> &str {
-        &self.observed
-    }
-
     /// The underlying model checker.
     pub fn checker_mut(&mut self) -> &mut ModelChecker<'m> {
         &mut self.mc
-    }
-
-    /// The machine under analysis.
-    pub fn fsm(&self) -> &SymbolicFsm {
-        self.mc.fsm()
     }
 
     /// `depend(b) = T(b) ∩ ¬T(b[q := ¬q])`: start states where the truth
@@ -187,51 +183,15 @@ impl<'m> CoveredSets<'m> {
         }
     }
 
-    /// The recursive covered-set computation `C(S0, g)` of Table 1.
-    ///
-    /// `AF` sugar is normalized away first.
+    /// The covered set `C(S0, g)` of Table 1: the property's flow from
+    /// `s0`, then the observed signal at its leaves.
     ///
     /// # Errors
     ///
     /// Returns [`CoverageError::Lower`] for unresolvable atoms.
     pub fn covered(&mut self, s0: &Func, g: &Formula) -> Result<Func, CoverageError> {
-        let g = g.normalize();
-        self.covered_rec(s0, &g)
-    }
-
-    fn covered_rec(&mut self, s0: &Func, g: &Formula) -> Result<Func, CoverageError> {
-        match g {
-            Formula::Prop(b) => {
-                let d = self.depend(b)?;
-                Ok(s0.and(&d))
-            }
-            Formula::Implies(b, f) => {
-                let fsm = self.mc.fsm();
-                let tb = fsm.signals().lower(fsm.manager(), b)?;
-                self.covered_rec(&s0.and(&tb), f)
-            }
-            Formula::Ax(f) => {
-                let s = self.mc.fsm().image(s0);
-                self.covered_rec(&s, f)
-            }
-            Formula::Ag(f) => {
-                let s = self.mc.fsm().reachable_from(s0);
-                self.covered_rec(&s, f)
-            }
-            Formula::Au(f1, f2) => {
-                let trav = self.traverse(s0, f1, f2)?;
-                let c1 = self.covered_rec(&trav, f1)?;
-                let first = self.firstreached(s0, f2)?;
-                let c2 = self.covered_rec(&first, f2)?;
-                Ok(c1.or(&c2))
-            }
-            Formula::And(f1, f2) => {
-                let c1 = self.covered_rec(s0, f1)?;
-                let c2 = self.covered_rec(s0, f2)?;
-                Ok(c1.or(&c2))
-            }
-            Formula::Af(_) => unreachable!("normalize() removes AF"),
-        }
+        let flow = self.flow(s0, g)?;
+        self.covered_by(g, &flow)
     }
 
     /// Covered set of `g` from the machine's initial states: `C(S_I, g)`.
@@ -245,7 +205,7 @@ impl<'m> CoveredSets<'m> {
     }
 
     /// Vacuity check: does some implication inside `g` never trigger
-    /// along the start-set flow of the covered-set recursion?
+    /// along `g`'s flow from the initial states?
     ///
     /// A property like `AG (b -> AX q)` with `b` unsatisfiable on the
     /// reachable states passes *vacuously*: it verifies, covers nothing,
@@ -258,44 +218,90 @@ impl<'m> CoveredSets<'m> {
     /// Returns [`CoverageError::Lower`] for unresolvable atoms.
     pub fn vacuous(&mut self, g: &Formula) -> Result<bool, CoverageError> {
         let init = self.mc.fsm().init().clone();
-        let g = g.normalize();
-        self.vacuous_rec(&init, &g)
+        Ok(self.flow(&init, g)?.vacuous)
     }
 
-    fn vacuous_rec(&mut self, s0: &Func, g: &Formula) -> Result<bool, CoverageError> {
+    /// `g`'s [`Flow`] from `s0`: Table 1's recursion with the leaves left
+    /// open. No rule above the leaves reads the observed signal, so the
+    /// flow serves every signal.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoverageError::Lower`] for unresolvable atoms.
+    pub(crate) fn flow(&mut self, s0: &Func, g: &Formula) -> Result<Flow, CoverageError> {
+        let mut flow = Flow::default();
+        self.flow_rec(s0, g, &mut flow)?;
+        Ok(flow)
+    }
+
+    fn flow_rec(&mut self, s0: &Func, g: &Formula, flow: &mut Flow) -> Result<(), CoverageError> {
         match g {
-            Formula::Prop(_) => Ok(false),
+            Formula::Prop(_) => flow.leaves.push(s0.clone()),
             Formula::Implies(b, f) => {
                 let fsm = self.mc.fsm();
-                let tb = fsm.signals().lower(fsm.manager(), b)?;
-                let trigger = s0.and(&tb);
-                if trigger.is_false() {
-                    return Ok(true);
-                }
-                self.vacuous_rec(&trigger, f)
+                let trigger = s0.and(&fsm.signals().lower(fsm.manager(), b)?);
+                flow.vacuous |= trigger.is_false();
+                self.flow_rec(&trigger, f, flow)?;
             }
             Formula::Ax(f) => {
                 let s = self.mc.fsm().image(s0);
-                self.vacuous_rec(&s, f)
+                self.flow_rec(&s, f, flow)?;
             }
             Formula::Ag(f) => {
-                let s = self.mc.fsm().reachable_from(s0);
-                self.vacuous_rec(&s, f)
+                // From the initial states this is the machine's reachable
+                // set, which the fsm computes once and caches.
+                let fsm = self.mc.fsm();
+                let s = if s0 == fsm.init() {
+                    fsm.reachable()
+                } else {
+                    fsm.reachable_from(s0)
+                };
+                self.flow_rec(&s, f, flow)?;
+            }
+            Formula::Af(f) => {
+                // `A[TRUE U f]`: TRUE's leaf depends on no signal.
+                let first = self.firstreached(s0, f)?;
+                self.flow_rec(&first, f, flow)?;
             }
             Formula::Au(f1, f2) => {
                 let trav = self.traverse(s0, f1, f2)?;
-                let left = self.vacuous_rec(&trav, f1)?;
+                self.flow_rec(&trav, f1, flow)?;
                 let first = self.firstreached(s0, f2)?;
-                let right = self.vacuous_rec(&first, f2)?;
-                Ok(left || right)
+                self.flow_rec(&first, f2, flow)?;
             }
             Formula::And(f1, f2) => {
-                let left = self.vacuous_rec(s0, f1)?;
-                let right = self.vacuous_rec(s0, f2)?;
-                Ok(left || right)
+                self.flow_rec(s0, f1, flow)?;
+                self.flow_rec(s0, f2, flow)?;
             }
-            Formula::Af(_) => unreachable!("normalize() removes AF"),
         }
+        Ok(())
+    }
+
+    /// The observed signal's covered set from `g`'s flow: `S0 ∧ depend(b)`
+    /// at each leaf, united as Table 1's `∪` rules nest them (a flat union
+    /// over the leaves would build other intermediate BDDs).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoverageError::Lower`] for unresolvable atoms.
+    pub(crate) fn covered_by(&mut self, g: &Formula, flow: &Flow) -> Result<Func, CoverageError> {
+        self.unite(g, &mut flow.leaves.iter())
+    }
+
+    fn unite(&mut self, g: &Formula, leaves: &mut Iter<'_, Func>) -> Result<Func, CoverageError> {
+        Ok(match g {
+            Formula::Prop(b) => {
+                let s0 = leaves.next().expect("the flow has a start set per leaf");
+                s0.and(&self.depend(b)?)
+            }
+            Formula::Implies(_, f) | Formula::Ax(f) | Formula::Ag(f) | Formula::Af(f) => {
+                self.unite(f, leaves)?
+            }
+            Formula::Au(f1, f2) | Formula::And(f1, f2) => {
+                let c1 = self.unite(f1, leaves)?;
+                c1.or(&self.unite(f2, leaves)?)
+            }
+        })
     }
 
     /// Satisfaction set of an acceptable-subset formula (delegates to the

@@ -19,7 +19,7 @@ use covest_fsm::{SimplifyConfig, SymbolicFsm, Trace};
 use covest_mc::ModelChecker;
 use covest_telemetry::{self as telemetry, Stopwatch};
 
-use crate::covered::CoveredSets;
+use crate::covered::{CoveredSets, Flow};
 use crate::error::CoverageError;
 use crate::report::PropertyVerdict;
 
@@ -111,8 +111,10 @@ pub struct Verification<'m> {
     sets: CoveredSets<'m>,
     properties: Vec<Formula>,
     holds: Vec<bool>,
-    /// Per-property vacuity, decided by the first cover step.
-    vacuous: Option<Vec<bool>>,
+    /// Each property's flow from the initial states, by suite index,
+    /// computed by the first cover step. A failing property's flow is
+    /// empty: it covers nothing and is not vacuous.
+    flows: Vec<Flow>,
     /// Wall-clock time spent deciding the suite.
     pub time: Duration,
     /// BDD table size after verification (paper's "BDDs" column).
@@ -130,8 +132,9 @@ impl<'m> Verification<'m> {
         self.holds.iter().all(|&h| h)
     }
 
-    /// The per-property verdicts, in suite order. Vacuity is decided by
-    /// the first cover step; before any, no property is marked vacuous.
+    /// The per-property verdicts, in suite order. Vacuity is read from
+    /// the flows the first cover step computes; before any, no property
+    /// is marked vacuous.
     pub fn verdicts(&self) -> Vec<PropertyVerdict> {
         self.properties
             .iter()
@@ -140,7 +143,7 @@ impl<'m> Verification<'m> {
             .map(|(i, (p, &holds))| PropertyVerdict {
                 formula: p.to_string(),
                 holds,
-                vacuous: self.vacuous.as_ref().is_some_and(|v| v[i]),
+                vacuous: self.flows.get(i).is_some_and(|f| f.vacuous),
             })
             .collect()
     }
@@ -316,7 +319,7 @@ impl<'m> CoverageEstimator<'m> {
             sets,
             properties: properties.to_vec(),
             holds,
-            vacuous: None,
+            flows: Vec::new(),
             time,
             nodes,
         })
@@ -353,37 +356,40 @@ impl<'m> CoverageEstimator<'m> {
             sets: cs,
             properties,
             holds,
-            vacuous: known_vacuous,
+            flows,
             ..
         } = verification;
         cs.retarget(observed)?;
 
         let t1 = Stopwatch::start();
         let coverage_span = telemetry::span("coverage");
+        if flows.len() != properties.len() {
+            flows.clear();
+            for (p, &holds) in properties.iter().zip(holds.iter()) {
+                let flow = if holds {
+                    cs.flow(self.fsm.init(), p)?
+                } else {
+                    Flow::default()
+                };
+                flows.push(flow);
+            }
+        }
         let mut property_results = Vec::with_capacity(properties.len());
-        let mut vacuous = Vec::with_capacity(properties.len());
         let mut covered = mgr.constant(false);
-        for (i, (p, &holds)) in properties.iter().zip(holds.iter()).enumerate() {
+        for ((p, &holds), flow) in properties.iter().zip(holds.iter()).zip(flows.iter()) {
             let c = if holds {
-                cs.covered_from_init(p)?
+                cs.covered_by(p, flow)?
             } else {
                 mgr.constant(false)
             };
-            // Vacuity is signal-independent: the first signal decides it.
-            let v = match known_vacuous {
-                Some(known) => known[i],
-                None => holds && cs.vacuous(p)?,
-            };
-            vacuous.push(v);
             covered = covered.or(&c);
             property_results.push(PropertyResult {
                 formula: p.clone(),
                 holds,
-                vacuous: v,
+                vacuous: flow.vacuous,
                 covered: c,
             });
         }
-        *known_vacuous = Some(vacuous);
 
         let fair = cs.checker_mut().fair_states();
         let mut space = reach.and(&fair);

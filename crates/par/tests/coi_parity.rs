@@ -71,8 +71,9 @@ fn coi_modes_agree_on_every_deck() {
 /// debug register chain that no property or signal reads, so COI prunes
 /// it. Both modes agree on every deterministic field, and on the 8-stage
 /// deck the profiled shard's peak live node count is lower with COI on.
-/// Its work counters are pinned: debug and release builds do the same
-/// BDD work, so `cargo test` and a release run assert the same values.
+/// Its work counters (peak live nodes, `image_calls`, `bfs_steps`) are
+/// pinned: debug and release builds do the same BDD work, so
+/// `cargo test` and a release run assert the same values.
 #[test]
 fn coi_lowers_the_peak_on_sized_pipelines() {
     use covest_circuits::pipeline;
@@ -114,10 +115,11 @@ fn coi_lowers_the_peak_on_sized_pipelines() {
         (
             profile.peak_live_nodes(),
             profile.counters.get("image_calls"),
+            profile.counters.get("bfs_steps"),
         )
     };
-    assert_eq!(work(&on), (2_867, 756), "pipeline_d8, coi on");
-    assert_eq!(work(&off), (6_058, 908), "pipeline_d8, coi off");
+    assert_eq!(work(&on), (2_867, 93, 28), "pipeline_d8, coi on");
+    assert_eq!(work(&off), (6_058, 101, 36), "pipeline_d8, coi off");
 }
 
 proptest! {

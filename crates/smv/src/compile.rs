@@ -264,49 +264,41 @@ impl<'a> Compiler<'a> {
                 "case expression is not exhaustive (add a `TRUE :` arm)",
             ));
         }
-        // Merge arm values.
-        let first = self.eval_where(bdd, &arms[0].1, &fire[0])?;
-        match first {
-            Value::Bool(_) => {
-                let mut acc = bdd.constant(false);
-                for ((_, e), cond) in arms.iter().zip(&fire) {
-                    let v = match self.eval_where(bdd, e, cond)? {
-                        Value::Bool(r) => r,
-                        Value::Int(_) => {
-                            return Err(ModelError::nowhere(
-                                "case arms mix boolean and integer values",
-                            ))
-                        }
+        // Merge arm values, evaluating each arm once: arm 0's value sets
+        // the type and is merged too, or a `case` nested in first arms
+        // would cost 2^depth evaluations.
+        let mix = || ModelError::nowhere("case arms mix boolean and integer values");
+        let rest = arms.iter().zip(&fire).skip(1);
+        match self.eval_where(bdd, &arms[0].1, &fire[0])? {
+            Value::Bool(first) => {
+                let mut acc = fire[0].and(&first);
+                for ((_, e), cond) in rest {
+                    let Value::Bool(r) = self.eval_where(bdd, e, cond)? else {
+                        return Err(mix());
                     };
-                    acc = acc.or(&cond.and(&v));
+                    acc = acc.or(&cond.and(&r));
                 }
                 Ok(Value::Bool(acc))
             }
-            Value::Int(_) => {
+            Value::Int(first) => {
                 let mut merged: HashMap<i64, Func> = HashMap::new();
-                for ((_, e), cond) in arms.iter().zip(&fire) {
-                    let pairs = match self.eval_where(bdd, e, cond)? {
-                        Value::Int(p) => p,
-                        Value::Bool(_) => {
-                            return Err(ModelError::nowhere(
-                                "case arms mix boolean and integer values",
-                            ))
-                        }
-                    };
+                let mut merge = |cond: &Func, pairs: Vec<(i64, Func)>| {
                     for (v, c) in pairs {
                         let both = cond.and(&c);
                         if !both.is_false() {
-                            match merged.entry(v) {
-                                std::collections::hash_map::Entry::Occupied(mut e) => {
-                                    let u = e.get().or(&both);
-                                    e.insert(u);
-                                }
-                                std::collections::hash_map::Entry::Vacant(e) => {
-                                    e.insert(both);
-                                }
-                            }
+                            merged
+                                .entry(v)
+                                .and_modify(|u| *u = u.or(&both))
+                                .or_insert(both);
                         }
                     }
+                };
+                merge(&fire[0], first);
+                for ((_, e), cond) in rest {
+                    let Value::Int(pairs) = self.eval_where(bdd, e, cond)? else {
+                        return Err(mix());
+                    };
+                    merge(cond, pairs);
                 }
                 let mut out: Vec<(i64, Func)> = merged.into_iter().collect();
                 out.sort_by_key(|(v, _)| *v);
