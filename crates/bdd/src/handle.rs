@@ -41,7 +41,6 @@ use std::rc::Rc;
 
 use crate::manager::Inner;
 use crate::node::{Ref, VarId};
-use crate::quant::QuantSchedule;
 use crate::reorder::{ReorderConfig, ReorderStats};
 use crate::stats::BddStats;
 
@@ -249,57 +248,6 @@ impl BddManager {
                 f.raw(&inner)
             })
             .collect()
-    }
-
-    // ---- quantification schedules -------------------------------------
-
-    /// Builds the early-quantification schedule for eliminating `vars`
-    /// from the conjunction of `operands` (in the given order): each
-    /// variable is assigned to the last operand whose support contains it.
-    pub fn quant_schedule(&self, operands: &[Func], vars: &[VarId]) -> QuantSchedule {
-        self.quant_schedule_many(operands, &[vars]).pop().unwrap()
-    }
-
-    /// Builds several schedules over the same operand sequence — one per
-    /// variable list — computing each operand's support only once.
-    pub fn quant_schedule_many(
-        &self,
-        operands: &[Func],
-        var_lists: &[&[VarId]],
-    ) -> Vec<QuantSchedule> {
-        let refs = self.raw_operands(operands);
-        let inner = self.inner.borrow();
-        inner.quant_schedule_many(&refs, var_lists)
-    }
-
-    /// Schedule-driven relational product `∃ vars. (seed ∧ ⋀ operands)`,
-    /// where `schedule` was built by [`BddManager::quant_schedule`] over
-    /// the same `operands` and `vars`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schedule.len() != operands.len()`.
-    pub fn and_exists_schedule(
-        &self,
-        seed: &Func,
-        operands: &[Func],
-        schedule: &QuantSchedule,
-    ) -> Func {
-        self.check_same_mgr(seed);
-        let refs = self.raw_operands(operands);
-        let mut inner = self.inner.borrow_mut();
-        let seed_r = seed.raw(&inner);
-        let r = inner.and_exists_schedule(seed_r, &refs, schedule);
-        Func::wrap(&self.inner, &mut inner, r)
-    }
-
-    /// Multi-operand fused relational product `∃ vars. ⋀ operands`,
-    /// eliminating each variable at the earliest operand where its
-    /// support ends (the schedule is built on the fly).
-    pub fn and_exists_multi(&self, operands: &[Func], vars: &[VarId]) -> Func {
-        let schedule = self.quant_schedule(operands, vars);
-        let seed = self.constant(true);
-        self.and_exists_schedule(&seed, operands, &schedule)
     }
 
     // ---- reordering and collection ------------------------------------
@@ -588,19 +536,10 @@ impl Func {
 
     // ---- don't-care simplification ------------------------------------
 
-    /// Coudert–Madre generalized cofactor: simplifies `self` modulo the
-    /// care set, with `self.constrain(c) & c == self & c`. Off the care
-    /// set the result is unconstrained; it may grow the BDD and pull
-    /// `care`'s variables into the support. `constrain(f, true) == f`.
-    pub fn constrain(&self, care: &Func) -> Func {
-        self.binop(care, |i, a, b| i.constrain(a, b))
-    }
-
     /// Coudert–Madre `restrict` (sibling substitution), size-safe:
     /// simplifies `self` modulo the care set without leaving `self`'s
     /// support or growing the BDD — if the recursion would grow it,
-    /// `self` is returned unchanged. Same identity as
-    /// [`Func::constrain`]: `self.restrict(c) & c == self & c`.
+    /// `self` is returned unchanged: `self.restrict(c) & c == self & c`.
     pub fn restrict(&self, care: &Func) -> Func {
         self.binop(care, |i, a, b| i.restrict(a, b))
     }
@@ -667,14 +606,6 @@ impl Func {
         let inner = self.mgr.borrow();
         let a = self.raw(&inner);
         inner.node_count(a)
-    }
-
-    /// `min(self.node_count(), cap)`, visiting at most `cap` nodes: a
-    /// size test against a threshold stops at `threshold + 1`.
-    pub fn node_count_capped(&self, cap: usize) -> usize {
-        let inner = self.mgr.borrow();
-        let a = self.raw(&inner);
-        inner.node_count_capped(a, cap)
     }
 
     /// The set of variables appearing in the function, sorted by index.

@@ -21,13 +21,12 @@
 //!   functions are equal [`Func`]s (canonicity);
 //! - memoized if-then-else ([`Func::ite`]) and all derived connectives,
 //!   with `&f & &g` style operator sugar;
-//! - quantification ([`Func::exists`], [`Func::forall`]), the fused
-//!   relational product ([`Func::and_exists`]) and schedule-driven
-//!   multi-operand products ([`BddManager::and_exists_schedule`]) used
-//!   for partitioned image computation;
-//! - don't-care simplification ([`Func::constrain`], [`Func::restrict`]):
-//!   the Coudert–Madre generalized cofactors, memoized across calls, used
-//!   to shrink iterates and transition clusters modulo a care set (e.g.
+//! - quantification ([`Func::exists`], [`Func::forall`]) and the fused
+//!   relational product ([`Func::and_exists`]) every image computation
+//!   runs on;
+//! - don't-care simplification ([`Func::restrict`]): the Coudert–Madre
+//!   size-safe generalized cofactor, memoized across calls, used to
+//!   shrink fixpoint iterates and BFS frontiers modulo a care set (e.g.
 //!   the reachable states) with zero effect on results inside it;
 //! - substitution and renaming ([`Func::compose`],
 //!   [`Func::vector_compose`], [`Func::rename`], [`Func::swap_vars`])
@@ -83,7 +82,6 @@ mod table;
 
 pub use handle::{BddManager, Cubes, Func, Minterms};
 pub use node::VarId;
-pub use quant::QuantSchedule;
 pub use reorder::{ReorderConfig, ReorderMode, ReorderStats};
 pub use serde::{BddDump, SerdeError};
 pub use stats::BddStats;

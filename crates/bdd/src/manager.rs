@@ -78,11 +78,10 @@ pub(crate) struct Inner {
     /// Var-indexed substitution scratch for `compose`/`vector_compose`
     /// (`NIL_REF` = identity), reused across calls.
     pub(crate) subst_scratch: Vec<Ref>,
-    // Persistent caches for the Coudert–Madre simplification operators
-    // (see `simplify.rs`). Keyed by `(f, care)`, valid only for the
-    // current variable order and node slots, hence dropped by
-    // `clear_caches` like every other memo.
-    pub(crate) constrain_cache: BinCache,
+    // Persistent cache for the Coudert–Madre `restrict` operator (see
+    // `simplify.rs`). Keyed by `(f, care)`, valid only for the current
+    // variable order and node slots, hence dropped by `clear_caches`
+    // like every other memo.
     pub(crate) restrict_cache: BinCache,
     /// Deterministic engine counters (see [`crate::BddStats`]); bumped
     /// inline on the hot paths, snapshot via [`Inner::stats`].
@@ -125,7 +124,6 @@ impl Inner {
             pair_cache: PairCache::new(),
             mask_scratch: Vec::new(),
             subst_scratch: Vec::new(),
-            constrain_cache: BinCache::new(),
             restrict_cache: BinCache::new(),
             stats: crate::stats::BddStats {
                 // The two terminals exist from birth: the high-water mark
@@ -272,7 +270,6 @@ impl Inner {
             + self.ite_cache.bytes()
             + self.quant_cache.bytes()
             + self.pair_cache.bytes()
-            + self.constrain_cache.bytes()
             + self.restrict_cache.bytes()
     }
 
@@ -553,20 +550,13 @@ impl Inner {
     /// Number of distinct decision nodes reachable from `f` (excluding
     /// terminals). This per-function size is the usual "BDD size" metric.
     pub fn node_count(&self, f: Ref) -> usize {
-        self.walk(f, usize::MAX, |_| {})
-    }
-
-    /// `min(node_count(f), cap)`: the walk stops at the `cap`-th node, so
-    /// a size test against a threshold costs at most `threshold + 1`
-    /// visits.
-    pub fn node_count_capped(&self, f: Ref, cap: usize) -> usize {
-        self.walk(f, cap, |_| {})
+        self.walk(f, |_| {})
     }
 
     /// The set of variables appearing in `f`, sorted by index.
     pub fn support(&self, f: Ref) -> Vec<VarId> {
         let mut seen = vec![false; self.num_vars()];
-        self.walk(f, usize::MAX, |var| {
+        self.walk(f, |var| {
             seen[var as usize] = true;
         });
         seen.iter()
@@ -576,18 +566,15 @@ impl Inner {
             .collect()
     }
 
-    /// Visits the distinct decision nodes reachable from `f`, at most
-    /// `cap` of them, handing each one's variable to `visit`, and returns
-    /// how many it visited. Marks visited nodes in a bitmap over the node
-    /// table: no hashing, and the manager is only read.
-    fn walk(&self, f: Ref, cap: usize, mut visit: impl FnMut(u32)) -> usize {
+    /// Visits the distinct decision nodes reachable from `f`, handing
+    /// each one's variable to `visit`, and returns how many it visited.
+    /// Marks visited nodes in a bitmap over the node table: no hashing,
+    /// and the manager is only read.
+    fn walk(&self, f: Ref, mut visit: impl FnMut(u32)) -> usize {
         let mut marks = vec![0u64; self.nodes.len().div_ceil(64)];
         let mut count = 0;
         let mut stack = vec![f];
         while let Some(r) = stack.pop() {
-            if count == cap {
-                break;
-            }
             if r.is_const() {
                 continue;
             }
@@ -661,16 +648,15 @@ impl Inner {
     }
 
     /// Drops all memoization caches, including the generation-tagged
-    /// quantification caches and the simplification caches — after a
+    /// quantification caches and the simplification cache — after a
     /// reorder shuffles levels (or a collection recycles slots), a stale
-    /// memoized `Ref` must never be observable. `constrain`/`restrict`
-    /// results additionally *depend* on the variable order, so surviving
-    /// a reorder would be wrong even without slot recycling.
+    /// memoized `Ref` must never be observable. `restrict` results
+    /// additionally *depend* on the variable order, so surviving a
+    /// reorder would be wrong even without slot recycling.
     pub fn clear_caches(&mut self) {
         self.ite_cache.clear();
         self.quant_cache.clear();
         self.pair_cache.clear();
-        self.constrain_cache.clear();
         self.restrict_cache.clear();
     }
 }
@@ -862,14 +848,12 @@ mod tests {
         let f = b.and(lits[0], lits[1]);
         let _e = b.exists(f, &[vars[0]]);
         let _ae = b.and_exists(f, lits[2], &[vars[1]]);
-        let _co = b.constrain(f, lits[2]);
         let _re = b.restrict(f, lits[2]);
         assert!(b.quant_cache.occupied() > 0 || b.pair_cache.occupied() > 0);
-        assert!(b.constrain_cache.occupied() > 0 && b.restrict_cache.occupied() > 0);
+        assert!(b.restrict_cache.occupied() > 0);
         b.gc(&[f]);
         assert_eq!(b.quant_cache.occupied(), 0);
         assert_eq!(b.pair_cache.occupied(), 0);
-        assert_eq!(b.constrain_cache.occupied(), 0);
         assert_eq!(b.restrict_cache.occupied(), 0);
         b.clear_caches();
         assert_eq!(b.ite_cache.occupied(), 0);

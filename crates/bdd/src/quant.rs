@@ -1,40 +1,8 @@
-//! Quantification: `exists`, `forall`, the fused relational product
-//! `and_exists`, and the multi-operand, schedule-driven
-//! conjoin-and-quantify used by partitioned image computation.
+//! Quantification: `exists`, `forall`, and the fused relational product
+//! `and_exists` every image computation runs on.
 
 use crate::manager::Inner;
 use crate::node::{Ref, VarId};
-
-/// An early-quantification schedule for a fixed operand sequence
-/// (Burch–Clarke–Long): each quantified variable is eliminated at the
-/// *last* operand whose support contains it — i.e. the earliest point in
-/// the left-to-right conjunction where its support ends.
-///
-/// Build once with [`crate::BddManager::quant_schedule`] and replay with
-/// [`crate::BddManager::and_exists_schedule`]; the schedule depends only on the
-/// operands' supports, so it stays valid across garbage collection and
-/// dynamic reordering as long as the operand `Ref`s themselves do.
-#[derive(Debug, Clone, Default)]
-pub struct QuantSchedule {
-    /// Variables appearing in no operand: quantified out of the seed
-    /// before the first conjunction (identity unless the seed uses them).
-    pub(crate) pre: Vec<VarId>,
-    /// `at[i]`: variables whose last occurrence is operand `i`, eliminated
-    /// while conjoining that operand.
-    pub(crate) at: Vec<Vec<VarId>>,
-}
-
-impl QuantSchedule {
-    /// Number of operands the schedule was built for.
-    pub fn len(&self) -> usize {
-        self.at.len()
-    }
-
-    /// `true` if the schedule covers no operands.
-    pub fn is_empty(&self) -> bool {
-        self.at.is_empty()
-    }
-}
 
 impl Inner {
     /// Existential quantification `∃ vars. f`.
@@ -157,102 +125,10 @@ impl Inner {
         r
     }
 
-    /// Builds the early-quantification schedule for eliminating `vars`
-    /// from the conjunction of `operands` (in the given order): each
-    /// variable is assigned to the last operand whose support contains it.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by in-crate tests
-    pub fn quant_schedule(&self, operands: &[Ref], vars: &[VarId]) -> QuantSchedule {
-        self.quant_schedule_many(operands, &[vars]).pop().unwrap()
-    }
-
-    /// Builds several schedules over the same operand sequence — one per
-    /// variable list — computing each operand's support only once.
-    pub fn quant_schedule_many(
-        &self,
-        operands: &[Ref],
-        var_lists: &[&[VarId]],
-    ) -> Vec<QuantSchedule> {
-        // Each support is sorted by variable index.
-        let supports: Vec<Vec<VarId>> = operands.iter().map(|&f| self.support(f)).collect();
-        var_lists
-            .iter()
-            .map(|vars| {
-                let mut pre = Vec::new();
-                let mut at = vec![Vec::new(); operands.len()];
-                for &v in *vars {
-                    match (0..operands.len())
-                        .rev()
-                        .find(|&i| supports[i].binary_search(&v).is_ok())
-                    {
-                        Some(i) => at[i].push(v),
-                        None => pre.push(v),
-                    }
-                }
-                QuantSchedule { pre, at }
-            })
-            .collect()
-    }
-
-    /// Schedule-driven relational product `∃ vars. (seed ∧ ⋀ operands)`,
-    /// where `schedule` was built by [`crate::BddManager::quant_schedule`] over the same
-    /// `operands` and `vars`.
-    ///
-    /// The conjunction is folded left to right and each variable is
-    /// quantified out at the operand where its support ends, so the
-    /// intermediate products never carry variables that later operands no
-    /// longer mention — the standard partitioned-transition-relation
-    /// optimization. The `seed` (typically a state set) is conjoined
-    /// before the first operand and may mention any of the variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schedule.len() != operands.len()`.
-    pub fn and_exists_schedule(
-        &mut self,
-        seed: Ref,
-        operands: &[Ref],
-        schedule: &QuantSchedule,
-    ) -> Ref {
-        assert_eq!(
-            schedule.len(),
-            operands.len(),
-            "schedule built for a different operand sequence"
-        );
-        let mut acc = seed;
-        if !schedule.pre.is_empty() {
-            acc = self.exists(acc, &schedule.pre);
-        }
-        for (&f, vars) in operands.iter().zip(&schedule.at) {
-            acc = if vars.is_empty() {
-                self.and(acc, f)
-            } else {
-                self.and_exists(acc, f, vars)
-            };
-            if acc.is_false() {
-                return Ref::FALSE;
-            }
-        }
-        acc
-    }
-
-    /// Multi-operand fused relational product `∃ vars. ⋀ operands`,
-    /// eliminating each variable at the earliest operand where its
-    /// support ends.
-    ///
-    /// Convenience wrapper building the schedule on the fly; callers with
-    /// a fixed operand sequence (e.g. a clustered transition relation)
-    /// should build the schedule once with [`crate::BddManager::quant_schedule`] and
-    /// replay it with [`crate::BddManager::and_exists_schedule`].
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by in-crate tests
-    pub fn and_exists_multi(&mut self, operands: &[Ref], vars: &[VarId]) -> Ref {
-        let schedule = self.quant_schedule(operands, vars);
-        self.and_exists_schedule(Ref::TRUE, operands, &schedule)
-    }
-
     /// Shannon cofactor by a literal: `f` with `var` fixed to `value`.
     ///
-    /// (The care-set generalized cofactors live in `simplify.rs` as
-    /// [`Inner::constrain`] and [`Inner::restrict`].)
+    /// (The care-set generalized cofactor lives in `simplify.rs` as
+    /// [`Inner::restrict`].)
     pub fn cofactor(&mut self, f: Ref, var: VarId, value: bool) -> Ref {
         let tag = self.quant_cache.begin();
         self.cofactor_rec(f, var, value, tag)
@@ -348,73 +224,6 @@ mod tests {
         let conj = b.and(f, g);
         let two_step = b.exists(conj, &quantified);
         assert_eq!(fused, two_step);
-    }
-
-    #[test]
-    fn and_exists_multi_matches_monolithic() {
-        let mut b = Inner::new();
-        let vars = b.new_vars(8);
-        let lits: Vec<Ref> = vars.iter().map(|&v| b.var(v)).collect();
-        // Three "clusters" with staggered supports plus a state set.
-        let t0 = b.iff(lits[4], lits[0]);
-        let t1 = {
-            let x = b.xor(lits[0], lits[1]);
-            b.iff(lits[5], x)
-        };
-        let t2 = {
-            let x = b.and(lits[1], lits[2]);
-            b.iff(lits[6], x)
-        };
-        let set = b.or(lits[0], lits[2]);
-        let quantified = [vars[0], vars[1], vars[2], vars[3]];
-        let operands = [set, t0, t1, t2];
-        let fused = b.and_exists_multi(&operands, &quantified);
-        let mono = b.and_many(operands);
-        let two_step = b.exists(mono, &quantified);
-        assert_eq!(fused, two_step);
-    }
-
-    #[test]
-    fn schedule_eliminates_at_last_occurrence() {
-        let mut b = Inner::new();
-        let vars = b.new_vars(6);
-        let lits: Vec<Ref> = vars.iter().map(|&v| b.var(v)).collect();
-        let t0 = b.and(lits[0], lits[1]);
-        let t1 = b.or(lits[1], lits[2]);
-        let sched = b.quant_schedule(&[t0, t1], &[vars[0], vars[1], vars[3]]);
-        // var 0 ends at operand 0, var 1 at operand 1, var 3 nowhere.
-        assert_eq!(sched.at[0], vec![vars[0]]);
-        assert_eq!(sched.at[1], vec![vars[1]]);
-        assert_eq!(sched.pre, vec![vars[3]]);
-    }
-
-    #[test]
-    fn schedule_replay_matches_monolithic_with_seed() {
-        let mut b = Inner::new();
-        let vars = b.new_vars(6);
-        let lits: Vec<Ref> = vars.iter().map(|&v| b.var(v)).collect();
-        let t0 = b.iff(lits[3], lits[0]);
-        let t1 = {
-            let x = b.xor(lits[1], lits[0]);
-            b.iff(lits[4], x)
-        };
-        let seed = b.and(lits[0], lits[2]);
-        let quantified = [vars[0], vars[1], vars[2], vars[5]];
-        let sched = b.quant_schedule(&[t0, t1], &quantified);
-        let fused = b.and_exists_schedule(seed, &[t0, t1], &sched);
-        let conj = {
-            let c = b.and(seed, t0);
-            b.and(c, t1)
-        };
-        let mono = b.exists(conj, &quantified);
-        assert_eq!(fused, mono);
-    }
-
-    #[test]
-    fn and_exists_multi_empty_operands() {
-        let mut b = Inner::new();
-        let x = b.new_var();
-        assert!(b.and_exists_multi(&[], &[x]).is_true());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The raison d'être is the parallel coverage engine: a [`crate::Func`]
 //! lives on one manager behind an `Rc<RefCell<…>>` and is deliberately
 //! not `Send`, so cross-thread reuse of a computed set (the reachable
-//! states, a care set, the transition clusters) goes through an explicit
+//! states, a care set, the transition relation) goes through an explicit
 //! serialization step. A dump is plain owned data — `Send + Sync`, no
 //! references into any manager — and can also be rendered to and parsed
 //! from a line-oriented text form for file interchange.

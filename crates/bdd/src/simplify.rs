@@ -1,103 +1,42 @@
-//! Don't-care simplification: the Coudert–Madre generalized cofactors
-//! `constrain` and `restrict`.
+//! Don't-care simplification: the Coudert–Madre `restrict` operator.
 //!
-//! Both operations *simplify `f` modulo a care set `c`*: the result
-//! agrees with `f` everywhere `c` holds and is unconstrained elsewhere,
-//! so the identity
+//! `restrict` *simplifies `f` modulo a care set `c`*: the result agrees
+//! with `f` everywhere `c` holds and is unconstrained elsewhere, so the
+//! identity
 //!
 //! ```text
-//! simplify(f, c) ∧ c  ≡  f ∧ c
+//! restrict(f, c) ∧ c  ≡  f ∧ c
 //! ```
 //!
-//! holds for either operation. That freedom is what makes unreachable
-//! states (or any other don't-care region) free to exploit: a fixpoint
-//! iterate, a BFS frontier, or a transition cluster can be replaced by
-//! its simplified form wherever downstream consumers only observe the
-//! result inside the care region.
+//! holds. That freedom is what makes unreachable states (or any other
+//! don't-care region) free to exploit: a fixpoint iterate or a BFS
+//! frontier can be replaced by its simplified form wherever downstream
+//! consumers only observe the result inside the care region.
 //!
-//! - [`Inner::constrain`] is the classic generalized cofactor `f↓c`: at a
-//!   node where one care branch is empty it *jumps* into the live branch.
-//!   It enjoys the strong image property
-//!   `image(f ∧ c) = image(constrain(f, c))` but, because the jump
-//!   substitutes subgraphs of `c` into the result, it can pull variables
-//!   of `c` into the support and **grow** the BDD.
-//! - [`Inner::restrict`] is the sibling-substitution variant: when the
-//!   care set's top variable sits above `f`'s it is existentially
-//!   quantified out of `c` instead of being branched on, so the support
-//!   of the result stays within `f`'s support. On top of that, the
-//!   implementation is *size-safe* the way CUDD's `Cudd_bddRestrict` is:
-//!   if the recursion still produced a bigger BDD than `f`, plain `f` is
-//!   returned — `restrict` never grows anything.
+//! [`Inner::restrict`] is the sibling-substitution variant of the
+//! generalized cofactor: when the care set's top variable sits above
+//! `f`'s it is existentially quantified out of `c` instead of being
+//! branched on, so the support of the result stays within `f`'s support.
+//! On top of that, the implementation is *size-safe* the way CUDD's
+//! `Cudd_bddRestrict` is: if the recursion still produced a bigger BDD
+//! than `f`, plain `f` is returned — `restrict` never grows anything.
 //!
-//! Results are memoized in manager-owned direct-mapped caches keyed by
-//! `(f, c)` that persist across calls — a reachability care set is
+//! Results are memoized in a manager-owned direct-mapped cache keyed by
+//! `(f, c)` that persists across calls — a reachability care set is
 //! applied to every fixpoint iterate, so hits across top-level calls are
-//! the common case. Being fixed-size and lossy, the caches also bound
-//! their own growth: call sites like the frontier-simplified BFS key
+//! the common case. Being fixed-size and lossy, the cache also bounds
+//! its own growth: call sites like the frontier-simplified BFS key
 //! entries by a care set that changes every iteration, and those
-//! one-shot entries simply age out by overwrite (the old `HashMap`
-//! tables needed an explicit flood guard for this). Both operations
-//! depend on the variable order, and the cached `Ref`s dangle once
-//! slots are recycled, so the caches are dropped by
-//! [`Inner::clear_caches`] — i.e. on every gc, reordering, and explicit
-//! cache clear (the same contract as the quantification caches).
+//! one-shot entries simply age out by overwrite. The operation depends
+//! on the variable order, and the cached `Ref`s dangle once slots are
+//! recycled, so the cache is dropped by [`Inner::clear_caches`] — i.e.
+//! on every gc, reordering, and explicit cache clear (the same contract
+//! as the quantification caches).
 
 use crate::manager::Inner;
 use crate::node::Ref;
 
 impl Inner {
-    /// Coudert–Madre generalized cofactor (`constrain`, also written
-    /// `f↓c`): agrees with `f` on `c`; off `c`, takes the value of `f` at
-    /// the "nearest" care point under the current variable order.
-    ///
-    /// Satisfies `constrain(f, c) ∧ c = f ∧ c` and `constrain(f, true) =
-    /// f`. `constrain(f, false)` is conventionally `false`. May grow the
-    /// BDD and pull `c`'s variables into the support; use
-    /// [`Inner::restrict`] when size-safety matters more than the image
-    /// property.
-    pub fn constrain(&mut self, f: Ref, c: Ref) -> Ref {
-        if c.is_true() {
-            return f;
-        }
-        if c.is_false() {
-            return Ref::FALSE;
-        }
-        if f.is_const() {
-            return f;
-        }
-        self.constrain_rec(f, c)
-    }
-
-    fn constrain_rec(&mut self, f: Ref, c: Ref) -> Ref {
-        if c.is_true() || f.is_const() {
-            return f;
-        }
-        if f == c {
-            return Ref::TRUE;
-        }
-        if let Some(r) = self.constrain_cache.lookup(f, c) {
-            self.stats.constrain_hits += 1;
-            return r;
-        }
-        self.stats.constrain_misses += 1;
-        let top = self.level(f).min(self.level(c));
-        let var = self.var_at_level(top);
-        let (f0, f1) = self.cofactors_at(f, top);
-        let (c0, c1) = self.cofactors_at(c, top);
-        let r = if c0.is_false() {
-            // No care point below var=0: jump into the var=1 branch.
-            self.constrain_rec(f1, c1)
-        } else if c1.is_false() {
-            self.constrain_rec(f0, c0)
-        } else {
-            let lo = self.constrain_rec(f0, c0);
-            let hi = self.constrain_rec(f1, c1);
-            self.mk(var.0, lo, hi)
-        };
-        self.constrain_cache.insert(f, c, r);
-        r
-    }
-
     /// Coudert–Madre `restrict` (sibling substitution), size-safe:
     /// simplifies `f` modulo the care set `c` without ever leaving `f`'s
     /// support or growing the BDD.
@@ -194,15 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn constrain_agrees_on_care_set() {
-        let (mut b, _, f, c) = fixture();
-        let g = b.constrain(f, c);
-        let gc = b.and(g, c);
-        let fc = b.and(f, c);
-        assert_eq!(gc, fc);
-    }
-
-    #[test]
     fn restrict_agrees_on_care_set() {
         let (mut b, _, f, c) = fixture();
         let g = b.restrict(f, c);
@@ -214,33 +144,9 @@ mod tests {
     #[test]
     fn trivial_care_sets() {
         let (mut b, _, f, _) = fixture();
-        assert_eq!(b.constrain(f, Ref::TRUE), f);
         assert_eq!(b.restrict(f, Ref::TRUE), f);
-        assert_eq!(b.constrain(f, Ref::FALSE), Ref::FALSE);
         assert_eq!(b.restrict(f, Ref::FALSE), f);
-        assert_eq!(b.constrain(f, f), Ref::TRUE);
-        // The false-care convention applies to constant f too.
-        assert_eq!(b.constrain(Ref::TRUE, Ref::FALSE), Ref::FALSE);
         assert_eq!(b.restrict(Ref::TRUE, Ref::FALSE), Ref::TRUE);
-    }
-
-    #[test]
-    fn constrain_is_exact_on_single_care_point() {
-        // With c a full minterm, constrain collapses f to the constant
-        // f takes at that point.
-        let (mut b, vars, f, _) = fixture();
-        for bits in 0..1u32 << 3 {
-            let cube: Vec<Ref> = vars
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| b.literal(v, bits >> i & 1 == 1))
-                .collect();
-            let c = b.and_many(cube);
-            let g = b.constrain(f, c);
-            let expect = b.eval(f, &|v: VarId| bits >> v.index() & 1 == 1);
-            assert!(g.is_const());
-            assert_eq!(g.is_true(), expect, "care point {bits:03b}");
-        }
     }
 
     #[test]
@@ -267,21 +173,16 @@ mod tests {
     #[test]
     fn memo_caches_persist_across_calls_and_clear() {
         let (mut b, _, f, c) = fixture();
-        let g1 = b.constrain(f, c);
         let r1 = b.restrict(f, c);
-        assert!(b.constrain_cache.occupied() > 0);
         assert!(b.restrict_cache.occupied() > 0);
-        let misses = (b.stats.constrain_misses, b.stats.restrict_misses);
+        let misses = b.stats.restrict_misses;
         // Hits across top-level calls return identical results without
-        // recomputation (the cross-call miss counters stand still).
-        assert_eq!(b.constrain(f, c), g1);
+        // recomputation (the cross-call miss counter stands still).
         assert_eq!(b.restrict(f, c), r1);
-        assert_eq!((b.stats.constrain_misses, b.stats.restrict_misses), misses);
+        assert_eq!(b.stats.restrict_misses, misses);
         b.clear_caches();
-        assert_eq!(b.constrain_cache.occupied(), 0);
         assert_eq!(b.restrict_cache.occupied(), 0);
         // Recomputation from a cold cache agrees.
-        assert_eq!(b.constrain(f, c), g1);
         assert_eq!(b.restrict(f, c), r1);
     }
 
@@ -290,7 +191,6 @@ mod tests {
         let (mut b, _, f, c) = fixture();
         let truth_f = eval_all(&b, f, 3);
         let truth_c = eval_all(&b, c, 3);
-        let g = b.constrain(f, c);
         let r = b.restrict(f, c);
         for (i, (&tf, &tc)) in truth_f.iter().zip(&truth_c).enumerate() {
             if !tc {
@@ -298,7 +198,6 @@ mod tests {
             }
             let bits = i as u32;
             let assign = |v: VarId| bits >> v.index() & 1 == 1;
-            assert_eq!(b.eval(g, &assign), tf, "constrain differs at {bits:03b}");
             assert_eq!(b.eval(r, &assign), tf, "restrict differs at {bits:03b}");
         }
     }

@@ -39,10 +39,6 @@ pub struct BddStats {
     pub pair_hits: u64,
     /// Fused relational-product memo misses.
     pub pair_misses: u64,
-    /// `constrain` memo hits.
-    pub constrain_hits: u64,
-    /// `constrain` memo misses.
-    pub constrain_misses: u64,
     /// `restrict` memo hits.
     pub restrict_hits: u64,
     /// `restrict` memo misses.
@@ -69,7 +65,7 @@ impl BddStats {
     /// The counters as `(name, value)` pairs in a fixed, documented
     /// order — the bridge into name-keyed telemetry accumulators without
     /// making this crate depend on one.
-    pub fn pairs(&self) -> [(&'static str, u64); 20] {
+    pub fn pairs(&self) -> [(&'static str, u64); 18] {
         [
             ("bdd_unique_hits", self.unique_hits),
             ("bdd_unique_misses", self.unique_misses),
@@ -80,8 +76,6 @@ impl BddStats {
             ("bdd_quant_misses", self.quant_misses),
             ("bdd_pair_hits", self.pair_hits),
             ("bdd_pair_misses", self.pair_misses),
-            ("bdd_constrain_hits", self.constrain_hits),
-            ("bdd_constrain_misses", self.constrain_misses),
             ("bdd_restrict_hits", self.restrict_hits),
             ("bdd_restrict_misses", self.restrict_misses),
             ("bdd_gc_runs", self.gc_runs),

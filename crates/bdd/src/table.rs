@@ -532,7 +532,7 @@ impl PairCache {
 }
 
 /// Direct-mapped cache keyed by an `(f, care)` pair, persistent across
-/// calls: the Coudert–Madre `constrain`/`restrict` memos, where a fixed
+/// calls: the Coudert–Madre `restrict` memo, where a fixed
 /// reachable care set is applied to every fixpoint iterate and
 /// cross-call hits are the common case. Being fixed-size it also
 /// subsumes the old flood guard: one-shot care sets simply age out by

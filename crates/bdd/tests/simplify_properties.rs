@@ -1,15 +1,14 @@
-//! Property-based tests for the Coudert–Madre simplification operators.
+//! Property-based tests for the Coudert–Madre `restrict` operator.
 //!
 //! The contract under test is the *simplification identity*
-//! `simplify(f, c) ∧ c ≡ f ∧ c` for both `constrain` and `restrict`,
-//! plus the structural guarantees that distinguish them (`restrict`
-//! never grows a BDD and never leaves `f`'s support; `constrain(f, true)
-//! = f`). Every law is also exercised across forced mid-sequence `gc()`
-//! and `reduce_heap()` calls: both operators are memoized in
-//! manager-owned tables keyed by raw node indices *and* are sensitive to
-//! the variable order, so a memo entry surviving a collection or a sift
-//! would be exactly the stale-cache bug class PR 3 fixed for
-//! quantification.
+//! `restrict(f, c) ∧ c ≡ f ∧ c`, plus the structural guarantees
+//! (`restrict` never grows a BDD, never leaves `f`'s support, and
+//! `restrict(f, true) = f`). Every law is also exercised across forced
+//! mid-sequence `gc()` and `reduce_heap()` calls: the operator is
+//! memoized in a manager-owned table keyed by raw node indices *and* is
+//! sensitive to the variable order, so a memo entry surviving a
+//! collection or a sift would be exactly the stale-cache bug class once
+//! fixed for quantification.
 
 use std::collections::HashSet;
 
@@ -61,18 +60,14 @@ fn truth_table(f: &Func) -> Vec<bool> {
         .collect()
 }
 
-/// Checks both simplification identities plus the structural guarantees,
-/// returning the pair `(constrain(f, c), restrict(f, c))` for reuse.
-/// (The vendored proptest's assertion macros early-return `Err(String)`,
-/// hence the error type.)
-fn assert_laws(mgr: &BddManager, f: &Func, c: &Func) -> Result<(Func, Func), String> {
+/// Checks the simplification identity plus the structural guarantees,
+/// returning `restrict(f, c)` for reuse. (The vendored proptest's
+/// assertion macros early-return `Err(String)`, hence the error type.)
+fn assert_laws(mgr: &BddManager, f: &Func, c: &Func) -> Result<Func, String> {
     let fc = f.and(c);
-    let con = f.constrain(c);
     let res = f.restrict(c);
-    prop_assert_eq!(&con.and(c), &fc, "constrain identity violated");
     prop_assert_eq!(&res.and(c), &fc, "restrict identity violated");
-    // constrain/restrict by the trivial care set are identities.
-    prop_assert_eq!(&f.constrain(&mgr.constant(true)), f);
+    // restrict by the trivial care set is the identity.
     prop_assert_eq!(&f.restrict(&mgr.constant(true)), f);
     // restrict is size-safe and support-safe.
     prop_assert!(
@@ -88,11 +83,11 @@ fn assert_laws(mgr: &BddManager, f: &Func, c: &Func) -> Result<(Func, Func), Str
         res.support(),
         f.support()
     );
-    Ok((con, res))
+    Ok(res)
 }
 
 proptest! {
-    /// The cofactor identities, straight.
+    /// The cofactor identity, straight.
     #[test]
     fn simplification_identities(fe in arb_expr(), ce in arb_expr()) {
         let mgr = BddManager::new();
@@ -102,20 +97,19 @@ proptest! {
         assert_laws(&mgr, &f, &c)?;
     }
 
-    /// Both operators agree with `f` pointwise on every care point.
+    /// `restrict` agrees with `f` pointwise on every care point.
     #[test]
     fn simplified_functions_match_f_on_care_points(fe in arb_expr(), ce in arb_expr()) {
         let mgr = BddManager::new();
         let vars = mgr.new_vars(NVARS);
         let f = build(&mgr, &vars, &fe);
         let c = build(&mgr, &vars, &ce);
-        let (con, res) = assert_laws(&mgr, &f, &c)?;
+        let res = assert_laws(&mgr, &f, &c)?;
         for bits in 0..1u32 << NVARS {
             let assign = |v: VarId| bits >> v.index() & 1 == 1;
             if !c.eval(&assign) {
                 continue;
             }
-            prop_assert_eq!(f.eval(&assign), con.eval(&assign), "constrain at {:05b}", bits);
             prop_assert_eq!(f.eval(&assign), res.eval(&assign), "restrict at {:05b}", bits);
         }
     }
@@ -123,7 +117,7 @@ proptest! {
     /// The PR-3 bug class: memoized results must not survive collections
     /// or reorderings. The laws are checked, a gc and a sift are forced
     /// (recycling slots and changing the variable order — which changes
-    /// what constrain/restrict should even compute), then checked again
+    /// what restrict should even compute), then checked again
     /// on the surviving handles, then once more after another collection
     /// round-trip with extra garbage thrown in.
     #[test]
@@ -134,17 +128,17 @@ proptest! {
         let c = build(&mgr, &vars, &ce);
         let truth_f = truth_table(&f);
 
-        // Round 1: populate the memo tables.
-        let (con1, res1) = assert_laws(&mgr, &f, &c)?;
-        let truth_con1 = truth_table(&con1);
-        drop((con1, res1)); // their nodes become garbage
+        // Round 1: populate the memo table.
+        let res1 = assert_laws(&mgr, &f, &c)?;
+        let truth_res1 = truth_table(&res1);
+        drop(res1); // its nodes become garbage
 
         // Collection recycles slots; a stale memo entry would now dangle.
         mgr.gc();
-        let (con2, _res2) = assert_laws(&mgr, &f, &c)?;
-        // Same manager state, same order: the recomputed constrain must
+        let res2 = assert_laws(&mgr, &f, &c)?;
+        // Same manager state, same order: the recomputed restrict must
         // agree with the pre-gc one semantically.
-        prop_assert_eq!(&truth_table(&con2), &truth_con1);
+        prop_assert_eq!(&truth_table(&res2), &truth_res1);
 
         // Sifting changes the variable order (and collects): results may
         // legitimately differ now, but the laws must still hold and the

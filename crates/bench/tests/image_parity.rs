@@ -1,26 +1,26 @@
-//! Cross-method parity: `image`, `preimage` and `preimage_univ` must be
-//! **bit-identical** between [`ImageMethod::Monolithic`] and
-//! [`ImageMethod::Partitioned`] on every bundled circuit and every
-//! `models/*.smv` deck — on a shared manager (where BDD canonicity makes
-//! semantic equality literal `Ref` equality), with and without an
-//! installed reachable care set — and end-to-end through coverage
-//! analysis: coverage percentages, per-property verdicts and the
-//! uncovered state sets must be bit-identical across the full
-//! `--simplify off|restrict|constrain` × `--image mono|part` ×
-//! `--reorder off|sift|auto` cross-product. Don't-care simplification
-//! (like partitioning and reordering before it) is a pure representation
+//! The image oracle: `image`, `preimage` and `preimage_univ` must equal
+//! the two-step product `(T ∧ S).exists(vars)` — a plain conjunction
+//! followed by a quantification — on the machine's conjoined relation
+//! [`SymbolicFsm::trans`], on every bundled circuit and every
+//! `models/*.smv` deck, before and after the reachable set is computed
+//! and cached. The engine runs the fused `and_exists` instead; on a
+//! shared manager BDD canonicity makes semantic equality literal handle
+//! equality. End to end, coverage percentages, per-property verdicts and
+//! the uncovered state sets must be bit-identical across the full
+//! `--simplify off|restrict` × `--reorder off|sift|auto` cross-product.
+//! Don't-care simplification (like reordering) is a pure representation
 //! change; any observable drift is a bug.
 //!
-//! Two representation gates ride along, on the priority buffer (the
-//! Table-2 circuit whose partition keeps two clusters and whose reachable
-//! set is a small fraction of its state space): under a GC after every
-//! fixpoint step, the partitioned engine and `restrict` simplification
-//! must each keep a lower live-node peak than the mode they replace.
+//! A representation gate rides along, on the priority buffer (the
+//! Table-2 circuit whose reachable set is a small fraction of its state
+//! space): under a GC after every fixpoint step, `restrict`
+//! simplification must keep a lower live-node peak than no
+//! simplification.
 
-use covest_bdd::{BddManager, Func, ReorderConfig, ReorderMode};
+use covest_bdd::{BddManager, Func, ReorderConfig, ReorderMode, VarId};
 use covest_bench::{table2_workloads, Workload};
 use covest_core::{CoverageAnalysis, CoverageEstimator, CoverageOptions};
-use covest_fsm::{ImageConfig, ImageMethod, SimplifyConfig, SymbolicFsm};
+use covest_fsm::{ImageConfig, SimplifyConfig, SymbolicFsm};
 use covest_smv::CompiledModel;
 
 /// Every bundled circuit, by Table-2 workload (deduplicated by circuit).
@@ -56,17 +56,23 @@ fn deck_sources() -> Vec<(String, String)> {
     decks
 }
 
-/// Asserts the three image operations agree between the machine's
-/// partitioned engine and a monolithic twin, over a ladder of state sets
-/// grown from the initial states.
-fn assert_image_parity(bdd: &BddManager, name: &str, fsm: &SymbolicFsm) {
-    assert_eq!(
-        fsm.image_config().method,
-        ImageMethod::Partitioned,
-        "{name}: partitioned must be the default"
-    );
-    let mut mono = fsm.clone();
-    mono.set_image_config(ImageConfig::monolithic());
+/// `(T ∧ s).exists(vars)`: the two-step product, never the fused one.
+fn two_step(fsm: &SymbolicFsm, s: &Func, vars: &[VarId]) -> Func {
+    fsm.trans().and(s).exists(vars)
+}
+
+/// Asserts the three image operations equal the two-step oracle over a
+/// ladder of state sets grown from the initial states.
+fn assert_image_oracle(bdd: &BddManager, name: &str, fsm: &SymbolicFsm) {
+    let inputs = fsm.input_vars();
+    let fwd: Vec<VarId> = fsm
+        .current_vars()
+        .into_iter()
+        .chain(inputs.clone())
+        .collect();
+    let bwd: Vec<VarId> = fsm.next_vars().into_iter().chain(inputs).collect();
+    let image = |s: &Func| two_step(fsm, s, &fwd).rename(&fsm.next_to_cur());
+    let preimage = |s: &Func| two_step(fsm, &s.rename(&fsm.cur_to_next()), &bwd);
 
     // State sets: the BFS onion rings, their running union, and the
     // complement of the reachable set (exercises sets far from `init`).
@@ -80,40 +86,29 @@ fn assert_image_parity(bdd: &BddManager, name: &str, fsm: &SymbolicFsm) {
     }
     sets.push(union.not());
 
-    for (i, s) in sets.iter().enumerate() {
-        let img_p = fsm.image(s);
-        let img_m = mono.image(s);
-        assert_eq!(img_p, img_m, "{name}: image diverges on set {i}");
-        let pre_p = fsm.preimage(s);
-        let pre_m = mono.preimage(s);
-        assert_eq!(pre_p, pre_m, "{name}: preimage diverges on set {i}");
-        let unv_p = fsm.preimage_univ(s);
-        let unv_m = mono.preimage_univ(s);
-        assert_eq!(unv_p, unv_m, "{name}: preimage_univ diverges on set {i}");
-    }
-
-    // Install the reachable care set (simplified transition clusters,
-    // re-derived schedules) and re-check against the care-free monolithic
-    // twin: the simplified relation must be invisible for every argument,
-    // inside the care set (where it is actually consulted) and outside
-    // (where the containment guard must route around it).
-    let _reach = fsm.install_reachable_care();
-    for (i, s) in sets.iter().enumerate() {
-        assert_eq!(
-            fsm.image(s),
-            mono.image(s),
-            "{name}: image diverges under installed care on set {i}"
-        );
-        assert_eq!(
-            fsm.preimage(s),
-            mono.preimage(s),
-            "{name}: preimage diverges under installed care on set {i}"
-        );
-        assert_eq!(
-            fsm.preimage_univ(s),
-            mono.preimage_univ(s),
-            "{name}: preimage_univ diverges under installed care on set {i}"
-        );
+    // Before and after the reachable set exists: caching it must leave
+    // every image untouched.
+    for phase in ["before", "after"] {
+        if phase == "after" {
+            let _reach = fsm.install_reachable_care();
+        }
+        for (i, s) in sets.iter().enumerate() {
+            assert_eq!(
+                fsm.image(s),
+                image(s),
+                "{name}: image diverges on set {i} ({phase} reachability)"
+            );
+            assert_eq!(
+                fsm.preimage(s),
+                preimage(s),
+                "{name}: preimage diverges on set {i} ({phase} reachability)"
+            );
+            assert_eq!(
+                fsm.preimage_univ(s),
+                preimage(&s.not()).not(),
+                "{name}: preimage_univ diverges on set {i} ({phase} reachability)"
+            );
+        }
     }
 }
 
@@ -121,7 +116,7 @@ fn assert_image_parity(bdd: &BddManager, name: &str, fsm: &SymbolicFsm) {
 fn circuits_image_ops_bit_identical() {
     let bdd = BddManager::new();
     for (name, model) in circuit_models(&bdd) {
-        assert_image_parity(&bdd, &name, &model.fsm);
+        assert_image_oracle(&bdd, &name, &model.fsm);
     }
 }
 
@@ -130,7 +125,7 @@ fn decks_image_ops_bit_identical() {
     for (name, src) in deck_sources() {
         let bdd = BddManager::new();
         let model = covest_smv::compile(&bdd, &src).expect("deck compiles");
-        assert_image_parity(&bdd, &name, &model.fsm);
+        assert_image_oracle(&bdd, &name, &model.fsm);
     }
 }
 
@@ -159,18 +154,12 @@ fn outcome_of(estimator: &CoverageEstimator, analysis: &CoverageAnalysis) -> Sig
     }
 }
 
-/// The full simplify × image × reorder configuration matrix.
-fn config_matrix() -> Vec<(ReorderMode, ImageMethod, SimplifyConfig)> {
+/// The full simplify × reorder configuration matrix.
+fn config_matrix() -> Vec<(ReorderMode, SimplifyConfig)> {
     let mut out = Vec::new();
     for reorder in [ReorderMode::Off, ReorderMode::Sift, ReorderMode::Auto] {
-        for image in [ImageMethod::Monolithic, ImageMethod::Partitioned] {
-            for simplify in [
-                SimplifyConfig::Off,
-                SimplifyConfig::Restrict,
-                SimplifyConfig::Constrain,
-            ] {
-                out.push((reorder, image, simplify));
-            }
+        for simplify in [SimplifyConfig::Off, SimplifyConfig::Restrict] {
+            out.push((reorder, simplify));
         }
     }
     out
@@ -178,12 +167,7 @@ fn config_matrix() -> Vec<(ReorderMode, ImageMethod, SimplifyConfig)> {
 
 /// Runs a full coverage analysis of `deck` under one configuration,
 /// returning the per-signal outcomes.
-fn analyze_deck(
-    src: &str,
-    method: ImageMethod,
-    reorder: ReorderMode,
-    simplify: SimplifyConfig,
-) -> Vec<SignalOutcome> {
+fn analyze_deck(src: &str, reorder: ReorderMode, simplify: SimplifyConfig) -> Vec<SignalOutcome> {
     let bdd = BddManager::new();
     bdd.set_reorder_config(ReorderConfig {
         mode: reorder,
@@ -194,7 +178,6 @@ fn analyze_deck(
         &bdd,
         src,
         ImageConfig {
-            method,
             simplify,
             ..Default::default()
         },
@@ -220,18 +203,19 @@ fn analyze_deck(
         .collect()
 }
 
+/// Outcomes are bit-identical across [`config_matrix`]. The image
+/// dimension the name mentions has a single value: the one relation.
 #[test]
 fn decks_outcomes_bit_identical_across_simplify_image_reorder() {
     for (name, src) in deck_sources() {
         let mut baseline: Option<Vec<SignalOutcome>> = None;
-        for (reorder, image, simplify) in config_matrix() {
-            let got = analyze_deck(&src, image, reorder, simplify);
+        for (reorder, simplify) in config_matrix() {
+            let got = analyze_deck(&src, reorder, simplify);
             match &baseline {
                 None => baseline = Some(got),
                 Some(want) => assert_eq!(
                     &got, want,
-                    "{name}: outcomes diverge at reorder={reorder:?} \
-                     image={image} simplify={simplify}"
+                    "{name}: outcomes diverge at reorder={reorder:?} simplify={simplify}"
                 ),
             }
         }
@@ -277,13 +261,12 @@ fn workloads_match_golden_coverage_percentages() {
     }
 }
 
+/// Outcomes are bit-identical across [`config_matrix`]. The image
+/// dimension the name mentions has a single value: the one relation.
 #[test]
 fn workloads_outcomes_bit_identical_across_simplify_image_reorder() {
     for w in table2_workloads() {
-        let run = |method: ImageMethod,
-                   reorder: ReorderMode,
-                   simplify: SimplifyConfig|
-         -> SignalOutcome {
+        let run = |reorder: ReorderMode, simplify: SimplifyConfig| -> SignalOutcome {
             let bdd = BddManager::new();
             bdd.set_reorder_config(ReorderConfig {
                 mode: reorder,
@@ -293,7 +276,6 @@ fn workloads_outcomes_bit_identical_across_simplify_image_reorder() {
             let model = (w.build)(&bdd);
             let mut fsm = model.fsm;
             fsm.set_image_config(ImageConfig {
-                method,
                 simplify,
                 ..Default::default()
             });
@@ -307,14 +289,13 @@ fn workloads_outcomes_bit_identical_across_simplify_image_reorder() {
             outcome_of(&estimator, &analysis)
         };
         let mut baseline: Option<SignalOutcome> = None;
-        for (reorder, image, simplify) in config_matrix() {
-            let got = run(image, reorder, simplify);
+        for (reorder, simplify) in config_matrix() {
+            let got = run(reorder, simplify);
             match &baseline {
                 None => baseline = Some(got),
                 Some(want) => assert_eq!(
                     &got, want,
-                    "{}/{}: outcomes diverge at reorder={reorder:?} \
-                     image={image} simplify={simplify}",
+                    "{}/{}: outcomes diverge at reorder={reorder:?} simplify={simplify}",
                     w.circuit, w.signal
                 ),
             }
@@ -322,8 +303,8 @@ fn workloads_outcomes_bit_identical_across_simplify_image_reorder() {
     }
 }
 
-/// The priority buffer's Table-2 workloads, which the two peak gates
-/// below run on.
+/// The priority buffer's Table-2 workloads, which the peak gate below
+/// runs on.
 fn buffer_workloads() -> Vec<Workload> {
     let buffer: Vec<Workload> = table2_workloads()
         .into_iter()
@@ -331,7 +312,7 @@ fn buffer_workloads() -> Vec<Workload> {
         .collect();
     assert!(
         !buffer.is_empty(),
-        "no priority-buffer workloads: the peak gates would pass vacuously"
+        "no priority-buffer workloads: the peak gate would pass vacuously"
     );
     buffer
 }
@@ -366,52 +347,13 @@ fn gc_reach_sweep(
     }
 }
 
-/// Peak live nodes of [`gc_reach_sweep`] under `method`, from the
-/// method-specific engine build on (so the partitioned arm's clustering
-/// transients count, as the monolith's lazy conjunction does in its
-/// first image call). Simplification is pinned off so that its
-/// care-simplified cluster copies skew neither arm.
-fn image_sweep_peak(w: &Workload, method: ImageMethod) -> usize {
-    let bdd = BddManager::new();
-    let mut fsm = (w.build)(&bdd).fsm;
-    // Compile garbage is common to both arms; the machine is the live set.
-    bdd.gc();
-    let mut peak = bdd.live_nodes();
-    fsm.set_image_config(ImageConfig {
-        method,
-        simplify: SimplifyConfig::Off,
-        ..Default::default()
-    });
-    peak = peak.max(bdd.live_nodes());
-    // The default-config clusters from the build and any rejected trial
-    // merges are garbage now.
-    bdd.gc();
-    gc_reach_sweep(&bdd, &fsm, SimplifyConfig::Off, peak).1
-}
-
-#[test]
-fn partitioned_sweep_peaks_below_monolithic_on_the_buffer() {
-    for w in buffer_workloads() {
-        let mono = image_sweep_peak(&w, ImageMethod::Monolithic);
-        let part = image_sweep_peak(&w, ImageMethod::Partitioned);
-        assert!(
-            part < mono,
-            "{}/{}: partitioned peak ({part}) must stay below monolithic peak ({mono})",
-            w.circuit,
-            w.signal
-        );
-    }
-}
-
-/// Peak live nodes under one simplification mode, on the default
-/// partitioned engine, with a garbage collection after every fixpoint
-/// step, through the phases simplification targets:
+/// Peak live nodes under one simplification mode, with a garbage
+/// collection after every fixpoint step, through the phases
+/// simplification targets:
 ///
-/// 1. reachability (frontier-simplified per mode) and care installation
-///    (the simplified cluster copies are a cost the simplified arms carry
-///    from here on);
-/// 2. a forward re-sweep ([`gc_reach_sweep`]) on the care-installed
-///    engine;
+/// 1. reachability (frontier-simplified per mode);
+/// 2. a forward re-sweep ([`gc_reach_sweep`]) with the reachable set
+///    cached;
 /// 3. an `AG`-shaped backward sweep: `EF(viol)` for the complement of
 ///    the first half of the onion rings (the full-space shape `¬p` takes
 ///    in `AG p = ¬EF ¬p`), each preimage operand simplified modulo the

@@ -5,12 +5,11 @@
 //! ```text
 //! covest check MODEL.smv [--coverage] [--observed SIGNAL]...
 //!                        [--traces N] [--strict] [--dot FILE]
-//!                        [--reorder off|sift|auto] [--image mono|part]
-//!                        [--simplify off|restrict|constrain]
+//!                        [--reorder off|sift|auto]
+//!                        [--simplify off|restrict]
 //!                        [--coi on|off] [--json FILE]
-//! covest batch JOBLIST   [--strict] [--reorder ...] [--image ...]
-//!                        [--simplify ...] [--coi on|off] [--jobs N]
-//!                        [--json FILE]
+//! covest batch JOBLIST   [--strict] [--reorder ...] [--simplify ...]
+//!                        [--coi on|off] [--jobs N] [--json FILE]
 //! covest lint DECK.smv... [--strict]
 //! ```
 //!
@@ -26,7 +25,7 @@
 //!   states per signal;
 //! - `--strict` exits nonzero if any property fails;
 //! - `--dot FILE` dumps the reachable-state BDD in Graphviz format;
-//! - `--reorder`, `--image`, `--simplify` select the engine modes (all
+//! - `--reorder`, `--simplify` select the engine modes (all
 //!   combinations produce bit-identical results; see `README.md`);
 //! - `--coi on|off` (default on) selects what `check` and every `batch`
 //!   shard compile: the statically pruned cone-of-influence deck, or the
@@ -46,8 +45,9 @@
 //!   everything below the `-- timings --` line is wall-clock and
 //!   excluded from any parity contract;
 //! - `--trace FILE` writes the recorded span/event log (compile,
-//!   reachability with per-BFS-step sizes, care install, the machine's
-//!   one verification, each signal's coverage). In `batch` the file
+//!   the startup sift, reachability with per-BFS-step sizes, care
+//!   install, the machine's one verification, each signal's coverage
+//!   and its uncovered sample). In `batch` the file
 //!   **streams**: each shard's span forest
 //!   is written as its result arrives, one track per pool worker, so a
 //!   long batch holds at most one shard's records in memory; the
@@ -102,7 +102,7 @@ use covest_par::{
     compile_machine, cover_signal, plan_machine, run_batch, run_batch_with_trace, BatchReport,
     DeckJob, ParConfig, ShardProfile,
 };
-use covest_smv::{decl_bit_names, CompiledModel, ImageConfig, ImageMethod, Module, SimplifyConfig};
+use covest_smv::{decl_bit_names, CompiledModel, ImageConfig, Module, SimplifyConfig};
 use covest_telemetry::chrome::{TraceFormat, TraceSink, TraceWriter};
 use covest_telemetry::{
     self as telemetry, memory, progress, Counters, SpanRecord, Telemetry, WallClock, TIMINGS_MARKER,
@@ -136,7 +136,6 @@ fn is_closed_stdout(e: &(dyn std::error::Error + 'static)) -> bool {
 /// Flags shared by `check` and `batch`.
 struct EngineArgs {
     reorder: ReorderMode,
-    image: ImageMethod,
     simplify: SimplifyConfig,
     jobs: usize,
     json: Option<String>,
@@ -151,7 +150,6 @@ impl Default for EngineArgs {
     fn default() -> Self {
         EngineArgs {
             reorder: ReorderMode::Sift,
-            image: ImageMethod::Partitioned,
             simplify: SimplifyConfig::Restrict,
             jobs: 1,
             json: None,
@@ -203,11 +201,11 @@ fn usage() -> ! {
     eprintln!(
         "usage: covest check MODEL.smv [--coverage] [--observed SIGNAL]... \
          [--traces N] [--strict] [--dot FILE] [--reorder off|sift|auto] \
-         [--image mono|part] [--simplify off|restrict|constrain] \
+         [--simplify off|restrict] \
          [--coi on|off] [--json FILE] [--stats] [--trace FILE] \
          [--trace-format jsonl|chrome] [--progress]\n\
          \u{20}      covest batch JOBLIST [--strict] [--reorder off|sift|auto] \
-         [--image mono|part] [--simplify off|restrict|constrain] \
+         [--simplify off|restrict] \
          [--coi on|off] [--jobs N] [--json FILE] [--stats] [--trace FILE] \
          [--trace-format jsonl|chrome] [--progress]\n\
          \u{20}      covest lint DECK.smv... [--strict]\n\
@@ -215,12 +213,8 @@ fn usage() -> ! {
          --reorder off   keep the declaration variable order\n\
          --reorder sift  sift once after compiling the model (default)\n\
          --reorder auto  re-sift whenever the BDD grows past the threshold\n\
-         --image part    clustered transition relation with early\n\
-         \u{20}               quantification; the monolith is never built (default)\n\
-         --image mono    monolithic transition relation\n\
          --simplify restrict   size-safe don't-care simplification of\n\
-         \u{20}                    frontiers, iterates and clusters (default)\n\
-         --simplify constrain  stronger generalized-cofactor simplification\n\
+         \u{20}                    frontiers and iterates (default)\n\
          --simplify off        no don't-care simplification\n\
          --coi on        check and each batch shard compile the union of\n\
          \u{20}               the analyzed signals' statically pruned cones\n\
@@ -273,7 +267,6 @@ fn parse_engine_flag(
     }
     match flag {
         "--reorder" => engine.reorder = parsed(argv.next()),
-        "--image" => engine.image = parsed(argv.next()),
         "--simplify" => engine.simplify = parsed(argv.next()),
         "--jobs" => match argv.next().and_then(|n| n.parse().ok()) {
             Some(n) => engine.jobs = n,
@@ -491,7 +484,6 @@ fn par_config(engine: &EngineArgs) -> ParConfig {
     ParConfig {
         jobs: engine.jobs,
         image: ImageConfig {
-            method: engine.image,
             simplify: engine.simplify,
             ..Default::default()
         },
@@ -840,14 +832,6 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     }
     let compiled = machine.reduced.as_ref().unwrap_or(&module);
     let (model, sift) = compile_machine(&bdd, compiled, &config)?;
-    // In mono mode nothing was clustered — the engine holds the raw
-    // parts and the fixpoints run on the lazy monolith.
-    let partition = match args.engine.image {
-        ImageMethod::Partitioned => {
-            format!("{} clusters", model.fsm.image_engine().clusters().len())
-        }
-        ImageMethod::Monolithic => format!("{} parts", model.fsm.trans_parts().len()),
-    };
     let state_bits = match &machine.reduced {
         Some(_) => format!(
             "{} state bits ({} in the cone of influence)",
@@ -858,11 +842,11 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     };
     say!(
         "model `{}`: {state_bits}, {} properties, {} fairness constraints, \
-         image method `{}` ({partition}), simplify `{}`",
+         {} transition parts, simplify `{}`",
         args.model_path,
         model.specs.len(),
         model.fairness.len(),
-        args.engine.image,
+        model.fsm.trans_parts().len(),
         args.engine.simplify,
     )?;
     if let Some(stats) = sift {

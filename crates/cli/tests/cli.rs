@@ -80,30 +80,6 @@ fn pipeline_deck_uses_embedded_fairness() {
 }
 
 #[test]
-fn image_methods_agree_on_coverage() {
-    let run = |method: &str| -> String {
-        let out = covest()
-            .arg("check")
-            .arg(repo_root().join("models/counter.smv"))
-            .arg("--coverage")
-            .arg("--image")
-            .arg(method)
-            .output()
-            .expect("runs");
-        assert!(out.status.success(), "--image {method} run fails");
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    let mono = run("mono");
-    let part = run("part");
-    assert!(mono.contains("image method `mono`"), "{mono}");
-    assert!(part.contains("image method `part`"), "{part}");
-    for stdout in [&mono, &part] {
-        assert_eq!(stdout.matches("[PASS]").count(), 5, "{stdout}");
-        assert!(stdout.contains("83.33"), "{stdout}");
-    }
-}
-
-#[test]
 fn simplify_modes_agree_on_coverage() {
     let run = |mode: &str| -> String {
         let out = covest()
@@ -117,7 +93,7 @@ fn simplify_modes_agree_on_coverage() {
         assert!(out.status.success(), "--simplify {mode} run fails");
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    for mode in ["off", "restrict", "constrain"] {
+    for mode in ["off", "restrict"] {
         let stdout = run(mode);
         assert!(stdout.contains(&format!("simplify `{mode}`")), "{stdout}");
         assert_eq!(stdout.matches("[PASS]").count(), 5, "{stdout}");
@@ -125,32 +101,38 @@ fn simplify_modes_agree_on_coverage() {
     }
 }
 
+/// An unknown mode, the retired `constrain` included, is a usage error.
 #[test]
 fn bad_simplify_mode_is_rejected() {
-    let out = covest()
-        .arg("check")
-        .arg(repo_root().join("models/counter.smv"))
-        .arg("--simplify")
-        .arg("maybe")
-        .output()
-        .expect("runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown simplify mode"), "{stderr}");
+    for mode in ["maybe", "constrain"] {
+        let out = covest()
+            .arg("check")
+            .arg(repo_root().join("models/counter.smv"))
+            .arg("--simplify")
+            .arg(mode)
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "--simplify {mode}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown simplify mode"), "{stderr}");
+    }
 }
 
+/// There is one transition relation, so `--image` is no flag at all:
+/// every method, the former ones included, is a usage error (exit 2).
 #[test]
 fn bad_image_method_is_rejected() {
-    let out = covest()
-        .arg("check")
-        .arg(repo_root().join("models/counter.smv"))
-        .arg("--image")
-        .arg("hybrid")
-        .output()
-        .expect("runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown image method"), "{stderr}");
+    for method in ["mono", "part", "hybrid"] {
+        let out = covest()
+            .arg("check")
+            .arg(repo_root().join("models/counter.smv"))
+            .args(["--image", method])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "--image {method}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: covest check"), "{stderr}");
+    }
 }
 
 /// Runs `covest check` on a deck and returns stdout.

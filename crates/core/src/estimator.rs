@@ -224,10 +224,10 @@ impl<'m> CoverageEstimator<'m> {
     /// [`CoverageEstimator::cover`] in a row.
     ///
     /// Every reachability and CTL fixpoint underneath runs on the
-    /// machine's image engine, so the default partitioned method (and
-    /// any [`covest_fsm::ImageConfig`] installed with
-    /// [`covest_fsm::SymbolicFsm::set_image_config`]) applies to the
-    /// whole analysis.
+    /// machine's image engine, so the simplification mode of any
+    /// [`covest_fsm::ImageConfig`] installed with
+    /// [`covest_fsm::SymbolicFsm::set_image_config`] applies to the whole
+    /// analysis.
     ///
     /// With [`covest_bdd::ReorderMode::Auto`] configured on the manager,
     /// this method sifts at its phase boundaries via the zero-argument
@@ -254,8 +254,8 @@ impl<'m> CoverageEstimator<'m> {
 
     /// The machine's verification checker: the `fairness` constraints
     /// first, then — unless the image configuration turns simplification
-    /// off — the reachable states, computed and installed as the image
-    /// engine's care set and as the checker's iterate-simplification
+    /// off — the reachable states, computed and installed (under a
+    /// `care_install` span) as the checker's iterate-simplification
     /// boundary, so verification and coverage both fixpoint over
     /// don't-care-simplified BDDs. Without simplification no
     /// reachability runs here; the first [`CoverageEstimator::cover`]
@@ -271,7 +271,9 @@ impl<'m> CoverageEstimator<'m> {
             mc.add_fairness(fair)?;
         }
         if self.fsm.image_config().simplify != SimplifyConfig::Off {
-            mc.set_care(self.fsm.install_reachable_care());
+            let reach = self.fsm.reachable();
+            let _span = telemetry::span("care_install");
+            mc.set_care(reach);
         }
         Ok(mc)
     }
@@ -349,7 +351,7 @@ impl<'m> CoverageEstimator<'m> {
         let mgr = self.fsm.manager().clone();
         // The coverage space's reachable part: computed by `checker` when
         // simplification is on, here otherwise (cached either way).
-        let reach = self.fsm.install_reachable_care();
+        let reach = self.fsm.reachable();
         let _span = telemetry::span(format!("signal:{observed}"));
         let (verify_time, verify_nodes) = (verification.time, verification.nodes);
         let Verification {

@@ -8,7 +8,7 @@
 //! mapping names to functions of the current state (and inputs).
 //!
 //! Every BDD the machine stores — the initial states, the transition
-//! parts, the image engine's clusters, the signal functions — is an owned
+//! parts and relation, the signal functions — is an owned
 //! [`Func`] handle, so the machine pins its own state across garbage
 //! collection and dynamic reordering. No root enumeration exists anymore;
 //! there is nothing to enumerate.
@@ -51,7 +51,6 @@ pub struct SymbolicFsm {
     pub(crate) state_bits: Vec<StateBit>,
     pub(crate) input_bits: Vec<InputBit>,
     pub(crate) init: Func,
-    pub(crate) trans_parts: Vec<Func>,
     pub(crate) engine: ImageEngine,
     pub(crate) signals: SignalTable,
 }
@@ -97,19 +96,17 @@ impl SymbolicFsm {
         &self.init
     }
 
-    /// The monolithic transition relation over (current, input, next),
-    /// conjoined lazily on first request and cached. The fixpoint
-    /// machinery never calls this in partitioned mode — only explicit
-    /// monolith consumers (e.g. differential tests, `--image mono`) pay
-    /// for it.
+    /// The transition relation over (current, input, next), conjoined
+    /// from [`SymbolicFsm::trans_parts`] on first request and cached.
+    /// Every image and preimage runs on it.
     pub fn trans(&self) -> Func {
-        self.engine.monolithic_trans()
+        self.engine.relation()
     }
 
     /// The conjunctive partition of the transition relation, one part per
     /// state bit plus any raw constraints, as emitted by the builder.
     pub fn trans_parts(&self) -> &[Func] {
-        &self.trans_parts
+        self.engine.parts()
     }
 
     /// The image engine computing every image/preimage for this machine.
@@ -122,22 +119,23 @@ impl SymbolicFsm {
         self.engine.config()
     }
 
-    /// Rebuilds the image engine with a new configuration (method,
-    /// cluster threshold and/or simplification mode). Reclustering
-    /// happens immediately; the monolithic relation stays lazy. Any
-    /// cached monolith — and any installed care-simplified relation —
-    /// is dropped: both are derived from the parts, which may have
-    /// changed, so they are recomputed on demand rather than risked
-    /// stale.
+    /// Rebuilds the image engine with a new configuration (the
+    /// simplification mode). The cached relation and reachable set are
+    /// dropped and recomputed on demand.
     pub fn set_image_config(&mut self, config: ImageConfig) {
-        self.engine = ImageEngine::build(
+        self.engine = self.engine_over(self.engine.parts(), config);
+    }
+
+    /// A fresh image engine over `parts` and this machine's variables.
+    fn engine_over(&self, parts: &[Func], config: ImageConfig) -> ImageEngine {
+        ImageEngine::build(
             &self.mgr,
-            &self.trans_parts,
+            parts,
             &self.current_vars(),
             &self.input_vars(),
             &self.next_vars(),
             config,
-        );
+        )
     }
 
     /// The machine's signal table (the paper's signal set `P`).
@@ -195,12 +193,13 @@ impl SymbolicFsm {
     /// Checks that the transition relation is *total*: every state/input
     /// combination has at least one successor. CTL semantics (and the
     /// paper's path-based definitions) assume totality.
+    ///
+    /// When no two parts share a next-state variable,
+    /// `∃next. ⋀p = ⋀ ∃next. p`, so each part is checked on its own and
+    /// the relation is not built; otherwise it is conjoined and checked
+    /// whole.
     pub fn is_total(&self) -> bool {
-        // ∃next. T, without building T: sweep the clusters eliminating
-        // next variables early, keeping current and input variables free.
-        self.engine
-            .backward_with_inputs(&self.mgr.constant(true))
-            .is_true()
+        self.engine.is_total()
     }
 
     /// Restricts the machine's inputs with an additional constraint over
@@ -208,24 +207,15 @@ impl SymbolicFsm {
     /// Returns a machine whose transition relation is `T ∧ c`.
     ///
     /// The constraint joins the conjunctive partition and the image
-    /// engine (clusters and quantification schedules) is rebuilt, so the
-    /// constrained machine's partitioned and monolithic paths stay
-    /// consistent. Any care-simplified relation installed on the source
-    /// engine is **not** carried over: it was derived from the old
-    /// transition relation (and the old machine's reachable set), so the
-    /// constrained machine starts with no care state — re-derive one
-    /// with [`SymbolicFsm::install_reachable_care`] if wanted.
+    /// engine is rebuilt, so the constrained machine carries neither the
+    /// old relation nor the old machine's reachable set.
     ///
     /// Note: the result may not be total; check [`SymbolicFsm::is_total`].
     pub fn constrain(&self, constraint: &Func) -> SymbolicFsm {
+        let mut parts = self.engine.parts().to_vec();
+        parts.push(constraint.clone());
         let mut out = self.clone();
-        out.trans_parts.push(constraint.clone());
-        out.set_image_config(self.engine.config());
-        // An already-built monolith extends by one conjunction instead of
-        // being re-conjoined from scratch on next demand.
-        if let Some(t) = self.engine.cached_mono() {
-            out.engine.seed_mono(t.and(constraint));
-        }
+        out.engine = self.engine_over(&parts, self.engine.config());
         out
     }
 
@@ -325,8 +315,8 @@ impl FsmBuilder {
         &self.mgr
     }
 
-    /// Selects the image configuration for the built machine (default:
-    /// partitioned).
+    /// Selects the image configuration (the simplification mode) for the
+    /// built machine.
     pub fn with_image_config(mut self, config: ImageConfig) -> Self {
         self.image_config = config;
         self
@@ -435,7 +425,10 @@ impl FsmBuilder {
     /// Returns [`BuildFsmError::MissingNext`] if a state bit has neither a
     /// next-state function nor any raw constraint mentioning its next
     /// variable, and [`BuildFsmError::NotTotal`] if the resulting relation
-    /// has a state/input combination with no successor.
+    /// has a state/input combination with no successor. The totality
+    /// check conjoins nothing when no two parts share a next-state
+    /// variable, so a compiled deck's relation is first built by its
+    /// first image, after the startup sift.
     pub fn build(self) -> Result<SymbolicFsm, BuildFsmError> {
         let mut parts = Vec::new();
         for (idx, bit) in self.state_bits.iter().enumerate() {
@@ -459,9 +452,6 @@ impl FsmBuilder {
             }
         }
         parts.extend(self.raw_constraints.iter().cloned());
-        // No monolithic conjunction here: the machine's transition
-        // relation lives as clusters in the image engine, and the
-        // monolith is built lazily only if someone asks for it.
         let engine = ImageEngine::build(
             &self.mgr,
             &parts,
@@ -480,7 +470,6 @@ impl FsmBuilder {
             state_bits: self.state_bits,
             input_bits: self.input_bits,
             init: self.init,
-            trans_parts: parts,
             engine,
             signals: self.signals,
         };
@@ -574,11 +563,12 @@ mod tests {
         assert!(!constrained.is_total());
     }
 
-    /// Regression for the stale-derived-state class: a machine with an
-    /// installed care-simplified relation (and a cached monolith) is
-    /// `constrain`ed; the rebuilt engine must carry neither the old care
-    /// state nor a monolith missing the constraint, and the constrained
-    /// machine's analyses must match a from-scratch build bit for bit.
+    /// Regression for the stale-derived-state class: a machine with a
+    /// cached reachable set (the checker's care set) and a cached
+    /// relation is `constrain`ed; the rebuilt engine must carry neither
+    /// the old reachable set nor a relation missing the constraint, and
+    /// the constrained machine's images must match a simplification-free
+    /// twin bit for bit.
     #[test]
     fn constrain_drops_care_state_and_stays_consistent() {
         use crate::image::SimplifyConfig;
@@ -601,8 +591,7 @@ mod tests {
         };
         // Force both derived artifacts to exist.
         let _t = fsm.trans();
-        let reach = fsm.install_reachable_care();
-        assert!(fsm.image_engine().care_set().is_some());
+        let reach = fsm.reachable();
 
         // Cut all transitions out of state 01, shrinking the reachable set.
         let f0 = mgr.var(fsm.state_bits()[0].current);
@@ -614,20 +603,17 @@ mod tests {
         );
         let constrained = fsm.constrain(&cut);
         assert!(
-            constrained.image_engine().care_set().is_none(),
-            "constrain must not inherit a care set derived from the old relation"
-        );
-        assert!(
             constrained.image_engine().cached_reach().is_none(),
             "constrain must not inherit the old machine's reachable set"
         );
-        // The extended monolith really carries the constraint.
+        // The rebuilt relation really carries the constraint.
         let fresh_t = mgr.and_many(constrained.trans_parts());
         assert_eq!(constrained.trans(), fresh_t);
+        assert_eq!(constrained.trans(), fsm.trans().and(&cut));
 
-        // Reinstalling care on the constrained machine leaves every image
-        // exact (compared against a simplification-free twin).
-        let new_reach = constrained.install_reachable_care();
+        // The constrained machine's images are exact (compared against a
+        // simplification-free twin).
+        let new_reach = constrained.reachable();
         assert!(new_reach.leq(&reach));
         let mut off = constrained.clone();
         off.set_image_config(ImageConfig {
@@ -688,5 +674,72 @@ mod tests {
         let fsm = b.build().expect("total");
         let s0 = fsm.state_cube(&[("x", false)]);
         assert!(fsm.image(&s0).is_true());
+    }
+
+    /// A raw transition constraint over a toggler's `x`, `x'` and `y'`.
+    type Extra = fn(&Func, &Func, &Func) -> Func;
+
+    /// A toggler `x' ↔ ¬x` beside a free bit `y`, plus the raw constraint
+    /// `extra(x, x', y')` when given. A constraint that leaves `x'` alone
+    /// has next-state variables of its own; one over `x'` shares it with
+    /// the toggler's part.
+    fn toggler(mgr: &BddManager, extra: Option<Extra>) -> FsmBuilder {
+        let mut b = FsmBuilder::new(mgr, "toggler");
+        let x = b.add_state_bit("x");
+        let y = b.add_free_bit("y");
+        let (cur, next) = (mgr.var(x.current), mgr.var(x.next));
+        b.set_next("x", cur.not());
+        if let Some(extra) = extra {
+            b.add_trans_constraint(extra(&cur, &next, &mgr.var(y.next)));
+        }
+        b
+    }
+
+    /// `build()` rejects a relation with a dead end and accepts a total
+    /// one, for parts with disjoint next-state supports (checked part by
+    /// part) and for parts sharing one (checked on the conjunction);
+    /// `is_total()` agrees on all four machines. A rejected machine is
+    /// rebuilt for `is_total()` as the total base `constrain`ed by the
+    /// same raw constraint, which yields the same parts.
+    #[test]
+    fn totality_check_matches_the_conjunction() {
+        let cases: [(&str, Extra, bool); 4] = [
+            // Over current variables: the state x = 1 has no successor.
+            ("disjoint, dead end", |x, _, _| x.not(), false),
+            // Over y' (the shape of a free input's validity constraint):
+            // some y' satisfies it from every state.
+            ("disjoint, total", |x, _, y_next| y_next.or(x), true),
+            // `x' ↔ x` against `x' ↔ ¬x`: each part is total on its own,
+            // their conjunction is empty.
+            ("shared, dead end", |x, x_next, _| x_next.iff(x), false),
+            // `x' → ¬x` only restates part of `x' ↔ ¬x`.
+            (
+                "shared, total",
+                |x, x_next, _| x_next.implies(&x.not()),
+                true,
+            ),
+        ];
+        for (name, extra, total) in cases {
+            let mgr = BddManager::new();
+            let built = toggler(&mgr, Some(extra)).build();
+            assert_eq!(built.is_ok(), total, "{name}: build()");
+            if !total {
+                assert_eq!(built.unwrap_err(), BuildFsmError::NotTotal, "{name}");
+            }
+            let base = toggler(&mgr, None).build().expect("the toggler is total");
+            let [x, y] = base.state_bits() else {
+                unreachable!("two state bits")
+            };
+            let constraint = extra(&mgr.var(x.current), &mgr.var(x.next), &mgr.var(y.next));
+            let machine = base.constrain(&constraint);
+            assert_eq!(machine.trans_parts().len(), 2, "{name}");
+            assert_eq!(machine.is_total(), total, "{name}: is_total()");
+            // Both answers agree with ∃next. T on the conjoined relation.
+            assert_eq!(
+                machine.trans().exists(&machine.next_vars()).is_true(),
+                total,
+                "{name}: ∃next. T"
+            );
+        }
     }
 }

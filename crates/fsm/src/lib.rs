@@ -7,11 +7,9 @@
 //! - [`SymbolicFsm`] / [`FsmBuilder`]: Mealy machines over BDD variables,
 //!   with image/preimage, `forward`, reachability fixpoints and onion
 //!   rings;
-//! - [`ImageEngine`]: partitioned image computation — the transition
-//!   relation kept as size-bounded clusters swept with an
-//!   early-quantification schedule ([`ImageMethod::Partitioned`], the
-//!   default), with the monolithic relation available lazily behind
-//!   [`ImageMethod::Monolithic`] for A/B comparison;
+//! - [`ImageEngine`]: the transition relation, kept as the builder's
+//!   conjunctive partition and conjoined on the first image, so every
+//!   image and preimage is one fused relational product;
 //! - [`SignalTable`]: named boolean and numeric signals with lowering of
 //!   [`covest_ctl::PropExpr`] atoms (including integer comparisons) to
 //!   BDDs, plus interpretation *overrides* — the hook used by `depend(b)`,

@@ -88,24 +88,10 @@ impl SymbolicFsm {
         self.engine.cached_reach().is_some_and(|r| &r == set)
     }
 
-    /// Computes the reachable states and installs them as the image
-    /// engine's care set (per the configured [`crate::SimplifyConfig`]),
-    /// so subsequent forward fixpoints sweep don't-care-simplified
-    /// transition clusters. Returns the reachable set.
-    ///
-    /// A no-op installation under [`crate::SimplifyConfig::Off`]; also a
-    /// no-op when the engine already carries this exact care set
-    /// (canonicity makes that a cheap handle comparison), so repeated
-    /// calls — e.g. one per observed signal in a multi-signal analysis —
-    /// don't re-simplify the clusters or re-derive the schedules.
+    /// [`SymbolicFsm::reachable`] under its old name. Kept only for the
+    /// `perfbench` harness, which calls it.
     pub fn install_reachable_care(&self) -> Func {
-        let reach = self.reachable();
-        if self.engine.care_set().as_ref() != Some(&reach) {
-            let _span = telemetry::span("care_install");
-            self.engine
-                .install_care(&reach, self.image_config().simplify);
-        }
-        reach
+        self.reachable()
     }
 
     /// Breadth-first *onion rings* from `from`: `rings[0] = from`, and

@@ -105,9 +105,8 @@ impl SymbolicFsm {
         let mut rev_inputs: Vec<Vec<(VarId, bool)>> = Vec::new();
         for ring in rings[..k].iter().rev() {
             // Predecessors of `state_cube` within `ring`, with the inputs
-            // justifying the transition: ∃next. T ∧ next(state), computed
-            // through the image engine so replay never forces the
-            // monolithic T to exist, then restricted to the ring.
+            // justifying the transition: ∃next. T ∧ next(state), then
+            // restricted to the ring.
             let state_next = state_cube.rename(&self.cur_to_next());
             let preds = self.engine.backward_with_inputs(&state_next);
             let step = preds.and(ring);

@@ -53,8 +53,7 @@ pub struct ParConfig {
     /// deck, drained through one set of deques — and the planner plans
     /// the decks on the same number of threads.
     pub jobs: usize,
-    /// Image configuration for every compile (method, cluster threshold,
-    /// simplification mode).
+    /// Image configuration for every compile (the simplification mode).
     pub image: ImageConfig,
     /// Dynamic-reordering mode for every manager. [`ReorderMode::Sift`]
     /// mirrors the CLI default: one sifting pass right after compile.

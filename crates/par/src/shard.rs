@@ -76,11 +76,13 @@ pub(crate) fn install_mem_sampler(bdd: &BddManager) {
 }
 
 /// Compiles a deck machine on `bdd` under `config`'s image and reorder
-/// modes and, in `sift` mode, runs the startup sifting pass, whose
-/// statistics come back for `covest check`'s `reorder (sift):` line. In
-/// `auto` mode the manager sifts at its own checkpoints, including one
-/// at the end of compile. Every shard, `covest check` and `check`'s full
-/// deck compile through here.
+/// modes and, in `sift` mode, runs the startup sifting pass (under a
+/// `sift` span), whose statistics come back for `covest check`'s
+/// `reorder (sift):` line. The sift orders the transition parts: the
+/// relation is conjoined later, by the first image. In `auto` mode the
+/// manager sifts at its own checkpoints, including one at the end of
+/// compile. Every shard, `covest check` and `check`'s full deck compile
+/// through here.
 ///
 /// # Errors
 ///
@@ -95,13 +97,16 @@ pub fn compile_machine(
         ..Default::default()
     });
     let model = covest_smv::compile_module_with(bdd, module, config.image)?;
-    let sift = (config.reorder == ReorderMode::Sift).then(|| bdd.reduce_heap());
+    let sift = (config.reorder == ReorderMode::Sift).then(|| {
+        let _span = telemetry::span("sift");
+        bdd.reduce_heap()
+    });
     Ok((model, sift))
 }
 
 /// One coverage task on a verified machine: the signal's coverage over
 /// its own cone, and its Table-2 row carrying the canonical sample of up
-/// to `uncovered_limit` uncovered states.
+/// to `uncovered_limit` uncovered states, drawn under a `sample` span.
 ///
 /// # Errors
 ///
@@ -118,8 +123,11 @@ pub fn cover_signal<'m>(
         ..Default::default()
     };
     let analysis = estimator.cover(verification, &task.signal, &options)?;
-    let universe = estimator.universe(options.cone.as_deref());
-    let sample = estimator.sample_states_over(&analysis.uncovered(), &universe, uncovered_limit);
+    let sample = {
+        let _span = telemetry::span("sample");
+        let universe = estimator.universe(options.cone.as_deref());
+        estimator.sample_states_over(&analysis.uncovered(), &universe, uncovered_limit)
+    };
     let row = ReportRow::from_analysis(deck, &analysis).with_uncovered_sample(sample);
     Ok((row, analysis))
 }

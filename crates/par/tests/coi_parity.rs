@@ -10,7 +10,7 @@
 //! uncovered samples, and the uncovered *sets* themselves — must agree
 //! exactly. A deterministic sweep pins the whole bundled deck set under
 //! the default config; a property test samples random engine configs
-//! (image × simplify × reorder × jobs) per deck; and the sized pipeline
+//! (simplify × reorder × jobs) per deck; and the sized pipeline
 //! decks, whose debug register chains lie outside every cone, must agree
 //! too while peaking lower with COI on.
 
@@ -19,19 +19,13 @@ mod common;
 use common::{all_decks, assert_semantic_parity};
 use covest_bdd::ReorderMode;
 use covest_par::{run_batch, BatchReport, DeckJob, ParConfig};
-use covest_smv::{ImageConfig, ImageMethod, SimplifyConfig};
+use covest_smv::{ImageConfig, SimplifyConfig};
 use proptest::prelude::*;
 
-fn config(
-    coi: bool,
-    image: ImageMethod,
-    simplify: SimplifyConfig,
-    reorder: ReorderMode,
-) -> ParConfig {
+fn config(coi: bool, simplify: SimplifyConfig, reorder: ReorderMode) -> ParConfig {
     ParConfig {
         jobs: 4,
         image: ImageConfig {
-            method: image,
             simplify,
             ..Default::default()
         },
@@ -118,37 +112,31 @@ fn coi_lowers_the_peak_on_sized_pipelines() {
             profile.counters.get("bfs_steps"),
         )
     };
-    assert_eq!(work(&on), (2_867, 93, 28), "pipeline_d8, coi on");
-    assert_eq!(work(&off), (6_058, 101, 36), "pipeline_d8, coi off");
+    assert_eq!(work(&on), (3_582, 93, 28), "pipeline_d8, coi on");
+    assert_eq!(work(&off), (8_146, 101, 36), "pipeline_d8, coi off");
 }
 
 proptest! {
-    /// Random (deck, image, simplify, reorder, jobs) samples: the two
-    /// COI modes agree on every deterministic report field.
+    /// Random (deck, simplify, reorder, jobs) samples: the two COI modes
+    /// agree on every deterministic report field.
     #[test]
     fn coi_modes_agree_under_random_configs(
         pick in 0..1000usize,
-        img in 0..2usize,
-        simp in 0..3usize,
+        simp in 0..2usize,
         ro in 0..3usize,
         jobs in 1..5usize,
     ) {
         let decks = all_decks();
         let deck = vec![decks[pick % decks.len()].clone()];
-        let image = [ImageMethod::Partitioned, ImageMethod::Monolithic][img];
-        let simplify = [
-            SimplifyConfig::Off,
-            SimplifyConfig::Restrict,
-            SimplifyConfig::Constrain,
-        ][simp];
+        let simplify = [SimplifyConfig::Off, SimplifyConfig::Restrict][simp];
         let reorder = [ReorderMode::Off, ReorderMode::Sift, ReorderMode::Auto][ro];
         let label = format!(
-            "deck={} image={image} simplify={simplify} reorder={reorder:?} jobs={jobs}",
+            "deck={} simplify={simplify} reorder={reorder:?} jobs={jobs}",
             deck[0].name
         );
-        let mut on = config(true, image, simplify, reorder);
+        let mut on = config(true, simplify, reorder);
         on.jobs = jobs;
-        let mut off = config(false, image, simplify, reorder);
+        let mut off = config(false, simplify, reorder);
         off.jobs = jobs;
         let ron = run_batch(&deck, &on).expect("coi on");
         let roff = run_batch(&deck, &off).expect("coi off");

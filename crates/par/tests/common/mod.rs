@@ -182,7 +182,7 @@ pub fn run_sequential(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchRepor
                     .map_err(|e| task_err(None, e.to_string()))?;
             }
             if config.image.simplify != covest_smv::SimplifyConfig::Off {
-                mc.set_care(model.fsm.install_reachable_care());
+                mc.set_care(model.fsm.reachable());
             }
             for spec in &model.specs {
                 let verdict = mc

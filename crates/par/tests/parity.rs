@@ -1,8 +1,8 @@
 //! Sequential ↔ parallel parity: the worker pool is pure mechanism.
 //!
 //! Over **every** bundled circuit and every `models/*.smv` deck, across
-//! the full `--image mono|part` × `--simplify off|restrict|constrain` ×
-//! `--reorder off|sift|auto` mode cross, the parallel engine must produce
+//! the full `--simplify off|restrict` × `--reorder off|sift|auto` mode
+//! cross, the parallel engine must produce
 //! coverage percentages (bit-for-bit, via `f64::to_bits`), per-property
 //! verdicts, vacuity flags, state counts and uncovered-state **sets**
 //! (compared semantically, by importing both sides' name-keyed dumps
@@ -19,13 +19,12 @@ mod common;
 use common::{all_decks, assert_semantic_parity, run_sequential};
 use covest_bdd::ReorderMode;
 use covest_par::{run_batch, DeckJob, ParConfig, WorkPlan};
-use covest_smv::{ImageConfig, ImageMethod, SimplifyConfig};
+use covest_smv::{ImageConfig, SimplifyConfig};
 
-fn config(image: ImageMethod, simplify: SimplifyConfig, reorder: ReorderMode) -> ParConfig {
+fn config(simplify: SimplifyConfig, reorder: ReorderMode) -> ParConfig {
     ParConfig {
         jobs: 4,
         image: ImageConfig {
-            method: image,
             simplify,
             ..Default::default()
         },
@@ -34,24 +33,18 @@ fn config(image: ImageMethod, simplify: SimplifyConfig, reorder: ReorderMode) ->
     }
 }
 
-/// The acceptance-criteria cross: every deck, every image × simplify ×
-/// reorder combination, sequential estimator vs 4-way parallel pool.
+/// The acceptance-criteria cross: every deck, every simplify × reorder
+/// combination, sequential estimator vs 4-way parallel pool.
 #[test]
 fn parallel_matches_sequential_across_mode_cross() {
     let decks = all_decks();
-    for image in [ImageMethod::Partitioned, ImageMethod::Monolithic] {
-        for simplify in [
-            SimplifyConfig::Off,
-            SimplifyConfig::Restrict,
-            SimplifyConfig::Constrain,
-        ] {
-            for reorder in [ReorderMode::Off, ReorderMode::Sift, ReorderMode::Auto] {
-                let cfg = config(image, simplify, reorder);
-                let label = format!("image={image} simplify={simplify} reorder={reorder:?}");
-                let seq = run_sequential(&decks, &cfg).expect("sequential baseline");
-                let par = run_batch(&decks, &cfg).expect("parallel batch");
-                assert_semantic_parity(&label, &seq, &par);
-            }
+    for simplify in [SimplifyConfig::Off, SimplifyConfig::Restrict] {
+        for reorder in [ReorderMode::Off, ReorderMode::Sift, ReorderMode::Auto] {
+            let cfg = config(simplify, reorder);
+            let label = format!("simplify={simplify} reorder={reorder:?}");
+            let seq = run_sequential(&decks, &cfg).expect("sequential baseline");
+            let par = run_batch(&decks, &cfg).expect("parallel batch");
+            assert_semantic_parity(&label, &seq, &par);
         }
     }
 }

@@ -411,7 +411,7 @@ pub struct CompiledModel {
 }
 
 /// Compiles a parsed module on the given manager with the default
-/// (partitioned) image configuration.
+/// image configuration.
 ///
 /// # Errors
 ///
@@ -426,10 +426,9 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
 ///
 /// The compiler emits one transition part per state bit (plus one per
 /// validity invariant on free input encodings) and never conjoins them
-/// into a monolithic relation itself — the machine's image engine
-/// (see [`covest_fsm::ImageEngine`]) clusters the parts and builds the
-/// monolith lazily only when [`covest_fsm::ImageMethod::Monolithic`] is
-/// in use.
+/// itself — the machine's image engine (see [`covest_fsm::ImageEngine`])
+/// conjoins the relation when the first image needs it, which for a
+/// deck is after the startup sift.
 ///
 /// # Errors
 ///

@@ -72,14 +72,15 @@ pub use error::ModelError;
 pub use lex::{lex, TokKind, Token};
 pub use parse::parse_module;
 
-// Re-exported so downstream consumers (e.g. the CLI) can pick the image
-// method without depending on covest-fsm directly.
+// Re-exported so downstream consumers (e.g. the CLI) can pick the
+// simplification mode without depending on covest-fsm directly.
+// `ImageMethod` is re-exported only for the `perfbench` harness.
 pub use covest_fsm::{ImageConfig, ImageMethod, SimplifyConfig};
 
 use covest_bdd::BddManager;
 
-/// Parses and compiles a model deck in one step with the default
-/// (partitioned) image configuration.
+/// Parses and compiles a model deck in one step with the default image
+/// configuration.
 ///
 /// # Errors
 ///
