@@ -116,30 +116,29 @@ impl Inner {
         total
     }
 
-    /// Returns one satisfying assignment of `f` over `vars` (the
-    /// lexicographically smallest w.r.t. the variable order, lows first),
-    /// or `None` if `f` is unsatisfiable.
-    pub fn pick_minterm(&self, f: Ref, vars: &[VarId]) -> Option<Vec<(VarId, bool)>> {
+    /// Returns the smallest satisfying assignment of `f` over `vars` in
+    /// the order of `vars`, false before true, or `None` if `f` is
+    /// unsatisfiable. A cofactor walk: each variable in turn takes
+    /// `false` unless that cofactor is empty, so the pick is a function
+    /// of `f` and `vars` alone, whatever the variable order. Variables
+    /// outside `vars` are existentially quantified.
+    pub fn pick_minterm(&mut self, f: Ref, vars: &[VarId]) -> Option<Vec<(VarId, bool)>> {
         if f.is_false() {
             return None;
         }
-        let mut assignment: HashMap<VarId, bool> = HashMap::new();
         let mut cur = f;
-        while !cur.is_const() {
-            let n = self.node(cur);
-            if !n.lo.is_false() {
-                assignment.insert(VarId(n.var), false);
-                cur = n.lo;
+        let mut minterm = Vec::with_capacity(vars.len());
+        for &v in vars {
+            let lo = self.cofactor(cur, v, false);
+            let value = lo.is_false();
+            cur = if value {
+                self.cofactor(cur, v, true)
             } else {
-                assignment.insert(VarId(n.var), true);
-                cur = n.hi;
-            }
+                lo
+            };
+            minterm.push((v, value));
         }
-        Some(
-            vars.iter()
-                .map(|&v| (v, assignment.get(&v).copied().unwrap_or(false)))
-                .collect(),
-        )
+        Some(minterm)
     }
 
     /// Iterates over the satisfying *cubes* of `f`: partial assignments

@@ -271,16 +271,10 @@ impl BddManager {
         self.inner.borrow().group_of(var)
     }
 
-    /// The current reordering configuration.
-    pub fn reorder_config(&self) -> ReorderConfig {
-        self.inner.borrow().reorder_config().clone()
-    }
-
-    /// Replaces the reordering configuration (and re-arms the automatic
-    /// trigger at the configured threshold).
-    pub fn set_reorder_config(&self, config: ReorderConfig) {
-        self.inner.borrow_mut().set_reorder_config(config);
-    }
+    /// Does nothing: [`BddManager::reduce_heap`] always sifts. Kept only
+    /// for the `perfbench` harness, which calls it; nothing under
+    /// `crates/` does.
+    pub fn set_reorder_config(&self, _config: ReorderConfig) {}
 
     /// The complete current variable order, topmost level first.
     pub fn current_order(&self) -> Vec<VarId> {
@@ -291,18 +285,9 @@ impl BddManager {
     /// [`Func`] handles. Takes no roots: the external-root table *is* the
     /// live set, so every handle survives with unchanged meaning.
     /// Everything else (dead intermediate results) is collected. No-op
-    /// when reordering is [`crate::ReorderMode::Off`] or no handle is
-    /// live.
+    /// when no handle is live.
     pub fn reduce_heap(&self) -> ReorderStats {
         self.inner.borrow_mut().reduce_heap(&[])
-    }
-
-    /// Automatic-reorder checkpoint: runs [`BddManager::reduce_heap`] if
-    /// the mode is [`crate::ReorderMode::Auto`] and the live-node count
-    /// has crossed the current threshold. Safe to call at any point —
-    /// live handles pin themselves.
-    pub fn maybe_reduce_heap(&self) -> Option<ReorderStats> {
-        self.inner.borrow_mut().maybe_reduce_heap(&[])
     }
 
     /// Applies an explicit variable order (levels top to bottom) by
@@ -321,6 +306,15 @@ impl BddManager {
     /// caches are dropped. Returns the number of freed node slots.
     pub fn gc(&self) -> usize {
         self.inner.borrow_mut().gc(&[])
+    }
+
+    /// GC checkpoint for phase boundaries: runs [`BddManager::gc`] when
+    /// the live-node count has at least doubled since the last collection
+    /// (a sift's included) and is at least 4,096, and returns the freed
+    /// slots if it did. Safe to call at any point — live handles pin
+    /// themselves.
+    pub fn gc_checkpoint(&self) -> Option<usize> {
+        self.inner.borrow_mut().gc_checkpoint(&[])
     }
 
     /// Drops all memoization caches (ITE plus the quantification scratch
@@ -534,16 +528,6 @@ impl Func {
         self.unop(|i, a| i.cofactor_cube(a, literals))
     }
 
-    // ---- don't-care simplification ------------------------------------
-
-    /// Coudert–Madre `restrict` (sibling substitution), size-safe:
-    /// simplifies `self` modulo the care set without leaving `self`'s
-    /// support or growing the BDD — if the recursion would grow it,
-    /// `self` is returned unchanged: `self.restrict(c) & c == self & c`.
-    pub fn restrict(&self, care: &Func) -> Func {
-        self.binop(care, |i, a, b| i.restrict(a, b))
-    }
-
     /// Functional composition: `self` with `var` replaced by `g`.
     pub fn compose(&self, var: VarId, g: &Func) -> Func {
         self.binop(g, |i, a, b| i.compose(a, var, b))
@@ -674,11 +658,13 @@ impl Func {
         inner.sat_count_exact(a, vars)
     }
 
-    /// Returns one satisfying assignment over `vars` (the
-    /// lexicographically smallest w.r.t. the variable order, lows first),
-    /// or `None` if the function is unsatisfiable.
+    /// Returns the smallest satisfying assignment over `vars` in the
+    /// order of `vars`, false before true (variables outside `vars` are
+    /// quantified away), or `None` if the function is unsatisfiable. The
+    /// pick depends on the function and `vars` alone, never on the
+    /// variable order or the manager's history.
     pub fn pick_minterm(&self, vars: &[VarId]) -> Option<Vec<(VarId, bool)>> {
-        let inner = self.mgr.borrow();
+        let mut inner = self.mgr.borrow_mut();
         let a = self.raw(&inner);
         inner.pick_minterm(a, vars)
     }
@@ -691,8 +677,8 @@ impl Func {
     /// safe across garbage collection (its interior nodes stay reachable
     /// from the pinned root). Reordering between `next()` calls is NOT
     /// safe — sifting restructures the graph under the iterator's saved
-    /// cursor — so do not run `reduce_heap`/`set_order` (or auto-mode
-    /// checkpoints) mid-iteration; collect first if you need to.
+    /// cursor — so do not run `reduce_heap`/`set_order` mid-iteration;
+    /// collect first if you need to.
     pub fn cubes(&self) -> Cubes {
         let start = {
             let inner = self.mgr.borrow();

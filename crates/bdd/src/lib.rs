@@ -24,10 +24,6 @@
 //! - quantification ([`Func::exists`], [`Func::forall`]) and the fused
 //!   relational product ([`Func::and_exists`]) every image computation
 //!   runs on;
-//! - don't-care simplification ([`Func::restrict`]): the Coudert–Madre
-//!   size-safe generalized cofactor, memoized across calls, used to
-//!   shrink fixpoint iterates and BFS frontiers modulo a care set (e.g.
-//!   the reachable states) with zero effect on results inside it;
 //! - substitution and renaming ([`Func::compose`],
 //!   [`Func::vector_compose`], [`Func::rename`], [`Func::swap_vars`])
 //!   for next-state/current-state moves and the paper's *dual FSM*
@@ -40,13 +36,14 @@
 //!   ([`BddDump`]) that moves functions between managers — the bridge the
 //!   parallel coverage engine uses to hand precomputed sets to worker
 //!   threads, since managers are deliberately not `Send`;
-//! - rootless mark-and-sweep garbage collection and DOT export;
+//! - rootless mark-and-sweep garbage collection, with a growth-triggered
+//!   checkpoint ([`BddManager::gc_checkpoint`]) for callers' phase
+//!   boundaries, and DOT export;
 //! - dynamic variable reordering ([`BddManager::reduce_heap`]):
 //!   Rudell-style sifting over the level-organized unique table, each
 //!   direction bounded by a growth factor and a run of non-improving
 //!   moves, with variable groups ([`BddManager::group_vars`]) that keep
-//!   each state bit's (current, next) pair adjacent, and automatic
-//!   triggering ([`ReorderConfig`]).
+//!   each state bit's (current, next) pair adjacent.
 //!
 //! # Example
 //!
@@ -75,7 +72,6 @@ mod node;
 mod quant;
 mod reorder;
 mod serde;
-mod simplify;
 mod stats;
 mod subst;
 mod table;

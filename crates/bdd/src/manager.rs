@@ -15,7 +15,14 @@
 //! is sound).
 
 use crate::node::{Node, PackedNode, Ref, VarId, FREE_VAR, NIL_SLOT, TERMINAL_VAR};
-use crate::table::{BinCache, IteCache, PairCache, UnaryCache, UniqueTable};
+use crate::table::{IteCache, PairCache, UnaryCache, UniqueTable};
+
+/// Live-node count below which [`Inner::gc_checkpoint`] never collects.
+const GC_FLOOR: usize = 4096;
+
+/// Growth factor over the live-node count the last collection left
+/// behind that arms [`Inner::gc_checkpoint`].
+const GC_GROWTH: usize = 2;
 
 /// One slot of the external-root table: a pinned node handle plus the
 /// number of live [`crate::Func`] clones pointing at it.
@@ -61,9 +68,9 @@ pub(crate) struct Inner {
     /// `var_group[var]` is the index into `groups`, if the variable is
     /// grouped.
     pub(crate) var_group: Vec<Option<u32>>,
-    pub(crate) reorder: crate::reorder::ReorderConfig,
-    /// Live-node count that triggers the next automatic reordering.
-    pub(crate) next_auto_threshold: usize,
+    /// Live nodes the last collection left behind (see
+    /// [`Inner::gc_checkpoint`]).
+    live_after_gc: usize,
     /// External-root table: slab of `(Ref, refcount)` slots owned by
     /// [`crate::Func`] handles. Slot allocation/release is O(1) via the
     /// free list, regardless of how many roots are live.
@@ -78,11 +85,6 @@ pub(crate) struct Inner {
     /// Var-indexed substitution scratch for `compose`/`vector_compose`
     /// (`NIL_REF` = identity), reused across calls.
     pub(crate) subst_scratch: Vec<Ref>,
-    // Persistent cache for the Coudert–Madre `restrict` operator (see
-    // `simplify.rs`). Keyed by `(f, care)`, valid only for the current
-    // variable order and node slots, hence dropped by `clear_caches`
-    // like every other memo.
-    pub(crate) restrict_cache: BinCache,
     /// Deterministic engine counters (see [`crate::BddStats`]); bumped
     /// inline on the hot paths, snapshot via [`Inner::stats`].
     pub(crate) stats: crate::stats::BddStats,
@@ -116,15 +118,13 @@ impl Inner {
             free_len: 0,
             groups: Vec::new(),
             var_group: Vec::new(),
-            reorder: crate::reorder::ReorderConfig::default(),
-            next_auto_threshold: crate::reorder::ReorderConfig::default().auto_threshold,
+            live_after_gc: 0,
             ext: Vec::new(),
             ext_free: Vec::new(),
             quant_cache: UnaryCache::new(),
             pair_cache: PairCache::new(),
             mask_scratch: Vec::new(),
             subst_scratch: Vec::new(),
-            restrict_cache: BinCache::new(),
             stats: crate::stats::BddStats {
                 // The two terminals exist from birth: the high-water mark
                 // starts at the initial live-node count, not at zero.
@@ -270,7 +270,6 @@ impl Inner {
             + self.ite_cache.bytes()
             + self.quant_cache.bytes()
             + self.pair_cache.bytes()
-            + self.restrict_cache.bytes()
     }
 
     /// The level (position in the variable order, `0` = topmost) of `var`.
@@ -641,23 +640,34 @@ impl Inner {
         self.clear_caches();
         self.stats.gc_runs += 1;
         self.stats.gc_nodes_reclaimed += freed as u64;
+        self.live_after_gc = self.live_nodes();
         // Deliberately no peak_live_nodes update: a collection shrinks
         // the live set but the high-water mark records how big the
         // manager ever got (see `reset_stats` for the one reset point).
         freed
     }
 
+    /// Growth-triggered collection: runs [`Inner::gc`] when the live-node
+    /// count has reached [`GC_GROWTH`] times what the last collection
+    /// left behind, and at least [`GC_FLOOR`]. Returns the number of
+    /// freed slots when it collected. Every live handle is in the root
+    /// table, so this is safe to call at any point.
+    pub fn gc_checkpoint(&mut self, extra: &[Ref]) -> Option<usize> {
+        let live = self.live_nodes();
+        if live < GC_FLOOR.max(self.live_after_gc * GC_GROWTH) {
+            return None;
+        }
+        Some(self.gc(extra))
+    }
+
     /// Drops all memoization caches, including the generation-tagged
-    /// quantification caches and the simplification cache — after a
-    /// reorder shuffles levels (or a collection recycles slots), a stale
-    /// memoized `Ref` must never be observable. `restrict` results
-    /// additionally *depend* on the variable order, so surviving a
-    /// reorder would be wrong even without slot recycling.
+    /// quantification caches — after a reorder shuffles levels (or a
+    /// collection recycles slots), a stale memoized `Ref` must never be
+    /// observable.
     pub fn clear_caches(&mut self) {
         self.ite_cache.clear();
         self.quant_cache.clear();
         self.pair_cache.clear();
-        self.restrict_cache.clear();
     }
 }
 
@@ -848,13 +858,10 @@ mod tests {
         let f = b.and(lits[0], lits[1]);
         let _e = b.exists(f, &[vars[0]]);
         let _ae = b.and_exists(f, lits[2], &[vars[1]]);
-        let _re = b.restrict(f, lits[2]);
         assert!(b.quant_cache.occupied() > 0 || b.pair_cache.occupied() > 0);
-        assert!(b.restrict_cache.occupied() > 0);
         b.gc(&[f]);
         assert_eq!(b.quant_cache.occupied(), 0);
         assert_eq!(b.pair_cache.occupied(), 0);
-        assert_eq!(b.restrict_cache.occupied(), 0);
         b.clear_caches();
         assert_eq!(b.ite_cache.occupied(), 0);
     }

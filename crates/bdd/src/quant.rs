@@ -126,9 +126,6 @@ impl Inner {
     }
 
     /// Shannon cofactor by a literal: `f` with `var` fixed to `value`.
-    ///
-    /// (The care-set generalized cofactor lives in `simplify.rs` as
-    /// [`Inner::restrict`].)
     pub fn cofactor(&mut self, f: Ref, var: VarId, value: bool) -> Ref {
         let tag = self.quant_cache.begin();
         self.cofactor_rec(f, var, value, tag)

@@ -33,57 +33,25 @@
 use crate::manager::Inner;
 use crate::node::{PackedNode, Ref, VarId, FREE_VAR};
 
-/// When reordering runs.
+/// The reordering mode. There is one: [`crate::BddManager::reduce_heap`]
+/// always sifts.
+///
+/// Kept only for the `perfbench` harness, which names
+/// `ReorderMode::Sift`; nothing under `crates/` reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReorderMode {
-    /// Never reorder; [`crate::BddManager::reduce_heap`] is a no-op.
-    Off,
-    /// Reorder only on explicit [`crate::BddManager::reduce_heap`] calls.
+    /// The one mode.
     #[default]
     Sift,
-    /// Additionally reorder automatically when the live-node count passes
-    /// the configured growth threshold (checked at the safe points where
-    /// higher layers call [`crate::BddManager::maybe_reduce_heap`]).
-    Auto,
 }
 
-impl std::str::FromStr for ReorderMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(ReorderMode::Off),
-            "sift" => Ok(ReorderMode::Sift),
-            "auto" => Ok(ReorderMode::Auto),
-            other => Err(format!(
-                "unknown reorder mode `{other}` (expected off|sift|auto)"
-            )),
-        }
-    }
-}
-
-/// Configuration for dynamic reordering; set with
-/// [`crate::BddManager::set_reorder_config`].
-#[derive(Debug, Clone, PartialEq)]
+/// Kept only for the `perfbench` harness, which hands one to
+/// [`crate::BddManager::set_reorder_config`]; nothing under `crates/`
+/// reads it.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReorderConfig {
-    /// When reordering runs.
+    /// Nothing reads it.
     pub mode: ReorderMode,
-    /// Live-node count that arms the first automatic reordering
-    /// (mode [`ReorderMode::Auto`] only).
-    pub auto_threshold: usize,
-    /// After an automatic reordering, the next trigger is the current
-    /// live-node count times this factor (at least `auto_threshold`).
-    pub auto_scale: f64,
-}
-
-impl Default for ReorderConfig {
-    fn default() -> Self {
-        ReorderConfig {
-            mode: ReorderMode::Sift,
-            auto_threshold: 4096,
-            auto_scale: 2.0,
-        }
-    }
 }
 
 /// Growth bound of a sift direction (Rudell's maxGrowth, ICCAD'93): the
@@ -223,18 +191,6 @@ impl Inner {
         )
     }
 
-    /// The current reordering configuration.
-    pub fn reorder_config(&self) -> &ReorderConfig {
-        &self.reorder
-    }
-
-    /// Replaces the reordering configuration (and re-arms the automatic
-    /// trigger at the configured threshold).
-    pub fn set_reorder_config(&mut self, config: ReorderConfig) {
-        self.next_auto_threshold = config.auto_threshold;
-        self.reorder = config;
-    }
-
     /// The complete current variable order, topmost level first.
     pub fn current_order(&self) -> Vec<VarId> {
         self.level2var.iter().map(|&v| VarId(v)).collect()
@@ -251,9 +207,6 @@ impl Inner {
     ///
     /// All persistent operation caches are invalidated.
     pub fn reduce_heap(&mut self, extra: &[Ref]) -> ReorderStats {
-        if self.reorder.mode == ReorderMode::Off {
-            return ReorderStats::default();
-        }
         if extra.is_empty() && self.ext_live() == 0 {
             return ReorderStats::default();
         }
@@ -283,20 +236,6 @@ impl Inner {
         self.ext_roots_into(&mut pinned);
         self.gc(extra);
         self.reorder_ctx(&pinned)
-    }
-
-    /// Automatic-reorder checkpoint: runs [`Inner::reduce_heap`] if the
-    /// mode is [`ReorderMode::Auto`] and the live-node count has crossed
-    /// the current threshold. Because every live handle is in the root
-    /// table, this is safe to call at any point.
-    pub fn maybe_reduce_heap(&mut self, extra: &[Ref]) -> Option<ReorderStats> {
-        if self.reorder.mode != ReorderMode::Auto || self.live_nodes() < self.next_auto_threshold {
-            return None;
-        }
-        let stats = self.reduce_heap(extra);
-        let rearm = (self.live_nodes() as f64 * self.reorder.auto_scale) as usize;
-        self.next_auto_threshold = rearm.max(self.reorder.auto_threshold);
-        Some(stats)
     }
 
     // ---- refcount bookkeeping -----------------------------------------
@@ -804,20 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_heap_respects_off_mode() {
-        let mut bdd = Inner::new();
-        let (_, f) = split_pairs(&mut bdd);
-        bdd.set_reorder_config(ReorderConfig {
-            mode: ReorderMode::Off,
-            ..Default::default()
-        });
-        let order_before = bdd.current_order();
-        let stats = bdd.reduce_heap(&[f]);
-        assert_eq!(stats, ReorderStats::default());
-        assert_eq!(bdd.current_order(), order_before);
-    }
-
-    #[test]
     fn groups_stay_adjacent_through_sifting() {
         let mut bdd = Inner::new();
         let vars = bdd.new_vars(8);
@@ -843,19 +768,33 @@ mod tests {
         }
     }
 
+    /// The GC checkpoint: silent below its 4,096-node floor, it fires
+    /// once the live count crosses it, and re-arms at twice what the
+    /// collection left behind.
     #[test]
     fn auto_trigger_fires_and_rearms() {
         let mut bdd = Inner::new();
-        bdd.set_reorder_config(ReorderConfig {
-            mode: ReorderMode::Auto,
-            auto_threshold: 8,
-            ..Default::default()
-        });
         let (_, f) = split_pairs(&mut bdd);
-        let stats = bdd.maybe_reduce_heap(&[f]).expect("threshold crossed");
-        assert!(stats.after <= stats.before);
+        let vars = bdd.new_vars(16);
+        assert_eq!(bdd.gc_checkpoint(&[f]), None, "below the floor");
+        // Garbage: distinct 16-literal cubes, one chain of nodes each.
+        let mut cube = 0u32;
+        while bdd.live_nodes() < 4096 {
+            let mut c = Ref::TRUE;
+            for (i, &v) in vars.iter().enumerate() {
+                let lit = bdd.literal(v, cube >> i & 1 == 1);
+                c = bdd.and(c, lit);
+            }
+            cube += 1;
+        }
+        let runs = bdd.stats().gc_runs;
+        let freed = bdd.gc_checkpoint(&[f]).expect("floor crossed");
+        assert!(freed > 0);
+        assert_eq!(bdd.stats().gc_runs, runs + 1);
+        assert!(bdd.live_nodes() < 4096);
         // Far below the re-armed threshold now: no second fire.
-        assert!(bdd.maybe_reduce_heap(&[f]).is_none());
+        assert_eq!(bdd.gc_checkpoint(&[f]), None);
+        assert_eq!(bdd.stats().gc_runs, runs + 1);
     }
 
     #[test]

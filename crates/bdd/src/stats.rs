@@ -39,16 +39,17 @@ pub struct BddStats {
     pub pair_hits: u64,
     /// Fused relational-product memo misses.
     pub pair_misses: u64,
-    /// `restrict` memo hits.
+    /// Always 0: the engine has no `restrict`. Kept only for the
+    /// `perfbench` harness, which reads it; nothing under `crates/` does.
     pub restrict_hits: u64,
-    /// `restrict` memo misses.
+    /// Always 0; see [`BddStats::restrict_hits`].
     pub restrict_misses: u64,
     /// Garbage collections run.
     pub gc_runs: u64,
     /// Node slots reclaimed across all collections.
     pub gc_nodes_reclaimed: u64,
-    /// Sifting passes actually performed (excludes `ReorderMode::Off`
-    /// and empty-manager early returns).
+    /// Sifting passes actually performed (excludes empty-manager early
+    /// returns).
     pub reorder_invocations: u64,
     /// Adjacent-level swaps performed across all sifting passes.
     pub reorder_swaps: u64,
@@ -65,7 +66,7 @@ impl BddStats {
     /// The counters as `(name, value)` pairs in a fixed, documented
     /// order — the bridge into name-keyed telemetry accumulators without
     /// making this crate depend on one.
-    pub fn pairs(&self) -> [(&'static str, u64); 18] {
+    pub fn pairs(&self) -> [(&'static str, u64); 16] {
         [
             ("bdd_unique_hits", self.unique_hits),
             ("bdd_unique_misses", self.unique_misses),
@@ -76,8 +77,6 @@ impl BddStats {
             ("bdd_quant_misses", self.quant_misses),
             ("bdd_pair_hits", self.pair_hits),
             ("bdd_pair_misses", self.pair_misses),
-            ("bdd_restrict_hits", self.restrict_hits),
-            ("bdd_restrict_misses", self.restrict_misses),
             ("bdd_gc_runs", self.gc_runs),
             ("bdd_gc_nodes_reclaimed", self.gc_nodes_reclaimed),
             ("bdd_reorder_invocations", self.reorder_invocations),

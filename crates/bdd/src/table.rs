@@ -17,9 +17,9 @@
 //! # Compute caches
 //!
 //! The memo tables behind `ite`, quantification, the fused relational
-//! product, `compose` and the Coudert–Madre operators are *caches*, not
-//! maps: fixed-size, power-of-two, direct-mapped, lossy. A colliding
-//! insert simply overwrites the previous entry. That is sound because
+//! product and `compose` are *caches*, not maps: fixed-size,
+//! power-of-two, direct-mapped, lossy. A colliding insert simply
+//! overwrites the previous entry. That is sound because
 //! every memoized operation is a pure function of its operands — losing
 //! an entry can only cost a recomputation, and the recomputation
 //! rebuilds the very same nodes through the unique table, so results
@@ -278,7 +278,6 @@ impl UniqueTable {
 const ITE_BITS: u32 = 16;
 const UNARY_BITS: u32 = 15;
 const PAIR_BITS: u32 = 15;
-const BIN_BITS: u32 = 14;
 
 /// Direct-mapped cache for the ternary `ite` operator (16 bytes/entry).
 /// Persistent across calls; cleared by `clear_caches` only.
@@ -531,79 +530,6 @@ impl PairCache {
     }
 }
 
-/// Direct-mapped cache keyed by an `(f, care)` pair, persistent across
-/// calls: the Coudert–Madre `restrict` memo, where a fixed
-/// reachable care set is applied to every fixpoint iterate and
-/// cross-call hits are the common case. Being fixed-size it also
-/// subsumes the old flood guard: one-shot care sets simply age out by
-/// overwrite instead of growing the table for the life of the process.
-#[derive(Debug, Clone)]
-pub(crate) struct BinCache {
-    slots: Box<[BinEntry]>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct BinEntry {
-    a: u32,
-    b: u32,
-    r: u32,
-}
-
-impl BinCache {
-    /// Starts unallocated; see [`IteCache::new`].
-    pub fn new() -> Self {
-        BinCache {
-            slots: Box::new([]),
-        }
-    }
-
-    #[inline]
-    fn index(a: Ref, b: Ref) -> usize {
-        (hash_pair(a, b) >> (64 - BIN_BITS)) as usize
-    }
-
-    #[inline]
-    pub fn lookup(&self, a: Ref, b: Ref) -> Option<Ref> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let e = &self.slots[Self::index(a, b)];
-        (e.a == a.0 && e.b == b.0).then_some(Ref(e.r))
-    }
-
-    #[inline]
-    pub fn insert(&mut self, a: Ref, b: Ref, r: Ref) {
-        if self.slots.is_empty() {
-            let empty = BinEntry {
-                a: EMPTY,
-                b: EMPTY,
-                r: EMPTY,
-            };
-            self.slots = vec![empty; 1 << BIN_BITS].into_boxed_slice();
-        }
-        self.slots[Self::index(a, b)] = BinEntry {
-            a: a.0,
-            b: b.0,
-            r: r.0,
-        };
-    }
-
-    /// Releases the slot array; see [`IteCache::clear`].
-    pub fn clear(&mut self) {
-        self.slots = Box::new([]);
-    }
-
-    /// Occupied entries (test/diagnostic use; O(capacity)).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn occupied(&self) -> usize {
-        self.slots.iter().filter(|e| e.a != EMPTY).count()
-    }
-
-    pub fn bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<BinEntry>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -713,17 +639,5 @@ mod tests {
         assert_eq!(c.lookup(t2, Ref(3), Ref(5)), None);
         c.clear();
         assert_eq!(c.occupied(), 0);
-    }
-
-    #[test]
-    fn bin_cache_overwrites_on_collision() {
-        let mut c = BinCache::new();
-        c.insert(Ref(3), Ref(5), Ref(8));
-        assert_eq!(c.lookup(Ref(3), Ref(5)), Some(Ref(8)));
-        // Same slot, different key: lossy overwrite, never a wrong hit.
-        c.insert(Ref(3), Ref(5), Ref(9));
-        assert_eq!(c.lookup(Ref(3), Ref(5)), Some(Ref(9)));
-        c.clear();
-        assert_eq!(c.lookup(Ref(3), Ref(5)), None);
     }
 }

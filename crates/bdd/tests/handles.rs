@@ -9,7 +9,7 @@
 //!   injected mid-sequence with unchanged semantics (eval parity against
 //!   a truth-table fingerprint taken at construction time).
 
-use covest_bdd::{BddManager, Func, ReorderConfig, ReorderMode, VarId};
+use covest_bdd::{BddManager, Func, VarId};
 use proptest::prelude::*;
 
 const NVARS: usize = 5;
@@ -29,7 +29,7 @@ enum Op {
     Dup(usize),
     /// Drop the handle at (index modulo len).
     Pop(usize),
-    /// Force a full sift (mode Sift, no live-size threshold).
+    /// Force a full sift.
     ReduceHeap,
     /// Force a rootless collection.
     Gc,
@@ -147,22 +147,17 @@ proptest! {
         prop_assert_eq!(mgr.live_nodes(), 2, "terminal-only baseline after full drop");
     }
 
-    /// The same sequences under aggressive automatic reordering (threshold
-    /// low enough to fire constantly) keep every handle alive and exact.
+    /// The same sequences followed by a forced sift and a GC checkpoint
+    /// keep every handle alive and exact, and leak nothing.
     #[test]
     fn auto_reorder_mid_sequence_preserves_handles(
         ops in proptest::collection::vec(arb_op(), 1..40)
     ) {
         let mgr = BddManager::new();
-        mgr.set_reorder_config(ReorderConfig {
-            mode: ReorderMode::Auto,
-            auto_threshold: 8,
-            ..Default::default()
-        });
         let vars = mgr.new_vars(NVARS);
         run_ops(&mgr, &vars, &ops)?;
-        // Auto checkpoints may fire inside run_ops via maybe_reduce_heap.
-        mgr.maybe_reduce_heap();
+        mgr.reduce_heap();
+        mgr.gc_checkpoint();
         prop_assert_eq!(mgr.live_roots(), 0);
         mgr.gc();
         prop_assert_eq!(mgr.live_nodes(), 2);

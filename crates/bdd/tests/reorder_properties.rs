@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use covest_bdd::{BddManager, Func, ReorderConfig, ReorderMode, VarId};
+use covest_bdd::{BddManager, Func, VarId};
 use proptest::prelude::*;
 
 const NVARS: usize = 6;
@@ -191,6 +191,36 @@ proptest! {
     }
 }
 
+proptest! {
+    /// `pick_minterm` is the smallest minterm in the order of the `vars`
+    /// it is given, false before true: the minimum of `minterms_over`,
+    /// whatever that order, the level order and any sift in between.
+    #[test]
+    fn pick_minterm_is_the_smallest_minterm(
+        e in arb_expr(),
+        rotation in 0..NVARS,
+        reversed in any::<bool>(),
+        sift in any::<bool>(),
+    ) {
+        let mgr = BddManager::new();
+        let vars = mgr.new_vars(NVARS);
+        let f = build(&mgr, &vars, &e);
+        let mut order: Vec<VarId> = (0..NVARS).map(|i| vars[(i + rotation) % NVARS]).collect();
+        if reversed {
+            order.reverse();
+        }
+        mgr.set_order(&order);
+        if sift {
+            mgr.reduce_heap();
+        }
+        let values = |m: &[(VarId, bool)]| m.iter().map(|&(_, b)| b).collect::<Vec<bool>>();
+        for universe in [vars.clone(), order.clone()] {
+            let smallest = f.minterms_over(&universe).min_by_key(|m| values(m));
+            prop_assert_eq!(f.pick_minterm(&universe), smallest);
+        }
+    }
+}
+
 #[test]
 fn sat_counts_are_bit_identical_across_random_orders() {
     // Deterministic spot-check on a function with an irregular count.
@@ -209,32 +239,6 @@ fn sat_counts_are_bit_identical_across_random_orders() {
         assert_eq!(mgr.current_order(), order);
         assert_eq!(f.sat_count_over(&vars).to_bits(), count.to_bits());
     }
-}
-
-#[test]
-fn reorder_modes_gate_reduce_heap() {
-    let mgr = BddManager::new();
-    let vars = mgr.new_vars(4);
-    let badly_ordered = {
-        let c = mgr.var(vars[0]).and(&mgr.var(vars[2]));
-        let g = mgr.var(vars[1]).and(&mgr.var(vars[3]));
-        c.or(&g)
-    };
-    mgr.set_reorder_config(ReorderConfig {
-        mode: ReorderMode::Off,
-        ..Default::default()
-    });
-    let order = mgr.current_order();
-    assert_eq!(mgr.reduce_heap().swaps, 0);
-    assert_eq!(mgr.current_order(), order);
-
-    mgr.set_reorder_config(ReorderConfig {
-        mode: ReorderMode::Sift,
-        ..Default::default()
-    });
-    let stats = mgr.reduce_heap();
-    assert!(stats.after <= stats.before);
-    let _ = badly_ordered;
 }
 
 /// `MAX_STALE_MOVES` in `src/reorder.rs`: a sift direction ends after this

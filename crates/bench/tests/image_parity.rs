@@ -6,21 +6,17 @@
 //! and cached. The engine runs the fused `and_exists` instead; on a
 //! shared manager BDD canonicity makes semantic equality literal handle
 //! equality. End to end, coverage percentages, per-property verdicts and
-//! the uncovered state sets must be bit-identical across the full
-//! `--simplify off|restrict` × `--reorder off|sift|auto` cross-product.
-//! Don't-care simplification (like reordering) is a pure representation
-//! change; any observable drift is a bug.
-//!
-//! A representation gate rides along, on the priority buffer (the
-//! Table-2 circuit whose reachable set is a small fraction of its state
-//! space): under a GC after every fixpoint step, `restrict`
-//! simplification must keep a lower live-node peak than no
-//! simplification.
+//! the uncovered state sets must be bit-identical across three reorder
+//! histories: no startup sift, the default run, and the default run with
+//! a forced sift and collection between verification and coverage.
+//! Reordering and collection are pure representation changes; any
+//! observable drift is a bug.
 
-use covest_bdd::{BddManager, Func, ReorderConfig, ReorderMode, VarId};
-use covest_bench::{table2_workloads, Workload};
+use covest_bdd::{BddManager, Func, VarId};
+use covest_bench::table2_workloads;
 use covest_core::{CoverageAnalysis, CoverageEstimator, CoverageOptions};
-use covest_fsm::{ImageConfig, SimplifyConfig, SymbolicFsm};
+use covest_ctl::Formula;
+use covest_fsm::SymbolicFsm;
 use covest_smv::CompiledModel;
 
 /// Every bundled circuit, by Table-2 workload (deduplicated by circuit).
@@ -90,7 +86,7 @@ fn assert_image_oracle(bdd: &BddManager, name: &str, fsm: &SymbolicFsm) {
     // every image untouched.
     for phase in ["before", "after"] {
         if phase == "after" {
-            let _reach = fsm.install_reachable_care();
+            let _reach = fsm.reachable();
         }
         for (i, s) in sets.iter().enumerate() {
             assert_eq!(
@@ -154,39 +150,53 @@ fn outcome_of(estimator: &CoverageEstimator, analysis: &CoverageAnalysis) -> Sig
     }
 }
 
-/// The full simplify × reorder configuration matrix.
-fn config_matrix() -> Vec<(ReorderMode, SimplifyConfig)> {
-    let mut out = Vec::new();
-    for reorder in [ReorderMode::Off, ReorderMode::Sift, ReorderMode::Auto] {
-        for simplify in [SimplifyConfig::Off, SimplifyConfig::Restrict] {
-            out.push((reorder, simplify));
-        }
-    }
-    out
+/// The reorder histories the outcome crosses compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum History {
+    /// The declaration order: no startup sift.
+    Unsifted,
+    /// The default run: one sift after compile.
+    Sifted,
+    /// The default run plus a forced sift and collection between
+    /// verification and coverage.
+    Resifted,
 }
 
-/// Runs a full coverage analysis of `deck` under one configuration,
+const HISTORIES: [History; 3] = [History::Unsifted, History::Sifted, History::Resifted];
+
+/// Verifies `properties` and covers `signal` on `fsm` under `history`'s
+/// mid-run sift, after the caller's startup sift (if any).
+fn cover_under(
+    bdd: &BddManager,
+    fsm: &SymbolicFsm,
+    signal: &str,
+    properties: &[Formula],
+    options: &CoverageOptions,
+    history: History,
+) -> SignalOutcome {
+    let estimator = CoverageEstimator::new(fsm);
+    let checker = estimator.checker(&options.fairness).expect("checker");
+    let mut verification = estimator
+        .verify(checker, properties, options.strict)
+        .expect("verifies");
+    if history == History::Resifted {
+        bdd.reduce_heap();
+        bdd.gc();
+    }
+    let analysis = estimator
+        .cover(&mut verification, signal, options)
+        .expect("analyzes");
+    outcome_of(&estimator, &analysis)
+}
+
+/// Runs a full coverage analysis of `deck` under one reorder history,
 /// returning the per-signal outcomes.
-fn analyze_deck(src: &str, reorder: ReorderMode, simplify: SimplifyConfig) -> Vec<SignalOutcome> {
+fn analyze_deck(src: &str, history: History) -> Vec<SignalOutcome> {
     let bdd = BddManager::new();
-    bdd.set_reorder_config(ReorderConfig {
-        mode: reorder,
-        auto_threshold: 256, // fire at essentially every checkpoint
-        ..Default::default()
-    });
-    let model = covest_smv::compile_with(
-        &bdd,
-        src,
-        ImageConfig {
-            simplify,
-            ..Default::default()
-        },
-    )
-    .expect("deck compiles");
-    if reorder == ReorderMode::Sift {
+    let model = covest_smv::compile(&bdd, src).expect("deck compiles");
+    if history != History::Unsifted {
         bdd.reduce_heap();
     }
-    let estimator = CoverageEstimator::new(&model.fsm);
     let options = CoverageOptions {
         fairness: model.fairness.clone(),
         ..Default::default()
@@ -194,30 +204,21 @@ fn analyze_deck(src: &str, reorder: ReorderMode, simplify: SimplifyConfig) -> Ve
     model
         .observed
         .iter()
-        .map(|sig| {
-            let a = estimator
-                .analyze(sig, &model.specs, &options)
-                .expect("analyzes");
-            outcome_of(&estimator, &a)
-        })
+        .map(|sig| cover_under(&bdd, &model.fsm, sig, &model.specs, &options, history))
         .collect()
 }
 
-/// Outcomes are bit-identical across [`config_matrix`]. The image
-/// dimension the name mentions has a single value: the one relation.
+/// Outcomes are bit-identical across [`HISTORIES`].
 #[test]
-fn decks_outcomes_bit_identical_across_simplify_image_reorder() {
+fn decks_outcomes_bit_identical_across_reorder_histories() {
     for (name, src) in deck_sources() {
-        let mut baseline: Option<Vec<SignalOutcome>> = None;
-        for (reorder, simplify) in config_matrix() {
-            let got = analyze_deck(&src, reorder, simplify);
-            match &baseline {
-                None => baseline = Some(got),
-                Some(want) => assert_eq!(
-                    &got, want,
-                    "{name}: outcomes diverge at reorder={reorder:?} simplify={simplify}"
-                ),
-            }
+        let want = analyze_deck(&src, History::Sifted);
+        for history in HISTORIES {
+            assert_eq!(
+                analyze_deck(&src, history),
+                want,
+                "{name}: outcomes diverge under {history:?}"
+            );
         }
     }
 }
@@ -261,165 +262,34 @@ fn workloads_match_golden_coverage_percentages() {
     }
 }
 
-/// Outcomes are bit-identical across [`config_matrix`]. The image
-/// dimension the name mentions has a single value: the one relation.
+/// Outcomes are bit-identical across [`HISTORIES`].
 #[test]
-fn workloads_outcomes_bit_identical_across_simplify_image_reorder() {
+fn workloads_outcomes_bit_identical_across_reorder_histories() {
     for w in table2_workloads() {
-        let run = |reorder: ReorderMode, simplify: SimplifyConfig| -> SignalOutcome {
+        let run = |history: History| -> SignalOutcome {
             let bdd = BddManager::new();
-            bdd.set_reorder_config(ReorderConfig {
-                mode: reorder,
-                auto_threshold: 256,
-                ..Default::default()
-            });
             let model = (w.build)(&bdd);
-            let mut fsm = model.fsm;
-            fsm.set_image_config(ImageConfig {
-                simplify,
-                ..Default::default()
-            });
-            if reorder == ReorderMode::Sift {
+            if history != History::Unsifted {
                 bdd.reduce_heap();
             }
-            let estimator = CoverageEstimator::new(&fsm);
-            let analysis = estimator
-                .analyze(w.signal, &w.properties, &w.options)
-                .expect("workload analyzes");
-            outcome_of(&estimator, &analysis)
+            cover_under(
+                &bdd,
+                &model.fsm,
+                w.signal,
+                &w.properties,
+                &w.options,
+                history,
+            )
         };
-        let mut baseline: Option<SignalOutcome> = None;
-        for (reorder, simplify) in config_matrix() {
-            let got = run(reorder, simplify);
-            match &baseline {
-                None => baseline = Some(got),
-                Some(want) => assert_eq!(
-                    &got, want,
-                    "{}/{}: outcomes diverge at reorder={reorder:?} simplify={simplify}",
-                    w.circuit, w.signal
-                ),
-            }
+        let want = run(History::Sifted);
+        for history in HISTORIES {
+            assert_eq!(
+                run(history),
+                want,
+                "{}/{}: outcomes diverge under {history:?}",
+                w.circuit,
+                w.signal
+            );
         }
-    }
-}
-
-/// The priority buffer's Table-2 workloads, which the peak gate below
-/// runs on.
-fn buffer_workloads() -> Vec<Workload> {
-    let buffer: Vec<Workload> = table2_workloads()
-        .into_iter()
-        .filter(|w| w.circuit.contains("priority buffer"))
-        .collect();
-    assert!(
-        !buffer.is_empty(),
-        "no priority-buffer workloads: the peak gate would pass vacuously"
-    );
-    buffer
-}
-
-/// Sweeps reachability from the initial states with a garbage
-/// collection after every image step, simplifying each frontier modulo
-/// the unreached states under `simplify`. Returns the reached set and
-/// the largest of `peak` and the live-node counts sampled around every
-/// step: each sample is a working-set high-water mark, not cumulative
-/// allocation.
-fn gc_reach_sweep(
-    bdd: &BddManager,
-    fsm: &SymbolicFsm,
-    simplify: SimplifyConfig,
-    mut peak: usize,
-) -> (Func, usize) {
-    let mut reached = fsm.init().clone();
-    let mut frontier = fsm.init().clone();
-    loop {
-        let img = fsm.image(&frontier);
-        peak = peak.max(bdd.live_nodes());
-        let fresh = img.diff(&reached);
-        let done = fresh.is_false();
-        frontier = simplify.apply(&fresh, &reached.not());
-        reached = reached.or(&fresh);
-        // Only live handles survive: the machine, the sets in scope.
-        bdd.gc();
-        peak = peak.max(bdd.live_nodes());
-        if done {
-            return (reached, peak);
-        }
-    }
-}
-
-/// Peak live nodes under one simplification mode, with a garbage
-/// collection after every fixpoint step, through the phases
-/// simplification targets:
-///
-/// 1. reachability (frontier-simplified per mode);
-/// 2. a forward re-sweep ([`gc_reach_sweep`]) with the reachable set
-///    cached;
-/// 3. an `AG`-shaped backward sweep: `EF(viol)` for the complement of
-///    the first half of the onion rings (the full-space shape `¬p` takes
-///    in `AG p = ¬EF ¬p`), each preimage operand simplified modulo the
-///    reachable states as the model checker's fixpoints do;
-/// 4. the full coverage analysis, sampled once it completes.
-fn simplify_sweep_peak(w: &Workload, simplify: SimplifyConfig) -> usize {
-    let bdd = BddManager::new();
-    let mut fsm = (w.build)(&bdd).fsm;
-    fsm.set_image_config(ImageConfig {
-        simplify,
-        ..Default::default()
-    });
-    // Compile garbage is common to all arms.
-    bdd.gc();
-    let mut peak = bdd.live_nodes();
-
-    let reach = fsm.install_reachable_care();
-    bdd.gc();
-    peak = peak.max(bdd.live_nodes());
-
-    let (reached, swept) = gc_reach_sweep(&bdd, &fsm, simplify, peak);
-    assert_eq!(reached, reach, "re-sweep must reproduce the reachable set");
-    peak = swept;
-
-    let rings = fsm.onion_rings(fsm.init());
-    let mut prefix = bdd.constant(false);
-    for r in rings.iter().take(rings.len() / 2 + 1) {
-        prefix = prefix.or(r);
-    }
-    let mut z = prefix.not();
-    drop((rings, prefix));
-    bdd.gc();
-    loop {
-        let zs = simplify.apply(&z, &reach);
-        let pre = fsm.preimage(&zs);
-        peak = peak.max(bdd.live_nodes());
-        let next = z.or(&pre);
-        let done = next == z;
-        z = next;
-        drop((pre, zs));
-        bdd.gc();
-        peak = peak.max(bdd.live_nodes());
-        if done {
-            break;
-        }
-    }
-    drop(z);
-
-    let estimator = CoverageEstimator::new(&fsm);
-    let _analysis = estimator
-        .analyze(w.signal, &w.properties, &w.options)
-        .expect("workload analyzes");
-    bdd.gc();
-    peak.max(bdd.live_nodes())
-}
-
-#[test]
-fn restrict_sweep_peaks_below_off_on_the_buffer() {
-    for w in buffer_workloads() {
-        let off = simplify_sweep_peak(&w, SimplifyConfig::Off);
-        let restrict = simplify_sweep_peak(&w, SimplifyConfig::Restrict);
-        assert!(
-            restrict < off,
-            "{}/{}: restrict peak ({restrict}) must stay below the unsimplified peak ({off})",
-            w.circuit,
-            w.signal
-        );
     }
 }

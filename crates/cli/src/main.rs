@@ -5,11 +5,8 @@
 //! ```text
 //! covest check MODEL.smv [--coverage] [--observed SIGNAL]...
 //!                        [--traces N] [--strict] [--dot FILE]
-//!                        [--reorder off|sift|auto]
-//!                        [--simplify off|restrict]
-//!                        [--coi on|off] [--json FILE]
-//! covest batch JOBLIST   [--strict] [--reorder ...] [--simplify ...]
-//!                        [--coi on|off] [--jobs N] [--json FILE]
+//!                        [--json FILE]
+//! covest batch JOBLIST   [--strict] [--jobs N] [--json FILE]
 //! covest lint DECK.smv... [--strict]
 //! ```
 //!
@@ -18,22 +15,20 @@
 //! (or the `--observed` overrides) and lists uncovered states. It is a
 //! one-deck batch run on the caller's thread: the same shard body as
 //! every `batch` deck — the union of the analyzed signals' cones of
-//! influence, compiled once, verified once, then each signal's coverage
-//! over its own cone — with the report printed between the steps.
+//! influence, compiled and sifted once, verified once, then each
+//! signal's coverage over its own cone — with the report printed between
+//! the steps. There is one engine configuration: a sift after compile,
+//! no don't-care simplification, a garbage collection at the end of
+//! verification and of each signal's coverage when the BDD has at least
+//! doubled, and always the cone. Output that lists every state bit
+//! (counterexamples, `--traces` paths, the `--dot` dump) comes from the
+//! full deck, which `check` compiles only when that output is asked for
+//! and the cone dropped a variable.
 //!
 //! - `--traces N` prints shortest input sequences to up to `N` uncovered
 //!   states per signal;
 //! - `--strict` exits nonzero if any property fails;
 //! - `--dot FILE` dumps the reachable-state BDD in Graphviz format;
-//! - `--reorder`, `--simplify` select the engine modes (all
-//!   combinations produce bit-identical results; see `README.md`);
-//! - `--coi on|off` (default on) selects what `check` and every `batch`
-//!   shard compile: the statically pruned cone-of-influence deck, or the
-//!   full deck. Reports are bit-identical either way — the coverage
-//!   universe is the signal's cone in both modes. Output that lists
-//!   every state bit (counterexamples, `--traces` paths, the `--dot`
-//!   dump) comes from a full deck that `check` compiles only when that
-//!   output is asked for and the cone dropped a variable;
 //! - `--json FILE` additionally writes the coverage table — rows plus
 //!   per-property verdicts and the canonical uncovered-state sample — as
 //!   machine-readable JSON;
@@ -45,9 +40,9 @@
 //!   everything below the `-- timings --` line is wall-clock and
 //!   excluded from any parity contract;
 //! - `--trace FILE` writes the recorded span/event log (compile,
-//!   the startup sift, reachability with per-BFS-step sizes, care
-//!   install, the machine's one verification, each signal's coverage
-//!   and its uncovered sample). In `batch` the file
+//!   the startup sift, the machine's one verification, each signal's
+//!   coverage with the reachability it needs (per-BFS-step sizes) and
+//!   its uncovered sample). In `batch` the file
 //!   **streams**: each shard's span forest
 //!   is written as its result arrives, one track per pool worker, so a
 //!   long batch holds at most one shard's records in memory; the
@@ -95,14 +90,14 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use covest_analyze::lint_source;
-use covest_bdd::{BddManager, ReorderMode};
+use covest_bdd::BddManager;
 use covest_core::{json_string, CoverageEstimator, CoverageTable, ReportRow};
 use covest_mc::Verdict;
 use covest_par::{
     compile_machine, cover_signal, plan_machine, run_batch, run_batch_with_trace, BatchReport,
     DeckJob, ParConfig, ShardProfile,
 };
-use covest_smv::{decl_bit_names, CompiledModel, ImageConfig, Module, SimplifyConfig};
+use covest_smv::{decl_bit_names, CompiledModel, Module};
 use covest_telemetry::chrome::{TraceFormat, TraceSink, TraceWriter};
 use covest_telemetry::{
     self as telemetry, memory, progress, Counters, SpanRecord, Telemetry, WallClock, TIMINGS_MARKER,
@@ -135,29 +130,23 @@ fn is_closed_stdout(e: &(dyn std::error::Error + 'static)) -> bool {
 
 /// Flags shared by `check` and `batch`.
 struct EngineArgs {
-    reorder: ReorderMode,
-    simplify: SimplifyConfig,
     jobs: usize,
     json: Option<String>,
     stats: bool,
     trace: Option<String>,
     trace_format: TraceFormat,
     progress: bool,
-    coi: bool,
 }
 
 impl Default for EngineArgs {
     fn default() -> Self {
         EngineArgs {
-            reorder: ReorderMode::Sift,
-            simplify: SimplifyConfig::Restrict,
             jobs: 1,
             json: None,
             stats: false,
             trace: None,
             trace_format: TraceFormat::Jsonl,
             progress: false,
-            coi: true,
         }
     }
 }
@@ -200,27 +189,14 @@ enum Cmd {
 fn usage() -> ! {
     eprintln!(
         "usage: covest check MODEL.smv [--coverage] [--observed SIGNAL]... \
-         [--traces N] [--strict] [--dot FILE] [--reorder off|sift|auto] \
-         [--simplify off|restrict] \
-         [--coi on|off] [--json FILE] [--stats] [--trace FILE] \
+         [--traces N] [--strict] [--dot FILE] \
+         [--json FILE] [--stats] [--trace FILE] \
          [--trace-format jsonl|chrome] [--progress]\n\
-         \u{20}      covest batch JOBLIST [--strict] [--reorder off|sift|auto] \
-         [--simplify off|restrict] \
-         [--coi on|off] [--jobs N] [--json FILE] [--stats] [--trace FILE] \
+         \u{20}      covest batch JOBLIST [--strict] \
+         [--jobs N] [--json FILE] [--stats] [--trace FILE] \
          [--trace-format jsonl|chrome] [--progress]\n\
          \u{20}      covest lint DECK.smv... [--strict]\n\
          \n\
-         --reorder off   keep the declaration variable order\n\
-         --reorder sift  sift once after compiling the model (default)\n\
-         --reorder auto  re-sift whenever the BDD grows past the threshold\n\
-         --simplify restrict   size-safe don't-care simplification of\n\
-         \u{20}                    frontiers and iterates (default)\n\
-         --simplify off        no don't-care simplification\n\
-         --coi on        check and each batch shard compile the union of\n\
-         \u{20}               the analyzed signals' statically pruned cones\n\
-         \u{20}               (default; reports are bit-identical to --coi off)\n\
-         --coi off       compile the full deck and project onto each\n\
-         \u{20}               signal's cone afterwards\n\
          --jobs N        batch only: run the fleet's shards on N worker\n\
          \u{20}               threads (0 = one per core; default 1)\n\
          --json FILE     write the coverage table (rows, verdicts,\n\
@@ -266,8 +242,6 @@ fn parse_engine_flag(
         }
     }
     match flag {
-        "--reorder" => engine.reorder = parsed(argv.next()),
-        "--simplify" => engine.simplify = parsed(argv.next()),
         "--jobs" => match argv.next().and_then(|n| n.parse().ok()) {
             Some(n) => engine.jobs = n,
             None => {
@@ -278,14 +252,6 @@ fn parse_engine_flag(
         "--json" => match argv.next() {
             Some(p) => engine.json = Some(p),
             None => usage(),
-        },
-        "--coi" => match argv.next().as_deref() {
-            Some("on") => engine.coi = true,
-            Some("off") => engine.coi = false,
-            _ => {
-                eprintln!("error: --coi expects `on` or `off`");
-                usage()
-            }
         },
         "--stats" => engine.stats = true,
         "--trace" => match argv.next() {
@@ -483,16 +449,10 @@ const UNCOVERED_SAMPLE_LIMIT: usize = 10;
 fn par_config(engine: &EngineArgs) -> ParConfig {
     ParConfig {
         jobs: engine.jobs,
-        image: ImageConfig {
-            simplify: engine.simplify,
-            ..Default::default()
-        },
-        reorder: engine.reorder,
         uncovered_limit: UNCOVERED_SAMPLE_LIMIT,
         profile: engine.profiling(),
         progress: engine.progress,
-        clock: None,
-        coi: engine.coi,
+        ..Default::default()
     }
 }
 
@@ -773,21 +733,16 @@ struct FullDeck {
     model: CompiledModel,
 }
 
-/// Returns the full deck, compiling it on the first call with the
-/// shards' compile function and checker set-up, in the order the
-/// `--coi off` machine runs them (compile, sift, fairness, reachable
-/// care). With the `sift` and `off` reorder modes its output is
-/// therefore byte-identical to `--coi off`: the reachable set's node ids
-/// in the `--dot` dump follow that allocation order.
+/// Returns the full deck, compiling and sifting it on the first call
+/// with the shards' compile function, so it sifts to the order a plain
+/// `check` of the deck finds.
 fn full_deck<'a>(
     slot: &'a mut Option<FullDeck>,
     module: &Module,
-    config: &ParConfig,
 ) -> Result<&'a FullDeck, Box<dyn std::error::Error>> {
     if slot.is_none() {
         let bdd = BddManager::new();
-        let (model, _) = compile_machine(&bdd, module, config)?;
-        CoverageEstimator::new(&model.fsm).checker(&model.fairness)?;
+        let (model, _) = compile_machine(&bdd, module)?;
         *slot = Some(FullDeck { bdd, model });
     }
     Ok(slot.as_ref().expect("compiled above"))
@@ -815,7 +770,6 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         eprintln!("warning: --jobs has no effect on check; it sets batch's worker count");
     }
     let trace_writer = open_trace(&args.engine)?;
-    let config = par_config(&args.engine);
     let module = covest_smv::parse_module(&src)?;
     let signals: Vec<String> = if !args.coverage {
         Vec::new()
@@ -824,14 +778,14 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     } else {
         args.observed.clone()
     };
-    let machine = plan_machine(&module, &signals, config.coi)?;
+    let machine = plan_machine(&module, &signals)?;
     let bdd = BddManager::new();
     // Memory timeline: stamp every span/event with this manager's gauges.
     if args.engine.profiling() {
         install_front_sampler(&bdd);
     }
     let compiled = machine.reduced.as_ref().unwrap_or(&module);
-    let (model, sift) = compile_machine(&bdd, compiled, &config)?;
+    let (model, sift) = compile_machine(&bdd, compiled)?;
     let state_bits = match &machine.reduced {
         Some(_) => format!(
             "{} state bits ({} in the cone of influence)",
@@ -842,21 +796,18 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     };
     say!(
         "model `{}`: {state_bits}, {} properties, {} fairness constraints, \
-         {} transition parts, simplify `{}`",
+         {} transition parts",
         args.model_path,
         model.specs.len(),
         model.fairness.len(),
         model.fsm.trans_parts().len(),
-        args.engine.simplify,
     )?;
-    if let Some(stats) = sift {
-        say!(
-            "reorder (sift): {} -> {} live nodes ({} swaps)",
-            stats.before,
-            stats.after,
-            stats.swaps
-        )?;
-    }
+    say!(
+        "reorder (sift): {} -> {} live nodes ({} swaps)",
+        sift.before,
+        sift.after,
+        sift.swaps
+    )?;
 
     // The JSON report is the coverage table; without --coverage there is
     // no table and the flag would silently write nothing.
@@ -879,7 +830,7 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         }
         let verdict = match &machine.reduced {
             Some(_) => {
-                let deck = full_deck(&mut full, &module, &config)?;
+                let deck = full_deck(&mut full, &module)?;
                 CoverageEstimator::new(&deck.model.fsm)
                     .checker(&deck.model.fairness)?
                     .check(&spec.clone().into())?
@@ -919,7 +870,7 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
                 let cone = Some(task.cone.as_slice());
                 let traces = match &machine.reduced {
                     Some(_) => {
-                        let deck = full_deck(&mut full, &module, &config)?;
+                        let deck = full_deck(&mut full, &module)?;
                         let uncovered = deck.bdd.import_bdd(&analysis.uncovered().export_bdd()?)?;
                         let full_estimator = CoverageEstimator::new(&deck.model.fsm);
                         let universe = full_estimator.universe(cone);
@@ -947,7 +898,7 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     if let Some(path) = &args.dot {
         let dot = match &machine.reduced {
             Some(_) => {
-                let deck = full_deck(&mut full, &module, &config)?;
+                let deck = full_deck(&mut full, &module)?;
                 deck.bdd
                     .to_dot(&[("reachable", &deck.model.fsm.reachable())])
             }

@@ -79,43 +79,36 @@ fn pipeline_deck_uses_embedded_fairness() {
     );
 }
 
-#[test]
-fn simplify_modes_agree_on_coverage() {
-    let run = |mode: &str| -> String {
-        let out = covest()
-            .arg("check")
-            .arg(repo_root().join("models/counter.smv"))
-            .arg("--coverage")
-            .arg("--simplify")
-            .arg(mode)
-            .output()
-            .expect("runs");
-        assert!(out.status.success(), "--simplify {mode} run fails");
-        String::from_utf8_lossy(&out.stdout).into_owned()
-    };
-    for mode in ["off", "restrict"] {
-        let stdout = run(mode);
-        assert!(stdout.contains(&format!("simplify `{mode}`")), "{stdout}");
-        assert_eq!(stdout.matches("[PASS]").count(), 5, "{stdout}");
-        assert!(stdout.contains("83.33"), "{stdout}");
-    }
-}
-
-/// An unknown mode, the retired `constrain` included, is a usage error.
+/// There is one engine configuration, so `--simplify`, `--reorder` and
+/// `--coi` are no flags at all: any value, the former defaults included,
+/// is a usage error (exit 2) on `check` and on `batch`.
 #[test]
 fn bad_simplify_mode_is_rejected() {
-    for mode in ["maybe", "constrain"] {
-        let out = covest()
-            .arg("check")
-            .arg(repo_root().join("models/counter.smv"))
-            .arg("--simplify")
-            .arg(mode)
-            .output()
-            .expect("runs");
-        assert_eq!(out.status.code(), Some(2), "--simplify {mode}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("unknown simplify mode"), "{stderr}");
+    let joblist = write_joblist_of("covest-removed-flags.txt", &["counter.smv"]);
+    let deck = repo_root().join("models/counter.smv");
+    for (flag, value) in [
+        ("--simplify", "off"),
+        ("--simplify", "restrict"),
+        ("--reorder", "off"),
+        ("--reorder", "sift"),
+        ("--reorder", "auto"),
+        ("--coi", "on"),
+        ("--coi", "off"),
+    ] {
+        for (cmd, target) in [("check", &deck), ("batch", &joblist)] {
+            let out = covest()
+                .arg(cmd)
+                .arg(target)
+                .args([flag, value])
+                .output()
+                .expect("runs");
+            assert_eq!(out.status.code(), Some(2), "{cmd} {flag} {value}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("usage: covest check"), "{stderr}");
+            assert!(out.stdout.is_empty(), "{cmd} {flag} {value} printed output");
+        }
     }
+    let _ = std::fs::remove_file(joblist);
 }
 
 /// There is one transition relation, so `--image` is no flag at all:
@@ -441,7 +434,6 @@ fn trace_log_covers_the_run_phases() {
         "\"name\":\"compile\"",
         "\"name\":\"reachability\"",
         "\"name\":\"bfs_step\"",
-        "\"name\":\"care_install\"",
         "\"name\":\"signal:count\"",
         "\"name\":\"verify\"",
         "\"name\":\"coverage\"",
@@ -639,7 +631,9 @@ fn progress_heartbeat_lands_on_stderr_only() {
     let (with, stderr) = run(&["--progress"]);
     assert!(stderr.contains("progress["), "no heartbeat in:\n{stderr}");
     assert!(
-        stderr.contains("reach iter=") && stderr.contains(" size=") && stderr.contains(" support="),
+        stderr
+            .lines()
+            .any(|l| l.contains(" iter=") && l.contains(" size=") && l.contains(" support=")),
         "heartbeat lacks fixpoint gauges:\n{stderr}"
     );
     assert_eq!(with, default, "--progress must not perturb stdout");
@@ -704,16 +698,17 @@ fn stats_peak_table_reconciles_with_high_water_counter() {
     );
 }
 
-/// `--coi on` (the default) compiles the union of the analyzed signals'
-/// cones, and `--coi off` the full deck; every other byte of `check`'s
-/// stdout — verdicts, counterexamples, vacuity warnings, percentages,
-/// uncovered listings and trace paths — must agree. Only the header,
-/// the `reorder (sift):` line and the table's BDD and time columns
-/// describe the machine and may differ. Inputs: every bundled deck, a
-/// sized pipeline with a coverage hole and a dead debug register, and
-/// a signal outside every property's cone.
+/// `check --coverage` compiles the union of the analyzed signals'
+/// cones, and plain `check` the full deck. The verdicts and
+/// counterexamples of a `--coverage --traces 3` run must equal plain
+/// `check`'s, line for line: a cone run prints its counterexamples from
+/// the full deck, and a witness is the smallest state in declaration
+/// order, whatever the sift found. Inputs: every bundled deck, a sized
+/// pipeline with a coverage hole and a dead debug register, and a signal
+/// outside every property's cone. The `--dot` dump of a cone run comes
+/// from the full deck too, and equals plain `check --dot` byte for byte.
 #[test]
-fn check_cone_output_matches_coi_off() {
+fn check_cone_output_matches_the_full_deck() {
     use covest_circuits::pipeline;
     use std::fmt::Write as _;
 
@@ -721,7 +716,7 @@ fn check_cone_output_matches_coi_off() {
     for spec in pipeline::out_suite_initial(4) {
         writeln!(sized, "SPEC {spec};").expect("write to string");
     }
-    let sized_path = std::env::temp_dir().join("covest-coi-pipeline_d4.smv");
+    let sized_path = std::env::temp_dir().join("covest-cone-pipeline_d4.smv");
     std::fs::write(&sized_path, sized).expect("write deck");
 
     let mut inputs: Vec<(std::path::PathBuf, Vec<&str>)> =
@@ -738,28 +733,35 @@ fn check_cone_output_matches_coi_off() {
         vec!["--observed", "lo_accepted"],
     ));
 
-    let comparable = |stdout: &str| -> Vec<String> {
-        mask_table(stdout, false)
-            .into_iter()
-            .filter(|l| !l.starts_with("model `") && !l.starts_with("reorder (sift):"))
-            .collect()
+    let run = |deck: &std::path::Path, args: &[&str]| -> String {
+        let out = covest()
+            .arg("check")
+            .arg(deck)
+            .args(args)
+            .output()
+            .expect("runs");
+        String::from_utf8_lossy(&out.stdout).into_owned()
     };
+    // Everything below the model and `reorder (sift):` lines.
+    let body =
+        |stdout: &str| -> Vec<String> { stdout.lines().skip(2).map(str::to_owned).collect() };
     for (deck, extra) in &inputs {
-        let run = |coi: &str| -> String {
-            let out = covest()
-                .arg("check")
-                .arg(deck)
-                .args(["--coverage", "--traces", "3", "--coi", coi])
-                .args(extra)
-                .output()
-                .expect("runs");
-            String::from_utf8_lossy(&out.stdout).into_owned()
-        };
-        let (on, off) = (run("on"), run("off"));
-        assert_eq!(
-            comparable(&on),
-            comparable(&off),
-            "{} {extra:?}: --coi on and off disagree",
+        let full = run(deck, &[]);
+        let cone = run(
+            deck,
+            &[&["--coverage", "--traces", "3"][..], extra].concat(),
+        );
+        let verdicts = body(&full);
+        assert!(
+            verdicts
+                .iter()
+                .any(|l| l.starts_with("[PASS] ") || l.starts_with("[FAIL] ")),
+            "{full}"
+        );
+        assert!(
+            body(&cone).starts_with(&verdicts),
+            "{} {extra:?}: verdicts and counterexamples differ from the full deck's\n\
+             --- check ---\n{full}--- check --coverage ---\n{cone}",
             deck.display()
         );
         let name = deck.file_name().unwrap().to_string_lossy();
@@ -767,36 +769,36 @@ fn check_cone_output_matches_coi_off() {
             // The failing property's counterexample lists the full state
             // vector, including bits outside every property's cone.
             assert!(
-                on.lines()
+                cone.lines()
                     .any(|l| l.starts_with("step 0: ") && l.contains("lo_accepted.0=")),
-                "{on}"
+                "{cone}"
             );
         }
         if deck == &sized_path {
-            assert!(on.contains("in the cone of influence"), "{on}");
-            assert!(on.contains("trace to uncovered state:"), "{on}");
+            assert!(cone.contains("in the cone of influence"), "{cone}");
+            assert!(cone.contains("trace to uncovered state:"), "{cone}");
         }
     }
     let _ = std::fs::remove_file(sized_path);
 
-    // The reachable-set dump comes from the same full-deck set-up in
-    // both modes, arena node ids included.
-    let dot = |coi: &str| -> Vec<u8> {
-        let path = std::env::temp_dir().join(format!("covest-coi-{coi}.dot"));
-        check_stdout(
-            "models/priority_buffer.smv",
-            &["--coverage", "--coi", coi, "--dot", path.to_str().unwrap()],
-        );
+    // The reachable-set dump of a cone run comes from the full deck.
+    let dot = |coverage: bool| -> Vec<u8> {
+        let path = std::env::temp_dir().join(format!("covest-dot-{coverage}.dot"));
+        let mut args = vec!["--dot", path.to_str().unwrap()];
+        if coverage {
+            args.push("--coverage");
+        }
+        check_stdout("models/priority_buffer.smv", &args);
         let bytes = std::fs::read(&path).expect("dot written");
         let _ = std::fs::remove_file(path);
         bytes
     };
-    assert_eq!(dot("on"), dot("off"), "--dot must not depend on --coi");
+    assert_eq!(dot(true), dot(false), "--dot must not depend on --coverage");
 }
 
 /// A SPEC outside the ACTL subset is named the same way by `check`,
-/// `check --coverage` under either `--coi`, and `batch`: the message
-/// compile gives. `lint` keeps its own `bad-property` line.
+/// `check --coverage` and `batch`: the message compile gives. `lint`
+/// keeps its own `bad-property` line.
 #[test]
 fn bad_property_is_named_the_same_way_on_every_path() {
     let deck = repo_root().join("models/lint_fixtures/bad_property.smv");
@@ -812,11 +814,7 @@ fn bad_property_is_named_the_same_way_on_every_path() {
         )
     };
     let path = deck.to_str().expect("utf-8 path");
-    for args in [
-        &["check", path][..],
-        &["check", path, "--coverage"],
-        &["check", path, "--coverage", "--coi", "off"],
-    ] {
+    for args in [&["check", path][..], &["check", path, "--coverage"]] {
         assert_eq!(
             run(args),
             (String::new(), format!("error: {model_error}\n")),

@@ -229,7 +229,7 @@ fn nesting_at_the_bound_runs_on_spawned_threads() {
             let module = covest_smv::parse_module(&front_end).expect("parses at the bound");
             assert_eq!(covest_analyze::lint_source(&front_end).errors(), 0);
             let signals = ["x".to_owned(), "d".to_owned()];
-            covest_par::plan_machine(&module, &signals, true).expect("plans");
+            covest_par::plan_machine(&module, &signals).expect("plans");
             let model = covest_smv::compile_module(&BddManager::new(), &module).expect("compiles");
             assert_eq!(model.specs.len(), 3);
         })
@@ -367,9 +367,7 @@ fn front_end_survives(per_deck: usize) -> (usize, Vec<String>) {
                 continue;
             };
             let signals: Vec<String> = module.observed.iter().map(|o| o.name.clone()).collect();
-            for coi in [true, false] {
-                let _ = covest_par::plan_machine(&module, &signals, coi);
-            }
+            let _ = covest_par::plan_machine(&module, &signals);
             let _ = module.property_error();
             if j % 7 == 0 {
                 parsed.push(format!("-- mutant {j} of {name}\n{mutant}"));

@@ -50,7 +50,7 @@ pub(crate) struct Flow {
 /// Wraps a [`ModelChecker`] whose memoized satisfaction sets are shared
 /// between verification and coverage estimation, as the paper suggests.
 /// All held state sets are owned [`Func`] handles, so the engine stays
-/// valid across garbage collection and automatic reordering.
+/// valid across garbage collection and reordering.
 #[derive(Debug)]
 pub struct CoveredSets<'m> {
     mc: ModelChecker<'m>,

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use covest_bdd::{Func, VarId};
 use covest_ctl::{Formula, PropExpr};
-use covest_fsm::{SimplifyConfig, SymbolicFsm, Trace};
+use covest_fsm::{SymbolicFsm, Trace};
 use covest_mc::ModelChecker;
 use covest_telemetry::{self as telemetry, Stopwatch};
 
@@ -43,8 +43,8 @@ pub struct PropertyResult {
 /// The result of a coverage analysis for one observed signal.
 ///
 /// The state sets are owned [`Func`] handles, so a finished analysis can
-/// be held across further analyses on the same manager — automatic
-/// reordering checkpoints inside those later runs cannot invalidate it.
+/// be held across further analyses on the same manager — the GC
+/// checkpoints inside those later runs cannot invalidate it.
 #[derive(Debug, Clone)]
 pub struct CoverageAnalysis {
     /// Observed signal name.
@@ -223,15 +223,8 @@ impl<'m> CoverageEstimator<'m> {
     /// [`CoverageEstimator::checker`], [`CoverageEstimator::verify`] and
     /// [`CoverageEstimator::cover`] in a row.
     ///
-    /// Every reachability and CTL fixpoint underneath runs on the
-    /// machine's image engine, so the simplification mode of any
-    /// [`covest_fsm::ImageConfig`] installed with
-    /// [`covest_fsm::SymbolicFsm::set_image_config`] applies to the whole
-    /// analysis.
-    ///
-    /// With [`covest_bdd::ReorderMode::Auto`] configured on the manager,
-    /// this method sifts at its phase boundaries via the zero-argument
-    /// [`covest_bdd::BddManager::maybe_reduce_heap`]. Every live handle —
+    /// The verification and coverage phases end at a GC checkpoint
+    /// ([`covest_bdd::BddManager::gc_checkpoint`]). Every live handle —
     /// this machine, its checker state, and anything else the caller
     /// holds on the same manager — survives automatically; there is no
     /// root set to enumerate and nothing to protect.
@@ -252,14 +245,9 @@ impl<'m> CoverageEstimator<'m> {
         self.cover(&mut verification, observed, options)
     }
 
-    /// The machine's verification checker: the `fairness` constraints
-    /// first, then — unless the image configuration turns simplification
-    /// off — the reachable states, computed and installed (under a
-    /// `care_install` span) as the checker's iterate-simplification
-    /// boundary, so verification and coverage both fixpoint over
-    /// don't-care-simplified BDDs. Without simplification no
-    /// reachability runs here; the first [`CoverageEstimator::cover`]
-    /// computes it for the coverage space.
+    /// The machine's verification checker, under the `fairness`
+    /// constraints. No reachability runs here; the first
+    /// [`CoverageEstimator::cover`] computes it for the coverage space.
     ///
     /// # Errors
     ///
@@ -269,11 +257,6 @@ impl<'m> CoverageEstimator<'m> {
         let mut mc = ModelChecker::new(self.fsm);
         for fair in fairness {
             mc.add_fairness(fair)?;
-        }
-        if self.fsm.image_config().simplify != SimplifyConfig::Off {
-            let reach = self.fsm.reachable();
-            let _span = telemetry::span("care_install");
-            mc.set_care(reach);
         }
         Ok(mc)
     }
@@ -312,11 +295,11 @@ impl<'m> CoverageEstimator<'m> {
         let time = t0.elapsed();
         let nodes = mgr.table_size();
 
-        // Safe point between the verification and coverage phases: in
-        // auto-reorder mode, sift against the live working set — which is
-        // exactly the handles still alive (the machine, the checker with
-        // its memoized satisfaction sets, and the caller's).
-        mgr.maybe_reduce_heap();
+        // Safe point between the verification and coverage phases: the
+        // live working set is exactly the handles still alive (the
+        // machine, the checker with its memoized satisfaction sets, and
+        // the caller's); the fixpoints' intermediate results are garbage.
+        mgr.gc_checkpoint();
         Ok(Verification {
             sets,
             properties: properties.to_vec(),
@@ -349,8 +332,8 @@ impl<'m> CoverageEstimator<'m> {
     ) -> Result<CoverageAnalysis, CoverageError> {
         self.check_cone(options.cone.as_deref())?;
         let mgr = self.fsm.manager().clone();
-        // The coverage space's reachable part: computed by `checker` when
-        // simplification is on, here otherwise (cached either way).
+        // The coverage space's reachable part, computed by the first
+        // cover step and cached on the machine.
         let reach = self.fsm.reachable();
         let _span = telemetry::span(format!("signal:{observed}"));
         let (verify_time, verify_nodes) = (verification.time, verification.nodes);
@@ -430,7 +413,7 @@ impl<'m> CoverageEstimator<'m> {
         let coverage_time = t1.elapsed();
         let coverage_nodes = mgr.table_size();
 
-        mgr.maybe_reduce_heap();
+        mgr.gc_checkpoint();
 
         let vars = self.state_universe(&covered, &space, options.cone.as_deref());
         let covered_count = covered.sat_count_over(&vars);
@@ -493,7 +476,7 @@ impl<'m> CoverageEstimator<'m> {
             .collect();
         let mut analyses = self.analyze_signals(&suites, options)?;
         // The analyses hold their sets as owned handles, so merging after
-        // any number of intervening reorder checkpoints is sound.
+        // any number of intervening GC checkpoints is sound.
         let mut merged = analyses.pop().expect("nonempty");
         for a in &analyses {
             merged.covered = merged.covered.or(&a.covered);
@@ -511,9 +494,9 @@ impl<'m> CoverageEstimator<'m> {
     /// Analyzes several observed signals over their own property suites
     /// and returns the per-signal analyses in input order.
     ///
-    /// Completed analyses survive the later calls' automatic-reorder
-    /// collection points by ownership alone — the old protect/unprotect
-    /// bracketing around this loop is gone with the roots contract.
+    /// Completed analyses survive the later calls' GC checkpoints by
+    /// ownership alone — the old protect/unprotect bracketing around this
+    /// loop is gone with the roots contract.
     ///
     /// # Errors
     ///
@@ -562,22 +545,12 @@ impl<'m> CoverageEstimator<'m> {
         }
         let mut rest = set.clone();
         let mut out = Vec::new();
-        while out.len() < limit && !rest.is_false() {
-            let mut cube_f = mgr.constant(true);
-            let mut cube = Vec::with_capacity(vars.len());
-            let mut cur = rest.clone();
-            for &v in vars {
-                let lo = cur.cofactor(v, false);
-                let (val, next) = if lo.is_false() {
-                    (true, cur.cofactor(v, true))
-                } else {
-                    (false, lo)
-                };
-                cube.push((v, val));
-                cube_f = cube_f.and(&mgr.literal(v, val));
-                cur = next;
-            }
-            rest = rest.diff(&cube_f);
+        while out.len() < limit {
+            let Some(cube) = rest.pick_minterm(vars) else {
+                break;
+            };
+            let literals: Vec<Func> = cube.iter().map(|&(v, val)| mgr.literal(v, val)).collect();
+            rest = rest.diff(&mgr.and_many(&literals));
             out.push(cube);
         }
         out
@@ -834,40 +807,43 @@ mod tests {
     }
 
     /// Regression: `analyze_union`/`analyze_signals` hold results from
-    /// earlier `analyze` calls across later ones; with aggressive
-    /// automatic reordering those later calls collect internally, and the
-    /// accumulated sets must survive. Under the RAII API this holds by
-    /// ownership — the old explicit protect/unprotect bracketing is gone.
+    /// earlier `analyze` calls across later ones, and the accumulated
+    /// sets must survive every collection and sift in between. Under the
+    /// RAII API this holds by ownership — the old explicit
+    /// protect/unprotect bracketing is gone.
     #[test]
     fn union_is_stable_under_aggressive_auto_reordering() {
-        use covest_bdd::{ReorderConfig, ReorderMode};
-
-        let run = |mode: ReorderMode| -> (f64, f64) {
+        let run = |forced: bool| -> (f64, f64) {
             let mgr = BddManager::new();
-            mgr.set_reorder_config(ReorderConfig {
-                mode,
-                auto_threshold: 8, // fire at every checkpoint
-                ..Default::default()
-            });
             let (_, fsm) = figure2(&mgr);
             let est = CoverageEstimator::new(&fsm);
+            let force = || {
+                if forced {
+                    mgr.reduce_heap();
+                    mgr.gc();
+                }
+            };
             let union = est
                 .analyze_union(&["q", "p1"], &[f("A[p1 U q]")], &CoverageOptions::default())
                 .expect("analyzes");
+            force();
             let signals = est
                 .analyze_signals(
                     &[("q", vec![f("A[p1 U q]")]), ("p1", vec![f("A[p1 U q]")])],
                     &CoverageOptions::default(),
                 )
                 .expect("analyzes");
-            let first_again = signals[0].covered_count;
-            (union.covered_count, first_again)
+            force();
+            // The held union still denotes the set it was counted on.
+            let recount = union.covered.sat_count_over(&fsm.current_vars());
+            assert_eq!(recount.to_bits(), union.covered_count.to_bits());
+            (union.covered_count, signals[0].covered_count)
         };
 
-        let (union_off, first_off) = run(ReorderMode::Off);
-        let (union_auto, first_auto) = run(ReorderMode::Auto);
-        assert_eq!(union_off.to_bits(), union_auto.to_bits());
-        assert_eq!(first_off.to_bits(), first_auto.to_bits());
+        let (union_plain, first_plain) = run(false);
+        let (union_forced, first_forced) = run(true);
+        assert_eq!(union_plain.to_bits(), union_forced.to_bits());
+        assert_eq!(first_plain.to_bits(), first_forced.to_bits());
     }
 
     /// The uncovered-state sample must be canonical: sorted by bit
@@ -876,35 +852,43 @@ mod tests {
     /// print diff-identical reports.
     #[test]
     fn uncovered_states_are_canonical_across_reorder_histories() {
-        use covest_bdd::{ReorderConfig, ReorderMode};
-
-        let run = |mode: ReorderMode| -> Vec<Vec<(String, bool)>> {
+        // `forced` sifts and collects at both GC checkpoints: after
+        // verification and after coverage.
+        let run = |forced: bool| -> Vec<Vec<(String, bool)>> {
             let mgr = BddManager::new();
-            mgr.set_reorder_config(ReorderConfig {
-                mode,
-                auto_threshold: 8,
-                ..Default::default()
-            });
             let (_, fsm) = figure2(&mgr);
             let est = CoverageEstimator::new(&fsm);
+            let force = || {
+                if forced {
+                    mgr.reduce_heap();
+                    mgr.gc();
+                }
+            };
+            let options = CoverageOptions::default();
+            let checker = est.checker(&options.fairness).expect("checker");
+            let mut verification = est
+                .verify(checker, &[f("A[p1 U q]")], false)
+                .expect("verifies");
+            force();
             let analysis = est
-                .analyze("q", &[f("A[p1 U q]")], &CoverageOptions::default())
+                .cover(&mut verification, "q", &options)
                 .expect("analyzes");
+            force();
             est.uncovered_states(&analysis, 10)
         };
 
-        let off = run(ReorderMode::Off);
-        assert_eq!(off.len(), 5);
+        let plain = run(false);
+        assert_eq!(plain.len(), 5);
         // Sorted ascending by declaration-order bit values (false < true).
-        let keys: Vec<Vec<bool>> = off
+        let keys: Vec<Vec<bool>> = plain
             .iter()
             .map(|s| s.iter().map(|&(_, v)| v).collect())
             .collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "sample must come out sorted");
-        // Identical under a different (aggressive) reordering history.
-        assert_eq!(off, run(ReorderMode::Auto));
+        // Identical under a different reordering history.
+        assert_eq!(plain, run(true));
     }
 
     /// A cone entry that names no state bit, or names one twice, is an

@@ -12,8 +12,8 @@
 //!   `self.clear_caches();` — refs are reassigned by GC/reorder, so a
 //!   stale cache entry is a wrong answer, not a slow one.
 //! - `hot-path-hashmap` — no `HashMap` or `HashSet` in the BDD apply/
-//!   quantify/substitute/simplify kernels (`manager.rs`, `quant.rs`,
-//!   `subst.rs`, `simplify.rs`); the packed-arena rewrite replaced them
+//!   quantify/substitute kernels (`manager.rs`, `quant.rs`,
+//!   `subst.rs`); the packed-arena rewrite replaced them
 //!   with open-addressing tables and bitmap mark passes, and SipHash
 //!   must stay off the hot paths.
 //! - `raw-instant` — `Instant::now()` is confined to `crates/telemetry`;
@@ -193,8 +193,8 @@ fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut sources = Vec::new();
     rust_sources(&crates, &mut sources)?;
 
-    let hot_paths = ["manager.rs", "quant.rs", "subst.rs", "simplify.rs"]
-        .map(|f| crates.join("bdd").join("src").join(f));
+    let hot_paths =
+        ["manager.rs", "quant.rs", "subst.rs"].map(|f| crates.join("bdd").join("src").join(f));
     let instant_ok = crates.join("telemetry");
     // The linter's own sources spell the forbidden tokens.
     let self_dir = crates.join("devlint");

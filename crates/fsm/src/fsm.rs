@@ -16,7 +16,7 @@
 use covest_bdd::{BddManager, Func, VarId};
 
 use crate::error::BuildFsmError;
-use crate::image::{ImageConfig, ImageEngine};
+use crate::image::ImageEngine;
 use crate::signal::{SignalTable, SignalValue};
 
 /// A state bit with its current- and next-state BDD variables.
@@ -114,27 +114,14 @@ impl SymbolicFsm {
         &self.engine
     }
 
-    /// The image configuration in use.
-    pub fn image_config(&self) -> ImageConfig {
-        self.engine.config()
-    }
-
-    /// Rebuilds the image engine with a new configuration (the
-    /// simplification mode). The cached relation and reachable set are
-    /// dropped and recomputed on demand.
-    pub fn set_image_config(&mut self, config: ImageConfig) {
-        self.engine = self.engine_over(self.engine.parts(), config);
-    }
-
     /// A fresh image engine over `parts` and this machine's variables.
-    fn engine_over(&self, parts: &[Func], config: ImageConfig) -> ImageEngine {
+    fn engine_over(&self, parts: &[Func]) -> ImageEngine {
         ImageEngine::build(
             &self.mgr,
             parts,
             &self.current_vars(),
             &self.input_vars(),
             &self.next_vars(),
-            config,
         )
     }
 
@@ -215,7 +202,7 @@ impl SymbolicFsm {
         let mut parts = self.engine.parts().to_vec();
         parts.push(constraint.clone());
         let mut out = self.clone();
-        out.engine = self.engine_over(&parts, self.engine.config());
+        out.engine = self.engine_over(&parts);
         out
     }
 
@@ -290,7 +277,6 @@ pub struct FsmBuilder {
     frees: Vec<bool>,
     raw_constraints: Vec<Func>,
     signals: SignalTable,
-    image_config: ImageConfig,
 }
 
 impl FsmBuilder {
@@ -306,25 +292,12 @@ impl FsmBuilder {
             frees: Vec::new(),
             raw_constraints: Vec::new(),
             signals: SignalTable::new(),
-            image_config: ImageConfig::default(),
         }
     }
 
     /// The manager the machine is being built on.
     pub fn manager(&self) -> &BddManager {
         &self.mgr
-    }
-
-    /// Selects the image configuration (the simplification mode) for the
-    /// built machine.
-    pub fn with_image_config(mut self, config: ImageConfig) -> Self {
-        self.image_config = config;
-        self
-    }
-
-    /// Sets the image configuration in place.
-    pub fn set_image_config(&mut self, config: ImageConfig) {
-        self.image_config = config;
     }
 
     /// Declares a state bit, allocating its current/next variables
@@ -462,7 +435,6 @@ impl FsmBuilder {
                 .collect::<Vec<_>>(),
             &self.input_bits.iter().map(|b| b.var).collect::<Vec<_>>(),
             &self.state_bits.iter().map(|b| b.next).collect::<Vec<_>>(),
-            self.image_config,
         );
         let fsm = SymbolicFsm {
             name: self.name,
@@ -564,18 +536,15 @@ mod tests {
     }
 
     /// Regression for the stale-derived-state class: a machine with a
-    /// cached reachable set (the checker's care set) and a cached
-    /// relation is `constrain`ed; the rebuilt engine must carry neither
-    /// the old reachable set nor a relation missing the constraint, and
-    /// the constrained machine's images must match a simplification-free
-    /// twin bit for bit.
+    /// cached reachable set and a cached relation is `constrain`ed; the
+    /// rebuilt engine must carry neither the old reachable set nor a
+    /// relation missing the constraint, and the constrained machine's
+    /// images must match the two-step product on its relation.
     #[test]
     fn constrain_drops_care_state_and_stays_consistent() {
-        use crate::image::SimplifyConfig;
-
         let mgr = BddManager::new();
         // A modulo-3 counter: 00 → 01 → 10 → 00, state 11 unreachable, so
-        // the reachable care set is nontrivial.
+        // the reachable set is nontrivial.
         let fsm = {
             let mut b = FsmBuilder::new(&mgr, "mod3");
             let b0 = b.add_state_bit("b0");
@@ -611,23 +580,25 @@ mod tests {
         assert_eq!(constrained.trans(), fresh_t);
         assert_eq!(constrained.trans(), fsm.trans().and(&cut));
 
-        // The constrained machine's images are exact (compared against a
-        // simplification-free twin).
+        // The constrained machine's images are exact: the two-step
+        // product on its relation.
         let new_reach = constrained.reachable();
         assert!(new_reach.leq(&reach));
-        let mut off = constrained.clone();
-        off.set_image_config(ImageConfig {
-            simplify: SimplifyConfig::Off,
-            ..constrained.image_config()
-        });
+        let t = constrained.trans();
+        let mut fwd = constrained.current_vars();
+        fwd.extend(constrained.input_vars());
+        let mut bwd = constrained.next_vars();
+        bwd.extend(constrained.input_vars());
         for set in [
             constrained.init().clone(),
             new_reach.clone(),
             new_reach.not(),
             mgr.constant(true),
         ] {
-            assert_eq!(constrained.image(&set), off.image(&set));
-            assert_eq!(constrained.preimage(&set), off.preimage(&set));
+            let image = t.and(&set).exists(&fwd).rename(&constrained.next_to_cur());
+            assert_eq!(constrained.image(&set), image);
+            let set_next = set.rename(&constrained.cur_to_next());
+            assert_eq!(constrained.preimage(&set), t.and(&set_next).exists(&bwd));
         }
     }
 

@@ -18,77 +18,6 @@ use std::cell::RefCell;
 
 use covest_bdd::{BddManager, Func, VarId};
 
-/// The image method. There is one: the lazily conjoined relation.
-///
-/// Kept only for the `perfbench` harness, which names
-/// `ImageMethod::Partitioned` when it fills an [`ImageConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ImageMethod {
-    /// The one method.
-    #[default]
-    Partitioned,
-}
-
-/// How (and whether) BDDs are simplified against don't-care sets —
-/// unreachable states above all. Both modes are observationally
-/// equivalent: coverage percentages, verdicts and uncovered-state sets
-/// are bit-identical across them (the parity suite asserts it); only
-/// intermediate BDD sizes differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SimplifyConfig {
-    /// No simplification anywhere.
-    Off,
-    /// Coudert–Madre `restrict` (sibling substitution): size-safe — a
-    /// simplified BDD is never bigger than the original (the default).
-    #[default]
-    Restrict,
-}
-
-impl SimplifyConfig {
-    /// Simplifies `f` modulo `care` per the mode. The identity
-    /// `apply(f, c) & c == f & c` holds for both modes.
-    pub fn apply(&self, f: &Func, care: &Func) -> Func {
-        match self {
-            SimplifyConfig::Off => f.clone(),
-            SimplifyConfig::Restrict => f.restrict(care),
-        }
-    }
-}
-
-impl std::str::FromStr for SimplifyConfig {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(SimplifyConfig::Off),
-            "restrict" => Ok(SimplifyConfig::Restrict),
-            other => Err(format!(
-                "unknown simplify mode `{other}` (expected off|restrict)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for SimplifyConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimplifyConfig::Off => write!(f, "off"),
-            SimplifyConfig::Restrict => write!(f, "restrict"),
-        }
-    }
-}
-
-/// Configuration for [`ImageEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ImageConfig {
-    /// Nothing reads it; kept only for the `perfbench` harness, which
-    /// sets it.
-    pub method: ImageMethod,
-    /// Don't-care simplification mode used by the fixpoint machinery:
-    /// BFS frontiers and model-checker iterates.
-    pub simplify: SimplifyConfig,
-}
-
 /// The transition relation of a [`SymbolicFsm`](crate::SymbolicFsm) and
 /// the image computations on it.
 ///
@@ -98,7 +27,6 @@ pub struct ImageConfig {
 /// collection and reordering.
 #[derive(Debug, Clone)]
 pub struct ImageEngine {
-    config: ImageConfig,
     mgr: BddManager,
     parts: Vec<Func>,
     /// Current-state + input variables (forward quantification set).
@@ -112,7 +40,7 @@ pub struct ImageEngine {
     /// Cached reachable-from-init set (computed by
     /// [`crate::SymbolicFsm::reachable`]). Like `relation`, it is derived
     /// from the parts and therefore shares the engine's lifecycle:
-    /// rebuilding the engine (`set_image_config`, `constrain`) drops it.
+    /// rebuilding the engine (`constrain`) drops it.
     reach: RefCell<Option<Func>>,
 }
 
@@ -125,14 +53,12 @@ impl ImageEngine {
         current_vars: &[VarId],
         input_vars: &[VarId],
         next_vars: &[VarId],
-        config: ImageConfig,
     ) -> ImageEngine {
         let mut fwd_vars = current_vars.to_vec();
         fwd_vars.extend_from_slice(input_vars);
         let mut bwd_vars = next_vars.to_vec();
         bwd_vars.extend_from_slice(input_vars);
         ImageEngine {
-            config,
             mgr: mgr.clone(),
             parts: parts.to_vec(),
             fwd_vars,
@@ -143,18 +69,14 @@ impl ImageEngine {
         }
     }
 
-    /// The engine's configuration.
-    pub fn config(&self) -> ImageConfig {
-        self.config
-    }
-
     /// The conjunctive partition of the transition relation.
     pub(crate) fn parts(&self) -> &[Func] {
         &self.parts
     }
 
     /// The conjunctive partition, under its old name. Kept only for the
-    /// `perfbench` harness, which counts it.
+    /// `perfbench` harness, which counts it; nothing under `crates/`
+    /// calls it.
     pub fn clusters(&self) -> &[Func] {
         &self.parts
     }
@@ -250,7 +172,7 @@ mod tests {
             .enumerate()
             .map(|(i, &src)| mgr.var(next[i]).iff(&mgr.var(src)))
             .collect();
-        let engine = ImageEngine::build(mgr, &parts, &cur, &inp, &next, ImageConfig::default());
+        let engine = ImageEngine::build(mgr, &parts, &cur, &inp, &next);
         (engine, cur, next)
     }
 
@@ -301,17 +223,5 @@ mod tests {
         // collection without any explicit protection.
         mgr.gc();
         assert_eq!(engine.relation(), t1);
-    }
-
-    #[test]
-    fn simplify_parses_round_trip() {
-        for (s, m) in [
-            ("off", SimplifyConfig::Off),
-            ("restrict", SimplifyConfig::Restrict),
-        ] {
-            assert_eq!(s.parse::<SimplifyConfig>().unwrap(), m);
-            assert_eq!(m.to_string(), s);
-        }
-        assert!("constrain".parse::<SimplifyConfig>().is_err());
     }
 }

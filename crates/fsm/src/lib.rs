@@ -54,7 +54,7 @@ mod trace;
 
 pub use error::{BuildFsmError, LowerError};
 pub use fsm::{FsmBuilder, InputBit, StateBit, SymbolicFsm};
-pub use image::{ImageConfig, ImageEngine, ImageMethod, SimplifyConfig};
+pub use image::ImageEngine;
 pub use signal::{NumericSignal, SignalTable, SignalValue};
 pub use stg::Stg;
 pub use trace::{Trace, TraceStep};

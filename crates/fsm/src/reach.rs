@@ -1,14 +1,6 @@
-//! Reachability analysis: fixpoints and breadth-first onion rings.
-//!
-//! The BFS loops run *frontier-simplified*: the set handed to the next
-//! image computation is the new layer simplified modulo the complement
-//! of the already-visited states (per the machine's
-//! [`crate::SimplifyConfig`]). Any set `F` with `fresh ⊆ F ⊆ reached`
-//! yields the same next layer — extra already-visited states contribute
-//! only already-visited successors — and simplifying `fresh` against
-//! `¬visited` produces exactly such an `F`, usually a much smaller BDD.
-//! The reached sets and rings themselves are untouched, so every result
-//! is bit-identical across simplification modes.
+//! Reachability analysis: fixpoints and breadth-first onion rings. Each
+//! BFS step images the new layer alone, the states first reached in the
+//! step before.
 
 use covest_bdd::Func;
 use covest_telemetry as telemetry;
@@ -20,7 +12,6 @@ impl SymbolicFsm {
     /// `from` itself (the paper's `reachable(S0)`).
     pub fn reachable_from(&self, from: &Func) -> Func {
         let _span = telemetry::span("reachability");
-        let simplify = self.image_config().simplify;
         let mut reached = from.clone();
         let mut frontier = from.clone();
         let mut steps = 0u64;
@@ -33,11 +24,8 @@ impl SymbolicFsm {
                 telemetry::span_field("bfs_steps", steps);
                 return reached;
             }
-            // Care = ¬visited (before absorbing the new layer): the
-            // simplified frontier agrees with `fresh` on the unvisited
-            // region and is free to absorb visited states elsewhere.
-            frontier = simplify.apply(&fresh, &reached.not());
             reached = reached.or(&fresh);
+            frontier = fresh;
             // Per-step BDD sizes are deterministic but cost a node-count
             // traversal each, so they are gathered only under a recorder.
             if telemetry::is_active() {
@@ -68,10 +56,9 @@ impl SymbolicFsm {
     ///
     /// Cached on the image engine after the first computation (the
     /// initial states never change post-build, and the cache shares the
-    /// engine's lifecycle — rebuilding via
-    /// [`crate::SymbolicFsm::set_image_config`] or
-    /// [`crate::SymbolicFsm::constrain`] drops it), so the per-signal
-    /// analyses of a multi-signal run pay for the BFS once.
+    /// engine's lifecycle — [`crate::SymbolicFsm::constrain`] builds a
+    /// new engine without it), so the per-signal analyses of a
+    /// multi-signal run pay for the BFS once.
     pub fn reachable(&self) -> Func {
         if let Some(r) = self.engine.cached_reach() {
             return r;
@@ -81,15 +68,8 @@ impl SymbolicFsm {
         r
     }
 
-    /// `true` when `set` is the cached [`SymbolicFsm::reachable`] set: an
-    /// O(1) handle comparison that computes nothing. That set is closed
-    /// under successors by construction.
-    pub fn is_cached_reachable(&self, set: &Func) -> bool {
-        self.engine.cached_reach().is_some_and(|r| &r == set)
-    }
-
     /// [`SymbolicFsm::reachable`] under its old name. Kept only for the
-    /// `perfbench` harness, which calls it.
+    /// `perfbench` harness, which calls it; nothing under `crates/` does.
     pub fn install_reachable_care(&self) -> Func {
         self.reachable()
     }
@@ -98,19 +78,16 @@ impl SymbolicFsm {
     /// `rings[k]` holds the states first reached at distance `k`.
     /// The union of all rings is [`SymbolicFsm::reachable_from`].
     pub fn onion_rings(&self, from: &Func) -> Vec<Func> {
-        let simplify = self.image_config().simplify;
         let mut rings = vec![from.clone()];
         let mut reached = from.clone();
-        let mut frontier = from.clone();
         loop {
-            let img = self.image(&frontier);
+            let img = self.image(rings.last().expect("rings start nonempty"));
             let fresh = img.diff(&reached);
             if fresh.is_false() {
                 return rings;
             }
-            rings.push(fresh.clone());
-            frontier = simplify.apply(&fresh, &reached.not());
             reached = reached.or(&fresh);
+            rings.push(fresh);
         }
     }
 

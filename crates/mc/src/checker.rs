@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use covest_bdd::Func;
 use covest_ctl::{Ctl, PropExpr, SignalRef};
-use covest_fsm::{LowerError, SignalValue, SimplifyConfig, SymbolicFsm};
+use covest_fsm::{LowerError, SignalValue, SymbolicFsm};
 
 use crate::verdict::Verdict;
 
@@ -17,21 +17,6 @@ use crate::verdict::Verdict;
 /// Every cached state set is an owned [`Func`], so the checker's memo
 /// table (like the machine itself) survives garbage collection and
 /// dynamic reordering without any root bookkeeping.
-///
-/// # Don't-care simplification
-///
-/// With a care set installed ([`ModelChecker::set_care`], normally the
-/// reachable states), every preimage *operand* inside the EX/EU/EG and
-/// fair-states fixpoints is simplified modulo the care set first. This
-/// is sound because successors of care states are care states (the
-/// reachable set is closed under the transition relation), so a preimage
-/// evaluated at a care state only inspects the operand at care states —
-/// where the simplified iterate agrees with the original. Cached
-/// satisfaction sets are therefore exact **on the care set** and
-/// unconstrained off it; every observable answer ([`ModelChecker::holds`],
-/// [`ModelChecker::check`], coverage sets intersected with the coverage
-/// space) is bit-identical to the simplification-free run, because all of
-/// them evaluate the cached sets only inside the care region.
 #[derive(Debug)]
 pub struct ModelChecker<'m> {
     fsm: &'m SymbolicFsm,
@@ -39,10 +24,6 @@ pub struct ModelChecker<'m> {
     overrides: Vec<(SignalRef, SignalValue)>,
     cache: HashMap<Ctl, Func>,
     fair_states: Option<Func>,
-    /// Care set for iterate simplification (with the active mode), if
-    /// installed. The mode is read from the machine's image
-    /// configuration at install time.
-    care: Option<(Func, SimplifyConfig)>,
 }
 
 /// Reports one CTL fixpoint iteration to the progress/watchdog channel
@@ -70,57 +51,13 @@ impl<'m> ModelChecker<'m> {
             overrides: Vec::new(),
             cache: HashMap::new(),
             fair_states: None,
-            care: None,
         }
     }
 
-    /// Installs `care` (normally the machine's reachable states) as the
-    /// don't-care boundary for fixpoint iterate simplification, using the
-    /// mode from the machine's [`covest_fsm::ImageConfig`]. A
-    /// [`SimplifyConfig::Off`] mode (or a constant care set) uninstalls
-    /// instead. Cached results are dropped either way: sets computed
-    /// under a different care discipline are exact on a different
-    /// region.
-    ///
-    /// # Care-set contract
-    ///
-    /// `care` must be **closed under the transition relation**
-    /// (successors of care states are care states) — the soundness of
-    /// simplifying preimage operands rests on it. The reachable states
-    /// satisfy it by definition; an arbitrary state set does not, and
-    /// would silently corrupt verdicts. Debug builds assert closure of
-    /// any set other than the machine's cached reachable set, which is
-    /// closed by construction (a test checks it on every bundled and
-    /// sized deck); so debug and release builds do the same BDD work on
-    /// the production path.
-    pub fn set_care(&mut self, care: Func) {
-        let mode = self.fsm.image_config().simplify;
-        self.care = if mode == SimplifyConfig::Off || care.is_const() {
-            None
-        } else {
-            debug_assert!(
-                self.fsm.is_cached_reachable(&care) || self.fsm.image(&care).leq(&care),
-                "care set must be closed under successors (use reachable states)"
-            );
-            Some((care, mode))
-        };
-        self.cache.clear();
-        self.fair_states = None;
-    }
-
-    /// The installed care set, if any.
-    pub fn care(&self) -> Option<&Func> {
-        self.care.as_ref().map(|(c, _)| c)
-    }
-
-    /// Simplifies a fixpoint iterate modulo the installed care set (a
-    /// clone when none is installed).
-    fn shrink(&self, f: &Func) -> Func {
-        match &self.care {
-            Some((care, mode)) => mode.apply(f, care),
-            None => f.clone(),
-        }
-    }
+    /// Does nothing: the checker simplifies no iterate against a care
+    /// set. Kept only for the `perfbench` harness, which calls it;
+    /// nothing under `crates/` does.
+    pub fn set_care(&mut self, _care: Func) {}
 
     /// The machine under check.
     pub fn fsm(&self) -> &SymbolicFsm {
@@ -251,7 +188,7 @@ impl<'m> ModelChecker<'m> {
     /// `EX p` over fair paths: `EX (p ∧ fair)`.
     fn ex_fair(&mut self, p: &Func) -> Func {
         let fair = self.fair_states();
-        self.fsm.preimage(&self.shrink(&p.and(&fair)))
+        self.fsm.preimage(&p.and(&fair))
     }
 
     /// `E[p U q]` over fair paths: `E[p U (q ∧ fair)]`.
@@ -261,15 +198,11 @@ impl<'m> ModelChecker<'m> {
     }
 
     /// Plain least-fixpoint `E[p U q]`.
-    ///
-    /// Each preimage operand is simplified modulo the care set: the
-    /// iterates (and the result) then agree with the unsimplified run on
-    /// the care states, which is all any observable consumer reads.
     fn eu_raw(&self, p: &Func, q: &Func) -> Func {
         let mut z = q.clone();
         let mut iters = 0u64;
         loop {
-            let pre = self.fsm.preimage(&self.shrink(&z));
+            let pre = self.fsm.preimage(&z);
             let next = z.or(&p.and(&pre));
             iters += 1;
             fixpoint_tick("eu", iters, &next);
@@ -291,19 +224,11 @@ impl<'m> ModelChecker<'m> {
         let mut z = self.fsm.manager().constant(true);
         let mut fair_iters = 0u64;
         loop {
-            // Seed with z ∧ p rather than p: unsimplified, the iterates
-            // form a decreasing chain anyway (z ∧ F(z) = F(z)), but with
-            // care-simplified preimage operands the off-care part of
-            // F(z) is free to oscillate between iterations — without the
-            // explicit intersection the `next == z` test might never
-            // hold. Forcing next ⊆ z restores guaranteed termination
-            // and leaves the on-care value (all anyone observes)
-            // unchanged.
-            let mut next = z.and(p);
+            let mut next = p.clone();
             for c in &constraints {
                 let zc = z.and(c);
                 let reach = self.eu_raw(p, &zc);
-                let pre = self.fsm.preimage(&self.shrink(&reach));
+                let pre = self.fsm.preimage(&reach);
                 next = next.and(&pre);
             }
             covest_telemetry::count("eg_fair_iterations", 1);
@@ -321,7 +246,7 @@ impl<'m> ModelChecker<'m> {
         let mut z = p.clone();
         let mut iters = 0u64;
         loop {
-            let pre = self.fsm.preimage(&self.shrink(&z));
+            let pre = self.fsm.preimage(&z);
             let next = z.and(&pre);
             iters += 1;
             fixpoint_tick("eg", iters, &next);
@@ -446,11 +371,7 @@ impl<'m> ModelChecker<'m> {
 
     /// Clears every cached state set: the per-formula memo table **and**
     /// the cached fair-states set (e.g. after unrelated work on the
-    /// shared manager, to bound memory). Historically `fair_states`
-    /// survived this call; with care-dependent simplification in the
-    /// fixpoints, a cached set outliving "clear everything cached" is a
-    /// staleness hazard, so it is dropped too. The installed care set
-    /// itself is configuration, not cache, and stays.
+    /// shared manager, to bound memory).
     pub fn clear_cache(&mut self) {
         self.cache.clear();
         self.fair_states = None;
@@ -656,47 +577,6 @@ mod tests {
         assert_eq!(mgr.live_roots(), baseline + 1, "the cached set remains");
         mc.clear_cache();
         assert_eq!(mgr.live_roots(), baseline, "clear_cache must drop it");
-    }
-
-    /// With a care set installed, every cached satisfaction set must
-    /// agree with the care-free run on the care states, and verdicts
-    /// must be identical outright.
-    #[test]
-    fn care_simplified_fixpoints_agree_on_care_states() {
-        let formulas = [
-            "AG (q -> AX p)",
-            "A[p U q]",
-            "AF q",
-            "AG p",
-            "AX AX q",
-            "p -> AG (q -> AX p)",
-        ];
-        let mgr = BddManager::new();
-        // The machine keeps the default `restrict` mode. ring3 compiles 3
-        // states onto 2 bits: state 11 is unreachable, so the care set is
-        // nontrivial.
-        let (_, fsm) = ring3(&mgr);
-        let reach = fsm.reachable();
-        assert!(!reach.is_const());
-        let mut plain = ModelChecker::new(&fsm);
-        let mut cared = ModelChecker::new(&fsm);
-        cared.set_care(reach.clone());
-        assert!(cared.care().is_some());
-        for f in formulas {
-            let ctl = parse(f);
-            let sp = plain.sat(&ctl).unwrap();
-            let sc = cared.sat(&ctl).unwrap();
-            assert_eq!(
-                sp.and(&reach),
-                sc.and(&reach),
-                "{f}: satisfaction sets diverge on the care states"
-            );
-            assert_eq!(
-                plain.holds(&ctl).unwrap(),
-                cared.holds(&ctl).unwrap(),
-                "{f}: verdicts diverge"
-            );
-        }
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //!   `jobs`.
 //!
 //! [`run_batch`] is the one-call front door (`covest batch`). The
-//! contract — enforced by `tests/parity.rs` across the full image ×
-//! simplify × reorder mode cross, and under forced stealing — is that
+//! contract — enforced by `tests/parity.rs`, also under forced
+//! stealing — is that
 //! the pool is *pure mechanism*: coverage percentages, per-property
 //! verdicts and uncovered-state sets are bit-identical to the sequential
 //! estimator's (the test suite's pre-parallel oracle, which compiles the

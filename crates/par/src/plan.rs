@@ -8,7 +8,7 @@
 //! are planned independently of each other, so they are planned on the
 //! batch's `jobs` threads. Each deck becomes one shard (see
 //! [`crate::shard`]): one machine — the union of the analyzed signals'
-//! cones, or the full deck — verified once, with one coverage task per
+//! cones — verified once, with one coverage task per
 //! signal in declaration order, which is also the order results are
 //! reassembled in, whatever order workers finish.
 
@@ -53,13 +53,9 @@ pub struct ParConfig {
     /// deck, drained through one set of deques — and the planner plans
     /// the decks on the same number of threads.
     pub jobs: usize,
-    /// Image configuration for every compile (the simplification mode).
+    /// Kept only for the `perfbench` harness, which reads it; nothing
+    /// under `crates/` does.
     pub image: ImageConfig,
-    /// Dynamic-reordering mode for every manager. [`ReorderMode::Sift`]
-    /// mirrors the CLI default: one sifting pass right after compile.
-    ///
-    /// [`ReorderMode::Sift`]: covest_bdd::ReorderMode::Sift
-    pub reorder: covest_bdd::ReorderMode,
     /// How many uncovered states to sample per signal (the canonical
     /// declaration-order sample; see
     /// [`covest_core::CoverageEstimator::uncovered_states`]).
@@ -71,17 +67,6 @@ pub struct ParConfig {
     /// the durations (and the stolen flag) are wall-clock scheduling
     /// facts and excluded from parity.
     pub profile: bool,
-    /// Cone-of-influence reduction (`true`, the default): each shard
-    /// compiles the statically pruned union-cone deck of its deck's
-    /// analyzed signals on its private manager instead of the full
-    /// source (see [`plan_machine`]). With
-    /// `false` the shard compiles the full deck and the estimator
-    /// projects onto each signal's cone instead. The two modes produce
-    /// bit-identical reports (percentages, counts, verdicts, uncovered
-    /// listings) — the coverage universe is the per-signal cone either
-    /// way; only manager size and wall-clock differ. See DESIGN.md
-    /// "Static deck analysis & cone-of-influence".
-    pub coi: bool,
     /// Emit the throttled stderr progress heartbeat (and arm the
     /// fixpoint watchdog) on every shard. Pure stderr observability —
     /// never reaches a report byte. See [`covest_telemetry::progress`].
@@ -98,11 +83,8 @@ impl std::fmt::Debug for ParConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParConfig")
             .field("jobs", &self.jobs)
-            .field("image", &self.image)
-            .field("reorder", &self.reorder)
             .field("uncovered_limit", &self.uncovered_limit)
             .field("profile", &self.profile)
-            .field("coi", &self.coi)
             .field("progress", &self.progress)
             .field("clock", &self.clock.as_ref().map(|_| "injected"))
             .finish()
@@ -114,10 +96,8 @@ impl Default for ParConfig {
         ParConfig {
             jobs: 1,
             image: ImageConfig::default(),
-            reorder: covest_bdd::ReorderMode::Sift,
             uncovered_limit: 10,
             profile: false,
-            coi: true,
             progress: false,
             clock: None,
         }
@@ -172,7 +152,6 @@ pub struct DeckMachine {
 /// deck's one machine compiles — the union of the cones, pruned with
 /// [`reduce_module_multi`]. The parsed deck is compiled as it is instead
 /// when
-/// - `coi` is off;
 /// - no signal is analyzed (a verification-only run);
 /// - a name has no cone (see [`reducible`]);
 /// - or the union keeps every variable.
@@ -186,7 +165,7 @@ pub struct DeckMachine {
 ///
 /// The message compiling the deck gives for the first property the CTL
 /// parser rejects.
-pub fn plan_machine(module: &Module, signals: &[String], coi: bool) -> Result<DeckMachine, String> {
+pub fn plan_machine(module: &Module, signals: &[String]) -> Result<DeckMachine, String> {
     if signals.is_empty() {
         return Ok(DeckMachine {
             reduced: None,
@@ -204,9 +183,8 @@ pub fn plan_machine(module: &Module, signals: &[String], coi: bool) -> Result<De
         });
         union.extend(cone);
     }
-    let reduce = coi
-        && reducible(module, &graph, signals)
-        && !module.vars.iter().all(|v| union.contains(&v.name));
+    let reduce =
+        reducible(module, &graph, signals) && !module.vars.iter().all(|v| union.contains(&v.name));
     let reduced = reduce.then(|| {
         // The reduced deck observes each signal once; the tasks keep
         // duplicates (two identical rows).
@@ -223,7 +201,7 @@ pub fn plan_machine(module: &Module, signals: &[String], coi: bool) -> Result<De
 
 /// Plans a single deck, statically: parse (validating early), then
 /// [`plan_machine`] over the job's signals into the deck's one shard.
-fn plan_deck(job: &DeckJob, coi: bool) -> Result<Shard, ParError> {
+fn plan_deck(job: &DeckJob) -> Result<Shard, ParError> {
     let plan_err = |message: String| ParError::Plan {
         deck: job.name.clone(),
         message,
@@ -235,7 +213,7 @@ fn plan_deck(job: &DeckJob, coi: bool) -> Result<Shard, ParError> {
     } else {
         job.observed.clone()
     };
-    let DeckMachine { reduced, tasks } = plan_machine(&module, &signals, coi).map_err(plan_err)?;
+    let DeckMachine { reduced, tasks } = plan_machine(&module, &signals).map_err(plan_err)?;
     let weight = if tasks.is_empty() {
         usize::MAX
     } else {
@@ -271,7 +249,7 @@ pub struct WorkPlan {
 /// thread among them (so one thread spawns nothing). Each thread takes
 /// the largest deck, by source length, that no thread has taken yet;
 /// the results come back in joblist order.
-fn plan_decks(jobs: &[DeckJob], coi: bool, threads: usize) -> Vec<Result<Shard, ParError>> {
+fn plan_decks(jobs: &[DeckJob], threads: usize) -> Vec<Result<Shard, ParError>> {
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].source.len()));
     // `next` only hands out ranks: the decks and `order` are read-only
@@ -280,7 +258,7 @@ fn plan_decks(jobs: &[DeckJob], coi: bool, threads: usize) -> Vec<Result<Shard, 
     let work = || {
         let mut planned = Vec::new();
         while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-            planned.push((i, plan_deck(&jobs[i], coi)));
+            planned.push((i, plan_deck(&jobs[i])));
         }
         planned
     };
@@ -318,7 +296,7 @@ impl WorkPlan {
     /// compile failures surface when the shard compiles, also as
     /// [`ParError::Plan`].)
     pub fn plan(jobs: &[DeckJob], config: &ParConfig) -> Result<WorkPlan, ParError> {
-        let shards = plan_decks(jobs, config.coi, config.effective_jobs())
+        let shards = plan_decks(jobs, config.effective_jobs())
             .into_iter()
             .collect::<Result<_, _>>()?;
         Ok(WorkPlan { shards })

@@ -111,13 +111,12 @@ pub struct ShardProfile {
     /// pool's wall-clock.
     pub queue_wait: Duration,
     /// Time compiling the shard's module on its private manager
-    /// (including the startup sifting pass, when configured).
+    /// (including the startup sifting pass).
     pub compile: Duration,
     /// Time setting up the machine's checker: lowering the fairness
-    /// constraints and, with simplification on, the reachability fixpoint
-    /// and care install. With simplification off no fixpoint runs here:
-    /// the first signal's coverage computes reachability inside `solve`,
-    /// and a verification-only shard computes none.
+    /// constraints. No fixpoint runs here: the first signal's coverage
+    /// computes reachability inside `solve`, and a verification-only
+    /// shard computes none.
     pub reach: Duration,
     /// Time verifying the suite once and then covering each signal.
     pub solve: Duration,
@@ -129,10 +128,9 @@ pub struct ShardProfile {
     /// trace track: tid = `worker + 1` (tid 0 is the driver).
     pub worker: usize,
     /// Per-phase peak-live attribution table (`compile` / `reach` /
-    /// `care_install` / `verify` / `signal:NAME` / `other` → peak live
-    /// nodes), the fold of the span forest's memory samples —
-    /// deterministic, and its maximum equals the `bdd_peak_live_nodes`
-    /// counter exactly.
+    /// `verify` / `signal:NAME` / `other` → peak live nodes), the fold of
+    /// the span forest's memory samples — deterministic, and its maximum
+    /// equals the `bdd_peak_live_nodes` counter exactly.
     /// See [`covest_telemetry::memory::peak_by_phase`].
     pub peak_by_phase: Counters,
     /// Deterministic counters: the telemetry tallies recorded during the
@@ -294,8 +292,7 @@ impl WorkPlan {
 
 /// Plans and runs a batch in one call — the front door used by
 /// `covest batch`. Every plan runs on the pool, whatever its shard count
-/// or size, so each shard compiles its cone-reduced module whenever
-/// [`ParConfig::coi`] is on.
+/// or size, so each shard compiles its cone-reduced module.
 ///
 /// Planning is static (parse + cones, no BDDs) and cheap, so it always
 /// completes before execution; a plan failure therefore takes precedence

@@ -1,15 +1,15 @@
 //! Deck shards: the pool's unit of isolation, scheduling and stealing.
 //!
 //! A **shard** is one deck's machine: the union of its analyzed signals'
-//! cones (the full deck when [`crate::ParConfig::coi`] is off or the
-//! cone keeps everything; see [`crate::plan_machine`]) and its coverage
-//! tasks. Each shard runs on a fresh private [`covest_bdd::BddManager`]
-//! one body — compile and sift, verify the suite once, then cover the
-//! deck's signals **in declaration order** on that machine, each reusing
-//! the verification's memoized satisfaction sets. `covest check` runs
-//! the same body on its own thread. The shard's results are therefore a
-//! pure function of (deck source, config) — which worker runs it, and
-//! when, cannot reach a single report byte.
+//! cones (the full deck when the cone keeps everything; see
+//! [`crate::plan_machine`]) and its coverage tasks. Each shard runs on a
+//! fresh private [`covest_bdd::BddManager`] one body — compile and sift,
+//! verify the suite once, then cover the deck's signals **in declaration
+//! order** on that machine, each reusing the verification's memoized
+//! satisfaction sets. `covest check` runs the same body on its own
+//! thread. The shard's results are therefore a pure function of (deck
+//! source, config) — which worker runs it, and when, cannot reach a
+//! single report byte.
 //!
 //! Scheduling: shards are sorted largest-first by their static cone
 //! weights and dealt round-robin onto per-worker deques. A worker drains
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use covest_bdd::{BddManager, ReorderConfig, ReorderMode, ReorderStats};
+use covest_bdd::{BddManager, ReorderStats};
 use covest_core::{
     CoverageAnalysis, CoverageError, CoverageEstimator, CoverageOptions, ReportRow, Verification,
 };
@@ -75,14 +75,11 @@ pub(crate) fn install_mem_sampler(bdd: &BddManager) {
     });
 }
 
-/// Compiles a deck machine on `bdd` under `config`'s image and reorder
-/// modes and, in `sift` mode, runs the startup sifting pass (under a
-/// `sift` span), whose statistics come back for `covest check`'s
-/// `reorder (sift):` line. The sift orders the transition parts: the
-/// relation is conjoined later, by the first image. In `auto` mode the
-/// manager sifts at its own checkpoints, including one at the end of
-/// compile. Every shard, `covest check` and `check`'s full deck compile
-/// through here.
+/// Compiles a deck machine on `bdd` and runs the startup sifting pass
+/// (under a `sift` span), whose statistics come back for `covest
+/// check`'s `reorder (sift):` line. The sift orders the transition
+/// parts: the relation is conjoined later, by the first image. Every
+/// shard, `covest check` and `check`'s full deck compile through here.
 ///
 /// # Errors
 ///
@@ -90,17 +87,12 @@ pub(crate) fn install_mem_sampler(bdd: &BddManager) {
 pub fn compile_machine(
     bdd: &BddManager,
     module: &Module,
-    config: &ParConfig,
-) -> Result<(CompiledModel, Option<ReorderStats>), ModelError> {
-    bdd.set_reorder_config(ReorderConfig {
-        mode: config.reorder,
-        ..Default::default()
-    });
-    let model = covest_smv::compile_module_with(bdd, module, config.image)?;
-    let sift = (config.reorder == ReorderMode::Sift).then(|| {
+) -> Result<(CompiledModel, ReorderStats), ModelError> {
+    let model = covest_smv::compile_module(bdd, module)?;
+    let sift = {
         let _span = telemetry::span("sift");
         bdd.reduce_heap()
-    });
+    };
     Ok((model, sift))
 }
 
@@ -203,7 +195,7 @@ fn run_shard_phases(
         telemetry::span_label("signals", &signals.join("+"));
     }
     let sw = Stopwatch::start();
-    let (model, _) = compile_machine(bdd, &shard.module, config).map_err(|e| ParError::Plan {
+    let (model, _) = compile_machine(bdd, &shard.module).map_err(|e| ParError::Plan {
         deck: deck.clone(),
         message: e.to_string(),
     })?;

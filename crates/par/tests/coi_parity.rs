@@ -1,145 +1,147 @@
-//! Cone-of-influence parity: `--coi on` and `--coi off` are two
-//! implementations of one contract.
+//! Cone-of-influence parity: the pool's cone machines against the full
+//! deck.
 //!
-//! With COI on, each coverage task compiles the statically pruned cone
-//! deck and imports the cone-projected reachable set; with COI off it
-//! compiles the full deck and the estimator projects onto the cone
-//! afterwards. The counting/sampling universe is the signal's cone
-//! either way, so every deterministic report field — percentages
-//! (bit-for-bit), state counts, verdicts, vacuity flags, canonical
-//! uncovered samples, and the uncovered *sets* themselves — must agree
-//! exactly. A deterministic sweep pins the whole bundled deck set under
-//! the default config; a property test samples random engine configs
-//! (simplify × reorder × jobs) per deck; and the sized pipeline
-//! decks, whose debug register chains lie outside every cone, must agree
-//! too while peaking lower with COI on.
+//! Each shard compiles the statically pruned union of its deck's cones;
+//! the sequential oracle (`common::run_sequential`) compiles the full
+//! deck and projects onto each signal's cone afterwards. The
+//! counting/sampling universe is the signal's cone either way, so every
+//! deterministic report field — percentages (bit-for-bit), state counts,
+//! verdicts, vacuity flags, canonical uncovered samples, and the
+//! uncovered *sets* themselves — must agree exactly. A deterministic
+//! sweep pins the whole bundled deck set; a property test samples random
+//! decks and job counts; and the sized pipeline decks, whose debug
+//! register chains lie outside every cone, must agree too while peaking
+//! lower on the cone than on the full deck.
 
 mod common;
 
-use common::{all_decks, assert_semantic_parity};
-use covest_bdd::ReorderMode;
-use covest_par::{run_batch, BatchReport, DeckJob, ParConfig};
-use covest_smv::{ImageConfig, SimplifyConfig};
+use common::{all_decks, assert_semantic_parity, run_sequential};
+use covest_bdd::BddManager;
+use covest_core::CoverageEstimator;
+use covest_par::{compile_machine, cover_signal, plan_machine, run_batch, DeckJob, ParConfig};
 use proptest::prelude::*;
 
-fn config(coi: bool, simplify: SimplifyConfig, reorder: ReorderMode) -> ParConfig {
-    ParConfig {
-        jobs: 4,
-        image: ImageConfig {
-            simplify,
-            ..Default::default()
-        },
-        reorder,
-        coi,
-        ..Default::default()
-    }
-}
-
-/// Every bundled circuit and every `models/*.smv` deck: COI on and off
-/// produce identical reports under the default engine config.
+/// Every bundled circuit and every `models/*.smv` deck: the pool's cone
+/// machines and the full-deck oracle produce identical reports.
 #[test]
 fn coi_modes_agree_on_every_deck() {
     let decks = all_decks();
-    let on = run_batch(
-        &decks,
-        &ParConfig {
-            coi: true,
-            jobs: 4,
-            ..Default::default()
-        },
-    )
-    .expect("coi on");
-    let off = run_batch(
-        &decks,
-        &ParConfig {
-            coi: false,
-            jobs: 4,
-            ..Default::default()
-        },
-    )
-    .expect("coi off");
-    assert_semantic_parity("coi on vs off", &on, &off);
+    let config = ParConfig {
+        jobs: 4,
+        ..Default::default()
+    };
+    let cone = run_batch(&decks, &config).expect("cone machines");
+    let full = run_sequential(&decks, &config).expect("full decks");
+    assert_semantic_parity("cone vs full deck", &full, &cone);
 }
 
-/// The sized pipeline decks (`gen-models --size N`): each carries a
-/// debug register chain that no property or signal reads, so COI prunes
-/// it. Both modes agree on every deterministic field, and on the 8-stage
-/// deck the profiled shard's peak live node count is lower with COI on.
-/// Its work counters (peak live nodes, `image_calls`, `bfs_steps`) are
-/// pinned: debug and release builds do the same BDD work, so
-/// `cargo test` and a release run assert the same values.
-#[test]
-fn coi_lowers_the_peak_on_sized_pipelines() {
+/// A sized pipeline deck (`gen-models --size N`) with its Table-2 suite.
+fn sized_pipeline(stages: usize) -> DeckJob {
     use covest_circuits::pipeline;
     use std::fmt::Write as _;
 
-    let decks: Vec<DeckJob> = [4usize, 8]
+    let mut deck = pipeline::deck_sized(stages);
+    let suite = pipeline::out_suite_initial(stages)
         .into_iter()
-        .map(|stages| {
-            let mut deck = pipeline::deck_sized(stages);
-            let suite = pipeline::out_suite_initial(stages)
-                .into_iter()
-                .chain(pipeline::out_suite_hold());
-            for spec in suite {
-                writeln!(deck, "SPEC {spec};").expect("write to string");
-            }
-            DeckJob::new(format!("sized:pipeline_d{stages}"), deck)
-        })
-        .collect();
-    let run = |coi: bool| {
-        let config = ParConfig {
-            coi,
-            profile: true,
-            ..Default::default()
-        };
-        run_batch(&decks, &config).expect("sized pipelines run")
-    };
-    let (on, off) = (run(true), run(false));
-    assert_semantic_parity("sized pipelines, coi on vs off", &on, &off);
+        .chain(pipeline::out_suite_hold());
+    for spec in suite {
+        writeln!(deck, "SPEC {spec};").expect("write to string");
+    }
+    DeckJob::new(format!("sized:pipeline_d{stages}"), deck)
+}
 
-    let peak = |report: &BatchReport| report.decks[1].profiles[0].peak_live_nodes();
-    assert!(
-        peak(&on) < peak(&off),
-        "pipeline_d8: peak live nodes with coi on ({}) must stay below coi off ({})",
-        peak(&on),
-        peak(&off)
-    );
-    let work = |report: &BatchReport| {
-        let profile = &report.decks[1].profiles[0];
-        (
-            profile.peak_live_nodes(),
-            profile.counters.get("image_calls"),
-            profile.counters.get("bfs_steps"),
-        )
+/// The peak live nodes of the shard body — compile and sift, verify
+/// once, cover each signal — run on the unreduced module of `deck`, on a
+/// fresh manager.
+fn full_deck_peak(deck: &DeckJob) -> u64 {
+    let module = covest_smv::parse_module(&deck.source).expect("deck parses");
+    let signals: Vec<String> = module.observed.iter().map(|o| o.name.clone()).collect();
+    let tasks = plan_machine(&module, &signals).expect("deck plans").tasks;
+    let bdd = BddManager::new();
+    let (model, _) = compile_machine(&bdd, &module).expect("deck compiles");
+    let estimator = CoverageEstimator::new(&model.fsm);
+    let checker = estimator.checker(&model.fairness).expect("checker");
+    let mut verification = estimator
+        .verify(checker, &model.specs, false)
+        .expect("verifies");
+    for task in &tasks {
+        cover_signal(&estimator, &mut verification, &deck.name, task, 10).expect("covers");
+    }
+    bdd.stats().peak_live_nodes
+}
+
+/// The sized pipeline decks: each carries a debug register chain that no
+/// property or signal reads, so the cone prunes it. The pool agrees with
+/// the full-deck oracle on every deterministic field, and on the 8-stage
+/// deck the profiled shard's peak live node count is lower than the full
+/// deck's. The shard's work counters (peak live nodes, `image_calls`,
+/// `bfs_steps`) are pinned: debug and release builds do the same BDD
+/// work, so `cargo test` and a release run assert the same values.
+#[test]
+fn coi_lowers_the_peak_on_sized_pipelines() {
+    let decks: Vec<DeckJob> = [4usize, 8].into_iter().map(sized_pipeline).collect();
+    let config = ParConfig {
+        profile: true,
+        ..Default::default()
     };
-    assert_eq!(work(&on), (3_582, 93, 28), "pipeline_d8, coi on");
-    assert_eq!(work(&off), (8_146, 101, 36), "pipeline_d8, coi off");
+    let cone = run_batch(&decks, &config).expect("sized pipelines run");
+    let full = run_sequential(&decks, &config).expect("full decks run");
+    assert_semantic_parity("sized pipelines, cone vs full deck", &full, &cone);
+
+    let profile = &cone.decks[1].profiles[0];
+    let full_peak = full_deck_peak(&decks[1]);
+    assert!(
+        profile.peak_live_nodes() < full_peak,
+        "pipeline_d8: peak live nodes on the cone ({}) must stay below the full deck's ({full_peak})",
+        profile.peak_live_nodes(),
+    );
+    let work = (
+        profile.peak_live_nodes(),
+        profile.counters.get("image_calls"),
+        profile.counters.get("bfs_steps"),
+    );
+    assert_eq!(work, (3_530, 93, 28), "pipeline_d8, cone");
+}
+
+/// The GC checkpoints at the end of verification and of each signal's
+/// coverage collect once the live nodes have doubled past 4,096. On the
+/// 30-stage pipeline both fire after the startup sift's own collection;
+/// the shard's peak live nodes, collections and `image_calls` are pinned
+/// (the same in debug and release builds).
+#[test]
+fn gc_checkpoints_fire_on_a_sized_pipeline() {
+    let decks = [sized_pipeline(30)];
+    let config = ParConfig {
+        profile: true,
+        ..Default::default()
+    };
+    let report = run_batch(&decks, &config).expect("pipeline_d30 runs");
+    let profile = &report.decks[0].profiles[0];
+    let work = (
+        profile.peak_live_nodes(),
+        profile.counters.get("bdd_gc_runs"),
+        profile.counters.get("image_calls"),
+    );
+    assert_eq!(work, (22_833, 3, 291), "pipeline_d30");
 }
 
 proptest! {
-    /// Random (deck, simplify, reorder, jobs) samples: the two COI modes
-    /// agree on every deterministic report field.
+    /// Random (deck, jobs) samples: the pool's cone machines agree with
+    /// the full-deck oracle on every deterministic report field.
     #[test]
     fn coi_modes_agree_under_random_configs(
         pick in 0..1000usize,
-        simp in 0..2usize,
-        ro in 0..3usize,
         jobs in 1..5usize,
     ) {
         let decks = all_decks();
         let deck = vec![decks[pick % decks.len()].clone()];
-        let simplify = [SimplifyConfig::Off, SimplifyConfig::Restrict][simp];
-        let reorder = [ReorderMode::Off, ReorderMode::Sift, ReorderMode::Auto][ro];
-        let label = format!(
-            "deck={} simplify={simplify} reorder={reorder:?} jobs={jobs}",
-            deck[0].name
-        );
-        let mut on = config(true, simplify, reorder);
-        on.jobs = jobs;
-        let mut off = config(false, simplify, reorder);
-        off.jobs = jobs;
-        let ron = run_batch(&deck, &on).expect("coi on");
-        let roff = run_batch(&deck, &off).expect("coi off");
-        assert_semantic_parity(&label, &ron, &roff);
+        let label = format!("deck={} jobs={jobs}", deck[0].name);
+        let config = ParConfig {
+            jobs,
+            ..Default::default()
+        };
+        let cone = run_batch(&deck, &config).expect("cone machine");
+        let full = run_sequential(&deck, &config).expect("full deck");
+        assert_semantic_parity(&label, &full, &cone);
     }
 }

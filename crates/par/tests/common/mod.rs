@@ -1,11 +1,11 @@
 //! Shared helpers for the par parity test suites: the full bundled deck
 //! set and the semantic-parity assertion both `parity.rs` and
-//! `coi_parity.rs` gate on, and the sequential oracle `parity.rs` holds
-//! the pool against.
+//! `coi_parity.rs` gate on, and the sequential full-deck oracle both
+//! hold the pool against.
 
 use std::time::Duration;
 
-use covest_bdd::{BddManager, ReorderConfig, ReorderMode};
+use covest_bdd::BddManager;
 use covest_core::{CoverageEstimator, CoverageOptions, PropertyVerdict, ReportRow};
 use covest_mc::ModelChecker;
 use covest_par::{
@@ -133,30 +133,22 @@ pub fn assert_semantic_parity(label: &str, seq: &BatchReport, par: &BatchReport)
 
 /// The sequential oracle: the same decks analyzed the way the
 /// pre-parallel pipeline did — one manager per deck, one full-deck
-/// compile, one reachability fixpoint shared by all of the deck's
-/// signals, and a fresh verification per signal through
+/// compile and sift, one reachability fixpoint shared by all of the
+/// deck's signals, and a fresh verification per signal through
 /// [`CoverageEstimator::analyze`]. Percentages, verdicts and uncovered
 /// sets must be bit-identical to the pool's; node counts and timings
 /// differ by construction (shared whole-deck manager vs per-shard
 /// cone-reduced managers).
-#[allow(dead_code)] // `coi_parity.rs` shares this module but not the oracle.
 pub fn run_sequential(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchReport, ParError> {
     let mut reports = Vec::with_capacity(jobs.len());
     for job in jobs {
         let bdd = BddManager::new();
-        bdd.set_reorder_config(ReorderConfig {
-            mode: config.reorder,
-            ..Default::default()
-        });
         let plan_err = |message: String| ParError::Plan {
             deck: job.name.clone(),
             message,
         };
-        let model = covest_smv::compile_with(&bdd, &job.source, config.image)
-            .map_err(|e| plan_err(e.to_string()))?;
-        if config.reorder == ReorderMode::Sift {
-            bdd.reduce_heap();
-        }
+        let model = covest_smv::compile(&bdd, &job.source).map_err(|e| plan_err(e.to_string()))?;
+        bdd.reduce_heap();
         let signals = if job.observed.is_empty() {
             model.observed.clone()
         } else {
@@ -181,9 +173,6 @@ pub fn run_sequential(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchRepor
                 mc.add_fairness(fair)
                     .map_err(|e| task_err(None, e.to_string()))?;
             }
-            if config.image.simplify != covest_smv::SimplifyConfig::Off {
-                mc.set_care(model.fsm.reachable());
-            }
             for spec in &model.specs {
                 let verdict = mc
                     .check(&spec.clone().into())
@@ -198,8 +187,8 @@ pub fn run_sequential(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchRepor
             let estimator = CoverageEstimator::new(&model.fsm);
             // The oracle never compiles reduced decks, but the coverage
             // universe is still the per-signal cone — deck semantics, not
-            // a COI-mode artifact — so it stays bit-comparable with the
-            // pool under either `coi` setting.
+            // an artifact of the pool's cone compile — so it stays
+            // bit-comparable with the pool.
             let module =
                 covest_smv::parse_module(&job.source).map_err(|e| plan_err(e.to_string()))?;
             let graph = covest_analyze::DepGraph::new(&module);

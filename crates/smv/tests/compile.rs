@@ -241,22 +241,20 @@ DEFINE same := rp = wp;
 
 #[test]
 fn auto_reorder_during_compile_keeps_earlier_models_alive() {
-    // Compile's auto-reorder checkpoint collects against the root table.
-    // A caller keeping an earlier model alive on a shared manager needs
-    // no registration at all: the model's owned handles are its pins.
-    use covest_bdd::{ReorderConfig, ReorderMode};
-
+    // A sift and a collection after each compile run against the root
+    // table. A caller keeping an earlier model alive on a shared manager
+    // needs no registration at all: the model's owned handles are its
+    // pins.
     let deck =
         "VAR c : 0..5;\nASSIGN init(c) := 0;\nnext(c) := case c < 5 : c + 1; TRUE : 0; esac;";
     let bdd = BddManager::new();
-    bdd.set_reorder_config(ReorderConfig {
-        mode: ReorderMode::Auto,
-        auto_threshold: 8, // fire inside every compile
-        ..Default::default()
-    });
     let a = compile(&bdd, deck).expect("first model compiles");
+    bdd.reduce_heap();
+    bdd.gc();
     let reach_before = a.fsm.reachable_count();
     let b = compile(&bdd, deck).expect("second model compiles");
+    bdd.reduce_heap();
+    bdd.gc();
     // Model `a`'s handles still denote the same machine.
     assert!(a.fsm.is_total());
     assert_eq!(a.fsm.reachable_count(), reach_before);

@@ -91,8 +91,8 @@ pub fn sample() -> Option<MemSample> {
 
 /// The phase a record's memory samples are attributed to: the innermost
 /// enclosing span (including the record itself) named `compile`,
-/// `reachability` (→ `reach`), `care_install`, `verify` (the machine's
-/// one verification pass), or `signal:NAME`; `other` when no ancestor
+/// `reachability` (→ `reach`), `verify` (the machine's one verification
+/// pass), or `signal:NAME`; `other` when no ancestor
 /// matches (e.g. the shard root span).
 pub fn phase_of(records: &[SpanRecord], index: usize) -> &str {
     let mut cursor = Some(index);
@@ -102,7 +102,6 @@ pub fn phase_of(records: &[SpanRecord], index: usize) -> &str {
             match r.name.as_str() {
                 "compile" => return "compile",
                 "reachability" => return "reach",
-                "care_install" => return "care_install",
                 "verify" => return "verify",
                 name if name.starts_with("signal:") => return &records[i].name,
                 _ => {}
