@@ -150,6 +150,14 @@ impl BddManager {
         )
     }
 
+    /// Entries of the ITE, quantification and relational-product caches,
+    /// in that order. Each is sized with the node arena: twice the
+    /// largest power of two not above [`BddManager::table_size`], at
+    /// least 2^10 and at most 2^16, 2^15 and 2^15 respectively.
+    pub fn cache_entries(&self) -> [usize; 3] {
+        self.inner.borrow().cache_entries()
+    }
+
     /// Number of live external-root slots (distinct live [`Func`]
     /// handles; clones share a slot).
     pub fn live_roots(&self) -> usize {

@@ -11,8 +11,8 @@
 //! through their `aux` word (flagged by `var == FREE_VAR`); on live
 //! nodes `aux` carries the GC mark. Hash-consing goes through one
 //! open-addressing [`UniqueTable`] per variable, and all operation memos
-//! are fixed-size direct-mapped caches (see `table.rs` for why lossiness
-//! is sound).
+//! are direct-mapped caches sized with the arena (see `table.rs` for why
+//! lossiness is sound).
 
 use crate::node::{Node, PackedNode, Ref, VarId, FREE_VAR, NIL_SLOT, TERMINAL_VAR};
 use crate::table::{IteCache, PairCache, UnaryCache, UniqueTable};
@@ -81,6 +81,9 @@ pub(crate) struct Inner {
     // product; a tag bump replaces the old per-call memo clear.
     pub(crate) quant_cache: UnaryCache,
     pub(crate) pair_cache: PairCache,
+    /// Arena slot count at which [`Inner::fit_caches`] next resizes a
+    /// compute cache (`usize::MAX` once all are at their caps).
+    cache_refit_at: usize,
     pub(crate) mask_scratch: Vec<bool>,
     /// Var-indexed substitution scratch for `compose`/`vector_compose`
     /// (`NIL_REF` = identity), reused across calls.
@@ -105,7 +108,7 @@ impl Inner {
             hi: Ref::TRUE,
             aux: 0,
         };
-        Inner {
+        let mut inner = Inner {
             // Slots 0 and 1 are the terminals; their node contents are
             // sentinels and never looked up through the unique table.
             nodes: vec![terminal, terminal],
@@ -123,6 +126,7 @@ impl Inner {
             ext_free: Vec::new(),
             quant_cache: UnaryCache::new(),
             pair_cache: PairCache::new(),
+            cache_refit_at: 0,
             mask_scratch: Vec::new(),
             subst_scratch: Vec::new(),
             stats: crate::stats::BddStats {
@@ -131,7 +135,9 @@ impl Inner {
                 peak_live_nodes: 2,
                 ..Default::default()
             },
-        }
+        };
+        inner.fit_caches();
+        inner
     }
 
     /// Snapshot of the deterministic engine counters.
@@ -313,8 +319,36 @@ impl Inner {
             let slot = self.nodes.len() as u32;
             assert!(slot < FREE_VAR, "BDD arena exhausted the u32 slot space");
             self.nodes.push(entry);
+            if self.nodes.len() >= self.cache_refit_at {
+                self.fit_caches();
+            }
             Ref(slot)
         }
+    }
+
+    /// Sizes the compute caches for the arena's current slot count and
+    /// records the count at which they next change. Out of line and cold:
+    /// the arena only grows, so this runs once per power of two until
+    /// every cache reaches its cap.
+    #[cold]
+    #[inline(never)]
+    fn fit_caches(&mut self) {
+        let slots = self.nodes.len();
+        self.cache_refit_at = self
+            .ite_cache
+            .fit(slots)
+            .min(self.quant_cache.fit(slots))
+            .min(self.pair_cache.fit(slots));
+    }
+
+    /// Entries of the ITE, quantification and relational-product caches,
+    /// allocated or not.
+    pub fn cache_entries(&self) -> [usize; 3] {
+        [
+            self.ite_cache.entries(),
+            self.quant_cache.entries(),
+            self.pair_cache.entries(),
+        ]
     }
 
     /// Returns a slot to the free list (flagged by `var == FREE_VAR`,
@@ -890,6 +924,30 @@ mod tests {
         let again = b.and(lits[0], lits[1]);
         assert!(b.table_size() <= size_before);
         let _ = (dead, again);
+    }
+
+    /// The caches follow the arena: 2^10 entries on a fresh engine, 2^11
+    /// once the arena reaches 1,024 slots, and no shrinking when a
+    /// collection empties it again.
+    #[test]
+    fn caches_are_refit_as_the_arena_grows() {
+        let mut b = Inner::new();
+        assert_eq!(b.cache_entries(), [1 << 10; 3]);
+        let vars = b.new_vars(12);
+        let lits: Vec<Ref> = vars.iter().map(|&v| b.var(v)).collect();
+        let mut cube = 0u32;
+        while b.table_size() < 1024 {
+            assert_eq!(b.cache_entries(), [1 << 10; 3]);
+            let mut c = Ref::TRUE;
+            for (i, &l) in lits.iter().enumerate() {
+                let lit = if cube >> i & 1 == 1 { l } else { b.not(l) };
+                c = b.and(c, lit);
+            }
+            cube += 1;
+        }
+        assert_eq!(b.cache_entries(), [1 << 11; 3]);
+        b.gc(&lits);
+        assert_eq!(b.cache_entries(), [1 << 11; 3]);
     }
 
     #[test]

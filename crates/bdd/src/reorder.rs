@@ -482,23 +482,22 @@ impl Inner {
     /// [`MAX_GROWTH`] times the block's best size, or after
     /// [`MAX_STALE_MOVES`] moves into new positions that do not beat it.
     fn sift_all(&mut self, ctx: &mut ReorderCtx) -> usize {
-        let initial = self.current_blocks();
-        if initial.len() <= 1 {
+        // One block list for the whole pass: `swap_adjacent_blocks` keeps
+        // it in level order as blocks move.
+        let mut blocks = self.current_blocks();
+        if blocks.len() <= 1 {
             return 0;
         }
-        // Sift big levels first: they have the most to gain.
-        let mut order: Vec<u32> = initial.iter().map(|b| b[0]).collect();
-        order.sort_by_key(|&top| {
-            let block = &initial[initial.iter().position(|b| b[0] == top).unwrap()];
-            std::cmp::Reverse(
-                block
-                    .iter()
-                    .map(|&v| self.unique[v as usize].len())
-                    .sum::<usize>(),
-            )
-        });
+        // Sift big levels first: they have the most to gain. The stable
+        // sort keeps equal sizes in level order.
+        let sizes: Vec<usize> = blocks
+            .iter()
+            .map(|b| b.iter().map(|&v| self.unique[v as usize].len()).sum())
+            .collect();
+        let mut order: Vec<usize> = (0..blocks.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(sizes[i]));
+        let order: Vec<u32> = order.into_iter().map(|i| blocks[i][0]).collect();
         for top_var in order {
-            let mut blocks = self.current_blocks();
             let start = blocks
                 .iter()
                 .position(|b| b[0] == top_var)
@@ -537,7 +536,7 @@ impl Inner {
                 pos -= 1;
             }
         }
-        initial.len()
+        blocks.len()
     }
 
     // ---- debug invariants ---------------------------------------------

@@ -17,17 +17,26 @@
 //! # Compute caches
 //!
 //! The memo tables behind `ite`, quantification, the fused relational
-//! product and `compose` are *caches*, not maps: fixed-size,
-//! power-of-two, direct-mapped, lossy. A colliding insert simply
-//! overwrites the previous entry. That is sound because
-//! every memoized operation is a pure function of its operands — losing
-//! an entry can only cost a recomputation, and the recomputation
-//! rebuilds the very same nodes through the unique table, so results
-//! (and even slot assignment) are bit-identical to an engine with
-//! unbounded memos. Per-call-scoped memos (quantification masks differ
-//! between calls) are handled with a generation tag instead of a wipe:
-//! each top-level call bumps the tag, so entries from earlier calls can
-//! never match. `clear_caches` still hard-clears everything, preserving
+//! product and `compose` are *caches*, not maps: power-of-two,
+//! direct-mapped, lossy. A colliding insert simply overwrites the
+//! previous entry. That is sound because every memoized operation is a
+//! pure function of its operands — losing an entry can only cost a
+//! recomputation, and the recomputation rebuilds the very same nodes
+//! through the unique table, so results (and even slot assignment) are
+//! bit-identical to an engine with unbounded memos.
+//!
+//! Each cache is sized with the node arena: twice the largest power of
+//! two not above the arena's slot count, at least 2^10 entries and at
+//! most its cap (2^16 for `ite`, 2^15 for the other two). The manager
+//! refits the caches when the arena's slot count reaches a power of
+//! two; a cache whose size changes drops its slots, which the lossiness
+//! above makes free of consequence beyond recomputation. A small heap
+//! thus never pays for megabytes of cache it cannot fill.
+//!
+//! Per-call-scoped memos (quantification masks differ between calls)
+//! are handled with a generation tag instead of a wipe: each top-level
+//! call bumps the tag, so entries from earlier calls can never match.
+//! `clear_caches` still hard-clears everything, preserving
 //! the contract that gc / reordering leave no stale `Ref` observable.
 
 use crate::node::{PackedNode, Ref};
@@ -275,15 +284,47 @@ impl UniqueTable {
 
 // ---- direct-mapped compute caches --------------------------------------
 
+/// log2 of the entries every compute cache starts with.
+const MIN_BITS: u32 = 10;
+/// log2 of the ITE cache's cap.
 const ITE_BITS: u32 = 16;
+/// log2 of the unary cache's cap.
 const UNARY_BITS: u32 = 15;
+/// log2 of the pair cache's cap.
 const PAIR_BITS: u32 = 15;
+
+/// log2 of the entries a cache capped at `2^cap` gets in an arena of
+/// `arena_slots` nodes: twice the largest power of two not above
+/// `arena_slots`, and at least `2^MIN_BITS`.
+fn fitted_bits(arena_slots: usize, cap: u32) -> u32 {
+    (arena_slots.max(1).ilog2() + 1).clamp(MIN_BITS, cap)
+}
+
+/// Refits a cache whose slot array `slots` has (or gets) `2^*bits`
+/// entries, capped at `2^cap`, to an arena of `arena_slots` nodes. A
+/// change of size drops `slots`; the next insert reallocates it at the
+/// new size. Returns the arena slot count at which the size next
+/// changes, `usize::MAX` at the cap.
+fn refit<E>(slots: &mut Box<[E]>, bits: &mut u32, arena_slots: usize, cap: u32) -> usize {
+    let fitted = fitted_bits(arena_slots, cap);
+    if fitted != *bits {
+        *bits = fitted;
+        *slots = Box::new([]);
+    }
+    if fitted < cap {
+        1 << fitted
+    } else {
+        usize::MAX
+    }
+}
 
 /// Direct-mapped cache for the ternary `ite` operator (16 bytes/entry).
 /// Persistent across calls; cleared by `clear_caches` only.
 #[derive(Debug, Clone)]
 pub(crate) struct IteCache {
+    /// Empty, or exactly `2^bits` entries.
     slots: Box<[IteEntry]>,
+    bits: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -295,20 +336,32 @@ struct IteEntry {
 }
 
 impl IteCache {
-    /// Starts unallocated: the slot array materializes on the first
-    /// insert, so a manager that never computes an `ite` (or just got
-    /// its caches cleared) costs no cache memory. This keeps fresh
-    /// managers — e.g. the parallel engine's per-task managers — cheap
-    /// to create.
+    /// Starts unallocated at `2^MIN_BITS` entries: the slot array
+    /// materializes on the first insert, so a manager that never
+    /// computes an `ite` (or just got its caches cleared) costs no cache
+    /// memory. This keeps fresh managers — e.g. the parallel engine's
+    /// per-task managers — cheap to create.
     pub fn new() -> Self {
         IteCache {
             slots: Box::new([]),
+            bits: MIN_BITS,
         }
     }
 
+    /// Sizes the cache for an arena of `arena_slots` nodes (see
+    /// [`refit`]).
+    pub fn fit(&mut self, arena_slots: usize) -> usize {
+        refit(&mut self.slots, &mut self.bits, arena_slots, ITE_BITS)
+    }
+
+    /// Entries the slot array has, or gets on its next allocation.
+    pub fn entries(&self) -> usize {
+        1 << self.bits
+    }
+
     #[inline]
-    fn index(f: Ref, g: Ref, h: Ref) -> usize {
-        (hash_triple(f.0, g.0, h.0) >> (64 - ITE_BITS)) as usize
+    fn index(&self, f: Ref, g: Ref, h: Ref) -> usize {
+        (hash_triple(f.0, g.0, h.0) >> (64 - self.bits)) as usize
     }
 
     #[inline]
@@ -316,7 +369,7 @@ impl IteCache {
         if self.slots.is_empty() {
             return None;
         }
-        let e = &self.slots[Self::index(f, g, h)];
+        let e = &self.slots[self.index(f, g, h)];
         (e.f == f.0 && e.g == g.0 && e.h == h.0).then_some(Ref(e.r))
     }
 
@@ -329,9 +382,10 @@ impl IteCache {
                 h: EMPTY,
                 r: EMPTY,
             };
-            self.slots = vec![empty; 1 << ITE_BITS].into_boxed_slice();
+            self.slots = vec![empty; self.entries()].into_boxed_slice();
         }
-        self.slots[Self::index(f, g, h)] = IteEntry {
+        let i = self.index(f, g, h);
+        self.slots[i] = IteEntry {
             f: f.0,
             g: g.0,
             h: h.0,
@@ -341,7 +395,7 @@ impl IteCache {
 
     /// Releases the slot array entirely (cheaper than a multi-megabyte
     /// memset, and gc/reorder — the only callers — want the memory back
-    /// anyway).
+    /// anyway). The size stays.
     pub fn clear(&mut self) {
         self.slots = Box::new([]);
     }
@@ -364,7 +418,9 @@ impl IteCache {
 /// match — the tag replaces the per-call `HashMap::clear`.
 #[derive(Debug, Clone)]
 pub(crate) struct UnaryCache {
+    /// Empty, or exactly `2^bits` entries.
     slots: Box<[UnaryEntry]>,
+    bits: u32,
     tag: u64,
 }
 
@@ -381,8 +437,20 @@ impl UnaryCache {
     pub fn new() -> Self {
         UnaryCache {
             slots: Box::new([]),
+            bits: MIN_BITS,
             tag: 0,
         }
+    }
+
+    /// Sizes the cache for an arena of `arena_slots` nodes (see
+    /// [`refit`]).
+    pub fn fit(&mut self, arena_slots: usize) -> usize {
+        refit(&mut self.slots, &mut self.bits, arena_slots, UNARY_BITS)
+    }
+
+    /// Entries the slot array has, or gets on its next allocation.
+    pub fn entries(&self) -> usize {
+        1 << self.bits
     }
 
     /// Starts a new top-level operation; only entries written under the
@@ -393,8 +461,8 @@ impl UnaryCache {
     }
 
     #[inline]
-    fn index(key: Ref) -> usize {
-        ((key.0 as u64).wrapping_mul(FIB) >> (64 - UNARY_BITS)) as usize
+    fn index(&self, key: Ref) -> usize {
+        ((key.0 as u64).wrapping_mul(FIB) >> (64 - self.bits)) as usize
     }
 
     #[inline]
@@ -402,24 +470,22 @@ impl UnaryCache {
         if self.slots.is_empty() {
             return None;
         }
-        let e = &self.slots[Self::index(key)];
+        let e = &self.slots[self.index(key)];
         (e.tag == tag && e.key == key.0).then_some(Ref(e.r))
     }
 
     #[inline]
     pub fn insert(&mut self, tag: u64, key: Ref, r: Ref) {
         if self.slots.is_empty() {
-            self.slots = vec![
-                UnaryEntry {
-                    tag: 0,
-                    key: EMPTY,
-                    r: EMPTY
-                };
-                1 << UNARY_BITS
-            ]
-            .into_boxed_slice();
+            let empty = UnaryEntry {
+                tag: 0,
+                key: EMPTY,
+                r: EMPTY,
+            };
+            self.slots = vec![empty; self.entries()].into_boxed_slice();
         }
-        self.slots[Self::index(key)] = UnaryEntry {
+        let i = self.index(key);
+        self.slots[i] = UnaryEntry {
             tag,
             key: key.0,
             r: r.0,
@@ -450,7 +516,9 @@ impl UnaryCache {
 /// mask changes per call, hence the tag).
 #[derive(Debug, Clone)]
 pub(crate) struct PairCache {
+    /// Empty, or exactly `2^bits` entries.
     slots: Box<[PairEntry]>,
+    bits: u32,
     tag: u64,
 }
 
@@ -467,8 +535,20 @@ impl PairCache {
     pub fn new() -> Self {
         PairCache {
             slots: Box::new([]),
+            bits: MIN_BITS,
             tag: 0,
         }
+    }
+
+    /// Sizes the cache for an arena of `arena_slots` nodes (see
+    /// [`refit`]).
+    pub fn fit(&mut self, arena_slots: usize) -> usize {
+        refit(&mut self.slots, &mut self.bits, arena_slots, PAIR_BITS)
+    }
+
+    /// Entries the slot array has, or gets on its next allocation.
+    pub fn entries(&self) -> usize {
+        1 << self.bits
     }
 
     /// Starts a new top-level operation (see [`UnaryCache::begin`]).
@@ -478,8 +558,8 @@ impl PairCache {
     }
 
     #[inline]
-    fn index(a: Ref, b: Ref) -> usize {
-        (hash_pair(a, b) >> (64 - PAIR_BITS)) as usize
+    fn index(&self, a: Ref, b: Ref) -> usize {
+        (hash_pair(a, b) >> (64 - self.bits)) as usize
     }
 
     #[inline]
@@ -487,25 +567,23 @@ impl PairCache {
         if self.slots.is_empty() {
             return None;
         }
-        let e = &self.slots[Self::index(a, b)];
+        let e = &self.slots[self.index(a, b)];
         (e.tag == tag && e.a == a.0 && e.b == b.0).then_some(Ref(e.r))
     }
 
     #[inline]
     pub fn insert(&mut self, tag: u64, a: Ref, b: Ref, r: Ref) {
         if self.slots.is_empty() {
-            self.slots = vec![
-                PairEntry {
-                    tag: 0,
-                    a: EMPTY,
-                    b: EMPTY,
-                    r: EMPTY
-                };
-                1 << PAIR_BITS
-            ]
-            .into_boxed_slice();
+            let empty = PairEntry {
+                tag: 0,
+                a: EMPTY,
+                b: EMPTY,
+                r: EMPTY,
+            };
+            self.slots = vec![empty; self.entries()].into_boxed_slice();
         }
-        self.slots[Self::index(a, b)] = PairEntry {
+        let i = self.index(a, b);
+        self.slots[i] = PairEntry {
             tag,
             a: a.0,
             b: b.0,
@@ -639,5 +717,93 @@ mod tests {
         assert_eq!(c.lookup(t2, Ref(3), Ref(5)), None);
         c.clear();
         assert_eq!(c.occupied(), 0);
+    }
+
+    /// Walks a cache through every refit point from a two-node arena:
+    /// `fit` refits it to an arena of the given slot count and returns
+    /// the next refit point and the entries after the refit. Fitting just
+    /// below the next refit point must not change the size.
+    fn growth(mut fit: impl FnMut(usize) -> (usize, usize)) -> Vec<(usize, usize)> {
+        let mut steps = Vec::new();
+        let mut slots = 2;
+        while slots != usize::MAX {
+            let (next, entries) = fit(slots);
+            steps.push((slots, entries));
+            assert!(next > slots, "refit points must rise");
+            let below = if next == usize::MAX {
+                1 << 40
+            } else {
+                next - 1
+            };
+            assert_eq!(fit(below), (next, entries), "refit below {next}");
+            slots = next;
+        }
+        steps
+    }
+
+    /// The refit points and sizes of a cache capped at `2^cap` entries:
+    /// 2^10 entries up to 2^10 slots, then twice each power of two the
+    /// arena reaches, up to the cap.
+    fn steps_to(cap: u32) -> Vec<(usize, usize)> {
+        std::iter::once((2, 1 << 10))
+            .chain((10..cap).map(|b| (1 << b, 1 << (b + 1))))
+            .collect()
+    }
+
+    #[test]
+    fn caches_start_at_2_to_the_10_and_grow_with_the_arena_to_their_caps() {
+        let mut ite = IteCache::new();
+        let mut unary = UnaryCache::new();
+        let mut pair = PairCache::new();
+        assert_eq!(
+            [ite.entries(), unary.entries(), pair.entries()],
+            [1 << 10; 3]
+        );
+        assert_eq!(growth(|s| (ite.fit(s), ite.entries())), steps_to(16));
+        assert_eq!(growth(|s| (unary.fit(s), unary.entries())), steps_to(15));
+        assert_eq!(growth(|s| (pair.fit(s), pair.entries())), steps_to(15));
+        // A slot array is allocated at the fitted size: at the cap,
+        // 2^16 entries of 16 bytes.
+        ite.insert(Ref(2), Ref(3), Ref(4), Ref(9));
+        assert_eq!(ite.bytes(), (1 << 16) * 16);
+    }
+
+    #[test]
+    fn a_lookup_after_growth_misses() {
+        let mut c = IteCache::new();
+        c.insert(Ref(2), Ref(3), Ref(4), Ref(9));
+        assert_eq!(c.bytes(), (1 << 10) * 16);
+        // Refitting at the same size keeps the entries.
+        c.fit(1000);
+        assert_eq!(c.lookup(Ref(2), Ref(3), Ref(4)), Some(Ref(9)));
+        c.fit(1 << 12);
+        assert_eq!(c.lookup(Ref(2), Ref(3), Ref(4)), None);
+        assert_eq!((c.bytes(), c.occupied()), (0, 0));
+        c.insert(Ref(2), Ref(3), Ref(4), Ref(9));
+        assert_eq!(c.bytes(), (1 << 13) * 16);
+        assert_eq!(c.lookup(Ref(2), Ref(3), Ref(4)), Some(Ref(9)));
+    }
+
+    #[test]
+    fn generations_do_not_leak_across_growth() {
+        let mut u = UnaryCache::new();
+        let t1 = u.begin();
+        u.insert(t1, Ref(7), Ref(11));
+        u.fit(1 << 12);
+        assert_eq!(u.lookup(t1, Ref(7)), None);
+        u.insert(t1, Ref(7), Ref(13));
+        let t2 = u.begin();
+        assert_eq!(u.lookup(t2, Ref(7)), None);
+        assert_eq!(u.lookup(t1, Ref(7)), Some(Ref(13)));
+
+        let mut p = PairCache::new();
+        let t1 = p.begin();
+        p.insert(t1, Ref(3), Ref(5), Ref(8));
+        p.fit(1 << 12);
+        assert_eq!(p.lookup(t1, Ref(3), Ref(5)), None);
+        p.insert(t1, Ref(3), Ref(5), Ref(8));
+        let t2 = p.begin();
+        assert_eq!(p.lookup(t2, Ref(3), Ref(5)), None);
+        assert_eq!(p.lookup(t1, Ref(3), Ref(5)), Some(Ref(8)));
     }
 }

@@ -13,6 +13,8 @@
 //! collection and dynamic reordering. No root enumeration exists anymore;
 //! there is nothing to enumerate.
 
+use std::collections::HashMap;
+
 use covest_bdd::{BddManager, Func, VarId};
 
 use crate::error::BuildFsmError;
@@ -271,6 +273,9 @@ pub struct FsmBuilder {
     name: String,
     mgr: BddManager,
     state_bits: Vec<StateBit>,
+    /// Position in `state_bits` by bit name; the first of a repeated name
+    /// wins.
+    bit_index: HashMap<String, usize>,
     input_bits: Vec<InputBit>,
     init: Func,
     nexts: Vec<Option<Func>>,
@@ -286,6 +291,7 @@ impl FsmBuilder {
             name: name.into(),
             mgr: mgr.clone(),
             state_bits: Vec::new(),
+            bit_index: HashMap::new(),
             input_bits: Vec::new(),
             init: mgr.constant(true),
             nexts: Vec::new(),
@@ -315,6 +321,9 @@ impl FsmBuilder {
             current,
             next,
         };
+        self.bit_index
+            .entry(name.clone())
+            .or_insert(self.state_bits.len());
         self.state_bits.push(bit.clone());
         self.nexts.push(None);
         self.frees.push(false);
@@ -357,10 +366,9 @@ impl FsmBuilder {
     ///
     /// Panics if `name` is not a declared state bit.
     pub fn set_next(&mut self, name: &str, delta: Func) {
-        let idx = self
-            .state_bits
-            .iter()
-            .position(|b| b.name == name)
+        let idx = *self
+            .bit_index
+            .get(name)
             .unwrap_or_else(|| panic!("unknown state bit `{name}`"));
         self.nexts[idx] = Some(delta);
     }

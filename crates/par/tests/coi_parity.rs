@@ -18,7 +18,9 @@ mod common;
 use common::{all_decks, assert_semantic_parity, run_sequential};
 use covest_bdd::BddManager;
 use covest_core::CoverageEstimator;
-use covest_par::{compile_machine, cover_signal, plan_machine, run_batch, DeckJob, ParConfig};
+use covest_par::{
+    compile_machine, cover_signal, plan_machine, run_batch, DeckJob, ParConfig, SignalTask,
+};
 use proptest::prelude::*;
 
 /// Every bundled circuit and every `models/*.smv` deck: the pool's cone
@@ -123,6 +125,88 @@ fn gc_checkpoints_fire_on_a_sized_pipeline() {
         profile.counters.get("image_calls"),
     );
     assert_eq!(work, (22_833, 3, 291), "pipeline_d30");
+}
+
+/// The models directory.
+fn models() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models")
+}
+
+/// The machine `check` compiles for `source`, with its observed
+/// signals' tasks: the cone of those signals when `cone` (`check
+/// --coverage`), the full deck otherwise (plain `check`).
+fn check_machine(source: &str, cone: bool) -> (covest_smv::Module, Vec<SignalTask>) {
+    let module = covest_smv::parse_module(source).expect("deck parses");
+    let signals: Vec<String> = module.observed.iter().map(|o| o.name.clone()).collect();
+    let plan = plan_machine(&module, &signals).expect("deck plans");
+    let machine = match plan.reduced {
+        Some(reduced) if cone => reduced,
+        _ => module,
+    };
+    (machine, plan.tasks)
+}
+
+/// The startup sift, pinned: `compile_machine` on a fresh manager, on
+/// the machines `check` builds. Compile hands the sift the same live set
+/// however much garbage it leaves, so `(before, after, swaps)` move only
+/// with the sift's walk or the compiled functions — the same in debug
+/// and release builds.
+#[test]
+fn startup_sift_is_pinned() {
+    let buffer = std::fs::read_to_string(models().join("priority_buffer.smv")).expect("deck reads");
+    let pipeline = |stages| sized_pipeline(stages).source;
+    let cases = [
+        ("d100 cone", pipeline(100), true, (936, 927, 6_608)),
+        ("d160 cone", pipeline(160), true, (1_476, 1_467, 10_448)),
+        ("priority_buffer", buffer.clone(), false, (613, 439, 832)),
+        ("priority_buffer cone", buffer, true, (566, 417, 728)),
+    ];
+    for (label, source, cone, want) in cases {
+        let (machine, _) = check_machine(&source, cone);
+        let bdd = BddManager::new();
+        let (_model, sift) = compile_machine(&bdd, &machine).expect("deck compiles");
+        assert_eq!((sift.before, sift.after, sift.swaps), want, "{label}");
+    }
+}
+
+/// Compile leaves little garbage for the sift: on a fresh manager, the
+/// arena holds at most twice the live nodes the sift starts from once
+/// the `pipeline_d100` cone is compiled. (Conjoining `init` from the top
+/// variable down leaves 6,910 slots for 936 live nodes.)
+#[test]
+fn compile_leaves_the_sift_little_garbage() {
+    let (machine, _) = check_machine(&sized_pipeline(100).source, true);
+    let bdd = BddManager::new();
+    let _model = covest_smv::compile_module(&bdd, &machine).expect("deck compiles");
+    let slots = bdd.table_size();
+    let sift = bdd.reduce_heap();
+    assert!(
+        slots <= 2 * sift.before,
+        "pipeline_d100 cone: {slots} arena slots for {} live nodes",
+        sift.before
+    );
+}
+
+/// A small deck allocates small caches: `models/counter.smv`, compiled,
+/// verified and covered on a fresh manager as `check --coverage` runs
+/// it, never grows the arena to 2^10 slots, so every compute cache
+/// keeps its starting 2^10 entries.
+#[test]
+fn counter_keeps_its_caches_at_2_to_the_10() {
+    let source = std::fs::read_to_string(models().join("counter.smv")).expect("deck reads");
+    let (machine, tasks) = check_machine(&source, true);
+    let bdd = BddManager::new();
+    let (model, _) = compile_machine(&bdd, &machine).expect("deck compiles");
+    let estimator = CoverageEstimator::new(&model.fsm);
+    let checker = estimator.checker(&model.fairness).expect("checker");
+    let mut verification = estimator
+        .verify(checker, &model.specs, false)
+        .expect("verifies");
+    for task in &tasks {
+        cover_signal(&estimator, &mut verification, "counter", task, 10).expect("covers");
+    }
+    assert!(bdd.table_size() < 1 << 10, "{} slots", bdd.table_size());
+    assert_eq!(bdd.cache_entries(), [1 << 10; 3]);
 }
 
 proptest! {

@@ -9,7 +9,7 @@
 //! out-of-range value under a satisfiable condition, compilation fails
 //! rather than silently wrapping.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use covest_bdd::{BddManager, Func};
 use covest_ctl::{CtlError, ParseFormulaError};
@@ -28,9 +28,11 @@ enum Value {
 }
 
 /// Per-variable compile-time info.
-#[derive(Debug, Clone)]
-struct VarInfo {
-    decl: VarDecl,
+#[derive(Debug)]
+struct VarInfo<'a> {
+    decl: &'a VarDecl,
+    /// Position of the declaration in the module.
+    index: usize,
     /// Bit handles (bool vars use exactly one). IVARs compile to free
     /// state bits, so every handle is a state bit.
     bits: Vec<BitHandle>,
@@ -49,6 +51,29 @@ impl BitHandle {
     fn current(&self, bdd: &BddManager) -> Func {
         match self {
             BitHandle::State(s) => bdd.var(s.current),
+        }
+    }
+}
+
+impl VarInfo<'_> {
+    /// The variable's value in the current state.
+    fn value(&self, bdd: &BddManager) -> Value {
+        match self.decl.ty {
+            VarType::Boolean => Value::Bool(self.bits[0].current(bdd)),
+            VarType::Range(..) | VarType::Enum(_) => {
+                let mut pairs = Vec::with_capacity(self.span as usize);
+                for raw in 0..self.span {
+                    let mut cond = bdd.constant(true);
+                    for (i, bit) in self.bits.iter().enumerate() {
+                        let b = bit.current(bdd);
+                        let want = (raw >> i) & 1 == 1;
+                        let lit = if want { b } else { b.not() };
+                        cond = cond.and(&lit);
+                    }
+                    pairs.push((raw + self.offset, cond));
+                }
+                Value::Int(pairs)
+            }
         }
     }
 }
@@ -88,8 +113,9 @@ pub fn decl_bit_names(decl: &VarDecl) -> Vec<String> {
 }
 
 struct Compiler<'a> {
-    module: &'a Module,
-    vars: HashMap<String, VarInfo>,
+    vars: HashMap<&'a str, VarInfo<'a>>,
+    /// `DEFINE` bodies by name; the first of a repeated name wins.
+    defines: HashMap<&'a str, &'a Expr>,
     literals: HashMap<String, i64>,
     define_cache: HashMap<String, Value>,
     define_stack: Vec<String>,
@@ -107,10 +133,6 @@ struct Compiler<'a> {
 }
 
 impl<'a> Compiler<'a> {
-    fn lookup_define(&self, name: &str) -> Option<&Expr> {
-        self.module.define(name).map(|d| &d.expr)
-    }
-
     fn eval(&mut self, bdd: &BddManager, e: &Expr) -> Result<Value, ModelError> {
         match e {
             Expr::Bool(b) => Ok(Value::Bool(bdd.constant(*b))),
@@ -128,26 +150,10 @@ impl<'a> Compiler<'a> {
     }
 
     fn eval_name(&mut self, bdd: &BddManager, n: &str) -> Result<Value, ModelError> {
-        if let Some(info) = self.vars.get(n).cloned() {
-            return Ok(match info.decl.ty {
-                VarType::Boolean => Value::Bool(info.bits[0].current(bdd)),
-                VarType::Range(..) | VarType::Enum(_) => {
-                    let mut pairs = Vec::with_capacity(info.span as usize);
-                    for raw in 0..info.span {
-                        let mut cond = bdd.constant(true);
-                        for (i, bit) in info.bits.iter().enumerate() {
-                            let b = bit.current(bdd);
-                            let want = (raw >> i) & 1 == 1;
-                            let lit = if want { b } else { b.not() };
-                            cond = cond.and(&lit);
-                        }
-                        pairs.push((raw + info.offset, cond));
-                    }
-                    Value::Int(pairs)
-                }
-            });
+        if let Some(info) = self.vars.get(n) {
+            return Ok(info.value(bdd));
         }
-        if self.lookup_define(n).is_some() {
+        if let Some(&expr) = self.defines.get(n) {
             if let Some(v) = self.define_cache.get(n) {
                 return Ok(v.clone());
             }
@@ -157,11 +163,10 @@ impl<'a> Compiler<'a> {
                 )));
             }
             self.define_stack.push(n.to_owned());
-            let expr = self.lookup_define(n).expect("checked above").clone();
             // The value is cached for every use, so it is evaluated as
             // if used in every valid state.
             let care = std::mem::take(&mut self.care);
-            let v = self.eval(bdd, &expr);
+            let v = self.eval(bdd, expr);
             self.care = care;
             let v = v?;
             self.define_stack.pop();
@@ -502,8 +507,8 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
     }
 
     let mut builder = FsmBuilder::new(bdd, "main");
-    let mut vars: HashMap<String, VarInfo> = HashMap::new();
-    for d in &module.vars {
+    let mut vars: HashMap<&str, VarInfo> = HashMap::with_capacity(module.vars.len());
+    for (index, d) in module.vars.iter().enumerate() {
         let (offset, span) = match &d.ty {
             VarType::Boolean => (0, 2),
             VarType::Range(lo, hi) => {
@@ -533,9 +538,10 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
             }
         }
         vars.insert(
-            d.name.clone(),
+            &d.name,
             VarInfo {
-                decl: d.clone(),
+                decl: d,
+                index,
                 bits,
                 offset,
                 span,
@@ -550,7 +556,7 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
     // with exact next-value assignments cannot produce invalid codes.
     let mut invalid_codes = bdd.constant(false);
     for d in &module.vars {
-        let info = vars[&d.name].clone();
+        let info = &vars[d.name.as_str()];
         let code_count = 1i64 << info.bits.len();
         let mut invalid_cur = bdd.constant(false);
         let mut invalid_next = bdd.constant(false);
@@ -573,9 +579,13 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
     }
     let valid = invalid_codes.not();
 
+    let mut defines = HashMap::with_capacity(module.defines.len());
+    for def in &module.defines {
+        defines.entry(def.name.as_str()).or_insert(&def.expr);
+    }
     let mut compiler = Compiler {
-        module,
         vars,
+        defines,
         literals,
         define_cache: HashMap::new(),
         define_stack: Vec::new(),
@@ -588,7 +598,7 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
     // boolean signals are registered by the builder already (but only
     // bit-level names); add whole-variable signals.
     for d in &module.vars {
-        let info = compiler.vars[&d.name].clone();
+        let info = &compiler.vars[d.name.as_str()];
         match &d.ty {
             VarType::Boolean => {
                 let f = info.bits[0].current(bdd);
@@ -611,48 +621,40 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
         }
     }
 
-    // init(x) constraints.
-    let mut init = valid;
+    // init(x) constraints, each with its variable's declaration index.
+    let mut inits = Vec::with_capacity(module.inits.len());
     for a in &module.inits {
-        let name = &a.name;
-        let info = compiler
-            .vars
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ModelError::nowhere(format!("init of unknown variable `{name}`")))?;
-        if info.decl.input {
-            return Err(ModelError::nowhere(format!(
-                "`{name}` is an input; inputs cannot be assigned"
-            )));
-        }
+        let name = a.name.as_str();
+        assignable(&compiler, "init", name)?;
         compiler.site = format!("assignment to `{name}`");
         let v = compiler.eval(bdd, &a.expr)?;
-        let constraint = assign_constraint(bdd, &mut compiler, name, &info, &v, false)?;
-        init = init.and(&constraint);
+        let info = &compiler.vars[name];
+        let constraint = assign_constraint(bdd, &compiler.valid, name, info, &v)?;
+        inits.push((info.index, constraint));
     }
+    // Conjoin from the last declared variable up, and `valid` last. Levels
+    // still follow declaration order here, so each constraint lands above
+    // the chain built so far and adds a few nodes; top-down, every step
+    // would rebuild the whole chain beneath it, leaving the startup sift
+    // an arena mostly of garbage.
+    inits.sort_by_key(|&(index, _)| std::cmp::Reverse(index));
+    let init = bdd.and_many(inits.iter().map(|(_, c)| c)).and(&valid);
     builder.set_init(init);
 
     // next(x) assignments.
     for a in &module.nexts {
-        let name = &a.name;
-        let info = compiler
-            .vars
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ModelError::nowhere(format!("next of unknown variable `{name}`")))?;
-        if info.decl.input {
-            return Err(ModelError::nowhere(format!(
-                "`{name}` is an input; inputs cannot be assigned"
-            )));
-        }
+        let name = a.name.as_str();
+        assignable(&compiler, "next", name)?;
         compiler.site = format!("assignment to `{name}`");
         let v = compiler.eval(bdd, &a.expr)?;
-        set_next_bits(bdd, &mut builder, &mut compiler, name, &info, &v)?;
+        let info = &compiler.vars[name];
+        set_next_bits(bdd, &mut builder, &compiler.valid, name, info, &v)?;
     }
 
     // Every state variable must have a next() assignment.
+    let assigned: HashSet<&str> = module.nexts.iter().map(|a| a.name.as_str()).collect();
     for d in &module.vars {
-        if !d.input && !module.nexts.iter().any(|a| a.name == d.name) {
+        if !d.input && !assigned.contains(d.name.as_str()) {
             return Err(ModelError::nowhere(format!(
                 "state variable `{}` has no next() assignment",
                 d.name
@@ -725,15 +727,28 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
     })
 }
 
-/// Builds the predicate `var == value` (for init) or installs next-state
-/// bit functions (for next); shared range checking.
+/// Checks that `name`, the target of an `init` or `next` (`kind`)
+/// assignment, is a declared state variable.
+fn assignable(compiler: &Compiler<'_>, kind: &str, name: &str) -> Result<(), ModelError> {
+    match compiler.vars.get(name) {
+        None => Err(ModelError::nowhere(format!(
+            "{kind} of unknown variable `{name}`"
+        ))),
+        Some(info) if info.decl.input => Err(ModelError::nowhere(format!(
+            "`{name}` is an input; inputs cannot be assigned"
+        ))),
+        Some(_) => Ok(()),
+    }
+}
+
+/// Builds the predicate `var == value` of an `init` assignment, checking
+/// its range against `valid`.
 fn assign_constraint(
     bdd: &BddManager,
-    _compiler: &mut Compiler<'_>,
+    valid: &Func,
     name: &str,
     info: &VarInfo,
     v: &Value,
-    _next: bool,
 ) -> Result<Func, ModelError> {
     match (&info.decl.ty, v) {
         (VarType::Boolean, Value::Bool(r)) => Ok(info.bits[0].current(bdd).iff(r)),
@@ -744,7 +759,7 @@ fn assign_constraint(
             "boolean assigned to integer `{name}`"
         ))),
         (_, Value::Int(pairs)) => {
-            check_range(&_compiler.valid, name, info, pairs)?;
+            check_range(valid, name, info, pairs)?;
             let mut acc = bdd.constant(false);
             for (val, cond) in pairs {
                 // An out-of-range value occurs only where `check_range`
@@ -764,10 +779,12 @@ fn assign_constraint(
     }
 }
 
+/// Installs the next-state bit functions of a `next` assignment,
+/// checking its range against `valid`.
 fn set_next_bits(
     bdd: &BddManager,
     builder: &mut FsmBuilder,
-    _compiler: &mut Compiler<'_>,
+    valid: &Func,
     name: &str,
     info: &VarInfo,
     v: &Value,
@@ -784,7 +801,7 @@ fn set_next_bits(
             "boolean assigned to integer `{name}`"
         ))),
         (_, Value::Int(pairs)) => {
-            check_range(&_compiler.valid, name, info, pairs)?;
+            check_range(valid, name, info, pairs)?;
             let width = info.bits.len();
             let mut bit_fns = vec![bdd.constant(false); width];
             for (val, cond) in pairs {
