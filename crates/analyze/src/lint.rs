@@ -15,8 +15,7 @@ use std::fmt;
 
 use covest_smv::{parse_module, Expr, Module};
 
-use crate::graph::{DepGraph, NameKind};
-use crate::reduce::union_cone;
+use crate::graph::{for_each_name, Cone, DepGraph, NameKind};
 
 /// Rule identifiers, as printed in diagnostics and accepted by
 /// `allow(...)` pragmas.
@@ -149,13 +148,14 @@ pub fn lint_source(src: &str) -> LintReport {
 /// unsuppressed; use [`lint_source`] for the full pipeline.
 pub fn lint_module(module: &Module) -> Vec<Diagnostic> {
     let graph = DepGraph::new(module);
+    let suite = graph.suite_cone();
     let mut out = Vec::new();
 
     check_undefined_names(module, &graph, &mut out);
     check_properties(module, &graph, &mut out);
     check_define_cycles(module, &graph, &mut out);
-    check_vars(module, &graph, &mut out);
-    check_observed_cones(module, &graph, &mut out);
+    check_vars(module, &graph, &suite, &mut out);
+    check_observed_cones(module, &graph, &suite, &mut out);
 
     out
 }
@@ -191,26 +191,6 @@ fn parse_allow_pragmas(src: &str) -> Vec<(String, Option<String>)> {
     allows
 }
 
-/// Collects every bare identifier in `e` with no duplicate suppression
-/// (first occurrence order is irrelevant here; findings are sorted).
-fn expr_names(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Bool(_) | Expr::Int(_) => {}
-        Expr::Name(n) => out.push(n.clone()),
-        Expr::Not(a) => expr_names(a, out),
-        Expr::Bin(_, a, b) => {
-            expr_names(a, out);
-            expr_names(b, out);
-        }
-        Expr::Case(arms) => {
-            for (g, v) in arms {
-                expr_names(g, out);
-                expr_names(v, out);
-            }
-        }
-    }
-}
-
 fn undefined(name: &str, line: usize, context: &str) -> Diagnostic {
     Diagnostic {
         rule: rules::UNDEFINED_NAME,
@@ -225,12 +205,12 @@ fn undefined(name: &str, line: usize, context: &str) -> Diagnostic {
 fn check_undefined_names(module: &Module, graph: &DepGraph, out: &mut Vec<Diagnostic>) {
     let check_expr = |e: &Expr, line: usize, context: &str, out: &mut Vec<Diagnostic>| {
         let mut names = Vec::new();
-        expr_names(e, &mut names);
-        names.sort();
+        for_each_name(e, &mut Vec::new(), |n| names.push(n));
+        names.sort_unstable();
         names.dedup();
         for n in names {
-            if graph.classify(&n) == NameKind::Unknown {
-                out.push(undefined(&n, line, context));
+            if graph.classify(n) == NameKind::Unknown {
+                out.push(undefined(n, line, context));
             }
         }
     };
@@ -288,7 +268,7 @@ fn check_properties(module: &Module, graph: &DepGraph, out: &mut Vec<Diagnostic>
 }
 
 fn check_define_cycles(module: &Module, graph: &DepGraph, out: &mut Vec<Diagnostic>) {
-    for name in graph.define_cycles(module) {
+    for name in graph.define_cycles() {
         let def = module.define(&name).expect("cycle member is a define");
         out.push(Diagnostic {
             rule: rules::DEFINE_CYCLE,
@@ -301,10 +281,41 @@ fn check_define_cycles(module: &Module, graph: &DepGraph, out: &mut Vec<Diagnost
     }
 }
 
-fn check_vars(module: &Module, graph: &DepGraph, out: &mut Vec<Diagnostic>) {
-    let live = union_cone(module, graph);
+/// What a variable's assignments are, found in one pass over them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Assigned {
+    next: bool,
+    /// Some `next(v) := v`.
+    next_is_self: bool,
+    /// Some `init(v)` is a constant or an enumeration literal.
+    init_is_const: bool,
+}
+
+fn check_vars(module: &Module, graph: &DepGraph, suite: &Cone, out: &mut Vec<Diagnostic>) {
+    let mut live = suite.clone();
+    graph.extend_cone(&mut live, module.observed.iter().map(|o| o.name.as_str()));
+    // Indexed by the variable each assignment's name resolves to, which
+    // every declaration of that name shares.
+    let mut assigned = vec![Assigned::default(); module.vars.len()];
+    for (a, target) in module.nexts.iter().zip(&graph.next_targets) {
+        if let Some(v) = *target {
+            let v = &mut assigned[v as usize];
+            v.next = true;
+            v.next_is_self |= matches!(&a.expr, Expr::Name(n) if *n == a.name);
+        }
+    }
+    for (a, target) in module.inits.iter().zip(&graph.init_targets) {
+        if let Some(v) = *target {
+            assigned[v as usize].init_is_const |= match &a.expr {
+                Expr::Bool(_) | Expr::Int(_) => true,
+                Expr::Name(n) => matches!(graph.classify(n), NameKind::EnumLiteral(_)),
+                _ => false,
+            };
+        }
+    }
     for (i, d) in module.vars.iter().enumerate() {
-        if !d.input && !module.nexts.iter().any(|a| a.name == d.name) {
+        let assigned = assigned[graph.var_of[i] as usize];
+        if !d.input && !assigned.next {
             out.push(Diagnostic {
                 rule: rules::MISSING_NEXT,
                 severity: Severity::Error,
@@ -314,7 +325,7 @@ fn check_vars(module: &Module, graph: &DepGraph, out: &mut Vec<Diagnostic>) {
                 decl_index: i,
             });
         }
-        if !live.contains(&d.name) {
+        if !live.contains(i) {
             let kind = if d.input { "input" } else { "state variable" };
             out.push(Diagnostic {
                 rule: rules::DEAD_VAR,
@@ -328,19 +339,7 @@ fn check_vars(module: &Module, graph: &DepGraph, out: &mut Vec<Diagnostic>) {
                 decl_index: i,
             });
         }
-        let next_is_self = module
-            .nexts
-            .iter()
-            .any(|a| a.name == d.name && a.expr == Expr::Name(d.name.clone()));
-        let init_is_const = module.inits.iter().any(|a| {
-            a.name == d.name
-                && match &a.expr {
-                    Expr::Bool(_) | Expr::Int(_) => true,
-                    Expr::Name(n) => matches!(graph.classify(n), NameKind::EnumLiteral(_)),
-                    _ => false,
-                }
-        });
-        if next_is_self && init_is_const {
+        if assigned.next_is_self && assigned.init_is_const {
             out.push(Diagnostic {
                 rule: rules::CONSTANT_SIGNAL,
                 severity: Severity::Warning,
@@ -356,34 +355,22 @@ fn check_vars(module: &Module, graph: &DepGraph, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn check_observed_cones(module: &Module, graph: &DepGraph, out: &mut Vec<Diagnostic>) {
-    // Per-property cones (each includes every FAIRNESS constraint: fair
-    // CTL satisfaction depends on them).
-    let fairness_atoms: Vec<&str> = module
-        .fairness
-        .iter()
-        .flat_map(|s| s.signals().unwrap_or_default())
-        .map(|a| &**a)
-        .collect();
-    let spec_cones: Vec<_> = module
-        .specs
-        .iter()
-        .filter_map(|s| s.signals().ok())
-        .map(|signals| {
-            let atoms = signals.iter().map(|a| &**a);
-            let seeds = graph.resolve_names(module, atoms.chain(fairness_atoms.iter().copied()));
-            graph.cone(&seeds)
-        })
-        .collect();
-
+fn check_observed_cones(
+    module: &Module,
+    graph: &DepGraph,
+    suite: &Cone,
+    out: &mut Vec<Diagnostic>,
+) {
+    // A property's cone includes every FAIRNESS constraint (fair CTL
+    // satisfaction depends on them), so the union of the per-property
+    // cones is the suite's cone — when some property parses at all.
+    let some_spec = module.specs.iter().any(|s| s.signals().is_ok());
     for o in &module.observed {
-        let vars = graph.resolve_names(module, [o.name.as_str()]);
+        let vars = graph.name_vars(&o.name);
         if vars.is_empty() {
             continue; // undefined-name already reported
         }
-        let in_some_cone = spec_cones
-            .iter()
-            .any(|cone| vars.iter().any(|v| cone.contains(v)));
+        let in_some_cone = some_spec && vars.iter().any(|&v| suite.contains(v as usize));
         if !in_some_cone {
             out.push(Diagnostic {
                 rule: rules::OUT_OF_CONE,

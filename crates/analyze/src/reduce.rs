@@ -2,49 +2,18 @@
 
 use std::collections::BTreeSet;
 
-use covest_smv::{decl_bit_names, Expr, Module, ObservedDecl};
+use covest_smv::{Module, ObservedDecl};
 
-use crate::graph::{DepGraph, NameKind};
-
-/// Collects every bare identifier occurring in an expression.
-fn expr_names(e: &Expr, out: &mut BTreeSet<String>) {
-    match e {
-        Expr::Bool(_) | Expr::Int(_) => {}
-        Expr::Name(n) => {
-            out.insert(n.clone());
-        }
-        Expr::Not(a) => expr_names(a, out),
-        Expr::Bin(_, a, b) => {
-            expr_names(a, out);
-            expr_names(b, out);
-        }
-        Expr::Case(arms) => {
-            for (g, v) in arms {
-                expr_names(g, out);
-                expr_names(v, out);
-            }
-        }
-    }
-}
-
-/// The atom names of every `SPEC` and `FAIRNESS` body that parses, as
-/// stored on its declaration by the deck parser.
-fn parsed_atoms(module: &Module) -> impl Iterator<Item = &str> {
-    module
-        .specs
-        .iter()
-        .chain(module.fairness.iter())
-        .flat_map(|s| s.signals().unwrap_or_default())
-        .map(|name| &**name)
-}
+use crate::graph::{parsed_atoms, Cone, DepGraph, NameKind};
 
 /// The cone of influence of one coverage task: the variables that the
 /// deck's properties, fairness constraints, and the observed `signal`
-/// transitively depend on.
+/// transitively depend on, by name.
 ///
 /// Every `SPEC` is seeded (a coverage task verifies the full property
 /// suite), every `FAIRNESS` is seeded (fair-state computation must be a
-/// cone predicate), and the task's observed signal is seeded.
+/// cone predicate), and the task's observed signal is seeded: the
+/// [`DepGraph::suite_cone`] extended with `signal`.
 ///
 /// # Errors
 ///
@@ -58,22 +27,9 @@ pub fn task_cone(
     if let Some(e) = module.property_error() {
         return Err(e.to_string());
     }
-    let mut atoms: BTreeSet<&str> = parsed_atoms(module).collect();
-    atoms.insert(signal);
-    let seeds = graph.resolve_names(module, atoms);
-    Ok(graph.cone(&seeds))
-}
-
-/// The union cone over every property, fairness constraint, and observed
-/// signal of the deck — the set of variables that can influence *any*
-/// analysis of the deck. Variables outside it are dead (lint `dead-var`).
-/// Unparseable properties contribute no atoms (lint reports them
-/// separately as `bad-property`).
-pub fn union_cone(module: &Module, graph: &DepGraph) -> BTreeSet<String> {
-    let observed = module.observed.iter().map(|o| o.name.as_str());
-    let atoms: BTreeSet<&str> = parsed_atoms(module).chain(observed).collect();
-    let seeds = graph.resolve_names(module, atoms);
-    graph.cone(&seeds)
+    let mut cone = graph.suite_cone();
+    graph.extend_cone(&mut cone, [signal]);
+    Ok(cone.var_names(module).map(str::to_owned).collect())
 }
 
 /// `true` when a deck can be compiled cone-reduced for `signals`: every
@@ -90,115 +46,109 @@ pub fn reducible(module: &Module, graph: &DepGraph, signals: &[String]) -> bool 
         .all(|name| matches!(graph.classify(name), NameKind::Var | NameKind::Define))
 }
 
-/// The `DEFINE`s reachable — through macro references — from the
-/// properties, the fairness constraints, any of `signals`, or any
-/// `init`/`next` expression of a cone variable, by name.
-fn needed_defines(
-    module: &Module,
-    cone: &BTreeSet<String>,
-    signals: &[String],
-) -> BTreeSet<String> {
-    let mut seeds: BTreeSet<String> = parsed_atoms(module)
-        .chain(signals.iter().map(String::as_str))
-        .map(str::to_owned)
-        .collect();
-    for a in module.inits.iter().chain(module.nexts.iter()) {
-        if cone.contains(&a.name) {
-            expr_names(&a.expr, &mut seeds);
-        }
-    }
-
-    let mut needed = BTreeSet::new();
-    let mut work: Vec<String> = seeds.into_iter().collect();
-    while let Some(n) = work.pop() {
-        if let Some(def) = module.define(&n) {
-            if needed.insert(n) {
-                let mut body = BTreeSet::new();
-                expr_names(&def.expr, &mut body);
-                work.extend(body);
-            }
-        }
-    }
-    needed
-}
-
-/// Prunes a deck to the cone of one coverage task: keeps exactly the cone
-/// variables (declaration order preserved), their `init`/`next`
-/// assignments, the `DEFINE`s the properties and `signal` reach, every
-/// `SPEC` and `FAIRNESS`, and observes only `signal`.
+/// What pruning a deck to the union cone of a *shard* — a group of
+/// coverage tasks that share one compiled machine — keeps: exactly the
+/// cone variables, their `init`/`next` assignments, the `DEFINE`s the
+/// properties and any of the shard's signals reach, every `SPEC` and
+/// `FAIRNESS`; and it observes exactly the shard's signals.
 ///
 /// Compiling the result yields a machine over exactly the cone bits, with
 /// the same bit names and variable order as the full compile restricted to
 /// the cone — the basis for the bit-identical-parity guarantee (see
 /// DESIGN.md).
-pub fn reduce_module(module: &Module, cone: &BTreeSet<String>, signal: &str) -> Module {
-    reduce_module_multi(module, cone, std::slice::from_ref(&signal.to_owned()))
+#[derive(Debug)]
+pub struct Reduction {
+    vars: Cone,
+    inits: Vec<bool>,
+    nexts: Vec<bool>,
+    defines: Vec<bool>,
+    observed: Vec<ObservedDecl>,
 }
 
-/// Prunes a deck to the union cone of a *shard* — a group of coverage
-/// tasks that share one compiled machine: keeps exactly the cone
-/// variables (declaration order preserved), their `init`/`next`
-/// assignments, the `DEFINE`s the properties and any of `signals` reach,
-/// every `SPEC` and `FAIRNESS`, and observes exactly `signals` (in the
-/// order given, which shard construction keeps as declaration order).
-///
-/// With a single signal this is [`reduce_module`]; with several, `cone`
-/// must be the union of the per-signal cones so that every signal's
-/// analysis is exact on the shared machine.
-pub fn reduce_module_multi(module: &Module, cone: &BTreeSet<String>, signals: &[String]) -> Module {
-    let defines = needed_defines(module, cone, signals);
-    let observed = signals
-        .iter()
-        .map(|signal| ObservedDecl {
-            name: signal.clone(),
-            line: module
-                .observed
+impl Reduction {
+    /// The reduction of `graph`'s deck to `cone`, observing `signals` in
+    /// the order given (which shard construction keeps as declaration
+    /// order). With several signals, `cone` must be the union of their
+    /// task cones so that every signal's analysis is exact on the shared
+    /// machine.
+    ///
+    /// A `DEFINE` is kept when its name is reached, through
+    /// [`Module::define`], from a property or fairness atom, one of
+    /// `signals`, or an `init`/`next` expression of a cone variable; a
+    /// kept name keeps each of its declarations.
+    pub fn new(graph: &DepGraph, cone: Cone, signals: &[String]) -> Reduction {
+        let module = graph.module;
+        let seeds = parsed_atoms(module).into_iter();
+        let defines = graph.needed_defines(&cone, seeds.chain(signals.iter().map(String::as_str)));
+        let assigned = |targets: &[Option<u32>]| -> Vec<bool> {
+            targets
                 .iter()
-                .find(|o| &o.name == signal)
-                .map_or(0, |o| o.line),
-        })
-        .collect();
-    Module {
-        vars: module
-            .vars
+                .map(|t| t.is_some_and(|v| cone.contains(v as usize)))
+                .collect()
+        };
+        let (inits, nexts) = (assigned(&graph.init_targets), assigned(&graph.next_targets));
+        let observed = signals
             .iter()
-            .filter(|d| cone.contains(&d.name))
-            .cloned()
-            .collect(),
-        inits: module
-            .inits
-            .iter()
-            .filter(|a| cone.contains(&a.name))
-            .cloned()
-            .collect(),
-        nexts: module
-            .nexts
-            .iter()
-            .filter(|a| cone.contains(&a.name))
-            .cloned()
-            .collect(),
-        defines: module
-            .defines
-            .iter()
-            .filter(|d| defines.contains(&d.name))
-            .cloned()
-            .collect(),
-        specs: module.specs.clone(),
-        fairness: module.fairness.clone(),
-        observed,
+            .map(|signal| ObservedDecl {
+                name: signal.clone(),
+                line: module
+                    .observed
+                    .iter()
+                    .find(|o| &o.name == signal)
+                    .map_or(0, |o| o.line),
+            })
+            .collect();
+        Reduction {
+            vars: cone,
+            inits,
+            nexts,
+            defines,
+            observed,
+        }
+    }
+
+    /// Prunes `module`, the deck the reduction was computed on, in place:
+    /// what is kept is moved, never copied, and keeps declaration order.
+    pub fn apply(self, module: &mut Module) {
+        debug_assert_eq!(
+            (module.inits.len(), module.nexts.len(), module.defines.len()),
+            (self.inits.len(), self.nexts.len(), self.defines.len()),
+            "a reduction applies to the deck it was computed on"
+        );
+        retain_flagged(&mut module.vars, |i| self.vars.contains(i));
+        retain_flagged(&mut module.inits, |i| self.inits[i]);
+        retain_flagged(&mut module.nexts, |i| self.nexts[i]);
+        retain_flagged(&mut module.defines, |i| self.defines[i]);
+        module.observed = self.observed;
     }
 }
 
-/// The state-bit names of the cone variables, in declaration order — the
-/// counting/sampling universe of a cone-restricted coverage analysis and
-/// the static size estimate of the task.
+/// Keeps the items whose index `keep` accepts.
+fn retain_flagged<T>(items: &mut Vec<T>, keep: impl Fn(usize) -> bool) {
+    let mut i = 0;
+    items.retain(|_| {
+        i += 1;
+        keep(i - 1)
+    });
+}
+
+/// Prunes a clone of `module` to the union cone `cone` of the shard
+/// observing `signals` (see [`Reduction`]). Kept only for the
+/// `perfbench` harness, which calls it; nothing under `crates/` does —
+/// the planner prunes the parsed deck in place with
+/// [`Reduction::apply`].
+pub fn reduce_module_multi(module: &Module, cone: &BTreeSet<String>, signals: &[String]) -> Module {
+    let graph = DepGraph::new(module);
+    let reduction = Reduction::new(&graph, Cone::of_names(module, cone), signals);
+    let mut reduced = module.clone();
+    reduction.apply(&mut reduced);
+    reduced
+}
+
+/// The state-bit names of the variables named in `cone`, in declaration
+/// order (see [`Cone::bit_names`]).
 pub fn cone_bit_names(module: &Module, cone: &BTreeSet<String>) -> Vec<String> {
-    module
-        .vars
-        .iter()
-        .filter(|d| cone.contains(&d.name))
-        .flat_map(decl_bit_names)
-        .collect()
+    Cone::of_names(module, cone).bit_names(module)
 }
 
 #[cfg(test)]
@@ -237,12 +187,21 @@ OBSERVED count, shadow;
         assert!(!cone.contains("flag"));
     }
 
+    /// `m` pruned to the task cone of `signal`, as the planner prunes it.
+    fn reduce(m: &Module, signal: &str) -> Module {
+        let g = DepGraph::new(m);
+        let mut cone = g.suite_cone();
+        g.extend_cone(&mut cone, [signal]);
+        let reduction = Reduction::new(&g, cone, &[signal.to_owned()]);
+        let mut reduced = m.clone();
+        reduction.apply(&mut reduced);
+        reduced
+    }
+
     #[test]
     fn reduce_keeps_declaration_order_and_needed_defines() {
         let m = parse_module(DECK).expect("parses");
-        let g = DepGraph::new(&m);
-        let cone = task_cone(&m, &g, "count").unwrap();
-        let r = reduce_module(&m, &cone, "count");
+        let r = reduce(&m, "count");
         let names: Vec<&str> = r.vars.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, vec!["count", "step"]);
         assert_eq!(r.defines.len(), 1);
@@ -273,9 +232,7 @@ SPEC AG (count <= 3);
 OBSERVED count;
 "#;
         let m = parse_module(deck).expect("parses");
-        let g = DepGraph::new(&m);
-        let cone = task_cone(&m, &g, "count").unwrap();
-        let r = reduce_module(&m, &cone, "count");
+        let r = reduce(&m, "count");
         assert!(r.defines.iter().any(|d| d.name == "hidden"));
         let bdd = covest_bdd::BddManager::new();
         covest_smv::compile_module(&bdd, &r).expect("reduced deck compiles");
@@ -306,7 +263,7 @@ OBSERVED count;
         let cone = task_cone(&m, &g, "count").unwrap();
         let bits = cone_bit_names(&m, &cone);
         assert_eq!(bits, vec!["count.0", "count.1", "step"]);
-        let r = reduce_module(&m, &cone, "count");
+        let r = reduce(&m, "count");
         let bdd = covest_bdd::BddManager::new();
         let model = covest_smv::compile_module(&bdd, &r).unwrap();
         let compiled: Vec<String> = model

@@ -97,7 +97,7 @@ use covest_par::{
     compile_machine, cover_signal, plan_machine, run_batch, run_batch_with_trace, BatchReport,
     DeckJob, ParConfig, ShardProfile,
 };
-use covest_smv::{decl_bit_names, CompiledModel, Module};
+use covest_smv::{decl_bit_width, CompiledModel};
 use covest_telemetry::chrome::{TraceFormat, TraceSink, TraceWriter};
 use covest_telemetry::{
     self as telemetry, memory, progress, Counters, SpanRecord, Telemetry, WallClock, TIMINGS_MARKER,
@@ -733,16 +733,17 @@ struct FullDeck {
     model: CompiledModel,
 }
 
-/// Returns the full deck, compiling and sifting it on the first call
-/// with the shards' compile function, so it sifts to the order a plain
-/// `check` of the deck finds.
+/// Returns the full deck, parsing `src` again and compiling and sifting
+/// it on the first call with the shards' compile function, so it sifts
+/// to the order a plain `check` of the deck finds.
 fn full_deck<'a>(
     slot: &'a mut Option<FullDeck>,
-    module: &Module,
+    src: &str,
 ) -> Result<&'a FullDeck, Box<dyn std::error::Error>> {
     if slot.is_none() {
+        let module = covest_smv::parse_module(src)?;
         let bdd = BddManager::new();
-        let (model, _) = compile_machine(&bdd, module)?;
+        let (model, _) = compile_machine(&bdd, &module)?;
         *slot = Some(FullDeck { bdd, model });
     }
     Ok(slot.as_ref().expect("compiled above"))
@@ -778,21 +779,21 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     } else {
         args.observed.clone()
     };
-    let machine = plan_machine(&module, &signals)?;
+    let full_bits: usize = module.vars.iter().map(|d| decl_bit_width(&d.ty)).sum();
+    let machine = plan_machine(module, &signals)?;
     let bdd = BddManager::new();
     // Memory timeline: stamp every span/event with this manager's gauges.
     if args.engine.profiling() {
         install_front_sampler(&bdd);
     }
-    let compiled = machine.reduced.as_ref().unwrap_or(&module);
-    let (model, sift) = compile_machine(&bdd, compiled)?;
-    let state_bits = match &machine.reduced {
-        Some(_) => format!(
-            "{} state bits ({} in the cone of influence)",
-            module.vars.iter().flat_map(decl_bit_names).count(),
+    let (model, sift) = compile_machine(&bdd, &machine.module)?;
+    let state_bits = if machine.reduced {
+        format!(
+            "{full_bits} state bits ({} in the cone of influence)",
             model.fsm.num_state_bits()
-        ),
-        None => format!("{} state bits", model.fsm.num_state_bits()),
+        )
+    } else {
+        format!("{} state bits", model.fsm.num_state_bits())
     };
     say!(
         "model `{}`: {state_bits}, {} properties, {} fairness constraints, \
@@ -828,14 +829,13 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         if holds {
             continue;
         }
-        let verdict = match &machine.reduced {
-            Some(_) => {
-                let deck = full_deck(&mut full, &module)?;
-                CoverageEstimator::new(&deck.model.fsm)
-                    .checker(&deck.model.fairness)?
-                    .check(&spec.clone().into())?
-            }
-            None => verification.checker_mut().check(&spec.clone().into())?,
+        let verdict = if machine.reduced {
+            let deck = full_deck(&mut full, &src)?;
+            CoverageEstimator::new(&deck.model.fsm)
+                .checker(&deck.model.fairness)?
+                .check(&spec.clone().into())?
+        } else {
+            verification.checker_mut().check(&spec.clone().into())?
         };
         if let Verdict::Fails {
             counterexample: Some(trace),
@@ -868,22 +868,15 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
                 // the uncovered set to the full deck, name-keyed, and
                 // replays the traces there over the same cone universe.
                 let cone = Some(task.cone.as_slice());
-                let traces = match &machine.reduced {
-                    Some(_) => {
-                        let deck = full_deck(&mut full, &module)?;
-                        let uncovered = deck.bdd.import_bdd(&analysis.uncovered().export_bdd()?)?;
-                        let full_estimator = CoverageEstimator::new(&deck.model.fsm);
-                        let universe = full_estimator.universe(cone);
-                        full_estimator.traces_to_states_over(&uncovered, &universe, args.traces)
-                    }
-                    None => {
-                        let universe = estimator.universe(cone);
-                        estimator.traces_to_states_over(
-                            &analysis.uncovered(),
-                            &universe,
-                            args.traces,
-                        )
-                    }
+                let traces = if machine.reduced {
+                    let deck = full_deck(&mut full, &src)?;
+                    let uncovered = deck.bdd.import_bdd(&analysis.uncovered().export_bdd()?)?;
+                    let full_estimator = CoverageEstimator::new(&deck.model.fsm);
+                    let universe = full_estimator.universe(cone);
+                    full_estimator.traces_to_states_over(&uncovered, &universe, args.traces)
+                } else {
+                    let universe = estimator.universe(cone);
+                    estimator.traces_to_states_over(&analysis.uncovered(), &universe, args.traces)
                 };
                 for trace in traces {
                     say!("trace to uncovered state:\n{trace}")?;
@@ -896,13 +889,12 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     }
 
     if let Some(path) = &args.dot {
-        let dot = match &machine.reduced {
-            Some(_) => {
-                let deck = full_deck(&mut full, &module)?;
-                deck.bdd
-                    .to_dot(&[("reachable", &deck.model.fsm.reachable())])
-            }
-            None => bdd.to_dot(&[("reachable", &model.fsm.reachable())]),
+        let dot = if machine.reduced {
+            let deck = full_deck(&mut full, &src)?;
+            deck.bdd
+                .to_dot(&[("reachable", &deck.model.fsm.reachable())])
+        } else {
+            bdd.to_dot(&[("reachable", &model.fsm.reachable())])
         };
         std::fs::write(path, dot)?;
         say!("wrote {path}")?;

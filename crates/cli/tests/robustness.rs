@@ -1,6 +1,9 @@
 //! Malformed and hostile decks end in an error, never a crash: negative
-//! literals in properties, nesting beyond the parsers' depth bound, and
-//! seeded byte mutations of every shipped and sized deck.
+//! literals in properties, nesting beyond the parsers' depth bound, long
+//! `DEFINE` chains, and seeded byte mutations of every shipped and sized
+//! deck.
+
+mod naive_plan;
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -229,7 +232,7 @@ fn nesting_at_the_bound_runs_on_spawned_threads() {
             let module = covest_smv::parse_module(&front_end).expect("parses at the bound");
             assert_eq!(covest_analyze::lint_source(&front_end).errors(), 0);
             let signals = ["x".to_owned(), "d".to_owned()];
-            covest_par::plan_machine(&module, &signals).expect("plans");
+            covest_par::plan_machine(module.clone(), &signals).expect("plans");
             let model = covest_smv::compile_module(&BddManager::new(), &module).expect("compiles");
             assert_eq!(model.specs.len(), 3);
         })
@@ -288,6 +291,50 @@ fn nested_case_at_the_bound_compiles_quickly() {
     assert_eq!(out.status.code(), Some(1), "{}", text(&out));
     let message = format!("nests deeper than {} levels", covest_smv::MAX_DEPTH);
     assert!(text(&out).contains(&message), "{}", text(&out));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A deck whose `n` DEFINEs each read the two before it (`d{i} :=
+/// d{i-1} & d{i-2}`), so a DEFINE is reached along fib(n) reference
+/// paths; `next(a)` reads the last one.
+fn define_chain_deck(n: usize) -> String {
+    let mut src =
+        String::from("MODULE main\nVAR a : boolean;\n    b : boolean;\nDEFINE d0 := a;\n");
+    writeln!(src, "       d1 := d0 & a;").expect("write");
+    for i in 2..n {
+        writeln!(src, "       d{i} := d{} & d{};", i - 1, i - 2).expect("write");
+    }
+    write!(
+        src,
+        "ASSIGN\n  init(a) := FALSE;\n  next(a) := d{};\n  init(b) := FALSE;\n  next(b) := !b;\n\
+         SPEC AG !a;\nSPEC AG (!a -> AX !a);\nOBSERVED a;\n",
+        n - 1
+    )
+    .expect("write");
+    src
+}
+
+/// A 64-DEFINE chain lints, plans and checks in seconds: each DEFINE's
+/// support is resolved once, where expanding it along every reference
+/// path took fib(64) steps.
+#[test]
+fn define_chains_resolve_in_linear_time() {
+    let src = define_chain_deck(64);
+    let report = covest_analyze::lint_source(&src);
+    assert_eq!(report.errors(), 0, "{:?}", report.diagnostics);
+    let module = covest_smv::parse_module(&src).expect("parses");
+    let signals = ["a".to_owned()];
+    naive_plan::assert_plan_matches(&module, &signals, "64-DEFINE chain");
+    let machine = covest_par::plan_machine(module, &signals).expect("plans");
+    assert!(machine.reduced, "the cone of `a` drops `b`");
+    assert_eq!(machine.module.defines.len(), 64);
+
+    let dir = fresh_dir("define-chain");
+    let deck = dir.join("chain.smv");
+    std::fs::write(&deck, &src).expect("deck");
+    let out = output_within(covest().arg("check").arg(&deck).arg("--coverage"), 60);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out));
+    assert!(text(&out).contains("[PASS] SPEC AG !(a)"), "{}", text(&out));
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -350,8 +397,9 @@ fn mutants(src: &str, seed: u64, count: usize) -> Vec<String> {
 
 /// Runs the front end on every mutant in-process: parse, plan (the cone
 /// analysis `check` and `batch` run first) and lint. Errors are fine; a
-/// panic fails the test, and a stack overflow aborts it. Returns the
-/// mutants whose deck parses, for the CLI sample.
+/// panic fails the test, and a stack overflow aborts it. The plan must
+/// equal the naive reference's. Returns the mutants whose deck parses,
+/// for the CLI sample.
 fn front_end_survives(per_deck: usize) -> (usize, Vec<String>) {
     let mut parsed = Vec::new();
     let mut total = 0;
@@ -367,8 +415,8 @@ fn front_end_survives(per_deck: usize) -> (usize, Vec<String>) {
                 continue;
             };
             let signals: Vec<String> = module.observed.iter().map(|o| o.name.clone()).collect();
-            let _ = covest_par::plan_machine(&module, &signals);
             let _ = module.property_error();
+            naive_plan::assert_plan_matches(&module, &signals, &format!("mutant {j} of {name}"));
             if j % 7 == 0 {
                 parsed.push(format!("-- mutant {j} of {name}\n{mutant}"));
             }

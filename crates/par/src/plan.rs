@@ -12,11 +12,10 @@
 //! signal in declaration order, which is also the order results are
 //! reassembled in, whatever order workers finish.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use covest_analyze::{cone_bit_names, reduce_module_multi, reducible, task_cone, DepGraph};
+use covest_analyze::{reducible, DepGraph, Reduction};
 use covest_smv::{ImageConfig, Module};
 
 use crate::pool::ParError;
@@ -140,52 +139,63 @@ pub struct SignalTask {
 /// What one deck machine compiles and analyzes (see [`plan_machine`]).
 #[derive(Debug)]
 pub struct DeckMachine {
-    /// The union-cone reduction to compile, or `None` to compile the
-    /// parsed deck as it is.
-    pub reduced: Option<Module>,
+    /// The module to compile: the parsed deck, pruned to the union of
+    /// the task cones when `reduced`.
+    pub module: Module,
+    /// Whether `module` is the union-cone reduction, which dropped a
+    /// variable of the parsed deck.
+    pub reduced: bool,
     /// The coverage tasks, in the order the signals were given.
     pub tasks: Vec<SignalTask>,
 }
 
 /// The planner's per-deck step, shared by every `batch` deck and by
 /// `covest check`: each analyzed signal's cone, and the module the
-/// deck's one machine compiles — the union of the cones, pruned with
-/// [`reduce_module_multi`]. The parsed deck is compiled as it is instead
-/// when
+/// deck's one machine compiles — the parsed deck, pruned in place to
+/// the union of the cones with a [`Reduction`]. The parsed deck is
+/// compiled as it is instead when
 /// - no signal is analyzed (a verification-only run);
 /// - a name has no cone (see [`reducible`]);
 /// - or the union keeps every variable.
 ///
-/// A deck's signals always share one machine: every task cone contains
-/// the cone of every `SPEC` and `FAIRNESS` atom, so two cones are
-/// disjoint only when the properties depend on no variable — and then
-/// no property can cover a state.
+/// Planning works on declaration indices: the property suite's cone
+/// ([`DepGraph::suite_cone`]) is computed once and each signal's cone
+/// extends it. A deck's signals always share one machine: every task
+/// cone contains the cone of every `SPEC` and `FAIRNESS` atom, so two
+/// cones are disjoint only when the properties depend on no variable —
+/// and then no property can cover a state.
 ///
 /// # Errors
 ///
 /// The message compiling the deck gives for the first property the CTL
 /// parser rejects.
-pub fn plan_machine(module: &Module, signals: &[String]) -> Result<DeckMachine, String> {
+pub fn plan_machine(mut module: Module, signals: &[String]) -> Result<DeckMachine, String> {
     if signals.is_empty() {
         return Ok(DeckMachine {
-            reduced: None,
+            module,
+            reduced: false,
             tasks: Vec::new(),
         });
     }
-    let graph = DepGraph::new(module);
-    let mut union = BTreeSet::new();
-    let mut tasks = Vec::with_capacity(signals.len());
-    for signal in signals {
-        let cone = task_cone(module, &graph, signal)?;
-        tasks.push(SignalTask {
-            signal: signal.clone(),
-            cone: cone_bit_names(module, &cone),
-        });
-        union.extend(cone);
+    if let Some(e) = module.property_error() {
+        return Err(e.to_string());
     }
-    let reduce =
-        reducible(module, &graph, signals) && !module.vars.iter().all(|v| union.contains(&v.name));
-    let reduced = reduce.then(|| {
+    let graph = DepGraph::new(&module);
+    let suite = graph.suite_cone();
+    let mut union = suite.clone();
+    let tasks = signals
+        .iter()
+        .map(|signal| {
+            let mut cone = suite.clone();
+            graph.extend_cone(&mut cone, [signal.as_str()]);
+            union.union_with(&cone);
+            SignalTask {
+                signal: signal.clone(),
+                cone: cone.bit_names(&module),
+            }
+        })
+        .collect();
+    let reduction = (reducible(&module, &graph, signals) && !union.is_full()).then(|| {
         // The reduced deck observes each signal once; the tasks keep
         // duplicates (two identical rows).
         let mut observed: Vec<String> = Vec::with_capacity(signals.len());
@@ -194,9 +204,17 @@ pub fn plan_machine(module: &Module, signals: &[String]) -> Result<DeckMachine, 
                 observed.push(signal.clone());
             }
         }
-        reduce_module_multi(module, &union, &observed)
+        Reduction::new(&graph, union, &observed)
     });
-    Ok(DeckMachine { reduced, tasks })
+    let reduced = reduction.is_some();
+    if let Some(reduction) = reduction {
+        reduction.apply(&mut module);
+    }
+    Ok(DeckMachine {
+        module,
+        reduced,
+        tasks,
+    })
 }
 
 /// Plans a single deck, statically: parse (validating early), then
@@ -213,7 +231,7 @@ fn plan_deck(job: &DeckJob) -> Result<Shard, ParError> {
     } else {
         job.observed.clone()
     };
-    let DeckMachine { reduced, tasks } = plan_machine(&module, &signals).map_err(plan_err)?;
+    let DeckMachine { module, tasks, .. } = plan_machine(module, &signals).map_err(plan_err)?;
     let weight = if tasks.is_empty() {
         usize::MAX
     } else {
@@ -225,7 +243,7 @@ fn plan_deck(job: &DeckJob) -> Result<Shard, ParError> {
     Ok(Shard {
         deck: job.name.clone(),
         num_properties: module.specs.len(),
-        module: reduced.unwrap_or(module),
+        module,
         tasks,
         weight,
         plan_time: sw.elapsed(),

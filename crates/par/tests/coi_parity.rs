@@ -58,7 +58,9 @@ fn sized_pipeline(stages: usize) -> DeckJob {
 fn full_deck_peak(deck: &DeckJob) -> u64 {
     let module = covest_smv::parse_module(&deck.source).expect("deck parses");
     let signals: Vec<String> = module.observed.iter().map(|o| o.name.clone()).collect();
-    let tasks = plan_machine(&module, &signals).expect("deck plans").tasks;
+    let tasks = plan_machine(module.clone(), &signals)
+        .expect("deck plans")
+        .tasks;
     let bdd = BddManager::new();
     let (model, _) = compile_machine(&bdd, &module).expect("deck compiles");
     let estimator = CoverageEstimator::new(&model.fsm);
@@ -138,11 +140,8 @@ fn models() -> std::path::PathBuf {
 fn check_machine(source: &str, cone: bool) -> (covest_smv::Module, Vec<SignalTask>) {
     let module = covest_smv::parse_module(source).expect("deck parses");
     let signals: Vec<String> = module.observed.iter().map(|o| o.name.clone()).collect();
-    let plan = plan_machine(&module, &signals).expect("deck plans");
-    let machine = match plan.reduced {
-        Some(reduced) if cone => reduced,
-        _ => module,
-    };
+    let plan = plan_machine(module.clone(), &signals).expect("deck plans");
+    let machine = if cone { plan.module } else { module };
     (machine, plan.tasks)
 }
 
