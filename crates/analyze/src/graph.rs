@@ -25,7 +25,7 @@ struct Binding {
     /// The variable: the last declaration of the name.
     var: Option<u32>,
     /// The `DEFINE` a reference expands: the last of the name (compile
-    /// expands the first).
+    /// rejects a repeated name).
     define: Option<u32>,
     /// The `DEFINE` [`Module::define`] finds: the first of the name.
     first_define: Option<u32>,
@@ -345,18 +345,7 @@ impl<'m> DepGraph<'m> {
     /// the variables they read and the supports of the components they
     /// reach, which are complete by then.
     fn resolve_supports(&mut self) {
-        let succ: Vec<Vec<u32>> = self
-            .define_refs
-            .iter()
-            .map(|refs| {
-                refs.iter()
-                    .filter_map(|&id| match self.bindings[id as usize].target() {
-                        Some(Target::Define(d)) => Some(d),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .collect();
+        let succ = self.define_succ();
         let mut support = std::mem::take(&mut self.define_support);
         components(&succ, |members| {
             let mut vars = Vec::new();
@@ -377,6 +366,22 @@ impl<'m> DepGraph<'m> {
             }
         });
         self.define_support = support;
+    }
+
+    /// The `DEFINE` reference graph: per `DEFINE`, the `DEFINE`s its
+    /// body reads, the names no variable shadows ([`Binding::target`]).
+    fn define_succ(&self) -> Vec<Vec<u32>> {
+        self.define_refs
+            .iter()
+            .map(|refs| {
+                refs.iter()
+                    .filter_map(|&id| match self.bindings[id as usize].target() {
+                        Some(Target::Define(d)) => Some(d),
+                        _ => None,
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// The variables the declared names `refs` read, sorted.
@@ -499,17 +504,10 @@ impl<'m> DepGraph<'m> {
 
     /// Names of `DEFINE`s that lie on a combinational `DEFINE` cycle, in
     /// declaration order: those that reach themselves through the names
-    /// their bodies read that are `DEFINE`s (the last of each name).
+    /// their bodies read that are `DEFINE`s (the last of each name) and
+    /// not variables, which shadow them as they do in compile.
     pub fn define_cycles(&self) -> Vec<String> {
-        let succ: Vec<Vec<u32>> = self
-            .define_refs
-            .iter()
-            .map(|refs| {
-                refs.iter()
-                    .filter_map(|&id| self.bindings[id as usize].define)
-                    .collect()
-            })
-            .collect();
+        let succ = self.define_succ();
         let mut cyclic = vec![false; succ.len()];
         components(&succ, |members| {
             if let [d] = members {

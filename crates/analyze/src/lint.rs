@@ -509,6 +509,28 @@ SPEC AG TRUE;
     }
 
     #[test]
+    fn a_define_reading_a_shadowing_variable_is_no_cycle() {
+        // Compile reads the variable `p` in `p`'s body, so `check
+        // --coverage` runs these decks; only `q` and `r` form a cycle.
+        let cycles = |src: &str| -> Vec<String> {
+            lint_source(src)
+                .diagnostics
+                .into_iter()
+                .filter(|d| d.rule == rules::DEFINE_CYCLE)
+                .map(|d| d.name)
+                .collect()
+        };
+        assert!(cycles("VAR p : boolean;\nDEFINE p := !p;\n").is_empty());
+        assert_eq!(
+            cycles(
+                "VAR p : boolean;\nDEFINE p := !p; q := r; r := q & p;\n\
+                 ASSIGN init(p) := FALSE; next(p) := !p;\nOBSERVED p;\n"
+            ),
+            ["q", "r"]
+        );
+    }
+
+    #[test]
     fn bad_property_is_reported() {
         let report = lint_source(
             "VAR x : boolean;\nASSIGN init(x) := FALSE; next(x) := !x;\nSPEC EF (x & &);\nOBSERVED x;\n",

@@ -129,11 +129,32 @@ impl SiftProbe {
     }
 }
 
+/// Which variables interact (CUDD's interaction matrix): `v` and `w` do
+/// when the support of one pinned root holds both. Every live node of a
+/// rooted reordering lies in some root's cone, so a node labelled `v`
+/// with a child labelled `w` makes them interact; the supports of the
+/// roots' functions, and so the matrix, do not change as levels move.
+struct Interaction {
+    /// `u64` words per row.
+    words: usize,
+    /// Row `v`: the variables `v` interacts with, one bit each.
+    bits: Vec<u64>,
+}
+
+impl Interaction {
+    fn get(&self, v: u32, w: u32) -> bool {
+        self.bits[v as usize * self.words + w as usize / 64] >> (w % 64) & 1 == 1
+    }
+}
+
 /// Transient bookkeeping for one reordering: per-slot reference counts
 /// (parent edges plus root pins) driving eager reclamation of nodes the
 /// swaps orphan.
 struct ReorderCtx {
     rc: Vec<u32>,
+    /// The interaction matrix of a rooted reordering; `None` when every
+    /// node is pinned, and then every pair of variables interacts.
+    interact: Option<Interaction>,
     swaps: usize,
     /// Scratch buffer for the nodes a swap rewrites, reused across all
     /// swaps of one reordering so the hot loop never allocates.
@@ -141,6 +162,13 @@ struct ReorderCtx {
     /// Scratch for the level's survivors, feeding the batch-rebuild
     /// unlink path of [`Inner::swap_levels`].
     kept: Vec<u32>,
+}
+
+impl ReorderCtx {
+    /// Whether `v` and `w` interact; every pair does without a matrix.
+    fn interacts(&self, v: u32, w: u32) -> bool {
+        self.interact.as_ref().is_none_or(|m| m.get(v, w))
+    }
 }
 
 impl Inner {
@@ -230,12 +258,61 @@ impl Inner {
     }
 
     /// Collects against `extra` ∪ root table and builds the refcount
-    /// context pinning that combined live set.
+    /// context pinning that combined live set, with its interaction
+    /// matrix.
     fn rooted_ctx(&mut self, extra: &[Ref]) -> ReorderCtx {
         let mut pinned = extra.to_vec();
         self.ext_roots_into(&mut pinned);
         self.gc(extra);
-        self.reorder_ctx(&pinned)
+        let mut ctx = self.reorder_ctx(&pinned);
+        ctx.interact = Some(self.interaction(&mut pinned));
+        ctx
+    }
+
+    /// The interaction matrix of `roots` (reordered in place): one
+    /// depth-first walk per root for its support, then every pair of the
+    /// support is set. Roots are walked topmost level first, and a root
+    /// an earlier walk reached is skipped: its support lies inside that
+    /// walk's.
+    fn interaction(&self, roots: &mut [Ref]) -> Interaction {
+        let words = self.num_vars().div_ceil(64);
+        let mut bits = vec![0u64; self.num_vars() * words];
+        roots.sort_unstable_by_key(|&r| (self.level(r), r.0));
+        // The number of the last walk that reached each slot.
+        let mut walk = vec![0u32; self.nodes.len()];
+        let mut support = vec![0u64; words];
+        let mut members: Vec<u32> = Vec::new();
+        let mut stack: Vec<Ref> = Vec::new();
+        for (k, &root) in roots.iter().enumerate() {
+            if root.is_const() || walk[root.index()] != 0 {
+                continue;
+            }
+            let stamp = k as u32 + 1;
+            support.fill(0);
+            members.clear();
+            stack.push(root);
+            while let Some(r) = stack.pop() {
+                if r.is_const() || walk[r.index()] == stamp {
+                    continue;
+                }
+                walk[r.index()] = stamp;
+                let n = self.nodes[r.index()];
+                let (word, bit) = (n.var as usize / 64, 1u64 << (n.var % 64));
+                if support[word] & bit == 0 {
+                    support[word] |= bit;
+                    members.push(n.var);
+                }
+                stack.push(n.lo);
+                stack.push(n.hi);
+            }
+            for &v in &members {
+                let row = &mut bits[v as usize * words..][..words];
+                for (r, s) in row.iter_mut().zip(&support) {
+                    *r |= s;
+                }
+            }
+        }
+        Interaction { words, bits }
     }
 
     // ---- refcount bookkeeping -----------------------------------------
@@ -273,6 +350,7 @@ impl Inner {
         }
         ReorderCtx {
             rc,
+            interact: None,
             swaps: 0,
             moved: Vec::new(),
             kept: Vec::new(),
@@ -339,6 +417,13 @@ impl Inner {
     fn swap_levels(&mut self, level: u32, ctx: &mut ReorderCtx) {
         let xv = self.level2var[level as usize];
         let yv = self.level2var[level as usize + 1];
+        ctx.swaps += 1;
+        if !ctx.interacts(xv, yv) {
+            // No node labelled x has a child labelled y: the levels trade
+            // places and nothing is rewritten, so x's table is not scanned.
+            self.swap_level_maps(level, xv, yv);
+            return;
+        }
         // Nodes labelled x that depend on y must be rewritten; the rest of
         // x's level just sinks one level with no structural change. The
         // open-addressed table yields them in deterministic slot order,
@@ -380,9 +465,7 @@ impl Inner {
                 debug_assert!(removed, "moved node was not in its unique table");
             }
         }
-        self.level2var.swap(level as usize, level as usize + 1);
-        self.var2level[xv as usize] = level + 1;
-        self.var2level[yv as usize] = level;
+        self.swap_level_maps(level, xv, yv);
         for &r in &moved {
             let n = self.nodes[r.index()];
             let (f00, f01) = if self.nodes[n.lo.index()].var == yv {
@@ -422,7 +505,13 @@ impl Inner {
             }
         }
         ctx.moved = moved;
-        ctx.swaps += 1;
+    }
+
+    /// Records that `xv`, at `level`, and `yv`, below it, trade levels.
+    fn swap_level_maps(&mut self, level: u32, xv: u32, yv: u32) {
+        self.level2var.swap(level as usize, level as usize + 1);
+        self.var2level[xv as usize] = level + 1;
+        self.var2level[yv as usize] = level;
     }
 
     /// Right-sizes every level's slot array after the swaps settle.
@@ -580,7 +669,8 @@ impl Inner {
             self.live_nodes() - 2,
             "unique tables and free list must partition the slots"
         );
-        // every internal edge is reflected in the refcounts
+        // every internal edge is reflected in the refcounts, and joins
+        // two variables that interact
         for slot in 2..self.nodes.len() as u32 {
             let n = self.nodes[slot as usize];
             if n.var == FREE_VAR {
@@ -591,6 +681,11 @@ impl Inner {
                     assert!(
                         ctx.rc[child.index()] > 0,
                         "live node has an uncounted child"
+                    );
+                    let child_var = self.nodes[child.index()].var;
+                    assert!(
+                        ctx.interacts(n.var, child_var),
+                        "a live edge joins two variables that do not interact"
                     );
                 }
             }
@@ -739,6 +834,57 @@ mod tests {
         assert_eq!((stats.before, stats.after), (6, 6));
         assert_eq!(stats.swaps, 28);
         assert_eq!(bdd.current_order(), vars);
+    }
+
+    #[test]
+    fn functions_over_disjoint_variables_sift_past_each_other_untouched() {
+        // f reads x0..x2 and g reads x3..x5, each group one block, so
+        // every swap of the sift exchanges a variable of f with one of g.
+        let mut bdd = Inner::new();
+        let vars = bdd.new_vars(6);
+        bdd.group_vars(&vars[..3]);
+        bdd.group_vars(&vars[3..]);
+        let lit = |bdd: &mut Inner, i: usize| bdd.var(vars[i]);
+        let (x0, x1, x2) = (lit(&mut bdd, 0), lit(&mut bdd, 1), lit(&mut bdd, 2));
+        let x1_or_x2 = bdd.or(x1, x2);
+        let f = bdd.and(x0, x1_or_x2);
+        let (x3, x4, x5) = (lit(&mut bdd, 3), lit(&mut bdd, 4), lit(&mut bdd, 5));
+        let x4_and_x5 = bdd.and(x4, x5);
+        let g = bdd.xor(x3, x4_and_x5);
+
+        let ctx = bdd.rooted_ctx(&[f, g]);
+        let m = ctx.interact.as_ref().expect("a rooted reordering");
+        for (v, w) in [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 2)] {
+            assert!(m.get(v, w) && m.get(w, v), "x{v} and x{w} share a support");
+        }
+        for v in 0..3 {
+            for w in 3..6 {
+                assert!(!m.get(v, w) && !m.get(w, v), "x{v} and x{w} do not");
+            }
+        }
+
+        // The live nodes, slot by slot, after the collection.
+        let live = |bdd: &Inner| -> Vec<(usize, u32, Ref, Ref)> {
+            (2..bdd.nodes.len())
+                .map(|i| (i, bdd.nodes[i]))
+                .filter(|(_, n)| n.var != FREE_VAR)
+                .map(|(i, n)| (i, n.var, n.lo, n.hi))
+                .collect()
+        };
+        let before = live(&bdd);
+        let truth = |bdd: &Inner, h: Ref| -> Vec<bool> {
+            (0..64u32)
+                .map(|bits| bdd.eval(h, &|v| bits >> v.index() & 1 == 1))
+                .collect()
+        };
+        let (tf, tg) = (truth(&bdd, f), truth(&bdd, g));
+        let stats = bdd.reduce_heap(&[f, g]);
+        assert!(
+            stats.swaps > 0 && stats.swaps.is_multiple_of(9),
+            "{stats:?}"
+        );
+        assert_eq!(live(&bdd), before, "a swap rewrote a node");
+        assert_eq!((truth(&bdd, f), truth(&bdd, g)), (tf, tg));
     }
 
     #[test]

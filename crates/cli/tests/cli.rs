@@ -843,6 +843,46 @@ fn bad_property_is_named_the_same_way_on_every_path() {
     );
 }
 
+/// A `DEFINE` name declared twice is an error on every path, as a
+/// variable declared twice is: the planner expands a repeated name's last
+/// body and compile used to expand its first, so `check` passed while
+/// `check --coverage` and `batch` failed on a name the cone had pruned.
+#[test]
+fn repeated_define_fails_alike_on_every_path() {
+    let deck = std::env::temp_dir().join("covest-repeated-define.smv");
+    std::fs::write(
+        &deck,
+        "VAR a : boolean; b : boolean; c : boolean;\n\
+         ASSIGN\n  init(a) := FALSE; next(a) := !a;\n  init(b) := FALSE; next(b) := b;\n  \
+         init(c) := FALSE; next(c) := d;\n\
+         DEFINE d := a; d := b;\n\
+         SPEC AG (c -> AX TRUE);\n\
+         OBSERVED c;\n",
+    )
+    .expect("write deck");
+    let path = deck.to_str().expect("utf-8 path");
+    let joblist = write_joblist_of("covest-repeated-define-joblist.txt", &[path]);
+    let model_error = "model error: duplicate DEFINE `d`";
+    for (args, stderr) in [
+        (&["check", path][..], format!("error: {model_error}\n")),
+        (
+            &["check", path, "--coverage"],
+            format!("error: {model_error}\n"),
+        ),
+        (
+            &["batch", joblist.to_str().expect("utf-8 path")],
+            format!("error: planning `{path}`: {model_error}\n"),
+        ),
+    ] {
+        let out = covest().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "", "{args:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), stderr, "{args:?}");
+    }
+    let _ = std::fs::remove_file(joblist);
+    let _ = std::fs::remove_file(deck);
+}
+
 /// Runs `cmd` to completion, failing the test if it outlives `secs`.
 fn output_within(cmd: &mut Command, secs: u64) -> std::process::Output {
     use std::process::Stdio;

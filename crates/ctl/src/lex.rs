@@ -189,6 +189,12 @@ impl<'a> Tokens<'a> {
         &self.src[tok.span()]
     }
 
+    /// The byte offset of every line start, the first line's (0)
+    /// included.
+    pub fn line_starts(&self) -> &[u32] {
+        &self.line_starts
+    }
+
     /// The 1-based line and byte column of byte offset `pos`.
     pub fn line_col(&self, pos: usize) -> (usize, usize) {
         let line = self.line_starts.partition_point(|&s| s as usize <= pos);
@@ -199,87 +205,74 @@ impl<'a> Tokens<'a> {
 
 /// Tokenizes `src`.
 ///
+/// The token buffer is reserved for one token per two source bytes, so
+/// it never regrows on a generated deck: the densest, the `counter_m*`
+/// decks with a `SPEC` per counter value, spend about 2.5 bytes per token
+/// (`counter_m100`: 8,309 bytes, 3,358 tokens), the `pipeline_d*` decks
+/// 3.7 and more. The line table is reserved for one line per 16 bytes (the
+/// pipelines' lines average 26).
+///
 /// # Errors
 ///
 /// Returns the first [`LexError`].
 pub fn tokenize(src: &str) -> Result<Tokens<'_>, LexError> {
-    let mut lexer = Lexer::new(src)?;
-    let mut toks = Vec::with_capacity(src.len() / 3 + 1);
-    loop {
-        let tok = lexer.next_token()?;
-        toks.push(tok);
-        if tok.kind == TokKind::Eof {
-            break;
-        }
-    }
+    let mut toks = Vec::with_capacity(src.len() / 2 + 2);
+    let mut line_starts = Vec::with_capacity(src.len() / 16 + 1);
+    lex_into(src, &mut toks, &mut line_starts)?;
     Ok(Tokens {
         src,
         toks,
-        line_starts: lexer.line_starts,
+        line_starts,
     })
 }
 
-/// A cursor over the source that hands out one token at a time.
-pub(crate) struct Lexer<'a> {
-    src: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-    line_starts: Vec<u32>,
-}
-
-impl<'a> Lexer<'a> {
-    pub(crate) fn new(src: &'a str) -> Result<Self, LexError> {
-        if u32::try_from(src.len()).is_err() {
-            return Err(LexError {
-                start: 0,
-                end: 0,
-                kind: LexErrorKind::TooLong,
-            });
-        }
-        Ok(Lexer {
-            src,
-            bytes: src.as_bytes(),
-            pos: 0,
-            line_starts: vec![0],
-        })
+/// Lexes `src` onto `toks`, ending in one `Eof`, and pushes the byte
+/// offset of every line start onto `line_starts`. On an error `toks`
+/// holds the tokens before it, and no `Eof`.
+///
+/// One loop reads the whole source; a token is pushed where it ends. The
+/// `Eof` of a source that ends inside a comment sits where the comment
+/// starts.
+pub(crate) fn lex_into(
+    src: &str,
+    toks: &mut Vec<Token>,
+    line_starts: &mut Vec<u32>,
+) -> Result<(), LexError> {
+    if u32::try_from(src.len()).is_err() {
+        return Err(LexError {
+            start: 0,
+            end: 0,
+            kind: LexErrorKind::TooLong,
+        });
     }
-
-    /// The next token; `Eof` once the source is exhausted. The `Eof` of
-    /// a source that ends inside a comment sits where the comment starts.
-    pub(crate) fn next_token(&mut self) -> Result<Token, LexError> {
-        let bytes = self.bytes;
-        let mut eof_at = None;
-        while let Some(&c) = bytes.get(self.pos) {
-            match c {
-                b'\n' => {
-                    self.pos += 1;
-                    self.line_starts.push(self.pos as u32);
-                }
-                b' ' | b'\t' | b'\r' | b'\x0c' => self.pos += 1,
-                b'-' if bytes.get(self.pos + 1) == Some(&b'-') => {
-                    let comment = self.pos;
-                    match bytes[comment..].iter().position(|&b| b == b'\n') {
-                        Some(len) => self.pos += len,
-                        None => {
-                            self.pos = bytes.len();
-                            eof_at = Some(comment);
-                        }
+    let bytes = src.as_bytes();
+    let error = |start: usize, end: usize, kind| Err(LexError { start, end, kind });
+    line_starts.push(0);
+    let mut eof_at = bytes.len();
+    let mut pos = 0;
+    while let Some(&c) = bytes.get(pos) {
+        let start = pos;
+        let next = bytes.get(pos + 1).copied();
+        let (kind, len) = match c {
+            b' ' | b'\t' | b'\r' | b'\x0c' => {
+                pos += 1;
+                continue;
+            }
+            b'\n' => {
+                pos += 1;
+                line_starts.push(pos as u32);
+                continue;
+            }
+            b'-' if next == Some(b'-') => {
+                match bytes[pos..].iter().position(|&b| b == b'\n') {
+                    Some(len) => pos += len,
+                    None => {
+                        eof_at = pos;
+                        pos = bytes.len();
                     }
                 }
-                _ => break,
+                continue;
             }
-        }
-        let start = self.pos;
-        let Some(&c) = bytes.get(start) else {
-            let at = eof_at.unwrap_or(start) as u32;
-            return Ok(Token {
-                kind: TokKind::Eof,
-                start: at,
-                end: at,
-            });
-        };
-        let next = bytes.get(start + 1).copied();
-        let (kind, len) = match c {
             b'(' => (TokKind::LParen, 1),
             b')' => (TokKind::RParen, 1),
             b'{' => (TokKind::LBrace, 1),
@@ -295,7 +288,7 @@ impl<'a> Lexer<'a> {
             b':' if next == Some(b'=') => (TokKind::Assign, 2),
             b':' => (TokKind::Colon, 1),
             b'.' if next == Some(b'.') => (TokKind::DotDot, 2),
-            b'.' => return Err(self.error(start + 1, LexErrorKind::Dot)),
+            b'.' => return error(start, start + 1, LexErrorKind::Dot),
             b'!' if next == Some(b'=') => (TokKind::Ne, 2),
             b'!' => (TokKind::Bang, 1),
             b'<' if next == Some(b'=') => (TokKind::Le, 2),
@@ -313,8 +306,8 @@ impl<'a> Lexer<'a> {
                     .take_while(|b| b.is_ascii_digit())
                     .count();
                 // Eighteen digits always fit; longer runs are checked.
-                if len > 18 && self.src[start..start + len].parse::<i64>().is_err() {
-                    return Err(self.error(start + len, LexErrorKind::IntRange));
+                if len > 18 && src[start..start + len].parse::<i64>().is_err() {
+                    return error(start, start + len, LexErrorKind::IntRange);
                 }
                 (TokKind::Int, len)
             }
@@ -331,23 +324,21 @@ impl<'a> Lexer<'a> {
                 }
                 (TokKind::Ident, end - start)
             }
-            other => return Err(self.error(start + 1, LexErrorKind::Char(other as char))),
+            other => return error(start, start + 1, LexErrorKind::Char(other as char)),
         };
-        self.pos = start + len;
-        Ok(Token {
+        pos = start + len;
+        toks.push(Token {
             kind,
             start: start as u32,
-            end: self.pos as u32,
-        })
+            end: pos as u32,
+        });
     }
-
-    fn error(&self, end: usize, kind: LexErrorKind) -> LexError {
-        LexError {
-            start: self.pos,
-            end,
-            kind,
-        }
-    }
+    toks.push(Token {
+        kind: TokKind::Eof,
+        start: eof_at as u32,
+        end: eof_at as u32,
+    });
+    Ok(())
 }
 
 #[cfg(test)]

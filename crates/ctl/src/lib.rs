@@ -17,9 +17,10 @@
 //!
 //! - [`parse_formula`]: text → [`Formula`], rejecting out-of-subset
 //!   properties with a precise [`SubsetError`];
-//! - [`tokenize`]: the one tokenizer that model decks share, and
+//! - [`tokenize`]: the one tokenizer that model decks share;
 //!   [`BodyReader`], which reads a deck's property bodies straight from
-//!   the deck's tokens;
+//!   the deck's tokens, and [`parse_body`], which reads one again from
+//!   its source spelling;
 //! - [`observability_transform`]: Definition 5's rewriting `φ`, which
 //!   makes coverage attribution intuitive for implications and Until.
 //!
@@ -48,5 +49,7 @@ pub use ast::{CmpOp, CmpRhs, Formula, PropExpr, SignalRef};
 pub use error::{CtlError, ParseFormulaError, SubsetError};
 pub use general::Ctl;
 pub use lex::{int_value, tokenize, LexError, LexErrorKind, TokKind, Token, Tokens, MAX_DEPTH};
-pub use parse::{parse_ast, parse_formula, too_deep_message, Ast, Body, BodyReader};
+pub use parse::{
+    body_text, parse_ast, parse_body, parse_formula, too_deep_message, Ast, Body, BodyReader,
+};
 pub use transform::observability_transform;

@@ -7,13 +7,14 @@
 //! whether its subtree is propositional, so one top-down pass decides
 //! the paper's subset, reporting a precise [`SubsetError`] when the
 //! property falls outside it. The same code reads a property from a
-//! string ([`parse_formula`]) and from a slice of a deck's tokens
-//! ([`BodyReader`]), so a deck's `SPEC` bodies are lexed once, with the
-//! deck.
+//! string ([`parse_formula`]), from a slice of a deck's tokens
+//! ([`BodyReader`]), so a deck's `SPEC` bodies are lexed with the deck,
+//! and from a body's source spelling ([`parse_body`]), which is how
+//! compile reads them again.
 
 use crate::ast::{CmpOp, CmpRhs, Formula, PropExpr, SignalRef};
 use crate::error::{CtlError, ParseFormulaError, SubsetError};
-use crate::lex::{int_value, LexError, LexErrorKind, Lexer, TokKind, Token, MAX_DEPTH};
+use crate::lex::{int_value, lex_into, LexError, LexErrorKind, TokKind, Token, MAX_DEPTH};
 
 /// A general CTL parse tree (superset of the acceptable subset), built
 /// on request by [`parse_ast`]; the subset check and [`parse_formula`]
@@ -109,6 +110,21 @@ impl Stop {
         Stop::Syntax {
             at,
             message: message.into(),
+        }
+    }
+
+    /// The error this stop gives, the token index `at` located by
+    /// `position`.
+    fn located(self, position: impl Fn(usize) -> usize) -> ParseFormulaError {
+        match self {
+            Stop::Syntax { at, message } => ParseFormulaError {
+                position: position(at),
+                message,
+            },
+            Stop::TooDeep { at } => ParseFormulaError {
+                position: position(at),
+                message: too_deep_message(),
+            },
         }
     }
 }
@@ -611,28 +627,31 @@ fn parse_str(
     toks: &mut Vec<Token>,
     nodes: &mut Vec<Slot>,
 ) -> Result<(), ParseFormulaError> {
-    let mut lexer = Lexer::new(src).map_err(|e| lex_error(src, e))?;
+    let lexed = lex_into(src, toks, &mut Vec::new());
+    if lexed.is_ok() {
+        toks.pop(); // `Eof`
+    }
     // A `-` glued to digits is part of the literal, one `Int` token,
     // wherever it stands; a spaced `-` is a sign only on a comparison's
     // right-hand side (see [`foreign_token`]). A deck's body text spaces
     // every `-`.
-    let lexed = loop {
-        match lexer.next_token() {
-            Ok(t) if t.kind == TokKind::Eof => break Ok(()),
-            Ok(t) => match toks.last_mut() {
-                Some(m)
-                    if m.kind == TokKind::Minus && m.end == t.start && t.kind == TokKind::Int =>
-                {
-                    *m = Token {
-                        start: m.start,
-                        ..t
-                    };
-                }
-                _ => toks.push(t),
-            },
-            Err(e) => break Err(e),
+    let mut kept = 0usize;
+    for i in 0..toks.len() {
+        let t = toks[i];
+        match kept.checked_sub(1).map(|m| &mut toks[m]) {
+            Some(m) if m.kind == TokKind::Minus && m.end == t.start && t.kind == TokKind::Int => {
+                *m = Token {
+                    start: m.start,
+                    ..t
+                };
+            }
+            _ => {
+                toks[kept] = t;
+                kept += 1;
+            }
         }
-    };
+    }
+    toks.truncate(kept);
     // A lexing error ends the tokens, but a foreign token before it is
     // reported first: errors come in source order. An out-of-range
     // integer's sign is part of the literal.
@@ -656,16 +675,7 @@ fn parse_str(
         });
     }
     lexed.map_err(|e| lex_error(src, e))?;
-    parse_tokens(src, toks, nodes, &mut Vec::new()).map_err(|stop| match stop {
-        Stop::Syntax { at: i, message } => ParseFormulaError {
-            position: at(i),
-            message,
-        },
-        Stop::TooDeep { at: i } => ParseFormulaError {
-            position: at(i),
-            message: too_deep_message(),
-        },
-    })
+    parse_tokens(src, toks, nodes, &mut Vec::new()).map_err(|stop| stop.located(at))
 }
 
 fn lex_error(src: &str, e: LexError) -> ParseFormulaError {
@@ -726,6 +736,111 @@ pub fn parse_formula(src: &str) -> Result<Formula, CtlError> {
     Ok(parsed.formula(parsed.root()))
 }
 
+/// Writes the deck-body text of `toks`, a slice of the tokens of `src`,
+/// into `text`: the tokens separated by single spaces, integers printed
+/// by value. Pushes each token's byte offset in the text onto `offsets`.
+fn spell(src: &str, toks: &[Token], text: &mut String, offsets: &mut Vec<u32>) {
+    text.clear();
+    offsets.clear();
+    if let (Some(first), Some(last)) = (toks.first(), toks.last()) {
+        // The source spelling's length, a close guess for the text's.
+        text.reserve((last.end - first.start) as usize + 1);
+    }
+    for t in toks {
+        if !text.is_empty() {
+            text.push(' ');
+        }
+        offsets.push(text.len() as u32);
+        match t.kind {
+            TokKind::Ident => text.push_str(&src[t.span()]),
+            TokKind::Int => {
+                let digits = &src[t.span()];
+                let trimmed = digits.trim_start_matches('0');
+                text.push_str(if trimmed.is_empty() { "0" } else { trimmed });
+            }
+            kind => text.push_str(kind.spelling()),
+        }
+    }
+}
+
+/// The body `toks` (tokens of `src`, no `Eof`) parsed into `nodes` and
+/// checked against the subset, or why not. `stack` is scratch.
+fn check_body(
+    src: &str,
+    toks: &[Token],
+    nodes: &mut Vec<Slot>,
+    stack: &mut Vec<u32>,
+) -> Result<(), BodyStop> {
+    parse_tokens(src, toks, nodes, stack).map_err(BodyStop::Parse)?;
+    Parsed { src, toks, nodes }
+        .check_subset(stack)
+        .map_err(BodyStop::Subset)
+}
+
+/// Why a body was not accepted.
+enum BodyStop {
+    Parse(Stop),
+    Subset(SubsetError),
+}
+
+/// The error of the rejected body `toks` (tokens of `src`), located in
+/// its text, which is written into `text`.
+fn reject(src: &str, toks: &[Token], stop: BodyStop, text: &mut String) -> CtlError {
+    let mut offsets = Vec::with_capacity(toks.len());
+    spell(src, toks, text, &mut offsets);
+    match stop {
+        BodyStop::Subset(e) => CtlError::Subset(e),
+        BodyStop::Parse(stop) => {
+            CtlError::Parse(stop.located(|i| offsets.get(i).map_or(text.len(), |&o| o as usize)))
+        }
+    }
+}
+
+/// Parses a property body in the acceptable subset from its source
+/// spelling, as a deck spells it (comments and line breaks included):
+/// the deck's tokenizer, then the grammar and subset check that
+/// [`BodyReader`] runs on the deck's tokens. For the spelling of a deck
+/// body this is exactly what [`parse_formula`] makes of [`body_text`],
+/// error positions included; only an error builds that text.
+///
+/// # Errors
+///
+/// Returns [`CtlError::Parse`] on malformed syntax (a spelling that does
+/// not lex, which no deck body is, is reported at the offending byte of
+/// the spelling) and [`CtlError::Subset`] outside the acceptable subset.
+pub fn parse_body(spelling: &str) -> Result<Formula, CtlError> {
+    // Unlike `parse_str`, a `-` stays a token of its own, as in a deck.
+    let mut toks = Vec::with_capacity(spelling.len() / 2 + 1);
+    lex_into(spelling, &mut toks, &mut Vec::new()).map_err(|e| lex_error(spelling, e))?;
+    toks.pop(); // `Eof`
+    let mut nodes = Vec::with_capacity(toks.len());
+    match check_body(spelling, &toks, &mut nodes, &mut Vec::new()) {
+        Ok(()) => {
+            let parsed = Parsed {
+                src: spelling,
+                toks: &toks,
+                nodes: &nodes,
+            };
+            Ok(parsed.formula(parsed.root()))
+        }
+        Err(stop) => Err(reject(spelling, &toks, stop, &mut String::new())),
+    }
+}
+
+/// The text of a property body from its source spelling: its tokens, as
+/// the deck's tokenizer reads them, separated by single spaces, integers
+/// printed by value (`x = -03` reads `x = - 3`). A spelling that does not
+/// lex, which no deck body is, is spelled up to its first lexing error.
+pub fn body_text(spelling: &str) -> String {
+    let mut toks = Vec::new();
+    if lex_into(spelling, &mut toks, &mut Vec::new()).is_ok() {
+        toks.pop(); // `Eof`
+    }
+    let mut text = String::new();
+    spell(spelling, &toks, &mut text, &mut Vec::new());
+    text
+}
+
 /// What [`BodyReader::read`] makes of a property body.
 #[derive(Debug)]
 pub enum Body<'r> {
@@ -745,61 +860,29 @@ pub enum Body<'r> {
 pub struct BodyReader {
     nodes: Vec<Slot>,
     indices: Vec<u32>,
-    offsets: Vec<u32>,
 }
 
 impl BodyReader {
     /// Reads the body `toks`, a nonempty slice of the tokens of `src`
-    /// without `Eof`. Writes the body's text into `text`: its tokens
-    /// separated by single spaces, integers printed by value. What it
-    /// returns is exactly what [`parse_formula`] makes of that text,
-    /// error positions included, except that nesting beyond
-    /// [`MAX_DEPTH`] names the offending token.
+    /// without `Eof`. What it returns is exactly what [`parse_formula`]
+    /// makes of the body's text ([`body_text`] of its spelling), error
+    /// positions included, except that nesting beyond [`MAX_DEPTH`] names
+    /// the offending token. It writes that text into `text` only when it
+    /// rejects the body: the text is what a rejection's message quotes
+    /// and its position points into.
     pub fn read(&mut self, src: &str, toks: &[Token], text: &mut String) -> Body<'_> {
-        text.clear();
-        if let (Some(first), Some(last)) = (toks.first(), toks.last()) {
-            // The source spelling's length, a close guess for the text's.
-            text.reserve((last.end - first.start) as usize + 1);
-        }
-        self.offsets.clear();
-        for t in toks {
-            if !text.is_empty() {
-                text.push(' ');
-            }
-            self.offsets.push(text.len() as u32);
-            match t.kind {
-                TokKind::Ident => text.push_str(&src[t.span()]),
-                TokKind::Int => {
-                    let digits = &src[t.span()];
-                    let trimmed = digits.trim_start_matches('0');
-                    text.push_str(if trimmed.is_empty() { "0" } else { trimmed });
-                }
-                kind => text.push_str(kind.spelling()),
-            }
-        }
-        let at = |i: usize| self.offsets.get(i).map_or(text.len(), |&o| o as usize);
-        match parse_tokens(src, toks, &mut self.nodes, &mut self.indices) {
-            Err(Stop::TooDeep { at: i }) => Body::TooDeep(i),
-            Err(Stop::Syntax { at: i, message }) => {
-                Body::Rejected(CtlError::Parse(ParseFormulaError {
-                    position: at(i),
-                    message,
-                }))
-            }
+        match check_body(src, toks, &mut self.nodes, &mut self.indices) {
             Ok(()) => {
                 let parsed = Parsed {
                     src,
                     toks,
                     nodes: &self.nodes,
                 };
-                match parsed.check_subset(&mut self.indices) {
-                    Err(e) => Body::Rejected(CtlError::Subset(e)),
-                    Ok(()) => {
-                        parsed.signals(&mut self.indices);
-                        Body::Signals(&self.indices)
-                    }
-                }
+                parsed.signals(&mut self.indices);
+                Body::Signals(&self.indices)
             }
+            Err(BodyStop::Parse(Stop::TooDeep { at })) => Body::TooDeep(at),
+            Err(stop) => Body::Rejected(reject(src, toks, stop, text)),
         }
     }
 }
@@ -979,18 +1062,48 @@ mod tests {
         let mut reader = BodyReader::default();
         let mut text = String::new();
         for end in 1..=toks.len() {
-            let body = reader.read(deck, &toks[..end], &mut text);
-            let direct = parse_formula(&text);
-            match (body, direct) {
+            let body = &toks[..end];
+            let spelling = &deck[body[0].start as usize..body[end - 1].end as usize];
+            let spaced = body_text(spelling);
+            let direct = parse_formula(&spaced);
+            assert_eq!(parse_body(spelling), direct, "{spelling}");
+            text.clear();
+            match (reader.read(deck, body, &mut text), direct) {
                 (Body::Signals(s), Ok(f)) => {
                     let names: Vec<&str> =
                         s.iter().map(|&i| &deck[toks[i as usize].span()]).collect();
-                    assert_eq!(names, f.signals(), "{text}");
+                    assert_eq!(names, f.signals(), "{spaced}");
+                    assert!(text.is_empty(), "an accepted body is not spelled out");
                 }
-                (Body::Rejected(e), Err(d)) => assert_eq!(e, d, "{text}"),
-                (body, direct) => panic!("{text}: {body:?} vs {direct:?}"),
+                (Body::Rejected(e), Err(d)) => {
+                    assert_eq!(e, d, "{spaced}");
+                    assert_eq!(text, spaced);
+                }
+                (body, direct) => panic!("{spaced}: {body:?} vs {direct:?}"),
             }
         }
         assert_eq!(text, "x = 7 & AG ( y -> AX z ) | EF - 3 ..");
+    }
+
+    #[test]
+    fn a_body_reads_the_same_from_its_spelling() {
+        for (spelling, text) in [
+            ("AG (x = -03 -> AX x = - 2)", "AG ( x = - 3 -> AX x = - 2 )"),
+            ("A[p U q] -- a comment\n  & AX\tr", "A [ p U q ] & AX r"),
+            ("p -> -- no sign\n - 3", "p -> - 3"),
+            ("A[p q]", "A [ p q ]"),
+            ("(((p", "( ( ( p"),
+            ("EF p", "EF p"),
+        ] {
+            assert_eq!(body_text(spelling), text, "{spelling}");
+            assert_eq!(parse_body(spelling), parse_formula(text), "{spelling}");
+        }
+        let deep = format!("{}p{}", "(".repeat(200), ")".repeat(200));
+        let e = parse_body(&deep).unwrap_err();
+        assert_eq!(e, parse_formula(&body_text(&deep)).unwrap_err());
+        assert_eq!(
+            e.to_string(),
+            format!("parse error at byte 256: {}", too_deep_message())
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! Abstract syntax of the `covest` modeling language (an SMV dialect).
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use covest_ctl::CtlError;
+use covest_ctl::{CtlError, Formula};
 
 /// The most values a `lo..hi` range may declare. Compile enumerates a
 /// ranged variable value by value, so its cost grows with the count:
@@ -191,41 +191,52 @@ pub struct Define {
 
 /// One `SPEC` or `FAIRNESS` declaration.
 ///
-/// The body is kept as text, its tokens separated by single spaces and
-/// integers printed by value; compile parses that text into a formula
-/// once per compiled machine. [`crate::parse_module`] also reads the
-/// body once, up front, straight from the deck's tokens
-/// ([`covest_ctl::BodyReader`]), and keeps only what static analysis
-/// needs: the body's signal names, or the error
-/// [`covest_ctl::parse_formula`] gives for the text. No formula tree and
-/// no tokens are kept, so a batch plan holding many parsed decks holds
-/// names, not trees; and the declarations of one deck share one
-/// allocation per name, since its properties mention a few signals many
-/// times.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`crate::parse_module`] reads the body once, up front, straight from
+/// the deck's tokens ([`covest_ctl::BodyReader`]), and keeps what
+/// planning needs: the body's source spelling (its first token to its
+/// last, comments and line breaks included) and its signal names, or
+/// the error [`covest_ctl::parse_formula`] gives for its text. No formula
+/// tree and no tokens are kept, so a batch plan holding many parsed
+/// decks holds names and spellings, not trees; and the declarations of
+/// one deck share one allocation per name, since its properties mention
+/// a few signals many times. Compile reads each formula again from the
+/// spelling ([`SpecDecl::formula`]).
+///
+/// The text, the body's tokens separated by single spaces, is what
+/// messages quote. It is built on the first call to [`SpecDecl::text`],
+/// or up front for a body the parser rejects, and nothing else depends
+/// on whether it has been: `Debug` and `==` see the spelling, the line
+/// and the signals.
+#[derive(Clone)]
 pub struct SpecDecl {
-    text: String,
+    spelling: Box<str>,
     line: usize,
     signals: Result<Box<[Arc<str>]>, Box<CtlError>>,
+    text: OnceLock<Box<str>>,
 }
 
 impl SpecDecl {
-    /// A declaration of `text` at `line` with what the parser made of it.
+    /// A declaration spelled `spelling` at `line` with what the parser
+    /// made of it, and its text when the parser has already built it.
     pub(crate) fn new(
-        text: String,
+        spelling: Box<str>,
         line: usize,
         signals: Result<Box<[Arc<str>]>, Box<CtlError>>,
+        text: Option<Box<str>>,
     ) -> Self {
         SpecDecl {
-            text,
+            spelling,
             line,
             signals,
+            text: text.map(OnceLock::from).unwrap_or_default(),
         }
     }
 
-    /// The body text: its tokens separated by single spaces.
+    /// The body text: its tokens separated by single spaces, integers
+    /// printed by value ([`covest_ctl::body_text`] of the spelling).
     pub fn text(&self) -> &str {
-        &self.text
+        self.text
+            .get_or_init(|| covest_ctl::body_text(&self.spelling).into())
     }
 
     /// 1-based source line of the declaration (0 when synthesized).
@@ -242,7 +253,38 @@ impl SpecDecl {
             Err(e) => Err(e),
         }
     }
+
+    /// The body as a formula in the acceptable subset, read from the
+    /// spelling by the deck's tokenizer and the property grammar
+    /// ([`covest_ctl::parse_body`]): exactly what
+    /// [`covest_ctl::parse_formula`] makes of the text, without building
+    /// the text unless the body is rejected.
+    ///
+    /// # Errors
+    ///
+    /// The error [`SpecDecl::signals`] holds, for a rejected body.
+    pub fn formula(&self) -> Result<Formula, CtlError> {
+        covest_ctl::parse_body(&self.spelling)
+    }
 }
+
+impl fmt::Debug for SpecDecl {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpecDecl")
+            .field("spelling", &self.spelling)
+            .field("line", &self.line)
+            .field("signals", &self.signals)
+            .finish()
+    }
+}
+
+impl PartialEq for SpecDecl {
+    fn eq(&self, other: &Self) -> bool {
+        self.spelling == other.spelling && self.line == other.line && self.signals == other.signals
+    }
+}
+
+impl Eq for SpecDecl {}
 
 /// One name from an `OBSERVED` list.
 #[derive(Debug, Clone, PartialEq, Eq)]

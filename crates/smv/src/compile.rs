@@ -114,7 +114,7 @@ pub fn decl_bit_names(decl: &VarDecl) -> Vec<String> {
 
 struct Compiler<'a> {
     vars: HashMap<&'a str, VarInfo<'a>>,
-    /// `DEFINE` bodies by name; the first of a repeated name wins.
+    /// `DEFINE` bodies by name.
     defines: HashMap<&'a str, &'a Expr>,
     literals: HashMap<String, i64>,
     define_cache: HashMap<String, Value>,
@@ -476,9 +476,9 @@ pub fn compile_module_with(
 ///
 /// # Errors
 ///
-/// Returns [`ModelError`] for type errors, non-exhaustive cases, range
-/// overflows, unknown names, missing `next()` assignments, or SPEC /
-/// FAIRNESS bodies that fail to parse.
+/// Returns [`ModelError`] for repeated variable or `DEFINE` names, type
+/// errors, non-exhaustive cases, range overflows, unknown names, missing
+/// `next()` assignments, or SPEC / FAIRNESS bodies that fail to parse.
 pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel, ModelError> {
     let _span = covest_telemetry::span("compile");
     // Duplicate checks + literal table.
@@ -503,6 +503,17 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
                     literals.insert(l.clone(), i as i64);
                 }
             }
+        }
+    }
+
+    // A name is defined once, as SMV rejects a redefinition.
+    let mut defines = HashMap::with_capacity(module.defines.len());
+    for def in &module.defines {
+        if defines.insert(def.name.as_str(), &def.expr).is_some() {
+            return Err(ModelError::nowhere(format!(
+                "duplicate DEFINE `{}`",
+                def.name
+            )));
         }
     }
 
@@ -579,10 +590,6 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
     }
     let valid = invalid_codes.not();
 
-    let mut defines = HashMap::with_capacity(module.defines.len());
-    for def in &module.defines {
-        defines.entry(def.name.as_str()).or_insert(&def.expr);
-    }
     let mut compiler = Compiler {
         vars,
         defines,
@@ -694,18 +701,17 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
         .build()
         .map_err(|e| ModelError::nowhere(e.to_string()))?;
 
-    // Parse SPEC and FAIRNESS bodies.
+    // Read SPEC and FAIRNESS bodies from their spellings.
     let mut specs = Vec::with_capacity(module.specs.len());
     for s in &module.specs {
-        let f = covest_ctl::parse_formula(s.text()).map_err(|e| bad_spec(s.text(), &e))?;
-        specs.push(f);
+        specs.push(s.formula().map_err(|e| bad_spec(s, &e))?);
     }
     let mut fairness = Vec::with_capacity(module.fairness.len());
     for s in &module.fairness {
-        match covest_ctl::parse_formula(s.text()) {
+        match s.formula() {
             Ok(covest_ctl::Formula::Prop(p)) => fairness.push(p),
-            Err(CtlError::Parse(e)) => return Err(bad_fairness(s.text(), Some(&e))),
-            _ => return Err(bad_fairness(s.text(), None)),
+            Err(CtlError::Parse(e)) => return Err(bad_fairness(s, Some(&e))),
+            _ => return Err(bad_fairness(s, None)),
         }
     }
 
@@ -844,14 +850,16 @@ fn check_range(
     Ok(())
 }
 
-/// The error compile reports for a `SPEC` body the CTL parser rejects.
-fn bad_spec(text: &str, e: &CtlError) -> ModelError {
-    ModelError::nowhere(format!("SPEC `{text}`: {e}"))
+/// The error compile reports for a `SPEC` body the CTL parser rejects;
+/// it quotes the body's text.
+fn bad_spec(decl: &SpecDecl, e: &CtlError) -> ModelError {
+    ModelError::nowhere(format!("SPEC `{}`: {e}", decl.text()))
 }
 
 /// The error compile reports for a `FAIRNESS` body that does not parse
-/// (`Some`) or is not propositional (`None`).
-fn bad_fairness(text: &str, parse: Option<&ParseFormulaError>) -> ModelError {
+/// (`Some`) or is not propositional (`None`); it quotes the body's text.
+fn bad_fairness(decl: &SpecDecl, parse: Option<&ParseFormulaError>) -> ModelError {
+    let text = decl.text();
     match parse {
         Some(e) => ModelError::nowhere(format!("FAIRNESS `{text}`: {e}")),
         None => ModelError::nowhere(format!("FAIRNESS `{text}` must be propositional")),
@@ -865,18 +873,16 @@ impl Module {
     /// parses. Static analysis fails with it before anything compiles,
     /// so every command names a bad property the same way.
     pub fn property_error(&self) -> Option<ModelError> {
-        fn rejected(decls: &[SpecDecl]) -> Option<(&str, &CtlError)> {
-            decls
-                .iter()
-                .find_map(|s| Some((s.text(), s.signals().err()?)))
+        fn rejected(decls: &[SpecDecl]) -> Option<(&SpecDecl, &CtlError)> {
+            decls.iter().find_map(|s| Some((s, s.signals().err()?)))
         }
-        if let Some((text, e)) = rejected(&self.specs) {
-            return Some(bad_spec(text, e));
+        if let Some((decl, e)) = rejected(&self.specs) {
+            return Some(bad_spec(decl, e));
         }
-        let (text, e) = rejected(&self.fairness)?;
+        let (decl, e) = rejected(&self.fairness)?;
         Some(match e {
-            CtlError::Parse(e) => bad_fairness(text, Some(e)),
-            CtlError::Subset(_) => bad_fairness(text, None),
+            CtlError::Parse(e) => bad_fairness(decl, Some(e)),
+            CtlError::Subset(_) => bad_fairness(decl, None),
         })
     }
 }

@@ -18,7 +18,8 @@
 //! - `DEFINE full := count = 7;` — macros, exported as named signals
 //! - `SPEC <ACTL property>;` — properties in the acceptable subset,
 //!   read once by [`parse_module`] from the deck's tokens for their
-//!   signal names (see [`SpecDecl`]) and again by compile into formulas;
+//!   signal names (see [`SpecDecl`]) and again by compile, from their
+//!   source spelling, into formulas;
 //!   a comparison may name a negative literal (`x = -3`)
 //! - `FAIRNESS <proposition>;` — fairness constraints (Section 4.3)
 //! - `OBSERVED count, full;` — observed signals for coverage (extension)

@@ -2,7 +2,8 @@
 //!
 //! The deck is lexed once by the shared tokenizer; `SPEC` and
 //! `FAIRNESS` bodies are read by the CTL grammar straight from the
-//! deck's tokens ([`covest_ctl::BodyReader`]).
+//! deck's tokens ([`covest_ctl::BodyReader`]) and kept as their source
+//! spelling (see [`SpecDecl`]).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -26,6 +27,9 @@ const SECTIONS: &[&str] = &[
 struct Parser<'a> {
     toks: Tokens<'a>,
     idx: usize,
+    /// The 1-based line of the last declaration read: a forward cursor
+    /// over the line starts, since declarations come in source order.
+    line: usize,
     /// Open nesting levels of the current expression.
     depth: usize,
     /// The signal names of the deck's properties, one allocation each.
@@ -53,8 +57,15 @@ impl<'a> Parser<'a> {
         self.peek() == TokKind::Ident && self.text() == word
     }
 
-    fn line(&self) -> usize {
-        self.toks.line_col(self.tok().start as usize).0
+    /// The line of the current token, which is never before the last
+    /// one asked for.
+    fn line(&mut self) -> usize {
+        let pos = self.tok().start;
+        let starts = self.toks.line_starts();
+        while starts.get(self.line).is_some_and(|&s| s <= pos) {
+            self.line += 1;
+        }
+        self.line
     }
 
     /// Moves past the current token; the final `Eof` is never passed.
@@ -297,26 +308,31 @@ impl<'a> Parser<'a> {
         }
         let src = self.toks.source();
         let body = &self.toks.tokens()[start..end];
+        let spelling = &src[body[0].start as usize..body[body.len() - 1].end as usize];
+        // Written only for a rejected body, so it allocates only then.
         let mut text = String::new();
-        let signals = match self.bodies.read(src, body, &mut text) {
-            Body::Signals(found) => Ok(found
-                .iter()
-                .map(|&i| {
-                    let name = &src[body[i as usize].span()];
-                    match self.names.get(name) {
-                        Some(shared) => Arc::clone(shared),
-                        None => {
-                            let shared: Arc<str> = name.into();
-                            self.names.insert(Arc::clone(&shared));
-                            shared
+        let (signals, text) = match self.bodies.read(src, body, &mut text) {
+            Body::Signals(found) => {
+                let names = found
+                    .iter()
+                    .map(|&i| {
+                        let name = &src[body[i as usize].span()];
+                        match self.names.get(name) {
+                            Some(shared) => Arc::clone(shared),
+                            None => {
+                                let shared: Arc<str> = name.into();
+                                self.names.insert(Arc::clone(&shared));
+                                shared
+                            }
                         }
-                    }
-                })
-                .collect()),
-            Body::Rejected(e) => Err(Box::new(e)),
+                    })
+                    .collect();
+                (Ok(names), None)
+            }
+            Body::Rejected(e) => (Err(Box::new(e)), Some(text.into_boxed_str())),
             Body::TooDeep(i) => return Err(self.error_at(body[i], too_deep_message())),
         };
-        Ok(SpecDecl::new(text, line, signals))
+        Ok(SpecDecl::new(spelling.into(), line, signals, text))
     }
 
     // Expression grammar, loosest binding first.
@@ -504,6 +520,7 @@ pub fn parse_module(src: &str) -> Result<Module, ModelError> {
     let mut p = Parser {
         toks: lex(src)?,
         idx: 0,
+        line: 0,
         depth: 0,
         names: BTreeSet::new(),
         bodies: BodyReader::default(),
