@@ -22,6 +22,9 @@ use crate::graph::{for_each_name, Cone, DepGraph, NameKind};
 pub mod rules {
     /// The deck does not parse; nothing else can be checked.
     pub const PARSE_ERROR: &str = "parse-error";
+    /// A `VAR`/`IVAR` or `DEFINE` name declared twice (the first
+    /// repeat, as compile names it).
+    pub const DUPLICATE_NAME: &str = "duplicate-name";
     /// A `SPEC` or `FAIRNESS` body the CTL parser rejects.
     pub const BAD_PROPERTY: &str = "bad-property";
     /// An identifier that is not a variable, `DEFINE`, or enum literal.
@@ -151,6 +154,16 @@ pub fn lint_module(module: &Module) -> Vec<Diagnostic> {
     let suite = graph.suite_cone();
     let mut out = Vec::new();
 
+    if let Some((name, line, e)) = module.repeated_name() {
+        out.push(Diagnostic {
+            rule: rules::DUPLICATE_NAME,
+            severity: Severity::Error,
+            line,
+            name: name.to_owned(),
+            message: e.message,
+            decl_index: usize::MAX,
+        });
+    }
     check_undefined_names(module, &graph, &mut out);
     check_properties(module, &graph, &mut out);
     check_define_cycles(module, &graph, &mut out);

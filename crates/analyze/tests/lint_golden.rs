@@ -49,6 +49,14 @@ fn bad_property_fixture() {
 }
 
 #[test]
+fn duplicate_name_fixture() {
+    assert_findings(
+        "models/lint_fixtures/duplicate_name.smv",
+        &[(rules::DUPLICATE_NAME, Severity::Error, 8, "e")],
+    );
+}
+
+#[test]
 fn undefined_name_fixture() {
     assert_findings(
         "models/lint_fixtures/undefined_name.smv",

@@ -80,11 +80,6 @@ impl BddManager {
         }
     }
 
-    /// `true` if `other` is a handle to the same underlying engine.
-    pub fn same_manager(&self, other: &BddManager) -> bool {
-        Rc::ptr_eq(&self.inner, &other.inner)
-    }
-
     // ---- variables ----------------------------------------------------
 
     /// Creates a fresh variable, ordered after all existing variables.
@@ -129,13 +124,6 @@ impl BddManager {
         self.inner.borrow().live_nodes()
     }
 
-    /// Engine memory footprint in bytes: the packed 16-byte node arena
-    /// plus every unique table and compute cache. An allocator-independent
-    /// peak-RSS proxy for benchmark reports.
-    pub fn arena_bytes(&self) -> usize {
-        self.inner.borrow().arena_bytes()
-    }
-
     /// One combined reading of the memory gauges — `(live_nodes,
     /// arena_bytes, peak_live_nodes)` — in a single borrow. The
     /// telemetry memory sampler calls this at every span boundary and
@@ -167,11 +155,6 @@ impl BddManager {
     /// The level (position in the variable order, `0` = topmost) of `var`.
     pub fn level_of(&self, var: VarId) -> u32 {
         self.inner.borrow().level_of(var)
-    }
-
-    /// The variable sitting at `level` in the current order.
-    pub fn var_at_level(&self, level: u32) -> VarId {
-        self.inner.borrow().var_at_level(level)
     }
 
     // ---- function constructors ----------------------------------------
@@ -224,27 +207,6 @@ impl BddManager {
         let mut inner = self.inner.borrow_mut();
         let r = inner.and_many(refs);
         Func::wrap(&self.inner, &mut inner, r)
-    }
-
-    /// Disjunction of many operands (false for the empty sequence).
-    pub fn or_many<'a, I: IntoIterator<Item = &'a Func>>(&self, fs: I) -> Func {
-        let refs = self.raw_operands(fs);
-        let mut inner = self.inner.borrow_mut();
-        let r = inner.or_many(refs);
-        Func::wrap(&self.inner, &mut inner, r)
-    }
-
-    /// Runs a closure under a shared borrow of the engine. Crate-internal
-    /// escape hatch for sibling modules (serialization, DOT export) that
-    /// need read access to raw engine state.
-    pub(crate) fn with_inner<R>(&self, f: impl FnOnce(&Inner) -> R) -> R {
-        f(&self.inner.borrow())
-    }
-
-    /// Resolves a slice of handles to raw refs, checking ownership.
-    /// Crate-internal: raw refs are only valid until the next collection.
-    pub(crate) fn raw_refs(&self, fs: &[&Func]) -> Vec<Ref> {
-        self.raw_operands(fs.iter().copied())
     }
 
     /// Resolves a sequence of handles to raw refs, checking ownership.
@@ -531,36 +493,10 @@ impl Func {
         self.unop(|i, a| i.cofactor(a, var, value))
     }
 
-    /// Cofactors by a partial assignment given as literals.
-    pub fn cofactor_cube(&self, literals: &[(VarId, bool)]) -> Func {
-        self.unop(|i, a| i.cofactor_cube(a, literals))
-    }
-
-    /// Functional composition: `self` with `var` replaced by `g`.
-    pub fn compose(&self, var: VarId, g: &Func) -> Func {
-        self.binop(g, |i, a, b| i.compose(a, var, b))
-    }
-
-    /// Simultaneous functional composition: every variable in `map` is
-    /// replaced by the associated function, all at once.
-    pub fn vector_compose(&self, map: &[(VarId, Func)]) -> Func {
-        let mut inner = self.mgr.borrow_mut();
-        let a = self.raw(&inner);
-        let raw_map: Vec<(VarId, Ref)> = map.iter().map(|(v, g)| (*v, g.raw(&inner))).collect();
-        let r = inner.vector_compose(a, &raw_map);
-        Func::wrap(&self.mgr, &mut inner, r)
-    }
-
     /// Renames variables according to `pairs`, interpreted as a
     /// simultaneous swap-free mapping `from → to`.
     pub fn rename(&self, pairs: &[(VarId, VarId)]) -> Func {
         self.unop(|i, a| i.rename(a, pairs))
-    }
-
-    /// Swaps each pair of variables in both directions simultaneously
-    /// (`a ↔ b` for every `(a, b)` in `pairs`).
-    pub fn swap_vars(&self, pairs: &[(VarId, VarId)]) -> Func {
-        self.unop(|i, a| i.swap(a, pairs))
     }
 
     // ---- inspection ---------------------------------------------------
@@ -631,14 +567,6 @@ impl Func {
             Func::wrap(&self.mgr, &mut inner, lo),
             Func::wrap(&self.mgr, &mut inner, hi),
         )
-    }
-
-    /// Fraction of assignments (over all variables) satisfying the
-    /// function, in `[0, 1]`.
-    pub fn density(&self) -> f64 {
-        let inner = self.mgr.borrow();
-        let a = self.raw(&inner);
-        inner.density(a)
     }
 
     /// Number of satisfying assignments over the variable universe
@@ -1024,7 +952,5 @@ mod tests {
         let x1 = m1.var(m1.new_var());
         let x2 = m2.var(m2.new_var());
         assert_ne!(x1, x2);
-        assert!(!m1.same_manager(&m2));
-        assert!(m1.same_manager(&x1.manager()));
     }
 }

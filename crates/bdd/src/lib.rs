@@ -12,7 +12,9 @@
 //! reordering ([`BddManager::reduce_heap`]) therefore take **no roots
 //! argument**: live handles are the live set, and they survive any
 //! collection or reordering with unchanged meaning. Raw node indices are
-//! a crate-private implementation detail.
+//! a crate-private implementation detail. A function lives and dies on
+//! the manager that built it: managers are deliberately not `Send`, and
+//! nothing moves a [`Func`] from one manager to another.
 //!
 //! The engine provides everything a symbolic model checker and the DAC'99
 //! coverage estimator need:
@@ -24,18 +26,11 @@
 //! - quantification ([`Func::exists`], [`Func::forall`]) and the fused
 //!   relational product ([`Func::and_exists`]) every image computation
 //!   runs on;
-//! - substitution and renaming ([`Func::compose`],
-//!   [`Func::vector_compose`], [`Func::rename`], [`Func::swap_vars`])
-//!   for next-state/current-state moves and the paper's *dual FSM*
-//!   construction;
+//! - variable renaming ([`Func::rename`]) for next-state/current-state
+//!   moves;
 //! - model counting ([`Func::sat_count_over`], [`Func::sat_count_exact`])
 //!   for coverage percentages, plus cube/minterm enumeration for
 //!   reporting uncovered states;
-//! - name-keyed serialization ([`Func::export_bdd`],
-//!   [`BddManager::import_bdd`]): a compact levelized node-dump format
-//!   ([`BddDump`]) that moves functions between managers — the bridge the
-//!   parallel coverage engine uses to hand precomputed sets to worker
-//!   threads, since managers are deliberately not `Send`;
 //! - rootless mark-and-sweep garbage collection, with a growth-triggered
 //!   checkpoint ([`BddManager::gc_checkpoint`]) for callers' phase
 //!   boundaries, and DOT export;
@@ -71,7 +66,6 @@ mod manager;
 mod node;
 mod quant;
 mod reorder;
-mod serde;
 mod stats;
 mod subst;
 mod table;
@@ -79,5 +73,4 @@ mod table;
 pub use handle::{BddManager, Cubes, Func, Minterms};
 pub use node::VarId;
 pub use reorder::{ReorderConfig, ReorderMode, ReorderStats};
-pub use serde::{BddDump, SerdeError};
 pub use stats::BddStats;

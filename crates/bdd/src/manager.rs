@@ -77,7 +77,7 @@ pub(crate) struct Inner {
     pub(crate) ext: Vec<ExtSlot>,
     pub(crate) ext_free: Vec<u32>,
     // Generation-tagged caches shared by the unary traversals
-    // (quantification, cofactor, compose) and the fused relational
+    // (quantification, cofactor, substitution) and the fused relational
     // product; a tag bump replaces the old per-call memo clear.
     pub(crate) quant_cache: UnaryCache,
     pub(crate) pair_cache: PairCache,
@@ -85,7 +85,7 @@ pub(crate) struct Inner {
     /// compute cache (`usize::MAX` once all are at their caps).
     cache_refit_at: usize,
     pub(crate) mask_scratch: Vec<bool>,
-    /// Var-indexed substitution scratch for `compose`/`vector_compose`
+    /// Var-indexed substitution scratch for the renaming core
     /// (`NIL_REF` = identity), reused across calls.
     pub(crate) subst_scratch: Vec<Ref>,
     /// Deterministic engine counters (see [`crate::BddStats`]); bumped
@@ -552,18 +552,6 @@ impl Inner {
         acc
     }
 
-    /// Disjunction of many operands (false for the empty list).
-    pub fn or_many<I: IntoIterator<Item = Ref>>(&mut self, fs: I) -> Ref {
-        let mut acc = Ref::FALSE;
-        for f in fs {
-            acc = self.or(acc, f);
-            if acc.is_true() {
-                break;
-            }
-        }
-        acc
-    }
-
     /// Returns `true` if `f → g` is a tautology (set inclusion).
     pub fn leq(&mut self, f: Ref, g: Ref) -> bool {
         self.implies(f, g).is_true()
@@ -951,10 +939,9 @@ mod tests {
     }
 
     #[test]
-    fn and_many_or_many_empty() {
+    fn and_many_empty() {
         let mut b = Inner::new();
         assert!(b.and_many([]).is_true());
-        assert!(b.or_many([]).is_false());
     }
 
     #[test]

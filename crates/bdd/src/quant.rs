@@ -160,15 +160,6 @@ impl Inner {
         self.quant_cache.insert(tag, f, r);
         r
     }
-
-    /// Cofactors `f` by a partial assignment given as literals.
-    pub fn cofactor_cube(&mut self, f: Ref, literals: &[(VarId, bool)]) -> Ref {
-        let mut cur = f;
-        for &(v, val) in literals {
-            cur = self.cofactor(cur, v, val);
-        }
-        cur
-    }
 }
 
 #[cfg(test)]
@@ -233,17 +224,6 @@ mod tests {
         let f = b.ite(fx, fy, Ref::FALSE);
         assert_eq!(b.cofactor(f, x, true), fy);
         assert_eq!(b.cofactor(f, x, false), Ref::FALSE);
-    }
-
-    #[test]
-    fn cofactor_cube_applies_all_literals() {
-        let mut b = Inner::new();
-        let vars = b.new_vars(3);
-        let lits: Vec<Ref> = vars.iter().map(|&v| b.var(v)).collect();
-        let c = b.and(lits[0], lits[1]);
-        let f = b.or(c, lits[2]);
-        let g = b.cofactor_cube(f, &[(vars[0], true), (vars[2], false)]);
-        assert_eq!(g, lits[1]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Substitution: functional composition and variable renaming.
+//! Substitution: variable renaming on a simultaneous-substitution core.
 //!
 //! The substitution map is a manager-owned scratch vector indexed by
 //! variable (`NIL_REF` = identity), and the per-call memo is the shared
@@ -13,30 +13,13 @@ use crate::node::{Ref, VarId};
 const NIL_REF: Ref = Ref(u32::MAX);
 
 impl Inner {
-    /// Functional composition: `f` with `var` replaced by the function `g`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use covest_bdd::BddManager;
-    /// let mgr = BddManager::new();
-    /// let x = mgr.new_var();
-    /// let y = mgr.new_var();
-    /// let ny = mgr.var(y).not();
-    /// // x composed with ¬y is ¬y
-    /// assert_eq!(mgr.var(x).compose(x, &ny), ny);
-    /// ```
-    pub fn compose(&mut self, f: Ref, var: VarId, g: Ref) -> Ref {
-        self.vector_compose(f, &[(var, g)])
-    }
-
     /// Simultaneous functional composition: every variable in `map` is
     /// replaced by the associated function, all at once.
     ///
     /// Simultaneity matters: `vector_compose(f, {x ↦ y, y ↦ x})` swaps the
-    /// two variables, whereas two sequential [`Inner::compose`] calls would
-    /// collapse them.
-    pub fn vector_compose(&mut self, f: Ref, map: &[(VarId, Ref)]) -> Ref {
+    /// two variables, whereas two sequential substitutions would collapse
+    /// them.
+    fn vector_compose(&mut self, f: Ref, map: &[(VarId, Ref)]) -> Ref {
         // Move the scratch vector out so the recursion can borrow `self`
         // mutably; hand it back afterwards to keep its capacity.
         let mut subst = std::mem::take(&mut self.subst_scratch);
@@ -87,19 +70,6 @@ impl Inner {
             .collect();
         self.vector_compose(f, &map)
     }
-
-    /// Swaps each pair of variables in both directions simultaneously
-    /// (`a ↔ b` for every `(a, b)` in `pairs`).
-    pub fn swap(&mut self, f: Ref, pairs: &[(VarId, VarId)]) -> Ref {
-        let mut map: Vec<(VarId, Ref)> = Vec::with_capacity(pairs.len() * 2);
-        for &(a, bv) in pairs {
-            let fa = self.var(a);
-            let fb = self.var(bv);
-            map.push((a, fb));
-            map.push((bv, fa));
-        }
-        self.vector_compose(f, &map)
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +84,7 @@ mod tests {
         let fx = b.var(x);
         let fy = b.var(y);
         let f = b.and(fx, fy);
-        let via_compose = b.compose(f, x, Ref::TRUE);
+        let via_compose = b.vector_compose(f, &[(x, Ref::TRUE)]);
         let via_cofactor = b.cofactor(f, x, true);
         assert_eq!(via_compose, via_cofactor);
         assert_eq!(via_compose, fy);
@@ -163,8 +133,9 @@ mod tests {
         let fz = b.var(z);
         let fxy = b.xor(fx, fy);
         let f = b.or(fxy, fz);
-        let g = b.swap(f, &[(x, y)]);
-        let h = b.swap(g, &[(x, y)]);
+        // Swapping x and y is one simultaneous two-way substitution.
+        let g = b.vector_compose(f, &[(x, fy), (y, fx)]);
+        let h = b.vector_compose(g, &[(x, fy), (y, fx)]);
         assert_eq!(f, h);
     }
 

@@ -94,8 +94,8 @@ use covest_bdd::BddManager;
 use covest_core::{json_string, CoverageEstimator, CoverageTable, ReportRow};
 use covest_mc::Verdict;
 use covest_par::{
-    compile_machine, cover_signal, plan_machine, run_batch, run_batch_with_trace, BatchReport,
-    DeckJob, ParConfig, ShardProfile,
+    compile_machine, cover_signal, install_mem_sampler, plan_machine, run_batch,
+    run_batch_with_trace, BatchReport, DeckJob, ParConfig, ShardProfile,
 };
 use covest_smv::{decl_bit_width, CompiledModel};
 use covest_telemetry::chrome::{TraceFormat, TraceSink, TraceWriter};
@@ -499,22 +499,6 @@ fn finish_trace(
     Ok(())
 }
 
-/// Installs the front-end memory sampler: every span open/close and
-/// event recorded on this thread is stamped with `mgr`'s live-node /
-/// arena-byte / high-water gauges. The caller owns the recorder's
-/// lifecycle; the sampler is cleared in [`collect_observability`].
-fn install_front_sampler(mgr: &BddManager) {
-    let gauges = mgr.clone();
-    memory::set_mem_sampler(move || {
-        let (live, bytes, peak) = gauges.mem_gauges();
-        memory::MemSample {
-            live_nodes: live as u64,
-            arena_bytes: bytes as u64,
-            peak_live_nodes: peak,
-        }
-    });
-}
-
 /// Writes the coverage table as JSON, splicing the `stats` object in as
 /// a sibling of `rows` when observability was collected.
 fn write_json(
@@ -782,9 +766,10 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     let full_bits: usize = module.vars.iter().map(|d| decl_bit_width(&d.ty)).sum();
     let machine = plan_machine(module, &signals)?;
     let bdd = BddManager::new();
-    // Memory timeline: stamp every span/event with this manager's gauges.
+    // Memory timeline: stamp every span/event with this manager's gauges;
+    // `collect_observability` clears the sampler.
     if args.engine.profiling() {
-        install_front_sampler(&bdd);
+        install_mem_sampler(&bdd);
     }
     let (model, sift) = compile_machine(&bdd, &machine.module)?;
     let state_bits = if machine.reduced {
@@ -864,19 +849,18 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
             )?;
             print_signal_block(&row)?;
             if row.percent < 100.0 && args.traces > 0 {
-                // Trace steps list every state bit too: a cone run moves
-                // the uncovered set to the full deck, name-keyed, and
-                // replays the traces there over the same cone universe.
-                let cone = Some(task.cone.as_slice());
+                // The targets are the canonical sample over the signal's
+                // cone, drawn on the machine that covered it. Trace steps
+                // list every state bit too, so a cone run replays the
+                // named targets on the full deck.
+                let universe = estimator.universe(Some(&task.cone));
+                let targets =
+                    estimator.sample_states_over(&analysis.uncovered(), &universe, args.traces);
                 let traces = if machine.reduced {
                     let deck = full_deck(&mut full, &src)?;
-                    let uncovered = deck.bdd.import_bdd(&analysis.uncovered().export_bdd()?)?;
-                    let full_estimator = CoverageEstimator::new(&deck.model.fsm);
-                    let universe = full_estimator.universe(cone);
-                    full_estimator.traces_to_states_over(&uncovered, &universe, args.traces)
+                    CoverageEstimator::new(&deck.model.fsm).traces_to_named_states(&targets)
                 } else {
-                    let universe = estimator.universe(cone);
-                    estimator.traces_to_states_over(&analysis.uncovered(), &universe, args.traces)
+                    estimator.traces_to_named_states(&targets)
                 };
                 for trace in traces {
                     say!("trace to uncovered state:\n{trace}")?;

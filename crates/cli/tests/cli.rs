@@ -707,6 +707,8 @@ fn stats_peak_table_reconciles_with_high_water_counter() {
 /// pipeline with a coverage hole and a dead debug register, and a signal
 /// outside every property's cone. The `--dot` dump of a cone run comes
 /// from the full deck too, and equals plain `check --dot` byte for byte.
+/// The sized pipeline's trace blocks, whose targets the cone machine
+/// names, equal the library's traces on the full deck.
 #[test]
 fn check_cone_output_matches_the_full_deck() {
     use covest_circuits::pipeline;
@@ -717,7 +719,7 @@ fn check_cone_output_matches_the_full_deck() {
         writeln!(sized, "SPEC {spec};").expect("write to string");
     }
     let sized_path = std::env::temp_dir().join("covest-cone-pipeline_d4.smv");
-    std::fs::write(&sized_path, sized).expect("write deck");
+    std::fs::write(&sized_path, &sized).expect("write deck");
 
     let mut inputs: Vec<(std::path::PathBuf, Vec<&str>)> =
         std::fs::read_dir(repo_root().join("models"))
@@ -777,6 +779,20 @@ fn check_cone_output_matches_the_full_deck() {
         if deck == &sized_path {
             assert!(cone.contains("in the cone of influence"), "{cone}");
             assert!(cone.contains("trace to uncovered state:"), "{cone}");
+            let lines: Vec<&str> = cone.lines().collect();
+            let first = lines
+                .iter()
+                .position(|l| *l == "trace to uncovered state:")
+                .expect("a trace block");
+            let table = lines
+                .iter()
+                .position(|l| l.starts_with("Circuit"))
+                .expect("the table");
+            assert_eq!(
+                lines[first..table - 1],
+                full_deck_traces(&sized, 3),
+                "{cone}"
+            );
         }
     }
     let _ = std::fs::remove_file(sized_path);
@@ -794,6 +810,44 @@ fn check_cone_output_matches_the_full_deck() {
         bytes
     };
     assert_eq!(dot(true), dot(false), "--dot must not depend on --coverage");
+}
+
+/// The trace blocks `check --coverage --traces N` prints for `source`'s
+/// single observed signal, computed by the library on the full deck:
+/// the signal's analysis over its cone, then traces to the canonical
+/// sample of its uncovered states over that cone.
+fn full_deck_traces(source: &str, traces: usize) -> Vec<String> {
+    let module = covest_smv::parse_module(source).expect("deck parses");
+    let signals: Vec<String> = module.observed.iter().map(|o| o.name.clone()).collect();
+    let [task] = &covest_par::plan_machine(module.clone(), &signals)
+        .expect("deck plans")
+        .tasks[..]
+    else {
+        panic!("one observed signal");
+    };
+    let bdd = covest_bdd::BddManager::new();
+    let (model, _) = covest_par::compile_machine(&bdd, &module).expect("deck compiles");
+    let estimator = covest_core::CoverageEstimator::new(&model.fsm);
+    let options = covest_core::CoverageOptions {
+        fairness: model.fairness.clone(),
+        cone: Some(task.cone.clone()),
+        ..Default::default()
+    };
+    let analysis = estimator
+        .analyze(&task.signal, &model.specs, &options)
+        .expect("analyzes");
+    let universe = estimator.universe(Some(&task.cone));
+    let found = estimator.traces_to_states_over(&analysis.uncovered(), &universe, traces);
+    assert_eq!(found.len(), traces, "the deck has a hole");
+    found
+        .iter()
+        .flat_map(|t| {
+            format!("trace to uncovered state:\n{t}\n")
+                .lines()
+                .map(str::to_owned)
+                .collect::<Vec<_>>()
+        })
+        .collect()
 }
 
 /// A SPEC outside the ACTL subset is named the same way by `check`,
@@ -843,44 +897,77 @@ fn bad_property_is_named_the_same_way_on_every_path() {
     );
 }
 
-/// A `DEFINE` name declared twice is an error on every path, as a
-/// variable declared twice is: the planner expands a repeated name's last
-/// body and compile used to expand its first, so `check` passed while
-/// `check --coverage` and `batch` failed on a name the cone had pruned.
+/// A name declared twice, a variable or a `DEFINE`, is an error on every
+/// path, named as compile names it, and `lint` flags it as
+/// `duplicate-name` at the repeat. The planner rejects it first, on
+/// every run: `check --coverage` and `batch` used to pass a deck whose
+/// repeat the cone of influence pruned (the second and third decks),
+/// and `lint` to pass the third.
 #[test]
 fn repeated_define_fails_alike_on_every_path() {
-    let deck = std::env::temp_dir().join("covest-repeated-define.smv");
-    std::fs::write(
-        &deck,
-        "VAR a : boolean; b : boolean; c : boolean;\n\
-         ASSIGN\n  init(a) := FALSE; next(a) := !a;\n  init(b) := FALSE; next(b) := b;\n  \
-         init(c) := FALSE; next(c) := d;\n\
-         DEFINE d := a; d := b;\n\
-         SPEC AG (c -> AX TRUE);\n\
-         OBSERVED c;\n",
-    )
-    .expect("write deck");
-    let path = deck.to_str().expect("utf-8 path");
-    let joblist = write_joblist_of("covest-repeated-define-joblist.txt", &[path]);
-    let model_error = "model error: duplicate DEFINE `d`";
-    for (args, stderr) in [
-        (&["check", path][..], format!("error: {model_error}\n")),
+    let decks = [
         (
-            &["check", path, "--coverage"],
-            format!("error: {model_error}\n"),
+            "covest-repeated-define.smv",
+            "VAR a : boolean; b : boolean; c : boolean;\n\
+             ASSIGN\n  init(a) := FALSE; next(a) := !a;\n  init(b) := FALSE; next(b) := b;\n  \
+             init(c) := FALSE; next(c) := d;\n\
+             DEFINE d := a; d := b;\n\
+             SPEC AG (c -> AX TRUE);\n\
+             OBSERVED c;\n",
+            6,
+            "duplicate DEFINE `d`",
         ),
         (
-            &["batch", joblist.to_str().expect("utf-8 path")],
-            format!("error: planning `{path}`: {model_error}\n"),
+            "covest-repeated-var.smv",
+            "VAR a : boolean; c : boolean;\n    a : boolean;\n\
+             ASSIGN next(a) := !a; next(c) := !c;\n\
+             OBSERVED c;\n",
+            2,
+            "duplicate variable `a`",
         ),
-    ] {
-        let out = covest().args(args).output().expect("runs");
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
-        assert_eq!(String::from_utf8_lossy(&out.stdout), "", "{args:?}");
-        assert_eq!(String::from_utf8_lossy(&out.stderr), stderr, "{args:?}");
+        (
+            "covest-repeated-pruned-define.smv",
+            "VAR a : boolean; c : boolean;\n\
+             DEFINE e := a; e := !a;\n\
+             ASSIGN next(a) := !a; next(c) := !c;\n\
+             OBSERVED c;\n",
+            2,
+            "duplicate DEFINE `e`",
+        ),
+    ];
+    for (file, source, line, message) in decks {
+        let deck = std::env::temp_dir().join(file);
+        std::fs::write(&deck, source).expect("write deck");
+        let path = deck.to_str().expect("utf-8 path");
+        let joblist = write_joblist_of(&format!("{file}-joblist.txt"), &[path]);
+        let model_error = format!("model error: {message}");
+        for (args, stderr) in [
+            (&["check", path][..], format!("error: {model_error}\n")),
+            (
+                &["check", path, "--coverage"],
+                format!("error: {model_error}\n"),
+            ),
+            (
+                &["batch", joblist.to_str().expect("utf-8 path")],
+                format!("error: planning `{path}`: {model_error}\n"),
+            ),
+        ] {
+            let out = covest().args(args).output().expect("runs");
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            assert_eq!(String::from_utf8_lossy(&out.stdout), "", "{args:?}");
+            assert_eq!(String::from_utf8_lossy(&out.stderr), stderr, "{args:?}");
+        }
+        let out = covest().args(["lint", path]).output().expect("runs");
+        assert_eq!(out.status.code(), Some(1), "lint {file}");
+        let finding = format!("{path}:{line}: error [duplicate-name] {message}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.lines().any(|l| l == finding),
+            "lint {file}:\n{stdout}"
+        );
+        let _ = std::fs::remove_file(joblist);
+        let _ = std::fs::remove_file(deck);
     }
-    let _ = std::fs::remove_file(joblist);
-    let _ = std::fs::remove_file(deck);
 }
 
 /// Runs `cmd` to completion, failing the test if it outlives `secs`.

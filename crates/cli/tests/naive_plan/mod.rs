@@ -5,14 +5,16 @@
 //! shares no code with the planner's index core (`covest_analyze`), so
 //! [`assert_plan_matches`] checks that core independently.
 //!
-//! The rules it encodes: a name is a variable if any `VAR`/`IVAR`
-//! declares it, else a `DEFINE` (a reference expands the *last* body of
-//! the name), else an enumeration literal of the *first* variable
+//! The rules it encodes: a deck that declares a variable name twice, or
+//! a `DEFINE` name twice, is rejected before anything else, naming the
+//! first repeat. A name is a variable if any `VAR`/`IVAR` declares it,
+//! else a `DEFINE`, else an enumeration literal of the *first* variable
 //! declaring it. A task's cone closes the `SPEC`/`FAIRNESS` atoms and the
 //! signal under "reads in `init`/`next`". The reduced deck keeps the
 //! union cone's variables and assignments, and every `DEFINE` whose name
-//! is reached through `Module::define` (the *first* body of a name, no
-//! shadowing) from the atoms, the signals and the kept assignments.
+//! is reached through `Module::define` (no shadowing: a `DEFINE` named
+//! like a variable is kept when the name is reached) from the atoms, the
+//! signals and the kept assignments.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -106,14 +108,9 @@ impl<'m> Resolver<'m> {
         self.module.vars.iter().any(|d| d.name == name)
     }
 
-    /// The body a reference to `name` expands: the last of the name.
+    /// The body a reference to `name` expands.
     fn define_body(&self, name: &str) -> Option<&'m Expr> {
-        self.module
-            .defines
-            .iter()
-            .rev()
-            .find(|d| d.name == name)
-            .map(|d| &d.expr)
+        self.module.define(name).map(|d| &d.expr)
     }
 
     fn literal_owner(&self, name: &str) -> Option<&'m str> {
@@ -163,9 +160,31 @@ fn atoms(module: &Module) -> Vec<String> {
         .collect()
 }
 
+/// The message compiling `module` gives for its first repeated name: a
+/// variable declared after one of the same name, else a `DEFINE`
+/// declared after one of the same name.
+fn repeated_name(module: &Module) -> Option<String> {
+    let vars = &module.vars;
+    if let Some(i) = (0..vars.len()).find(|&i| vars[..i].iter().any(|d| d.name == vars[i].name)) {
+        return Some(format!(
+            "model error: duplicate variable `{}`",
+            vars[i].name
+        ));
+    }
+    let defines = &module.defines;
+    let i = (0..defines.len()).find(|&i| defines[..i].iter().any(|d| d.name == defines[i].name))?;
+    Some(format!(
+        "model error: duplicate DEFINE `{}`",
+        defines[i].name
+    ))
+}
+
 /// The reference plan of `module` for `signals`; errors as
 /// `plan_machine` does.
 pub fn naive_plan(module: &Module, signals: &[String]) -> Result<NaivePlan, String> {
+    if let Some(e) = repeated_name(module) {
+        return Err(e);
+    }
     if signals.is_empty() {
         return Ok(NaivePlan {
             tasks: Vec::new(),

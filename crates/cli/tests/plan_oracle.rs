@@ -76,9 +76,10 @@ fn deck(rest: &str) -> String {
 
 /// Decks where names resolve in more than one way: literals shadowed by
 /// variables and `DEFINE`s, literals two enumerations declare, repeated
-/// variable and `DEFINE` names, `DEFINE`s named like variables, `DEFINE`
-/// cycles in every declaration order, undefined names, and repeated
-/// analyzed signals.
+/// variable and `DEFINE` names (an error for every signal set, the
+/// empty one included), `DEFINE`s named like variables, `DEFINE` cycles
+/// in every declaration order, undefined names, and repeated analyzed
+/// signals.
 #[test]
 fn planner_matches_the_naive_reference_on_name_resolution_edges() {
     let cases = [
@@ -86,11 +87,11 @@ fn planner_matches_the_naive_reference_on_name_resolution_edges() {
         deck("    m : {a, idle};\n    idle2 : {idle, run};\nDEFINE run := b;\nASSIGN init(x) := FALSE; next(x) := m = a & idle2 = run;\n  init(m) := idle; next(m) := m;\n  init(idle2) := idle; next(idle2) := idle2;\n"),
         // A literal two enumerations declare: the first declaration owns it.
         deck("    p : {lo, hi};\n    q : {hi, top};\nASSIGN init(x) := FALSE; next(x) := q = hi;\n  init(p) := lo; next(p) := case a : hi; TRUE : lo; esac;\n  init(q) := hi; next(q) := q;\n"),
-        // A repeated DEFINE name: a reference expands the last body,
-        // and the reduction keeps both declarations.
+        // A repeated DEFINE name: rejected, whether or not the cone
+        // reaches it.
         deck("DEFINE d := a;\n       d := b;\nASSIGN init(x) := FALSE; next(x) := d;\n"),
         deck("DEFINE d := b;\n       d := a;\n       e := d;\nASSIGN init(x) := FALSE; next(x) := e;\n"),
-        // A repeated variable name.
+        // A repeated variable name: rejected too.
         deck("    a : 0..3;\nASSIGN init(x) := FALSE; next(x) := a = 2;\n"),
         deck("    x : 0..3;\nASSIGN init(x) := FALSE; next(x) := b;\n"),
         // A DEFINE named like a variable: the variable wins.

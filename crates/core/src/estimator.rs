@@ -10,7 +10,7 @@
 //! [`CoverageEstimator::cover`] then reads its covered sets off that
 //! checker's memoized satisfaction sets.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use covest_bdd::{Func, VarId};
@@ -560,8 +560,7 @@ impl<'m> CoverageEstimator<'m> {
     /// variables) as named bit assignments, in the canonical
     /// declaration-order lexicographic order (see
     /// [`CoverageEstimator::uncovered_states`] for the determinism
-    /// contract). This is the entry point the parallel front-end uses
-    /// after importing an uncovered set from a worker.
+    /// contract).
     pub fn sample_states(&self, set: &Func, limit: usize) -> Vec<Vec<(String, bool)>> {
         self.sample_states_over(set, &self.fsm.current_vars(), limit)
     }
@@ -639,12 +638,35 @@ impl<'m> CoverageEstimator<'m> {
     /// universe: traces target the canonical sample over `vars` (for a
     /// cone-restricted set, any reachable completion of the cone cube).
     pub fn traces_to_states_over(&self, set: &Func, vars: &[VarId], limit: usize) -> Vec<Trace> {
+        self.traces_to_named_states(&self.sample_states_over(set, vars, limit))
+    }
+
+    /// Generates a shortest trace from the initial states to each of
+    /// `states`, given as named state-bit values (a
+    /// [`CoverageEstimator::sample_states_over`] listing, possibly drawn
+    /// on another machine of the same deck): the target is the cube of
+    /// the listed bits, so any reachable completion of a partial state.
+    /// An unreachable target yields no trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a name does not name a state bit of this machine.
+    pub fn traces_to_named_states(&self, states: &[Vec<(String, bool)>]) -> Vec<Trace> {
         let mgr = self.fsm.manager();
+        let bits: HashMap<&str, VarId> = self
+            .fsm
+            .state_bits()
+            .iter()
+            .map(|b| (b.name.as_str(), b.current))
+            .collect();
         let mut traces = Vec::new();
-        for t in self.canonical_minterms_over(set, vars, limit) {
+        for state in states {
             let mut cube = mgr.constant(true);
-            for (v, val) in t {
-                cube = cube.and(&mgr.literal(v, val));
+            for (name, val) in state {
+                let Some(&v) = bits.get(name.as_str()) else {
+                    panic!("`{name}` names no state bit of this machine");
+                };
+                cube = cube.and(&mgr.literal(v, *val));
             }
             if let Some(trace) = self.fsm.trace_to(&cube) {
                 traces.push(trace);

@@ -368,14 +368,6 @@ impl<'m> ModelChecker<'m> {
             }
         }
     }
-
-    /// Clears every cached state set: the per-formula memo table **and**
-    /// the cached fair-states set (e.g. after unrelated work on the
-    /// shared manager, to bound memory).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-        self.fair_states = None;
-    }
 }
 
 type Trace0 = covest_fsm::Trace;
@@ -544,39 +536,6 @@ mod tests {
             } => assert!(!t.steps.is_empty()),
             other => panic!("expected traced failure, got {other:?}"),
         }
-    }
-
-    /// Regression: `clear_cache` used to leave the cached `fair_states`
-    /// set alive. The cached set owns a root slot, so dropping it is
-    /// directly observable through the manager's root count.
-    #[test]
-    fn clear_cache_drops_fair_states() {
-        let mgr = BddManager::new();
-        let mut stg = Stg::new("branch");
-        stg.add_states(3);
-        stg.add_edge(0, 1);
-        stg.add_edge(0, 2);
-        stg.add_edge(1, 1);
-        stg.add_edge(2, 2);
-        stg.mark_initial(0);
-        stg.label(2, "q");
-        let fsm = stg.compile(&mgr).expect("compiles");
-        let mut mc = ModelChecker::new(&fsm);
-        mc.add_fairness(&PropExpr::atom("q")).unwrap();
-        // The fixpoint's first preimage conjoins and caches the
-        // transition relation, whose root stays: take the baseline once
-        // it exists.
-        fsm.trans();
-        let baseline = mgr.live_roots();
-        let fair = mc.fair_states();
-        assert!(
-            !fair.is_const(),
-            "fixture needs a nontrivial fair set for the root count to move"
-        );
-        drop(fair);
-        assert_eq!(mgr.live_roots(), baseline + 1, "the cached set remains");
-        mc.clear_cache();
-        assert_eq!(mgr.live_roots(), baseline, "clear_cache must drop it");
     }
 
     #[test]

@@ -34,11 +34,16 @@
 //!   byte-identical reports regardless of scheduling, stealing or
 //!   `jobs`.
 //!
+//! No BDD leaves its shard: each signal comes back as a
+//! [`SignalOutcome`], its Table-2 row with the canonical sample of its
+//! uncovered states as named bit values.
+//!
 //! [`run_batch`] is the one-call front door (`covest batch`). The
 //! contract — enforced by `tests/parity.rs`, also under forced
 //! stealing — is that
 //! the pool is *pure mechanism*: coverage percentages, per-property
-//! verdicts and uncovered-state sets are bit-identical to the sequential
+//! verdicts and uncovered-state sets (listed whole, in canonical order)
+//! are bit-identical to the sequential
 //! estimator's (the test suite's pre-parallel oracle, which compiles the
 //! full deck and verifies the suite again for every signal); only node
 //! counts and timings may differ between the pool and that oracle, and
@@ -73,4 +78,4 @@ pub use pool::{
     run_batch, run_batch_with_trace, BatchReport, DeckReport, ParError, SchedStats, ShardProfile,
     SignalOutcome,
 };
-pub use shard::{compile_machine, cover_signal};
+pub use shard::{compile_machine, cover_signal, install_mem_sampler};

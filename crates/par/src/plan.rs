@@ -167,9 +167,13 @@ pub struct DeckMachine {
 ///
 /// # Errors
 ///
-/// The message compiling the deck gives for the first property the CTL
-/// parser rejects.
+/// The message compiling the deck gives for its first repeated name
+/// ([`Module::repeated_name`]), on every run, or else for the first
+/// property the CTL parser rejects.
 pub fn plan_machine(mut module: Module, signals: &[String]) -> Result<DeckMachine, String> {
+    if let Some((_, _, e)) = module.repeated_name() {
+        return Err(e.to_string());
+    }
     if signals.is_empty() {
         return Ok(DeckMachine {
             module,

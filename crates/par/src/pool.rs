@@ -20,7 +20,6 @@
 
 use std::time::Duration;
 
-use covest_bdd::BddDump;
 use covest_core::{CoverageTable, PropertyVerdict, ReportRow};
 use covest_telemetry::{Counters, SpanRecord};
 
@@ -83,10 +82,6 @@ pub struct SignalOutcome {
     /// The Table-2 row: percentage, counts, verdicts, the canonical
     /// uncovered-state sample, node counts and timings.
     pub row: ReportRow,
-    /// The uncovered-state set, exported name-keyed — importable into
-    /// any manager (e.g. the front-end's, for trace generation, or a
-    /// parity harness's, for semantic comparison).
-    pub uncovered: BddDump,
 }
 
 /// The per-shard observability record collected when

@@ -60,10 +60,12 @@ pub(crate) struct Shard {
 pub(crate) type ShardResult = Result<DeckReport, ParError>;
 
 /// Installs the telemetry memory sampler over `bdd` on the current
-/// thread. The closure holds its own manager handle (an `Rc` clone), so
-/// the caller **must** [`memory::clear_mem_sampler`] before the shard
-/// ends or the sampler would keep the whole arena alive.
-pub(crate) fn install_mem_sampler(bdd: &BddManager) {
+/// thread, so every span and event is stamped with the manager's
+/// gauges. The closure holds its own manager handle (an `Rc` clone), so
+/// a caller that outlives the manager's work **must**
+/// [`memory::clear_mem_sampler`] or the sampler keeps the whole arena
+/// alive. Every shard and `covest check` install it.
+pub fn install_mem_sampler(bdd: &BddManager) {
     let gauges = bdd.clone();
     memory::set_mem_sampler(move || {
         let (live, bytes, peak) = gauges.mem_gauges();
@@ -219,28 +221,19 @@ fn run_shard_phases(
         .map_err(|e| failed(None, e.to_string()))?;
     let mut signals = Vec::with_capacity(shard.tasks.len());
     for task in &shard.tasks {
-        let outcome = cover_signal(
+        let (row, _) = cover_signal(
             &estimator,
             &mut verification,
             deck,
             task,
             config.uncovered_limit,
         )
-        .map_err(|e| e.to_string())
-        .and_then(|(row, analysis)| {
-            let uncovered = analysis
-                .uncovered()
-                .export_bdd()
-                .map_err(|e| e.to_string())?;
-            Ok(SignalOutcome {
-                deck: deck.clone(),
-                signal: task.signal.clone(),
-                row,
-                uncovered,
-            })
-        })
-        .map_err(|message| failed(Some(&task.signal), message))?;
-        signals.push(outcome);
+        .map_err(|e| failed(Some(&task.signal), e.to_string()))?;
+        signals.push(SignalOutcome {
+            deck: deck.clone(),
+            signal: task.signal.clone(),
+            row,
+        });
     }
     let solve = sw.elapsed();
     let report = DeckReport {

@@ -6,8 +6,8 @@
 //! deck and projects onto each signal's cone afterwards. The
 //! counting/sampling universe is the signal's cone either way, so every
 //! deterministic report field — percentages (bit-for-bit), state counts,
-//! verdicts, vacuity flags, canonical uncovered samples, and the
-//! uncovered *sets* themselves — must agree exactly. A deterministic
+//! verdicts, vacuity flags, and the uncovered *sets* themselves, listed
+//! whole in canonical order — must agree exactly. A deterministic
 //! sweep pins the whole bundled deck set; a property test samples random
 //! decks and job counts; and the sized pipeline decks, whose debug
 //! register chains lie outside every cone, must agree too while peaking
@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{all_decks, assert_semantic_parity, run_sequential};
+use common::{all_decks, assert_semantic_parity, listing, run_sequential};
 use covest_bdd::BddManager;
 use covest_core::CoverageEstimator;
 use covest_par::{
@@ -28,10 +28,7 @@ use proptest::prelude::*;
 #[test]
 fn coi_modes_agree_on_every_deck() {
     let decks = all_decks();
-    let config = ParConfig {
-        jobs: 4,
-        ..Default::default()
-    };
+    let config = listing(4);
     let cone = run_batch(&decks, &config).expect("cone machines");
     let full = run_sequential(&decks, &config).expect("full decks");
     assert_semantic_parity("cone vs full deck", &full, &cone);
@@ -86,7 +83,7 @@ fn coi_lowers_the_peak_on_sized_pipelines() {
     let decks: Vec<DeckJob> = [4usize, 8].into_iter().map(sized_pipeline).collect();
     let config = ParConfig {
         profile: true,
-        ..Default::default()
+        ..listing(1)
     };
     let cone = run_batch(&decks, &config).expect("sized pipelines run");
     let full = run_sequential(&decks, &config).expect("full decks run");
@@ -219,10 +216,7 @@ proptest! {
         let decks = all_decks();
         let deck = vec![decks[pick % decks.len()].clone()];
         let label = format!("deck={} jobs={jobs}", deck[0].name);
-        let config = ParConfig {
-            jobs,
-            ..Default::default()
-        };
+        let config = listing(jobs);
         let cone = run_batch(&deck, &config).expect("cone machine");
         let full = run_sequential(&deck, &config).expect("full deck");
         assert_semantic_parity(&label, &full, &cone);

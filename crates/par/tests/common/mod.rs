@@ -1,7 +1,7 @@
 //! Shared helpers for the par parity test suites: the full bundled deck
-//! set and the semantic-parity assertion both `parity.rs` and
-//! `coi_parity.rs` gate on, and the sequential full-deck oracle both
-//! hold the pool against.
+//! set, the configuration that lists every uncovered set whole, the
+//! semantic-parity assertion both `parity.rs` and `coi_parity.rs` gate
+//! on, and the sequential full-deck oracle both hold the pool against.
 
 use std::time::Duration;
 
@@ -57,6 +57,24 @@ pub fn all_decks() -> Vec<DeckJob> {
         with_specs(pipeline::deck(4), &pipeline_suite),
     ));
 
+    // Two decks with holes to list: the buffer without the property
+    // that closes `lo_cnt`'s missing case, and the sized pipeline
+    // without its three hold-retention properties (the first processing
+    // cycle's and the hold suite), whose 568 uncovered states lie on a
+    // cone-reduced machine.
+    let mut buffer_suite = priority_buffer::lo_suite_initial(4);
+    buffer_suite.extend(priority_buffer::hi_suite(4));
+    decks.push(DeckJob::new(
+        "holes:priority_buffer",
+        with_specs(priority_buffer::deck(4, false), &buffer_suite),
+    ));
+    let mut pipeline_suite = pipeline::out_suite_initial(6);
+    pipeline_suite.pop();
+    decks.push(DeckJob::new(
+        "holes:pipeline_d6",
+        with_specs(pipeline::deck_sized(6), &pipeline_suite),
+    ));
+
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models");
     let mut model_decks: Vec<DeckJob> = std::fs::read_dir(&dir)
         .expect("models directory")
@@ -77,10 +95,27 @@ pub fn all_decks() -> Vec<DeckJob> {
     decks
 }
 
+/// An `uncovered_limit` above every hole of the parity fleets (the
+/// largest, `holes:pipeline_d6`'s, holds 568 states), so each row's
+/// canonical uncovered sample lists the signal's whole uncovered set.
+pub const WHOLE: usize = 1 << 12;
+
+/// The pool configuration of the parity suites: `jobs` workers, and
+/// every uncovered set listed whole (see [`assert_semantic_parity`]).
+pub fn listing(jobs: usize) -> ParConfig {
+    ParConfig {
+        jobs,
+        uncovered_limit: WHOLE,
+        ..Default::default()
+    }
+}
+
 /// Asserts every deterministic *semantic* field agrees between two
 /// batch reports: percentages bit-for-bit, counts, verdicts, vacuity,
-/// uncovered samples, and the uncovered sets themselves (imported into
-/// one shared manager, where canonicity makes equality literal).
+/// and the canonical uncovered listings. Both reports must come from a
+/// [`listing`] configuration: each listing is checked to hold every
+/// uncovered state, and over one universe equal complete listings are
+/// equal sets.
 pub fn assert_semantic_parity(label: &str, seq: &BatchReport, par: &BatchReport) {
     assert_eq!(seq.decks.len(), par.decks.len(), "{label}: deck count");
     for (sd, pd) in seq.decks.iter().zip(&par.decks) {
@@ -118,15 +153,17 @@ pub fn assert_semantic_parity(label: &str, seq: &BatchReport, par: &BatchReport)
                 "{tag}: space count"
             );
             assert_eq!(so.row.verdicts, po.row.verdicts, "{tag}: verdicts");
+            for row in [&so.row, &po.row] {
+                assert_eq!(
+                    row.uncovered_sample.len() as f64,
+                    row.space_states - row.covered_states,
+                    "{tag}: the listing must hold every uncovered state"
+                );
+            }
             assert_eq!(
                 so.row.uncovered_sample, po.row.uncovered_sample,
-                "{tag}: canonical uncovered sample"
+                "{tag}: uncovered states"
             );
-            // Semantic set equality on a shared manager.
-            let probe = BddManager::new();
-            let s = probe.import_bdd(&so.uncovered).expect("seq dump imports");
-            let p = probe.import_bdd(&po.uncovered).expect("par dump imports");
-            assert_eq!(s, p, "{tag}: uncovered set");
         }
     }
 }
@@ -136,7 +173,7 @@ pub fn assert_semantic_parity(label: &str, seq: &BatchReport, par: &BatchReport)
 /// compile and sift, one reachability fixpoint shared by all of the
 /// deck's signals, and a fresh verification per signal through
 /// [`CoverageEstimator::analyze`]. Percentages, verdicts and uncovered
-/// sets must be bit-identical to the pool's; node counts and timings
+/// listings must be bit-identical to the pool's; node counts and timings
 /// differ by construction (shared whole-deck manager vs per-shard
 /// cone-reduced managers).
 pub fn run_sequential(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchReport, ParError> {
@@ -209,10 +246,6 @@ pub fn run_sequential(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchRepor
                     &universe,
                     config.uncovered_limit,
                 );
-                let uncovered = analysis
-                    .uncovered()
-                    .export_bdd()
-                    .map_err(|e| task_err(Some(signal), e.to_string()))?;
                 let row =
                     ReportRow::from_analysis(&job.name, &analysis).with_uncovered_sample(sample);
                 if report.verdicts.is_empty() {
@@ -222,7 +255,6 @@ pub fn run_sequential(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchRepor
                     deck: job.name.clone(),
                     signal: signal.clone(),
                     row,
-                    uncovered,
                 });
             }
         }

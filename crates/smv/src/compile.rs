@@ -97,8 +97,8 @@ pub fn decl_bit_width(ty: &VarType) -> usize {
 /// keep their bare name; multi-bit variables become `{name}.{i}`).
 ///
 /// This is the single naming convention shared by the compiler, the
-/// name-keyed BDD export format, and the static cone analysis in
-/// `covest-analyze`.
+/// named uncovered states and trace targets the estimator reports, and
+/// the static cone analysis in `covest-analyze`.
 pub fn decl_bit_names(decl: &VarDecl) -> Vec<String> {
     let nbits = decl_bit_width(&decl.ty);
     (0..nbits)
@@ -481,16 +481,11 @@ pub fn compile_module_with(
 /// `next()` assignments, or SPEC / FAIRNESS bodies that fail to parse.
 pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel, ModelError> {
     let _span = covest_telemetry::span("compile");
-    // Duplicate checks + literal table.
+    if let Some((_, _, e)) = module.repeated_name() {
+        return Err(e);
+    }
     let mut literals: HashMap<String, i64> = HashMap::new();
-    let mut seen: HashMap<&str, ()> = HashMap::new();
     for d in &module.vars {
-        if seen.insert(&d.name, ()).is_some() {
-            return Err(ModelError::nowhere(format!(
-                "duplicate variable `{}`",
-                d.name
-            )));
-        }
         if let VarType::Enum(lits) = &d.ty {
             for (i, l) in lits.iter().enumerate() {
                 if let Some(&prev) = literals.get(l) {
@@ -506,16 +501,11 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
         }
     }
 
-    // A name is defined once, as SMV rejects a redefinition.
-    let mut defines = HashMap::with_capacity(module.defines.len());
-    for def in &module.defines {
-        if defines.insert(def.name.as_str(), &def.expr).is_some() {
-            return Err(ModelError::nowhere(format!(
-                "duplicate DEFINE `{}`",
-                def.name
-            )));
-        }
-    }
+    let defines: HashMap<&str, &Expr> = module
+        .defines
+        .iter()
+        .map(|def| (def.name.as_str(), &def.expr))
+        .collect();
 
     let mut builder = FsmBuilder::new(bdd, "main");
     let mut vars: HashMap<&str, VarInfo> = HashMap::with_capacity(module.vars.len());
@@ -867,6 +857,29 @@ fn bad_fairness(decl: &SpecDecl, parse: Option<&ParseFormulaError>) -> ModelErro
 }
 
 impl Module {
+    /// The first repeated name, its line and the error [`compile_module`]
+    /// reports for it: the first `VAR`/`IVAR` declaring a name an earlier
+    /// one declared, else the first `DEFINE` repeating an earlier
+    /// `DEFINE`'s name, as SMV rejects a redefinition; `None` when every
+    /// name is declared once. A `DEFINE` named like a variable is legal
+    /// (the variable wins). Static analysis fails with it before
+    /// anything else, so every command rejects the deck alike, even when
+    /// the cone of influence would prune the repeat.
+    pub fn repeated_name(&self) -> Option<(&str, usize, ModelError)> {
+        let mut seen = HashSet::with_capacity(self.vars.len().max(self.defines.len()));
+        if let Some(d) = self.vars.iter().find(|d| !seen.insert(d.name.as_str())) {
+            let e = ModelError::nowhere(format!("duplicate variable `{}`", d.name));
+            return Some((&d.name, d.line, e));
+        }
+        seen.clear();
+        let d = self
+            .defines
+            .iter()
+            .find(|d| !seen.insert(d.name.as_str()))?;
+        let e = ModelError::nowhere(format!("duplicate DEFINE `{}`", d.name));
+        Some((&d.name, d.line, e))
+    }
+
     /// The error [`compile_module`] reports for the first `SPEC`, then
     /// `FAIRNESS`, body that [`covest_ctl::parse_formula`] rejects, read
     /// from the parse stored on each declaration; `None` when every body
