@@ -140,142 +140,6 @@ impl Inner {
         }
         Some(minterm)
     }
-
-    /// Iterates over the satisfying *cubes* of `f`: partial assignments
-    /// labelling each root-to-`TRUE` path. Variables absent from a cube
-    /// are unconstrained.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by in-crate tests
-    pub fn cubes(&self, f: Ref) -> Cubes<'_> {
-        Cubes {
-            bdd: self,
-            stack: if f.is_false() {
-                vec![]
-            } else {
-                vec![(f, Vec::new())]
-            },
-        }
-    }
-
-    /// Iterates over the full minterms of `f` with respect to the variable
-    /// universe `vars` (each item is aligned with `vars`).
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if the support of `f` is not contained in
-    /// `vars`.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by in-crate tests
-    pub fn minterms_over<'a>(&'a self, f: Ref, vars: &'a [VarId]) -> Minterms<'a> {
-        debug_assert!(
-            {
-                let sup = self.support(f);
-                let set: std::collections::HashSet<VarId> = vars.iter().copied().collect();
-                sup.iter().all(|v| set.contains(v))
-            },
-            "support of f must be within the minterm universe"
-        );
-        let mut ordered: Vec<VarId> = vars.to_vec();
-        ordered.sort_by_key(|&v| self.level_of(v));
-        Minterms {
-            bdd: self,
-            vars: ordered,
-            out_order: vars,
-            stack: if f.is_false() {
-                vec![]
-            } else {
-                vec![(f, 0, Vec::new())]
-            },
-        }
-    }
-}
-
-/// Iterator over satisfying cubes; see [`Inner::cubes`].
-#[derive(Debug)]
-pub struct Cubes<'a> {
-    bdd: &'a Inner,
-    stack: Vec<(Ref, Vec<(VarId, bool)>)>,
-}
-
-impl Iterator for Cubes<'_> {
-    type Item = Vec<(VarId, bool)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while let Some((r, path)) = self.stack.pop() {
-            if r.is_true() {
-                return Some(path);
-            }
-            if r.is_false() {
-                continue;
-            }
-            let n = self.bdd.node(r);
-            let v = VarId(n.var);
-            if !n.hi.is_false() {
-                let mut p = path.clone();
-                p.push((v, true));
-                self.stack.push((n.hi, p));
-            }
-            if !n.lo.is_false() {
-                let mut p = path;
-                p.push((v, false));
-                self.stack.push((n.lo, p));
-            }
-        }
-        None
-    }
-}
-
-/// Iterator over full minterms; see [`Inner::minterms_over`].
-#[derive(Debug)]
-pub struct Minterms<'a> {
-    bdd: &'a Inner,
-    /// Universe ordered by level.
-    vars: Vec<VarId>,
-    /// Universe in caller order, used for the output layout.
-    out_order: &'a [VarId],
-    /// (node, index into `vars`, values chosen so far — parallel to `vars`).
-    stack: Vec<(Ref, usize, Vec<bool>)>,
-}
-
-impl Iterator for Minterms<'_> {
-    type Item = Vec<(VarId, bool)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while let Some((r, idx, values)) = self.stack.pop() {
-            if r.is_false() {
-                continue;
-            }
-            if idx == self.vars.len() {
-                debug_assert!(r.is_true());
-                let map: HashMap<VarId, bool> = self
-                    .vars
-                    .iter()
-                    .copied()
-                    .zip(values.iter().copied())
-                    .collect();
-                return Some(self.out_order.iter().map(|&v| (v, map[&v])).collect());
-            }
-            let v = self.vars[idx];
-            let node_level = self.bdd.level(r);
-            let var_level = self.bdd.level_of(v);
-            if !r.is_const() && node_level == var_level {
-                let n = self.bdd.node(r);
-                let mut hi_values = values.clone();
-                hi_values.push(true);
-                self.stack.push((n.hi, idx + 1, hi_values));
-                let mut lo_values = values;
-                lo_values.push(false);
-                self.stack.push((n.lo, idx + 1, lo_values));
-            } else {
-                // Variable unconstrained at this point: branch on it.
-                let mut hi_values = values.clone();
-                hi_values.push(true);
-                self.stack.push((r, idx + 1, hi_values));
-                let mut lo_values = values;
-                lo_values.push(false);
-                self.stack.push((r, idx + 1, lo_values));
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -344,50 +208,5 @@ mod tests {
         let lookup: HashMap<VarId, bool> = m.into_iter().collect();
         assert!(b.eval(f, &|v| lookup[&v]));
         assert!(b.pick_minterm(Ref::FALSE, &vars).is_none());
-    }
-
-    #[test]
-    fn cubes_cover_function() {
-        let mut b = Inner::new();
-        let vars = b.new_vars(3);
-        let l0 = b.var(vars[0]);
-        let l1 = b.var(vars[1]);
-        let l2 = b.var(vars[2]);
-        let c01 = b.and(l0, l1);
-        let f = b.or(c01, l2);
-        let cubes: Vec<_> = b.cubes(f).collect();
-        let mut rebuilt = Ref::FALSE;
-        for cube in cubes {
-            let mut c = Ref::TRUE;
-            for (v, val) in cube {
-                let lit = b.literal(v, val);
-                c = b.and(c, lit);
-            }
-            rebuilt = b.or(rebuilt, c);
-        }
-        assert_eq!(rebuilt, f);
-    }
-
-    #[test]
-    fn minterms_enumerate_exact_count() {
-        let mut b = Inner::new();
-        let vars = b.new_vars(4);
-        let l0 = b.var(vars[0]);
-        let l3 = b.nvar(vars[3]);
-        let f = b.or(l0, l3);
-        let count = b.minterms_over(f, &vars).count() as u128;
-        assert_eq!(count, b.sat_count_exact(f, &vars));
-        for m in b.minterms_over(f, &vars) {
-            let lookup: HashMap<VarId, bool> = m.into_iter().collect();
-            assert!(b.eval(f, &|v| lookup[&v]));
-        }
-    }
-
-    #[test]
-    fn minterms_of_true_enumerate_universe() {
-        let mut b = Inner::new();
-        let vars = b.new_vars(3);
-        assert_eq!(b.minterms_over(Ref::TRUE, &vars).count(), 8);
-        assert_eq!(b.minterms_over(Ref::FALSE, &vars).count(), 0);
     }
 }

@@ -14,9 +14,9 @@
 //! rather than by a caller-maintained roots contract: every live
 //! [`Func`] survives any collection or reordering with unchanged
 //! meaning. The one sharp edge left is lazy traversal: the
-//! [`Func::cubes`] / [`Func::minterms_over`] iterators must not span a
-//! reordering (see their docs), and [`Func::eval`] holds a shared
-//! borrow so a mutating re-entry panics instead of misbehaving.
+//! [`Func::minterms_over`] iterator must not span a reordering (see its
+//! docs), and [`Func::eval`] holds a shared borrow so a mutating
+//! re-entry panics instead of misbehaving.
 //!
 //! # Example
 //!
@@ -605,38 +605,14 @@ impl Func {
         inner.pick_minterm(a, vars)
     }
 
-    /// Iterates over the satisfying *cubes*: partial assignments
-    /// labelling each root-to-`TRUE` path. Variables absent from a cube
-    /// are unconstrained.
+    /// Iterates over the full minterms with respect to the variable
+    /// universe `vars` (each item is aligned with `vars`).
     ///
     /// The iterator holds a clone of the handle, so the traversal is
     /// safe across garbage collection (its interior nodes stay reachable
     /// from the pinned root). Reordering between `next()` calls is NOT
-    /// safe — sifting restructures the graph under the iterator's saved
-    /// cursor — so do not run `reduce_heap`/`set_order` mid-iteration;
-    /// collect first if you need to.
-    pub fn cubes(&self) -> Cubes {
-        let start = {
-            let inner = self.mgr.borrow();
-            self.raw(&inner)
-        };
-        Cubes {
-            _pin: self.clone(),
-            stack: if start.is_false() {
-                vec![]
-            } else {
-                vec![(start, Vec::new())]
-            },
-        }
-    }
-
-    /// Iterates over the full minterms with respect to the variable
-    /// universe `vars` (each item is aligned with `vars`).
-    ///
-    /// Same caveat as [`Func::cubes`]: safe across GC (the handle pins
-    /// its nodes), but reordering between `next()` calls is not — the
-    /// iterator walks saved interior cursors and a level order captured
-    /// at creation time.
+    /// safe — the iterator walks saved interior cursors and a level order
+    /// captured at creation time — so collect first if you need to.
     ///
     /// # Panics
     ///
@@ -753,43 +729,6 @@ macro_rules! func_binop {
 func_binop!(BitAnd, bitand, and);
 func_binop!(BitOr, bitor, or);
 func_binop!(BitXor, bitxor, xor);
-
-/// Iterator over satisfying cubes; see [`Func::cubes`].
-#[derive(Debug)]
-pub struct Cubes {
-    /// Keeps the traversed function rooted for the iterator's lifetime.
-    _pin: Func,
-    stack: Vec<(Ref, Vec<(VarId, bool)>)>,
-}
-
-impl Iterator for Cubes {
-    type Item = Vec<(VarId, bool)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let inner = self._pin.mgr.borrow();
-        while let Some((r, path)) = self.stack.pop() {
-            if r.is_true() {
-                return Some(path);
-            }
-            if r.is_false() {
-                continue;
-            }
-            let n = inner.node(r);
-            let v = VarId::from_index(n.var as usize);
-            if !n.hi.is_false() {
-                let mut p = path.clone();
-                p.push((v, true));
-                self.stack.push((n.hi, p));
-            }
-            if !n.lo.is_false() {
-                let mut p = path;
-                p.push((v, false));
-                self.stack.push((n.lo, p));
-            }
-        }
-        None
-    }
-}
 
 /// Iterator over full minterms; see [`Func::minterms_over`].
 #[derive(Debug)]
@@ -934,15 +873,8 @@ mod tests {
         let f = mgr.var(vars[0]).or(&mgr.var(vars[2]).not());
         let count = f.minterms_over(&vars).count() as u128;
         assert_eq!(count, f.sat_count_exact(&vars));
-        let mut rebuilt = mgr.constant(false);
-        for cube in f.cubes() {
-            let mut c = mgr.constant(true);
-            for (v, val) in cube {
-                c = c.and(&mgr.literal(v, val));
-            }
-            rebuilt = rebuilt.or(&c);
-        }
-        assert_eq!(rebuilt, f);
+        assert_eq!(mgr.constant(true).minterms_over(&vars).count(), 8);
+        assert_eq!(mgr.constant(false).minterms_over(&vars).count(), 0);
     }
 
     #[test]

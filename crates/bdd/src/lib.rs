@@ -70,7 +70,7 @@ mod stats;
 mod subst;
 mod table;
 
-pub use handle::{BddManager, Cubes, Func, Minterms};
+pub use handle::{BddManager, Func, Minterms};
 pub use node::VarId;
 pub use reorder::{ReorderConfig, ReorderMode, ReorderStats};
 pub use stats::BddStats;

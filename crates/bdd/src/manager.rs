@@ -436,7 +436,7 @@ impl Inner {
     }
 
     /// A literal: `var` if `positive`, `!var` otherwise.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by in-crate tests
+    #[cfg_attr(not(test), allow(dead_code))] // devlint: allow(test-only-code)
     pub fn literal(&mut self, var: VarId, positive: bool) -> Ref {
         if positive {
             self.var(var)
@@ -446,7 +446,7 @@ impl Inner {
     }
 
     /// The constant function for `value`.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by in-crate tests
+    #[cfg_attr(not(test), allow(dead_code))] // devlint: allow(test-only-code)
     pub fn constant(&self, value: bool) -> Ref {
         if value {
             Ref::TRUE
@@ -558,7 +558,7 @@ impl Inner {
     }
 
     /// Evaluates `f` under a total assignment.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by in-crate tests
+    #[cfg_attr(not(test), allow(dead_code))] // devlint: allow(test-only-code)
     pub fn eval(&self, f: Ref, assignment: &dyn Fn(VarId) -> bool) -> bool {
         let mut cur = f;
         while !cur.is_const() {

@@ -401,7 +401,7 @@ impl IteCache {
     }
 
     /// Occupied entries (test/diagnostic use; O(capacity)).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(not(test), allow(dead_code))] // devlint: allow(test-only-code)
     pub fn occupied(&self) -> usize {
         self.slots.iter().filter(|e| e.f != EMPTY).count()
     }
@@ -501,7 +501,7 @@ impl UnaryCache {
     }
 
     /// Entries ever written since the last clear (test/diagnostic use).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(not(test), allow(dead_code))] // devlint: allow(test-only-code)
     pub fn occupied(&self) -> usize {
         self.slots.iter().filter(|e| e.tag != 0).count()
     }
@@ -598,7 +598,7 @@ impl PairCache {
     }
 
     /// Entries ever written since the last clear (test/diagnostic use).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(not(test), allow(dead_code))] // devlint: allow(test-only-code)
     pub fn occupied(&self) -> usize {
         self.slots.iter().filter(|e| e.tag != 0).count()
     }

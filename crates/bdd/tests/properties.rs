@@ -214,23 +214,6 @@ proptest! {
         }
     }
 
-    /// Cube enumeration rebuilds the original function.
-    #[test]
-    fn cubes_rebuild_function(e in arb_expr()) {
-        let mgr = BddManager::new();
-        let vars = mgr.new_vars(NVARS);
-        let f = build(&mgr, &vars, &e);
-        let mut rebuilt = mgr.constant(false);
-        for cube in f.cubes() {
-            let mut c = mgr.constant(true);
-            for (v, val) in cube {
-                c = c.and(&mgr.literal(v, val));
-            }
-            rebuilt = rebuilt.or(&c);
-        }
-        prop_assert_eq!(rebuilt, f);
-    }
-
     /// Node counts and supports, which mark visited nodes in a bitmap,
     /// agree with a walk over handles; `g` shares nodes with `f`, and a
     /// walk stays within its own function.

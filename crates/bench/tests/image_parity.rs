@@ -176,9 +176,7 @@ fn cover_under(
 ) -> SignalOutcome {
     let estimator = CoverageEstimator::new(fsm);
     let checker = estimator.checker(&options.fairness).expect("checker");
-    let mut verification = estimator
-        .verify(checker, properties, options.strict)
-        .expect("verifies");
+    let mut verification = estimator.verify(checker, properties).expect("verifies");
     if history == History::Resifted {
         bdd.reduce_heap();
         bdd.gc();

@@ -123,23 +123,6 @@ pub fn wrap_suite_final() -> Vec<Formula> {
     )]
 }
 
-/// Extra hold properties needed beyond the paper's narrative to reach
-/// exactly 100% on our rebuilt queue: non-wrapping writes/reads hold the
-/// bit too (the paper's suites covered these among the initial five).
-pub fn wrap_suite_nonwrapping(depth: i64) -> Vec<Formula> {
-    let last = depth - 1;
-    vec![
-        f(&format!(
-            "AG ((active & do_write & wp < {last} & !rp_wraps & wrap -> AX wrap) & \
-             (active & do_write & wp < {last} & !rp_wraps & !wrap -> AX !wrap))"
-        )),
-        f(&format!(
-            "AG ((active & do_read & rp < {last} & !wp_wraps & wrap -> AX wrap) & \
-             (active & do_read & rp < {last} & !wp_wraps & !wrap -> AX !wrap))"
-        )),
-    ]
-}
-
 /// The two-property suite for `full` (100% in the paper).
 pub fn full_suite() -> Vec<Formula> {
     vec![

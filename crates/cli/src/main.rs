@@ -552,11 +552,10 @@ fn profile_label(p: &ShardProfile) -> String {
     }
 }
 
-/// Uninstalls the recorder installed for `--stats`/`--trace` (plus the
-/// front-end memory sampler and progress channel) and folds its output
-/// together with the per-shard profiles of `report` (`batch`) or the
-/// engine counters of the front-end manager (`check`, whose one machine
-/// runs the whole analysis).
+/// Uninstalls the recorder installed for `--stats`/`--trace` and folds
+/// its output together with the per-shard profiles of `report` (`batch`)
+/// or the engine counters of the front-end manager (`check`, whose one
+/// machine runs the whole analysis).
 ///
 /// The counter sections — the front-end counters and every per-shard
 /// counter set — are deterministic: byte-identical across `--jobs`
@@ -571,8 +570,6 @@ fn collect_observability(
     if !engine.profiling() {
         return None;
     }
-    memory::clear_mem_sampler();
-    progress::uninstall_progress();
     let rec = telemetry::uninstall().unwrap_or_default();
     let (records, mut front) = rec.into_parts();
     if let Some(mgr) = front_mgr {
@@ -738,7 +735,6 @@ fn full_deck<'a>(
 /// compile and sift, verify once, cover each signal — printing between
 /// the steps.
 fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
-    let src = std::fs::read_to_string(&args.model_path)?;
     // The recorder goes in before compile so the span log covers the
     // compile, reachability, verification and coverage phases.
     if args.engine.profiling() {
@@ -751,6 +747,17 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
             args.model_path.clone(),
         ));
     }
+    let result = check_deck(args);
+    // On every exit path: the memory sampler holds a handle on the
+    // manager.
+    memory::clear_mem_sampler();
+    progress::uninstall_progress();
+    result
+}
+
+/// [`run_check`]'s body.
+fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
+    let src = std::fs::read_to_string(&args.model_path)?;
     if args.engine.jobs != 1 {
         eprintln!("warning: --jobs has no effect on check; it sets batch's worker count");
     }
@@ -766,9 +773,8 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     let full_bits: usize = module.vars.iter().map(|d| decl_bit_width(&d.ty)).sum();
     let machine = plan_machine(module, &signals)?;
     let bdd = BddManager::new();
-    // Memory timeline: stamp every span/event with this manager's gauges;
-    // `collect_observability` clears the sampler.
-    if args.engine.profiling() {
+    // Stamp every span, event and heartbeat with this manager's gauges.
+    if args.engine.profiling() || args.engine.progress {
         install_mem_sampler(&bdd);
     }
     let (model, sift) = compile_machine(&bdd, &machine.module)?;
@@ -805,8 +811,7 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     // exact on the cone; a counterexample lists every state bit, so a
     // cone run builds it on the full deck, the machine that prints it.
     let estimator = CoverageEstimator::new(&model.fsm);
-    let mut verification =
-        estimator.verify(estimator.checker(&model.fairness)?, &model.specs, false)?;
+    let mut verification = estimator.verify(estimator.checker(&model.fairness)?, &model.specs)?;
     let mut full: Option<FullDeck> = None;
     let holds = verification.holds().to_vec();
     for (spec, holds) in model.specs.iter().zip(holds) {
@@ -840,22 +845,24 @@ fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         }
         let mut table = CoverageTable::new();
         for task in &machine.tasks {
-            let (row, analysis) = cover_signal(
+            // One canonical sample serves the row and the trace targets:
+            // a longer sample extends a shorter one.
+            let mut row = cover_signal(
                 &estimator,
                 &mut verification,
                 &args.model_path,
                 task,
-                UNCOVERED_SAMPLE_LIMIT,
+                UNCOVERED_SAMPLE_LIMIT.max(args.traces),
             )?;
+            let mut targets = row.uncovered_sample.clone();
+            targets.truncate(args.traces);
+            row.uncovered_sample.truncate(UNCOVERED_SAMPLE_LIMIT);
             print_signal_block(&row)?;
             if row.percent < 100.0 && args.traces > 0 {
-                // The targets are the canonical sample over the signal's
-                // cone, drawn on the machine that covered it. Trace steps
-                // list every state bit too, so a cone run replays the
-                // named targets on the full deck.
-                let universe = estimator.universe(Some(&task.cone));
-                let targets =
-                    estimator.sample_states_over(&analysis.uncovered(), &universe, args.traces);
+                // The targets are states over the signal's cone, drawn on
+                // the machine that covered it. Trace steps list every
+                // state bit too, so a cone run replays the named targets
+                // on the full deck.
                 let traces = if machine.reduced {
                     let deck = full_deck(&mut full, &src)?;
                     CoverageEstimator::new(&deck.model.fsm).traces_to_named_states(&targets)

@@ -604,10 +604,12 @@ fn mask_table(stdout: &str, keep_bdds: bool) -> Vec<String> {
 }
 
 /// `--progress` emits heartbeat lines on stderr naming the phase,
-/// iteration, BDD size and support width. Neither it nor `--stats` nor
+/// iteration, BDD size, support width and the manager's live nodes, in
+/// `check` and in every `batch` shard. Neither it nor `--stats` nor
 /// `--jobs` changes the program `check` runs: stdout above `stats:` is
 /// byte-identical to the default run's, the table's BDD counts included;
-/// only the times may differ.
+/// only the times may differ. `batch --progress` prints the default
+/// run's stdout byte for byte.
 #[test]
 fn progress_heartbeat_lands_on_stderr_only() {
     let deck = repo_root().join("models/priority_buffer.smv");
@@ -627,20 +629,44 @@ fn progress_heartbeat_lands_on_stderr_only() {
             String::from_utf8_lossy(&out.stderr).into_owned(),
         )
     };
+    let heartbeats = |stderr: &str| {
+        assert!(stderr.contains("progress["), "no heartbeat in:\n{stderr}");
+        assert!(
+            stderr.lines().any(|l| l.contains(" iter=")
+                && l.contains(" size=")
+                && l.contains(" support=")
+                && l.contains(" live=")),
+            "heartbeat lacks fixpoint or memory gauges:\n{stderr}"
+        );
+    };
     let (default, _) = run(&[]);
     let (with, stderr) = run(&["--progress"]);
-    assert!(stderr.contains("progress["), "no heartbeat in:\n{stderr}");
-    assert!(
-        stderr
-            .lines()
-            .any(|l| l.contains(" iter=") && l.contains(" size=") && l.contains(" support=")),
-        "heartbeat lacks fixpoint gauges:\n{stderr}"
-    );
+    heartbeats(&stderr);
     assert_eq!(with, default, "--progress must not perturb stdout");
     for extra in [&["--stats"][..], &["--jobs", "4"]] {
         let (with, _) = run(extra);
         assert_eq!(with, default, "{extra:?} must not change the run");
     }
+
+    let joblist = write_joblist_of("covest-batch-progress.txt", &["priority_buffer.smv"]);
+    let batch = |extra: &[&str]| {
+        let out = covest()
+            .arg("batch")
+            .arg(&joblist)
+            .args(extra)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "batch {extra:?} fails");
+        (
+            out.stdout,
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (default, _) = batch(&[]);
+    let (with, stderr) = batch(&["--progress"]);
+    let _ = std::fs::remove_file(&joblist);
+    heartbeats(&stderr);
+    assert_eq!(with, default, "batch --progress must not perturb stdout");
 }
 
 /// Parses the `bdd_peak_live_nodes` counter and the maximum of the
@@ -792,6 +818,24 @@ fn check_cone_output_matches_the_full_deck() {
                 lines[first..table - 1],
                 full_deck_traces(&sized, 3),
                 "{cone}"
+            );
+            // More traces than the row lists states: the row keeps its
+            // ten, and the traces reach the first twelve.
+            let more = run(deck, &["--coverage", "--traces", "12"]);
+            let lines: Vec<&str> = more.lines().collect();
+            let first = lines
+                .iter()
+                .position(|l| *l == "trace to uncovered state:")
+                .expect("a trace block");
+            let table = lines
+                .iter()
+                .position(|l| l.starts_with("Circuit"))
+                .expect("the table");
+            assert_eq!(lines[..first], cone.lines().collect::<Vec<_>>()[..first]);
+            assert_eq!(
+                lines[first..table - 1],
+                full_deck_traces(&sized, 12),
+                "{more}"
             );
         }
     }

@@ -59,6 +59,10 @@ pub struct CoverageAnalysis {
     pub covered_count: f64,
     /// Number of states in `space`.
     pub space_count: f64,
+    /// The current-state variables `covered` and `space` were counted
+    /// over, in declaration order: every state bit, or the cone's bits
+    /// ([`CoverageOptions::cone`]). Uncovered states are sampled over it.
+    pub universe: Vec<VarId>,
     /// Wall-clock time spent verifying the properties.
     pub verify_time: Duration,
     /// BDD table size after verification (paper's "BDDs" column).
@@ -89,16 +93,6 @@ impl CoverageAnalysis {
     /// `true` if every property in the suite holds.
     pub fn all_hold(&self) -> bool {
         self.properties.iter().all(|p| p.holds)
-    }
-
-    /// Properties that pass only vacuously (see
-    /// [`PropertyResult::vacuous`]).
-    pub fn vacuous_properties(&self) -> Vec<&Formula> {
-        self.properties
-            .iter()
-            .filter(|p| p.vacuous)
-            .map(|p| &p.formula)
-            .collect()
     }
 }
 
@@ -165,10 +159,6 @@ pub struct CoverageOptions {
     /// Fairness constraints (Section 4.3); coverage is then computed over
     /// states reachable along fair paths.
     pub fairness: Vec<PropExpr>,
-    /// If `true`, failing properties abort the analysis with
-    /// [`CoverageError::PropertyFails`]; if `false` (default), failing
-    /// properties contribute no coverage but are reported.
-    pub strict: bool,
     /// Cone-of-influence restriction: the state-bit *names* (declaration
     /// order) that span the coverage universe. When set, the covered set
     /// and the space are projected onto these bits (existentially
@@ -232,8 +222,8 @@ impl<'m> CoverageEstimator<'m> {
     /// # Errors
     ///
     /// Returns [`CoverageError`] for unknown/non-boolean observed signals,
-    /// bad cone entries, lowering failures, or (in strict mode) failing
-    /// properties.
+    /// bad cone entries or lowering failures. A failing property is no
+    /// error: it is reported and covers nothing.
     pub fn analyze(
         &self,
         observed: &str,
@@ -241,7 +231,7 @@ impl<'m> CoverageEstimator<'m> {
         options: &CoverageOptions,
     ) -> Result<CoverageAnalysis, CoverageError> {
         let checker = self.checker(&options.fairness)?;
-        let mut verification = self.verify(checker, properties, options.strict)?;
+        let mut verification = self.verify(checker, properties)?;
         self.cover(&mut verification, observed, options)
     }
 
@@ -269,14 +259,11 @@ impl<'m> CoverageEstimator<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`CoverageError::Lower`] for unresolvable atoms and, when
-    /// `strict`, [`CoverageError::PropertyFails`] for the first property
-    /// that fails.
+    /// Returns [`CoverageError::Lower`] for unresolvable atoms.
     pub fn verify(
         &self,
         checker: ModelChecker<'m>,
         properties: &[Formula],
-        strict: bool,
     ) -> Result<Verification<'m>, CoverageError> {
         let mgr = self.fsm.manager();
         let mut sets = CoveredSets::untargeted(checker);
@@ -284,11 +271,7 @@ impl<'m> CoverageEstimator<'m> {
         let verify_span = telemetry::span("verify");
         let mut holds = Vec::with_capacity(properties.len());
         for p in properties {
-            let h = sets.verify(p)?;
-            if strict && !h {
-                return Err(CoverageError::PropertyFails(p.to_string()));
-            }
-            holds.push(h);
+            holds.push(sets.verify(p)?);
         }
         telemetry::span_field("properties", properties.len() as u64);
         drop(verify_span);
@@ -314,9 +297,9 @@ impl<'m> CoverageEstimator<'m> {
     /// set of every holding property, their union, and the coverage space
     /// (reachable fair states minus `options.dont_cares`), projected onto
     /// `options.cone` when set. The fairness constraints and the suite
-    /// are the verification's; `options.fairness` and `options.strict`
-    /// are not read here. Every analysis of one verification reports its
-    /// verification time and table size.
+    /// are the verification's; `options.fairness` is not read here.
+    /// Every analysis of one verification reports its verification time
+    /// and table size.
     ///
     /// # Errors
     ///
@@ -415,9 +398,9 @@ impl<'m> CoverageEstimator<'m> {
 
         mgr.gc_checkpoint();
 
-        let vars = self.state_universe(&covered, &space, options.cone.as_deref());
-        let covered_count = covered.sat_count_over(&vars);
-        let space_count = space.sat_count_over(&vars);
+        let universe = self.state_universe(&covered, &space, options.cone.as_deref());
+        let covered_count = covered.sat_count_over(&universe);
+        let space_count = space.sat_count_over(&universe);
 
         Ok(CoverageAnalysis {
             observed: observed.to_owned(),
@@ -426,6 +409,7 @@ impl<'m> CoverageEstimator<'m> {
             space,
             covered_count,
             space_count,
+            universe,
             verify_time,
             verify_nodes,
             coverage_time,
@@ -458,7 +442,9 @@ impl<'m> CoverageEstimator<'m> {
     /// Analyzes one property suite against **several observed signals at
     /// once**, returning a single analysis whose covered set is the union
     /// of the per-signal covered sets — the paper's Section 2 semantics
-    /// for properties with multiple observable signals.
+    /// for properties with multiple observable signals. The suite is
+    /// verified once; each signal is one [`CoverageEstimator::cover`]
+    /// step on that verification.
     ///
     /// # Errors
     ///
@@ -470,11 +456,11 @@ impl<'m> CoverageEstimator<'m> {
         options: &CoverageOptions,
     ) -> Result<CoverageAnalysis, CoverageError> {
         assert!(!observed.is_empty(), "need at least one observed signal");
-        let suites: Vec<(&str, Vec<Formula>)> = observed
-            .iter()
-            .map(|&sig| (sig, properties.to_vec()))
-            .collect();
-        let mut analyses = self.analyze_signals(&suites, options)?;
+        let mut verification = self.verify(self.checker(&options.fairness)?, properties)?;
+        let mut analyses = Vec::with_capacity(observed.len());
+        for sig in observed {
+            analyses.push(self.cover(&mut verification, sig, options)?);
+        }
         // The analyses hold their sets as owned handles, so merging after
         // any number of intervening GC checkpoints is sound.
         let mut merged = analyses.pop().expect("nonempty");
@@ -482,35 +468,11 @@ impl<'m> CoverageEstimator<'m> {
             merged.covered = merged.covered.or(&a.covered);
             for (mine, theirs) in merged.properties.iter_mut().zip(&a.properties) {
                 mine.covered = mine.covered.or(&theirs.covered);
-                mine.holds &= theirs.holds;
             }
         }
-        let vars = self.state_universe(&merged.covered, &merged.space, options.cone.as_deref());
-        merged.covered_count = merged.covered.sat_count_over(&vars);
+        merged.covered_count = merged.covered.sat_count_over(&merged.universe);
         merged.observed = observed.join("+");
         Ok(merged)
-    }
-
-    /// Analyzes several observed signals over their own property suites
-    /// and returns the per-signal analyses in input order.
-    ///
-    /// Completed analyses survive the later calls' GC checkpoints by
-    /// ownership alone — the old protect/unprotect bracketing around this
-    /// loop is gone with the roots contract.
-    ///
-    /// # Errors
-    ///
-    /// See [`CoverageEstimator::analyze`].
-    pub fn analyze_signals(
-        &self,
-        suites: &[(&str, Vec<Formula>)],
-        options: &CoverageOptions,
-    ) -> Result<Vec<CoverageAnalysis>, CoverageError> {
-        let mut analyses = Vec::with_capacity(suites.len());
-        for (sig, props) in suites {
-            analyses.push(self.analyze(sig, props, options)?);
-        }
-        Ok(analyses)
     }
 
     /// Samples up to `limit` states of `set` as *canonical* minterms
@@ -556,18 +518,13 @@ impl<'m> CoverageEstimator<'m> {
         out
     }
 
-    /// Lists up to `limit` states of an arbitrary state set (over current
-    /// variables) as named bit assignments, in the canonical
+    /// Lists up to `limit` states of `set` (over current variables) as
+    /// named bit assignments over the universe `vars` (see
+    /// [`CoverageEstimator::universe`]; a cone-restricted analysis samples
+    /// its sets over the cone bits only), in the canonical
     /// declaration-order lexicographic order (see
     /// [`CoverageEstimator::uncovered_states`] for the determinism
     /// contract).
-    pub fn sample_states(&self, set: &Func, limit: usize) -> Vec<Vec<(String, bool)>> {
-        self.sample_states_over(set, &self.fsm.current_vars(), limit)
-    }
-
-    /// [`CoverageEstimator::sample_states`] over an explicit variable
-    /// universe (see [`CoverageEstimator::universe`]); a cone-restricted
-    /// analysis samples its sets over the cone bits only.
     pub fn sample_states_over(
         &self,
         set: &Func,
@@ -612,30 +569,27 @@ impl<'m> CoverageEstimator<'m> {
         }
     }
 
-    /// Lists up to `limit` uncovered states as named bit assignments.
+    /// Lists up to `limit` uncovered states as named bit assignments over
+    /// the universe the analysis counted ([`CoverageAnalysis::universe`]),
+    /// so a cone analysis lists distinct cone states.
     ///
     /// The sample is deterministic: states come out sorted by their bit
     /// values in declaration order (false < true), regardless of the
     /// current variable order or any reordering history — so two runs
     /// that agree on the uncovered *set* (e.g. a sequential and a
-    /// parallel analysis) produce diff-identical listings.
+    /// parallel analysis) produce diff-identical listings. A longer
+    /// sample extends a shorter one.
     pub fn uncovered_states(
         &self,
         analysis: &CoverageAnalysis,
         limit: usize,
     ) -> Vec<Vec<(String, bool)>> {
-        self.sample_states(&analysis.uncovered(), limit)
+        self.sample_states_over(&analysis.uncovered(), &analysis.universe, limit)
     }
 
     /// Generates shortest traces from the initial states to up to
-    /// `limit` states of `set`, targeting the same canonical state
-    /// sample as [`CoverageEstimator::sample_states`].
-    pub fn traces_to_states(&self, set: &Func, limit: usize) -> Vec<Trace> {
-        self.traces_to_states_over(set, &self.fsm.current_vars(), limit)
-    }
-
-    /// [`CoverageEstimator::traces_to_states`] over an explicit variable
-    /// universe: traces target the canonical sample over `vars` (for a
+    /// `limit` states of `set`, targeting the canonical sample
+    /// [`CoverageEstimator::sample_states_over`] draws over `vars` (for a
     /// cone-restricted set, any reachable completion of the cone cube).
     pub fn traces_to_states_over(&self, set: &Func, vars: &[VarId], limit: usize) -> Vec<Trace> {
         self.traces_to_named_states(&self.sample_states_over(set, vars, limit))
@@ -676,9 +630,10 @@ impl<'m> CoverageEstimator<'m> {
     }
 
     /// Generates shortest traces from the initial states to up to `limit`
-    /// uncovered states (Section 3's aid for strengthening properties).
+    /// uncovered states (Section 3's aid for strengthening properties):
+    /// the targets are [`CoverageEstimator::uncovered_states`]'s sample.
     pub fn traces_to_uncovered(&self, analysis: &CoverageAnalysis, limit: usize) -> Vec<Trace> {
-        self.traces_to_states(&analysis.uncovered(), limit)
+        self.traces_to_states_over(&analysis.uncovered(), &analysis.universe, limit)
     }
 
     fn bit_name(&self, v: VarId) -> &str {
@@ -776,24 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_rejects_failing_properties() {
-        let mgr = BddManager::new();
-        let (_, fsm) = figure2(&mgr);
-        let est = CoverageEstimator::new(&fsm);
-        let err = est
-            .analyze(
-                "q",
-                &[f("AG q")],
-                &CoverageOptions {
-                    strict: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
-        assert!(matches!(err, CoverageError::PropertyFails(_)));
-    }
-
-    #[test]
     fn dont_cares_shrink_the_space() {
         let mgr = BddManager::new();
         let (_, fsm) = figure2(&mgr);
@@ -828,8 +765,8 @@ mod tests {
         }
     }
 
-    /// Regression: `analyze_union`/`analyze_signals` hold results from
-    /// earlier `analyze` calls across later ones, and the accumulated
+    /// Regression: `analyze_union` and a run of `cover` steps hold
+    /// results from earlier steps across later ones, and the accumulated
     /// sets must survive every collection and sift in between. Under the
     /// RAII API this holds by ownership — the old explicit
     /// protect/unprotect bracketing is gone.
@@ -849,12 +786,16 @@ mod tests {
                 .analyze_union(&["q", "p1"], &[f("A[p1 U q]")], &CoverageOptions::default())
                 .expect("analyzes");
             force();
-            let signals = est
-                .analyze_signals(
-                    &[("q", vec![f("A[p1 U q]")]), ("p1", vec![f("A[p1 U q]")])],
-                    &CoverageOptions::default(),
-                )
-                .expect("analyzes");
+            let options = CoverageOptions::default();
+            let checker = est.checker(&options.fairness).expect("checker");
+            let mut verification = est.verify(checker, &[f("A[p1 U q]")]).expect("verifies");
+            let signals: Vec<CoverageAnalysis> = ["q", "p1"]
+                .iter()
+                .map(|sig| {
+                    est.cover(&mut verification, sig, &options)
+                        .expect("analyzes")
+                })
+                .collect();
             force();
             // The held union still denotes the set it was counted on.
             let recount = union.covered.sat_count_over(&fsm.current_vars());
@@ -888,9 +829,7 @@ mod tests {
             };
             let options = CoverageOptions::default();
             let checker = est.checker(&options.fairness).expect("checker");
-            let mut verification = est
-                .verify(checker, &[f("A[p1 U q]")], false)
-                .expect("verifies");
+            let mut verification = est.verify(checker, &[f("A[p1 U q]")]).expect("verifies");
             force();
             let analysis = est
                 .cover(&mut verification, "q", &options)
@@ -945,7 +884,7 @@ mod tests {
         let est = CoverageEstimator::new(&fsm);
         let props = [f("A[p1 U q]"), f("AG (p1 & q -> AX q)")];
         let checker = est.checker(&[]).expect("no fairness");
-        let mut verification = est.verify(checker, &props, false).expect("verifies");
+        let mut verification = est.verify(checker, &props).expect("verifies");
         assert!(verification.all_hold());
         assert!(verification.verdicts().iter().all(|v| !v.vacuous));
         let options = CoverageOptions::default();
@@ -968,19 +907,5 @@ mod tests {
             est.cover(&mut verification, "zzz", &options),
             Err(CoverageError::UnknownObserved(_))
         ));
-    }
-
-    #[test]
-    fn multi_signal_analysis() {
-        let mgr = BddManager::new();
-        let (_, fsm) = figure2(&mgr);
-        let est = CoverageEstimator::new(&fsm);
-        let suites = vec![("q", vec![f("A[p1 U q]")]), ("p1", vec![f("A[p1 U q]")])];
-        let results = est
-            .analyze_signals(&suites, &CoverageOptions::default())
-            .expect("analyzes");
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].covered_count, 1.0); // first q state
-        assert_eq!(results[1].covered_count, 4.0); // p1 prefix
     }
 }

@@ -57,9 +57,10 @@ mod reference;
 mod report;
 
 pub use covered::CoveredSets;
+pub use covest_telemetry::json_string;
 pub use error::CoverageError;
 pub use estimator::{
     CoverageAnalysis, CoverageEstimator, CoverageOptions, PropertyResult, Verification,
 };
 pub use reference::{reference_covered_set, ReferenceMode, DEFAULT_STATE_LIMIT};
-pub use report::{json_string, CoverageTable, PropertyVerdict, ReportRow};
+pub use report::{CoverageTable, PropertyVerdict, ReportRow};

@@ -12,31 +12,9 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use crate::estimator::CoverageAnalysis;
+use covest_telemetry::json_string;
 
-/// Renders `s` as a JSON string literal, escaping per RFC 8259 (`"`,
-/// `\`, and control characters as `\uXXXX`/short escapes). Rust's
-/// `{:?}` is *not* a substitute — its `\u{7f}` brace form is invalid
-/// JSON — so every string the JSON renderers emit goes through here.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+use crate::estimator::CoverageAnalysis;
 
 /// One property's outcome inside a report row.
 #[derive(Debug, Clone, PartialEq, Eq)]

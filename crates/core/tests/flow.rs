@@ -25,9 +25,8 @@ fn a_second_signal_reuses_the_flows() {
     let model = covest_smv::compile(&bdd, &src).expect("compiles");
     let est = CoverageEstimator::new(&model.fsm);
     let checker = est.checker(&model.fairness).expect("checker");
-    let mut verification = est
-        .verify(checker, &model.specs, true)
-        .expect("suite holds");
+    let mut verification = est.verify(checker, &model.specs).expect("verifies");
+    assert!(verification.all_hold(), "suite holds");
     let options = CoverageOptions::default();
 
     let (hi, first) = counted(|| est.cover(&mut verification, "hi_cnt", &options));

@@ -16,7 +16,8 @@
 //! Plus:
 //!
 //! - [`parse_formula`]: text → [`Formula`], rejecting out-of-subset
-//!   properties with a precise [`SubsetError`];
+//!   properties with a precise [`SubsetError`]; [`parse_ctl`] reads the
+//!   same grammar into general [`Ctl`], with no subset check;
 //! - [`tokenize`]: the one tokenizer that model decks share;
 //!   [`BodyReader`], which reads a deck's property bodies straight from
 //!   the deck's tokens, and [`parse_body`], which reads one again from
@@ -50,6 +51,6 @@ pub use error::{CtlError, ParseFormulaError, SubsetError};
 pub use general::Ctl;
 pub use lex::{int_value, tokenize, LexError, LexErrorKind, TokKind, Token, Tokens, MAX_DEPTH};
 pub use parse::{
-    body_text, parse_ast, parse_body, parse_formula, too_deep_message, Ast, Body, BodyReader,
+    body_text, parse_body, parse_ctl, parse_formula, too_deep_message, Body, BodyReader,
 };
 pub use transform::observability_transform;

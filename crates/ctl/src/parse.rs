@@ -7,53 +7,16 @@
 //! whether its subtree is propositional, so one top-down pass decides
 //! the paper's subset, reporting a precise [`SubsetError`] when the
 //! property falls outside it. The same code reads a property from a
-//! string ([`parse_formula`]), from a slice of a deck's tokens
+//! string ([`parse_formula`], or [`parse_ctl`] for general CTL with no
+//! subset check), from a slice of a deck's tokens
 //! ([`BodyReader`]), so a deck's `SPEC` bodies are lexed with the deck,
 //! and from a body's source spelling ([`parse_body`]), which is how
 //! compile reads them again.
 
 use crate::ast::{CmpOp, CmpRhs, Formula, PropExpr, SignalRef};
 use crate::error::{CtlError, ParseFormulaError, SubsetError};
+use crate::general::Ctl;
 use crate::lex::{int_value, lex_into, LexError, LexErrorKind, TokKind, Token, MAX_DEPTH};
-
-/// A general CTL parse tree (superset of the acceptable subset), built
-/// on request by [`parse_ast`]; the subset check and [`parse_formula`]
-/// work on the flat arena instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Ast {
-    /// Constant.
-    Const(bool),
-    /// Named signal.
-    Atom(String),
-    /// Comparison atom.
-    Cmp(String, CmpOp, CmpRhs),
-    /// Negation.
-    Not(Box<Ast>),
-    /// Conjunction.
-    And(Box<Ast>, Box<Ast>),
-    /// Disjunction.
-    Or(Box<Ast>, Box<Ast>),
-    /// Implication.
-    Implies(Box<Ast>, Box<Ast>),
-    /// Biconditional.
-    Iff(Box<Ast>, Box<Ast>),
-    /// `AX`.
-    Ax(Box<Ast>),
-    /// `AG`.
-    Ag(Box<Ast>),
-    /// `AF`.
-    Af(Box<Ast>),
-    /// `A[_ U _]`.
-    Au(Box<Ast>, Box<Ast>),
-    /// `EX` (parsed, always rejected by classification).
-    Ex(Box<Ast>),
-    /// `EG` (parsed, always rejected by classification).
-    Eg(Box<Ast>),
-    /// `EF` (parsed, always rejected by classification).
-    Ef(Box<Ast>),
-    /// `E[_ U _]` (parsed, always rejected by classification).
-    Eu(Box<Ast>, Box<Ast>),
-}
 
 /// Comparison right-hand side in the arena: a literal or the token index
 /// of a name.
@@ -597,25 +560,35 @@ impl Parsed<'_, '_> {
         }
     }
 
-    fn ast(&self, n: u32) -> Ast {
-        let sub = |a| Box::new(self.ast(a));
-        match self.slot(n).node {
-            Node::Const(c) => Ast::Const(c),
-            Node::Atom(t) => Ast::Atom(self.name(t).to_owned()),
-            Node::Cmp(l, op, rhs) => Ast::Cmp(self.name(l).to_owned(), op, self.rhs(rhs)),
-            Node::Not(a) => Ast::Not(sub(a)),
-            Node::And(a, b) => Ast::And(sub(a), sub(b)),
-            Node::Or(a, b) => Ast::Or(sub(a), sub(b)),
-            Node::Implies(a, b) => Ast::Implies(sub(a), sub(b)),
-            Node::Iff(a, b) => Ast::Iff(sub(a), sub(b)),
-            Node::Unary(Temporal::Ax, a) => Ast::Ax(sub(a)),
-            Node::Unary(Temporal::Ag, a) => Ast::Ag(sub(a)),
-            Node::Unary(Temporal::Af, a) => Ast::Af(sub(a)),
-            Node::Unary(Temporal::Ex, a) => Ast::Ex(sub(a)),
-            Node::Unary(Temporal::Eg, a) => Ast::Eg(sub(a)),
-            Node::Unary(Temporal::Ef, a) => Ast::Ef(sub(a)),
-            Node::Until(true, a, b) => Ast::Au(sub(a), sub(b)),
-            Node::Until(false, a, b) => Ast::Eu(sub(a), sub(b)),
+    /// The subtree `n` as general CTL: a propositional subtree is one
+    /// [`Ctl::Prop`], and a temporal `<->` the conjunction of its two
+    /// implications.
+    fn ctl(&self, n: u32) -> Ctl {
+        let slot = self.slot(n);
+        if slot.prop {
+            return Ctl::Prop(self.prop(n));
+        }
+        let sub = |a| Box::new(self.ctl(a));
+        match slot.node {
+            Node::Not(a) => Ctl::Not(sub(a)),
+            Node::And(a, b) => Ctl::And(sub(a), sub(b)),
+            Node::Or(a, b) => Ctl::Or(sub(a), sub(b)),
+            Node::Implies(a, b) => Ctl::Implies(sub(a), sub(b)),
+            Node::Iff(a, b) => Ctl::And(
+                Box::new(Ctl::Implies(sub(a), sub(b))),
+                Box::new(Ctl::Implies(sub(b), sub(a))),
+            ),
+            Node::Unary(Temporal::Ax, a) => Ctl::Ax(sub(a)),
+            Node::Unary(Temporal::Ag, a) => Ctl::Ag(sub(a)),
+            Node::Unary(Temporal::Af, a) => Ctl::Af(sub(a)),
+            Node::Unary(Temporal::Ex, a) => Ctl::Ex(sub(a)),
+            Node::Unary(Temporal::Eg, a) => Ctl::Eg(sub(a)),
+            Node::Unary(Temporal::Ef, a) => Ctl::Ef(sub(a)),
+            Node::Until(true, a, b) => Ctl::Au(sub(a), sub(b)),
+            Node::Until(false, a, b) => Ctl::Eu(sub(a), sub(b)),
+            Node::Const(_) | Node::Atom(_) | Node::Cmp(..) => {
+                unreachable!("a leaf is propositional")
+            }
         }
     }
 }
@@ -691,12 +664,24 @@ fn lex_error(src: &str, e: LexError) -> ParseFormulaError {
     }
 }
 
-/// Parses a general CTL parse tree from text.
+/// Parses a general CTL formula — both path quantifiers, any boolean
+/// structure — into the [`Ctl`] the model checker evaluates. It reads
+/// the grammar [`parse_formula`] does, without the subset check.
 ///
 /// # Errors
 ///
-/// Returns [`ParseFormulaError`] on malformed input.
-pub fn parse_ast(src: &str) -> Result<Ast, ParseFormulaError> {
+/// Returns [`ParseFormulaError`] on malformed input, with the message and
+/// position [`parse_formula`] gives.
+///
+/// # Examples
+///
+/// ```
+/// use covest_ctl::parse_ctl;
+/// let f = parse_ctl("EF (p <-> AX q)")?;
+/// assert_eq!(f.to_string(), "EF ((p -> AX q) & (AX q -> p))");
+/// # Ok::<(), covest_ctl::ParseFormulaError>(())
+/// ```
+pub fn parse_ctl(src: &str) -> Result<Ctl, ParseFormulaError> {
     let (mut toks, mut nodes) = (Vec::new(), Vec::new());
     parse_str(src, &mut toks, &mut nodes)?;
     let parsed = Parsed {
@@ -704,7 +689,7 @@ pub fn parse_ast(src: &str) -> Result<Ast, ParseFormulaError> {
         toks: &toks,
         nodes: &nodes,
     };
-    Ok(parsed.ast(parsed.root()))
+    Ok(parsed.ctl(parsed.root()))
 }
 
 /// Parses a property in the paper's acceptable ACTL subset.
@@ -952,11 +937,11 @@ mod tests {
 
     #[test]
     fn reports_parse_errors_with_position() {
-        let e = parse_ast("AG (p ->").unwrap_err();
+        let e = parse_ctl("AG (p ->").unwrap_err();
         assert!(e.position >= 7, "{e:?}");
-        assert!(parse_ast("p $ q").is_err());
-        assert!(parse_ast("A[p q]").is_err());
-        assert!(parse_ast("p q").is_err());
+        assert!(parse_ctl("p $ q").is_err());
+        assert!(parse_ctl("A[p q]").is_err());
+        assert!(parse_ctl("p q").is_err());
     }
 
     #[test]
@@ -989,7 +974,7 @@ mod tests {
             "x = - 9223372036854775808",
             "p & -99999999999999999999",
         ] {
-            let e = parse_ast(src).unwrap_err();
+            let e = parse_ctl(src).unwrap_err();
             assert_eq!(e.message, "integer literal out of range", "{src}");
             assert_eq!(e.position, src.find('-').expect("a sign"), "{src}");
         }
@@ -1019,9 +1004,9 @@ mod tests {
             |n: usize, open: &str, close: &str| format!("{}x{}", open.repeat(n), close.repeat(n));
         for (open, close) in [("(", ")"), ("!", ""), ("AX ", ""), ("A[x U ", "]")] {
             let ok = nested(MAX_DEPTH, open, close);
-            assert!(parse_ast(&ok).is_ok(), "{open} x {MAX_DEPTH}");
+            assert!(parse_ctl(&ok).is_ok(), "{open} x {MAX_DEPTH}");
             let deep = nested(100_000, open, close);
-            let e = parse_ast(&deep).unwrap_err();
+            let e = parse_ctl(&deep).unwrap_err();
             assert_eq!(e.position, MAX_DEPTH * open.len(), "{open}");
             assert_eq!(e.message, too_deep_message());
         }

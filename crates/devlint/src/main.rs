@@ -30,6 +30,10 @@
 //!   code sets up a verification checker in one place,
 //!   `CoverageEstimator::checker` in `covest-core`, so `check` and every
 //!   `batch` shard run one coverage path.
+//! - `test-only-code` — no `allow(dead_code)` in a crate's `src/`: code
+//!   that only tests call is a second implementation nothing in
+//!   production runs. Delete it, or mark a deliberate raw-layer test hook
+//!   with the suppression comment.
 //!
 //! A finding on a line ending in `// devlint: allow(<rule>)` is
 //! suppressed. Exit status: 0 clean, 1 findings, 2 usage/IO error.
@@ -188,6 +192,16 @@ fn one_verifier_scope(crates: &Path, path: &Path) -> bool {
         || path.starts_with(crates.join("par").join("src"))
 }
 
+/// `true` for the sources the `test-only-code` rule covers: every file
+/// under a crate's `src/` directory.
+fn test_only_code_scope(crates: &Path, path: &Path) -> bool {
+    path.strip_prefix(crates).is_ok_and(|rest| {
+        rest.components()
+            .nth(1)
+            .is_some_and(|c| c.as_os_str() == "src")
+    })
+}
+
 fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
     let crates = root.join("crates");
     let mut sources = Vec::new();
@@ -242,6 +256,16 @@ fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
                 "ModelChecker::new",
                 "one-verifier",
                 "set checkers up through CoverageEstimator::checker (one coverage path)",
+                &mut findings,
+            );
+        }
+        if test_only_code_scope(&crates, path) {
+            scan_lines(
+                path,
+                &src,
+                "allow(dead_code)",
+                "test-only-code",
+                "code kept alive only for tests; delete it or mark a deliberate test hook",
                 &mut findings,
             );
         }
@@ -387,6 +411,39 @@ mod tests {
         );
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, [1]);
+    }
+
+    #[test]
+    fn test_only_code_covers_crate_sources_and_honours_the_suppression() {
+        let crates = Path::new("crates");
+        assert!(test_only_code_scope(
+            crates,
+            &crates.join("bdd/src/count.rs")
+        ));
+        assert!(test_only_code_scope(
+            crates,
+            &crates.join("circuits/src/bin/gen_models.rs")
+        ));
+        assert!(!test_only_code_scope(
+            crates,
+            &crates.join("bdd/tests/properties.rs")
+        ));
+        assert!(!test_only_code_scope(crates, Path::new("src/lib.rs")));
+        let src = "    #[cfg_attr(not(test), allow(dead_code))] // exercised by tests\n\
+                   #[allow(dead_code)]\n\
+                   #[cfg_attr(not(test), allow(dead_code))] // devlint: allow(test-only-code)\n\
+                   pub fn used() {}\n";
+        let mut findings = Vec::new();
+        scan_lines(
+            Path::new("count.rs"),
+            src,
+            "allow(dead_code)",
+            "test-only-code",
+            "",
+            &mut findings,
+        );
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [1, 2]);
     }
 
     #[test]

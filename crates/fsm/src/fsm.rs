@@ -19,7 +19,7 @@ use covest_bdd::{BddManager, Func, VarId};
 
 use crate::error::BuildFsmError;
 use crate::image::ImageEngine;
-use crate::signal::{SignalTable, SignalValue};
+use crate::signal::SignalTable;
 
 /// A state bit with its current- and next-state BDD variables.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -116,26 +116,9 @@ impl SymbolicFsm {
         &self.engine
     }
 
-    /// A fresh image engine over `parts` and this machine's variables.
-    fn engine_over(&self, parts: &[Func]) -> ImageEngine {
-        ImageEngine::build(
-            &self.mgr,
-            parts,
-            &self.current_vars(),
-            &self.input_vars(),
-            &self.next_vars(),
-        )
-    }
-
     /// The machine's signal table (the paper's signal set `P`).
     pub fn signals(&self) -> &SignalTable {
         &self.signals
-    }
-
-    /// Mutable access to the signal table. Used by the dual-FSM
-    /// construction, which re-interprets the observed signal.
-    pub fn signals_mut(&mut self) -> &mut SignalTable {
-        &mut self.signals
     }
 
     /// Number of state bits (the paper's "variables" count in Table 2
@@ -191,23 +174,6 @@ impl SymbolicFsm {
         self.engine.is_total()
     }
 
-    /// Restricts the machine's inputs with an additional constraint over
-    /// (current, input) variables, e.g. to model an environment assumption.
-    /// Returns a machine whose transition relation is `T ∧ c`.
-    ///
-    /// The constraint joins the conjunctive partition and the image
-    /// engine is rebuilt, so the constrained machine carries neither the
-    /// old relation nor the old machine's reachable set.
-    ///
-    /// Note: the result may not be total; check [`SymbolicFsm::is_total`].
-    pub fn constrain(&self, constraint: &Func) -> SymbolicFsm {
-        let mut parts = self.engine.parts().to_vec();
-        parts.push(constraint.clone());
-        let mut out = self.clone();
-        out.engine = self.engine_over(&parts);
-        out
-    }
-
     /// The characteristic function of a single state given as bit values
     /// (missing bits default to `false`).
     pub fn state_cube(&self, assignment: &[(&str, bool)]) -> Func {
@@ -221,28 +187,6 @@ impl SymbolicFsm {
             cube = cube.and(&self.mgr.literal(bit.current, value));
         }
         cube
-    }
-
-    /// Builds the *dual FSM* of Definition 2 for observed signal `q` and
-    /// the single state (or state set) `states`: identical machine except
-    /// that the value of `q` is complemented on `states`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not a boolean signal of this machine (the paper's
-    /// duality is defined for boolean observed signals).
-    pub fn dual(&self, q: &str, states: &Func) -> SymbolicFsm {
-        let current = match self.signals.get(q) {
-            Some(SignalValue::Bool(r)) => r.clone(),
-            Some(SignalValue::Num(_)) => {
-                panic!("dual FSM requires a boolean observed signal, `{q}` is numeric")
-            }
-            None => panic!("unknown observed signal `{q}`"),
-        };
-        let flipped = current.xor(states);
-        let mut out = self.clone();
-        out.signals.insert_bool(q, flipped);
-        out
     }
 }
 
@@ -535,98 +479,6 @@ mod tests {
         let mgr = BddManager::new();
         let fsm = counter2(&mgr);
         assert!(fsm.is_total());
-        // Constrain away all transitions out of state 11 → not total.
-        let f0 = mgr.var(fsm.state_bits()[0].current);
-        let f1 = mgr.var(fsm.state_bits()[1].current);
-        let not11 = f0.and(&f1).not();
-        let constrained = fsm.constrain(&not11);
-        assert!(!constrained.is_total());
-    }
-
-    /// Regression for the stale-derived-state class: a machine with a
-    /// cached reachable set and a cached relation is `constrain`ed; the
-    /// rebuilt engine must carry neither the old reachable set nor a
-    /// relation missing the constraint, and the constrained machine's
-    /// images must match the two-step product on its relation.
-    #[test]
-    fn constrain_drops_care_state_and_stays_consistent() {
-        let mgr = BddManager::new();
-        // A modulo-3 counter: 00 → 01 → 10 → 00, state 11 unreachable, so
-        // the reachable set is nontrivial.
-        let fsm = {
-            let mut b = FsmBuilder::new(&mgr, "mod3");
-            let b0 = b.add_state_bit("b0");
-            let b1 = b.add_state_bit("b1");
-            let f0 = mgr.var(b0.current);
-            let f1 = mgr.var(b1.current);
-            let is2 = f1.and(&f0.not());
-            let zero = mgr.constant(false);
-            b.set_next("b0", is2.ite(&zero, &f0.not()));
-            b.set_next("b1", is2.ite(&zero, &f1.xor(&f0)));
-            b.set_init(mgr.nvar(b0.current).and(&mgr.nvar(b1.current)));
-            b.build().expect("valid machine")
-        };
-        // Force both derived artifacts to exist.
-        let _t = fsm.trans();
-        let reach = fsm.reachable();
-
-        // Cut all transitions out of state 01, shrinking the reachable set.
-        let f0 = mgr.var(fsm.state_bits()[0].current);
-        let f1 = mgr.var(fsm.state_bits()[1].current);
-        let cut = f0.and(&f1.not()).not();
-        assert!(
-            fsm.image_engine().cached_reach().is_some(),
-            "reachable() must land in the engine cache"
-        );
-        let constrained = fsm.constrain(&cut);
-        assert!(
-            constrained.image_engine().cached_reach().is_none(),
-            "constrain must not inherit the old machine's reachable set"
-        );
-        // The rebuilt relation really carries the constraint.
-        let fresh_t = mgr.and_many(constrained.trans_parts());
-        assert_eq!(constrained.trans(), fresh_t);
-        assert_eq!(constrained.trans(), fsm.trans().and(&cut));
-
-        // The constrained machine's images are exact: the two-step
-        // product on its relation.
-        let new_reach = constrained.reachable();
-        assert!(new_reach.leq(&reach));
-        let t = constrained.trans();
-        let mut fwd = constrained.current_vars();
-        fwd.extend(constrained.input_vars());
-        let mut bwd = constrained.next_vars();
-        bwd.extend(constrained.input_vars());
-        for set in [
-            constrained.init().clone(),
-            new_reach.clone(),
-            new_reach.not(),
-            mgr.constant(true),
-        ] {
-            let image = t.and(&set).exists(&fwd).rename(&constrained.next_to_cur());
-            assert_eq!(constrained.image(&set), image);
-            let set_next = set.rename(&constrained.cur_to_next());
-            assert_eq!(constrained.preimage(&set), t.and(&set_next).exists(&bwd));
-        }
-    }
-
-    #[test]
-    fn dual_flips_signal_on_one_state() {
-        let mgr = BddManager::new();
-        let fsm = counter2(&mgr);
-        let s00 = fsm.state_cube(&[("b0", false), ("b1", false)]);
-        let dual = fsm.dual("b0", &s00);
-        let orig = match fsm.signals().get("b0") {
-            Some(SignalValue::Bool(r)) => r.clone(),
-            _ => unreachable!(),
-        };
-        let flipped = match dual.signals().get("b0") {
-            Some(SignalValue::Bool(r)) => r.clone(),
-            _ => unreachable!(),
-        };
-        assert_ne!(orig, flipped);
-        // They agree outside s00 and disagree on it.
-        assert_eq!(orig.xor(&flipped), s00);
     }
 
     #[test]
@@ -659,27 +511,23 @@ mod tests {
     type Extra = fn(&Func, &Func, &Func) -> Func;
 
     /// A toggler `x' ↔ ¬x` beside a free bit `y`, plus the raw constraint
-    /// `extra(x, x', y')` when given. A constraint that leaves `x'` alone
-    /// has next-state variables of its own; one over `x'` shares it with
-    /// the toggler's part.
-    fn toggler(mgr: &BddManager, extra: Option<Extra>) -> FsmBuilder {
+    /// `extra(x, x', y')`. A constraint that leaves `x'` alone has
+    /// next-state variables of its own; one over `x'` shares it with the
+    /// toggler's part.
+    fn toggler(mgr: &BddManager, extra: Extra) -> FsmBuilder {
         let mut b = FsmBuilder::new(mgr, "toggler");
         let x = b.add_state_bit("x");
         let y = b.add_free_bit("y");
         let (cur, next) = (mgr.var(x.current), mgr.var(x.next));
         b.set_next("x", cur.not());
-        if let Some(extra) = extra {
-            b.add_trans_constraint(extra(&cur, &next, &mgr.var(y.next)));
-        }
+        b.add_trans_constraint(extra(&cur, &next, &mgr.var(y.next)));
         b
     }
 
     /// `build()` rejects a relation with a dead end and accepts a total
     /// one, for parts with disjoint next-state supports (checked part by
     /// part) and for parts sharing one (checked on the conjunction);
-    /// `is_total()` agrees on all four machines. A rejected machine is
-    /// rebuilt for `is_total()` as the total base `constrain`ed by the
-    /// same raw constraint, which yields the same parts.
+    /// `is_total()` agrees on the machines it accepts.
     #[test]
     fn totality_check_matches_the_conjunction() {
         let cases: [(&str, Extra, bool); 4] = [
@@ -700,23 +548,20 @@ mod tests {
         ];
         for (name, extra, total) in cases {
             let mgr = BddManager::new();
-            let built = toggler(&mgr, Some(extra)).build();
-            assert_eq!(built.is_ok(), total, "{name}: build()");
-            if !total {
-                assert_eq!(built.unwrap_err(), BuildFsmError::NotTotal, "{name}");
-            }
-            let base = toggler(&mgr, None).build().expect("the toggler is total");
-            let [x, y] = base.state_bits() else {
-                unreachable!("two state bits")
+            let machine = match toggler(&mgr, extra).build() {
+                Ok(machine) => machine,
+                Err(e) => {
+                    assert!(!total, "{name}: build() rejects a total machine");
+                    assert_eq!(e, BuildFsmError::NotTotal, "{name}");
+                    continue;
+                }
             };
-            let constraint = extra(&mgr.var(x.current), &mgr.var(x.next), &mgr.var(y.next));
-            let machine = base.constrain(&constraint);
+            assert!(total, "{name}: build() accepts a dead end");
             assert_eq!(machine.trans_parts().len(), 2, "{name}");
-            assert_eq!(machine.is_total(), total, "{name}: is_total()");
+            assert!(machine.is_total(), "{name}: is_total()");
             // Both answers agree with ∃next. T on the conjoined relation.
-            assert_eq!(
+            assert!(
                 machine.trans().exists(&machine.next_vars()).is_true(),
-                total,
                 "{name}: ∃next. T"
             );
         }

@@ -38,9 +38,7 @@ pub struct ImageEngine {
     /// The conjunction of `parts`, built on first request.
     relation: RefCell<Option<Func>>,
     /// Cached reachable-from-init set (computed by
-    /// [`crate::SymbolicFsm::reachable`]). Like `relation`, it is derived
-    /// from the parts and therefore shares the engine's lifecycle:
-    /// rebuilding the engine (`constrain`) drops it.
+    /// [`crate::SymbolicFsm::reachable`]).
     reach: RefCell<Option<Func>>,
 }
 

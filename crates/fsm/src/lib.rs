@@ -13,8 +13,8 @@
 //! - [`SignalTable`]: named boolean and numeric signals with lowering of
 //!   [`covest_ctl::PropExpr`] atoms (including integer comparisons) to
 //!   BDDs, plus interpretation *overrides* — the hook used by `depend(b)`,
-//!   the dual FSM, and the primed signal `q'` of the paper;
-//! - [`SymbolicFsm::dual`]: Definition 2's dual machine `M̂s`;
+//!   Definition 2's dual machine `M̂s`, and the primed signal `q'` of the
+//!   paper;
 //! - [`Trace`] generation: shortest input sequences to target states
 //!   (Section 3's "traces to uncovered states");
 //! - [`Stg`]: explicit state-transition graphs (the paper's Figures 1–3)

@@ -54,11 +54,10 @@ impl SymbolicFsm {
 
     /// All states reachable from the initial states.
     ///
-    /// Cached on the image engine after the first computation (the
-    /// initial states never change post-build, and the cache shares the
-    /// engine's lifecycle — [`crate::SymbolicFsm::constrain`] builds a
-    /// new engine without it), so the per-signal analyses of a
-    /// multi-signal run pay for the BFS once.
+    /// Cached on the image engine after the first computation (neither
+    /// the initial states nor the relation change after `build()`), so
+    /// the per-signal analyses of a multi-signal run pay for the BFS
+    /// once.
     pub fn reachable(&self) -> Func {
         if let Some(r) = self.engine.cached_reach() {
             return r;

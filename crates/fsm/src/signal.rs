@@ -46,16 +46,6 @@ impl NumericSignal {
             literals: HashMap::new(),
         }
     }
-
-    /// Inclusive range of representable values.
-    pub fn value_range(&self) -> (i64, i64) {
-        let span = if self.bits.len() >= 63 {
-            i64::MAX
-        } else {
-            (1i64 << self.bits.len()) - 1
-        };
-        (self.offset, self.offset.saturating_add(span))
-    }
 }
 
 /// The semantic value of a signal.

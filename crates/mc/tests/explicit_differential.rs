@@ -6,102 +6,107 @@
 use std::collections::HashSet;
 
 use covest_bdd::BddManager;
-use covest_ctl::{parse_ast, Ast, CmpRhs};
+use covest_ctl::{parse_ctl, Ctl, PropExpr};
 use covest_fsm::Stg;
 use covest_mc::ModelChecker;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
+/// Whether state `s`'s labels satisfy the propositional formula `p`.
+fn holds_in(p: &PropExpr, s: usize, labels: &dyn Fn(&str, usize) -> bool) -> bool {
+    let at = |q: &PropExpr| holds_in(q, s, labels);
+    match p {
+        PropExpr::Const(c) => *c,
+        PropExpr::Atom(sig) => labels(&sig.name, s),
+        PropExpr::Cmp { .. } => unreachable!("no comparisons in these tests"),
+        PropExpr::Not(a) => !at(a),
+        PropExpr::And(a, b) => at(a) && at(b),
+        PropExpr::Or(a, b) => at(a) || at(b),
+        PropExpr::Implies(a, b) => !at(a) || at(b),
+        PropExpr::Iff(a, b) => at(a) == at(b),
+    }
+}
+
 /// Explicit-state CTL evaluation: returns the set of states satisfying
 /// the formula, given successor lists and per-state labels.
 fn eval_explicit(
-    ast: &Ast,
+    ctl: &Ctl,
     succ: &[Vec<usize>],
     labels: &dyn Fn(&str, usize) -> bool,
 ) -> HashSet<usize> {
     let n = succ.len();
     let all: HashSet<usize> = (0..n).collect();
-    match ast {
-        Ast::Const(true) => all,
-        Ast::Const(false) => HashSet::new(),
-        Ast::Atom(name) => (0..n).filter(|&s| labels(name, s)).collect(),
-        Ast::Cmp(..) => unreachable!("no comparisons in these tests"),
-        Ast::Not(a) => {
+    match ctl {
+        Ctl::Prop(p) => (0..n).filter(|&s| holds_in(p, s, labels)).collect(),
+        Ctl::Not(a) => {
             let sa = eval_explicit(a, succ, labels);
             all.difference(&sa).copied().collect()
         }
-        Ast::And(a, b) => {
+        Ctl::And(a, b) => {
             let sa = eval_explicit(a, succ, labels);
             let sb = eval_explicit(b, succ, labels);
             sa.intersection(&sb).copied().collect()
         }
-        Ast::Or(a, b) => {
+        Ctl::Or(a, b) => {
             let sa = eval_explicit(a, succ, labels);
             let sb = eval_explicit(b, succ, labels);
             sa.union(&sb).copied().collect()
         }
-        Ast::Implies(a, b) => {
-            let na = Ast::Not(a.clone());
-            let or = Ast::Or(Box::new(na), b.clone());
+        Ctl::Implies(a, b) => {
+            let na = Ctl::Not(a.clone());
+            let or = Ctl::Or(Box::new(na), b.clone());
             eval_explicit(&or, succ, labels)
         }
-        Ast::Iff(a, b) => {
-            let sa = eval_explicit(a, succ, labels);
-            let sb = eval_explicit(b, succ, labels);
-            (0..n)
-                .filter(|s| sa.contains(s) == sb.contains(s))
-                .collect()
-        }
-        Ast::Ex(a) => {
+        Ctl::Ex(a) => {
             let sa = eval_explicit(a, succ, labels);
             (0..n)
                 .filter(|&s| succ[s].iter().any(|t| sa.contains(t)))
                 .collect()
         }
-        Ast::Ax(a) => {
+        Ctl::Ax(a) => {
             let sa = eval_explicit(a, succ, labels);
             (0..n)
                 .filter(|&s| succ[s].iter().all(|t| sa.contains(t)))
                 .collect()
         }
-        Ast::Ef(a) => {
+        Ctl::Ef(a) => {
             // lfp: sa ∪ EX Z
             let sa = eval_explicit(a, succ, labels);
             lfp(succ, sa, |z, s| succ[s].iter().any(|t| z.contains(t)))
         }
-        Ast::Eu(a, b) => {
+        Ctl::Eu(a, b) => {
             let sa = eval_explicit(a, succ, labels);
             let sb = eval_explicit(b, succ, labels);
             lfp(succ, sb, |z, s| {
                 sa.contains(&s) && succ[s].iter().any(|t| z.contains(t))
             })
         }
-        Ast::Af(a) => {
+        Ctl::Af(a) => {
             // AF a = ¬EG ¬a
-            let na = Ast::Not(a.clone());
-            let eg = Ast::Eg(Box::new(na));
+            let na = Ctl::Not(a.clone());
+            let eg = Ctl::Eg(Box::new(na));
             let s = eval_explicit(&eg, succ, labels);
             all.difference(&s).copied().collect()
         }
-        Ast::Eg(a) => {
+        Ctl::Eg(a) => {
             // gfp: sa ∩ EX Z
             let sa = eval_explicit(a, succ, labels);
             gfp(succ, sa)
         }
-        Ast::Ag(a) => {
+        Ctl::Ag(a) => {
             // AG a = ¬EF ¬a
-            let na = Ast::Not(a.clone());
-            let ef = Ast::Ef(Box::new(na));
+            let na = Ctl::Not(a.clone());
+            let ef = Ctl::Ef(Box::new(na));
             let s = eval_explicit(&ef, succ, labels);
             all.difference(&s).copied().collect()
         }
-        Ast::Au(a, b) => {
+        Ctl::Au(a, b) => {
             // A[a U b] = ¬(E[¬b U ¬a∧¬b] ∨ EG ¬b)
-            let na = Ast::Not(a.clone());
-            let nb = Ast::Not(b.clone());
-            let conj = Ast::And(Box::new(na), Box::new(nb.clone()));
-            let eu = Ast::Eu(Box::new(nb.clone()), Box::new(conj));
-            let eg = Ast::Eg(Box::new(nb));
-            let bad = Ast::Or(Box::new(eu), Box::new(eg));
+            let na = Ctl::Not(a.clone());
+            let nb = Ctl::Not(b.clone());
+            let conj = Ctl::And(Box::new(na), Box::new(nb.clone()));
+            let eu = Ctl::Eu(Box::new(nb.clone()), Box::new(conj));
+            let eg = Ctl::Eg(Box::new(nb));
+            let bad = Ctl::Or(Box::new(eu), Box::new(eg));
             let s = eval_explicit(&bad, succ, labels);
             all.difference(&s).copied().collect()
         }
@@ -194,40 +199,6 @@ fn random_formula_text(rng: &mut StdRng) -> String {
     templates[rng.gen_range(0..templates.len())].clone()
 }
 
-/// Converts a parsed general AST into the checker's `Ctl` type.
-fn to_ctl(ast: &Ast) -> covest_ctl::Ctl {
-    use covest_ctl::{Ctl, PropExpr, SignalRef};
-    match ast {
-        Ast::Const(c) => Ctl::Prop(PropExpr::Const(*c)),
-        Ast::Atom(n) => Ctl::Prop(PropExpr::Atom(SignalRef::new(n.clone()))),
-        Ast::Cmp(l, op, r) => Ctl::Prop(PropExpr::Cmp {
-            lhs: SignalRef::new(l.clone()),
-            op: *op,
-            rhs: match r {
-                CmpRhs::Int(i) => CmpRhs::Int(*i),
-                CmpRhs::Sym(s) => CmpRhs::Sym(s.clone()),
-            },
-        }),
-        Ast::Not(a) => Ctl::Not(Box::new(to_ctl(a))),
-        Ast::And(a, b) => Ctl::And(Box::new(to_ctl(a)), Box::new(to_ctl(b))),
-        Ast::Or(a, b) => Ctl::Or(Box::new(to_ctl(a)), Box::new(to_ctl(b))),
-        Ast::Implies(a, b) => Ctl::Implies(Box::new(to_ctl(a)), Box::new(to_ctl(b))),
-        Ast::Iff(a, b) => {
-            let l = Ctl::Implies(Box::new(to_ctl(a)), Box::new(to_ctl(b)));
-            let r = Ctl::Implies(Box::new(to_ctl(b)), Box::new(to_ctl(a)));
-            Ctl::And(Box::new(l), Box::new(r))
-        }
-        Ast::Ax(a) => Ctl::Ax(Box::new(to_ctl(a))),
-        Ast::Ex(a) => Ctl::Ex(Box::new(to_ctl(a))),
-        Ast::Ag(a) => Ctl::Ag(Box::new(to_ctl(a))),
-        Ast::Eg(a) => Ctl::Eg(Box::new(to_ctl(a))),
-        Ast::Af(a) => Ctl::Af(Box::new(to_ctl(a))),
-        Ast::Ef(a) => Ctl::Ef(Box::new(to_ctl(a))),
-        Ast::Au(a, b) => Ctl::Au(Box::new(to_ctl(a)), Box::new(to_ctl(b))),
-        Ast::Eu(a, b) => Ctl::Eu(Box::new(to_ctl(a)), Box::new(to_ctl(b))),
-    }
-}
-
 #[test]
 fn symbolic_sat_sets_match_explicit_evaluation() {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
@@ -236,10 +207,9 @@ fn symbolic_sat_sets_match_explicit_evaluation() {
         let (stg, succ) = random_stg(&mut rng);
         let fsm = stg.compile(&bdd).expect("compiles");
         let text = random_formula_text(&mut rng);
-        let ast = parse_ast(&text).expect("parses");
+        let ctl = parse_ctl(&text).expect("parses");
         let labels = |name: &str, s: usize| stg.labelled_states(name).contains(&s);
-        let expect = eval_explicit(&ast, &succ, &labels);
-        let ctl = to_ctl(&ast);
+        let expect = eval_explicit(&ctl, &succ, &labels);
         let mut mc = ModelChecker::new(&fsm);
         let sat = mc.sat(&ctl).expect("sat");
         // Compare on the *valid* state codes only (invalid binary codes

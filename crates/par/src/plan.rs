@@ -324,11 +324,6 @@ impl WorkPlan {
         Ok(WorkPlan { shards })
     }
 
-    /// Number of decks in the plan.
-    pub fn num_decks(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total number of per-signal coverage tasks.
     pub fn num_tasks(&self) -> usize {
         self.shards.iter().map(|s| s.tasks.len()).sum()

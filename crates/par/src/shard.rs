@@ -24,9 +24,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use covest_bdd::{BddManager, ReorderStats};
-use covest_core::{
-    CoverageAnalysis, CoverageError, CoverageEstimator, CoverageOptions, ReportRow, Verification,
-};
+use covest_core::{CoverageError, CoverageEstimator, CoverageOptions, ReportRow, Verification};
 use covest_smv::{CompiledModel, ModelError, Module};
 use covest_telemetry::chrome::TraceSink;
 use covest_telemetry::{self as telemetry, memory, progress, Clock, Stopwatch, Telemetry};
@@ -64,7 +62,8 @@ pub(crate) type ShardResult = Result<DeckReport, ParError>;
 /// gauges. The closure holds its own manager handle (an `Rc` clone), so
 /// a caller that outlives the manager's work **must**
 /// [`memory::clear_mem_sampler`] or the sampler keeps the whole arena
-/// alive. Every shard and `covest check` install it.
+/// alive. Every shard and `covest check` install it when profiling or
+/// printing the progress heartbeat, whose `live=` gauge it feeds.
 pub fn install_mem_sampler(bdd: &BddManager) {
     let gauges = bdd.clone();
     memory::set_mem_sampler(move || {
@@ -98,9 +97,10 @@ pub fn compile_machine(
     Ok((model, sift))
 }
 
-/// One coverage task on a verified machine: the signal's coverage over
-/// its own cone, and its Table-2 row carrying the canonical sample of up
-/// to `uncovered_limit` uncovered states, drawn under a `sample` span.
+/// One coverage task on a verified machine: the Table-2 row of the
+/// signal's coverage over its own cone, carrying the canonical sample of
+/// up to `uncovered_limit` uncovered cone states, drawn under a `sample`
+/// span.
 ///
 /// # Errors
 ///
@@ -111,7 +111,7 @@ pub fn cover_signal<'m>(
     deck: &str,
     task: &SignalTask,
     uncovered_limit: usize,
-) -> Result<(ReportRow, CoverageAnalysis), CoverageError> {
+) -> Result<ReportRow, CoverageError> {
     let options = CoverageOptions {
         cone: Some(task.cone.clone()),
         ..Default::default()
@@ -119,11 +119,9 @@ pub fn cover_signal<'m>(
     let analysis = estimator.cover(verification, &task.signal, &options)?;
     let sample = {
         let _span = telemetry::span("sample");
-        let universe = estimator.universe(options.cone.as_deref());
-        estimator.sample_states_over(&analysis.uncovered(), &universe, uncovered_limit)
+        estimator.uncovered_states(&analysis, uncovered_limit)
     };
-    let row = ReportRow::from_analysis(deck, &analysis).with_uncovered_sample(sample);
-    Ok((row, analysis))
+    Ok(ReportRow::from_analysis(deck, &analysis).with_uncovered_sample(sample))
 }
 
 /// Executes one shard on a fresh private manager. Pure in (deck source,
@@ -143,7 +141,7 @@ pub(crate) fn run_shard(
         telemetry::install(Telemetry::with_clock(clock.clone()));
     }
     let bdd = BddManager::new();
-    if config.profile {
+    if config.profile || config.progress {
         install_mem_sampler(&bdd);
     }
     if config.progress {
@@ -217,11 +215,11 @@ fn run_shard_phases(
 
     let sw = Stopwatch::start();
     let mut verification = estimator
-        .verify(checker, &model.specs, false)
+        .verify(checker, &model.specs)
         .map_err(|e| failed(None, e.to_string()))?;
     let mut signals = Vec::with_capacity(shard.tasks.len());
     for task in &shard.tasks {
-        let (row, _) = cover_signal(
+        let row = cover_signal(
             &estimator,
             &mut verification,
             deck,

@@ -62,9 +62,7 @@ fn full_deck_peak(deck: &DeckJob) -> u64 {
     let (model, _) = compile_machine(&bdd, &module).expect("deck compiles");
     let estimator = CoverageEstimator::new(&model.fsm);
     let checker = estimator.checker(&model.fairness).expect("checker");
-    let mut verification = estimator
-        .verify(checker, &model.specs, false)
-        .expect("verifies");
+    let mut verification = estimator.verify(checker, &model.specs).expect("verifies");
     for task in &tasks {
         cover_signal(&estimator, &mut verification, &deck.name, task, 10).expect("covers");
     }
@@ -195,9 +193,7 @@ fn counter_keeps_its_caches_at_2_to_the_10() {
     let (model, _) = compile_machine(&bdd, &machine).expect("deck compiles");
     let estimator = CoverageEstimator::new(&model.fsm);
     let checker = estimator.checker(&model.fairness).expect("checker");
-    let mut verification = estimator
-        .verify(checker, &model.specs, false)
-        .expect("verifies");
+    let mut verification = estimator.verify(checker, &model.specs).expect("verifies");
     for task in &tasks {
         cover_signal(&estimator, &mut verification, "counter", task, 10).expect("covers");
     }

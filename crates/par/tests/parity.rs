@@ -103,7 +103,7 @@ fn plan_shape_follows_signal_decomposition() {
         },
     ];
     let plan = WorkPlan::plan(&decks, &ParConfig::default()).expect("plans");
-    assert_eq!(plan.num_decks(), 2);
+    assert_eq!(plan.num_shards(), 2);
     assert_eq!(plan.num_tasks(), 2, "2 override signals");
     let report = plan.run(&ParConfig::default()).expect("runs");
     assert_eq!(report.decks[0].signals.len(), 0);
@@ -172,7 +172,6 @@ fn plan_is_identical_across_planner_threads() {
     let base_report = base.run(&listing(1)).expect("runs");
     for jobs in [2, 4] {
         let plan = WorkPlan::plan(&decks, &listing(jobs)).expect("plans");
-        assert_eq!(plan.num_decks(), base.num_decks(), "jobs={jobs}");
         assert_eq!(plan.num_tasks(), base.num_tasks(), "jobs={jobs}");
         assert_eq!(plan.num_shards(), base.num_shards(), "jobs={jobs}");
         assert_eq!(

@@ -33,39 +33,26 @@ struct VarInfo<'a> {
     decl: &'a VarDecl,
     /// Position of the declaration in the module.
     index: usize,
-    /// Bit handles (bool vars use exactly one). IVARs compile to free
-    /// state bits, so every handle is a state bit.
-    bits: Vec<BitHandle>,
+    /// State bits, least significant first (bool vars use exactly one).
+    /// IVARs compile to free state bits.
+    bits: Vec<StateBit>,
     /// Minimum value (offset) for int-typed vars.
     offset: i64,
     /// Number of values (range size); 2 for booleans.
     span: i64,
 }
 
-#[derive(Debug, Clone)]
-enum BitHandle {
-    State(StateBit),
-}
-
-impl BitHandle {
-    fn current(&self, bdd: &BddManager) -> Func {
-        match self {
-            BitHandle::State(s) => bdd.var(s.current),
-        }
-    }
-}
-
 impl VarInfo<'_> {
     /// The variable's value in the current state.
     fn value(&self, bdd: &BddManager) -> Value {
         match self.decl.ty {
-            VarType::Boolean => Value::Bool(self.bits[0].current(bdd)),
+            VarType::Boolean => Value::Bool(bdd.var(self.bits[0].current)),
             VarType::Range(..) | VarType::Enum(_) => {
                 let mut pairs = Vec::with_capacity(self.span as usize);
                 for raw in 0..self.span {
                     let mut cond = bdd.constant(true);
                     for (i, bit) in self.bits.iter().enumerate() {
-                        let b = bit.current(bdd);
+                        let b = bdd.var(bit.current);
                         let want = (raw >> i) & 1 == 1;
                         let lit = if want { b } else { b.not() };
                         cond = cond.and(&lit);
@@ -531,11 +518,9 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
                 // Inputs compile to *free* state bits (unconstrained next
                 // value), matching original SMV: the input valuation is
                 // part of the state, so properties may mention inputs.
-                let sb = builder.add_free_bit(bit_name);
-                bits.push(BitHandle::State(sb));
+                bits.push(builder.add_free_bit(bit_name));
             } else {
-                let sb = builder.add_state_bit(bit_name);
-                bits.push(BitHandle::State(sb));
+                bits.push(builder.add_state_bit(bit_name));
             }
         }
         vars.insert(
@@ -564,8 +549,7 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
         for raw in info.span..code_count {
             let mut cond_cur = bdd.constant(true);
             let mut cond_next = bdd.constant(true);
-            for (i, bit) in info.bits.iter().enumerate() {
-                let BitHandle::State(sb) = bit;
+            for (i, sb) in info.bits.iter().enumerate() {
                 let want = (raw >> i) & 1 == 1;
                 cond_cur = cond_cur.and(&bdd.literal(sb.current, want));
                 cond_next = cond_next.and(&bdd.literal(sb.next, want));
@@ -598,17 +582,17 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
         let info = &compiler.vars[d.name.as_str()];
         match &d.ty {
             VarType::Boolean => {
-                let f = info.bits[0].current(bdd);
+                let f = bdd.var(info.bits[0].current);
                 builder.add_signal(d.name.clone(), f);
             }
             VarType::Range(lo, _) => {
-                let bit_fns: Vec<Func> = info.bits.iter().map(|b| b.current(bdd)).collect();
+                let bit_fns: Vec<Func> = info.bits.iter().map(|b| bdd.var(b.current)).collect();
                 let mut sig = NumericSignal::unsigned(bit_fns);
                 sig.offset = *lo;
                 builder.add_numeric_signal(d.name.clone(), sig);
             }
             VarType::Enum(lits) => {
-                let bit_fns: Vec<Func> = info.bits.iter().map(|b| b.current(bdd)).collect();
+                let bit_fns: Vec<Func> = info.bits.iter().map(|b| bdd.var(b.current)).collect();
                 let mut sig = NumericSignal::unsigned(bit_fns);
                 for (i, l) in lits.iter().enumerate() {
                     sig.literals.insert(l.clone(), i as i64);
@@ -747,7 +731,7 @@ fn assign_constraint(
     v: &Value,
 ) -> Result<Func, ModelError> {
     match (&info.decl.ty, v) {
-        (VarType::Boolean, Value::Bool(r)) => Ok(info.bits[0].current(bdd).iff(r)),
+        (VarType::Boolean, Value::Bool(r)) => Ok(bdd.var(info.bits[0].current).iff(r)),
         (VarType::Boolean, Value::Int(_)) => Err(ModelError::nowhere(format!(
             "integer assigned to boolean `{name}`"
         ))),
@@ -763,7 +747,7 @@ fn assign_constraint(
                 let raw = val.wrapping_sub(info.offset);
                 let mut eq = bdd.constant(true);
                 for (i, bit) in info.bits.iter().enumerate() {
-                    let b = bit.current(bdd);
+                    let b = bdd.var(bit.current);
                     let want = (raw >> i) & 1 == 1;
                     let lit = if want { b } else { b.not() };
                     eq = eq.and(&lit);

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::str::FromStr;
 
-use crate::{escape_json, write_record_json, RecordKind, SpanRecord};
+use crate::{json_string, write_record_json, RecordKind, SpanRecord};
 
 /// The on-disk flavor of a `--trace` file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -165,8 +165,8 @@ impl<W: io::Write> TraceSink for TraceWriter<W> {
                     let _ = write!(
                         buf,
                         "\n{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                         \"args\":{{\"name\":\"{}\"}}}}",
-                        escape_json(label)
+                         \"args\":{{\"name\":{}}}}}",
+                        json_string(label)
                     );
                 }
                 for r in records {
@@ -190,17 +190,17 @@ fn write_chrome_event(out: &mut String, r: &SpanRecord, tid: u64) {
             let dur = r.end.map_or(0, |e| e.saturating_sub(r.start).as_micros());
             let _ = write!(
                 out,
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"name\":\"{}\",\"cat\":\"covest\",\
+                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"name\":{},\"cat\":\"covest\",\
                  \"ts\":{ts},\"dur\":{dur}",
-                escape_json(&r.name)
+                json_string(&r.name)
             );
         }
         RecordKind::Event => {
             let _ = write!(
                 out,
-                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"name\":\"{}\",\
+                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"name\":{},\
                  \"cat\":\"covest\",\"ts\":{ts}",
-                escape_json(&r.name)
+                json_string(&r.name)
             );
         }
     }
@@ -212,14 +212,14 @@ fn write_chrome_event(out: &mut String, r: &SpanRecord, tid: u64) {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":{value}", escape_json(name));
+            let _ = write!(out, "{}:{value}", json_string(name));
         }
         for (name, value) in &r.labels {
             if !first {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":\"{}\"", escape_json(name), escape_json(value));
+            let _ = write!(out, "{}:{}", json_string(name), json_string(value));
         }
         out.push('}');
     }

@@ -305,9 +305,9 @@ pub(crate) fn write_record_json(
     };
     let _ = write!(
         out,
-        "{{\"type\":\"{kind}\",\"id\":{id},\"parent\":{},\"name\":\"{}\",\"start_us\":{}",
+        "{{\"type\":\"{kind}\",\"id\":{id},\"parent\":{},\"name\":{},\"start_us\":{}",
         parent.map_or("null".to_owned(), |p| p.to_string()),
-        escape_json(&r.name),
+        json_string(&r.name),
         r.start.as_micros(),
     );
     if r.kind == RecordKind::Span {
@@ -329,32 +329,42 @@ pub(crate) fn write_record_json(
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":{value}", escape_json(name));
+            let _ = write!(out, "{}:{value}", json_string(name));
         }
         for (name, value) in &r.labels {
             if !first {
                 out.push(',');
             }
             first = false;
-            let _ = write!(out, "\"{}\":\"{}\"", escape_json(name), escape_json(value));
+            let _ = write!(out, "{}:{}", json_string(name), json_string(value));
         }
         out.push('}');
     }
     out.push_str("}\n");
 }
 
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Renders `s` as a JSON string literal, escaping per RFC 8259 (`"`,
+/// `\`, and control characters as `\uXXXX`/short escapes). Rust's
+/// `{:?}` is *not* a substitute — its `\u{7f}` brace form is invalid
+/// JSON — so every string the JSON writers emit (trace files here,
+/// `--json` and `--stats` in the front ends) goes through here.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
+    out.push('"');
     out
 }
 
