@@ -209,6 +209,14 @@ impl BddManager {
         Func::wrap(&self.inner, &mut inner, r)
     }
 
+    /// The variables appearing in any of the operands, sorted by index:
+    /// one walk over their shared nodes, where [`Func::support`] per
+    /// operand would visit a shared node once per operand.
+    pub fn support_many<'a, I: IntoIterator<Item = &'a Func>>(&self, fs: I) -> Vec<VarId> {
+        let refs = self.raw_operands(fs);
+        self.inner.borrow().support_many(refs)
+    }
+
     /// Resolves a sequence of handles to raw refs, checking ownership.
     fn raw_operands<'a, I: IntoIterator<Item = &'a Func>>(&self, fs: I) -> Vec<Ref> {
         let inner = self.inner.borrow();

@@ -571,13 +571,19 @@ impl Inner {
     /// Number of distinct decision nodes reachable from `f` (excluding
     /// terminals). This per-function size is the usual "BDD size" metric.
     pub fn node_count(&self, f: Ref) -> usize {
-        self.walk(f, |_| {})
+        self.walk(vec![f], |_| {})
     }
 
     /// The set of variables appearing in `f`, sorted by index.
     pub fn support(&self, f: Ref) -> Vec<VarId> {
+        self.support_many(vec![f])
+    }
+
+    /// The set of variables appearing in any of `roots`, sorted by index:
+    /// one walk, which visits a node the roots share once.
+    pub fn support_many(&self, roots: Vec<Ref>) -> Vec<VarId> {
         let mut seen = vec![false; self.num_vars()];
-        self.walk(f, |var| {
+        self.walk(roots, |var| {
             seen[var as usize] = true;
         });
         seen.iter()
@@ -587,14 +593,14 @@ impl Inner {
             .collect()
     }
 
-    /// Visits the distinct decision nodes reachable from `f`, handing
+    /// Visits the distinct decision nodes reachable from `roots`, handing
     /// each one's variable to `visit`, and returns how many it visited.
     /// Marks visited nodes in a bitmap over the node table: no hashing,
     /// and the manager is only read.
-    fn walk(&self, f: Ref, mut visit: impl FnMut(u32)) -> usize {
+    fn walk(&self, roots: Vec<Ref>, mut visit: impl FnMut(u32)) -> usize {
         let mut marks = vec![0u64; self.nodes.len().div_ceil(64)];
         let mut count = 0;
-        let mut stack = vec![f];
+        let mut stack = roots;
         while let Some(r) = stack.pop() {
             if r.is_const() {
                 continue;
@@ -799,6 +805,10 @@ mod tests {
         let f = b.and(fx, fz);
         let s = b.support(f);
         assert_eq!(s, vec![VarId(0), VarId(2)]);
+        // The union over several roots, constants included.
+        let g = b.or(fx, fz);
+        assert_eq!(b.support_many(vec![fx, g, Ref::TRUE]), s);
+        assert_eq!(b.support_many(vec![]), Vec::<VarId>::new());
     }
 
     #[test]

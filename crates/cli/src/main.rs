@@ -34,8 +34,8 @@
 //!   machine-readable JSON;
 //! - `--stats` prints an engine-counter summary (unique-table and memo
 //!   hit rates, fixpoint iterations, image calls, a peak-live-by-phase
-//!   table) after the run: `check`'s front-end block, or `batch`'s
-//!   per-shard blocks with their phase times. Counter values are
+//!   table) after the run: `check`'s front-end block and its phase
+//!   times, or `batch`'s per-shard blocks with theirs. Counter values are
 //!   deterministic — byte-identical across `--jobs` values — while
 //!   everything below the `-- timings --` line is wall-clock and
 //!   excluded from any parity contract;
@@ -95,12 +95,13 @@ use covest_core::{json_string, CoverageEstimator, CoverageTable, ReportRow};
 use covest_mc::Verdict;
 use covest_par::{
     compile_machine, cover_signal, install_mem_sampler, plan_machine, run_batch,
-    run_batch_with_trace, BatchReport, DeckJob, ParConfig, ShardProfile,
+    run_batch_with_trace, startup_sift, BatchReport, DeckJob, ParConfig, ShardProfile,
 };
 use covest_smv::{decl_bit_width, CompiledModel};
 use covest_telemetry::chrome::{TraceFormat, TraceSink, TraceWriter};
 use covest_telemetry::{
-    self as telemetry, memory, progress, Counters, SpanRecord, Telemetry, WallClock, TIMINGS_MARKER,
+    self as telemetry, memory, progress, Counters, SpanRecord, Stopwatch, Telemetry, WallClock,
+    TIMINGS_MARKER,
 };
 
 /// Writes to stdout: every byte the CLI prints goes through here, via
@@ -532,6 +533,42 @@ fn fmt_ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
 }
 
+/// `check`'s phase wall-clocks, for the `--stats` timings line and the
+/// stats JSON's `*_ms` tail.
+#[derive(Debug, Default)]
+struct CheckTimings {
+    parse: Duration,
+    plan: Duration,
+    compile: Duration,
+    sift: Duration,
+    reach: Duration,
+    verify: Duration,
+    /// Each analyzed signal's coverage, in table order.
+    solve: Vec<(String, Duration)>,
+}
+
+impl CheckTimings {
+    /// The phases before the per-signal solves, named.
+    fn phases(&self) -> [(&'static str, Duration); 6] {
+        [
+            ("parse", self.parse),
+            ("plan", self.plan),
+            ("compile", self.compile),
+            ("sift", self.sift),
+            ("reach", self.reach),
+            ("verify", self.verify),
+        ]
+    }
+}
+
+/// Runs `f`, timing it when `on` (under `--stats` or `--trace`); without
+/// them no clock is read and the time is zero.
+fn timed<T>(on: bool, f: impl FnOnce() -> T) -> (T, Duration) {
+    let clock = on.then(Stopwatch::start);
+    let out = f();
+    (out, clock.map_or(Duration::ZERO, |c| c.elapsed()))
+}
+
 fn counters_json(c: &Counters) -> String {
     let mut out = String::from("{");
     for (i, (name, value)) in c.iter().enumerate() {
@@ -554,8 +591,8 @@ fn profile_label(p: &ShardProfile) -> String {
 
 /// Uninstalls the recorder installed for `--stats`/`--trace` and folds
 /// its output together with the per-shard profiles of `report` (`batch`)
-/// or the engine counters of the front-end manager (`check`, whose one
-/// machine runs the whole analysis).
+/// or the engine counters of the front-end manager and the phase times
+/// of `check` (whose one machine runs the whole analysis).
 ///
 /// The counter sections — the front-end counters and every per-shard
 /// counter set — are deterministic: byte-identical across `--jobs`
@@ -564,7 +601,7 @@ fn profile_label(p: &ShardProfile) -> String {
 /// [`TIMINGS_MARKER`] line is wall-clock/scheduling observability.
 fn collect_observability(
     engine: &EngineArgs,
-    front_mgr: Option<&BddManager>,
+    front_end: Option<(&BddManager, &CheckTimings)>,
     report: Option<&BatchReport>,
 ) -> Option<StatsOutput> {
     if !engine.profiling() {
@@ -572,7 +609,7 @@ fn collect_observability(
     }
     let rec = telemetry::uninstall().unwrap_or_default();
     let (records, mut front) = rec.into_parts();
-    if let Some(mgr) = front_mgr {
+    if let Some((mgr, _)) = front_end {
         for (name, value) in mgr.stats().pairs() {
             front.add(name, value);
         }
@@ -619,6 +656,16 @@ fn collect_observability(
         text.push_str(&merged_peak.render("    "));
     }
     let _ = writeln!(text, "{TIMINGS_MARKER}");
+    if let Some((_, times)) = front_end {
+        text.push_str("  check");
+        for (phase, d) in times.phases() {
+            let _ = write!(text, "  {phase} {} ms", fmt_ms(d));
+        }
+        for (signal, d) in &times.solve {
+            let _ = write!(text, "  solve {signal} {} ms", fmt_ms(*d));
+        }
+        text.push('\n');
+    }
     for deck in report.iter().flat_map(|r| r.decks.iter()) {
         let _ = writeln!(text, "  plan {}  {} ms", deck.name, fmt_ms(deck.plan_time));
     }
@@ -687,6 +734,13 @@ fn collect_observability(
             .map(|d| d.plan_time.as_secs_f64() * 1e3)
             .sum();
         let _ = write!(json, ", \"plan_ms\": {plan_ms:.3}");
+    }
+    if let Some((_, times)) = front_end {
+        for (phase, d) in times.phases() {
+            let _ = write!(json, ", \"{phase}_ms\": {}", fmt_ms(d));
+        }
+        let solve: Vec<String> = times.solve.iter().map(|(_, d)| fmt_ms(*d)).collect();
+        let _ = write!(json, ", \"solve_ms\": [{}]", solve.join(", "));
     }
     json.push('}');
 
@@ -762,7 +816,11 @@ fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         eprintln!("warning: --jobs has no effect on check; it sets batch's worker count");
     }
     let trace_writer = open_trace(&args.engine)?;
-    let module = covest_smv::parse_module(&src)?;
+    let on = args.engine.profiling();
+    let mut times = CheckTimings::default();
+    let (module, parse) = timed(on, || covest_smv::parse_module(&src));
+    let module = module?;
+    times.parse = parse;
     let signals: Vec<String> = if !args.coverage {
         Vec::new()
     } else if args.observed.is_empty() {
@@ -771,13 +829,19 @@ fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         args.observed.clone()
     };
     let full_bits: usize = module.vars.iter().map(|d| decl_bit_width(&d.ty)).sum();
-    let machine = plan_machine(module, &signals)?;
+    let (machine, plan) = timed(on, || plan_machine(module, &signals));
+    let machine = machine?;
+    times.plan = plan;
     let bdd = BddManager::new();
     // Stamp every span, event and heartbeat with this manager's gauges.
     if args.engine.profiling() || args.engine.progress {
         install_mem_sampler(&bdd);
     }
-    let (model, sift) = compile_machine(&bdd, &machine.module)?;
+    // `compile_machine`'s two steps, timed apart.
+    let (model, compile) = timed(on, || covest_smv::compile_module(&bdd, &machine.module));
+    let model = model?;
+    let (sift, sift_time) = timed(on, || startup_sift(&bdd));
+    (times.compile, times.sift) = (compile, sift_time);
     let state_bits = if machine.reduced {
         format!(
             "{full_bits} state bits ({} in the cone of influence)",
@@ -811,7 +875,10 @@ fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     // exact on the cone; a counterexample lists every state bit, so a
     // cone run builds it on the full deck, the machine that prints it.
     let estimator = CoverageEstimator::new(&model.fsm);
-    let mut verification = estimator.verify(estimator.checker(&model.fairness)?, &model.specs)?;
+    let (checker, reach) = timed(on, || estimator.checker(&model.fairness));
+    let (verification, verify) = timed(on, || estimator.verify(checker?, &model.specs));
+    let mut verification = verification?;
+    (times.reach, times.verify) = (reach, verify);
     let mut full: Option<FullDeck> = None;
     let holds = verification.holds().to_vec();
     for (spec, holds) in model.specs.iter().zip(holds) {
@@ -847,13 +914,17 @@ fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         for task in &machine.tasks {
             // One canonical sample serves the row and the trace targets:
             // a longer sample extends a shorter one.
-            let mut row = cover_signal(
-                &estimator,
-                &mut verification,
-                &args.model_path,
-                task,
-                UNCOVERED_SAMPLE_LIMIT.max(args.traces),
-            )?;
+            let (row, solve) = timed(on, || {
+                cover_signal(
+                    &estimator,
+                    &mut verification,
+                    &args.model_path,
+                    task,
+                    UNCOVERED_SAMPLE_LIMIT.max(args.traces),
+                )
+            });
+            let mut row = row?;
+            times.solve.push((task.signal.clone(), solve));
             let mut targets = row.uncovered_sample.clone();
             targets.truncate(args.traces);
             row.uncovered_sample.truncate(UNCOVERED_SAMPLE_LIMIT);
@@ -892,7 +963,7 @@ fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     }
 
     let all_passed = verification.all_hold();
-    let stats_out = collect_observability(&args.engine, Some(&bdd), None);
+    let stats_out = collect_observability(&args.engine, Some((&bdd, &times)), None);
     finish_trace(
         &args.engine,
         trace_writer,

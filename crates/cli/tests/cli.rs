@@ -388,7 +388,8 @@ fn stats_counters(stdout: &str) -> String {
 /// deterministic counters, so it must be byte-identical between a
 /// sequential and a 4-thread run (the timings below the marker are
 /// wall-clock and legitimately differ). `check` prints the front-end
-/// block only; the per-shard blocks are `batch`'s.
+/// block only; the per-shard blocks are `batch`'s. Below the marker,
+/// `check` prints its own phase times on one line.
 #[test]
 fn stats_summary_is_byte_identical_across_job_counts() {
     let check = |jobs: &str| {
@@ -397,6 +398,33 @@ fn stats_summary_is_byte_identical_across_job_counts() {
             &["--coverage", "--stats", "--jobs", jobs],
         ))
     };
+    let stdout = check_stdout("models/counter.smv", &["--coverage", "--stats"]);
+    let timings = stdout
+        .split_once("-- timings --\n")
+        .map(|(_, below)| below)
+        .unwrap_or_default();
+    let line = timings.lines().next().unwrap_or_default();
+    let phases = [
+        "parse",
+        "plan",
+        "compile",
+        "sift",
+        "reach",
+        "verify",
+        "solve count",
+    ];
+    let mut rest = line
+        .strip_prefix("  check")
+        .unwrap_or_else(|| panic!("{stdout}"));
+    for phase in phases {
+        let value = rest
+            .strip_prefix(&format!("  {phase} "))
+            .unwrap_or_else(|| panic!("no {phase} time in `{line}`"));
+        let (ms, tail) = value.split_once(" ms").unwrap_or_else(|| panic!("{line}"));
+        assert!(ms.parse::<f64>().is_ok(), "{phase}: `{ms}` in `{line}`");
+        rest = tail;
+    }
+    assert_eq!(rest, "", "{line}");
     let seq = check("1");
     assert!(seq.contains("  front-end\n"), "{seq}");
     assert!(seq.contains("bdd_peak_live_nodes"), "{seq}");
@@ -476,6 +504,8 @@ fn json_stats_object_is_deterministic() {
     assert!(j1.contains("\"stats\": {"), "{j1}");
     assert!(j1.contains("\"front_end\": {"), "{j1}");
     assert!(j1.contains("\"bdd_peak_live_nodes\":"), "{j1}");
+    // `check`'s `solve_ms` is a list of times, one per signal.
+    assert!(j1.contains("\"solve_ms\": ["), "{j1}");
     let scrub = |s: &str| -> String {
         let mut s = s.to_owned();
         for key in [
@@ -486,13 +516,19 @@ fn json_stats_object_is_deterministic() {
             "\"reach_ms\": ",
             "\"solve_ms\": ",
             "\"plan_ms\": ",
+            "\"parse_ms\": ",
+            "\"sift_ms\": ",
         ] {
             while let Some(at) = s.find(key) {
                 let start = at + key.len();
+                let list = s[start..].starts_with('[');
                 let end = start
                     + s[start..]
-                        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+                        .find(|c: char| {
+                            !(c.is_ascii_digit() || c == '.' || list && "[, ".contains(c))
+                        })
                         .unwrap();
+                let end = if list { end + 1 } else { end };
                 s.replace_range(at..end, "");
             }
         }

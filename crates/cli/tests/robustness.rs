@@ -1,7 +1,7 @@
 //! Malformed and hostile decks end in an error, never a crash: negative
-//! literals in properties, nesting beyond the parsers' depth bound, long
-//! `DEFINE` chains, and seeded byte mutations of every shipped and sized
-//! deck.
+//! literals in properties, nesting beyond the parsers' depth bound,
+//! operator chains beyond their height bound, long `DEFINE` chains, and
+//! seeded byte mutations of every shipped and sized deck.
 
 mod naive_plan;
 
@@ -250,6 +250,135 @@ fn nesting_at_the_bound_runs_on_spawned_threads() {
         "every SPEC holds: {}",
         text(&out)
     );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Decks whose operator chains are 100,000 operands long (a `SPEC`, a
+/// `FAIRNESS`, a `next()` and a `DEFINE` that a `SPEC` reads): every
+/// command that reads them exits 1 with the height message and a line and
+/// column, never a stack overflow (exit 134).
+#[test]
+fn long_chains_fail_cleanly() {
+    let dir = fresh_dir("chains");
+    let n = 100_000;
+    let chain = |op: &str, operand: &str| vec![operand; n].join(op);
+    let head = "MODULE main\nVAR x : boolean;\nASSIGN\n  init(x) := FALSE;\n";
+    let decks = [
+        (
+            "spec",
+            format!(
+                "{head}  next(x) := !x;\nSPEC AG (x | {});\nOBSERVED x;\n",
+                chain(" | ", "!x & x")
+            ),
+        ),
+        (
+            "fairness",
+            format!(
+                "{head}  next(x) := !x;\nFAIRNESS {};\nOBSERVED x;\n",
+                chain(" | ", "x")
+            ),
+        ),
+        (
+            "next",
+            format!("{head}  next(x) := {};\nOBSERVED x;\n", chain(" & ", "!x")),
+        ),
+        (
+            "define",
+            format!(
+                "{head}  next(x) := !x;\nDEFINE d := {};\nSPEC AG (d | !d);\nOBSERVED d;\n",
+                chain(" & ", "x")
+            ),
+        ),
+    ];
+    let message = format!(
+        "expression tree is taller than {} levels",
+        covest_smv::MAX_HEIGHT
+    );
+    for (name, src) in &decks {
+        let deck = dir.join(format!("{name}.smv"));
+        std::fs::write(&deck, src).expect("deck");
+        let joblist = dir.join(format!("{name}.txt"));
+        std::fs::write(&joblist, format!("{}\n", deck.display())).expect("joblist");
+        let runs: [Vec<&std::ffi::OsStr>; 4] = [
+            vec!["check".as_ref(), deck.as_os_str()],
+            vec!["check".as_ref(), deck.as_os_str(), "--coverage".as_ref()],
+            vec![
+                "batch".as_ref(),
+                joblist.as_os_str(),
+                "--jobs".as_ref(),
+                "2".as_ref(),
+            ],
+            vec!["lint".as_ref(), deck.as_os_str()],
+        ];
+        for args in runs {
+            let out = output_within(covest().args(&args), 60);
+            let all = text(&out);
+            assert_eq!(out.status.code(), Some(1), "{name} {args:?}: {all}");
+            assert!(all.contains(&message), "{name} {args:?}: {all}");
+            assert!(all.contains("model error at "), "{name} {args:?}: {all}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Chains exactly at the height bound parse, compile, verify and cover
+/// on the planner's and the pool's spawned threads of a debug build, and
+/// one more operand is the height error.
+#[test]
+fn chains_at_the_height_bound_run_on_spawned_threads() {
+    let dir = fresh_dir("chain-bound");
+    let n = covest_smv::MAX_HEIGHT;
+    let chain = |len: usize, op: &str, operand: &str| vec![operand; len].join(op);
+    // Every tree is `n` levels tall: an `|` chain of `n - 1` negations
+    // (line 7), an `&` chain of `n` atoms, `AG` over `!y` and `n - 3`
+    // atoms, `AG` over `d` and `n - 3` negations, an `|` chain of `n`
+    // atoms.
+    let next_x = |extra: usize| format!("  next(x) := {};", chain(n - 1 + extra, " | ", "!x"));
+    let deck = |extra: usize| {
+        let mut src = String::from("MODULE main\nVAR x : boolean;\n    y : boolean;\nASSIGN\n");
+        writeln!(src, "  init(x) := FALSE;\n  init(y) := FALSE;").expect("write");
+        writeln!(src, "{}\n  next(y) := !y;", next_x(extra)).expect("write");
+        writeln!(src, "DEFINE d := {};", chain(n, " & ", "x")).expect("write");
+        writeln!(src, "SPEC AG (!y | {});", chain(n - 3, " | ", "y")).expect("write");
+        writeln!(src, "SPEC AG (d | {});", chain(n - 3, " | ", "!d")).expect("write");
+        writeln!(src, "FAIRNESS {};", chain(n, " | ", "x")).expect("write");
+        writeln!(src, "OBSERVED x, d;").expect("write");
+        src
+    };
+    let at_bound = dir.join("at_bound.smv");
+    std::fs::write(&at_bound, deck(0)).expect("deck");
+    let twin = dir.join("at_bound_twin.smv");
+    std::fs::write(&twin, deck(0)).expect("deck");
+    let joblist = dir.join("at_bound.txt");
+    let list = format!("{}\n{}\n", at_bound.display(), twin.display());
+    std::fs::write(&joblist, list).expect("joblist");
+    let runs: [Vec<&std::ffi::OsStr>; 2] = [
+        vec![
+            "check".as_ref(),
+            at_bound.as_os_str(),
+            "--coverage".as_ref(),
+        ],
+        vec![
+            "batch".as_ref(),
+            joblist.as_os_str(),
+            "--jobs".as_ref(),
+            "2".as_ref(),
+        ],
+    ];
+    for args in runs {
+        let out = output_within(covest().args(&args), 120);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", text(&out));
+        assert!(!text(&out).contains("FAIL"), "{args:?}: {}", text(&out));
+    }
+
+    let over = dir.join("over.smv");
+    std::fs::write(&over, deck(1)).expect("deck");
+    let out = output_within(covest().arg("check").arg(&over), 60);
+    assert_eq!(out.status.code(), Some(1), "{}", text(&out));
+    // At the last `|`, whose node is one level too tall.
+    let column = next_x(1).rfind('|').expect("a chain") + 1;
+    let message = format!("model error at 7:{column}: expression tree is taller than {n} levels");
+    assert!(text(&out).contains(&message), "{}", text(&out));
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -19,6 +19,20 @@ use std::ops::Range;
 /// levels.
 pub const MAX_DEPTH: usize = 128;
 
+/// The tallest expression tree either grammar builds: each operator,
+/// every link of an operator chain included, is one level. The parsers
+/// read chains in loops, but compile's evaluation, the property trees,
+/// their lowering, printing and `Drop` recurse once per level, so the
+/// bound keeps a long chain (`a & a & … & a`) from overflowing the stack.
+/// It is sized like [`MAX_DEPTH`]: a debug build's `check` pipeline
+/// (lint, parse, plan, compile, print, verify and cover) on a spawned
+/// thread's 2 MiB stack overflows between 552 and 637 levels (a deck
+/// expression from 552, a property from 637), so 256 leaves a twofold
+/// margin. A tree is never taller than its expression has tokens, so the
+/// property grammar checks only bodies longer than the bound. The bundled
+/// and generated decks are at most 25 levels tall.
+pub const MAX_HEIGHT: usize = 256;
+
 /// Token kinds of the deck language; CTL properties use a subset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {

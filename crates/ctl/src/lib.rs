@@ -49,8 +49,11 @@ mod transform;
 pub use ast::{CmpOp, CmpRhs, Formula, PropExpr, SignalRef};
 pub use error::{CtlError, ParseFormulaError, SubsetError};
 pub use general::Ctl;
-pub use lex::{int_value, tokenize, LexError, LexErrorKind, TokKind, Token, Tokens, MAX_DEPTH};
+pub use lex::{
+    int_value, tokenize, LexError, LexErrorKind, TokKind, Token, Tokens, MAX_DEPTH, MAX_HEIGHT,
+};
 pub use parse::{
-    body_text, parse_body, parse_ctl, parse_formula, too_deep_message, Body, BodyReader,
+    body_text, parse_body, parse_ctl, parse_formula, too_deep_message, too_tall_message, Body,
+    BodyReader,
 };
 pub use transform::observability_transform;

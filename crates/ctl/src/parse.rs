@@ -16,7 +16,9 @@
 use crate::ast::{CmpOp, CmpRhs, Formula, PropExpr, SignalRef};
 use crate::error::{CtlError, ParseFormulaError, SubsetError};
 use crate::general::Ctl;
-use crate::lex::{int_value, lex_into, LexError, LexErrorKind, TokKind, Token, MAX_DEPTH};
+use crate::lex::{
+    int_value, lex_into, LexError, LexErrorKind, TokKind, Token, MAX_DEPTH, MAX_HEIGHT,
+};
 
 /// Comparison right-hand side in the arena: a literal or the token index
 /// of a name.
@@ -58,6 +60,9 @@ struct Slot {
     node: Node,
     /// The subtree contains no temporal operator.
     prop: bool,
+    /// The subtree's height, counted only in a body longer than
+    /// [`MAX_HEIGHT`] tokens (0 otherwise).
+    height: u32,
 }
 
 /// Where and why a token-level parse stopped. `at` is a token index,
@@ -66,6 +71,7 @@ struct Slot {
 enum Stop {
     Syntax { at: usize, message: String },
     TooDeep { at: usize },
+    TooTall { at: usize },
 }
 
 impl Stop {
@@ -88,6 +94,10 @@ impl Stop {
                 position: position(at),
                 message: too_deep_message(),
             },
+            Stop::TooTall { at } => ParseFormulaError {
+                position: position(at),
+                message: too_tall_message(),
+            },
         }
     }
 }
@@ -95,6 +105,12 @@ impl Stop {
 /// The message of a property nesting deeper than [`MAX_DEPTH`].
 pub fn too_deep_message() -> String {
     format!("expression nests deeper than {MAX_DEPTH} levels")
+}
+
+/// The message of an expression whose tree is taller than [`MAX_HEIGHT`]
+/// levels.
+pub fn too_tall_message() -> String {
+    format!("expression tree is taller than {MAX_HEIGHT} levels")
 }
 
 /// A parsed property: the arena over the tokens it was read from.
@@ -110,6 +126,11 @@ struct Grammar<'s, 't> {
     toks: &'t [Token],
     idx: usize,
     depth: usize,
+    /// The body is longer than [`MAX_HEIGHT`] tokens, so its tree may be
+    /// taller: heights are counted.
+    tall: bool,
+    /// Where the first node over [`MAX_HEIGHT`] levels was completed.
+    too_tall: Option<usize>,
     nodes: &'t mut Vec<Slot>,
     /// Pending antecedents of right-associative `->` chains.
     chain: &'t mut Vec<u32>,
@@ -177,8 +198,29 @@ impl Grammar<'_, '_> {
             }
             Node::Unary(..) | Node::Until(..) => false,
         };
-        self.nodes.push(Slot { node, prop });
+        let height = if self.tall { self.height(node) } else { 0 };
+        self.nodes.push(Slot { node, prop, height });
         (self.nodes.len() - 1) as u32
+    }
+
+    /// The height of `node` over its operands in the arena. The first
+    /// node over [`MAX_HEIGHT`] levels records the last token read.
+    #[cold]
+    fn height(&mut self, node: Node) -> u32 {
+        let height = |n: u32| self.nodes[n as usize].height;
+        let below = match node {
+            Node::Const(_) | Node::Atom(_) | Node::Cmp(..) => 0,
+            Node::Not(a) | Node::Unary(_, a) => height(a),
+            Node::And(a, b)
+            | Node::Or(a, b)
+            | Node::Implies(a, b)
+            | Node::Iff(a, b)
+            | Node::Until(_, a, b) => height(a).max(height(b)),
+        };
+        if below as usize >= MAX_HEIGHT && self.too_tall.is_none() {
+            self.too_tall = Some(self.idx.min(self.toks.len()) - 1);
+        }
+        below + 1
     }
 
     // Grammar (loosest binding first):
@@ -391,14 +433,21 @@ fn parse_tokens(
         toks,
         idx: 0,
         depth: 0,
+        tall: toks.len() > MAX_HEIGHT,
+        too_tall: None,
         nodes,
         chain,
     };
-    g.iff()?;
-    if g.idx != toks.len() {
-        return Err(Stop::syntax(g.at(), "trailing input after formula"));
+    let parsed = match g.iff() {
+        Ok(_) if g.idx != toks.len() => Err(Stop::syntax(g.at(), "trailing input after formula")),
+        parsed => parsed.map(drop),
+    };
+    // The arena is flat, so reading on past a too-tall node costs no
+    // stack; that node comes before any later stop, and is the error.
+    match g.too_tall {
+        Some(at) => Err(Stop::TooTall { at }),
+        None => parsed,
     }
-    Ok(())
 }
 
 fn subset_error(construct: &str, reason: &str) -> SubsetError {
@@ -836,6 +885,9 @@ pub enum Body<'r> {
     Rejected(CtlError),
     /// The body nests deeper than [`MAX_DEPTH`] at this token index.
     TooDeep(usize),
+    /// The body's tree is taller than [`MAX_HEIGHT`] levels at this
+    /// token index.
+    TooTall(usize),
 }
 
 /// Reads the `SPEC` and `FAIRNESS` bodies of a tokenized deck straight
@@ -851,10 +903,11 @@ impl BodyReader {
     /// Reads the body `toks`, a nonempty slice of the tokens of `src`
     /// without `Eof`. What it returns is exactly what [`parse_formula`]
     /// makes of the body's text ([`body_text`] of its spelling), error
-    /// positions included, except that nesting beyond [`MAX_DEPTH`] names
-    /// the offending token. It writes that text into `text` only when it
-    /// rejects the body: the text is what a rejection's message quotes
-    /// and its position points into.
+    /// positions included, except that nesting beyond [`MAX_DEPTH`] or a
+    /// tree taller than [`MAX_HEIGHT`] names the offending token. It
+    /// writes that text into `text` only when it rejects the body: the
+    /// text is what a rejection's message quotes and its position points
+    /// into.
     pub fn read(&mut self, src: &str, toks: &[Token], text: &mut String) -> Body<'_> {
         match check_body(src, toks, &mut self.nodes, &mut self.indices) {
             Ok(()) => {
@@ -867,6 +920,7 @@ impl BodyReader {
                 Body::Signals(&self.indices)
             }
             Err(BodyStop::Parse(Stop::TooDeep { at })) => Body::TooDeep(at),
+            Err(BodyStop::Parse(Stop::TooTall { at })) => Body::TooTall(at),
             Err(stop) => Body::Rejected(reject(src, toks, stop, text)),
         }
     }
@@ -1010,13 +1064,41 @@ mod tests {
             assert_eq!(e.position, MAX_DEPTH * open.len(), "{open}");
             assert_eq!(e.message, too_deep_message());
         }
-        // A long `->` chain is a loop, not a recursion.
+        // A long `->` chain is read in a loop, and its tree is bounded.
         let chain = vec!["x"; 100_000].join(" -> ");
         let toks = crate::tokenize(&chain).expect("lexes");
         let toks = &toks.tokens()[..toks.tokens().len() - 1];
         let mut reader = BodyReader::default();
         let body = reader.read(&chain, toks, &mut String::new());
-        assert!(matches!(body, Body::Signals(s) if s.len() == 1), "{body:?}");
+        assert!(matches!(body, Body::TooTall(_)), "{body:?}");
+    }
+
+    #[test]
+    fn height_is_bounded() {
+        // An `n`-operand chain is `n` levels tall; `AX` adds one.
+        for op in [" | ", " & ", " -> ", " <-> "] {
+            let chain = |n: usize| vec!["x"; n].join(op);
+            assert!(parse_ctl(&chain(MAX_HEIGHT)).is_ok(), "{op}");
+            assert!(parse_formula(&chain(MAX_HEIGHT)).is_ok(), "{op}");
+            let tall = chain(MAX_HEIGHT + 1);
+            let e = parse_ctl(&tall).unwrap_err();
+            assert_eq!(e.message, too_tall_message(), "{op}");
+            assert!(e.position > 0, "{op}: located in the chain");
+            let e = parse_ctl(&format!("AX ({})", chain(MAX_HEIGHT))).unwrap_err();
+            assert_eq!(e.message, too_tall_message(), "{op}");
+        }
+        // The bound names the last token of the first node over it.
+        let tall = vec!["x"; MAX_HEIGHT + 1].join(" | ");
+        let e = parse_ctl(&tall).unwrap_err();
+        assert_eq!(e.position, tall.len() - 1);
+        let toks = crate::tokenize(&tall).expect("lexes");
+        let toks = &toks.tokens()[..toks.tokens().len() - 1];
+        let mut reader = BodyReader::default();
+        let body = reader.read(&tall, toks, &mut String::new());
+        assert!(
+            matches!(body, Body::TooTall(i) if i == toks.len() - 1),
+            "{body:?}"
+        );
     }
 
     #[test]

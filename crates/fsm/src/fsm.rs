@@ -12,7 +12,14 @@
 //! [`Func`] handle, so the machine pins its own state across garbage
 //! collection and dynamic reordering. No root enumeration exists anymore;
 //! there is nothing to enumerate.
+//!
+//! The initial states are held as the builder's parts, one per variable
+//! for a compiled deck, and conjoined on first use, like the relation:
+//! a deck's first use comes after the startup sift, which then sees
+//! small per-variable parts instead of one chain over every state bit.
 
+use std::cell::{OnceCell, RefCell};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use covest_bdd::{BddManager, Func, VarId};
@@ -52,7 +59,10 @@ pub struct SymbolicFsm {
     pub(crate) mgr: BddManager,
     pub(crate) state_bits: Vec<StateBit>,
     pub(crate) input_bits: Vec<InputBit>,
-    pub(crate) init: Func,
+    /// The parts of `S_I` until [`SymbolicFsm::init`] conjoins them.
+    init_parts: RefCell<Vec<Func>>,
+    /// `S_I`, conjoined from `init_parts` on first use.
+    init: OnceCell<Func>,
     pub(crate) engine: ImageEngine,
     pub(crate) signals: SignalTable,
 }
@@ -93,9 +103,25 @@ impl SymbolicFsm {
         self.input_bits.iter().map(|b| b.var).collect()
     }
 
-    /// The set of initial states `S_I` (a BDD over current variables).
+    /// The set of initial states `S_I` (a BDD over current variables),
+    /// conjoined from the builder's parts on first request and cached;
+    /// the parts are released then.
+    ///
+    /// The part whose top variable sits deepest goes first, so each
+    /// later part lands above the conjunction built so far: after a
+    /// sift, declaration order is no longer level order.
     pub fn init(&self) -> &Func {
-        &self.init
+        self.init.get_or_init(|| {
+            let mut parts = self.init_parts.take();
+            parts.sort_by_cached_key(|p| {
+                Reverse(if p.is_const() {
+                    u32::MAX
+                } else {
+                    self.mgr.level_of(p.root_var())
+                })
+            });
+            self.mgr.and_many(&parts)
+        })
     }
 
     /// The transition relation over (current, input, next), conjoined
@@ -221,7 +247,7 @@ pub struct FsmBuilder {
     /// wins.
     bit_index: HashMap<String, usize>,
     input_bits: Vec<InputBit>,
-    init: Func,
+    init: Vec<Func>,
     nexts: Vec<Option<Func>>,
     frees: Vec<bool>,
     raw_constraints: Vec<Func>,
@@ -237,7 +263,7 @@ impl FsmBuilder {
             state_bits: Vec::new(),
             bit_index: HashMap::new(),
             input_bits: Vec::new(),
-            init: mgr.constant(true),
+            init: Vec::new(),
             nexts: Vec::new(),
             frees: Vec::new(),
             raw_constraints: Vec::new(),
@@ -324,9 +350,18 @@ impl FsmBuilder {
         self.raw_constraints.push(constraint);
     }
 
-    /// Sets the initial-state predicate (over current variables).
+    /// Sets the initial-state predicate (over current variables): one
+    /// part, in place of any parts added before.
     pub fn set_init(&mut self, init: Func) {
-        self.init = init;
+        self.init = vec![init];
+    }
+
+    /// Adds a part of the initial-state predicate (over current
+    /// variables), which is the conjunction of its parts (true without
+    /// any). The machine conjoins them on first use (see
+    /// [`SymbolicFsm::init`]).
+    pub fn add_init(&mut self, part: Func) {
+        self.init.push(part);
     }
 
     /// Registers a named boolean signal (a function of current/input vars).
@@ -353,17 +388,17 @@ impl FsmBuilder {
     /// has a state/input combination with no successor. The totality
     /// check conjoins nothing when no two parts share a next-state
     /// variable, so a compiled deck's relation is first built by its
-    /// first image, after the startup sift.
+    /// first image, after the startup sift; and it checks only the raw
+    /// constraints when the next-state functions read no next-state
+    /// variable and no raw constraint mentions their bits.
     pub fn build(self) -> Result<SymbolicFsm, BuildFsmError> {
-        let mut parts = Vec::new();
-        for (idx, bit) in self.state_bits.iter().enumerate() {
-            if self.frees[idx] {
+        let mut functions = Vec::with_capacity(self.state_bits.len());
+        for ((bit, next), free) in self.state_bits.iter().zip(self.nexts).zip(self.frees) {
+            if free {
                 continue; // free bit: next value unconstrained
             }
-            match &self.nexts[idx] {
-                Some(delta) => {
-                    parts.push(self.mgr.var(bit.next).iff(delta));
-                }
+            match next {
+                Some(delta) => functions.push((bit.next, delta)),
                 None => {
                     // Allowed only if some raw constraint mentions the bit.
                     let mentioned = self
@@ -376,10 +411,10 @@ impl FsmBuilder {
                 }
             }
         }
-        parts.extend(self.raw_constraints.iter().cloned());
         let engine = ImageEngine::build(
             &self.mgr,
-            &parts,
+            &functions,
+            &self.raw_constraints,
             &self
                 .state_bits
                 .iter()
@@ -393,7 +428,8 @@ impl FsmBuilder {
             mgr: self.mgr,
             state_bits: self.state_bits,
             input_bits: self.input_bits,
-            init: self.init,
+            init_parts: RefCell::new(self.init),
+            init: OnceCell::new(),
             engine,
             signals: self.signals,
         };
@@ -526,16 +562,25 @@ mod tests {
 
     /// `build()` rejects a relation with a dead end and accepts a total
     /// one, for parts with disjoint next-state supports (checked part by
-    /// part) and for parts sharing one (checked on the conjunction);
-    /// `is_total()` agrees on the machines it accepts.
+    /// part), for parts sharing one (checked on the conjunction) and for
+    /// functional parts next to raw constraints that leave their bits
+    /// alone (only the constraints checked); `is_total()` agrees on the
+    /// machines it accepts. Then on seeded random machines, `build()`'s
+    /// verdict is `∃next` of the conjoined parts.
     #[test]
     fn totality_check_matches_the_conjunction() {
-        let cases: [(&str, Extra, bool); 4] = [
+        let cases: [(&str, Extra, bool); 5] = [
             // Over current variables: the state x = 1 has no successor.
             ("disjoint, dead end", |x, _, _| x.not(), false),
             // Over y' (the shape of a free input's validity constraint):
             // some y' satisfies it from every state.
             ("disjoint, total", |x, _, y_next| y_next.or(x), true),
+            // Over y' alone, with no successor from x = 1.
+            (
+                "disjoint, y' dead end",
+                |x, _, y_next| y_next.and(&x.not()),
+                false,
+            ),
             // `x' ↔ x` against `x' ↔ ¬x`: each part is total on its own,
             // their conjunction is empty.
             ("shared, dead end", |x, x_next, _| x_next.iff(x), false),
@@ -565,5 +610,149 @@ mod tests {
                 "{name}: ∃next. T"
             );
         }
+
+        // A next-state function reading its own next variable is no
+        // longer total by construction: `x' ↔ ¬x'` is empty.
+        let mgr = BddManager::new();
+        let mut b = FsmBuilder::new(&mgr, "self-reading");
+        let x = b.add_state_bit("x");
+        b.set_next("x", mgr.nvar(x.next));
+        assert_eq!(b.build().unwrap_err(), BuildFsmError::NotTotal);
+        // Raw constraints alone, over a bit with no next-state function.
+        for (constraint, total) in [(true, true), (false, false)] {
+            let mgr = BddManager::new();
+            let mut b = FsmBuilder::new(&mgr, "raw only");
+            let x = b.add_state_bit("x");
+            let (cur, next) = (mgr.var(x.current), mgr.var(x.next));
+            // `x' ↔ x`, total; `x' ∧ ¬x` has no successor from x = 1.
+            let raw = if constraint {
+                next.iff(&cur)
+            } else {
+                next.and(&cur.not())
+            };
+            b.add_trans_constraint(raw);
+            assert_eq!(b.build().is_ok(), total, "raw only, total = {total}");
+        }
+
+        let mut verdicts = [0usize; 2];
+        for seed in 0..300 {
+            let (builder, parts, next_vars) = random_machine(seed);
+            let total = builder
+                .manager()
+                .and_many(&parts)
+                .exists(&next_vars)
+                .is_true();
+            match builder.build() {
+                Ok(machine) => {
+                    assert!(total, "seed {seed}: build() accepts a dead end");
+                    assert!(machine.is_total(), "seed {seed}: is_total()");
+                }
+                // A random constraint may not read the bit it was drawn
+                // over.
+                Err(BuildFsmError::MissingNext(_)) => continue,
+                Err(e) => {
+                    assert!(!total, "seed {seed}: build() rejects a total machine");
+                    assert_eq!(e, BuildFsmError::NotTotal, "seed {seed}");
+                }
+            }
+            verdicts[usize::from(total)] += 1;
+        }
+        assert!(
+            verdicts.iter().all(|&v| v >= 50),
+            "{verdicts:?} dead-end and total machines"
+        );
+    }
+
+    /// A random function of `vars`: the disjunction of a random set of
+    /// their minterms.
+    fn random_function(mgr: &BddManager, rng: &mut impl rand::Rng, vars: &[VarId]) -> Func {
+        let mut f = mgr.constant(false);
+        for code in 0..1u32 << vars.len() {
+            if rng.gen_bool(0.5) {
+                let cube = vars
+                    .iter()
+                    .enumerate()
+                    .fold(mgr.constant(true), |acc, (i, &v)| {
+                        acc.and(&mgr.literal(v, (code >> i) & 1 == 1))
+                    });
+                f = f.or(&cube);
+            }
+        }
+        f
+    }
+
+    /// A seeded random machine of two or three state bits (one of them
+    /// maybe free) and an input: each bound bit gets a next-state function
+    /// over current and input variables, sometimes over a next-state
+    /// variable too, or none when a raw constraint over it follows; up to
+    /// two raw constraints over current, input and next variables. Returns
+    /// the builder, its parts as `x' ↔ δ` and raw constraints, and the
+    /// next-state variables.
+    fn random_machine(seed: u64) -> (FsmBuilder, Vec<Func>, Vec<VarId>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mgr = BddManager::new();
+        let mut b = FsmBuilder::new(&mgr, "random");
+        let n = rng.gen_range(2..4usize);
+        let free = rng.gen_range(0..n + 1);
+        let bits: Vec<StateBit> = (0..n)
+            .map(|i| {
+                if i == free {
+                    b.add_free_bit(format!("f{i}"))
+                } else {
+                    b.add_state_bit(format!("s{i}"))
+                }
+            })
+            .collect();
+        let input = b.add_input_bit("in").var;
+        let current: Vec<VarId> = bits.iter().map(|s| s.current).collect();
+        let next: Vec<VarId> = bits.iter().map(|s| s.next).collect();
+        let mut parts = Vec::new();
+        let mut unbound = Vec::new();
+        for (i, bit) in bits.iter().enumerate() {
+            if i == free {
+                continue;
+            }
+            let mut over = vec![current[i], input];
+            over.push(current[rng.gen_range(0..n)]);
+            match rng.gen_range(0..6) {
+                0 => unbound.push(i),
+                kind => {
+                    if kind == 1 {
+                        over.push(next[rng.gen_range(0..n)]);
+                    }
+                    over.sort();
+                    over.dedup();
+                    let delta = random_function(&mgr, &mut rng, &over);
+                    parts.push(mgr.var(bit.next).iff(&delta));
+                    b.set_next(&bit.name, delta);
+                }
+            }
+        }
+        let raw_count = rng.gen_range(0..3usize) + usize::from(!unbound.is_empty());
+        for k in 0..raw_count {
+            let mut over = vec![current[rng.gen_range(0..n)], next[rng.gen_range(0..n)]];
+            if let Some(&i) = unbound.get(k) {
+                over.push(next[i]);
+            }
+            if rng.gen_bool(0.5) {
+                over.push(input);
+            }
+            over.sort();
+            over.dedup();
+            // Mostly permissive, so that some machines are total.
+            let f = random_function(&mgr, &mut rng, &over);
+            let constraint = f.or(&random_function(&mgr, &mut rng, &over));
+            parts.push(constraint.clone());
+            b.add_trans_constraint(constraint);
+        }
+        // A bound bit no constraint mentions is a missing next, not a
+        // totality verdict: bind it.
+        for &i in &unbound[raw_count.min(unbound.len())..] {
+            let delta = mgr.var(current[i]);
+            parts.push(mgr.var(next[i]).iff(&delta));
+            b.set_next(&bits[i].name, delta);
+        }
+        (b, parts, next)
     }
 }

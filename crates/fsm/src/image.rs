@@ -10,6 +10,11 @@
 //! startup sift, so the sift reorders the parts rather than the much
 //! larger relation. Each image is then one `and_exists` on `T`.
 //!
+//! A state bit's part `x' ↔ δ` is total by construction when `δ` reads no
+//! next-state variable: whatever the state and input, `x' = δ` is a
+//! successor. So the totality check, which every `build()` runs, checks
+//! only the raw constraints when none of them mentions such an `x'`.
+//!
 //! The parts, the relation and the cached reachable set are owned
 //! [`Func`] handles, so the engine pins itself across garbage collection
 //! and reordering — no root enumeration is needed or possible.
@@ -28,7 +33,13 @@ use covest_bdd::{BddManager, Func, VarId};
 #[derive(Debug, Clone)]
 pub struct ImageEngine {
     mgr: BddManager,
+    /// The functional parts `x' ↔ δ`, one per state bit with a next-state
+    /// function, then the raw constraints.
     parts: Vec<Func>,
+    /// The `x'` of each leading part of `parts` that is total by
+    /// construction: empty unless every `δ` reads no next-state variable
+    /// and the `x'` are distinct next-state variables.
+    total_nexts: Vec<VarId>,
     /// Current-state + input variables (forward quantification set).
     fwd_vars: Vec<VarId>,
     /// Next-state + input variables (backward quantification set).
@@ -43,11 +54,14 @@ pub struct ImageEngine {
 }
 
 impl ImageEngine {
-    /// Builds an engine over the conjunctive partition `parts`. Nothing
-    /// is conjoined yet.
+    /// Builds an engine over the conjunctive partition of one part
+    /// `x' ↔ δ` per `(x', δ)` of `functions`, then the raw `constraints`.
+    /// One support walk over every `δ` decides whether the functional
+    /// parts are total by construction. Nothing is conjoined yet.
     pub fn build(
         mgr: &BddManager,
-        parts: &[Func],
+        functions: &[(VarId, Func)],
+        constraints: &[Func],
         current_vars: &[VarId],
         input_vars: &[VarId],
         next_vars: &[VarId],
@@ -56,9 +70,33 @@ impl ImageEngine {
         fwd_vars.extend_from_slice(input_vars);
         let mut bwd_vars = next_vars.to_vec();
         bwd_vars.extend_from_slice(input_vars);
+        // `δ ? x' : ¬x'` is `x' ↔ δ` without first building `¬δ`.
+        let mut parts: Vec<Func> = functions
+            .iter()
+            .map(|(x, delta)| delta.ite(&mgr.var(*x), &mgr.nvar(*x)))
+            .collect();
+        parts.extend_from_slice(constraints);
+        let mut next = vec![false; mgr.num_vars()];
+        for v in next_vars {
+            next[v.index()] = true;
+        }
+        let mut seen = vec![false; mgr.num_vars()];
+        let distinct = functions
+            .iter()
+            .all(|(x, _)| next[x.index()] && !std::mem::replace(&mut seen[x.index()], true));
+        let next_free = || {
+            let support = mgr.support_many(functions.iter().map(|(_, delta)| delta));
+            support.iter().all(|v| !next[v.index()])
+        };
+        let total_nexts = if distinct && next_free() {
+            functions.iter().map(|(x, _)| *x).collect()
+        } else {
+            Vec::new()
+        };
         ImageEngine {
             mgr: mgr.clone(),
-            parts: parts.to_vec(),
+            parts,
+            total_nexts,
             fwd_vars,
             bwd_vars,
             next_vars: next_vars.to_vec(),
@@ -103,24 +141,42 @@ impl ImageEngine {
     /// `∃ next. T` is the constant true: every state/input combination
     /// has a successor.
     ///
-    /// When no two parts share a next-state variable,
-    /// `∃next. ⋀p = ⋀ ∃next. p`, and a conjunction is true only if every
-    /// conjunct is, so each part is checked on its own and `T` is never
-    /// built. That holds for every compiled SMV deck: a `next()`
-    /// right-hand side cannot mention next-state variables. Otherwise
-    /// the relation is conjoined and checked whole.
+    /// A part `x' ↔ δ` total by construction (see [`ImageEngine::build`])
+    /// that no raw constraint mentions drops out: `∃x'. (x' ↔ δ)` is true
+    /// and no other part constrains `x'`, so `∃next. T` is `∃next` of the
+    /// raw constraints alone. That holds for every compiled SMV deck,
+    /// whose raw constraints are the validity of free input encodings.
+    /// Otherwise every part is checked.
     pub(crate) fn is_total(&self) -> bool {
-        // How many parts mention each variable.
+        let raw = &self.parts[self.total_nexts.len()..];
+        let mentions = self.mentions(raw);
+        if self.total_nexts.iter().all(|x| mentions[x.index()] == 0) {
+            self.conjunction_total(raw, &mentions)
+        } else {
+            self.conjunction_total(&self.parts, &self.mentions(&self.parts))
+        }
+    }
+
+    /// How many of `parts` mention each variable.
+    fn mentions(&self, parts: &[Func]) -> Vec<usize> {
         let mut mentions = vec![0usize; self.mgr.num_vars()];
-        for p in &self.parts {
+        for p in parts {
             for v in p.support() {
                 mentions[v.index()] += 1;
             }
         }
+        mentions
+    }
+
+    /// `∃next. ⋀parts` is true, for `parts` whose conjunction with the
+    /// parts left out has the same `∃next`. When no two of them share a
+    /// next-state variable, `∃next. ⋀p = ⋀ ∃next. p`, and a conjunction
+    /// is true only if every conjunct is, so each part is checked on its
+    /// own and `T` is never built; otherwise the relation is conjoined
+    /// and checked whole.
+    fn conjunction_total(&self, parts: &[Func], mentions: &[usize]) -> bool {
         if self.next_vars.iter().all(|v| mentions[v.index()] <= 1) {
-            self.parts
-                .iter()
-                .all(|p| p.exists(&self.next_vars).is_true())
+            parts.iter().all(|p| p.exists(&self.next_vars).is_true())
         } else {
             self.relation().exists(&self.next_vars).is_true()
         }
@@ -165,13 +221,28 @@ mod tests {
         }
         let inp = vec![mgr.new_named_var("inp")];
         let srcs = [inp[0], cur[0], cur[1]];
-        let parts: Vec<Func> = srcs
+        let functions: Vec<(VarId, Func)> = srcs
             .iter()
             .enumerate()
-            .map(|(i, &src)| mgr.var(next[i]).iff(&mgr.var(src)))
+            .map(|(i, &src)| (next[i], mgr.var(src)))
             .collect();
-        let engine = ImageEngine::build(mgr, &parts, &cur, &inp, &next);
+        let engine = ImageEngine::build(mgr, &functions, &[], &cur, &inp, &next);
         (engine, cur, next)
+    }
+
+    /// Each functional part is the canonical `x' ↔ δ`, and the shifter's
+    /// parts are total by construction.
+    #[test]
+    fn functional_parts_are_biconditionals_total_by_construction() {
+        let mgr = BddManager::new();
+        let (engine, cur, next) = shifter(&mgr);
+        let inp = engine.fwd_vars[cur.len()];
+        let srcs = [mgr.var(inp), mgr.var(cur[0]), mgr.var(cur[1])];
+        for (i, src) in srcs.iter().enumerate() {
+            assert_eq!(engine.parts()[i], mgr.var(next[i]).iff(src), "part {i}");
+        }
+        assert_eq!(engine.total_nexts, next);
+        assert!(engine.is_total());
     }
 
     /// The fused products equal the two-step `(T ∧ S).exists(vars)` on

@@ -62,7 +62,7 @@ impl SymbolicFsm {
         if let Some(r) = self.engine.cached_reach() {
             return r;
         }
-        let r = self.reachable_from(&self.init);
+        let r = self.reachable_from(self.init());
         self.engine.cache_reach(r.clone());
         r
     }

@@ -78,4 +78,4 @@ pub use pool::{
     run_batch, run_batch_with_trace, BatchReport, DeckReport, ParError, SchedStats, ShardProfile,
     SignalOutcome,
 };
-pub use shard::{compile_machine, cover_signal, install_mem_sampler};
+pub use shard::{compile_machine, cover_signal, install_mem_sampler, startup_sift};

@@ -76,11 +76,11 @@ pub fn install_mem_sampler(bdd: &BddManager) {
     });
 }
 
-/// Compiles a deck machine on `bdd` and runs the startup sifting pass
-/// (under a `sift` span), whose statistics come back for `covest
-/// check`'s `reorder (sift):` line. The sift orders the transition
-/// parts: the relation is conjoined later, by the first image. Every
-/// shard, `covest check` and `check`'s full deck compile through here.
+/// Compiles a deck machine on `bdd` and runs the [`startup_sift`],
+/// whose statistics come back for `covest check`'s `reorder (sift):`
+/// line. Every shard and `check`'s full deck compile through here;
+/// `covest check` calls the two steps itself, to time them apart for
+/// `--stats`.
 ///
 /// # Errors
 ///
@@ -90,11 +90,15 @@ pub fn compile_machine(
     module: &Module,
 ) -> Result<(CompiledModel, ReorderStats), ModelError> {
     let model = covest_smv::compile_module(bdd, module)?;
-    let sift = {
-        let _span = telemetry::span("sift");
-        bdd.reduce_heap()
-    };
-    Ok((model, sift))
+    Ok((model, startup_sift(bdd)))
+}
+
+/// The sifting pass after compile, under a `sift` span. It orders the
+/// transition parts and the initial states' parts: the relation and
+/// `init` are conjoined later, on first use.
+pub fn startup_sift(bdd: &BddManager) -> ReorderStats {
+    let _span = telemetry::span("sift");
+    bdd.reduce_heap()
 }
 
 /// One coverage task on a verified machine: the Table-2 row of the

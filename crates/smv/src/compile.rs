@@ -540,7 +540,9 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
     // whose next value is otherwise unconstrained — also forbid them in
     // the next-state rank of the transition relation. State variables
     // with exact next-value assignments cannot produce invalid codes.
+    // `init_parts` holds each variable's validity, by declaration index.
     let mut invalid_codes = bdd.constant(false);
+    let mut init_parts = Vec::with_capacity(module.vars.len());
     for d in &module.vars {
         let info = &vars[d.name.as_str()];
         let code_count = 1i64 << info.bits.len();
@@ -558,6 +560,7 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
             invalid_next = invalid_next.or(&cond_next);
         }
         invalid_codes = invalid_codes.or(&invalid_cur);
+        init_parts.push(invalid_cur.not());
         if d.input && !invalid_next.is_false() {
             builder.add_trans_constraint(invalid_next.not());
         }
@@ -602,8 +605,11 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
         }
     }
 
-    // init(x) constraints, each with its variable's declaration index.
-    let mut inits = Vec::with_capacity(module.inits.len());
+    // init(x) constraints, each conjoined into its variable's part. The
+    // machine conjoins the parts on first use, after the startup sift: one
+    // conjoined chain would put every current-state bit into one root's
+    // support, and the sift would rewrite nodes on every swap of two of
+    // them.
     for a in &module.inits {
         let name = a.name.as_str();
         assignable(&compiler, "init", name)?;
@@ -611,16 +617,14 @@ pub fn compile_module(bdd: &BddManager, module: &Module) -> Result<CompiledModel
         let v = compiler.eval(bdd, &a.expr)?;
         let info = &compiler.vars[name];
         let constraint = assign_constraint(bdd, &compiler.valid, name, info, &v)?;
-        inits.push((info.index, constraint));
+        let part = &mut init_parts[info.index];
+        *part = part.and(&constraint);
     }
-    // Conjoin from the last declared variable up, and `valid` last. Levels
-    // still follow declaration order here, so each constraint lands above
-    // the chain built so far and adds a few nodes; top-down, every step
-    // would rebuild the whole chain beneath it, leaving the startup sift
-    // an arena mostly of garbage.
-    inits.sort_by_key(|&(index, _)| std::cmp::Reverse(index));
-    let init = bdd.and_many(inits.iter().map(|(_, c)| c)).and(&valid);
-    builder.set_init(init);
+    for part in init_parts {
+        if !part.is_true() {
+            builder.add_init(part);
+        }
+    }
 
     // next(x) assignments.
     for a in &module.nexts {

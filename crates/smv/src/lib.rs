@@ -27,7 +27,9 @@
 //! The deck and its properties share one tokenizer
 //! ([`covest_ctl::tokenize`]), and expressions and property bodies nest
 //! at most [`MAX_DEPTH`] levels (parentheses, `!`, temporal operators,
-//! `case`); deeper input is a [`ModelError`] with a line and column.
+//! `case`) and build trees at most [`MAX_HEIGHT`] levels tall (every
+//! link of an operator chain is a level); deeper or taller input is a
+//! [`ModelError`] with a line and column.
 //!
 //! # Example
 //!
@@ -69,7 +71,7 @@ pub use compile::{
     compile_module, compile_module_with, decl_bit_names, decl_bit_width, CompiledModel,
     ImageConfig, ImageMethod, SimplifyConfig,
 };
-pub use covest_ctl::MAX_DEPTH;
+pub use covest_ctl::{MAX_DEPTH, MAX_HEIGHT};
 pub use error::ModelError;
 pub use lex::{lex, TokKind, Token};
 pub use parse::parse_module;

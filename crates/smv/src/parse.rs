@@ -8,7 +8,9 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use covest_ctl::{int_value, too_deep_message, Body, BodyReader, MAX_DEPTH};
+use covest_ctl::{
+    int_value, too_deep_message, too_tall_message, Body, BodyReader, MAX_DEPTH, MAX_HEIGHT,
+};
 
 use crate::ast::{
     range_values, Assign, BinOp, Define, Expr, Module, ObservedDecl, SpecDecl, VarDecl, VarType,
@@ -20,6 +22,9 @@ use crate::lex::{lex, TokKind, Token, Tokens};
 const SECTIONS: &[&str] = &[
     "MODULE", "VAR", "IVAR", "ASSIGN", "DEFINE", "SPEC", "FAIRNESS", "OBSERVED",
 ];
+
+/// A parsed expression and its tree's height.
+type Sub = Result<(Expr, u32), ModelError>;
 
 /// A recursive-descent parser over the deck's tokens. It never
 /// backtracks; identifiers are copied out of the source only where the
@@ -124,6 +129,22 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    /// The height of a node over operands at most `below` levels tall,
+    /// or the too-tall error at `op`, the node's operator. Checked as
+    /// the tree grows, so a rejected chain is never built taller than
+    /// the bound (its drop recurses once per level too).
+    fn grow(&self, op: Token, below: u32) -> Result<u32, ModelError> {
+        if below as usize >= MAX_HEIGHT {
+            return Err(self.error_at(op, too_tall_message()));
+        }
+        Ok(below + 1)
+    }
+
+    /// `lhs op rhs`, where `op` is the operator token.
+    fn bin(&self, op: Token, kind: BinOp, (a, ha): (Expr, u32), (b, hb): (Expr, u32)) -> Sub {
+        Ok((Expr::bin(kind, a, b), self.grow(op, ha.max(hb))?))
+    }
+
     fn at_section(&self) -> bool {
         (self.peek() == TokKind::Ident && SECTIONS.contains(&self.text()))
             || self.peek() == TokKind::Eof
@@ -167,7 +188,7 @@ impl<'a> Parser<'a> {
                         let line = self.line();
                         let name = self.expect_ident("DEFINE name")?.to_owned();
                         self.expect(TokKind::Assign, "`:=`")?;
-                        let expr = self.parse_expr()?;
+                        let (expr, _) = self.parse_expr()?;
                         self.expect(TokKind::Semi, "`;`")?;
                         m.defines.push(Define { name, expr, line });
                     }
@@ -280,7 +301,7 @@ impl<'a> Parser<'a> {
         let name = self.expect_ident("variable name")?.to_owned();
         self.expect(TokKind::RParen, "`)`")?;
         self.expect(TokKind::Assign, "`:=`")?;
-        let expr = self.parse_expr()?;
+        let (expr, _) = self.parse_expr()?;
         self.expect(TokKind::Semi, "`;`")?;
         let assign = Assign { name, expr, line };
         if kw == "init" {
@@ -331,71 +352,73 @@ impl<'a> Parser<'a> {
             }
             Body::Rejected(e) => (Err(Box::new(e)), Some(text.into_boxed_str())),
             Body::TooDeep(i) => return Err(self.error_at(body[i], too_deep_message())),
+            Body::TooTall(i) => return Err(self.error_at(body[i], too_tall_message())),
         };
         Ok(SpecDecl::new(spelling.into(), line, signals, text))
     }
 
-    // Expression grammar, loosest binding first.
-    fn parse_expr(&mut self) -> Result<Expr, ModelError> {
+    // Expression grammar, loosest binding first. Each rule returns the
+    // expression with its tree's height, bounded by `MAX_HEIGHT`.
+    fn parse_expr(&mut self) -> Sub {
         self.parse_iff()
     }
 
-    fn parse_iff(&mut self) -> Result<Expr, ModelError> {
+    fn parse_iff(&mut self) -> Sub {
         let mut lhs = self.parse_implies()?;
         while self.peek() == TokKind::DArrow {
-            self.bump();
+            let op = self.next();
             let rhs = self.parse_implies()?;
-            lhs = Expr::bin(BinOp::Iff, lhs, rhs);
+            lhs = self.bin(op, BinOp::Iff, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
     /// A right-associative chain, parsed in a loop so that its length
-    /// costs no stack.
-    fn parse_implies(&mut self) -> Result<Expr, ModelError> {
+    /// costs no stack, and folded from its last operand.
+    fn parse_implies(&mut self) -> Sub {
         let mut rhs = self.parse_or()?;
         if self.peek() != TokKind::Arrow {
             return Ok(rhs);
         }
         let mut antecedents = Vec::new();
         while self.peek() == TokKind::Arrow {
-            self.bump();
+            let op = self.next();
             let next = self.parse_or()?;
-            antecedents.push(std::mem::replace(&mut rhs, next));
+            antecedents.push((op, std::mem::replace(&mut rhs, next)));
         }
-        Ok(antecedents
-            .into_iter()
-            .rev()
-            .fold(rhs, |rhs, lhs| Expr::bin(BinOp::Implies, lhs, rhs)))
+        while let Some((op, lhs)) = antecedents.pop() {
+            rhs = self.bin(op, BinOp::Implies, lhs, rhs)?;
+        }
+        Ok(rhs)
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ModelError> {
+    fn parse_or(&mut self) -> Sub {
         let mut lhs = self.parse_and()?;
         loop {
-            let op = match self.peek() {
+            let kind = match self.peek() {
                 TokKind::Pipe => BinOp::Or,
                 TokKind::Ident if self.text() == "xor" => BinOp::Xor,
                 _ => return Ok(lhs),
             };
-            self.bump();
+            let op = self.next();
             let rhs = self.parse_and()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.bin(op, kind, lhs, rhs)?;
         }
     }
 
-    fn parse_and(&mut self) -> Result<Expr, ModelError> {
+    fn parse_and(&mut self) -> Sub {
         let mut lhs = self.parse_cmp()?;
         while self.peek() == TokKind::Amp {
-            self.bump();
+            let op = self.next();
             let rhs = self.parse_cmp()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
+            lhs = self.bin(op, BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_cmp(&mut self) -> Result<Expr, ModelError> {
+    fn parse_cmp(&mut self) -> Sub {
         let lhs = self.parse_sum()?;
-        let op = match self.peek() {
+        let kind = match self.peek() {
             TokKind::Eq => BinOp::Eq,
             TokKind::Ne => BinOp::Ne,
             TokKind::Lt => BinOp::Lt,
@@ -404,49 +427,49 @@ impl<'a> Parser<'a> {
             TokKind::Ge => BinOp::Ge,
             _ => return Ok(lhs),
         };
-        self.bump();
+        let op = self.next();
         let rhs = self.parse_sum()?;
-        Ok(Expr::bin(op, lhs, rhs))
+        self.bin(op, kind, lhs, rhs)
     }
 
-    fn parse_sum(&mut self) -> Result<Expr, ModelError> {
+    fn parse_sum(&mut self) -> Sub {
         let mut lhs = self.parse_term()?;
         loop {
-            let op = match self.peek() {
+            let kind = match self.peek() {
                 TokKind::Plus => BinOp::Add,
                 TokKind::Minus => BinOp::Sub,
                 _ => return Ok(lhs),
             };
-            self.bump();
+            let op = self.next();
             let rhs = self.parse_term()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.bin(op, kind, lhs, rhs)?;
         }
     }
 
-    fn parse_term(&mut self) -> Result<Expr, ModelError> {
+    fn parse_term(&mut self) -> Sub {
         let mut lhs = self.parse_unary()?;
         while self.at_word("mod") {
-            self.bump();
+            let op = self.next();
             let rhs = self.parse_unary()?;
-            lhs = Expr::bin(BinOp::Mod, lhs, rhs);
+            lhs = self.bin(op, BinOp::Mod, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ModelError> {
+    fn parse_unary(&mut self) -> Sub {
         match self.peek() {
             TokKind::Bang => {
                 self.enter()?;
-                self.bump();
-                let e = self.parse_unary()?;
+                let op = self.next();
+                let (e, h) = self.parse_unary()?;
                 self.depth -= 1;
-                Ok(e.not())
+                Ok((e.not(), self.grow(op, h)?))
             }
             TokKind::Minus => {
                 self.bump();
                 let tok = self.next();
                 match self.int(tok) {
-                    Some(v) => Ok(Expr::Int(-v)),
+                    Some(v) => Ok((Expr::Int(-v), 1)),
                     None => Err(self.err("expected integer after unary `-`")),
                 }
             }
@@ -454,7 +477,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ModelError> {
+    fn parse_primary(&mut self) -> Sub {
         match self.peek() {
             TokKind::LParen => {
                 self.enter()?;
@@ -467,41 +490,43 @@ impl<'a> Parser<'a> {
             TokKind::Int => {
                 let value = int_value(self.text());
                 self.bump();
-                Ok(Expr::Int(value))
+                Ok((Expr::Int(value), 1))
             }
             TokKind::Ident => match self.text() {
                 "TRUE" => {
                     self.bump();
-                    Ok(Expr::Bool(true))
+                    Ok((Expr::Bool(true), 1))
                 }
                 "FALSE" => {
                     self.bump();
-                    Ok(Expr::Bool(false))
+                    Ok((Expr::Bool(false), 1))
                 }
                 "case" => {
                     self.enter()?;
-                    self.bump();
+                    let op = self.next();
                     let mut arms = Vec::new();
+                    let mut below = 0;
                     loop {
                         if self.at_word("esac") {
                             self.bump();
                             break;
                         }
-                        let guard = self.parse_expr()?;
+                        let (guard, hg) = self.parse_expr()?;
                         self.expect(TokKind::Colon, "`:`")?;
-                        let value = self.parse_expr()?;
+                        let (value, hv) = self.parse_expr()?;
                         self.expect(TokKind::Semi, "`;`")?;
                         arms.push((guard, value));
+                        below = below.max(hg).max(hv);
                     }
                     if arms.is_empty() {
                         return Err(self.err("empty case expression"));
                     }
                     self.depth -= 1;
-                    Ok(Expr::Case(arms))
+                    Ok((Expr::Case(arms), self.grow(op, below)?))
                 }
                 name => {
                     self.bump();
-                    Ok(Expr::Name(name.to_owned()))
+                    Ok((Expr::Name(name.to_owned()), 1))
                 }
             },
             _ => Err(self.err("expected an expression")),
@@ -515,7 +540,8 @@ impl<'a> Parser<'a> {
 ///
 /// Returns [`ModelError`] with a source position on malformed input,
 /// including expressions and property bodies that nest deeper than
-/// [`covest_ctl::MAX_DEPTH`] levels.
+/// [`covest_ctl::MAX_DEPTH`] levels or whose trees are taller than
+/// [`covest_ctl::MAX_HEIGHT`] levels.
 pub fn parse_module(src: &str) -> Result<Module, ModelError> {
     let mut p = Parser {
         toks: lex(src)?,
@@ -659,6 +685,38 @@ OBSERVED count, x;
         assert!(parse_module("VAR x : 5..2;").is_err());
         assert!(parse_module("SPEC AG x").is_err()); // missing semicolon
         assert!(parse_module("MODULE other VAR x : boolean;").is_err());
+    }
+
+    #[test]
+    fn height_is_bounded() {
+        // An `n`-operand chain is `n` levels tall.
+        for op in [" & ", " | ", " -> ", " <-> ", " xor ", " + "] {
+            let define = |n: usize| format!("DEFINE d := {};", vec!["x"; n].join(op));
+            assert!(parse_module(&define(MAX_HEIGHT)).is_ok(), "{op}");
+            let tall = define(MAX_HEIGHT + 1);
+            let e = parse_module(&tall).unwrap_err();
+            assert_eq!(e.message, too_tall_message(), "{op}");
+            // At the operator whose node is one level too tall: the last
+            // one of a left-associative chain, the first of `->`.
+            let at = if op == " -> " {
+                tall.find("->")
+            } else {
+                tall.rfind(op.trim())
+            };
+            assert_eq!(
+                (e.line, e.column),
+                (1, at.expect("an operator") + 1),
+                "{op}"
+            );
+        }
+        let tall = |depth: usize| format!("DEFINE d := {}x;", "!".repeat(depth));
+        assert!(parse_module(&tall(MAX_DEPTH)).is_ok());
+        let nested = format!("DEFINE d := !({});", vec!["x"; MAX_HEIGHT].join(" & "));
+        let e = parse_module(&nested).unwrap_err();
+        assert_eq!(
+            (e.column, e.message.as_str()),
+            (13, too_tall_message().as_str())
+        );
     }
 
     #[test]

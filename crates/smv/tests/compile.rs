@@ -357,3 +357,107 @@ fn hand_built_oversized_range_is_a_compile_error() {
     let e = covest_smv::compile_module(&BddManager::new(), &module).unwrap_err();
     assert!(e.message.contains("more than 65536 values"), "{e}");
 }
+
+/// The decks the set-up tests sweep: `models/*.smv`, the lint fixtures
+/// and the `gen-models --size 6` decks.
+fn sweep_decks() -> Vec<(String, String)> {
+    let models = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../models");
+    let mut decks = Vec::new();
+    for dir in [models.clone(), models.join("lint_fixtures")] {
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .expect("deck directory")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "smv"))
+            .collect();
+        paths.sort();
+        for p in paths {
+            let src = std::fs::read_to_string(&p).expect("readable deck");
+            decks.push((p.display().to_string(), src));
+        }
+    }
+    decks.extend(covest_circuits::sized_decks(6));
+    decks
+}
+
+/// `init` is held as one part per variable and conjoined on first use,
+/// after the startup sift, deepest part first. On the same manager it
+/// equals the eager conjunction of every `init` constraint and `valid`
+/// (each variable's encoding in range), for every deck that compiles.
+/// The constraints are built from the signal table: each `init(x) := e`
+/// becomes `x = e` over a `DEFINE` of `e`.
+#[test]
+fn lazy_init_equals_the_eager_conjunction() {
+    use covest_ctl::{CmpOp, CmpRhs, PropExpr, SignalRef};
+    use covest_fsm::SignalValue;
+    use covest_smv::{decl_bit_names, Define, VarType};
+
+    let mut checked = 0;
+    for (name, src) in sweep_decks() {
+        let Ok(mut module) = covest_smv::parse_module(&src) else {
+            continue;
+        };
+        let inits: Vec<(String, String)> = module
+            .inits
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (a.name.clone(), format!("init_value_{i}")))
+            .collect();
+        for (a, (_, define)) in module.inits.clone().into_iter().zip(&inits) {
+            module.defines.push(Define {
+                name: define.clone(),
+                expr: a.expr,
+                line: 0,
+            });
+        }
+        let bdd = BddManager::new();
+        let Ok(model) = covest_smv::compile_module(&bdd, &module) else {
+            continue;
+        };
+        bdd.reduce_heap();
+        let fsm = &model.fsm;
+        let mut eager = bdd.constant(true);
+        for (var, define) in &inits {
+            let equal = match fsm.signals().get(var) {
+                Some(SignalValue::Bool(_)) => PropExpr::Iff(
+                    Box::new(PropExpr::Atom(SignalRef::new(var))),
+                    Box::new(PropExpr::Atom(SignalRef::new(define))),
+                ),
+                _ => PropExpr::Cmp {
+                    lhs: SignalRef::new(var),
+                    op: CmpOp::Eq,
+                    rhs: CmpRhs::Sym(SignalRef::new(define)),
+                },
+            };
+            let constraint = fsm.signals().lower(&bdd, &equal).expect("lowers");
+            eager = eager.and(&constraint);
+        }
+        for d in &module.vars {
+            let span = match &d.ty {
+                VarType::Boolean => 2,
+                VarType::Range(lo, hi) => hi - lo + 1,
+                VarType::Enum(lits) => lits.len() as i64,
+            };
+            let bits: Vec<_> = decl_bit_names(d)
+                .iter()
+                .map(|bit| {
+                    let b = fsm.state_bits().iter().find(|b| &b.name == bit);
+                    b.expect("a compiled bit").current
+                })
+                .collect();
+            let mut valid = bdd.constant(false);
+            for raw in 0..span {
+                let code = bits
+                    .iter()
+                    .enumerate()
+                    .fold(bdd.constant(true), |acc, (i, &v)| {
+                        acc.and(&bdd.literal(v, (raw >> i) & 1 == 1))
+                    });
+                valid = valid.or(&code);
+            }
+            eager = eager.and(&valid);
+        }
+        assert_eq!(fsm.init(), &eager, "{name}");
+        checked += 1;
+    }
+    assert!(checked >= 8, "{checked} decks compiled");
+}
