@@ -42,16 +42,16 @@
 //! - `--trace FILE` writes the recorded span/event log (compile,
 //!   the startup sift, the machine's one verification, each signal's
 //!   coverage with the reachability it needs (per-BFS-step sizes) and
-//!   its uncovered sample). In `batch` the file
-//!   **streams**: each shard's span forest
-//!   is written as its result arrives, one track per pool worker, so a
-//!   long batch holds at most one shard's records in memory; the
-//!   front-end's own track (tid 0) is appended at the end;
+//!   its uncovered sample). `check` records on the front-end track
+//!   (tid 0). In `batch` the file **streams**: each pool worker writes
+//!   a shard's span forest on its own track as soon as the shard is
+//!   done, so a long batch holds at most one shard's records per worker
+//!   in memory;
 //! - `--trace-format jsonl|chrome` selects the trace flavor: native
 //!   JSONL (default; one record per line, `tid` = track), or Chrome
 //!   trace-event JSON — load the file in `ui.perfetto.dev` to see one
-//!   timeline row per track, shard spans tagged with their signals and
-//!   stolen flag, memory gauges in the args panel;
+//!   timeline row per track, shard spans tagged with their signals,
+//!   memory gauges in the args panel;
 //! - `--progress` prints a throttled heartbeat to stderr while the
 //!   fixpoints run (phase, iteration, BDD size, support width, live
 //!   nodes) and arms a watchdog that reports any fixpoint whose iterate
@@ -67,9 +67,10 @@
 //! `batch` runs a *fleet* of decks: `JOBLIST` names one deck per line
 //! (`PATH [SIGNAL ...]`, `#` comments; relative paths resolve against
 //! the joblist's directory), and all decks × signals drain through one
-//! worker pool: `--jobs N` threads (`0` = one per core), each shard on
-//! its own BDD manager. The planner parses the decks and computes their
-//! cones on the same number of threads first. Batch output contains no
+//! worker pool: `--jobs N` threads (`0` = one per core; the calling
+//! thread is one of them), which take the shards largest-first, each
+//! shard on its own BDD manager. The planner parses the decks and
+//! computes their cones the same way first. Batch output contains no
 //! timings or node counts, so two runs with different `--jobs` are
 //! byte-identical.
 //!
@@ -94,8 +95,8 @@ use covest_bdd::BddManager;
 use covest_core::{json_string, CoverageEstimator, CoverageTable, ReportRow};
 use covest_mc::Verdict;
 use covest_par::{
-    compile_machine, cover_signal, install_mem_sampler, plan_machine, run_batch,
-    run_batch_with_trace, startup_sift, BatchReport, DeckJob, ParConfig, ShardProfile,
+    compile_machine, cover_signal, install_mem_sampler, plan_machine, run_batch, startup_sift,
+    BatchReport, DeckJob, ParConfig, ShardProfile,
 };
 use covest_smv::{decl_bit_width, CompiledModel};
 use covest_telemetry::chrome::{TraceFormat, TraceSink, TraceWriter};
@@ -458,9 +459,9 @@ fn par_config(engine: &EngineArgs) -> ParConfig {
 }
 
 /// Opens the streaming `--trace` writer over a buffered file, in the
-/// selected `--trace-format`. Shard tracks stream into it as the pool
-/// produces results; the front-end's own records land on tid 0 at the
-/// end (see [`finish_trace`]).
+/// selected `--trace-format`. Shard tracks stream into it as the pool's
+/// workers finish them; `check`'s own records land on tid 0 at the end
+/// (see [`finish_trace`]).
 fn open_trace(
     engine: &EngineArgs,
 ) -> Result<Option<TraceWriter<std::io::BufWriter<std::fs::File>>>, std::io::Error> {
@@ -481,8 +482,9 @@ fn open_trace(
     }
 }
 
-/// Appends the front-end record forest as track 0 and closes the trace
-/// file (surfacing any I/O error deferred during streaming).
+/// Appends the front-end record forest (`check`'s; `batch` has none) as
+/// track 0 and closes the trace file (surfacing any I/O error deferred
+/// during streaming).
 fn finish_trace(
     engine: &EngineArgs,
     writer: Option<TraceWriter<std::io::BufWriter<std::fs::File>>>,
@@ -589,16 +591,17 @@ fn profile_label(p: &ShardProfile) -> String {
     }
 }
 
-/// Uninstalls the recorder installed for `--stats`/`--trace` and folds
-/// its output together with the per-shard profiles of `report` (`batch`)
-/// or the engine counters of the front-end manager and the phase times
-/// of `check` (whose one machine runs the whole analysis).
+/// Uninstalls the recorder `check` installed for `--stats`/`--trace`
+/// (`batch` installs none: its shards record on their own) and folds its
+/// output together with the per-shard profiles of `report` (`batch`) or
+/// the engine counters of the front-end manager and the phase times of
+/// `check` (whose one machine runs the whole analysis).
 ///
 /// The counter sections — the front-end counters and every per-shard
 /// counter set — are deterministic: byte-identical across `--jobs`
-/// values and across identical runs. Every `*_ms` value, the stolen
-/// markers, the scheduler line, and everything below the
-/// [`TIMINGS_MARKER`] line is wall-clock/scheduling observability.
+/// values and across identical runs. Every `*_ms` value, the scheduler
+/// line, and everything below the [`TIMINGS_MARKER`] line is
+/// wall-clock/scheduling observability.
 fn collect_observability(
     engine: &EngineArgs,
     front_end: Option<(&BddManager, &CheckTimings)>,
@@ -672,20 +675,19 @@ fn collect_observability(
     for p in &profiles {
         let _ = writeln!(
             text,
-            "  {}  queue {} ms  compile {} ms  reach {} ms  solve {} ms{}",
+            "  {}  queue {} ms  compile {} ms  reach {} ms  solve {} ms",
             profile_label(p),
             fmt_ms(p.queue_wait),
             fmt_ms(p.compile),
             fmt_ms(p.reach),
             fmt_ms(p.solve),
-            if p.stolen { "  (stolen)" } else { "" },
         );
     }
     if let Some(rep) = report {
         let _ = writeln!(
             text,
-            "  sched  workers {}  shards {}  steals {}",
-            rep.sched.workers, rep.sched.shards, rep.sched.steals
+            "  sched  workers {}  shards {}",
+            rep.sched.workers, rep.sched.shards
         );
     }
 
@@ -709,8 +711,7 @@ fn collect_observability(
             json,
             "{{\"deck\": {}, \"signals\": [{}], \"counters\": {}, \
              \"peak_live_nodes\": {}, \"peak_by_phase\": {}, \
-             \"queue_ms\": {}, \"compile_ms\": {}, \"reach_ms\": {}, \"solve_ms\": {}, \
-             \"stolen\": {}}}",
+             \"queue_ms\": {}, \"compile_ms\": {}, \"reach_ms\": {}, \"solve_ms\": {}}}",
             json_string(&p.deck),
             signals.join(", "),
             counters_json(&p.counters),
@@ -720,7 +721,6 @@ fn collect_observability(
             fmt_ms(p.compile),
             fmt_ms(p.reach),
             fmt_ms(p.solve),
-            p.stolen,
         );
     }
     json.push(']');
@@ -875,10 +875,11 @@ fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     // exact on the cone; a counterexample lists every state bit, so a
     // cone run builds it on the full deck, the machine that prints it.
     let estimator = CoverageEstimator::new(&model.fsm);
-    let (checker, reach) = timed(on, || estimator.checker(&model.fairness));
-    let (verification, verify) = timed(on, || estimator.verify(checker?, &model.specs));
+    let (verification, verify) = timed(on, || {
+        estimator.verify(estimator.checker(&model.fairness)?, &model.specs)
+    });
     let mut verification = verification?;
-    (times.reach, times.verify) = (reach, verify);
+    times.verify = verify;
     let mut full: Option<FullDeck> = None;
     let holds = verification.holds().to_vec();
     for (spec, holds) in model.specs.iter().zip(holds) {
@@ -901,6 +902,12 @@ fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         {
             say!("{trace}")?;
         }
+    }
+
+    // The reachable states, which the first signal's coverage would
+    // compute, timed apart as `reach`.
+    if !machine.tasks.is_empty() {
+        times.reach = timed(on, || model.fsm.reachable()).1;
     }
 
     // Coverage on the same machine, one signal at a time over its own
@@ -1027,19 +1034,11 @@ fn parse_joblist(path: &str) -> Result<Vec<DeckJob>, Box<dyn std::error::Error>>
 }
 
 fn run_batch_cmd(args: &BatchArgs) -> Result<bool, Box<dyn std::error::Error>> {
-    // This recorder is the front end's own track (tid 0). Planning builds
-    // no BDDs and records nothing; each shard records on its worker's
-    // track.
-    if args.engine.profiling() {
-        telemetry::install(Telemetry::new());
-    }
     let mut trace_writer = open_trace(&args.engine)?;
     let jobs = parse_joblist(&args.joblist)?;
     let config = par_config(&args.engine);
-    let report = match trace_writer.as_mut() {
-        Some(writer) => run_batch_with_trace(&jobs, &config, writer)?,
-        None => run_batch(&jobs, &config)?,
-    };
+    let sink = trace_writer.as_mut().map(|w| w as &mut dyn TraceSink);
+    let report = run_batch(&jobs, &config, sink)?;
 
     // Every line below is deterministic (no timings, no node counts, no
     // thread counts), so batch output is byte-identical across `--jobs`.
@@ -1087,11 +1086,7 @@ fn run_batch_cmd(args: &BatchArgs) -> Result<bool, Box<dyn std::error::Error>> {
         report.outcomes().count(),
     )?;
     let stats_out = collect_observability(&args.engine, None, Some(&report));
-    finish_trace(
-        &args.engine,
-        trace_writer,
-        stats_out.as_ref().map_or(&[][..], |s| &s.records),
-    )?;
+    finish_trace(&args.engine, trace_writer, &[])?;
     write_json(
         &args.engine,
         &report.table(),

@@ -232,7 +232,8 @@ fn write_joblist_of(name: &str, entries: &[&str]) -> std::path::PathBuf {
 
 /// `covest batch` output carries no timings or node counts, so two runs
 /// with different thread budgets must be byte-identical — and the JSON
-/// must be identical outside the `_ms` fields.
+/// must be identical outside the `_ms` fields. `--jobs 0` (one thread
+/// per core) is one more budget.
 #[test]
 fn batch_is_byte_identical_across_job_counts() {
     let joblist = write_joblist("covest-batch-parity.txt");
@@ -248,8 +249,10 @@ fn batch_is_byte_identical_across_job_counts() {
     };
     let json1 = std::env::temp_dir().join("covest-batch-1.json");
     let json4 = std::env::temp_dir().join("covest-batch-4.json");
+    let json0 = std::env::temp_dir().join("covest-batch-0.json");
     let out1 = run("1", &json1);
     let out4 = run("4", &json4);
+    let out0 = run("0", &json0);
     // Stdout: identical except the `wrote <path>` trailer.
     let body = |s: &str| -> Vec<String> {
         s.lines()
@@ -262,6 +265,7 @@ fn batch_is_byte_identical_across_job_counts() {
         body(&out4),
         "batch stdout must not depend on --jobs"
     );
+    assert_eq!(body(&out1), body(&out0), "--jobs 0 changes batch stdout");
     assert!(out4.contains("batch: 4 decks, 6 signal analyses"), "{out4}");
     assert!(out4.contains("83.33% covered"), "{out4}");
     assert!(out4.contains("[FAIL]"), "the buggy deck must fail:\n{out4}");
@@ -287,7 +291,8 @@ fn batch_is_byte_identical_across_job_counts() {
         scrub(&json4),
         "batch JSON must not depend on --jobs"
     );
-    for p in [joblist, json1, json4] {
+    assert_eq!(scrub(&json1), scrub(&json0), "--jobs 0 changes batch JSON");
+    for p in [joblist, json1, json4, json0] {
         let _ = std::fs::remove_file(p);
     }
 }
@@ -480,7 +485,7 @@ fn trace_log_covers_the_run_phases() {
 
 /// With `--stats --json`, the JSON document gains a `stats` object whose
 /// counters match across job counts (the `*_ms` fields are wall-clock
-/// and are scrubbed before comparing).
+/// and are scrubbed before comparing), `check`'s and `batch`'s alike.
 #[test]
 fn json_stats_object_is_deterministic() {
     let run = |jobs: &str, path: &std::path::Path| -> String {
@@ -542,14 +547,46 @@ fn json_stats_object_is_deterministic() {
     for p in [p1, p4] {
         let _ = std::fs::remove_file(p);
     }
+
+    // `batch`'s, over more decks than threads: the per-shard counters and
+    // peak tables too.
+    let dir = std::env::temp_dir().join("covest-batch-stats-json");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let decks: Vec<String> = bundled_and_sized_decks(&dir)
+        .iter()
+        .map(|d| format!("{}\n", d.display()))
+        .collect();
+    let joblist = dir.join("joblist.txt");
+    std::fs::write(&joblist, decks.concat()).expect("joblist");
+    let batch = |jobs: &str| -> String {
+        let json = dir.join(format!("stats-{jobs}.json"));
+        let out = covest()
+            .arg("batch")
+            .arg(&joblist)
+            .args(["--stats", "--jobs", jobs, "--json"])
+            .arg(&json)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "batch --jobs {jobs} fails");
+        std::fs::read_to_string(json).expect("json written")
+    };
+    let (b1, b4) = (batch("1"), batch("4"));
+    assert!(b1.contains("\"shards\": [{\"deck\": "), "{b1}");
+    assert!(b1.contains("\"peak_by_phase\": {"), "{b1}");
+    assert_eq!(
+        scrub(&b1),
+        scrub(&b4),
+        "batch json stats must not depend on --jobs"
+    );
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// `--trace-format chrome` streams a Chrome trace-event JSON array:
 /// square-bracketed, comma-separated objects, `thread_name` metadata
 /// for the worker and front-end tracks, and complete (`ph:"X"`) events
 /// for the run's phases. `ui.perfetto.dev` ingests exactly this shape.
-/// `check` records everything on the front-end track; `batch` adds one
-/// track per pool worker with the shard's `signals` and `stolen` tags.
+/// `check` records everything on the front-end track; `batch` writes one
+/// track per pool worker with the shard's `signals` tag.
 #[test]
 fn chrome_trace_is_a_perfetto_loadable_array() {
     let trace = std::env::temp_dir().join("covest-trace-test-chrome.json");
@@ -602,7 +639,6 @@ fn chrome_trace_is_a_perfetto_loadable_array() {
     for needle in common.iter().chain(&[
         "\"args\":{\"name\":\"worker 0\"}",
         "\"signals\":\"hi_cnt+lo_cnt\"",
-        "\"stolen\":",
     ]) {
         assert!(log.contains(needle), "missing {needle} in:\n{log}");
     }
@@ -1323,6 +1359,58 @@ fn coverage_runs_no_reachability_fixpoint() {
                 parent = up;
             }
         }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `check`'s `reach` time covers the reachability fixpoint: on every
+/// bundled and `--size 6` deck, `--json`'s `reach_ms` is at least the
+/// duration of the trace's root-level `reachability` span (give or take
+/// the microsecond the two formats round off).
+#[test]
+fn check_reach_times_the_reachability_fixpoint() {
+    let dir = std::env::temp_dir().join("covest-reach-time");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (trace, json) = (dir.join("trace.jsonl"), dir.join("stats.json"));
+    for deck in bundled_and_sized_decks(&dir) {
+        let out = covest()
+            .arg("check")
+            .arg(&deck)
+            .args(["--coverage", "--stats", "--trace"])
+            .arg(&trace)
+            .arg("--json")
+            .arg(&json)
+            .output()
+            .expect("runs");
+        assert!(out.status.success(), "check {}", deck.display());
+        let log = std::fs::read_to_string(&trace).expect("trace written");
+        let spans: Vec<u64> = log
+            .lines()
+            .filter(|l| {
+                record_field(l, "name") == "\"reachability\"" && record_field(l, "parent") == "null"
+            })
+            .map(|l| {
+                let us = |key| record_field(l, key).parse::<u64>().expect("microseconds");
+                us("end_us") - us("start_us")
+            })
+            .collect();
+        let [span_us] = spans[..] else {
+            panic!(
+                "{}: one root-level reachability span: {log}",
+                deck.display()
+            );
+        };
+        let doc = std::fs::read_to_string(&json).expect("json written");
+        let (_, tail) = doc.split_once("\"reach_ms\": ").expect("reach_ms");
+        let reach_ms: f64 = tail[..tail.find(',').expect("more fields")]
+            .parse()
+            .expect("milliseconds");
+        let reach_us = (reach_ms * 1e3).round() as u64;
+        assert!(
+            reach_us + 1 >= span_us,
+            "{}: reach {reach_us} us < reachability span {span_us} us",
+            deck.display()
+        );
     }
     let _ = std::fs::remove_dir_all(dir);
 }

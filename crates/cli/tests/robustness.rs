@@ -196,7 +196,7 @@ fn deep_nesting_fails_cleanly() {
 }
 
 /// Nesting exactly at the bound parses, compiles, verifies and covers
-/// on the planner's and the pool's spawned threads of a debug build.
+/// on the spawned threads of a debug build's `--jobs 2` batch.
 #[test]
 fn nesting_at_the_bound_runs_on_spawned_threads() {
     let dir = fresh_dir("at-bound");
@@ -215,13 +215,15 @@ fn nesting_at_the_bound_runs_on_spawned_threads() {
     writeln!(src, "SPEC {}(x | !y);", "!".repeat(n - 2)).expect("write");
     writeln!(src, "FAIRNESS {};", parens(n, "x | y")).expect("write");
     writeln!(src, "OBSERVED x, d;").expect("write");
-    let deck = dir.join("at_bound.smv");
-    std::fs::write(&deck, &src).expect("deck");
-    // Two decks, so that `--jobs 2` plans on a spawned thread as well.
-    let twin = dir.join("at_bound_twin.smv");
-    std::fs::write(&twin, &src).expect("deck");
+    // More decks than `--jobs 2` threads, so that the spawned one plans
+    // and runs decks too, not only the calling thread.
+    let mut list = String::new();
+    for i in 0..3 {
+        let deck = dir.join(format!("at_bound_{i}.smv"));
+        std::fs::write(&deck, &src).expect("deck");
+        writeln!(list, "{}", deck.display()).expect("write");
+    }
     let joblist = dir.join("at_bound.txt");
-    let list = format!("{}\n{}\n", deck.display(), twin.display());
     std::fs::write(&joblist, list).expect("joblist");
 
     // The front end and compile on a spawned thread's default stack.
@@ -322,8 +324,8 @@ fn long_chains_fail_cleanly() {
 }
 
 /// Chains exactly at the height bound parse, compile, verify and cover
-/// on the planner's and the pool's spawned threads of a debug build, and
-/// one more operand is the height error.
+/// on the spawned threads of a debug build's `--jobs 2` batch, and one
+/// more operand is the height error.
 #[test]
 fn chains_at_the_height_bound_run_on_spawned_threads() {
     let dir = fresh_dir("chain-bound");
@@ -345,12 +347,17 @@ fn chains_at_the_height_bound_run_on_spawned_threads() {
         writeln!(src, "OBSERVED x, d;").expect("write");
         src
     };
+    // More at-bound twins than `--jobs 2` threads: the calling thread is
+    // one of the two, and the spawned one takes decks while it runs.
     let at_bound = dir.join("at_bound.smv");
     std::fs::write(&at_bound, deck(0)).expect("deck");
-    let twin = dir.join("at_bound_twin.smv");
-    std::fs::write(&twin, deck(0)).expect("deck");
+    let mut list = format!("{}\n", at_bound.display());
+    for i in 0..3 {
+        let twin = dir.join(format!("at_bound_twin_{i}.smv"));
+        std::fs::write(&twin, deck(0)).expect("deck");
+        writeln!(list, "{}", twin.display()).expect("write");
+    }
     let joblist = dir.join("at_bound.txt");
-    let list = format!("{}\n{}\n", at_bound.display(), twin.display());
     std::fs::write(&joblist, list).expect("joblist");
     let runs: [Vec<&std::ffi::OsStr>; 2] = [
         vec![

@@ -34,6 +34,11 @@
 //!   that only tests call is a second implementation nothing in
 //!   production runs. Delete it, or mark a deliberate raw-layer test hook
 //!   with the suppression comment.
+//! - `one-dispatcher` — no `thread::scope`, `thread::spawn` or
+//!   `thread::Builder` in a crate's `src/` outside
+//!   `crates/par/src/pool.rs`, the file that holds `drain`: every
+//!   thread the workspace starts is a worker of that one dispatcher,
+//!   which plans the decks and runs the shards.
 //!
 //! A finding on a line ending in `// devlint: allow(<rule>)` is
 //! suppressed. Exit status: 0 clean, 1 findings, 2 usage/IO error.
@@ -44,6 +49,9 @@ use std::process::ExitCode;
 
 /// What `hot-path-hashmap` looks for in the BDD kernel files.
 const HOT_PATH_NEEDLES: [&str; 4] = ["HashMap<", "HashMap::", "HashSet<", "HashSet::"];
+
+/// What `one-dispatcher` looks for: every way `std` starts a thread.
+const THREAD_NEEDLES: [&str; 3] = ["thread::scope", "thread::spawn", "thread::Builder"];
 
 /// One rule violation.
 struct Finding {
@@ -202,6 +210,12 @@ fn test_only_code_scope(crates: &Path, path: &Path) -> bool {
     })
 }
 
+/// `true` for the sources the `one-dispatcher` rule covers: every file
+/// under a crate's `src/` directory but the one that holds `drain`.
+fn one_dispatcher_scope(crates: &Path, path: &Path) -> bool {
+    test_only_code_scope(crates, path) && path != crates.join("par").join("src").join("pool.rs")
+}
+
 fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
     let crates = root.join("crates");
     let mut sources = Vec::new();
@@ -268,6 +282,18 @@ fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
                 "code kept alive only for tests; delete it or mark a deliberate test hook",
                 &mut findings,
             );
+        }
+        if one_dispatcher_scope(&crates, path) {
+            for needle in THREAD_NEEDLES {
+                scan_lines(
+                    path,
+                    &src,
+                    needle,
+                    "one-dispatcher",
+                    "start threads only through covest-par's `drain` (one dispatcher)",
+                    &mut findings,
+                );
+            }
         }
         if !eprintln_exempt(&crates, path) {
             scan_lines(
@@ -444,6 +470,44 @@ mod tests {
         );
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, [1, 2]);
+    }
+
+    #[test]
+    fn one_dispatcher_covers_crate_sources_but_the_pool_and_honours_the_suppression() {
+        let crates = Path::new("crates");
+        for (path, covered) in [
+            ("par/src/plan.rs", true),
+            ("cli/src/main.rs", true),
+            ("bench/src/bin/table2.rs", true),
+            ("par/src/pool.rs", false),
+            ("cli/tests/robustness.rs", false),
+        ] {
+            assert_eq!(
+                one_dispatcher_scope(crates, &crates.join(path)),
+                covered,
+                "{path}"
+            );
+        }
+        assert!(!one_dispatcher_scope(crates, Path::new("src/lib.rs")));
+        let src = "    std::thread::scope(|scope| work(scope));\n\
+                   let helper = std::thread::spawn(work);\n\
+                   let n = std::thread::available_parallelism();\n\
+                   let big = thread::Builder::new().stack_size(1 << 26);\n\
+                   thread::spawn(work); // devlint: allow(one-dispatcher)\n";
+        let mut findings = Vec::new();
+        for needle in THREAD_NEEDLES {
+            scan_lines(
+                Path::new("plan.rs"),
+                src,
+                needle,
+                "one-dispatcher",
+                "",
+                &mut findings,
+            );
+        }
+        let mut lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        lines.sort_unstable();
+        assert_eq!(lines, [1, 2, 4]);
     }
 
     #[test]

@@ -99,13 +99,6 @@ impl SignalTable {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Names of all signals, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.entries.keys().map(String::as_str).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Lowers a propositional formula to a BDD over the table's variables.
     ///
     /// # Errors

@@ -18,29 +18,29 @@
 //!   [`plan_machine`]) and one coverage task per signal. Planning is
 //!   purely static (parse, dependency graph, cones of influence — no
 //!   BDDs) and runs on the batch's `jobs` threads, one deck at a time per
-//!   thread.
+//!   thread, largest source first.
 //! - **The shard body** — compile and sift ([`compile_machine`]), verify
 //!   the suite once, then cover each signal in declaration order
 //!   ([`cover_signal`]), reusing the verification's memoized
 //!   satisfaction sets. `covest check` runs this same body on its own
 //!   thread, printing between the steps.
-//! - **The worker pool** ([`WorkPlan::run`]) — `jobs` OS threads, one
-//!   deque each. Shards are dealt round-robin largest-first (by their
-//!   static cone weights); an idle worker **steals whole shards** from
-//!   its peers, so every shard still executes on one fresh private
-//!   manager, wherever it lands.
+//! - **The worker pool** ([`WorkPlan::run`]) — `jobs` threads, the
+//!   calling thread among them, take shards largest-first (by their
+//!   static cone weights) from one shared cursor, the planner's
+//!   dispatcher: every shard is known before the first one runs, so
+//!   this is Graham's LPT list schedule. Every shard executes on one
+//!   fresh private manager, wherever it lands.
 //! - **Deterministic merge** ([`BatchReport`]) — results are assembled
 //!   by deck index: decks in input order, signals in declaration order,
-//!   byte-identical reports regardless of scheduling, stealing or
-//!   `jobs`.
+//!   byte-identical reports regardless of scheduling or `jobs`.
 //!
 //! No BDD leaves its shard: each signal comes back as a
 //! [`SignalOutcome`], its Table-2 row with the canonical sample of its
 //! uncovered states as named bit values.
 //!
-//! [`run_batch`] is the one-call front door (`covest batch`). The
-//! contract — enforced by `tests/parity.rs`, also under forced
-//! stealing — is that
+//! [`run_batch`] is the one-call front door (`covest batch`), with an
+//! optional trace sink each worker streams its finished shards' span
+//! forests into. The contract — enforced by `tests/parity.rs` — is that
 //! the pool is *pure mechanism*: coverage percentages, per-property
 //! verdicts and uncovered-state sets (listed whole, in canonical order)
 //! are bit-identical to the sequential
@@ -62,7 +62,7 @@
 //! OBSERVED b;
 //! "#;
 //! let jobs = vec![DeckJob::new("toggler", deck)];
-//! let report = run_batch(&jobs, &ParConfig { jobs: 2, ..Default::default() })?;
+//! let report = run_batch(&jobs, &ParConfig { jobs: 2, ..Default::default() }, None)?;
 //! assert!(report.all_hold());
 //! // The property covers the b-state but not the !b-state: 1 of 2.
 //! assert_eq!(report.decks[0].signals[0].row.percent, 50.0);
@@ -75,7 +75,6 @@ mod shard;
 
 pub use plan::{plan_machine, DeckJob, DeckMachine, ParConfig, SignalTask, WorkPlan};
 pub use pool::{
-    run_batch, run_batch_with_trace, BatchReport, DeckReport, ParError, SchedStats, ShardProfile,
-    SignalOutcome,
+    run_batch, BatchReport, DeckReport, ParError, SchedStats, ShardProfile, SignalOutcome,
 };
 pub use shard::{compile_machine, cover_signal, install_mem_sampler, startup_sift};

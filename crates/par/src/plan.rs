@@ -12,13 +12,12 @@
 //! signal in declaration order, which is also the order results are
 //! reassembled in, whatever order workers finish.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use covest_analyze::{reducible, DepGraph, Reduction};
 use covest_smv::{ImageConfig, Module};
 
-use crate::pool::ParError;
+use crate::pool::{drain, ParError};
 use crate::shard::Shard;
 
 /// One deck in a batch: a name (shown in reports), the SMV source text,
@@ -48,9 +47,10 @@ impl DeckJob {
 #[derive(Clone)]
 pub struct ParConfig {
     /// Thread budget for the worker pool (`0` = one worker per available
-    /// core). The budget is shared by *all* shards of a batch — one per
-    /// deck, drained through one set of deques — and the planner plans
-    /// the decks on the same number of threads.
+    /// core), the calling thread included. The budget is shared by *all*
+    /// shards of a batch — one per deck, drained largest-first from one
+    /// shared cursor — and the planner plans the decks the same way on
+    /// the same number of threads.
     pub jobs: usize,
     /// Kept only for the `perfbench` harness, which reads it; nothing
     /// under `crates/` does.
@@ -63,8 +63,8 @@ pub struct ParConfig {
     /// span log, and the shard's deterministic engine counters. Off by
     /// default; the counters are a pure function of (deck source,
     /// config), so they are byte-identical across `jobs` values, while
-    /// the durations (and the stolen flag) are wall-clock scheduling
-    /// facts and excluded from parity.
+    /// the durations are wall-clock scheduling facts and excluded from
+    /// parity.
     pub profile: bool,
     /// Emit the throttled stderr progress heartbeat (and arm the
     /// fixpoint watchdog) on every shard. Pure stderr observability —
@@ -267,49 +267,15 @@ pub struct WorkPlan {
     pub(crate) shards: Vec<Shard>,
 }
 
-/// Plans every deck on `min(threads, decks)` threads, the calling
-/// thread among them (so one thread spawns nothing). Each thread takes
-/// the largest deck, by source length, that no thread has taken yet;
-/// the results come back in joblist order.
-fn plan_decks(jobs: &[DeckJob], threads: usize) -> Vec<Result<Shard, ParError>> {
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].source.len()));
-    // `next` only hands out ranks: the decks and `order` are read-only
-    // here, and each thread's plans come back through its join.
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut planned = Vec::new();
-        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-            planned.push((i, plan_deck(&jobs[i])));
-        }
-        planned
-    };
-    let mut planned = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads.min(jobs.len()))
-            .map(|_| scope.spawn(work))
-            .collect();
-        let mut planned = work();
-        for helper in helpers {
-            planned.extend(
-                helper
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-            );
-        }
-        planned
-    });
-    planned.sort_unstable_by_key(|(i, _)| *i);
-    planned.into_iter().map(|(_, plan)| plan).collect()
-}
-
 impl WorkPlan {
     /// Parses and statically validates every deck, computes each
     /// signal's cone of influence, and lays out one shard per deck with
     /// one task per observed signal (none for a verification-only deck).
     ///
     /// Decks are planned on [`ParConfig::effective_jobs`] threads (never
-    /// more than there are decks), the calling thread among them; the
-    /// plan is the same whatever the thread count.
+    /// more than there are decks), the calling thread among them, each
+    /// taking the largest deck (by source length) that no thread has
+    /// taken yet; the plan is the same whatever the thread count.
     ///
     /// # Errors
     ///
@@ -318,7 +284,8 @@ impl WorkPlan {
     /// compile failures surface when the shard compiles, also as
     /// [`ParError::Plan`].)
     pub fn plan(jobs: &[DeckJob], config: &ParConfig) -> Result<WorkPlan, ParError> {
-        let shards = plan_decks(jobs, config.effective_jobs())
+        let sizes: Vec<usize> = jobs.iter().map(|j| j.source.len()).collect();
+        let shards = drain(&sizes, config.effective_jobs(), |i, _| plan_deck(&jobs[i]))
             .into_iter()
             .collect::<Result<_, _>>()?;
         Ok(WorkPlan { shards })
@@ -329,8 +296,7 @@ impl WorkPlan {
         self.shards.iter().map(|s| s.tasks.len()).sum()
     }
 
-    /// Number of shards — the pool's schedulable (and stealable) units,
-    /// one per deck.
+    /// Number of shards — the pool's schedulable units, one per deck.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }

@@ -6,25 +6,29 @@
 //! *deck*: each deck's machine (a [`crate::shard::Shard`]) gets one
 //! private manager, compiles its (union-cone-reduced) module once,
 //! verifies the suite once, and covers its signals on that machine in
-//! declaration order. Shards drain from per-worker deques with
-//! whole-shard stealing — see [`crate::shard`] — and results are
-//! reassembled **by deck index**, so the report order (and every byte of
-//! it) is independent of scheduling.
+//! declaration order. Every shard is known before the first one runs,
+//! so the pool has one dispatcher, [`drain`]: the threads take shards
+//! largest-first from one shared cursor (the planner drains its decks
+//! the same way), and results are reassembled **by deck index**, so the
+//! report order (and every byte of it) is independent of scheduling.
 //!
 //! One manager per *shard* (not per worker) is a deliberate determinism
 //! choice: a worker that happened to run two shards on a shared manager
 //! would report different node counts than one that didn't, making
 //! output depend on scheduling. With per-shard managers every shard is a
 //! pure function of (deck source, config), so `--jobs 1` and `--jobs 64`
-//! produce byte-identical reports — even when shards are stolen.
+//! produce byte-identical reports.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use covest_core::{CoverageTable, PropertyVerdict, ReportRow};
+use covest_telemetry::chrome::TraceSink;
 use covest_telemetry::{Counters, SpanRecord};
 
 use crate::plan::{DeckJob, ParConfig, WorkPlan};
-use crate::shard::run_pool;
+use crate::shard::run_shard;
 
 /// Errors from planning or running a parallel batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,9 +95,8 @@ pub struct SignalOutcome {
 ///
 /// The counters (and spans' deterministic fields) are a pure function of
 /// (deck source, config) — byte-identical across `jobs` values and
-/// across identical runs. Every `Duration` here, and the `stolen` flag,
-/// is a wall-clock scheduling fact and excluded from any parity
-/// contract.
+/// across identical runs. Every `Duration` here is a wall-clock
+/// scheduling fact and excluded from any parity contract.
 #[derive(Debug, Clone)]
 pub struct ShardProfile {
     /// Deck display name.
@@ -101,27 +104,20 @@ pub struct ShardProfile {
     /// The deck's analyzed signals in declaration order; empty for a
     /// verification-only shard.
     pub signals: Vec<String>,
-    /// Time between the shard being enqueued and a worker dequeuing it
-    /// (its own or a thief) — by construction never more than the
-    /// pool's wall-clock.
+    /// Time from the pool's start to a worker taking the shard — by
+    /// construction never more than the pool's wall-clock.
     pub queue_wait: Duration,
     /// Time compiling the shard's module on its private manager
     /// (including the startup sifting pass).
     pub compile: Duration,
-    /// Time setting up the machine's checker: lowering the fairness
-    /// constraints. No fixpoint runs here: the first signal's coverage
-    /// computes reachability inside `solve`, and a verification-only
-    /// shard computes none.
+    /// Time computing the machine's reachable states, after
+    /// verification and before the first signal's coverage; zero for a
+    /// verification-only shard, which computes none.
     pub reach: Duration,
-    /// Time verifying the suite once and then covering each signal.
+    /// Time setting up the checker (lowering the fairness constraints),
+    /// verifying the suite once and covering each signal: the shard's
+    /// time after compile, without `reach`.
     pub solve: Duration,
-    /// `true` if the shard was executed by a worker other than the one
-    /// it was dealt to. Scheduling observability only.
-    pub stolen: bool,
-    /// Index of the pool worker that executed the shard (the thief, if
-    /// stolen). Scheduling observability only — it is also the shard's
-    /// trace track: tid = `worker + 1` (tid 0 is the driver).
-    pub worker: usize,
     /// Per-phase peak-live attribution table (`compile` / `reach` /
     /// `verify` / `signal:NAME` / `other` → peak live nodes), the fold of
     /// the span forest's memory samples — deterministic, and its maximum
@@ -186,17 +182,17 @@ impl DeckReport {
 }
 
 /// Scheduling statistics for one batch run: how the work was executed.
-/// Pure observability — every field except `shards` depends on timing
-/// and core count, so none of this may reach a deterministic report
-/// surface (it is excluded from all parity contracts).
+/// Pure observability — `workers` depends on the thread budget and the
+/// core count, so none of this may reach a deterministic report surface
+/// (it is excluded from all parity contracts).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedStats {
-    /// Worker threads actually spawned.
+    /// Threads the shards ran on, the calling thread included.
     pub workers: usize,
     /// Shards in the plan.
     pub shards: usize,
-    /// Shards executed by a worker other than the one they were dealt
-    /// to.
+    /// Always 0: no shard moves between workers. Kept only for the
+    /// `perfbench` harness, which reads it; nothing under `crates/` does.
     pub steals: usize,
 }
 
@@ -232,12 +228,59 @@ impl BatchReport {
     }
 }
 
+/// Runs `work(item, worker)` on every item `0..weights.len()`, over
+/// `min(threads, items)` threads: the calling thread is worker 0, and
+/// the others are scoped threads numbered from 1. Each worker takes the
+/// heaviest item no worker has taken yet (ties in item order), which is
+/// Graham's LPT list schedule. The results come back indexed by item,
+/// whatever order they finished in.
+///
+/// No other code under a crate's `src/` starts a thread (devlint's
+/// `one-dispatcher` rule): the planner drains decks through here and
+/// the pool drains shards.
+pub(crate) fn drain<R: Send>(
+    weights: &[usize],
+    threads: usize,
+    work: impl Fn(usize, usize) -> R + Sync,
+) -> Vec<R> {
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
+    // `next` only hands out ranks; each worker's results come back
+    // through its join.
+    let next = AtomicUsize::new(0);
+    let run = |worker: usize| {
+        let mut done = Vec::new();
+        while let Some(&item) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((item, work(item, worker)));
+        }
+        done
+    };
+    let run = &run;
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(order.len()))
+            .map(|worker| scope.spawn(move || run(worker)))
+            .collect();
+        let mut done = run(0);
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(item, _)| item);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
 impl WorkPlan {
-    /// Executes the plan on a pool of `config.jobs` worker threads (one
-    /// deque each, whole-shard stealing) and merges the results
-    /// deterministically: decks in input order, signals in declaration
-    /// order, whatever order shards completed in — and on whichever
-    /// worker.
+    /// Executes the plan on [`ParConfig::effective_jobs`] threads (never
+    /// more than there are shards, the calling thread among them), shards
+    /// taken largest-first by their static cone weights, and merges the
+    /// results deterministically: decks in input order, signals in
+    /// declaration order, whatever order shards completed in — and on
+    /// whichever thread.
     ///
     /// # Errors
     ///
@@ -246,48 +289,52 @@ impl WorkPlan {
     /// verification or a signal's coverage does (deterministic under
     /// racing failures).
     pub fn run(&self, config: &ParConfig) -> Result<BatchReport, ParError> {
-        self.run_inner(config, None)
+        self.run_traced(config, None)
     }
 
-    /// [`WorkPlan::run`], streaming every profiled shard's span forest
-    /// into `sink` as results arrive — one track per worker, the shard
-    /// root span tagged with its `stolen` flag. Streamed forests are
-    /// dropped from the returned profiles ([`ShardProfile::spans`] comes
-    /// back empty), so a long batch holds at most one shard's records at
-    /// a time. Without [`ParConfig::profile`] there are no records and
-    /// the sink stays untouched.
-    pub fn run_with_trace(
+    /// [`WorkPlan::run`], streaming each profiled shard's span forest
+    /// into `sink` (see [`run_batch`]).
+    fn run_traced(
         &self,
         config: &ParConfig,
-        sink: &mut dyn covest_telemetry::chrome::TraceSink,
+        sink: Option<&mut dyn TraceSink>,
     ) -> Result<BatchReport, ParError> {
-        self.run_inner(config, Some(sink))
-    }
-
-    fn run_inner(
-        &self,
-        config: &ParConfig,
-        sink: Option<&mut dyn covest_telemetry::chrome::TraceSink>,
-    ) -> Result<BatchReport, ParError> {
-        let (slots, steals, workers) = run_pool(self, config, sink);
-        let decks = slots
-            .into_iter()
-            .map(|s| s.expect("every shard reports exactly once"))
-            .collect::<Result<_, _>>()?;
+        let weights: Vec<usize> = self.shards.iter().map(|s| s.weight).collect();
+        let threads = config.effective_jobs();
+        let clock = config.batch_clock();
+        let start = clock.now();
+        let sink = sink.map(Mutex::new);
+        let decks = drain(&weights, threads, |s, worker| {
+            let queue_wait = clock.now().saturating_sub(start);
+            let mut result = run_shard(&self.shards[s], config, queue_wait, &clock);
+            if let (Ok(report), Some(sink)) = (&mut result, &sink) {
+                for profile in report.profiles.iter_mut().filter(|p| !p.spans.is_empty()) {
+                    let spans = std::mem::take(&mut profile.spans);
+                    let mut sink = sink.lock().expect("no worker panics while writing a track");
+                    sink.write_track(worker as u64 + 1, &format!("worker {worker}"), &spans);
+                }
+            }
+            result
+        });
         Ok(BatchReport {
-            decks,
+            decks: decks.into_iter().collect::<Result<_, _>>()?,
             sched: SchedStats {
-                workers,
+                workers: threads.min(self.shards.len()).max(1),
                 shards: self.shards.len(),
-                steals,
+                steals: 0,
             },
         })
     }
 }
 
 /// Plans and runs a batch in one call — the front door used by
-/// `covest batch`. Every plan runs on the pool, whatever its shard count
-/// or size, so each shard compiles its cone-reduced module.
+/// `covest batch`. With a `sink`, the worker that ran a profiled shard
+/// writes its span forest there as soon as the shard is done: track
+/// `worker + 1`, labeled `worker N` (tid 0 is left to the caller's front
+/// end). A written forest is dropped from its profile
+/// ([`ShardProfile::spans`] comes back empty), so trace memory stays
+/// bounded by one shard per worker. Without [`ParConfig::profile`] no
+/// shard records anything and the sink stays untouched.
 ///
 /// Planning is static (parse + cones, no BDDs) and cheap, so it always
 /// completes before execution; a plan failure therefore takes precedence
@@ -296,17 +343,10 @@ impl WorkPlan {
 /// # Errors
 ///
 /// See [`WorkPlan::plan`] and [`WorkPlan::run`].
-pub fn run_batch(jobs: &[DeckJob], config: &ParConfig) -> Result<BatchReport, ParError> {
-    WorkPlan::plan(jobs, config)?.run(config)
-}
-
-/// [`run_batch`] with a streaming trace sink — see
-/// [`WorkPlan::run_with_trace`]. Without [`ParConfig::profile`] no shard
-/// records anything and the sink stays untouched.
-pub fn run_batch_with_trace(
+pub fn run_batch(
     jobs: &[DeckJob],
     config: &ParConfig,
-    sink: &mut dyn covest_telemetry::chrome::TraceSink,
+    sink: Option<&mut dyn TraceSink>,
 ) -> Result<BatchReport, ParError> {
-    WorkPlan::plan(jobs, config)?.run_with_trace(config, sink)
+    WorkPlan::plan(jobs, config)?.run_traced(config, sink)
 }

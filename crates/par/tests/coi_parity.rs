@@ -29,7 +29,7 @@ use proptest::prelude::*;
 fn coi_modes_agree_on_every_deck() {
     let decks = all_decks();
     let config = listing(4);
-    let cone = run_batch(&decks, &config).expect("cone machines");
+    let cone = run_batch(&decks, &config, None).expect("cone machines");
     let full = run_sequential(&decks, &config).expect("full decks");
     assert_semantic_parity("cone vs full deck", &full, &cone);
 }
@@ -83,7 +83,7 @@ fn coi_lowers_the_peak_on_sized_pipelines() {
         profile: true,
         ..listing(1)
     };
-    let cone = run_batch(&decks, &config).expect("sized pipelines run");
+    let cone = run_batch(&decks, &config, None).expect("sized pipelines run");
     let full = run_sequential(&decks, &config).expect("full decks run");
     assert_semantic_parity("sized pipelines, cone vs full deck", &full, &cone);
 
@@ -114,7 +114,7 @@ fn gc_checkpoints_fire_on_a_sized_pipeline() {
         profile: true,
         ..Default::default()
     };
-    let report = run_batch(&decks, &config).expect("pipeline_d30 runs");
+    let report = run_batch(&decks, &config, None).expect("pipeline_d30 runs");
     let profile = &report.decks[0].profiles[0];
     let work = (
         profile.peak_live_nodes(),
@@ -214,7 +214,7 @@ proptest! {
         let deck = vec![decks[pick % decks.len()].clone()];
         let label = format!("deck={} jobs={jobs}", deck[0].name);
         let config = listing(jobs);
-        let cone = run_batch(&deck, &config).expect("cone machine");
+        let cone = run_batch(&deck, &config, None).expect("cone machine");
         let full = run_sequential(&deck, &config).expect("full deck");
         assert_semantic_parity(&label, &full, &cone);
     }

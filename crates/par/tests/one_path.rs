@@ -60,7 +60,7 @@ fn shard_verifies_its_deck_once() {
         clock: Some(Arc::new(ManualClock::new())),
         ..Default::default()
     };
-    let report = run_batch(&decks, &config).expect("runs");
+    let report = run_batch(&decks, &config, None).expect("runs");
     let [profile] = report.decks[0].profiles.as_slice() else {
         panic!("one shard profile expected");
     };
@@ -88,6 +88,6 @@ fn shard_verifies_its_deck_once() {
         "no verify phase row"
     );
 
-    let again = run_batch(&decks, &config).expect("runs again");
+    let again = run_batch(&decks, &config, None).expect("runs again");
     assert_eq!(again.decks[0].profiles[0].spans, *spans);
 }

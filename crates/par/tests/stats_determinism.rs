@@ -1,19 +1,17 @@
 //! Determinism contract for the telemetry profiles: every per-shard
 //! counter is a pure function of (deck source, configuration) — never of
 //! the scheduler, the thread count, the clock, or which worker executed
-//! (or stole) the shard. Two identical runs must produce byte-identical
-//! counters, and so must runs that differ only in `jobs` — including
-//! runs where stealing provably occurred. Durations (`queue_wait`,
-//! `compile`, `reach`, `solve`) and the `stolen` flag are wall-clock
-//! scheduling facts by definition and are deliberately excluded from
-//! every parity assertion here.
+//! the shard. Two identical runs must produce byte-identical counters,
+//! and so must runs that differ only in `jobs` — including runs with
+//! more threads than the heaviest shard leaves work for. Durations
+//! (`queue_wait`, `compile`, `reach`, `solve`) are wall-clock scheduling
+//! facts by definition and are deliberately excluded from every parity
+//! assertion here.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use covest_par::{
-    run_batch, run_batch_with_trace, BatchReport, DeckJob, ParConfig, ShardProfile, WorkPlan,
-};
+use covest_par::{run_batch, BatchReport, DeckJob, ParConfig, ShardProfile, WorkPlan};
 use covest_telemetry::chrome::{TraceFormat, TraceWriter};
 use covest_telemetry::{memory, ManualClock};
 
@@ -78,13 +76,12 @@ fn all_decks() -> Vec<DeckJob> {
     decks
 }
 
-/// A fleet engineered so that stealing *provably* occurs at high job
-/// counts: one heavyweight shard (a sized counter whose suite dwarfs
-/// everything else) plus a tail of one-bit togglers. Largest-first
-/// round-robin deals the heavy shard to worker 0 along with at least one
-/// toggler behind it; the other workers drain their togglers long before
-/// the heavy shard finishes and must steal worker 0's queued leftovers.
-fn steal_storm_decks() -> Vec<DeckJob> {
+/// A lopsided fleet: one heavyweight shard (a sized counter whose suite
+/// dwarfs everything else) plus a tail of one-bit togglers. The heavy
+/// shard is taken first; at high job counts the other threads drain the
+/// togglers while it runs, so the same decks land on different threads
+/// than at `jobs = 1`.
+fn storm_decks() -> Vec<DeckJob> {
     use covest_circuits::counter;
     let mut heavy = counter::deck_sized(48);
     for spec in counter::increment_properties_sized(48) {
@@ -112,7 +109,7 @@ fn profiles(report: &BatchReport) -> Vec<&ShardProfile> {
 }
 
 /// Asserts two runs produced the same shards with byte-identical
-/// counters. Durations and steal flags are never compared.
+/// counters. Durations are never compared.
 fn assert_counter_parity(label: &str, a: &BatchReport, b: &BatchReport) {
     let (pa, pb) = (profiles(a), profiles(b));
     assert_eq!(pa.len(), pb.len(), "{label}: profile count");
@@ -134,8 +131,8 @@ fn identical_runs_produce_identical_counters() {
         profile: true,
         ..Default::default()
     };
-    let a = run_batch(&decks, &config).expect("first run");
-    let b = run_batch(&decks, &config).expect("second run");
+    let a = run_batch(&decks, &config, None).expect("first run");
+    let b = run_batch(&decks, &config, None).expect("second run");
     assert_counter_parity("repeat", &a, &b);
 }
 
@@ -152,19 +149,18 @@ fn per_shard_counters_identical_across_job_counts() {
         profile: true,
         ..Default::default()
     };
-    let a = run_batch(&decks, &one).expect("jobs=1 run");
-    let b = run_batch(&decks, &four).expect("jobs=4 run");
+    let a = run_batch(&decks, &one, None).expect("jobs=1 run");
+    let b = run_batch(&decks, &four, None).expect("jobs=4 run");
     assert_counter_parity("jobs 1 vs 4", &a, &b);
 }
 
-/// The steal-storm case: at `jobs=8` on the engineered fleet the steal
-/// counter must actually move (otherwise this test pins nothing), and
-/// the per-shard counters must still match a `jobs=1` run byte for byte
-/// — stealing relocates a shard between threads *before* its manager
-/// exists, so it cannot perturb a single deterministic value.
+/// The lopsided fleet at `jobs=8`: the per-shard counters must match a
+/// `jobs=1` run byte for byte — a shard's manager exists only on the
+/// thread that runs it, so which thread that is cannot perturb a single
+/// deterministic value.
 #[test]
 fn counters_survive_forced_stealing() {
-    let decks = steal_storm_decks();
+    let decks = storm_decks();
     let one = ParConfig {
         jobs: 1,
         profile: true,
@@ -175,23 +171,16 @@ fn counters_survive_forced_stealing() {
         profile: true,
         ..Default::default()
     };
-    let a = run_batch(&decks, &one).expect("jobs=1 run");
-    let b = run_batch(&decks, &eight).expect("jobs=8 run");
-    assert_eq!(a.sched.steals, 0, "one worker has nobody to steal from");
-    assert!(
-        b.sched.steals > 0,
-        "the storm fleet must force at least one steal at jobs=8 \
-         (workers {}, shards {})",
-        b.sched.workers,
-        b.sched.shards,
-    );
-    assert_counter_parity("steal storm jobs 1 vs 8", &a, &b);
+    let a = run_batch(&decks, &one, None).expect("jobs=1 run");
+    let b = run_batch(&decks, &eight, None).expect("jobs=8 run");
+    assert_eq!((a.sched.workers, b.sched.workers), (1, 8));
+    assert_counter_parity("storm jobs 1 vs 8", &a, &b);
 }
 
 #[test]
 fn profiles_absent_unless_requested() {
     let decks = all_decks();
-    let report = run_batch(&decks, &ParConfig::default()).expect("unprofiled run");
+    let report = run_batch(&decks, &ParConfig::default(), None).expect("unprofiled run");
     assert!(
         report.decks.iter().all(|d| d.profiles.is_empty()),
         "profiles must only be collected when ParConfig::profile is set"
@@ -221,8 +210,8 @@ fn clocked(jobs: usize) -> ParConfig {
 #[test]
 fn memory_timelines_identical_across_repeat_runs() {
     let decks = all_decks();
-    let a = run_batch(&decks, &clocked(2)).expect("first run");
-    let b = run_batch(&decks, &clocked(2)).expect("second run");
+    let a = run_batch(&decks, &clocked(2), None).expect("first run");
+    let b = run_batch(&decks, &clocked(2), None).expect("second run");
     assert_counter_parity("clocked repeat", &a, &b);
     for (x, y) in profiles(&a).iter().zip(profiles(&b)) {
         let tag = format!("{} / {:?}", x.deck, x.signals);
@@ -254,13 +243,13 @@ fn memory_timelines_identical_across_repeat_runs() {
 
 /// The span forests themselves are `--jobs`-independent: a shard records
 /// the same spans, fields, labels and memory samples whether the pool
-/// ran one worker or four (the `worker` index and the durations differ,
-/// but under the manual clock every in-record stamp is zero).
+/// ran one worker or four (the durations differ, but under the manual
+/// clock every in-record stamp is zero).
 #[test]
 fn span_forests_identical_across_job_counts() {
     let decks = all_decks();
-    let a = run_batch(&decks, &clocked(1)).expect("jobs=1 run");
-    let b = run_batch(&decks, &clocked(4)).expect("jobs=4 run");
+    let a = run_batch(&decks, &clocked(1), None).expect("jobs=1 run");
+    let b = run_batch(&decks, &clocked(4), None).expect("jobs=4 run");
     assert_counter_parity("clocked jobs 1 vs 4", &a, &b);
     for (x, y) in profiles(&a).iter().zip(profiles(&b)) {
         let tag = format!("{} / {:?}", x.deck, x.signals);
@@ -273,24 +262,21 @@ fn span_forests_identical_across_job_counts() {
 }
 
 /// The streamed Chrome trace carries the same spans and args at every
-/// job count. Track ids, track order, and the `stolen` scheduling flag
-/// legitimately differ, so events are normalized (tid scrubbed, stolen
-/// dropped, metadata lines excluded) and compared as sorted multisets.
+/// job count. Track ids and track order legitimately differ, so events
+/// are normalized (tid scrubbed, metadata lines excluded) and compared
+/// as sorted multisets.
 #[test]
 fn chrome_trace_events_identical_across_job_counts() {
     fn normalized_events(jobs: usize) -> Vec<String> {
         let decks = all_decks();
         let mut writer = TraceWriter::new(Vec::new(), TraceFormat::Chrome);
-        run_batch_with_trace(&decks, &clocked(jobs), &mut writer).expect("profiled traced run");
+        run_batch(&decks, &clocked(jobs), Some(&mut writer)).expect("profiled traced run");
         let text = String::from_utf8(writer.into_inner().expect("vec sink")).expect("utf-8 trace");
         let mut events: Vec<String> = text
             .lines()
             .filter(|l| l.contains("\"ph\":\"X\"") || l.contains("\"ph\":\"i\""))
             .map(|l| {
-                let mut e = l.trim_end_matches(',').to_owned();
-                for stolen in [",\"stolen\":0", ",\"stolen\":1"] {
-                    e = e.replace(stolen, "");
-                }
+                let e = l.trim_end_matches(',');
                 let at = e.find("\"tid\":").expect("events carry a tid");
                 let rest = e[at + 6..].find(',').expect("tid is not last") + at + 6;
                 format!("{}\"tid\":_{}", &e[..at], &e[rest..])
@@ -315,9 +301,9 @@ fn chrome_trace_events_identical_across_job_counts() {
 fn streaming_drains_profile_span_buffers() {
     let decks = all_decks();
     let mut writer = TraceWriter::new(Vec::new(), TraceFormat::Jsonl);
-    let streamed = run_batch_with_trace(&decks, &clocked(2), &mut writer).expect("streamed");
+    let streamed = run_batch(&decks, &clocked(2), Some(&mut writer)).expect("streamed");
     writer.finish().expect("vec sink");
-    let buffered = run_batch(&decks, &clocked(2)).expect("buffered");
+    let buffered = run_batch(&decks, &clocked(2), None).expect("buffered");
     assert!(
         profiles(&streamed).iter().all(|p| p.spans.is_empty()),
         "streamed profiles must not retain span forests"
@@ -332,9 +318,40 @@ fn streaming_drains_profile_span_buffers() {
     }
 }
 
-/// Queue wait is attributed per shard as (dequeue − enqueue), so no
-/// single shard can ever report waiting longer than the whole pool ran:
-/// `queue_max ≤ wall`. (The *total* across shards may legitimately
+/// A shard's `reach` time covers the reachability fixpoint: on every
+/// profiled shard with tasks it is at least the duration of the
+/// `reachability` span directly under the shard root, both read off the
+/// same wall clock.
+#[test]
+fn reach_times_the_reachability_fixpoint() {
+    let config = ParConfig {
+        jobs: 2,
+        profile: true,
+        ..Default::default()
+    };
+    let report = run_batch(&all_decks(), &config, None).expect("profiled run");
+    for p in profiles(&report).iter().filter(|p| !p.signals.is_empty()) {
+        let spans: Vec<_> = p
+            .spans
+            .iter()
+            .filter(|s| s.name == "reachability" && s.parent == Some(0))
+            .collect();
+        let [span] = spans[..] else {
+            panic!("{}: one top-level reachability span", p.deck);
+        };
+        let fixpoint = span.end.expect("closed") - span.start;
+        assert!(
+            p.reach >= fixpoint,
+            "{}: reach {:?} < reachability span {fixpoint:?}",
+            p.deck,
+            p.reach
+        );
+    }
+}
+
+/// Queue wait is attributed per shard as the time from the pool's start
+/// to the shard's pickup, so no single shard can ever report waiting
+/// longer than the whole pool ran: `queue_max ≤ wall`. (The *total* across shards may legitimately
 /// exceed wall-clock — N shards wait concurrently — which is why the
 /// bench reports a mean and a max; see DESIGN.md.)
 #[test]

@@ -7,15 +7,16 @@
 //! become thread-scoped instants (`ph:"i"`), and every **track** — one
 //! per pool worker, `tid` = worker index + 1, `tid` 0 for the
 //! front-end — is labeled through `thread_name` metadata. Span fields
-//! and labels ride in `args`, so a shard span shows its `signals` and
-//! `stolen` payload in the Perfetto side panel.
+//! and labels ride in `args`, so a shard span shows its `signals`
+//! payload in the Perfetto side panel.
 //!
-//! Streaming: the pool hands each finished shard's forest to a
-//! [`TraceSink`] as the result arrives, so a long batch run never
-//! buffers more than one shard's records. [`TraceWriter`] is the file
-//! sink behind `--trace`; it also speaks the native JSONL format (one
-//! record per line with `id`/`parent` rebased per track and a `tid`
-//! field), keeping the two formats behind one `--trace-format` switch.
+//! Streaming: each pool worker hands its finished shard's forest to a
+//! [`TraceSink`] as soon as the shard is done, so a long batch run never
+//! buffers more than one shard's records per worker. [`TraceWriter`] is
+//! the file sink behind `--trace`; it also speaks the native JSONL
+//! format (one record per line with `id`/`parent` rebased per track and
+//! a `tid` field), keeping the two formats behind one `--trace-format`
+//! switch.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -58,11 +59,11 @@ impl std::fmt::Display for TraceFormat {
     }
 }
 
-/// Where finished span forests go, one track at a time. The pool calls
-/// [`TraceSink::write_track`] from its result loop as each shard
-/// completes; implementations buffer any I/O error until
-/// [`TraceWriter::finish`] so workers never observe it.
-pub trait TraceSink {
+/// Where finished span forests go, one track at a time. Each pool
+/// worker calls [`TraceSink::write_track`] (under a lock) as it finishes
+/// a shard, so a sink must be `Send`; implementations buffer any I/O
+/// error until [`TraceWriter::finish`] so workers never observe it.
+pub trait TraceSink: Send {
     /// Appends `records` as (part of) the track `tid`, labeled `label`.
     /// A tid may receive several batches: a worker writes one batch per
     /// shard it executed, in execution order.
@@ -134,7 +135,7 @@ impl<W: io::Write> TraceWriter<W> {
     }
 }
 
-impl<W: io::Write> TraceSink for TraceWriter<W> {
+impl<W: io::Write + Send> TraceSink for TraceWriter<W> {
     fn write_track(&mut self, tid: u64, label: &str, records: &[SpanRecord]) {
         if self.error.is_some() {
             return;
@@ -144,7 +145,7 @@ impl<W: io::Write> TraceSink for TraceWriter<W> {
             TraceFormat::Jsonl => {
                 let base = self.next_id;
                 for (i, r) in records.iter().enumerate() {
-                    write_record_json(&mut buf, r, base + i, r.parent.map(|p| base + p), Some(tid));
+                    write_record_json(&mut buf, r, base + i, r.parent.map(|p| base + p), tid);
                 }
                 self.next_id += records.len();
             }
@@ -226,18 +227,6 @@ fn write_chrome_event(out: &mut String, r: &SpanRecord, tid: u64) {
     out.push('}');
 }
 
-/// Renders a set of `(tid, label, records)` tracks as one Chrome
-/// trace-event JSON document — the in-memory convenience over
-/// [`TraceWriter`], for tests and one-shot exports.
-pub fn render<'a>(tracks: impl IntoIterator<Item = (u64, &'a str, &'a [SpanRecord])>) -> String {
-    let mut writer = TraceWriter::new(Vec::new(), TraceFormat::Chrome);
-    for (tid, label, records) in tracks {
-        writer.write_track(tid, label, records);
-    }
-    let out = writer.into_inner().expect("Vec<u8> sink cannot fail");
-    String::from_utf8(out).expect("trace output is UTF-8")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,7 +240,7 @@ mod tests {
         {
             let _shard = span("shard:demo");
             span_label("signals", "ack+req");
-            span_field("stolen", 0);
+            span_field("properties", 2);
             clock.advance(Duration::from_micros(3));
             {
                 let _c = span("compile");
@@ -264,7 +253,9 @@ mod tests {
     #[test]
     fn render_emits_metadata_and_complete_events() {
         let records = forest();
-        let text = render([(1, "worker 0", records.as_slice())]);
+        let mut w = TraceWriter::new(Vec::new(), TraceFormat::Chrome);
+        w.write_track(1, "worker 0", &records);
+        let text = String::from_utf8(w.into_inner().expect("vec sink")).expect("utf-8");
         assert!(text.starts_with('['));
         assert!(text.trim_end().ends_with(']'));
         assert!(text.contains(
@@ -273,7 +264,7 @@ mod tests {
         ));
         assert!(text.contains(
             "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"shard:demo\",\"cat\":\"covest\",\
-             \"ts\":0,\"dur\":7,\"args\":{\"stolen\":0,\"signals\":\"ack+req\"}}"
+             \"ts\":0,\"dur\":7,\"args\":{\"properties\":2,\"signals\":\"ack+req\"}}"
         ));
         assert!(text.contains("\"name\":\"compile\",\"cat\":\"covest\",\"ts\":3,\"dur\":4"));
     }

@@ -30,14 +30,15 @@
 //! thread-local [`Telemetry`] recorder installed by the driver
 //! ([`install`] / [`uninstall`]). Without a recorder they cost one
 //! thread-local read. A recorder is plain owned data, so a worker thread
-//! can install one per task and ship the finished recorder back to the
-//! coordinator as part of the task result.
+//! can install one per task and ship the finished recorder's forest and
+//! counters back as part of the task result.
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
 //! use std::time::Duration;
+//! use covest_telemetry::chrome::{TraceFormat, TraceSink, TraceWriter};
 //! use covest_telemetry::{self as telemetry, ManualClock, Telemetry};
 //!
 //! let clock = Arc::new(ManualClock::new());
@@ -49,7 +50,10 @@
 //! }
 //! let rec = telemetry::uninstall().expect("recorder installed");
 //! assert_eq!(rec.counters().get("image_calls"), 3);
-//! assert!(rec.to_text().contains("\"name\":\"compile\""));
+//! let mut trace = TraceWriter::new(Vec::new(), TraceFormat::Jsonl);
+//! trace.write_track(0, "demo", rec.records());
+//! let text = String::from_utf8(trace.into_inner().expect("Vec<u8> sink")).expect("UTF-8");
+//! assert!(text.contains("\"name\":\"compile\""));
 //! ```
 
 pub mod chrome;
@@ -254,8 +258,9 @@ pub enum RecordKind {
 /// One node of the recorded span tree.
 ///
 /// Records live in a flat `Vec` with parent *indices*, so a finished
-/// forest is plain `Send` data: worker threads ship their task-local
-/// trees back to the coordinator, which grafts them into one log.
+/// forest is plain `Send` data: a worker thread writes its task-local
+/// tree to a trace sink as one track, or ships it back with the task
+/// result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Span or event.
@@ -277,27 +282,16 @@ pub struct SpanRecord {
     pub labels: Vec<(String, String)>,
 }
 
-/// Serializes a record forest as JSONL: one JSON object per record, in
-/// record order, with `id`/`parent` indices preserving the tree shape.
-/// Durations are reported in whole microseconds.
-pub fn records_to_text(records: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    for (id, r) in records.iter().enumerate() {
-        write_record_json(&mut out, r, id, r.parent, None);
-    }
-    out
-}
-
 /// Writes one record as a JSONL line. `id`/`parent` are passed
 /// explicitly so streaming writers can rebase indices when
-/// concatenating several forests into one file; `tid` (when given)
-/// tags the line with its track (pool worker) index.
+/// concatenating several forests into one file; `tid` tags the line
+/// with its track (pool worker) index.
 pub(crate) fn write_record_json(
     out: &mut String,
     r: &SpanRecord,
     id: usize,
     parent: Option<usize>,
-    tid: Option<u64>,
+    tid: u64,
 ) {
     let kind = match r.kind {
         RecordKind::Span => "span",
@@ -318,9 +312,7 @@ pub(crate) fn write_record_json(
                 .map_or("null".to_owned(), |e| e.as_micros().to_string())
         );
     }
-    if let Some(tid) = tid {
-        let _ = write!(out, ",\"tid\":{tid}");
-    }
+    let _ = write!(out, ",\"tid\":{tid}");
     if !r.fields.is_empty() || !r.labels.is_empty() {
         out.push_str(",\"fields\":{");
         let mut first = true;
@@ -427,12 +419,6 @@ impl Telemetry {
     /// Decomposes the recorder into its span forest and counters.
     pub fn into_parts(self) -> (Vec<SpanRecord>, Counters) {
         (self.records, self.counters)
-    }
-
-    /// The JSONL serialization of the recorded forest (see
-    /// [`records_to_text`]).
-    pub fn to_text(&self) -> String {
-        records_to_text(&self.records)
     }
 
     fn open_span(&mut self, name: String, sample: Option<memory::MemSample>) -> usize {
@@ -642,6 +628,7 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chrome::{TraceFormat, TraceSink, TraceWriter};
 
     fn manual() -> (Arc<ManualClock>, ()) {
         let clock = Arc::new(ManualClock::new());
@@ -701,13 +688,15 @@ mod tests {
             event("note \"quoted\"", &[("n", 1)]);
         }
         let rec = uninstall().expect("installed");
-        let text = rec.to_text();
+        let mut trace = TraceWriter::new(Vec::new(), TraceFormat::Jsonl);
+        trace.write_track(0, "test", rec.records());
+        let text = String::from_utf8(trace.into_inner().expect("vec sink")).expect("utf-8");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(
             lines[0],
             "{\"type\":\"span\",\"id\":0,\"parent\":null,\"name\":\"compile\",\
-             \"start_us\":0,\"end_us\":0}"
+             \"start_us\":0,\"end_us\":0,\"tid\":0}"
         );
         assert!(lines[1].contains("\\\"quoted\\\""));
         assert!(lines[1].contains("\"parent\":0"));

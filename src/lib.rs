@@ -13,7 +13,7 @@
 //! - [`analyze`] — static deck analysis: dependency graphs, lint, COI
 //! - [`mc`] — symbolic CTL model checker with fairness
 //! - [`coverage`] — the paper's coverage estimator (the contribution)
-//! - [`par`] — parallel coverage engine (signal-sharded worker pool)
+//! - [`par`] — parallel coverage engine (deck-sharded worker pool)
 //! - [`circuits`] — the paper's example circuits and property suites
 //! - [`telemetry`] — engine counters, phase spans and per-task profiles
 //!
