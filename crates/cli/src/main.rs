@@ -13,11 +13,12 @@
 //! `check` verifies every `SPEC` under the deck's `FAIRNESS` constraints
 //! and, with `--coverage`, estimates coverage for each `OBSERVED` signal
 //! (or the `--observed` overrides) and lists uncovered states. It is a
-//! one-deck batch run on the caller's thread: the same shard body as
-//! every `batch` deck — the union of the analyzed signals' cones of
-//! influence, compiled and sifted once, verified once, then each
-//! signal's coverage over its own cone — with the report printed between
-//! the steps. There is one engine configuration: a sift after compile,
+//! one-deck batch run on the caller's thread: the same shard run
+//! (`covest_par::ShardRun`) as every `batch` deck — the union of the
+//! analyzed signals' cones of influence, compiled and sifted once,
+//! verified once, then each signal's coverage over its own cone — with
+//! the report printed between the steps. There is one engine
+//! configuration: a sift after compile,
 //! no don't-care simplification, a garbage collection at the end of
 //! verification and of each signal's coverage when the BDD has at least
 //! doubled, and always the cone. Output that lists every state bit
@@ -34,19 +35,20 @@
 //!   machine-readable JSON;
 //! - `--stats` prints an engine-counter summary (unique-table and memo
 //!   hit rates, fixpoint iterations, image calls, a peak-live-by-phase
-//!   table) after the run: `check`'s front-end block and its phase
-//!   times, or `batch`'s per-shard blocks with theirs. Counter values are
-//!   deterministic — byte-identical across `--jobs` values — while
-//!   everything below the `-- timings --` line is wall-clock and
-//!   excluded from any parity contract;
+//!   table) after the run: one block per shard, then each deck's plan
+//!   time and each shard's phase times — `check`'s one deck exactly as
+//!   a one-deck `batch` prints it. Counter values are deterministic —
+//!   byte-identical across `--jobs` values — while everything below the
+//!   `-- timings --` line is wall-clock and excluded from any parity
+//!   contract;
 //! - `--trace FILE` writes the recorded span/event log (compile,
 //!   the startup sift, the machine's one verification, each signal's
 //!   coverage with the reachability it needs (per-BFS-step sizes) and
-//!   its uncovered sample). `check` records on the front-end track
-//!   (tid 0). In `batch` the file **streams**: each pool worker writes
-//!   a shard's span forest on its own track as soon as the shard is
-//!   done, so a long batch holds at most one shard's records per worker
-//!   in memory;
+//!   its uncovered sample). The file **streams**: each pool worker
+//!   writes a shard's span forest on its own track (tid `worker + 1`;
+//!   `check`'s one shard is worker 0's) as soon as the shard is done,
+//!   so a long batch holds at most one shard's records per worker in
+//!   memory, and a failed run still leaves a closed file;
 //! - `--trace-format jsonl|chrome` selects the trace flavor: native
 //!   JSONL (default; one record per line, `tid` = track), or Chrome
 //!   trace-event JSON — load the file in `ui.perfetto.dev` to see one
@@ -92,18 +94,15 @@ use std::time::Duration;
 
 use covest_analyze::lint_source;
 use covest_bdd::BddManager;
-use covest_core::{json_string, CoverageEstimator, CoverageTable, ReportRow};
+use covest_core::{json_string, CoverageEstimator, ReportRow};
 use covest_mc::Verdict;
 use covest_par::{
-    compile_machine, cover_signal, install_mem_sampler, plan_machine, run_batch, startup_sift,
-    BatchReport, DeckJob, ParConfig, ShardProfile,
+    compile_machine, plan_machine, run_batch, BatchReport, DeckJob, DeckReport, ParConfig,
+    SchedStats, ShardProfile, ShardRun, SignalOutcome,
 };
 use covest_smv::{decl_bit_width, CompiledModel};
 use covest_telemetry::chrome::{TraceFormat, TraceSink, TraceWriter};
-use covest_telemetry::{
-    self as telemetry, memory, progress, Counters, SpanRecord, Stopwatch, Telemetry, WallClock,
-    TIMINGS_MARKER,
-};
+use covest_telemetry::{Counters, Stopwatch, TIMINGS_MARKER};
 
 /// Writes to stdout: every byte the CLI prints goes through here, via
 /// `say!`. Unlike `print!`, a failed write comes back as an error
@@ -154,8 +153,8 @@ impl Default for EngineArgs {
 }
 
 impl EngineArgs {
-    /// `true` when either observability flag asks for a recorder (and,
-    /// in `batch`, for per-shard profiles).
+    /// `true` when either observability flag asks for the shards'
+    /// profiles.
     fn profiling(&self) -> bool {
         self.stats || self.trace.is_some()
     }
@@ -458,13 +457,14 @@ fn par_config(engine: &EngineArgs) -> ParConfig {
     }
 }
 
-/// Opens the streaming `--trace` writer over a buffered file, in the
-/// selected `--trace-format`. Shard tracks stream into it as the pool's
-/// workers finish them; `check`'s own records land on tid 0 at the end
-/// (see [`finish_trace`]).
-fn open_trace(
-    engine: &EngineArgs,
-) -> Result<Option<TraceWriter<std::io::BufWriter<std::fs::File>>>, std::io::Error> {
+/// The streaming `--trace` writer over a buffered file.
+type TraceFile = TraceWriter<std::io::BufWriter<std::fs::File>>;
+
+/// Opens the `--trace` writer in the selected `--trace-format`. Each
+/// shard's forest streams into it as its track when the shard is done.
+/// A run that fails drops the writer, which closes the file: the tracks
+/// already written stay, a loadable diagnosis.
+fn open_trace(engine: &EngineArgs) -> Result<Option<TraceFile>, std::io::Error> {
     match &engine.trace {
         Some(path) => {
             let file = std::fs::File::create(path)?;
@@ -482,93 +482,8 @@ fn open_trace(
     }
 }
 
-/// Appends the front-end record forest (`check`'s; `batch` has none) as
-/// track 0 and closes the trace file (surfacing any I/O error deferred
-/// during streaming).
-fn finish_trace(
-    engine: &EngineArgs,
-    writer: Option<TraceWriter<std::io::BufWriter<std::fs::File>>>,
-    records: &[SpanRecord],
-) -> Result<(), std::io::Error> {
-    if let Some(mut writer) = writer {
-        if !records.is_empty() {
-            writer.write_track(0, "front-end", records);
-        }
-        writer.finish()?;
-        if let Some(path) = &engine.trace {
-            say!("wrote {path}")?;
-        }
-    }
-    Ok(())
-}
-
-/// Writes the coverage table as JSON, splicing the `stats` object in as
-/// a sibling of `rows` when observability was collected.
-fn write_json(
-    engine: &EngineArgs,
-    table: &CoverageTable,
-    stats: Option<&str>,
-) -> Result<(), std::io::Error> {
-    if let Some(path) = &engine.json {
-        let mut doc = table.to_json();
-        if let Some(stats) = stats {
-            let body = doc.strip_suffix("\n}\n").expect("table JSON shape");
-            doc = format!("{body},\n  \"stats\": {stats}\n}}\n");
-        }
-        std::fs::write(path, doc)?;
-        say!("wrote {path}")?;
-    }
-    Ok(())
-}
-
-/// Everything the observability flags produce in one place: the summary
-/// text (deterministic counters above [`TIMINGS_MARKER`], wall-clock
-/// below), the `--json` `stats` object, and the front-end's own span
-/// forest (shard forests stream straight to the trace sink).
-struct StatsOutput {
-    text: String,
-    json: String,
-    records: Vec<SpanRecord>,
-}
-
 fn fmt_ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
-}
-
-/// `check`'s phase wall-clocks, for the `--stats` timings line and the
-/// stats JSON's `*_ms` tail.
-#[derive(Debug, Default)]
-struct CheckTimings {
-    parse: Duration,
-    plan: Duration,
-    compile: Duration,
-    sift: Duration,
-    reach: Duration,
-    verify: Duration,
-    /// Each analyzed signal's coverage, in table order.
-    solve: Vec<(String, Duration)>,
-}
-
-impl CheckTimings {
-    /// The phases before the per-signal solves, named.
-    fn phases(&self) -> [(&'static str, Duration); 6] {
-        [
-            ("parse", self.parse),
-            ("plan", self.plan),
-            ("compile", self.compile),
-            ("sift", self.sift),
-            ("reach", self.reach),
-            ("verify", self.verify),
-        ]
-    }
-}
-
-/// Runs `f`, timing it when `on` (under `--stats` or `--trace`); without
-/// them no clock is read and the time is zero.
-fn timed<T>(on: bool, f: impl FnOnce() -> T) -> (T, Duration) {
-    let clock = on.then(Stopwatch::start);
-    let out = f();
-    (out, clock.map_or(Duration::ZERO, |c| c.elapsed()))
 }
 
 fn counters_json(c: &Counters) -> String {
@@ -591,36 +506,22 @@ fn profile_label(p: &ShardProfile) -> String {
     }
 }
 
-/// Uninstalls the recorder `check` installed for `--stats`/`--trace`
-/// (`batch` installs none: its shards record on their own) and folds its
-/// output together with the per-shard profiles of `report` (`batch`) or
-/// the engine counters of the front-end manager and the phase times of
-/// `check` (whose one machine runs the whole analysis).
+/// The `--stats` summary text and the `--json` `stats` object of a run's
+/// deck reports — `batch`'s fleet, or `check`'s one deck — rendered the
+/// same way for both commands: one block per shard profile.
 ///
-/// The counter sections — the front-end counters and every per-shard
-/// counter set — are deterministic: byte-identical across `--jobs`
-/// values and across identical runs. Every `*_ms` value, the scheduler
-/// line, and everything below the [`TIMINGS_MARKER`] line is
+/// The counter sections — every per-shard counter set and peak table —
+/// are deterministic: byte-identical across `--jobs` values and across
+/// identical runs. Every `*_ms` value, the scheduler line, and
+/// everything below the [`TIMINGS_MARKER`] line is
 /// wall-clock/scheduling observability.
-fn collect_observability(
-    engine: &EngineArgs,
-    front_end: Option<(&BddManager, &CheckTimings)>,
-    report: Option<&BatchReport>,
-) -> Option<StatsOutput> {
+fn collect_observability(engine: &EngineArgs, report: &BatchReport) -> Option<(String, String)> {
     if !engine.profiling() {
         return None;
     }
-    let rec = telemetry::uninstall().unwrap_or_default();
-    let (records, mut front) = rec.into_parts();
-    if let Some((mgr, _)) = front_end {
-        for (name, value) in mgr.stats().pairs() {
-            front.add(name, value);
-        }
-    }
-    let front_peak = memory::peak_by_phase(&records);
     let profiles: Vec<&ShardProfile> = report
+        .decks
         .iter()
-        .flat_map(|r| r.decks.iter())
         .flat_map(|d| d.profiles.iter())
         .collect();
     // The fleet-wide attribution table: per phase, the largest peak any
@@ -634,12 +535,7 @@ fn collect_observability(
         }
     }
 
-    let mut text = String::from("stats:\n  front-end\n");
-    text.push_str(&front.render("    "));
-    if !front_peak.is_empty() {
-        text.push_str("    peak-live by phase\n");
-        text.push_str(&front_peak.render("      "));
-    }
+    let mut text = String::from("stats:\n");
     for p in &profiles {
         let _ = writeln!(text, "  {}", profile_label(p));
         text.push_str(&p.counters.render("    "));
@@ -659,59 +555,46 @@ fn collect_observability(
         text.push_str(&merged_peak.render("    "));
     }
     let _ = writeln!(text, "{TIMINGS_MARKER}");
-    if let Some((_, times)) = front_end {
-        text.push_str("  check");
-        for (phase, d) in times.phases() {
-            let _ = write!(text, "  {phase} {} ms", fmt_ms(d));
-        }
-        for (signal, d) in &times.solve {
+    for deck in &report.decks {
+        let _ = writeln!(text, "  plan {}  {} ms", deck.name, fmt_ms(deck.plan_time));
+    }
+    for p in &profiles {
+        let _ = write!(
+            text,
+            "  {}  queue {} ms  compile {} ms  sift {} ms  verify {} ms  reach {} ms  solve {} ms",
+            profile_label(p),
+            fmt_ms(p.queue_wait),
+            fmt_ms(p.compile),
+            fmt_ms(p.sift),
+            fmt_ms(p.verify),
+            fmt_ms(p.reach),
+            fmt_ms(p.solve),
+        );
+        for (signal, d) in p.signals.iter().zip(&p.signal_solve) {
             let _ = write!(text, "  solve {signal} {} ms", fmt_ms(*d));
         }
         text.push('\n');
     }
-    for deck in report.iter().flat_map(|r| r.decks.iter()) {
-        let _ = writeln!(text, "  plan {}  {} ms", deck.name, fmt_ms(deck.plan_time));
-    }
-    for p in &profiles {
-        let _ = writeln!(
-            text,
-            "  {}  queue {} ms  compile {} ms  reach {} ms  solve {} ms",
-            profile_label(p),
-            fmt_ms(p.queue_wait),
-            fmt_ms(p.compile),
-            fmt_ms(p.reach),
-            fmt_ms(p.solve),
-        );
-    }
-    if let Some(rep) = report {
-        let _ = writeln!(
-            text,
-            "  sched  workers {}  shards {}",
-            rep.sched.workers, rep.sched.shards
-        );
-    }
+    let _ = writeln!(
+        text,
+        "  sched  workers {}  shards {}",
+        report.sched.workers, report.sched.shards
+    );
 
     // The `stats` JSON object: deterministic fields first, `*_ms` last.
-    let mut json = String::from("{\"front_end\": ");
-    json.push_str(&counters_json(&front));
-    if !front_peak.is_empty() {
-        let _ = write!(
-            json,
-            ", \"front_end_peak_by_phase\": {}",
-            counters_json(&front_peak)
-        );
-    }
-    json.push_str(", \"shards\": [");
+    let mut json = String::from("{\"shards\": [");
     for (i, p) in profiles.iter().enumerate() {
         if i > 0 {
             json.push_str(", ");
         }
         let signals: Vec<String> = p.signals.iter().map(|s| json_string(s)).collect();
+        let signal_solve: Vec<String> = p.signal_solve.iter().map(|d| fmt_ms(*d)).collect();
         let _ = write!(
             json,
             "{{\"deck\": {}, \"signals\": [{}], \"counters\": {}, \
              \"peak_live_nodes\": {}, \"peak_by_phase\": {}, \
-             \"queue_ms\": {}, \"compile_ms\": {}, \"reach_ms\": {}, \"solve_ms\": {}}}",
+             \"queue_ms\": {}, \"compile_ms\": {}, \"sift_ms\": {}, \"verify_ms\": {}, \
+             \"reach_ms\": {}, \"solve_ms\": {}, \"signal_solve_ms\": [{}]}}",
             json_string(&p.deck),
             signals.join(", "),
             counters_json(&p.counters),
@@ -719,108 +602,84 @@ fn collect_observability(
             counters_json(&p.peak_by_phase),
             fmt_ms(p.queue_wait),
             fmt_ms(p.compile),
+            fmt_ms(p.sift),
+            fmt_ms(p.verify),
             fmt_ms(p.reach),
             fmt_ms(p.solve),
+            signal_solve.join(", "),
         );
     }
     json.push(']');
     if !merged_peak.is_empty() {
         let _ = write!(json, ", \"peak_by_phase\": {}", counters_json(&merged_peak));
     }
-    if let Some(rep) = report {
-        let plan_ms: f64 = rep
-            .decks
-            .iter()
-            .map(|d| d.plan_time.as_secs_f64() * 1e3)
-            .sum();
-        let _ = write!(json, ", \"plan_ms\": {plan_ms:.3}");
+    let plan_ms: f64 = report
+        .decks
+        .iter()
+        .map(|d| d.plan_time.as_secs_f64() * 1e3)
+        .sum();
+    let _ = write!(json, ", \"plan_ms\": {plan_ms:.3}}}");
+    Some((text, json))
+}
+
+/// What both commands do once the run is over: close the trace
+/// (surfacing any I/O error deferred during streaming), write the
+/// `--json` coverage table (when `table`) with the `stats` object
+/// spliced in as a sibling of `rows`, and print the `--stats` summary.
+fn report_observability(
+    engine: &EngineArgs,
+    trace: Option<TraceFile>,
+    report: &BatchReport,
+    table: bool,
+) -> std::io::Result<()> {
+    let stats = collect_observability(engine, report);
+    if let (Some(writer), Some(path)) = (trace, &engine.trace) {
+        writer.finish()?;
+        say!("wrote {path}")?;
     }
-    if let Some((_, times)) = front_end {
-        for (phase, d) in times.phases() {
-            let _ = write!(json, ", \"{phase}_ms\": {}", fmt_ms(d));
+    if let (true, Some(path)) = (table, &engine.json) {
+        let mut doc = report.table().to_json();
+        if let Some((_, json)) = &stats {
+            let body = doc.strip_suffix("\n}\n").expect("table JSON shape");
+            doc = format!("{body},\n  \"stats\": {json}\n}}\n");
         }
-        let solve: Vec<String> = times.solve.iter().map(|(_, d)| fmt_ms(*d)).collect();
-        let _ = write!(json, ", \"solve_ms\": [{}]", solve.join(", "));
+        std::fs::write(path, doc)?;
+        say!("wrote {path}")?;
     }
-    json.push('}');
-
-    Some(StatsOutput {
-        text,
-        json,
-        records,
-    })
-}
-
-/// Prints the `--stats` summary (the trace file streams separately; see
-/// [`finish_trace`]).
-fn emit_observability(engine: &EngineArgs, out: &StatsOutput) -> std::io::Result<()> {
-    if engine.stats {
-        emit(format_args!("\n{}", out.text))?;
+    match &stats {
+        Some((text, _)) if engine.stats => emit(format_args!("\n{text}")),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
-/// The full deck of a cone-reduced `check` run, for the output that
-/// lists every state bit: counterexamples, `--traces` paths and the
-/// `--dot` dump.
-struct FullDeck {
-    bdd: BddManager,
-    model: CompiledModel,
-}
-
-/// Returns the full deck, parsing `src` again and compiling and sifting
-/// it on the first call with the shards' compile function, so it sifts
-/// to the order a plain `check` of the deck finds.
+/// Returns the full deck of a cone-reduced `check` run, for the output
+/// that lists every state bit (counterexamples, `--traces` paths and the
+/// `--dot` dump), parsing `src` again and compiling and sifting it on
+/// the first call with the shards' compile function, so it sifts to the
+/// order a plain `check` of the deck finds.
 fn full_deck<'a>(
-    slot: &'a mut Option<FullDeck>,
+    slot: &'a mut Option<CompiledModel>,
     src: &str,
-) -> Result<&'a FullDeck, Box<dyn std::error::Error>> {
+) -> Result<&'a CompiledModel, Box<dyn std::error::Error>> {
     if slot.is_none() {
         let module = covest_smv::parse_module(src)?;
-        let bdd = BddManager::new();
-        let (model, _) = compile_machine(&bdd, &module)?;
-        *slot = Some(FullDeck { bdd, model });
+        *slot = Some(compile_machine(&BddManager::new(), &module)?.0);
     }
     Ok(slot.as_ref().expect("compiled above"))
 }
 
 /// `covest check`: a one-deck batch on the caller's thread. It plans the
-/// deck with the planner's per-deck step and runs the shard body —
+/// deck with the planner's per-deck step and drives the shard run —
 /// compile and sift, verify once, cover each signal — printing between
-/// the steps.
+/// the steps, then reports the run as a one-deck batch report.
 fn run_check(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
-    // The recorder goes in before compile so the span log covers the
-    // compile, reachability, verification and coverage phases.
-    if args.engine.profiling() {
-        telemetry::install(Telemetry::new());
-    }
-    // The heartbeat/watchdog channel covers every fixpoint of the run.
-    if args.engine.progress {
-        progress::install_progress(progress::Progress::stderr(
-            std::sync::Arc::new(WallClock::new()),
-            args.model_path.clone(),
-        ));
-    }
-    let result = check_deck(args);
-    // On every exit path: the memory sampler holds a handle on the
-    // manager.
-    memory::clear_mem_sampler();
-    progress::uninstall_progress();
-    result
-}
-
-/// [`run_check`]'s body.
-fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     let src = std::fs::read_to_string(&args.model_path)?;
     if args.engine.jobs != 1 {
         eprintln!("warning: --jobs has no effect on check; it sets batch's worker count");
     }
-    let trace_writer = open_trace(&args.engine)?;
-    let on = args.engine.profiling();
-    let mut times = CheckTimings::default();
-    let (module, parse) = timed(on, || covest_smv::parse_module(&src));
-    let module = module?;
-    times.parse = parse;
+    let mut trace = open_trace(&args.engine)?;
+    let planning = Stopwatch::start();
+    let module = covest_smv::parse_module(&src)?;
     let signals: Vec<String> = if !args.coverage {
         Vec::new()
     } else if args.observed.is_empty() {
@@ -829,19 +688,10 @@ fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         args.observed.clone()
     };
     let full_bits: usize = module.vars.iter().map(|d| decl_bit_width(&d.ty)).sum();
-    let (machine, plan) = timed(on, || plan_machine(module, &signals));
-    let machine = machine?;
-    times.plan = plan;
-    let bdd = BddManager::new();
-    // Stamp every span, event and heartbeat with this manager's gauges.
-    if args.engine.profiling() || args.engine.progress {
-        install_mem_sampler(&bdd);
-    }
-    // `compile_machine`'s two steps, timed apart.
-    let (model, compile) = timed(on, || covest_smv::compile_module(&bdd, &machine.module));
-    let model = model?;
-    let (sift, sift_time) = timed(on, || startup_sift(&bdd));
-    (times.compile, times.sift) = (compile, sift_time);
+    let machine = plan_machine(module, &signals)?;
+    let plan_time = planning.elapsed();
+    let run = ShardRun::start(&args.model_path, &machine.tasks, &par_config(&args.engine));
+    let (model, sift) = run.compile(&machine.module)?;
     let state_bits = if machine.reduced {
         format!(
             "{full_bits} state bits ({} in the cone of influence)",
@@ -875,12 +725,8 @@ fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
     // exact on the cone; a counterexample lists every state bit, so a
     // cone run builds it on the full deck, the machine that prints it.
     let estimator = CoverageEstimator::new(&model.fsm);
-    let (verification, verify) = timed(on, || {
-        estimator.verify(estimator.checker(&model.fairness)?, &model.specs)
-    });
-    let mut verification = verification?;
-    times.verify = verify;
-    let mut full: Option<FullDeck> = None;
+    let mut verification = run.verify(&estimator, &model)?;
+    let mut full: Option<CompiledModel> = None;
     let holds = verification.holds().to_vec();
     for (spec, holds) in model.specs.iter().zip(holds) {
         say!("[{}] SPEC {spec}", if holds { "PASS" } else { "FAIL" })?;
@@ -889,8 +735,8 @@ fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         }
         let verdict = if machine.reduced {
             let deck = full_deck(&mut full, &src)?;
-            CoverageEstimator::new(&deck.model.fsm)
-                .checker(&deck.model.fairness)?
+            CoverageEstimator::new(&deck.fsm)
+                .checker(&deck.fairness)?
                 .check(&spec.clone().into())?
         } else {
             verification.checker_mut().check(&spec.clone().into())?
@@ -904,90 +750,84 @@ fn check_deck(args: &CheckArgs) -> Result<bool, Box<dyn std::error::Error>> {
         }
     }
 
-    // The reachable states, which the first signal's coverage would
-    // compute, timed apart as `reach`.
-    if !machine.tasks.is_empty() {
-        times.reach = timed(on, || model.fsm.reachable()).1;
-    }
-
     // Coverage on the same machine, one signal at a time over its own
     // cone.
-    let mut table_out: Option<CoverageTable> = None;
-    if args.coverage {
-        if signals.is_empty() {
-            eprintln!("warning: no OBSERVED signals; use --observed");
-        }
-        let mut table = CoverageTable::new();
-        for task in &machine.tasks {
-            // One canonical sample serves the row and the trace targets:
-            // a longer sample extends a shorter one.
-            let (row, solve) = timed(on, || {
-                cover_signal(
-                    &estimator,
-                    &mut verification,
-                    &args.model_path,
-                    task,
-                    UNCOVERED_SAMPLE_LIMIT.max(args.traces),
-                )
-            });
-            let mut row = row?;
-            times.solve.push((task.signal.clone(), solve));
-            let mut targets = row.uncovered_sample.clone();
-            targets.truncate(args.traces);
-            row.uncovered_sample.truncate(UNCOVERED_SAMPLE_LIMIT);
-            print_signal_block(&row)?;
-            if row.percent < 100.0 && args.traces > 0 {
-                // The targets are states over the signal's cone, drawn on
-                // the machine that covered it. Trace steps list every
-                // state bit too, so a cone run replays the named targets
-                // on the full deck.
-                let traces = if machine.reduced {
-                    let deck = full_deck(&mut full, &src)?;
-                    CoverageEstimator::new(&deck.model.fsm).traces_to_named_states(&targets)
-                } else {
-                    estimator.traces_to_named_states(&targets)
-                };
-                for trace in traces {
-                    say!("trace to uncovered state:\n{trace}")?;
-                }
+    run.reach(&model);
+    if args.coverage && signals.is_empty() {
+        eprintln!("warning: no OBSERVED signals; use --observed");
+    }
+    let mut outcomes = Vec::with_capacity(machine.tasks.len());
+    for task in &machine.tasks {
+        // One canonical sample serves the row and the trace targets: a
+        // longer sample extends a shorter one.
+        let limit = UNCOVERED_SAMPLE_LIMIT.max(args.traces);
+        let mut row = run.cover(&estimator, &mut verification, task, limit)?;
+        let mut targets = row.uncovered_sample.clone();
+        targets.truncate(args.traces);
+        row.uncovered_sample.truncate(UNCOVERED_SAMPLE_LIMIT);
+        print_signal_block(&row)?;
+        if row.percent < 100.0 && args.traces > 0 {
+            // The targets are states over the signal's cone, drawn on
+            // the machine that covered it. Trace steps list every state
+            // bit too, so a cone run replays the named targets on the
+            // full deck.
+            let traces = if machine.reduced {
+                let deck = full_deck(&mut full, &src)?;
+                CoverageEstimator::new(&deck.fsm).traces_to_named_states(&targets)
+            } else {
+                estimator.traces_to_named_states(&targets)
+            };
+            for trace in traces {
+                say!("trace to uncovered state:\n{trace}")?;
             }
-            table.push(row);
         }
-        say!("\n{table}")?;
-        table_out = Some(table);
+        outcomes.push(SignalOutcome {
+            deck: args.model_path.clone(),
+            signal: task.signal.clone(),
+            row,
+        });
+    }
+    let mut report = BatchReport {
+        decks: vec![DeckReport {
+            name: args.model_path.clone(),
+            num_properties: model.specs.len(),
+            verdicts: verification.verdicts(),
+            signals: outcomes,
+            plan_time,
+            profiles: run.finish().into_iter().collect(),
+        }],
+        sched: SchedStats {
+            workers: 1,
+            shards: 1,
+            ..Default::default()
+        },
+    };
+    if args.coverage {
+        say!("\n{}", report.table())?;
     }
 
     if let Some(path) = &args.dot {
-        let dot = if machine.reduced {
-            let deck = full_deck(&mut full, &src)?;
-            deck.bdd
-                .to_dot(&[("reachable", &deck.model.fsm.reachable())])
+        let deck = if machine.reduced {
+            full_deck(&mut full, &src)?
         } else {
-            bdd.to_dot(&[("reachable", &model.fsm.reachable())])
+            &model
         };
+        let dot = deck
+            .fsm
+            .manager()
+            .to_dot(&[("reachable", &deck.fsm.reachable())]);
         std::fs::write(path, dot)?;
         say!("wrote {path}")?;
     }
 
-    let all_passed = verification.all_hold();
-    let stats_out = collect_observability(&args.engine, Some((&bdd, &times)), None);
-    finish_trace(
-        &args.engine,
-        trace_writer,
-        stats_out.as_ref().map_or(&[][..], |s| &s.records),
-    )?;
-    if let Some(table) = &table_out {
-        write_json(
-            &args.engine,
-            table,
-            stats_out.as_ref().map(|s| s.json.as_str()),
-        )?;
+    // The forest goes on worker 0's track, as a one-deck batch's does.
+    if let Some(sink) = trace.as_mut() {
+        for profile in &mut report.decks[0].profiles {
+            profile.stream(sink, 0);
+        }
     }
-    if let Some(out) = &stats_out {
-        emit_observability(&args.engine, out)?;
-    }
-
-    Ok(all_passed)
+    report_observability(&args.engine, trace, &report, args.coverage)?;
+    Ok(report.all_hold())
 }
 
 /// Parses a joblist: one deck per line — `PATH [SIGNAL ...]` — with `#`
@@ -1034,10 +874,10 @@ fn parse_joblist(path: &str) -> Result<Vec<DeckJob>, Box<dyn std::error::Error>>
 }
 
 fn run_batch_cmd(args: &BatchArgs) -> Result<bool, Box<dyn std::error::Error>> {
-    let mut trace_writer = open_trace(&args.engine)?;
+    let mut trace = open_trace(&args.engine)?;
     let jobs = parse_joblist(&args.joblist)?;
     let config = par_config(&args.engine);
-    let sink = trace_writer.as_mut().map(|w| w as &mut dyn TraceSink);
+    let sink = trace.as_mut().map(|w| w as &mut dyn TraceSink);
     let report = run_batch(&jobs, &config, sink)?;
 
     // Every line below is deterministic (no timings, no node counts, no
@@ -1085,15 +925,6 @@ fn run_batch_cmd(args: &BatchArgs) -> Result<bool, Box<dyn std::error::Error>> {
         report.decks.len(),
         report.outcomes().count(),
     )?;
-    let stats_out = collect_observability(&args.engine, None, Some(&report));
-    finish_trace(&args.engine, trace_writer, &[])?;
-    write_json(
-        &args.engine,
-        &report.table(),
-        stats_out.as_ref().map(|s| s.json.as_str()),
-    )?;
-    if let Some(out) = &stats_out {
-        emit_observability(&args.engine, out)?;
-    }
+    report_observability(&args.engine, trace, &report, true)?;
     Ok(report.all_hold())
 }

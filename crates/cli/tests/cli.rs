@@ -389,38 +389,34 @@ fn stats_counters(stdout: &str) -> String {
     stdout[start..end].to_owned()
 }
 
-/// The `--stats` summary above the `-- timings --` marker holds only
-/// deterministic counters, so it must be byte-identical between a
-/// sequential and a 4-thread run (the timings below the marker are
-/// wall-clock and legitimately differ). `check` prints the front-end
-/// block only; the per-shard blocks are `batch`'s. Below the marker,
-/// `check` prints its own phase times on one line.
-#[test]
-fn stats_summary_is_byte_identical_across_job_counts() {
-    let check = |jobs: &str| {
-        stats_counters(&check_stdout(
-            "models/counter.smv",
-            &["--coverage", "--stats", "--jobs", jobs],
-        ))
-    };
-    let stdout = check_stdout("models/counter.smv", &["--coverage", "--stats"]);
-    let timings = stdout
-        .split_once("-- timings --\n")
-        .map(|(_, below)| below)
-        .unwrap_or_default();
-    let line = timings.lines().next().unwrap_or_default();
-    let phases = [
-        "parse",
-        "plan",
-        "compile",
-        "sift",
-        "reach",
-        "verify",
-        "solve count",
-    ];
+/// Panics unless every block of a `--stats` counter section — a header
+/// indented two spaces — has a body of lines indented four, and no
+/// block is the old front end's.
+fn assert_no_empty_block(section: &str) {
+    assert!(!section.contains("front-end"), "{section}");
+    let lines: Vec<&str> = section.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        if line.starts_with("  ") && !line.starts_with("    ") {
+            assert!(
+                lines.get(i + 1).is_some_and(|l| l.starts_with("    ")),
+                "empty block `{line}` in:\n{section}"
+            );
+        }
+    }
+}
+
+/// Checks one shard's `--stats` timing line: the shard's label, then
+/// each phase of the shard run with its time in milliseconds — queue,
+/// compile (with the sift), sift, verify, reach, solve, and each
+/// signal's solve.
+fn assert_phase_line(line: &str, label: &str, signals: &[&str]) {
     let mut rest = line
-        .strip_prefix("  check")
-        .unwrap_or_else(|| panic!("{stdout}"));
+        .strip_prefix(&format!("  {label}"))
+        .unwrap_or_else(|| panic!("`{line}` is not `{label}`'s"));
+    let phases = ["queue", "compile", "sift", "verify", "reach", "solve"]
+        .map(str::to_owned)
+        .into_iter()
+        .chain(signals.iter().map(|s| format!("solve {s}")));
     for phase in phases {
         let value = rest
             .strip_prefix(&format!("  {phase} "))
@@ -430,11 +426,49 @@ fn stats_summary_is_byte_identical_across_job_counts() {
         rest = tail;
     }
     assert_eq!(rest, "", "{line}");
+}
+
+/// The `--stats` summary above the `-- timings --` marker holds only
+/// deterministic counters, so it must be byte-identical between a
+/// sequential and a 4-thread run (the timings below the marker are
+/// wall-clock and legitimately differ). `check` prints what a one-deck
+/// `batch` prints: its shard's block above the marker, and below it the
+/// deck's plan time (parse and plan) and the shard's phase times.
+/// Neither command prints an empty block.
+#[test]
+fn stats_summary_is_byte_identical_across_job_counts() {
+    let deck = repo_root().join("models/counter.smv");
+    let label = format!("shard {} signals count", deck.display());
+    let timings = |stdout: &str| {
+        let (_, below) = stdout
+            .split_once("-- timings --\n")
+            .unwrap_or_else(|| panic!("{stdout}"));
+        let lines: Vec<&str> = below.lines().collect();
+        let plan = format!("  plan {}  ", deck.display());
+        assert!(
+            lines[0].starts_with(&plan) && lines[0].ends_with(" ms"),
+            "{stdout}"
+        );
+        assert_phase_line(lines[1], &label, &["count"]);
+        assert_eq!(lines[2], "  sched  workers 1  shards 1", "{stdout}");
+    };
+    timings(&check_stdout(
+        "models/counter.smv",
+        &["--coverage", "--stats"],
+    ));
+    timings(&batch_stdout(&["counter.smv"], &["--stats"]));
+
+    let check = |jobs: &str| {
+        stats_counters(&check_stdout(
+            "models/counter.smv",
+            &["--coverage", "--stats", "--jobs", jobs],
+        ))
+    };
     let seq = check("1");
-    assert!(seq.contains("  front-end\n"), "{seq}");
+    assert_no_empty_block(&seq);
+    assert!(seq.contains(&format!("  {label}\n")), "{seq}");
     assert!(seq.contains("bdd_peak_live_nodes"), "{seq}");
     assert!(seq.contains("image_calls"), "{seq}");
-    assert!(!seq.contains("  shard "), "check runs no shards:\n{seq}");
     assert_eq!(seq, check("4"), "stats counters must not depend on --jobs");
 
     let batch = |jobs: &str| {
@@ -444,6 +478,7 @@ fn stats_summary_is_byte_identical_across_job_counts() {
         ))
     };
     let seq = batch("1");
+    assert_no_empty_block(&seq);
     assert!(seq.contains("bdd_peak_live_nodes"), "{seq}");
     assert!(seq.contains("image_calls"), "{seq}");
     assert!(seq.contains("signals count"), "{seq}");
@@ -483,9 +518,27 @@ fn trace_log_covers_the_run_phases() {
     let _ = std::fs::remove_file(&trace);
 }
 
+/// The `stats` object of a `--stats --json` document.
+fn stats_json(doc: &str) -> &str {
+    let (_, stats) = doc
+        .split_once("\"stats\": ")
+        .unwrap_or_else(|| panic!("no stats in {doc}"));
+    stats
+}
+
+/// Panics if a `stats` object holds an empty section or the old front
+/// end's.
+fn assert_no_empty_section(stats: &str) {
+    for empty in ["front_end", ": {}", ": []"] {
+        assert!(!stats.contains(empty), "`{empty}` in {stats}");
+    }
+}
+
 /// With `--stats --json`, the JSON document gains a `stats` object whose
 /// counters match across job counts (the `*_ms` fields are wall-clock
-/// and are scrubbed before comparing), `check`'s and `batch`'s alike.
+/// and are scrubbed before comparing), `check`'s and `batch`'s alike:
+/// one `shards` list, the merged peak table and the plan time. Neither
+/// command writes an empty section.
 #[test]
 fn json_stats_object_is_deterministic() {
     let run = |jobs: &str, path: &std::path::Path| -> String {
@@ -506,42 +559,14 @@ fn json_stats_object_is_deterministic() {
     let p4 = std::env::temp_dir().join("covest-stats-4.json");
     let j1 = run("1", &p1);
     let j4 = run("4", &p4);
-    assert!(j1.contains("\"stats\": {"), "{j1}");
-    assert!(j1.contains("\"front_end\": {"), "{j1}");
+    assert!(j1.contains("\"stats\": {\"shards\": [{\"deck\": "), "{j1}");
     assert!(j1.contains("\"bdd_peak_live_nodes\":"), "{j1}");
-    // `check`'s `solve_ms` is a list of times, one per signal.
-    assert!(j1.contains("\"solve_ms\": ["), "{j1}");
-    let scrub = |s: &str| -> String {
-        let mut s = s.to_owned();
-        for key in [
-            "\"verify_ms\": ",
-            "\"coverage_ms\": ",
-            "\"queue_ms\": ",
-            "\"compile_ms\": ",
-            "\"reach_ms\": ",
-            "\"solve_ms\": ",
-            "\"plan_ms\": ",
-            "\"parse_ms\": ",
-            "\"sift_ms\": ",
-        ] {
-            while let Some(at) = s.find(key) {
-                let start = at + key.len();
-                let list = s[start..].starts_with('[');
-                let end = start
-                    + s[start..]
-                        .find(|c: char| {
-                            !(c.is_ascii_digit() || c == '.' || list && "[, ".contains(c))
-                        })
-                        .unwrap();
-                let end = if list { end + 1 } else { end };
-                s.replace_range(at..end, "");
-            }
-        }
-        s
-    };
+    // One solve time per signal.
+    assert!(j1.contains("\"signal_solve_ms\": [0"), "{j1}");
+    assert_no_empty_section(stats_json(&j1));
     assert_eq!(
-        scrub(&j1),
-        scrub(&j4),
+        scrub_ms(&j1),
+        scrub_ms(&j4),
         "json stats must not depend on --jobs"
     );
     for p in [p1, p4] {
@@ -571,22 +596,39 @@ fn json_stats_object_is_deterministic() {
         std::fs::read_to_string(json).expect("json written")
     };
     let (b1, b4) = (batch("1"), batch("4"));
-    assert!(b1.contains("\"shards\": [{\"deck\": "), "{b1}");
+    assert!(b1.contains("\"stats\": {\"shards\": [{\"deck\": "), "{b1}");
     assert!(b1.contains("\"peak_by_phase\": {"), "{b1}");
+    assert_no_empty_section(stats_json(&b1));
     assert_eq!(
-        scrub(&b1),
-        scrub(&b4),
+        scrub_ms(&b1),
+        scrub_ms(&b4),
         "batch json stats must not depend on --jobs"
     );
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A `--trace-format chrome` file's text, checked to be a Chrome
+/// trace-event JSON array: square-bracketed, comma-separated objects,
+/// one per line.
+fn loadable_chrome_array(log: &str) {
+    let body = log.trim();
+    assert!(body.starts_with('[') && body.ends_with(']'), "{body}");
+    // Structural JSON-array check without a parser: every event line
+    // is one object, comma-terminated except the last.
+    let lines: Vec<&str> = body.lines().collect();
+    for line in lines.iter().skip(1).take(lines.len().saturating_sub(2)) {
+        assert!(line.starts_with('{'), "{line}");
+        assert!(line.ends_with("},") || line.ends_with('}'), "{line}");
+    }
+}
+
 /// `--trace-format chrome` streams a Chrome trace-event JSON array:
-/// square-bracketed, comma-separated objects, `thread_name` metadata
-/// for the worker and front-end tracks, and complete (`ph:"X"`) events
-/// for the run's phases. `ui.perfetto.dev` ingests exactly this shape.
-/// `check` records everything on the front-end track; `batch` writes one
-/// track per pool worker with the shard's `signals` tag.
+/// `thread_name` metadata for each worker track, and complete (`ph:"X"`)
+/// events for the run's phases. `ui.perfetto.dev` ingests exactly this
+/// shape. `check` writes its one shard as a one-deck `batch` does: on
+/// worker 0's track, the shard span tagged with its signals. A run that
+/// fails still closes the array: `batch` keeps the tracks it streamed,
+/// `check` leaves an empty array.
 #[test]
 fn chrome_trace_is_a_perfetto_loadable_array() {
     let trace = std::env::temp_dir().join("covest-trace-test-chrome.json");
@@ -602,46 +644,65 @@ fn chrome_trace_is_a_perfetto_loadable_array() {
         assert!(stdout.contains("wrote "), "{stdout}");
         let log = std::fs::read_to_string(&trace).expect("trace written");
         let _ = std::fs::remove_file(&trace);
-        let body = log.trim();
-        assert!(body.starts_with('[') && body.ends_with(']'), "{body}");
-        // Structural JSON-array check without a parser: every event line
-        // is one object, comma-terminated except the last.
-        let lines: Vec<&str> = body.lines().collect();
-        assert!(lines.len() > 3, "trace has events");
-        for line in &lines[1..lines.len() - 1] {
-            assert!(line.starts_with('{'), "{line}");
-            assert!(line.ends_with("},") || line.ends_with('}'), "{line}");
-        }
+        loadable_chrome_array(&log);
+        assert!(log.lines().count() > 3, "trace has events");
         log
     };
-    let common = [
+    let needles = [
         "\"ph\":\"M\"",
         "\"name\":\"thread_name\"",
         "\"ph\":\"X\"",
         "\"name\":\"compile\"",
         "\"name\":\"signal:hi_cnt\"",
         "\"mem_peak_close\":",
+        "\"args\":{\"name\":\"worker 0\"}",
+        "\"signals\":\"hi_cnt+lo_cnt\"",
     ];
 
     let _ = std::fs::remove_file(&trace);
     let mut args = vec!["--coverage"];
     args.extend(flags);
     let log = read_trace(&check_stdout("models/priority_buffer.smv", &args));
-    for needle in common.iter().chain(&["\"args\":{\"name\":\"front-end\"}"]) {
+    for needle in needles {
         assert!(log.contains(needle), "missing {needle} in:\n{log}");
     }
-    assert!(
-        !log.contains("\"args\":{\"name\":\"worker 0\"}"),
-        "check runs no pool workers:\n{log}"
-    );
+    assert!(!log.contains("front-end"), "{log}");
 
     let log = read_trace(&batch_stdout(&["priority_buffer.smv"], &flags));
-    for needle in common.iter().chain(&[
-        "\"args\":{\"name\":\"worker 0\"}",
-        "\"signals\":\"hi_cnt+lo_cnt\"",
-    ]) {
+    for needle in needles {
         assert!(log.contains(needle), "missing {needle} in:\n{log}");
     }
+
+    let dir = std::env::temp_dir().join("covest-trace-failed");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(
+        dir.join("unk.smv"),
+        "MODULE main\nVAR b : boolean;\nASSIGN init(b) := FALSE; next(b) := !b;\n\
+         SPEC AG (nope -> AX b);\nOBSERVED b;\n",
+    )
+    .expect("deck");
+    let counter = repo_root().join("models/counter.smv");
+    std::fs::write(
+        dir.join("joblist.txt"),
+        format!("{}\nunk.smv\n", counter.display()),
+    )
+    .expect("joblist");
+    for (args, streamed) in [
+        (&["batch", "joblist.txt"][..], true),
+        (&["check", "unk.smv", "--coverage"], false),
+    ] {
+        let out = covest()
+            .current_dir(&dir)
+            .args(args)
+            .args(["--trace", "t.json", "--trace-format", "chrome"])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let log = std::fs::read_to_string(dir.join("t.json")).expect("trace written");
+        loadable_chrome_array(&log);
+        assert_eq!(log.contains("\"name\":\"compile\""), streamed, "{log}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// `check` stdout with the timing columns of the coverage table masked
@@ -765,35 +826,28 @@ fn peak_counter_and_table_max(block: &str) -> (u64, u64) {
 
 /// `--stats` surfaces the per-phase peak-live attribution: a block's
 /// table maximum must equal its `bdd_peak_live_nodes` counter (the
-/// acceptance reconciliation). `check` reconciles its front-end block;
-/// `batch` its shard block, whose peak/reorder line rides along.
+/// acceptance reconciliation). `check` and `batch` reconcile their shard
+/// block, whose peak/reorder line rides along.
 #[test]
 fn stats_peak_table_reconciles_with_high_water_counter() {
     let flags = ["--stats", "--jobs", "4"];
-    let stdout = check_stdout(
+    let check = check_stdout(
         "models/counter.smv",
         &[&["--coverage"][..], &flags].concat(),
     );
-    let section = stats_counters(&stdout);
-    let front_at = section.find("  front-end\n").expect("front-end block");
-    let front = &section[front_at..];
-    assert!(front.contains("peak-live by phase"), "{front}");
-    let (counter, table_max) = peak_counter_and_table_max(front);
-    assert_eq!(
-        table_max, counter,
-        "peak table max must equal bdd_peak_live_nodes:\n{front}"
-    );
-
-    let stdout = batch_stdout(&["counter.smv"], &flags);
-    let section = &stdout[stdout.find("stats:").expect("stats section")..];
-    assert!(section.contains("peak live "), "{section}");
-    assert!(section.contains("  reorder "), "{section}");
-    let shard = &section[section.find("  shard ").expect("shard block")..];
-    let (counter, table_max) = peak_counter_and_table_max(shard);
-    assert_eq!(
-        table_max, counter,
-        "peak table max must equal bdd_peak_live_nodes:\n{shard}"
-    );
+    let batch = batch_stdout(&["counter.smv"], &flags);
+    for stdout in [check, batch] {
+        let section = stats_counters(&stdout);
+        assert!(section.contains("peak live "), "{section}");
+        assert!(section.contains("  reorder "), "{section}");
+        let shard = &section[section.find("  shard ").expect("shard block")..];
+        assert!(shard.contains("peak-live by phase"), "{shard}");
+        let (counter, table_max) = peak_counter_and_table_max(shard);
+        assert_eq!(
+            table_max, counter,
+            "peak table max must equal bdd_peak_live_nodes:\n{shard}"
+        );
+    }
 }
 
 /// `check --coverage` compiles the union of the analyzed signals'
@@ -1221,27 +1275,65 @@ const SPECLESS_DECK: &str = "MODULE main\nVAR a : boolean;\n    b : boolean;\nAS
                              init(a) := FALSE;\n  next(a) := !a;\n  init(b) := FALSE;\n  \
                              next(b) := b;\nOBSERVED a, b;\n";
 
-/// `s` with every `*_ms` JSON field removed.
+/// `s` with every `, "NAME_ms": VALUE` JSON field removed, `VALUE` a
+/// number or a list of numbers.
 fn scrub_ms(s: &str) -> String {
-    let mut s = s.to_owned();
-    for key in [", \"verify_ms\": ", ", \"coverage_ms\": "] {
-        while let Some(at) = s.find(key) {
-            let start = at + key.len();
-            let end = start
-                + s[start..]
-                    .find(|c: char| !(c.is_ascii_digit() || c == '.'))
-                    .expect("value ends");
-            s.replace_range(at..end, "");
-        }
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(at) = rest.find("_ms\": ") {
+        let key = rest[..at]
+            .rfind(", \"")
+            .expect("an `_ms` field follows another");
+        out.push_str(&rest[..key]);
+        let value = &rest[at + "_ms\": ".len()..];
+        let len = if value.starts_with('[') {
+            value.find(']').expect("list ends") + 1
+        } else {
+            value
+                .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .expect("value ends")
+        };
+        rest = &value[len..];
     }
-    s
+    out.push_str(rest);
+    out
+}
+
+/// A JSONL `--trace`'s records without their ids and clock stamps: each
+/// record's ancestor path, name, track and fields, in record order.
+fn trace_records(log: &str) -> Vec<String> {
+    let mut names: std::collections::HashMap<&str, (&str, &str)> = Default::default();
+    let mut records = Vec::new();
+    for line in log.lines() {
+        let (id, parent, name) = (
+            record_field(line, "id"),
+            record_field(line, "parent"),
+            record_field(line, "name"),
+        );
+        names.insert(id, (parent, name));
+        let mut path = String::new();
+        let mut up = parent;
+        while let Some(&(above, above_name)) = names.get(up) {
+            path.insert_str(0, &format!("{above_name}/"));
+            up = above;
+        }
+        let fields = line.split_once(",\"fields\":").map_or("", |(_, f)| f);
+        let tid = record_field(line, "tid");
+        records.push(format!("{path}{name} tid {tid} {fields}"));
+    }
+    records
 }
 
 /// `check` is a one-deck batch on the caller's thread: its `--json` rows
 /// equal those `batch --json` writes for a one-deck joblist naming the
 /// same path — every field but the `*_ms` timings, node counts included.
-/// Inputs: every bundled deck, the `gen-models --size 6` decks, and a
-/// SPEC-less deck observing two signals with disjoint cones.
+/// Both runs carry `--stats` and `--trace`, and on a deck whose suite
+/// holds (a failing SPEC's counterexample is work only `check` does)
+/// they report in one schema: the same counter section above
+/// `-- timings --`, the same `stats` object once its `*_ms` fields are
+/// gone, and the same trace records by ancestor path, name, track and
+/// fields. Inputs: every bundled deck, the `gen-models --size 6` decks,
+/// and a SPEC-less deck observing two signals with disjoint cones.
 #[test]
 fn check_rows_equal_one_deck_batch_rows() {
     let dir = std::env::temp_dir().join("covest-check-vs-batch");
@@ -1250,31 +1342,42 @@ fn check_rows_equal_one_deck_batch_rows() {
     let specless = dir.join("specless.smv");
     std::fs::write(&specless, SPECLESS_DECK).expect("write deck");
     decks.push(specless);
-    let (check_json, batch_json, joblist) = (
-        dir.join("check.json"),
-        dir.join("batch.json"),
-        dir.join("joblist.txt"),
-    );
+    let joblist = dir.join("joblist.txt");
+    let mut compared = 0;
     for deck in &decks {
-        let out = covest()
-            .arg("check")
-            .arg(deck)
-            .args(["--coverage", "--json"])
-            .arg(&check_json)
-            .output()
-            .expect("runs");
-        assert!(out.status.success(), "check {}", deck.display());
         std::fs::write(&joblist, format!("{}\n", deck.display())).expect("joblist");
-        let out = covest()
-            .arg("batch")
-            .arg(&joblist)
-            .arg("--json")
-            .arg(&batch_json)
-            .output()
-            .expect("runs");
-        assert!(out.status.success(), "batch {}", deck.display());
-        let read = |p: &std::path::Path| scrub_ms(&std::fs::read_to_string(p).expect("json"));
-        let (check_rows, batch_rows) = (read(&check_json), read(&batch_json));
+        let run = |args: &[&std::ffi::OsStr], name: &str| {
+            let (json, trace) = (
+                dir.join(format!("{name}.json")),
+                dir.join(format!("{name}.jsonl")),
+            );
+            let out = covest()
+                .args(args)
+                .args(["--stats", "--json"])
+                .arg(&json)
+                .arg("--trace")
+                .arg(&trace)
+                .output()
+                .expect("runs");
+            assert!(out.status.success(), "{name} {}", deck.display());
+            (
+                String::from_utf8_lossy(&out.stdout).into_owned(),
+                scrub_ms(&std::fs::read_to_string(json).expect("json")),
+                std::fs::read_to_string(trace).expect("trace"),
+            )
+        };
+        let check = run(
+            &["check".as_ref(), deck.as_ref(), "--coverage".as_ref()],
+            "check",
+        );
+        let batch = run(&["batch".as_ref(), joblist.as_ref()], "batch");
+        let rows = |doc: &str| {
+            doc.split_once(",\n  \"stats\": ")
+                .expect("stats")
+                .0
+                .to_owned()
+        };
+        let (check_rows, batch_rows) = (rows(&check.1), rows(&batch.1));
         assert_eq!(
             check_rows.lines().count(),
             batch_rows.lines().count(),
@@ -1284,13 +1387,41 @@ fn check_rows_equal_one_deck_batch_rows() {
         for (c, b) in check_rows.lines().zip(batch_rows.lines()) {
             assert_eq!(c, b, "{}: check and batch rows differ", deck.display());
         }
+        if check.0.contains("[FAIL]") {
+            continue;
+        }
+        compared += 1;
+        assert_eq!(
+            stats_counters(&check.0),
+            stats_counters(&batch.0),
+            "{}: check and batch counters differ",
+            deck.display()
+        );
+        assert_eq!(
+            stats_json(&check.1),
+            stats_json(&batch.1),
+            "{}: check and batch stats objects differ",
+            deck.display()
+        );
+        assert_eq!(
+            trace_records(&check.2),
+            trace_records(&batch.2),
+            "{}: check and batch traces differ",
+            deck.display()
+        );
     }
+    assert_eq!(
+        compared,
+        decks.len() - 1,
+        "one bundled deck fails its suite"
+    );
     let _ = std::fs::remove_dir_all(dir);
 }
 
 /// `check` verifies once per machine: the trace of a two-signal run holds
 /// exactly one `verify` span, carrying the suite size, at the machine
-/// level — outside every `signal:*` span.
+/// level — directly under the shard's root span, outside every
+/// `signal:*` span.
 #[test]
 fn check_verifies_once_per_machine() {
     let trace = std::env::temp_dir().join("covest-verify-once.jsonl");
@@ -1306,7 +1437,12 @@ fn check_verifies_once_per_machine() {
         .collect();
     assert_eq!(verify.len(), 1, "{log}");
     assert!(verify[0].contains("\"properties\":11"), "{}", verify[0]);
-    assert!(verify[0].contains("\"parent\":null"), "{}", verify[0]);
+    assert!(verify[0].contains("\"parent\":0"), "{}", verify[0]);
+    let root = log.lines().next().expect("records");
+    assert!(
+        root.contains("\"id\":0,\"parent\":null,\"name\":\"shard:"),
+        "{root}"
+    );
     let signals = log
         .lines()
         .filter(|l| l.contains("\"name\":\"signal:"))
@@ -1365,8 +1501,8 @@ fn coverage_runs_no_reachability_fixpoint() {
 
 /// `check`'s `reach` time covers the reachability fixpoint: on every
 /// bundled and `--size 6` deck, `--json`'s `reach_ms` is at least the
-/// duration of the trace's root-level `reachability` span (give or take
-/// the microsecond the two formats round off).
+/// duration of the `reachability` span directly under the shard's root
+/// span (give or take the microsecond the two formats round off).
 #[test]
 fn check_reach_times_the_reachability_fixpoint() {
     let dir = std::env::temp_dir().join("covest-reach-time");
@@ -1387,7 +1523,7 @@ fn check_reach_times_the_reachability_fixpoint() {
         let spans: Vec<u64> = log
             .lines()
             .filter(|l| {
-                record_field(l, "name") == "\"reachability\"" && record_field(l, "parent") == "null"
+                record_field(l, "name") == "\"reachability\"" && record_field(l, "parent") == "0"
             })
             .map(|l| {
                 let us = |key| record_field(l, key).parse::<u64>().expect("microseconds");
@@ -1396,7 +1532,7 @@ fn check_reach_times_the_reachability_fixpoint() {
             .collect();
         let [span_us] = spans[..] else {
             panic!(
-                "{}: one root-level reachability span: {log}",
+                "{}: one reachability span under the root: {log}",
                 deck.display()
             );
         };

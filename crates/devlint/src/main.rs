@@ -39,6 +39,12 @@
 //!   `crates/par/src/pool.rs`, the file that holds `drain`: every
 //!   thread the workspace starts is a worker of that one dispatcher,
 //!   which plans the decks and runs the shards.
+//! - `one-shard-run` — no `telemetry::install(`, `install_progress(`,
+//!   `install_mem_sampler(` or `set_mem_sampler(` in a crate's `src/`
+//!   outside `crates/telemetry` and `crates/par/src/shard.rs`: the
+//!   observers a run is watched by are installed, and torn down, by
+//!   covest-par's `ShardRun` alone, which every `batch` shard and
+//!   `covest check` drive.
 //!
 //! A finding on a line ending in `// devlint: allow(<rule>)` is
 //! suppressed. Exit status: 0 clean, 1 findings, 2 usage/IO error.
@@ -52,6 +58,15 @@ const HOT_PATH_NEEDLES: [&str; 4] = ["HashMap<", "HashMap::", "HashSet<", "HashS
 
 /// What `one-dispatcher` looks for: every way `std` starts a thread.
 const THREAD_NEEDLES: [&str; 3] = ["thread::scope", "thread::spawn", "thread::Builder"];
+
+/// What `one-shard-run` looks for: every way to install an observer on
+/// a thread.
+const OBSERVER_NEEDLES: [&str; 4] = [
+    "telemetry::install(",
+    "install_progress(",
+    "install_mem_sampler(",
+    "set_mem_sampler(",
+];
 
 /// One rule violation.
 struct Finding {
@@ -100,17 +115,23 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Flags every line of `src` containing `needle`, minus allowed lines.
+/// Flags every line of `src` containing one of `needles` where no
+/// identifier character precedes it (`uninstall_progress(` holds no
+/// `install_progress(`), minus allowed lines.
 fn scan_lines(
     path: &Path,
     src: &str,
-    needle: &str,
+    needles: &[&str],
     rule: &'static str,
     message: &str,
     out: &mut Vec<Finding>,
 ) {
+    let found = |line: &str, needle: &str| {
+        line.match_indices(needle)
+            .any(|(at, _)| !line[..at].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_'))
+    };
     for (i, line) in src.lines().enumerate() {
-        if line.contains(needle) && !allowed(line, rule) {
+        if needles.iter().any(|n| found(line, n)) && !allowed(line, rule) {
             out.push(Finding {
                 path: path.to_owned(),
                 line: i + 1,
@@ -216,6 +237,15 @@ fn one_dispatcher_scope(crates: &Path, path: &Path) -> bool {
     test_only_code_scope(crates, path) && path != crates.join("par").join("src").join("pool.rs")
 }
 
+/// `true` for the sources the `one-shard-run` rule covers: every file
+/// under a crate's `src/` directory but the telemetry crate's, which
+/// defines the observers, and the one that holds `ShardRun`.
+fn one_shard_run_scope(crates: &Path, path: &Path) -> bool {
+    test_only_code_scope(crates, path)
+        && !path.starts_with(crates.join("telemetry"))
+        && path != crates.join("par").join("src").join("shard.rs")
+}
+
 fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
     let crates = root.join("crates");
     let mut sources = Vec::new();
@@ -236,28 +266,26 @@ fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
         scan_lines(
             path,
             &src,
-            "protected_refs",
+            &["protected_refs"],
             "raw-roots",
             "the raw-roots GC contract was removed; do not reintroduce it",
             &mut findings,
         );
         if hot_paths.iter().any(|p| p == path) {
-            for needle in HOT_PATH_NEEDLES {
-                scan_lines(
-                    path,
-                    &src,
-                    needle,
-                    "hot-path-hashmap",
-                    "no HashMap/HashSet on the BDD hot paths (use the packed tables or a mark bitmap)",
-                    &mut findings,
-                );
-            }
+            scan_lines(
+                path,
+                &src,
+                &HOT_PATH_NEEDLES,
+                "hot-path-hashmap",
+                "no HashMap/HashSet on the BDD hot paths (use the packed tables or a mark bitmap)",
+                &mut findings,
+            );
         }
         if !path.starts_with(&instant_ok) {
             scan_lines(
                 path,
                 &src,
-                "Instant::now()",
+                &["Instant::now()"],
                 "raw-instant",
                 "use covest_telemetry::Stopwatch instead of raw Instant",
                 &mut findings,
@@ -267,7 +295,7 @@ fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
             scan_lines(
                 path,
                 &src,
-                "ModelChecker::new",
+                &["ModelChecker::new"],
                 "one-verifier",
                 "set checkers up through CoverageEstimator::checker (one coverage path)",
                 &mut findings,
@@ -277,29 +305,37 @@ fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
             scan_lines(
                 path,
                 &src,
-                "allow(dead_code)",
+                &["allow(dead_code)"],
                 "test-only-code",
                 "code kept alive only for tests; delete it or mark a deliberate test hook",
                 &mut findings,
             );
         }
         if one_dispatcher_scope(&crates, path) {
-            for needle in THREAD_NEEDLES {
-                scan_lines(
-                    path,
-                    &src,
-                    needle,
-                    "one-dispatcher",
-                    "start threads only through covest-par's `drain` (one dispatcher)",
-                    &mut findings,
-                );
-            }
+            scan_lines(
+                path,
+                &src,
+                &THREAD_NEEDLES,
+                "one-dispatcher",
+                "start threads only through covest-par's `drain` (one dispatcher)",
+                &mut findings,
+            );
+        }
+        if one_shard_run_scope(&crates, path) {
+            scan_lines(
+                path,
+                &src,
+                &OBSERVER_NEEDLES,
+                "one-shard-run",
+                "install observers only through covest-par's `ShardRun` (one shard run)",
+                &mut findings,
+            );
         }
         if !eprintln_exempt(&crates, path) {
             scan_lines(
                 path,
                 &src,
-                "eprintln!",
+                &["eprintln!"],
                 "progress-eprintln",
                 "engine crates report through covest_telemetry::progress, not stderr",
                 &mut findings,
@@ -430,7 +466,7 @@ mod tests {
         scan_lines(
             Path::new("pool.rs"),
             src,
-            "ModelChecker::new",
+            &["ModelChecker::new"],
             "one-verifier",
             "",
             &mut findings,
@@ -463,7 +499,7 @@ mod tests {
         scan_lines(
             Path::new("count.rs"),
             src,
-            "allow(dead_code)",
+            &["allow(dead_code)"],
             "test-only-code",
             "",
             &mut findings,
@@ -495,19 +531,57 @@ mod tests {
                    let big = thread::Builder::new().stack_size(1 << 26);\n\
                    thread::spawn(work); // devlint: allow(one-dispatcher)\n";
         let mut findings = Vec::new();
-        for needle in THREAD_NEEDLES {
-            scan_lines(
-                Path::new("plan.rs"),
-                src,
-                needle,
-                "one-dispatcher",
-                "",
-                &mut findings,
+        scan_lines(
+            Path::new("plan.rs"),
+            src,
+            &THREAD_NEEDLES,
+            "one-dispatcher",
+            "",
+            &mut findings,
+        );
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [1, 2, 4]);
+    }
+
+    #[test]
+    fn one_shard_run_spares_telemetry_and_the_shard_and_honours_the_suppression() {
+        let crates = Path::new("crates");
+        for (path, covered) in [
+            ("cli/src/main.rs", true),
+            ("par/src/pool.rs", true),
+            ("core/src/estimator.rs", true),
+            ("bench/src/bin/table2.rs", true),
+            ("par/src/shard.rs", false),
+            ("telemetry/src/lib.rs", false),
+            ("telemetry/src/progress.rs", false),
+            ("core/tests/flow.rs", false),
+        ] {
+            assert_eq!(
+                one_shard_run_scope(crates, &crates.join(path)),
+                covered,
+                "{path}"
             );
         }
-        let mut lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
-        lines.sort_unstable();
-        assert_eq!(lines, [1, 2, 4]);
+        assert!(!one_shard_run_scope(crates, Path::new("src/lib.rs")));
+        let src = "    telemetry::install(Telemetry::new());\n\
+                   progress::install_progress(channel);\n\
+                   let on = telemetry::is_active();\n\
+                   install_mem_sampler(&bdd);\n\
+                   memory::set_mem_sampler(sample);\n\
+                   covest_telemetry::install(rec); // devlint: allow(one-shard-run)\n\
+                   let rec = telemetry::uninstall();\n\
+                   progress::uninstall_progress();\n";
+        let mut findings = Vec::new();
+        scan_lines(
+            Path::new("main.rs"),
+            src,
+            &OBSERVER_NEEDLES,
+            "one-shard-run",
+            "",
+            &mut findings,
+        );
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [1, 2, 4, 5]);
     }
 
     #[test]
@@ -517,19 +591,15 @@ mod tests {
                    let m: HashMap<u32, u32> = HashMap::new();\n\
                    let ok = Vec::new();\n";
         let mut findings = Vec::new();
-        for needle in HOT_PATH_NEEDLES {
-            scan_lines(
-                Path::new("quant.rs"),
-                src,
-                needle,
-                "hot-path-hashmap",
-                "",
-                &mut findings,
-            );
-        }
-        let mut lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
-        lines.sort_unstable();
-        lines.dedup();
+        scan_lines(
+            Path::new("quant.rs"),
+            src,
+            &HOT_PATH_NEEDLES,
+            "hot-path-hashmap",
+            "",
+            &mut findings,
+        );
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, [1, 2, 3]);
     }
 

@@ -19,11 +19,15 @@
 //!   purely static (parse, dependency graph, cones of influence — no
 //!   BDDs) and runs on the batch's `jobs` threads, one deck at a time per
 //!   thread, largest source first.
-//! - **The shard body** — compile and sift ([`compile_machine`]), verify
-//!   the suite once, then cover each signal in declaration order
-//!   ([`cover_signal`]), reusing the verification's memoized
-//!   satisfaction sets. `covest check` runs this same body on its own
-//!   thread, printing between the steps.
+//! - **The shard run** ([`ShardRun`]) — one deck machine on a fresh
+//!   manager, under the observers [`ParConfig`] asks for: compile and
+//!   sift ([`compile_machine`]), verify the suite once, compute the
+//!   reachable states, then cover each signal in declaration order,
+//!   reusing the verification's memoized satisfaction sets, and return
+//!   the shard's [`ShardProfile`].
+//!   `covest check` drives this same run on its own thread, printing
+//!   between the steps, so its `--stats`, `--json` and `--trace` are a
+//!   one-deck batch's.
 //! - **The worker pool** ([`WorkPlan::run`]) — `jobs` threads, the
 //!   calling thread among them, take shards largest-first (by their
 //!   static cone weights) from one shared cursor, the planner's
@@ -77,4 +81,4 @@ pub use plan::{plan_machine, DeckJob, DeckMachine, ParConfig, SignalTask, WorkPl
 pub use pool::{
     run_batch, BatchReport, DeckReport, ParError, SchedStats, ShardProfile, SignalOutcome,
 };
-pub use shard::{compile_machine, cover_signal, install_mem_sampler, startup_sift};
+pub use shard::{compile_machine, ShardRun};

@@ -88,15 +88,18 @@ pub struct SignalOutcome {
     pub row: ReportRow,
 }
 
-/// The per-shard observability record collected when
-/// [`ParConfig::profile`] is on: where the shard's wall-clock went, the
-/// span log its phases recorded, and the deterministic engine counters
-/// of its private manager.
+/// The per-shard observability record a [`crate::ShardRun`] returns
+/// when [`ParConfig::profile`] is on: where the shard's wall-clock went,
+/// the span log its phases recorded, and the deterministic engine
+/// counters of its private manager. `covest check`'s one run yields one
+/// too, so both front ends report the same profile.
 ///
 /// The counters (and spans' deterministic fields) are a pure function of
 /// (deck source, config) — byte-identical across `jobs` values and
 /// across identical runs. Every `Duration` here is a wall-clock
-/// scheduling fact and excluded from any parity contract.
+/// scheduling fact and excluded from any parity contract; all but
+/// `queue_wait` are folded from the span forest, whose records the
+/// run's one clock stamps.
 #[derive(Debug, Clone)]
 pub struct ShardProfile {
     /// Deck display name.
@@ -110,6 +113,8 @@ pub struct ShardProfile {
     /// Time compiling the shard's module on its private manager
     /// (including the startup sifting pass).
     pub compile: Duration,
+    /// Time in the startup sifting pass: the tail of `compile`.
+    pub sift: Duration,
     /// Time computing the machine's reachable states, after
     /// verification and before the first signal's coverage; zero for a
     /// verification-only shard, which computes none.
@@ -118,6 +123,12 @@ pub struct ShardProfile {
     /// verifying the suite once and covering each signal: the shard's
     /// time after compile, without `reach`.
     pub solve: Duration,
+    /// Time setting up the checker and verifying the suite: the head of
+    /// `solve`.
+    pub verify: Duration,
+    /// Each signal's coverage and uncovered sample, in `signals` order:
+    /// the rest of `solve`.
+    pub signal_solve: Vec<Duration>,
     /// Per-phase peak-live attribution table (`compile` / `reach` /
     /// `verify` / `signal:NAME` / `other` → peak live nodes), the fold of
     /// the span forest's memory samples — deterministic, and its maximum
@@ -149,6 +160,15 @@ impl ShardProfile {
             self.counters.get("bdd_reorder_size_before"),
             self.counters.get("bdd_reorder_size_after"),
         )
+    }
+
+    /// Writes the shard's span forest to `sink` as the track of the
+    /// worker that ran it — tid `worker + 1`, labeled `worker N` — and
+    /// drops it from the profile, so a trace holds at most one forest
+    /// per worker in memory.
+    pub fn stream(&mut self, sink: &mut dyn TraceSink, worker: usize) {
+        let spans = std::mem::take(&mut self.spans);
+        sink.write_track(worker as u64 + 1, &format!("worker {worker}"), &spans);
     }
 }
 
@@ -308,10 +328,9 @@ impl WorkPlan {
             let queue_wait = clock.now().saturating_sub(start);
             let mut result = run_shard(&self.shards[s], config, queue_wait, &clock);
             if let (Ok(report), Some(sink)) = (&mut result, &sink) {
-                for profile in report.profiles.iter_mut().filter(|p| !p.spans.is_empty()) {
-                    let spans = std::mem::take(&mut profile.spans);
+                for profile in &mut report.profiles {
                     let mut sink = sink.lock().expect("no worker panics while writing a track");
-                    sink.write_track(worker as u64 + 1, &format!("worker {worker}"), &spans);
+                    profile.stream(&mut **sink, worker);
                 }
             }
             result
@@ -329,10 +348,9 @@ impl WorkPlan {
 
 /// Plans and runs a batch in one call — the front door used by
 /// `covest batch`. With a `sink`, the worker that ran a profiled shard
-/// writes its span forest there as soon as the shard is done: track
-/// `worker + 1`, labeled `worker N` (tid 0 is left to the caller's front
-/// end). A written forest is dropped from its profile
-/// ([`ShardProfile::spans`] comes back empty), so trace memory stays
+/// streams its span forest there as soon as the shard is done
+/// ([`ShardProfile::stream`]: track `worker + 1`, labeled `worker N`),
+/// so [`ShardProfile::spans`] comes back empty and trace memory stays
 /// bounded by one shard per worker. Without [`ParConfig::profile`] no
 /// shard records anything and the sink stays untouched.
 ///

@@ -19,8 +19,9 @@ use common::{all_decks, assert_semantic_parity, listing, run_sequential};
 use covest_bdd::BddManager;
 use covest_core::CoverageEstimator;
 use covest_par::{
-    compile_machine, cover_signal, plan_machine, run_batch, DeckJob, ParConfig, SignalTask,
+    compile_machine, plan_machine, run_batch, DeckJob, ParConfig, ShardRun, SignalTask,
 };
+use covest_smv::{CompiledModel, Module};
 use proptest::prelude::*;
 
 /// Every bundled circuit and every `models/*.smv` deck: the pool's cone
@@ -49,24 +50,33 @@ fn sized_pipeline(stages: usize) -> DeckJob {
     DeckJob::new(format!("sized:pipeline_d{stages}"), deck)
 }
 
-/// The peak live nodes of the shard body — compile and sift, verify
-/// once, cover each signal — run on the unreduced module of `deck`, on a
-/// fresh manager.
+/// Runs the shard's steps — compile and sift, verify once, the
+/// reachable states, cover each signal — on `module`, on a fresh
+/// manager, and returns the compiled machine.
+fn shard_run(name: &str, module: &Module, tasks: &[SignalTask]) -> CompiledModel {
+    let run = ShardRun::start(name, tasks, &ParConfig::default());
+    let (model, _) = run.compile(module).expect("deck compiles");
+    let estimator = CoverageEstimator::new(&model.fsm);
+    let mut verification = run.verify(&estimator, &model).expect("verifies");
+    run.reach(&model);
+    for task in tasks {
+        run.cover(&estimator, &mut verification, task, 10)
+            .expect("covers");
+    }
+    drop(verification);
+    model
+}
+
+/// The peak live nodes of the shard run on the unreduced module of
+/// `deck`.
 fn full_deck_peak(deck: &DeckJob) -> u64 {
     let module = covest_smv::parse_module(&deck.source).expect("deck parses");
     let signals: Vec<String> = module.observed.iter().map(|o| o.name.clone()).collect();
     let tasks = plan_machine(module.clone(), &signals)
         .expect("deck plans")
         .tasks;
-    let bdd = BddManager::new();
-    let (model, _) = compile_machine(&bdd, &module).expect("deck compiles");
-    let estimator = CoverageEstimator::new(&model.fsm);
-    let checker = estimator.checker(&model.fairness).expect("checker");
-    let mut verification = estimator.verify(checker, &model.specs).expect("verifies");
-    for task in &tasks {
-        cover_signal(&estimator, &mut verification, &deck.name, task, 10).expect("covers");
-    }
-    bdd.stats().peak_live_nodes
+    let model = shard_run(&deck.name, &module, &tasks);
+    model.fsm.manager().stats().peak_live_nodes
 }
 
 /// The sized pipeline decks: each carries a debug register chain that no
@@ -190,14 +200,8 @@ fn compile_leaves_the_sift_little_garbage() {
 fn counter_keeps_its_caches_at_2_to_the_10() {
     let source = std::fs::read_to_string(models().join("counter.smv")).expect("deck reads");
     let (machine, tasks) = check_machine(&source, true);
-    let bdd = BddManager::new();
-    let (model, _) = compile_machine(&bdd, &machine).expect("deck compiles");
-    let estimator = CoverageEstimator::new(&model.fsm);
-    let checker = estimator.checker(&model.fairness).expect("checker");
-    let mut verification = estimator.verify(checker, &model.specs).expect("verifies");
-    for task in &tasks {
-        cover_signal(&estimator, &mut verification, "counter", task, 10).expect("covers");
-    }
+    let model = shard_run("counter", &machine, &tasks);
+    let bdd = model.fsm.manager();
     assert!(bdd.table_size() < 1 << 10, "{} slots", bdd.table_size());
     assert_eq!(bdd.cache_entries(), [1 << 10; 3]);
 }

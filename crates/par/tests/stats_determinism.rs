@@ -4,9 +4,9 @@
 //! the shard. Two identical runs must produce byte-identical counters,
 //! and so must runs that differ only in `jobs` — including runs with
 //! more threads than the heaviest shard leaves work for. Durations
-//! (`queue_wait`, `compile`, `reach`, `solve`) are wall-clock scheduling
-//! facts by definition and are deliberately excluded from every parity
-//! assertion here.
+//! (`queue_wait` and the phase times) are wall-clock scheduling facts by
+//! definition and are deliberately excluded from every parity assertion
+//! here.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -269,9 +269,11 @@ fn span_forests_identical_across_job_counts() {
 fn chrome_trace_events_identical_across_job_counts() {
     fn normalized_events(jobs: usize) -> Vec<String> {
         let decks = all_decks();
-        let mut writer = TraceWriter::new(Vec::new(), TraceFormat::Chrome);
+        let mut buf = Vec::new();
+        let mut writer = TraceWriter::new(&mut buf, TraceFormat::Chrome);
         run_batch(&decks, &clocked(jobs), Some(&mut writer)).expect("profiled traced run");
-        let text = String::from_utf8(writer.into_inner().expect("vec sink")).expect("utf-8 trace");
+        writer.finish().expect("vec sink");
+        let text = String::from_utf8(buf).expect("utf-8 trace");
         let mut events: Vec<String> = text
             .lines()
             .filter(|l| l.contains("\"ph\":\"X\"") || l.contains("\"ph\":\"i\""))

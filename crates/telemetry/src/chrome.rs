@@ -5,10 +5,10 @@
 //! `ui.perfetto.dev` and `chrome://tracing` ingest: spans become
 //! complete events (`ph:"X"`, microsecond `ts`/`dur`), telemetry events
 //! become thread-scoped instants (`ph:"i"`), and every **track** — one
-//! per pool worker, `tid` = worker index + 1, `tid` 0 for the
-//! front-end — is labeled through `thread_name` metadata. Span fields
-//! and labels ride in `args`, so a shard span shows its `signals`
-//! payload in the Perfetto side panel.
+//! per pool worker, `tid` = worker index + 1 (`covest check` runs its
+//! one shard as worker 0) — is labeled through `thread_name` metadata.
+//! Span fields and labels ride in `args`, so a shard span shows its
+//! `signals` payload in the Perfetto side panel.
 //!
 //! Streaming: each pool worker hands its finished shard's forest to a
 //! [`TraceSink`] as soon as the shard is done, so a long batch run never
@@ -75,7 +75,10 @@ pub trait TraceSink: Send {
 /// Tracks arrive incrementally via [`TraceSink::write_track`] and are
 /// flushed to `out` immediately; memory use is bounded by the largest
 /// single batch, not the run. [`TraceWriter::finish`] closes the
-/// Chrome JSON array and surfaces the first deferred I/O error.
+/// Chrome JSON array and surfaces the first deferred I/O error. A
+/// writer dropped unfinished — its run failed part way — closes the
+/// trace all the same, so the tracks written so far stay a loadable
+/// file.
 pub struct TraceWriter<W: io::Write> {
     out: W,
     format: TraceFormat,
@@ -87,6 +90,8 @@ pub struct TraceWriter<W: io::Write> {
     opened: bool,
     /// Chrome: tids that already carry `thread_name` metadata.
     named: BTreeSet<u64>,
+    /// Whether the trace is closed.
+    closed: bool,
 }
 
 impl<W: io::Write> TraceWriter<W> {
@@ -99,6 +104,7 @@ impl<W: io::Write> TraceWriter<W> {
             next_id: 0,
             opened: false,
             named: BTreeSet::new(),
+            closed: false,
         }
     }
 
@@ -116,14 +122,10 @@ impl<W: io::Write> TraceWriter<W> {
         self.finish_into()
     }
 
-    /// [`TraceWriter::finish`], handing back the underlying sink — for
-    /// in-memory exports (`Vec<u8>` sinks) and tests.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        self.finish_into()?;
-        Ok(self.out)
-    }
-
     fn finish_into(&mut self) -> io::Result<()> {
+        if std::mem::replace(&mut self.closed, true) {
+            return Ok(());
+        }
         if self.format == TraceFormat::Chrome {
             let text = if self.opened { "\n]\n" } else { "[]\n" };
             self.emit(text);
@@ -132,6 +134,12 @@ impl<W: io::Write> TraceWriter<W> {
             Some(e) => Err(e),
             None => self.out.flush(),
         }
+    }
+}
+
+impl<W: io::Write> Drop for TraceWriter<W> {
+    fn drop(&mut self) {
+        let _ = self.finish_into();
     }
 }
 
@@ -253,9 +261,11 @@ mod tests {
     #[test]
     fn render_emits_metadata_and_complete_events() {
         let records = forest();
-        let mut w = TraceWriter::new(Vec::new(), TraceFormat::Chrome);
+        let mut buf = Vec::new();
+        let mut w = TraceWriter::new(&mut buf, TraceFormat::Chrome);
         w.write_track(1, "worker 0", &records);
-        let text = String::from_utf8(w.into_inner().expect("vec sink")).expect("utf-8");
+        w.finish().expect("vec sink");
+        let text = String::from_utf8(buf).expect("utf-8");
         assert!(text.starts_with('['));
         assert!(text.trim_end().ends_with(']'));
         assert!(text.contains(
@@ -269,21 +279,31 @@ mod tests {
         assert!(text.contains("\"name\":\"compile\",\"cat\":\"covest\",\"ts\":3,\"dur\":4"));
     }
 
+    /// A finished writer and one dropped unfinished (its run failed)
+    /// both close the array.
     #[test]
     fn empty_trace_is_a_valid_array() {
-        let writer = TraceWriter::new(Vec::new(), TraceFormat::Chrome);
-        let mut w = writer;
-        w.finish_into().expect("vec sink");
-        assert_eq!(String::from_utf8(w.out).unwrap(), "[]\n");
+        for finish in [true, false] {
+            let mut buf = Vec::new();
+            let w = TraceWriter::new(&mut buf, TraceFormat::Chrome);
+            if finish {
+                w.finish().expect("vec sink");
+            } else {
+                drop(w);
+            }
+            assert_eq!(String::from_utf8(buf).unwrap(), "[]\n");
+        }
     }
 
     #[test]
     fn jsonl_tracks_rebase_ids_and_tag_tid() {
         let records = forest();
-        let mut w = TraceWriter::new(Vec::new(), TraceFormat::Jsonl);
+        let mut buf = Vec::new();
+        let mut w = TraceWriter::new(&mut buf, TraceFormat::Jsonl);
         w.write_track(1, "worker 0", &records);
         w.write_track(2, "worker 1", &records);
-        let text = String::from_utf8(w.out).unwrap();
+        w.finish().expect("vec sink");
+        let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("\"id\":0") && lines[0].contains("\"tid\":1"));

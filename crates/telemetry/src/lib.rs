@@ -50,9 +50,11 @@
 //! }
 //! let rec = telemetry::uninstall().expect("recorder installed");
 //! assert_eq!(rec.counters().get("image_calls"), 3);
-//! let mut trace = TraceWriter::new(Vec::new(), TraceFormat::Jsonl);
+//! let mut buf = Vec::new();
+//! let mut trace = TraceWriter::new(&mut buf, TraceFormat::Jsonl);
 //! trace.write_track(0, "demo", rec.records());
-//! let text = String::from_utf8(trace.into_inner().expect("Vec<u8> sink")).expect("UTF-8");
+//! trace.finish().expect("Vec<u8> sink");
+//! let text = String::from_utf8(buf).expect("UTF-8");
 //! assert!(text.contains("\"name\":\"compile\""));
 //! ```
 
@@ -688,9 +690,11 @@ mod tests {
             event("note \"quoted\"", &[("n", 1)]);
         }
         let rec = uninstall().expect("installed");
-        let mut trace = TraceWriter::new(Vec::new(), TraceFormat::Jsonl);
+        let mut buf = Vec::new();
+        let mut trace = TraceWriter::new(&mut buf, TraceFormat::Jsonl);
         trace.write_track(0, "test", rec.records());
-        let text = String::from_utf8(trace.into_inner().expect("vec sink")).expect("utf-8");
+        trace.finish().expect("vec sink");
+        let text = String::from_utf8(buf).expect("utf-8");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(

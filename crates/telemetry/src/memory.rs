@@ -2,8 +2,9 @@
 //!
 //! The BDD arena is the estimator's dominant allocation, but the engine
 //! crates must not depend on `covest-bdd` from here — so the driver
-//! (shard runner, CLI front-end) installs a thread-local **sampler**
-//! closure over its manager via [`set_mem_sampler`]. The recorder then
+//! (covest-par's shard run, which `covest check` drives too) installs a
+//! thread-local **sampler** closure over its manager via
+//! [`set_mem_sampler`]. The recorder then
 //! stamps a [`MemSample`] into the record stream at every span open,
 //! span close, and event (BFS steps are events, so each step carries a
 //! sample) — the memory *timeline*.
